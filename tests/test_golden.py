@@ -1,0 +1,209 @@
+"""Golden CLI transcripts: exit code, stdout and stderr of every check and
+derive kind on the bundled corpus and on single-entry mutants of it.
+
+Derive cases write their document to stdout, so each golden holds the
+emitted text.  The temporary fixture directory is written as ``<dir>``.
+After an intended change of output, regenerate the goldens with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+from postlie import ONE, Document, corpus_doc, dualize, dumps
+from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
+from postlie.corpus import write_corpus
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
+
+# "@name" stands for the fixture file name.txt in the fixture directory
+CASES = [
+    ("check", "lie", "@sl2_lie"),
+    ("check", "lie"),
+    ("check", "lie", "@missing"),
+    ("check", "pre-lie", "@final_prepp"),
+    ("check", "pre-lie", "@sl2_postlie"),
+    ("check", "post-lie", "@sl2_postlie"),
+    ("check", "pp", "@sl2_pp"),
+    ("check", "pp", "@sl2_pp_broken"),
+    ("check", "pre-pp", "@final_prepp"),
+    ("check", "pre-pp", "@prepp_bumped"),
+    ("check", "l-dendriform", "@sl2_pp"),
+    ("check", "rep", "@sl2_postlie"),
+    ("check", "rep", "@sl2_pp", "--rep", "split-dual"),
+    ("check", "pp-rep", "@sl2_pp"),
+    ("check", "pp-rep", "@sl2_pp", "--rep", "coadjoint"),
+    ("check", "pp-rep", "@final_prepp", "--rep", "quarter"),
+    ("check", "pp-rep", "@sl2_pp_broken"),
+    ("check", "rb", "@sl2_lie", "@sl2_P", "--weight", "1"),
+    ("check", "rb", "@sl2_lie", "@final_P"),
+    ("check", "rb", "@sl2_lie"),
+    ("check", "o-op", "@sl2_pp", "@final_P"),
+    ("check", "o-op", "@sl2_pp", "@sl2_P"),
+    ("check", "dual-p-o", "@sl2_pp", "@sl2_P", "--rep", "split-dual"),
+    ("check", "dual-p-o", "@sl2_pp", "@identity3", "--rep", "split-dual"),
+    ("check", "strong", "@sl2_pp", "@sl2_P", "--rep", "split-dual"),
+    ("check", "strong", "@sl2_pp", "@identity3", "--rep", "split-dual"),
+    ("check", "invariant-form", "@sl2_postlie", "@kappa"),
+    ("check", "invariant-form", "@sl2_postlie", "@sl2_P"),
+    ("check", "left-invariant", "@sl2_postlie", "@kappa"),
+    ("check", "left-invariant", "@sl2_postlie", "@sl2_P"),
+    ("check", "gph", "@sl2_postlie", "@kappa"),
+    ("check", "gph", "@sl2_postlie", "@sl2_P"),
+    ("check", "gph", "@sl2_postlie", "@final_P"),
+    ("check", "lie-coalg", "@final_cobrackets"),
+    ("check", "lie-coalg", "@cobrackets_bumped"),
+    ("check", "pp-coalg", "@final_cobrackets"),
+    ("check", "pp-coalg", "@final_cobrackets", "--mode", "both"),
+    ("check", "pp-coalg", "@final_cobrackets", "--mode", "direct"),
+    ("check", "pp-coalg", "@cobrackets_bumped"),
+    ("check", "pp-coalg", "@cobrackets_ltri", "--mode", "both"),
+    ("check", "lie-bialg", "@ahat_pp", "@final_cobrackets"),
+    ("check", "lie-bialg", "@ahat_pp", "@cobrackets_bumped"),
+    ("check", "pp-bialg", "@ahat_pp", "@final_cobrackets"),
+    ("check", "pp-bialg", "@ahat_pp", "@cobrackets_ltri"),
+    ("check", "matched-pair", "@ahat_pp", "@dual_pp"),
+    ("check", "matched-pair", "@ahat_pp", "@dual_broken"),
+    ("check", "matched-pair", "@sl2_pp", "@sl2_pp"),
+    ("check", "manin-triple", "@ahat_pp", "@dual_pp"),
+    ("check", "manin-triple", "@ahat_pp", "@dual_broken"),
+    ("check", "manin-triple", "@sl2_pp", "@sl2_pp"),
+    ("check", "manin-triple", "@sl2_pp", "@zero_pp"),
+    ("check", "cybe", "@ahat_pp", "@r6"),
+    ("check", "cybe", "@ahat_pp", "@r6_flipped"),
+    ("check", "quasi", "@ahat_pp", "@r6"),
+    ("check", "quasi", "@ahat_pp", "@r6_flipped"),
+    ("check", "op-form", "@ahat_pp", "@r6"),
+    ("check", "op-form", "@ahat_pp", "@r6_flipped"),
+    ("derive", "sub-adjacent", "@sl2_postlie"),
+    ("derive", "sub-adjacent", "@final_prepp"),
+    ("derive", "horizontal", "@sl2_pp"),
+    ("derive", "vertical", "@sl2_pp"),
+    ("derive", "transpose", "@sl2_pp"),
+    ("derive", "opposite", "@sl2_postlie"),
+    ("derive", "induced", "@sl2_lie", "@sl2_P"),
+    ("derive", "induced", "@sl2_lie", "@final_P"),
+    ("derive", "semidirect", "@sl2_postlie"),
+    ("derive", "semidirect", "@sl2_pp", "--rep", "split-dual"),
+    ("derive", "semidirect-pp", "@sl2_pp"),
+    ("derive", "semidirect-pp", "@sl2_pp", "--rep", "coadjoint"),
+    ("derive", "bowtie", "@sl2_pp", "@zero_pp"),
+    ("derive", "bowtie", "@sl2_pp", "@sl2_pp"),
+    ("derive", "double", "@sl2_pp"),
+    ("derive", "manin", "@ahat_pp", "@dual_pp"),
+    ("derive", "manin", "@ahat_pp", "@dual_broken"),
+    ("derive", "manin", "@sl2_pp", "@sl2_pp"),
+    ("derive", "pp-from-gph", "@sl2_postlie", "@kappa"),
+    ("derive", "bullet-from-gph", "@sl2_postlie", "@kappa"),
+    ("derive", "pre-pp-from-o", "@sl2_pp", "@final_P"),
+    ("derive", "invertible-o-pre-pp", "@final_prepp", "@identity3", "--rep", "quarter"),
+    ("derive", "embed-r", "@final_prepp", "--rep", "quarter"),
+    ("derive", "embed-r", "@final_prepp", "@identity3", "--rep", "quarter"),
+    ("derive", "embed-r"),
+    ("derive", "cobrackets-from-r", "@ahat_pp", "@r6"),
+    ("derive", "cobrackets-from-r", "@ahat_pp", "@r6_flipped"),
+    ("derive", "dualize", "@sl2_pp"),
+    ("derive", "dualize", "@final_cobrackets"),
+]
+
+IDENTITY3 = ("kind map\nfield Q(i)\ndim 3\nbasis e1 e2 e3\n"
+             "matrix\n1 0 0\n0 1 0\n0 0 1\nend\n")
+ZERO_PP = ("kind algebra\nfield Q(i)\ndim 3\nbasis f1 f2 f3\n"
+           "op rtri\nend\nop ltri\nend\nop bracket\nend\n")
+
+
+def _bumped(table, k, i, j, delta=ONE):
+    out = [[list(row) for row in plane] for plane in table]
+    out[k][i][j] = out[k][i][j] + delta
+    return out
+
+
+def _coalgebra_with(name, table):
+    co = corpus_doc("final_cobrackets")
+    co.comaps[name] = table
+    return co
+
+
+def write_inputs(directory):
+    """The corpus plus the mutants and helper documents the cases name."""
+    write_corpus(directory)
+    prepp = corpus_doc("final_prepp")
+    prepp.ops["se"] = _bumped(prepp.ops["se"], 0, 1, 1)
+    r6 = corpus_doc("r6")
+    r6.matrix[0, 3] = -r6.matrix[0, 3]
+    co = corpus_doc("final_cobrackets")
+    flipped = [[[-c for c in row] for row in plane] for plane in co.comaps["Delta"]]
+    docs = {
+        "identity3": IDENTITY3,
+        "zero_pp": ZERO_PP,
+        "prepp_bumped": dumps(prepp),
+        "r6_flipped": dumps(r6),
+        "cobrackets_bumped": dumps(_coalgebra_with(
+            "Delta", _bumped(co.comaps["Delta"], 0, 0, 1))),
+        "cobrackets_ltri": dumps(_coalgebra_with(
+            "delta_ltri", _bumped(co.comaps["delta_ltri"], 0, 0, 1))),
+        "dual_pp": dumps(Document.from_algebra(dualize(co.to_coalgebra()))),
+        "dual_broken": dumps(Document.from_algebra(dualize(
+            _coalgebra_with("Delta", flipped).to_coalgebra()))),
+    }
+    for name, text in docs.items():
+        with open(os.path.join(directory, name + ".txt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def case_id(case):
+    return " ".join(case)
+
+
+def transcript(case, directory):
+    argv = [os.path.join(directory, w[1:] + ".txt") if w.startswith("@") else w
+            for w in case]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "exit": code,
+        "stdout": out.getvalue().replace(directory, "<dir>"),
+        "stderr": err.getvalue().replace(directory, "<dir>"),
+    }
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("golden"))
+    write_inputs(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("command,kind",
+                         [("check", k) for k in CHECK_KINDS]
+                         + [("derive", k) for k in DERIVE_KINDS])
+def test_cli_matches_golden(command, kind, inputs, goldens, monkeypatch):
+    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
+    cases = [c for c in CASES if c[:2] == (command, kind)]
+    assert cases, "no golden case for %s %s" % (command, kind)
+    for case in cases:
+        assert transcript(case, inputs) == goldens[case_id(case)], case_id(case)
+
+
+if __name__ == "__main__":
+    os.environ.pop("POSTLIE_VERBOSE", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
+        records = {case_id(c): transcript(c, tmp) for c in CASES}
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+        fh.write("\n")
