@@ -14,10 +14,11 @@ arbitrary (e.g. random rational) vectors in property tests.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 from .linalg import Matrix, basis_vec, vadd, vneg, vsub, zero_vec
-from .scalars import ZERO
+from .scalars import ZERO, Scalar
 
 __all__ = [
     "OPERATION_NAMES",
@@ -28,7 +29,6 @@ __all__ = [
     "UnknownOperationError",
     "MAX_VIOLATIONS",
     "t3_zero",
-    "t3_equal",
     "apply_op",
     "check_lie",
     "check_pre_lie",
@@ -94,10 +94,6 @@ def _basis_index(x):
 
 def t3_zero(n: int):
     return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-
-
-def t3_equal(a, b) -> bool:
-    return a == b
 
 
 def _t3_freeze(c):
@@ -225,9 +221,6 @@ class Algebra:
         ops = {k: v for k, v in self.ops.items() if k not in names}
         return Algebra(self.dim, self.field, self.basis, ops)
 
-    def same_table(self, op: str, other: "Algebra", other_op: str | None = None) -> bool:
-        return self.table(op) == other.table(other_op or op)
-
     def op_table_from(self, op: str, mul) -> "Algebra":
         """Attach a new op computed by evaluating mul on basis pairs."""
         n = self.dim
@@ -283,21 +276,74 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _index_tuples(dims):
-    if not dims:
-        yield ()
-        return
-    head, *tail = dims
-    for i in range(head):
-        for rest in _index_tuples(tail):
-            yield (i,) + rest
+# ---------------------------------------------------------------------------
+# the identity sweep
+#
+# A family is a pair (shape, body): body(*idx) yields (identity, lhs, rhs)
+# for one index tuple of that shape, so work shared by the identities of a
+# family is done once per tuple.  Each comparison is one checked instance.
+# ---------------------------------------------------------------------------
+
+def _flat(value) -> tuple:
+    """Witness coordinates of a scalar, vector, Matrix or order-3 table."""
+    if isinstance(value, Matrix):
+        return tuple(value.entries)
+    if isinstance(value, Scalar):
+        return (value,)
+    if value and isinstance(value[0], list):
+        return tuple(c for plane in value for row in plane for c in row)
+    return tuple(value)
 
 
-def _basis_eval(alg: Algebra):
-    n = alg.dim
-    def evaluate(fn, idx):
-        return fn(*(basis_vec(n, i) for i in idx))
-    return evaluate
+def _collect(families=(), nested=()):
+    """Violations and instance count of the families and nested reports.
+
+    nested holds (prefix, report) pairs; each witness of a nested report is
+    renamed prefix.identity.
+    """
+    violations = []
+    checked = 0
+    for prefix, report in nested:
+        checked += report.checked
+        violations.extend(dataclasses.replace(v, identity="%s.%s" % (prefix, v.identity))
+                          for v in report.violations)
+    for shape, body in families:
+        for idx in itertools.product(*(range(n) for n in shape)):
+            for ident, lhs, rhs in body(*idx):
+                checked += 1
+                if lhs != rhs:
+                    violations.append(Violation(ident, idx, _flat(lhs), _flat(rhs)))
+    return violations, checked
+
+
+def _report(name, violations, checked) -> CheckReport:
+    """The one place that orders witnesses and caps them at MAX_VIOLATIONS."""
+    violations.sort(key=lambda v: (v.identity, v.indices))
+    return CheckReport(not violations, violations[:MAX_VIOLATIONS], checked, name)
+
+
+def _sweep(name, families=(), nested=()) -> CheckReport:
+    return _report(name, *_collect(families, nested))
+
+
+def _identity_families(alg: Algebra, identity_set):
+    """One family per (name, fn, arity) identity, run on basis vectors."""
+    e = [basis_vec(alg.dim, i) for i in range(alg.dim)]
+    return [((alg.dim,) * arity,
+             lambda *idx, name=name, fn=fn: [(name, *fn(*(e[i] for i in idx)))])
+            for name, fn, arity in identity_set]
+
+
+def _require(report: CheckReport, message: str):
+    """Raise PreconditionError carrying the report unless it passed."""
+    if not report.passed:
+        raise PreconditionError(message, report)
+
+
+def _require_shape(m: Matrix, rows: int, cols: int, what: str):
+    """Reject a form, operator or 2-tensor whose shape does not fit its spaces."""
+    if m.rows != rows or m.cols != cols:
+        raise ValueError("%s is %dx%d, expected %dx%d" % (what, m.rows, m.cols, rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -519,69 +565,41 @@ def PRE_PP_IDENTITIES(alg: Algebra):
     ]
 
 
-def _check_with(alg: Algebra, identity_set, name) -> CheckReport:
-    identities = [(ident, fn) for ident, fn, _ in identity_set]
-    arities = {ident: ar for ident, _, ar in identity_set}
-    violations = []
-    checked = 0
-    ev = _basis_eval(alg)
-    for ident, fn in identities:
-        for idx in _index_tuples([alg.dim] * arities[ident]):
-            checked += 1
-            lhs, rhs = ev(fn, idx)
-            if lhs != rhs:
-                violations.append(Violation(ident, idx, tuple(lhs), tuple(rhs)))
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations[:MAX_VIOLATIONS], checked, name)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
 
 def check_lie(alg: Algebra, op="bracket") -> CheckReport:
     alg.require(op)
-    return _check_with(alg, LIE_IDENTITIES(alg, op), "lie")
+    return _sweep("lie", _identity_families(alg, LIE_IDENTITIES(alg, op)))
 
 
 def check_pre_lie(alg: Algebra, op="circ") -> CheckReport:
     alg.require(op)
-    return _check_with(alg, PRE_LIE_IDENTITIES(alg, op), "pre-lie")
-
-
-def _require_lie(alg: Algebra, op="bracket"):
-    rep = check_lie(alg, op)
-    if not rep.passed:
-        raise PreconditionError("operation %r is not a Lie bracket" % op, rep)
-
-
-def _require_pre_lie(alg: Algebra, op="dot"):
-    rep = check_pre_lie(alg, op)
-    if not rep.passed:
-        raise PreconditionError("operation %r is not pre-Lie" % op, rep)
+    return _sweep("pre-lie", _identity_families(alg, PRE_LIE_IDENTITIES(alg, op)))
 
 
 def check_post_lie(alg: Algebra, circ="circ", bracket="bracket") -> CheckReport:
     alg.require(circ, bracket)
-    _require_lie(alg, bracket)
-    return _check_with(alg, POST_LIE_IDENTITIES(alg, circ, bracket), "post-lie")
+    _require(check_lie(alg, bracket), "operation %r is not a Lie bracket" % bracket)
+    return _sweep("post-lie", _identity_families(alg, POST_LIE_IDENTITIES(alg, circ, bracket)))
 
 
 def check_pp_post_lie(alg: Algebra, rtri="rtri", ltri="ltri", bracket="bracket") -> CheckReport:
     alg.require(rtri, ltri, bracket)
-    _require_lie(alg, bracket)
-    return _check_with(alg, PP_IDENTITIES(alg, rtri, ltri, bracket), "pp-post-lie")
+    _require(check_lie(alg, bracket), "operation %r is not a Lie bracket" % bracket)
+    return _sweep("pp-post-lie", _identity_families(alg, PP_IDENTITIES(alg, rtri, ltri, bracket)))
 
 
 def check_l_dendriform(alg: Algebra, rtri="rtri", ltri="ltri") -> CheckReport:
     alg.require(rtri, ltri)
-    return _check_with(alg, L_DENDRIFORM_IDENTITIES(alg, rtri, ltri), "l-dendriform")
+    return _sweep("l-dendriform", _identity_families(alg, L_DENDRIFORM_IDENTITIES(alg, rtri, ltri)))
 
 
 def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
     alg.require("se", "ne", "sw", "nw", "dot")
-    _require_pre_lie(alg, "dot")
-    return _check_with(alg, PRE_PP_IDENTITIES(alg), "pre-pp-post-lie")
+    _require(check_pre_lie(alg, "dot"), "operation 'dot' is not pre-Lie")
+    return _sweep("pre-pp-post-lie", _identity_families(alg, PRE_PP_IDENTITIES(alg)))
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +608,7 @@ def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
 
 def sub_adjacent_lie(alg: Algebra, circ="circ", bracket="bracket") -> Algebra:
     """Lie algebra with {x,y} = x o y - y o x + [x,y]."""
-    rep = check_post_lie(alg, circ, bracket)
-    if not rep.passed:
-        raise PreconditionError("not a post-Lie algebra", rep)
+    _require(check_post_lie(alg, circ, bracket), "not a post-Lie algebra")
     out = Algebra(alg.dim, alg.field, alg.basis)
     return out.op_table_from(
         "bracket",
@@ -602,18 +618,14 @@ def sub_adjacent_lie(alg: Algebra, circ="circ", bracket="bracket") -> Algebra:
 
 def opposite_post_lie(alg: Algebra, circ="circ", bracket="bracket") -> Algebra:
     """x * y = x o y + [x,y] over the opposite bracket."""
-    rep = check_post_lie(alg, circ, bracket)
-    if not rep.passed:
-        raise PreconditionError("not a post-Lie algebra", rep)
+    _require(check_post_lie(alg, circ, bracket), "not a post-Lie algebra")
     out = Algebra(alg.dim, alg.field, alg.basis)
     out = out.op_table_from("circ", lambda x, y: vadd(alg.mul(circ, x, y), alg.mul(bracket, x, y)))
     return out.op_table_from("bracket", lambda x, y: alg.mul(bracket, y, x))
 
 
 def _require_pp(alg: Algebra):
-    rep = check_pp_post_lie(alg)
-    if not rep.passed:
-        raise PreconditionError("not a pp-post-Lie algebra", rep)
+    _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
 
 
 def horizontal_post_lie(alg: Algebra, checked=True) -> Algebra:
@@ -644,32 +656,9 @@ def transpose_pp(alg: Algebra, checked=True) -> Algebra:
 def sub_adjacent_pp(alg: Algebra, checked=True) -> Algebra:
     """pp-post-Lie algebra underlying a quarter-split (se/ne/sw/nw/dot)."""
     if checked:
-        rep = check_pre_pp_post_lie(alg)
-        if not rep.passed:
-            raise PreconditionError("not a pre-pp-post-Lie algebra", rep)
+        _require(check_pre_pp_post_lie(alg), "not a pre-pp-post-Lie algebra")
     out = Algebra(alg.dim, alg.field, alg.basis)
     out = out.op_table_from("rtri", lambda x, y: vadd(alg.mul("se", x, y), alg.mul("ne", x, y)))
     out = out.op_table_from("ltri", lambda x, y: vadd(alg.mul("sw", x, y), alg.mul("nw", x, y)))
     return out.op_table_from("bracket", lambda x, y: vsub(alg.mul("dot", x, y), alg.mul("dot", y, x)))
 
-
-# derived products used throughout the bialgebra layer ----------------------
-
-def pp_circ(alg: Algebra, x, y) -> tuple:
-    return vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
-
-
-def pp_bullet(alg: Algebra, x, y) -> tuple:
-    return vsub(alg.mul("rtri", x, y), alg.mul("ltri", y, x))
-
-
-def pp_diamond(alg: Algebra, x, y) -> tuple:
-    """x <> y = x <| y + x |> y - y <| x - y |> x."""
-    return vadd(
-        alg.mul("ltri", x, y), alg.mul("rtri", x, y),
-        vneg(alg.mul("ltri", y, x)), vneg(alg.mul("rtri", y, x)),
-    )
-
-
-def pp_curly(alg: Algebra, x, y) -> tuple:
-    return vadd(pp_diamond(alg, x, y), alg.mul("bracket", x, y))

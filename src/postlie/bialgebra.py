@@ -16,11 +16,15 @@ import dataclasses
 from dataclasses import dataclass
 
 from .algebra import (
+    PP_IDENTITIES,
     Algebra,
     CheckReport,
-    MAX_VIOLATIONS,
     PreconditionError,
-    Violation,
+    _collect,
+    _identity_families,
+    _report,
+    _require_shape,
+    _sweep,
     check_lie,
     check_pp_post_lie,
     t3_zero,
@@ -125,18 +129,10 @@ def dualize_alg(alg: Algebra, ops=("rtri", "ltri", "bracket")) -> CoalgebraSpec:
     return CoalgebraSpec(n, alg.field, basis, comaps)
 
 
-def _relabel(report: CheckReport, prefix: str, name: str) -> CheckReport:
-    violations = [
-        Violation("%s.%s" % (prefix, v.identity), v.indices, v.lhs, v.rhs)
-        for v in report.violations
-    ]
-    return CheckReport(report.passed, violations, report.checked, name)
-
-
 def check_lie_coalgebra(co: CoalgebraSpec) -> CheckReport:
     """Co-antisymmetry and co-Jacobi, checked on the dual algebra."""
     only_delta = CoalgebraSpec(co.dim, co.field, co.basis, {"Delta": co.table("Delta")})
-    return _relabel(check_lie(dualize(only_delta)), "dual", "lie-coalgebra")
+    return _sweep("lie-coalgebra", nested=[("dual", check_lie(dualize(only_delta)))])
 
 
 def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
@@ -153,9 +149,12 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
             raise KeyError("coalgebra lacks comap %r" % name)
     colie = check_lie_coalgebra(co)
     if not colie.passed:
-        return CheckReport(False, colie.violations, colie.checked, "pp-coalgebra")
+        return dataclasses.replace(colie, name="pp-coalgebra")
     if mode == "dual":
-        return _relabel(check_pp_post_lie(dualize(co)), "dual", "pp-coalgebra")
+        # the dual bracket is Lie: colie just checked it
+        dual = dualize(co)
+        pp = _sweep("pp-post-lie", _identity_families(dual, PP_IDENTITIES(dual)))
+        return _sweep("pp-coalgebra", nested=[("dual", pp)])
     if mode != "direct":
         raise ValueError("mode must be 'dual' or 'direct'")
 
@@ -185,36 +184,24 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
                                 out[p][q][b] = out[p][q][b] + t2[a, b] * inner[p, q]
         return out
 
-    violations = []
-    count = 0
     zero = t3_zero(n)
-    for k in range(n):
+
+    def body(k):
         x = basis_vec(n, k)
-        count += 7
-        lhs = lift(dDe, dlt(x), 1)
-        rhs = t3_add(lift(dDe, dlt(x), 0), t3_swap12(lift(dDe, dlt(x), 1)))
-        _t3_record(violations, "ppco.1", (k,), lhs, rhs)
-        _t3_record(violations, "ppco.2a", (k,), lift(dlt_sym, dDe(x), 1), zero)
-        _t3_record(violations, "ppco.2b", (k,), lift(dDe, dlt_sym(x), 0), zero)
-        lhs = lift(dDe, dbull(x), 1)
-        rhs = t3_add(lift(dcirc, dDe(x), 0), t3_swap12(lift(dbull, dDe(x), 1)))
-        _t3_record(violations, "ppco.3", (k,), lhs, rhs)
-        lhs = lift(dlt, drt(x), 1)
-        rhs = t3_add(
-            lift(dbull, dlt(x), 0),
-            t3_swap12(lift(dcirc, dlt(x), 1)),
-            t3_neg(lift(dlt, dDe(x), 1)),
-        )
-        _t3_record(violations, "ppco.4", (k,), lhs, rhs)
-        lhs = _minus_swap12(lift(dcirc, drt(x), 0))
-        rhs = t3_add(
-            _minus_swap12(lift(drt, drt(x), 1)),
-            t3_neg(lift(dDe, dcirc(x), 0)),
-            t3_neg(_minus_swap12(lift(dlt, dDe(x), 1))),
-        )
-        _t3_record(violations, "ppco.5", (k,), lhs, rhs)
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations[:MAX_VIOLATIONS], count, "pp-coalgebra")
+        yield ("ppco.1", lift(dDe, dlt(x), 1),
+               t3_add(lift(dDe, dlt(x), 0), t3_swap12(lift(dDe, dlt(x), 1))))
+        yield "ppco.2a", lift(dlt_sym, dDe(x), 1), zero
+        yield "ppco.2b", lift(dDe, dlt_sym(x), 0), zero
+        yield ("ppco.3", lift(dDe, dbull(x), 1),
+               t3_add(lift(dcirc, dDe(x), 0), t3_swap12(lift(dbull, dDe(x), 1))))
+        yield ("ppco.4", lift(dlt, drt(x), 1),
+               t3_add(lift(dbull, dlt(x), 0), t3_swap12(lift(dcirc, dlt(x), 1)),
+                      t3_neg(lift(dlt, dDe(x), 1))))
+        yield ("ppco.5", _minus_swap12(lift(dcirc, drt(x), 0)),
+               t3_add(_minus_swap12(lift(drt, drt(x), 1)),
+                      t3_neg(lift(dDe, dcirc(x), 0)),
+                      t3_neg(_minus_swap12(lift(dlt, dDe(x), 1)))))
+    return _sweep("pp-coalgebra", [((n,), body)])
 
 
 def _minus_swap12(t):
@@ -260,11 +247,6 @@ def t3_swap23(t):
     return [[[t[i][k][j] for k in range(n)] for j in range(n)] for i in range(n)]
 
 
-def t3_swap13(t):
-    n = len(t)
-    return [[[t[k][j][i] for k in range(n)] for j in range(n)] for i in range(n)]
-
-
 def t3_apply_slot(t, m: Matrix, slot: int):
     """Apply a matrix to one tensor slot (0, 1 or 2)."""
     n = len(t)
@@ -286,46 +268,23 @@ def t3_apply_slot(t, m: Matrix, slot: int):
     return out
 
 
-def _t3_flat(t):
-    return tuple(c for plane in t for row in plane for c in row)
-
-
-def _t3_record(violations, ident, idx, lhs, rhs):
-    if lhs != rhs:
-        violations.append(Violation(ident, idx, _t3_flat(lhs), _t3_flat(rhs)))
-
-
 # ---------------------------------------------------------------------------
 # bialgebra compatibility checks
 # ---------------------------------------------------------------------------
 
 def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """Lie algebra + Lie coalgebra + the adjoint cocycle condition on Delta."""
-    violations = []
-    count = 0
-    sub = check_lie(alg)
-    count += sub.checked
-    for v in sub.violations:
-        violations.append(Violation("bialg.alg.%s" % v.identity, v.indices, v.lhs, v.rhs))
-    sub = check_lie_coalgebra(co)
-    count += sub.checked
-    for v in sub.violations:
-        violations.append(Violation("bialg.coalg.%s" % v.identity, v.indices, v.lhs, v.rhs))
+    nested = [("bialg.alg", check_lie(alg)), ("bialg.coalg", check_lie_coalgebra(co))]
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            x, y = e[i], e[j]
-            count += 1
-            lhs = co.apply("Delta", alg.mul("bracket", x, y))
-            adx = alg.left_mult("bracket", x)
-            ady = alg.left_mult("bracket", y)
-            rhs = _sandwich(adx, co.apply("Delta", y)) - _sandwich(ady, co.apply("Delta", x))
-            if lhs != rhs:
-                violations.append(Violation("bialg.cocycle", (i, j),
-                                            tuple(lhs.entries), tuple(rhs.entries)))
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations[:MAX_VIOLATIONS], count, "lie-bialgebra")
+
+    def body(i, j):
+        x, y = e[i], e[j]
+        adx = alg.left_mult("bracket", x)
+        ady = alg.left_mult("bracket", y)
+        yield ("bialg.cocycle", co.apply("Delta", alg.mul("bracket", x, y)),
+               _sandwich(adx, co.apply("Delta", y)) - _sandwich(ady, co.apply("Delta", x)))
+    return _sweep("lie-bialgebra", [((n, n), body)], nested)
 
 
 def _sandwich(m: Matrix, t2: Matrix, m2: Matrix | None = None) -> Matrix:
@@ -346,17 +305,7 @@ def _rhs_apply(m: Matrix, t2: Matrix) -> Matrix:
 
 def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """pp algebra + pp coalgebra + the nine mixed compatibility conditions."""
-    violations = []
-    count = 0
-    sub = check_pp_post_lie(alg)
-    count += sub.checked
-    for v in sub.violations:
-        violations.append(Violation("ppbialg.alg.%s" % v.identity, v.indices, v.lhs, v.rhs))
-    sub = check_pp_coalgebra(co)
-    count += sub.checked
-    for v in sub.violations:
-        violations.append(Violation("ppbialg.coalg.%s" % v.identity, v.indices, v.lhs, v.rhs))
-
+    nested = [("ppbialg.alg", check_pp_post_lie(alg)), ("ppbialg.coalg", check_pp_coalgebra(co))]
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
     drt = lambda x: co.apply("delta_rtri", x)
@@ -384,62 +333,52 @@ def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     circ_ = [rt_[k] + lt_[k] for k in range(n)]
     bull_ = [rt_[k] - lt_[k].transpose() for k in range(n)]
 
-    def record(ident, idx, lhs, rhs):
-        nonlocal count
-        count += 1
-        if lhs != rhs:
-            violations.append(Violation(ident, idx, tuple(lhs.entries), tuple(rhs.entries)))
-
-    for i in range(n):
-        for j in range(n):
-            x, y = e[i], e[j]
-            adx, ady = ad_[i], ad_[j]
-            record("ppbialg.cocycle", (i, j),
-                   dDe(alg.mul("bracket", x, y)),
-                   _sandwich(adx, De_[j]) - _sandwich(ady, De_[i]))
-            record("ppbialg.1", (i, j),
-                   dDe(circ(x, y)),
-                   _sandwich(lcirc[i], De_[j], lbull[i])
-                   + _rhs_apply(ady, lt_[i]) + _lhs_apply(ady, lt_[i]))
-            record("ppbialg.2", (i, j),
-                   dDe(bull(x, y)),
-                   _sandwich(lbull[i], De_[j])
-                   - _rhs_apply(ady, lt_[i].transpose()) + _lhs_apply(ady, lt_[i]))
-            record("ppbialg.3", (i, j),
-                   dbull(alg.mul("bracket", x, y)),
-                   _rhs_apply(adx, bull_[j]) - _rhs_apply(ady, bull_[i])
-                   + _lhs_apply(rlt[i], De_[j]) - _lhs_apply(rlt[j], De_[i]))
-            record("ppbialg.4", (i, j),
-                   dcirc(alg.mul("bracket", x, y)),
-                   _rhs_apply(adx, circ_[j]) - _rhs_apply(ady, bull_[i])
-                   + _lhs_apply(rlt[i], De_[j]) + _lhs_apply(llt[j], De_[i]))
-            record("ppbialg.5", (i, j),
-                   dbull(circ(x, y)),
-                   _rhs_apply(lcirc[i], bull_[j])
-                   + _lhs_apply(lrt[i] + adx, bull_[j])
-                   - _lhs_apply(rlt[j], lt_[i].transpose())
-                   + _rhs_apply(rcirc[j], rt_[i] + De_[i]))
-            record("ppbialg.6", (i, j),
-                   dcirc(bull(x, y)),
-                   _rhs_apply(lbull[i], circ_[j])
-                   + _lhs_apply(lrt[i] + adx, circ_[j])
-                   - _lhs_apply(llt[j], lt_[i])
-                   + _rhs_apply(rbull[j], rt_[i] + De_[i]))
-            record("ppbialg.7", (i, j),
-                   dlt(curly(x, y)),
-                   _rhs_apply(lbull[i], lt_[j]) + _lhs_apply(lcirc[i], lt_[j])
-                   - _rhs_apply(lbull[j], lt_[i]) - _lhs_apply(lcirc[j], lt_[i]))
-            xy_lt = alg.mul("ltri", x, y)
-            lhs8 = dcirc(xy_lt) - dcirc(xy_lt).transpose() + dDe(xy_lt)
-            rhs8 = (
-                _rhs_apply(llt[i], bull_[j])
-                + _rhs_apply(rlt[j], circ_[i])
-                - _lhs_apply(llt[i], bull_[j].transpose())
-                - _lhs_apply(rlt[j], circ_[i].transpose())
-            )
-            record("ppbialg.8", (i, j), lhs8, rhs8)
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations[:MAX_VIOLATIONS], count, "pp-bialgebra")
+    def body(i, j):
+        x, y = e[i], e[j]
+        adx, ady = ad_[i], ad_[j]
+        yield ("ppbialg.cocycle",
+               dDe(alg.mul("bracket", x, y)),
+               _sandwich(adx, De_[j]) - _sandwich(ady, De_[i]))
+        yield ("ppbialg.1",
+               dDe(circ(x, y)),
+               _sandwich(lcirc[i], De_[j], lbull[i])
+               + _rhs_apply(ady, lt_[i]) + _lhs_apply(ady, lt_[i]))
+        yield ("ppbialg.2",
+               dDe(bull(x, y)),
+               _sandwich(lbull[i], De_[j])
+               - _rhs_apply(ady, lt_[i].transpose()) + _lhs_apply(ady, lt_[i]))
+        yield ("ppbialg.3",
+               dbull(alg.mul("bracket", x, y)),
+               _rhs_apply(adx, bull_[j]) - _rhs_apply(ady, bull_[i])
+               + _lhs_apply(rlt[i], De_[j]) - _lhs_apply(rlt[j], De_[i]))
+        yield ("ppbialg.4",
+               dcirc(alg.mul("bracket", x, y)),
+               _rhs_apply(adx, circ_[j]) - _rhs_apply(ady, bull_[i])
+               + _lhs_apply(rlt[i], De_[j]) + _lhs_apply(llt[j], De_[i]))
+        yield ("ppbialg.5",
+               dbull(circ(x, y)),
+               _rhs_apply(lcirc[i], bull_[j])
+               + _lhs_apply(lrt[i] + adx, bull_[j])
+               - _lhs_apply(rlt[j], lt_[i].transpose())
+               + _rhs_apply(rcirc[j], rt_[i] + De_[i]))
+        yield ("ppbialg.6",
+               dcirc(bull(x, y)),
+               _rhs_apply(lbull[i], circ_[j])
+               + _lhs_apply(lrt[i] + adx, circ_[j])
+               - _lhs_apply(llt[j], lt_[i])
+               + _rhs_apply(rbull[j], rt_[i] + De_[i]))
+        yield ("ppbialg.7",
+               dlt(curly(x, y)),
+               _rhs_apply(lbull[i], lt_[j]) + _lhs_apply(lcirc[i], lt_[j])
+               - _rhs_apply(lbull[j], lt_[i]) - _lhs_apply(lcirc[j], lt_[i]))
+        xy_lt = alg.mul("ltri", x, y)
+        yield ("ppbialg.8",
+               dcirc(xy_lt) - dcirc(xy_lt).transpose() + dDe(xy_lt),
+               _rhs_apply(llt[i], bull_[j])
+               + _rhs_apply(rlt[j], circ_[i])
+               - _lhs_apply(llt[i], bull_[j].transpose())
+               - _lhs_apply(rlt[j], circ_[i].transpose()))
+    return _sweep("pp-bialgebra", [((n, n), body)], nested)
 
 
 # ---------------------------------------------------------------------------
@@ -499,29 +438,19 @@ def cybe_D(alg: Algebra, r: Matrix):
 
 def check_pppcybe(alg: Algebra, r: Matrix) -> CheckReport:
     """r solves the equation iff both tensor obstructions vanish."""
-    violations = []
     n = alg.dim
+    _require_shape(r, n, n, "tensor")
     zero = t3_zero(n)
-    c = cybe_C(alg, r)
-    d = cybe_D(alg, r)
-    _t3_record(violations, "cybe.c", (), c, zero)
-    _t3_record(violations, "cybe.d", (), d, zero)
-    return CheckReport(not violations, violations, 2, "pppcybe")
+
+    def body():
+        yield "cybe.c", cybe_C(alg, r), zero
+        yield "cybe.d", cybe_D(alg, r), zero
+    return _sweep("pppcybe", [((), body)])
 
 
 # ---------------------------------------------------------------------------
 # cobrackets from a classical r-matrix
 # ---------------------------------------------------------------------------
-
-def _mul_matrix(alg, mul, x) -> Matrix:
-    n = alg.dim
-    m = Matrix.zero(n, n)
-    for j in range(n):
-        col = mul(x, basis_vec(n, j))
-        for k in range(n):
-            m[k, j] = col[k]
-    return m
-
 
 def _left_ops(alg: Algebra, x):
     """L_rt, L_diamond, L_circ, L_bullet and ad at x, as matrices."""
@@ -570,6 +499,7 @@ def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
     """
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
+    _require_shape(r, n, n, "tensor")
     d_rt, d_lt, d_de = t3_zero(n), t3_zero(n), t3_zero(n)
     for k in range(n):
         x = basis_vec(n, k)
@@ -621,62 +551,49 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     """
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
+    _require_shape(r, n, n, "tensor")
     s = r + r.transpose()
     r_entries = [(i, j, r[i, j]) for i in range(n) for j in range(n) if r[i, j]]
     C = cybe_C(alg, r)
     D = cybe_D(alg, r)
     zero2 = Matrix.zero(n, n)
     zero3 = t3_zero(n)
-    violations = []
-    count = 0
-
-    def rec2(ident, idx, value: Matrix):
-        nonlocal count
-        count += 1
-        if value != zero2:
-            violations.append(Violation(ident, idx, tuple(value.entries), tuple(zero2.entries)))
-
-    def rec3(ident, idx, value):
-        nonlocal count
-        count += 1
-        if not t3_is_zero(value):
-            violations.append(Violation(ident, idx, _t3_flat(value), _t3_flat(zero3)))
-
+    e = [basis_vec(n, i) for i in range(n)]
     sum_aFb = _sum_first_slot(r_entries, lambda b: _f_apply(alg, b, s), n)
 
-    for k in range(n):
-        x = basis_vec(n, k)
+    def one_variable(k):
+        x = e[k]
         rt, diamond, circ, bullet, ad = _left_ops(alg, x)
         llt = alg.left_mult("ltri", x)
         rlt = alg.right_mult("ltri", x)
-        rec2("quasi.colie.1", (k,), _g_apply(alg, x, s))
-        rec3("quasi.colie.2", (k,), t3_add(
-            t3_apply_slot(C, ad, 0), t3_apply_slot(C, ad, 1), t3_apply_slot(C, ad, 2)))
-        rec3("quasi.coalg.1", (k,), t3_add(
+        yield "quasi.colie.1", _g_apply(alg, x, s), zero2
+        yield "quasi.colie.2", t3_add(
+            t3_apply_slot(C, ad, 0), t3_apply_slot(C, ad, 1), t3_apply_slot(C, ad, 2)), zero3
+        yield "quasi.coalg.1", t3_add(
             t3_apply_slot(C, circ, 0), t3_apply_slot(C, circ, 1), t3_apply_slot(C, bullet, 2),
             _sum_last_slot(r_entries,
                            lambda a: _lhs_apply(alg.left_mult("bracket", a),
-                                                _f_apply(alg, x, s).transpose()), n)))
+                                                _f_apply(alg, x, s).transpose()), n)), zero3
         inner = t3_sub(sum_aFb, D)
-        rec3("quasi.coalg.2a", (k,), t3_add(
+        yield "quasi.coalg.2a", t3_add(
             t3_apply_slot(t3_add(inner, t3_swap23(inner)), ad, 0),
             _sum_first_slot(r_entries,
-                            lambda b: _f_apply(alg, alg.mul("bracket", x, b), s), n)))
-        rec3("quasi.coalg.2b", (k,), t3_apply_slot(C, llt + rlt, 2))
-        rec3("quasi.coalg.3", (k,), t3_add(
+                            lambda b: _f_apply(alg, alg.mul("bracket", x, b), s), n)), zero3
+        yield "quasi.coalg.2b", t3_apply_slot(C, llt + rlt, 2), zero3
+        yield "quasi.coalg.3", t3_add(
             t3_apply_slot(C, llt, 0),
             t3_apply_slot(t3_sub(t3_swap23(D), sum_aFb), ad, 1),
             t3_neg(t3_apply_slot(D, ad, 2)),
             t3_neg(_sum_last_slot(r_entries,
                                   lambda a: _lhs_apply(alg.right_mult("ltri", a),
-                                                       _g_apply(alg, x, s)), n))))
+                                                       _g_apply(alg, x, s)), n))), zero3
         part1 = t3_sub(sum_aFb, t3_swap23(D))
         mid = t3_sub(
             t3_sub(sum_aFb,
                    _sum_last_slot(r_entries,
                                   lambda a: _f_apply(alg, a, s).transpose(), n)),
             t3_swap23(D))
-        rec3("quasi.coalg.4", (k,), t3_add(
+        yield "quasi.coalg.4", t3_add(
             t3_apply_slot(part1, ad + llt, 0),
             t3_apply_slot(part1, circ, 1),
             t3_apply_slot(mid, bullet, 2),
@@ -686,9 +603,9 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
             t3_neg(_sum_last_slot(
                 r_entries,
                 lambda a: _f_apply(alg, vadd(alg.mul("rtri", x, a), alg.mul("ltri", x, a)),
-                                   s).transpose(), n))))
+                                   s).transpose(), n))), zero3
         term1 = t3_apply_slot(part1, ad, 0)
-        rec3("quasi.coalg.5", (k,), t3_add(
+        yield "quasi.coalg.5", t3_add(
             t3_sub(term1, t3_swap12(term1)),
             _sum_last_slot(r_entries,
                            lambda a: _rhs_apply(alg.right_mult("rtri", a),
@@ -700,47 +617,48 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
             _minus_swap12(t3_apply_slot(D, diamond, 2)),
             t3_neg(t3_apply_slot(C, alg.right_mult("rtri", x)
                                  - alg.left_mult("ltri", x), 2)),
-            _minus_swap12(t3_apply_slot(t3_sub(D, t3_swap12(D)), rt, 0))))
-    # two-variable conditions
-    for a in range(n):
-        for b in range(n):
-            x, y = basis_vec(n, a), basis_vec(n, b)
-            adx = alg.left_mult("bracket", x)
-            ady = alg.left_mult("bracket", y)
-            rec2("quasi.compat.1", (a, b), _lhs_apply(adx, _f_apply(alg, y, s)))
-            rec2("quasi.compat.2", (a, b),
-                 _f_apply(alg, alg.mul("bracket", x, y), s)
-                 + _lhs_apply(adx, _f_apply(alg, y, s))
-                 - _lhs_apply(ady, _f_apply(alg, x, s)))
-            circ_xy = vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
-            rtx, _, circx, _, _ = _left_ops(alg, x)
-            rec2("quasi.compat.3", (a, b),
-                 _f_apply(alg, circ_xy, s)
-                 + _rhs_apply(circx, _f_apply(alg, y, s))
-                 + _lhs_apply(adx + rtx, _f_apply(alg, y, s))
-                 - _lhs_apply(alg.right_mult("ltri", y), _f_apply(alg, x, s).transpose()))
-            lt_xy = alg.mul("ltri", x, y)
-            inner4 = _lhs_apply(alg.left_mult("ltri", x), _e_apply(alg, y, s))
-            rec2("quasi.compat.4", (a, b),
-                 _e_apply(alg, lt_xy, s) - _f_apply(alg, lt_xy, s)
-                 + inner4 - inner4.transpose()
-                 + _g_apply(alg, x, s)
-                 + _rhs_apply(alg.right_mult("ltri", y),
-                              _f_apply(alg, x, s) - _e_apply(alg, x, s)))
-    for k in range(n):
-        x = basis_vec(n, k)
-        rec2("quasi.inv.e", (k,), _e_apply(alg, x, s))
-        rec2("quasi.inv.f", (k,), _f_apply(alg, x, s))
-        rec2("quasi.inv.g", (k,), _g_apply(alg, x, s))
-    # one witness per condition, so the cap cannot hide a failing equation
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    firsts = []
-    seen = set()
+            _minus_swap12(t3_apply_slot(t3_sub(D, t3_swap12(D)), rt, 0))), zero3
+
+    def two_variables(a, b):
+        x, y = e[a], e[b]
+        adx = alg.left_mult("bracket", x)
+        ady = alg.left_mult("bracket", y)
+        yield "quasi.compat.1", _lhs_apply(adx, _f_apply(alg, y, s)), zero2
+        yield ("quasi.compat.2",
+               _f_apply(alg, alg.mul("bracket", x, y), s)
+               + _lhs_apply(adx, _f_apply(alg, y, s))
+               - _lhs_apply(ady, _f_apply(alg, x, s)), zero2)
+        circ_xy = vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
+        rtx, _, circx, _, _ = _left_ops(alg, x)
+        yield ("quasi.compat.3",
+               _f_apply(alg, circ_xy, s)
+               + _rhs_apply(circx, _f_apply(alg, y, s))
+               + _lhs_apply(adx + rtx, _f_apply(alg, y, s))
+               - _lhs_apply(alg.right_mult("ltri", y), _f_apply(alg, x, s).transpose()), zero2)
+        lt_xy = alg.mul("ltri", x, y)
+        inner4 = _lhs_apply(alg.left_mult("ltri", x), _e_apply(alg, y, s))
+        yield ("quasi.compat.4",
+               _e_apply(alg, lt_xy, s) - _f_apply(alg, lt_xy, s)
+               + inner4 - inner4.transpose()
+               + _g_apply(alg, x, s)
+               + _rhs_apply(alg.right_mult("ltri", y),
+                            _f_apply(alg, x, s) - _e_apply(alg, x, s)), zero2)
+
+    def invariance(k):
+        x = e[k]
+        yield "quasi.inv.e", _e_apply(alg, x, s), zero2
+        yield "quasi.inv.f", _f_apply(alg, x, s), zero2
+        yield "quasi.inv.g", _g_apply(alg, x, s), zero2
+
+    violations, checked = _collect([((n,), one_variable), ((n, n), two_variables),
+                                    ((n,), invariance)])
+    # one witness per condition, so the cap cannot hide a failing equation;
+    # each condition is one family run in increasing index order, so its
+    # first witness is its least
+    firsts = {}
     for v in violations:
-        if v.identity not in seen:
-            seen.add(v.identity)
-            firsts.append(v)
-    return CheckReport(not firsts, firsts[:MAX_VIOLATIONS], count, "quasitriangular")
+        firsts.setdefault(v.identity, v)
+    return _report("quasitriangular", list(firsts.values()), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +668,9 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
 def operator_form_check(alg: Algebra, r: Matrix) -> CheckReport:
     """Antisymmetric r solves the equation iff r~ is an O-operator on the
     coadjoint representation; r~(u*) pairs as <r~(u*), v*> = <r, u* (x) v*>."""
+    _require_shape(r, alg.dim, alg.dim, "tensor")
     if not r.is_antisymmetric():
         raise PreconditionError("r is not antisymmetric")
-    rtilde = r.transpose()
     rep = pp_coadjoint_rep(alg)
-    report = check_o_operator_pp(alg, rep, rtilde, checked=False)
-    return CheckReport(report.passed, report.violations, report.checked, "operator-form")
+    report = check_o_operator_pp(alg, rep, r.transpose(), checked=False)
+    return dataclasses.replace(report, name="operator-form")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import algebra as alg_mod
 from . import bialgebra as bi
@@ -21,24 +22,9 @@ from . import forms
 from .algebra import Algebra, CheckReport, PreconditionError, UnknownOperationError
 from .corpus import CORPUS_NAMES, corpus_text, write_corpus
 from .documents import Document, DocumentError, dumps, load
-from .linalg import LinAlgError
+from .linalg import LinAlgError, Matrix
 from .scalars import ONE, Scalar, ScalarParseError
 from .verify import run_acceptance
-
-CHECK_KINDS = (
-    "lie", "pre-lie", "post-lie", "pp", "pre-pp", "l-dendriform",
-    "rep", "pp-rep", "rb", "o-op", "dual-p-o", "strong",
-    "invariant-form", "left-invariant", "gph",
-    "lie-coalg", "pp-coalg", "lie-bialg", "pp-bialg",
-    "matched-pair", "manin-triple", "cybe", "quasi", "op-form",
-)
-
-DERIVE_KINDS = (
-    "sub-adjacent", "horizontal", "vertical", "transpose", "opposite",
-    "induced", "semidirect", "semidirect-pp", "bowtie", "double", "manin",
-    "pp-from-gph", "bullet-from-gph", "pre-pp-from-o", "invertible-o-pre-pp",
-    "embed-r", "cobrackets-from-r", "dualize",
-)
 
 
 class UsageError(Exception):
@@ -85,8 +71,8 @@ def _coalgebra(path):
         raise UsageError(str(exc))
 
 
-def _pp_rep(alg: Algebra, which: str):
-    if which == "adjoint":
+def _pp_rep(alg: Algebra, which: str | None):
+    if not which or which == "adjoint":
         return alg, forms.pp_adjoint_rep(alg)
     if which == "coadjoint":
         return alg, forms.pp_coadjoint_rep(alg)
@@ -96,8 +82,8 @@ def _pp_rep(alg: Algebra, which: str):
     raise UsageError("unknown pp representation %r" % which)
 
 
-def _post_lie_rep(alg: Algebra, which: str):
-    if which == "adjoint":
+def _post_lie_rep(alg: Algebra, which: str | None):
+    if not which or which == "adjoint":
         return alg, forms.adjoint_rep(alg)
     if which == "split-dual":
         horiz = alg_mod.horizontal_post_lie(alg, checked=False)
@@ -111,265 +97,187 @@ def _report_exit(report: CheckReport) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_check(args) -> int:
-    kind = args.kind
+def _horizontal_pair(a_pp: Algebra, b_pp: Algebra):
+    """Horizontal post-Lie algebras of two pp algebras and their coadjoint actions."""
+    return (alg_mod.horizontal_post_lie(a_pp, checked=False),
+            alg_mod.horizontal_post_lie(b_pp, checked=False),
+            con.coadjoint_matched_pair_maps(a_pp, b_pp))
+
+
+def _pp_coalg(opts, co):
+    mode = opts.mode or "dual"
+    if mode != "both":
+        return bi.check_pp_coalgebra(co, mode)
+    dual = bi.check_pp_coalgebra(co, "dual")
+    direct = bi.check_pp_coalgebra(co, "direct")
+    print(dual.render(_verbosity()))
+    print(direct.render(_verbosity()))
+    if dual.passed != direct.passed:
+        print("mode disagreement: dual=%s direct=%s" % (dual.passed, direct.passed))
+        return 1
+    return 0 if dual.passed else 1
+
+
+def _checked(out: Algebra, checker):
+    """A derived algebra's document and its re-validation report."""
+    return Document.from_algebra(out), checker(out)
+
+
+def _bundle(double: Algebra, name: str, kind: str, m: Matrix) -> Document:
+    return Document.bundle({
+        "double": Document.from_algebra(double),
+        name: Document.from_matrix(kind, m, basis=double.basis),
+    })
+
+
+def _double(opts, a):
+    double, form = con.double_construction(a)
+    return _bundle(double, "pairing", "form", form), forms.check_gph(double, form, checked=False)
+
+
+def _manin(opts, a_pp, b_pp):
+    double, form, report = con.manin_triple_build(a_pp, b_pp)
+    return _bundle(double, "pairing", "form", form), report
+
+
+def _embed_r(opts, a, t=None):
+    base, rep = _pp_rep(a, opts.rep or "quarter")
+    ahat, r = con.hom_embed_r(base, rep, Matrix.identity(rep.dim) if t is None else t)
+    return _bundle(ahat, "r", "tensor2", r), alg_mod.check_pp_post_lie(ahat)
+
+
+def _cobrackets(opts, a, r):
+    co = bi.cobrackets_from_r(a, r)
+    return Document.from_coalgebra(co), bi.check_pp_coalgebra(co)
+
+
+def _dualize(opts, doc):
+    if doc.kind == "algebra":
+        a = doc.to_algebra()
+        ops = tuple(op for op in ("rtri", "ltri", "bracket") if a.has(op))
+        return Document.from_coalgebra(bi.dualize_alg(a, ops)), None
+    if doc.kind == "coalgebra":
+        return Document.from_algebra(bi.dualize(doc.to_coalgebra())), None
+    raise UsageError("dualize expects an algebra or a coalgebra")
+
+
+class _Kind(NamedTuple):
+    """One CLI kind: a loader per file argument (the last `optional` of them
+    may be left out) and run(options, *inputs)."""
+
+    loaders: tuple
+    run: Callable
+    optional: int = 0
+
+
+# loaders of one algebra, matrix or coalgebra file
+A, M, C = (_algebra,), (_matrix,), (_coalgebra,)
+
+# run returns a CheckReport, or an exit code when it printed its own verdict
+CHECKS = {
+    "lie": _Kind(A, lambda o, a: alg_mod.check_lie(a)),
+    "pre-lie": _Kind(A, lambda o, a: alg_mod.check_pre_lie(
+        a, "dot" if a.has("dot") and not a.has("circ") else "circ")),
+    "post-lie": _Kind(A, lambda o, a: alg_mod.check_post_lie(a)),
+    "pp": _Kind(A, lambda o, a: alg_mod.check_pp_post_lie(a)),
+    "pre-pp": _Kind(A, lambda o, a: alg_mod.check_pre_pp_post_lie(a)),
+    "l-dendriform": _Kind(A, lambda o, a: alg_mod.check_l_dendriform(a)),
+    "rep": _Kind(A, lambda o, a: forms.check_post_lie_rep(*_post_lie_rep(a, o.rep))),
+    "pp-rep": _Kind(A, lambda o, a: forms.check_pp_rep(*_pp_rep(a, o.rep))),
+    "rb": _Kind(A + M, lambda o, a, p: forms.check_rota_baxter_lie(
+        a, p, Scalar.parse(o.weight) if o.weight else ONE)),
+    "o-op": _Kind(A + M, lambda o, a, t: forms.check_o_operator_pp(*_pp_rep(a, o.rep), t)),
+    "dual-p-o": _Kind(A + M, lambda o, a, t: forms.check_dual_p_o_operator(
+        *_post_lie_rep(a, o.rep), t)),
+    "strong": _Kind(A + M, lambda o, a, t: forms.check_strong(*_post_lie_rep(a, o.rep), t)),
+    "invariant-form": _Kind(A + M, lambda o, a, b: forms.check_invariant_form(a, b)),
+    "left-invariant": _Kind(A + M, lambda o, a, b: forms.check_left_invariant(a, b)),
+    "gph": _Kind(A + M, lambda o, a, b: forms.check_gph(a, b)),
+    "lie-coalg": _Kind(C, lambda o, co: bi.check_lie_coalgebra(co)),
+    "pp-coalg": _Kind(C, _pp_coalg),
+    "lie-bialg": _Kind(A + C, lambda o, a, co: bi.check_lie_bialgebra(a, co)),
+    "pp-bialg": _Kind(A + C, lambda o, a, co: bi.check_pp_bialgebra(a, co)),
+    "matched-pair": _Kind(A + A, lambda o, a, b: con.check_matched_pair(*_horizontal_pair(a, b))),
+    "manin-triple": _Kind(A + A, lambda o, a, b: con.manin_triple_build(a, b)[2]),
+    "cybe": _Kind(A + M, lambda o, a, r: bi.check_pppcybe(a, r)),
+    "quasi": _Kind(A + M, lambda o, a, r: bi.check_quasitriangular_conditions(a, r)),
+    "op-form": _Kind(A + M, lambda o, a, r: bi.operator_form_check(a, r)),
+}
+
+# run returns (document, report re-validating it, or None)
+DERIVES = {
+    "sub-adjacent": _Kind(A, lambda o, a: (
+        _checked(alg_mod.sub_adjacent_pp(a), alg_mod.check_pp_post_lie) if a.has("dot")
+        else _checked(alg_mod.sub_adjacent_lie(a), alg_mod.check_lie))),
+    "horizontal": _Kind(A, lambda o, a: _checked(alg_mod.horizontal_post_lie(a),
+                                                 alg_mod.check_post_lie)),
+    "vertical": _Kind(A, lambda o, a: _checked(alg_mod.vertical_post_lie(a),
+                                               alg_mod.check_post_lie)),
+    "transpose": _Kind(A, lambda o, a: _checked(alg_mod.transpose_pp(a),
+                                                alg_mod.check_pp_post_lie)),
+    "opposite": _Kind(A, lambda o, a: _checked(alg_mod.opposite_post_lie(a),
+                                               alg_mod.check_post_lie)),
+    "induced": _Kind(A + M, lambda o, a, p: _checked(forms.induced_post_lie(a, p),
+                                                     alg_mod.check_post_lie)),
+    "semidirect": _Kind(A, lambda o, a: _checked(
+        con.semidirect_post_lie(*_post_lie_rep(a, o.rep)), alg_mod.check_post_lie)),
+    "semidirect-pp": _Kind(A, lambda o, a: _checked(
+        con.semidirect_pp(*_pp_rep(a, o.rep)), alg_mod.check_pp_post_lie)),
+    "bowtie": _Kind(A + A, lambda o, a, b: _checked(con.bowtie(*_horizontal_pair(a, b)),
+                                                    alg_mod.check_post_lie)),
+    "double": _Kind(A, _double),
+    "manin": _Kind(A + A, _manin),
+    "pp-from-gph": _Kind(A + M, lambda o, a, b: _checked(con.compatible_pp_from_gph(a, b),
+                                                         alg_mod.check_pp_post_lie)),
+    "bullet-from-gph": _Kind(A + M, lambda o, a, b: _checked(con.bullet_from_gph(a, b),
+                                                             alg_mod.check_post_lie)),
+    "pre-pp-from-o": _Kind(A + M, lambda o, a, t: _checked(
+        con.pre_pp_from_o_operator(*_pp_rep(a, o.rep), t),
+        alg_mod.check_pre_pp_post_lie)),
+    "invertible-o-pre-pp": _Kind(A + M, lambda o, a, t: _checked(
+        con.invertible_o_to_compatible_pre_pp(*_pp_rep(a, o.rep), t),
+        alg_mod.check_pre_pp_post_lie)),
+    "embed-r": _Kind(A + M, _embed_r, optional=1),
+    "cobrackets-from-r": _Kind(A + M, _cobrackets),
+    "dualize": _Kind((_load,), _dualize),
+}
+
+CHECK_KINDS = tuple(CHECKS)
+DERIVE_KINDS = tuple(DERIVES)
+
+
+def _inputs(command: str, kind: _Kind, args) -> list:
+    """Load each file argument with its loader after checking their number."""
     files = args.files
-    rep_name = args.rep
-
-    def want(n):
-        if len(files) != n:
-            raise UsageError("check %s expects %d file(s), got %d" % (kind, n, len(files)))
-
-    if kind == "lie":
-        want(1)
-        return _report_exit(alg_mod.check_lie(_algebra(files[0])))
-    if kind == "pre-lie":
-        want(1)
-        a = _algebra(files[0])
-        op = "dot" if a.has("dot") and not a.has("circ") else "circ"
-        return _report_exit(alg_mod.check_pre_lie(a, op))
-    if kind == "post-lie":
-        want(1)
-        return _report_exit(alg_mod.check_post_lie(_algebra(files[0])))
-    if kind == "pp":
-        want(1)
-        return _report_exit(alg_mod.check_pp_post_lie(_algebra(files[0])))
-    if kind == "pre-pp":
-        want(1)
-        return _report_exit(alg_mod.check_pre_pp_post_lie(_algebra(files[0])))
-    if kind == "l-dendriform":
-        want(1)
-        return _report_exit(alg_mod.check_l_dendriform(_algebra(files[0])))
-    if kind == "rep":
-        want(1)
-        base, rep = _post_lie_rep(_algebra(files[0]), rep_name or "adjoint")
-        return _report_exit(forms.check_post_lie_rep(base, rep))
-    if kind == "pp-rep":
-        want(1)
-        base, rep = _pp_rep(_algebra(files[0]), rep_name or "adjoint")
-        return _report_exit(forms.check_pp_rep(base, rep))
-    if kind == "rb":
-        want(2)
-        weight = Scalar.parse(args.weight) if args.weight else ONE
-        return _report_exit(forms.check_rota_baxter_lie(_algebra(files[0]),
-                                                        _matrix(files[1]), weight))
-    if kind == "o-op":
-        want(2)
-        base, rep = _pp_rep(_algebra(files[0]), rep_name or "adjoint")
-        return _report_exit(forms.check_o_operator_pp(base, rep, _matrix(files[1])))
-    if kind == "dual-p-o":
-        want(2)
-        base, rep = _post_lie_rep(_algebra(files[0]), rep_name or "adjoint")
-        return _report_exit(forms.check_dual_p_o_operator(base, rep, _matrix(files[1])))
-    if kind == "strong":
-        want(2)
-        base, rep = _post_lie_rep(_algebra(files[0]), rep_name or "adjoint")
-        return _report_exit(forms.check_strong(base, rep, _matrix(files[1])))
-    if kind == "invariant-form":
-        want(2)
-        return _report_exit(forms.check_invariant_form(_algebra(files[0]), _matrix(files[1])))
-    if kind == "left-invariant":
-        want(2)
-        return _report_exit(forms.check_left_invariant(_algebra(files[0]), _matrix(files[1])))
-    if kind == "gph":
-        want(2)
-        return _report_exit(forms.check_gph(_algebra(files[0]), _matrix(files[1])))
-    if kind == "lie-coalg":
-        want(1)
-        return _report_exit(bi.check_lie_coalgebra(_coalgebra(files[0])))
-    if kind == "pp-coalg":
-        want(1)
-        co = _coalgebra(files[0])
-        mode = args.mode or "dual"
-        if mode == "both":
-            dual = bi.check_pp_coalgebra(co, "dual")
-            direct = bi.check_pp_coalgebra(co, "direct")
-            print(dual.render(_verbosity()))
-            print(direct.render(_verbosity()))
-            if dual.passed != direct.passed:
-                print("mode disagreement: dual=%s direct=%s" % (dual.passed, direct.passed))
-                return 1
-            return 0 if dual.passed else 1
-        return _report_exit(bi.check_pp_coalgebra(co, mode))
-    if kind == "lie-bialg":
-        want(2)
-        return _report_exit(bi.check_lie_bialgebra(_algebra(files[0]), _coalgebra(files[1])))
-    if kind == "pp-bialg":
-        want(2)
-        return _report_exit(bi.check_pp_bialgebra(_algebra(files[0]), _coalgebra(files[1])))
-    if kind == "matched-pair":
-        want(2)
-        a_pp = _algebra(files[0])
-        b_pp = _algebra(files[1])
-        maps = con.coadjoint_matched_pair_maps(a_pp, b_pp)
-        ha = alg_mod.horizontal_post_lie(a_pp, checked=False)
-        hb = alg_mod.horizontal_post_lie(b_pp, checked=False)
-        return _report_exit(con.check_matched_pair(ha, hb, maps))
-    if kind == "manin-triple":
-        want(2)
-        _, _, report = con.manin_triple_build(_algebra(files[0]), _algebra(files[1]))
-        return _report_exit(report)
-    if kind == "cybe":
-        want(2)
-        return _report_exit(bi.check_pppcybe(_algebra(files[0]), _matrix(files[1])))
-    if kind == "quasi":
-        want(2)
-        return _report_exit(bi.check_quasitriangular_conditions(_algebra(files[0]),
-                                                                _matrix(files[1])))
-    if kind == "op-form":
-        want(2)
-        return _report_exit(bi.operator_form_check(_algebra(files[0]), _matrix(files[1])))
-    raise UsageError("unknown check kind %r" % kind)
+    most = len(kind.loaders)
+    least = most - kind.optional
+    if not least <= len(files) <= most:
+        if kind.optional:
+            raise UsageError("%s %s expects %d or %d files" % (command, args.kind, least, most))
+        raise UsageError("%s %s expects %d file(s), got %d"
+                         % (command, args.kind, most, len(files)))
+    return [loader(path) for loader, path in zip(kind.loaders, files)]
 
 
-def _emit(doc: Document, out_path) -> int:
+def cmd_check(args) -> int:
+    kind = CHECKS[args.kind]
+    result = kind.run(args, *_inputs("check", kind, args))
+    return _report_exit(result) if isinstance(result, CheckReport) else result
+
+
+def cmd_derive(args) -> int:
+    kind = DERIVES[args.kind]
+    doc, report = kind.run(args, *_inputs("derive", kind, args))
+    if report is not None and not report.passed:
+        print(report.render(_verbosity()))
+        return 1
     text = dumps(doc)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _emit_checked(out: Algebra, checker, out_path) -> int:
-    """Re-validate a derived algebra before saving it."""
-    report = checker(out)
-    if not report.passed:
-        print(report.render(_verbosity()))
-        return 1
-    return _emit(Document.from_algebra(out), out_path)
-
-
-def cmd_derive(args) -> int:
-    kind = args.kind
-    files = args.files
-    rep_name = args.rep
-
-    def want(n):
-        if len(files) != n:
-            raise UsageError("derive %s expects %d file(s), got %d" % (kind, n, len(files)))
-
-    if kind == "sub-adjacent":
-        want(1)
-        a = _algebra(files[0])
-        if a.has("dot"):
-            return _emit_checked(alg_mod.sub_adjacent_pp(a),
-                                 alg_mod.check_pp_post_lie, args.output)
-        return _emit_checked(alg_mod.sub_adjacent_lie(a), alg_mod.check_lie, args.output)
-    if kind in ("horizontal", "vertical", "transpose"):
-        want(1)
-        fn, checker = {
-            "horizontal": (alg_mod.horizontal_post_lie, alg_mod.check_post_lie),
-            "vertical": (alg_mod.vertical_post_lie, alg_mod.check_post_lie),
-            "transpose": (alg_mod.transpose_pp, alg_mod.check_pp_post_lie),
-        }[kind]
-        return _emit_checked(fn(_algebra(files[0])), checker, args.output)
-    if kind == "opposite":
-        want(1)
-        return _emit_checked(alg_mod.opposite_post_lie(_algebra(files[0])),
-                             alg_mod.check_post_lie, args.output)
-    if kind == "induced":
-        want(2)
-        out = forms.induced_post_lie(_algebra(files[0]), _matrix(files[1]))
-        return _emit_checked(out, alg_mod.check_post_lie, args.output)
-    if kind == "semidirect":
-        want(1)
-        base, rep = _post_lie_rep(_algebra(files[0]), rep_name or "adjoint")
-        return _emit_checked(con.semidirect_post_lie(base, rep),
-                             alg_mod.check_post_lie, args.output)
-    if kind == "semidirect-pp":
-        want(1)
-        base, rep = _pp_rep(_algebra(files[0]), rep_name or "adjoint")
-        return _emit_checked(con.semidirect_pp(base, rep),
-                             alg_mod.check_pp_post_lie, args.output)
-    if kind == "bowtie":
-        want(2)
-        a_pp, b_pp = _algebra(files[0]), _algebra(files[1])
-        maps = con.coadjoint_matched_pair_maps(a_pp, b_pp)
-        ha = alg_mod.horizontal_post_lie(a_pp, checked=False)
-        hb = alg_mod.horizontal_post_lie(b_pp, checked=False)
-        return _emit_checked(con.bowtie(ha, hb, maps),
-                             alg_mod.check_post_lie, args.output)
-    if kind == "double":
-        want(1)
-        double, form = con.double_construction(_algebra(files[0]))
-        report = forms.check_gph(double, form, checked=False)
-        if not report.passed:
-            print(report.render(_verbosity()))
-            return 1
-        doc = Document.bundle({
-            "double": Document.from_algebra(double),
-            "pairing": Document.from_matrix("form", form, basis=double.basis),
-        })
-        return _emit(doc, args.output)
-    if kind == "manin":
-        want(2)
-        double, form, report = con.manin_triple_build(_algebra(files[0]), _algebra(files[1]))
-        if not report.passed:
-            print(report.render(_verbosity()))
-            return 1
-        doc = Document.bundle({
-            "double": Document.from_algebra(double),
-            "pairing": Document.from_matrix("form", form, basis=double.basis),
-        })
-        return _emit(doc, args.output)
-    if kind == "pp-from-gph":
-        want(2)
-        out = con.compatible_pp_from_gph(_algebra(files[0]), _matrix(files[1]))
-        return _emit_checked(out, alg_mod.check_pp_post_lie, args.output)
-    if kind == "bullet-from-gph":
-        want(2)
-        out = con.bullet_from_gph(_algebra(files[0]), _matrix(files[1]))
-        return _emit_checked(out, alg_mod.check_post_lie, args.output)
-    if kind == "pre-pp-from-o":
-        want(2)
-        base, rep = _pp_rep(_algebra(files[0]), rep_name or "adjoint")
-        out = con.pre_pp_from_o_operator(base, rep, _matrix(files[1]))
-        return _emit_checked(out, alg_mod.check_pre_pp_post_lie, args.output)
-    if kind == "invertible-o-pre-pp":
-        want(2)
-        base, rep = _pp_rep(_algebra(files[0]), rep_name or "adjoint")
-        out = con.invertible_o_to_compatible_pre_pp(base, rep, _matrix(files[1]))
-        return _emit_checked(out, alg_mod.check_pre_pp_post_lie, args.output)
-    if kind == "embed-r":
-        if len(files) not in (1, 2):
-            raise UsageError("derive embed-r expects 1 or 2 files")
-        base, rep = _pp_rep(_algebra(files[0]), rep_name or "quarter")
-        t = _matrix(files[1]) if len(files) == 2 else None
-        if t is None:
-            from .linalg import Matrix
-            t = Matrix.identity(rep.dim)
-        ahat, r = con.hom_embed_r(base, rep, t)
-        report = alg_mod.check_pp_post_lie(ahat)
-        if not report.passed:
-            print(report.render(_verbosity()))
-            return 1
-        doc = Document.bundle({
-            "double": Document.from_algebra(ahat),
-            "r": Document.from_matrix("tensor2", r, basis=ahat.basis),
-        })
-        return _emit(doc, args.output)
-    if kind == "cobrackets-from-r":
-        want(2)
-        a = _algebra(files[0])
-        co = bi.cobrackets_from_r(a, _matrix(files[1]))
-        report = bi.check_pp_coalgebra(co)
-        if not report.passed:
-            print(report.render(_verbosity()))
-            return 1
-        return _emit(Document.from_coalgebra(co), args.output)
-    if kind == "dualize":
-        want(1)
-        doc = _load(files[0])
-        if doc.kind == "algebra":
-            a = doc.to_algebra()
-            ops = tuple(op for op in ("rtri", "ltri", "bracket") if a.has(op))
-            return _emit(Document.from_coalgebra(bi.dualize_alg(a, ops)), args.output)
-        if doc.kind == "coalgebra":
-            return _emit(Document.from_algebra(bi.dualize(doc.to_coalgebra())), args.output)
-        raise UsageError("dualize expects an algebra or a coalgebra")
-    raise UsageError("unknown construction %r" % kind)
 
 
 def cmd_corpus(args) -> int:

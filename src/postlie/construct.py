@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from .algebra import (
     Algebra,
     CheckReport,
-    MAX_VIOLATIONS,
     PreconditionError,
-    Violation,
-    check_lie,
+    _require,
+    _require_shape,
+    _sweep,
     check_post_lie,
     check_pp_post_lie,
     horizontal_post_lie,
@@ -62,60 +62,35 @@ def _join(a, v):
     return tuple(a) + tuple(v)
 
 
+def _semidirect(alg: Algebra, rep, products) -> Algebra:
+    """A + V with V an abelian ideal: each (op, left, right, combine) product
+    is op on the A parts plus combine(left(x) v, right(y) u) on V."""
+    n = alg.dim
+    out = Algebra(n + rep.dim, alg.field,
+                  tuple(alg.basis) + tuple("v%d" % (i + 1) for i in range(rep.dim)))
+    for op, left, right, combine in products:
+        def mul(xs, ys, op=op, left=left, right=right, combine=combine):
+            x, u = _split(xs, n)
+            y, v = _split(ys, n)
+            return _join(alg.mul(op, x, y),
+                         combine(rep.act(left, x).apply(v), rep.act(right, y).apply(u)))
+        out = out.op_table_from(op, mul)
+    return out
+
+
 def semidirect_post_lie(alg: Algebra, rep: RepSpec, checked=True) -> Algebra:
     """Post-Lie structure on A + V with V an abelian ideal acted on by (l, r, rho)."""
     if checked:
-        base = check_post_lie_rep(alg, rep)
-        if not base.passed:
-            raise PreconditionError("not a post-Lie representation", base)
-    n, m = alg.dim, rep.dim
-    out = Algebra(n + m, alg.field,
-                  tuple(alg.basis) + tuple("v%d" % (i + 1) for i in range(m)))
-
-    def circ(xs, ys):
-        x, u = _split(xs, n)
-        y, v = _split(ys, n)
-        return _join(alg.mul("circ", x, y),
-                     vadd(rep.act("l", x).apply(v), rep.act("r", y).apply(u)))
-
-    def bracket(xs, ys):
-        x, u = _split(xs, n)
-        y, v = _split(ys, n)
-        return _join(alg.mul("bracket", x, y),
-                     vsub(rep.act("rho", x).apply(v), rep.act("rho", y).apply(u)))
-
-    out = out.op_table_from("circ", circ)
-    return out.op_table_from("bracket", bracket)
+        _require(check_post_lie_rep(alg, rep), "not a post-Lie representation")
+    return _semidirect(alg, rep, (("circ", "l", "r", vadd), ("bracket", "rho", "rho", vsub)))
 
 
 def semidirect_pp(alg: Algebra, rep: PPRepSpec, checked=True) -> Algebra:
     """pp-post-Lie structure on A + V from a pp representation."""
     if checked:
-        base = check_pp_rep(alg, rep)
-        if not base.passed:
-            raise PreconditionError("not a pp representation", base)
-    n, m = alg.dim, rep.dim
-    out = Algebra(n + m, alg.field,
-                  tuple(alg.basis) + tuple("v%d" % (i + 1) for i in range(m)))
-
-    def make(op, l_name, r_name):
-        def mul(xs, ys):
-            x, u = _split(xs, n)
-            y, v = _split(ys, n)
-            return _join(alg.mul(op, x, y),
-                         vadd(rep.act(l_name, x).apply(v), rep.act(r_name, y).apply(u)))
-        return mul
-
-    out = out.op_table_from("rtri", make("rtri", "l_rt", "r_rt"))
-    out = out.op_table_from("ltri", make("ltri", "l_lt", "r_lt"))
-
-    def bracket(xs, ys):
-        x, u = _split(xs, n)
-        y, v = _split(ys, n)
-        return _join(alg.mul("bracket", x, y),
-                     vsub(rep.act("rho", x).apply(v), rep.act("rho", y).apply(u)))
-
-    return out.op_table_from("bracket", bracket)
+        _require(check_pp_rep(alg, rep), "not a pp representation")
+    return _semidirect(alg, rep, (("rtri", "l_rt", "r_rt", vadd), ("ltri", "l_lt", "r_lt", vadd),
+                                  ("bracket", "rho", "rho", vsub)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,35 +116,11 @@ class MatchedPairMaps:
         return RepSpec(dim_a, self.l_b, self.r_b, self.rho_b)
 
 
-def _act(mats, x, v):
-    out = None
-    for i, xi in enumerate(x):
-        term = mats[i].apply(v)
-        term = tuple(xi * t for t in term)
-        out = term if out is None else vadd(out, term)
-    if out is None:
-        return tuple()
-    return out
-
-
 def coadjoint_matched_pair_maps(a_pp: Algebra, b_pp: Algebra) -> MatchedPairMaps:
     """The canonical dual-space actions (L_rt* - R_lt*, -R_lt*, ad*) on both
     sides, for B carrying the structure dual to A*'s pp algebra."""
-    def side(alg):
-        n = alg.dim
-        e = [basis_vec(n, i) for i in range(n)]
-        l, r, rho = [], [], []
-        for x in e:
-            lrt = alg.left_mult("rtri", x).dual()
-            rlt = alg.right_mult("ltri", x).dual()
-            l.append(lrt - rlt)
-            r.append(-rlt)
-            rho.append(alg.left_mult("bracket", x).dual())
-        return l, r, rho
-
-    l_a, r_a, rho_a = side(a_pp)
-    l_b, r_b, rho_b = side(b_pp)
-    return MatchedPairMaps(l_a, r_a, rho_a, l_b, r_b, rho_b)
+    a, b = pp_split_dual_rep(a_pp), pp_split_dual_rep(b_pp)
+    return MatchedPairMaps(a.l, a.r, a.rho, b.l, b.r, b.rho)
 
 
 def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps,
@@ -177,22 +128,14 @@ def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps,
     """Representation conditions plus the ten mixed compatibility equations."""
     if checked:
         for alg in (a, b):
-            base = check_post_lie(alg)
-            if not base.passed:
-                raise PreconditionError("not a post-Lie algebra", base)
+            _require(check_post_lie(alg), "not a post-Lie algebra")
     na, nb = a.dim, b.dim
     ea = [basis_vec(na, i) for i in range(na)]
     eb = [basis_vec(nb, i) for i in range(nb)]
-    violations = []
-    count = 0
-
     rep_b = maps.rep_on_b(nb)
     rep_a = maps.rep_on_a(na)
-    for tag, alg, rep in (("mp.rep-a", a, rep_b), ("mp.rep-b", b, rep_a)):
-        sub = check_post_lie_rep(alg, rep, checked=False)
-        count += sub.checked
-        for v in sub.violations:
-            violations.append(Violation("%s.%s" % (tag, v.identity), v.indices, v.lhs, v.rhs))
+    nested = [("mp.rep-a", check_post_lie_rep(a, rep_b, checked=False)),
+              ("mp.rep-b", check_post_lie_rep(b, rep_a, checked=False))]
 
     la = lambda x, v: rep_b.act("l", x).apply(v)
     ra = lambda x, v: rep_b.act("r", x).apply(v)
@@ -207,70 +150,54 @@ def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps,
     curly_a = lambda x, y: vadd(ca(x, y), vneg(ca(y, x)), bra(x, y))
     curly_b = lambda u, v: vadd(cb(u, v), vneg(cb(v, u)), brb(u, v))
 
-    def record(ident, idx, lhs, rhs):
-        nonlocal count
-        count += 1
-        if lhs != rhs:
-            violations.append(Violation(ident, idx, lhs, rhs))
+    def one_a_two_b(i, j, k):
+        x, u, v = ea[i], eb[j], eb[k]
+        yield ("mp.01", pa(x, brb(u, v)),
+               vadd(brb(pa(x, u), v), brb(u, pa(x, v)),
+                    pa(pb(v, x), u), vneg(pa(pb(u, x), v))))
+        yield ("mp.02", pa(x, cb(u, v)),
+               vadd(cb(u, pa(x, v)), brb(v, ra(x, u)),
+                    vneg(pa(lb(u, x), v)), vneg(ra(pb(v, x), u))))
+        yield ("mp.05", la(x, brb(u, v)),
+               vadd(brb(la(x, u), v), brb(u, la(x, v)),
+                    pa(rb(u, x), v), vneg(pa(rb(v, x), u))))
+        yield ("mp.06", la(x, cb(u, v)),
+               vadd(cb(la(x, u), v), cb(u, la(x, v)),
+                    vneg(cb(ra(x, u), v)), cb(pa(x, u), v),
+                    ra(rb(v, x), u), vneg(la(lb(u, x), v)),
+                    la(rb(u, x), v), vneg(la(pb(u, x), v))))
+        yield ("mp.09", ra(x, curly_b(u, v)),
+               vadd(cb(u, ra(x, v)), vneg(cb(v, ra(x, u))),
+                    ra(lb(v, x), u), vneg(ra(lb(u, x), v))))
 
-    # one A slot, two B slots
-    for i in range(na):
-        x = ea[i]
-        for j in range(nb):
-            for k in range(nb):
-                u, v = eb[j], eb[k]
-                record("mp.01", (i, j, k), pa(x, brb(u, v)),
-                       vadd(brb(pa(x, u), v), brb(u, pa(x, v)),
-                            pa(pb(v, x), u), vneg(pa(pb(u, x), v))))
-                record("mp.02", (i, j, k), pa(x, cb(u, v)),
-                       vadd(cb(u, pa(x, v)), brb(v, ra(x, u)),
-                            vneg(pa(lb(u, x), v)), vneg(ra(pb(v, x), u))))
-                record("mp.05", (i, j, k), la(x, brb(u, v)),
-                       vadd(brb(la(x, u), v), brb(u, la(x, v)),
-                            pa(rb(u, x), v), vneg(pa(rb(v, x), u))))
-                record("mp.06", (i, j, k), la(x, cb(u, v)),
-                       vadd(cb(la(x, u), v), cb(u, la(x, v)),
-                            vneg(cb(ra(x, u), v)), cb(pa(x, u), v),
-                            ra(rb(v, x), u), vneg(la(lb(u, x), v)),
-                            la(rb(u, x), v), vneg(la(pb(u, x), v))))
-                record("mp.09", (i, j, k), ra(x, curly_b(u, v)),
-                       vadd(cb(u, ra(x, v)), vneg(cb(v, ra(x, u))),
-                            ra(lb(v, x), u), vneg(ra(lb(u, x), v))))
+    def one_b_two_a(i, j, k):
+        u, x, y = eb[i], ea[j], ea[k]
+        yield ("mp.03", pb(u, bra(x, y)),
+               vadd(bra(pb(u, x), y), bra(x, pb(u, y)),
+                    pb(pa(y, u), x), vneg(pb(pa(x, u), y))))
+        yield ("mp.04", pb(u, ca(x, y)),
+               vadd(ca(x, pb(u, y)), bra(y, rb(u, x)),
+                    vneg(pb(la(x, u), y)), vneg(rb(pa(y, u), x))))
+        yield ("mp.07", lb(u, bra(x, y)),
+               vadd(bra(lb(u, x), y), bra(x, lb(u, y)),
+                    pb(ra(x, u), y), vneg(pb(ra(y, u), x))))
+        yield ("mp.08", lb(u, ca(x, y)),
+               vadd(ca(lb(u, x), y), ca(x, lb(u, y)),
+                    vneg(ca(rb(u, x), y)), ca(pb(u, x), y),
+                    rb(ra(y, u), x), vneg(lb(la(x, u), y)),
+                    lb(ra(x, u), y), vneg(lb(pa(x, u), y))))
+        yield ("mp.10", rb(u, curly_a(x, y)),
+               vadd(ca(x, rb(u, y)), vneg(ca(y, rb(u, x))),
+                    rb(la(y, u), x), vneg(rb(la(x, u), y))))
 
-    # one B slot, two A slots
-    for i in range(nb):
-        u = eb[i]
-        for j in range(na):
-            for k in range(na):
-                x, y = ea[j], ea[k]
-                record("mp.03", (i, j, k), pb(u, bra(x, y)),
-                       vadd(bra(pb(u, x), y), bra(x, pb(u, y)),
-                            pb(pa(y, u), x), vneg(pb(pa(x, u), y))))
-                record("mp.04", (i, j, k), pb(u, ca(x, y)),
-                       vadd(ca(x, pb(u, y)), bra(y, rb(u, x)),
-                            vneg(pb(la(x, u), y)), vneg(rb(pa(y, u), x))))
-                record("mp.07", (i, j, k), lb(u, bra(x, y)),
-                       vadd(bra(lb(u, x), y), bra(x, lb(u, y)),
-                            pb(ra(x, u), y), vneg(pb(ra(y, u), x))))
-                record("mp.08", (i, j, k), lb(u, ca(x, y)),
-                       vadd(ca(lb(u, x), y), ca(x, lb(u, y)),
-                            vneg(ca(rb(u, x), y)), ca(pb(u, x), y),
-                            rb(ra(y, u), x), vneg(lb(la(x, u), y)),
-                            lb(ra(x, u), y), vneg(lb(pa(x, u), y))))
-                record("mp.10", (i, j, k), rb(u, curly_a(x, y)),
-                       vadd(ca(x, rb(u, y)), vneg(ca(y, rb(u, x))),
-                            rb(la(y, u), x), vneg(rb(la(x, u), y))))
-
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations[:MAX_VIOLATIONS], count, "matched-pair")
+    return _sweep("matched-pair", [((na, nb, nb), one_a_two_b), ((nb, na, na), one_b_two_a)],
+                  nested)
 
 
 def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps, checked=True) -> Algebra:
     """Post-Lie structure on A + B defined by the mutual actions."""
     if checked:
-        base = check_matched_pair(a, b, maps)
-        if not base.passed:
-            raise PreconditionError("not a matched pair", base)
+        _require(check_matched_pair(a, b, maps), "not a matched pair")
     na, nb = a.dim, b.dim
     rep_b = maps.rep_on_b(nb)
     rep_a = maps.rep_on_a(na)
@@ -316,9 +243,7 @@ def double_construction(alg: Algebra, checked=True):
     form, which together form a generalized pseudo-Hessian post-Lie algebra.
     """
     if checked:
-        base = check_pp_post_lie(alg)
-        if not base.passed:
-            raise PreconditionError("not a pp-post-Lie algebra", base)
+        _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
     horiz = horizontal_post_lie(alg, checked=False)
     rep = pp_split_dual_rep(alg)
     double = semidirect_post_lie(horiz, rep, checked=False)
@@ -337,64 +262,32 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
         raise ValueError("dimension mismatch between the two halves")
     if checked:
         for alg in (a_pp, astar_pp):
-            base = check_pp_post_lie(alg)
-            if not base.passed:
-                raise PreconditionError("not a pp-post-Lie algebra", base)
+            _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
     n = a_pp.dim
     ha = horizontal_post_lie(a_pp, checked=False)
     hb = horizontal_post_lie(astar_pp, checked=False)
-    maps = coadjoint_matched_pair_maps(a_pp, astar_pp)
-    rep_b = maps.rep_on_b(n)   # A acting on A*
-    rep_a = maps.rep_on_a(n)   # A* acting on A
-    out = Algebra(2 * n, a_pp.field,
-                  tuple(a_pp.basis) + tuple(name + "*" for name in a_pp.basis))
-
-    def circ(xs, ys):
-        x, u = _split(xs, n)
-        y, v = _split(ys, n)
-        apart = vadd(ha.mul("circ", x, y), rep_a.act("l", u).apply(y), rep_a.act("r", v).apply(x))
-        bpart = vadd(hb.mul("circ", u, v), rep_b.act("l", x).apply(v), rep_b.act("r", y).apply(u))
-        return _join(apart, bpart)
-
-    def bracket(xs, ys):
-        x, u = _split(xs, n)
-        y, v = _split(ys, n)
-        apart = vadd(ha.mul("bracket", x, y),
-                     rep_a.act("rho", u).apply(y), vneg(rep_a.act("rho", v).apply(x)))
-        bpart = vadd(hb.mul("bracket", u, v),
-                     rep_b.act("rho", x).apply(v), vneg(rep_b.act("rho", y).apply(u)))
-        return _join(apart, bpart)
-
-    out = out.op_table_from("circ", circ)
-    out = out.op_table_from("bracket", bracket)
+    out = bowtie(ha, hb, coadjoint_matched_pair_maps(a_pp, astar_pp), checked=False)
+    out.basis = tuple(a_pp.basis) + tuple(name + "*" for name in a_pp.basis)
     form = pairing_form(n)
 
-    violations = []
-    count = 0
-    lie = check_lie(out)
-    sub = check_post_lie(out) if lie.passed else lie
-    count += sub.checked
-    for v in sub.violations:
-        violations.append(Violation("manin.post-lie.%s" % v.identity, v.indices, v.lhs, v.rhs))
-    if not violations:
-        gph = check_gph(out, form, checked=False)
-        count += gph.checked
-        for v in gph.violations:
-            violations.append(Violation("manin.gph.%s" % v.identity, v.indices, v.lhs, v.rhs))
-    # closure of the two halves (true by construction; validated anyway)
-    for i in range(n):
-        for j in range(n):
-            for op in ("circ", "bracket"):
-                count += 2
-                prod = out.mul(op, basis_vec(2 * n, i), basis_vec(2 * n, j))
-                if any(prod[n:]):
-                    violations.append(Violation("manin.closure-a", (i, j), prod, ()))
-                prod = out.mul(op, basis_vec(2 * n, n + i), basis_vec(2 * n, n + j))
-                if any(prod[:n]):
-                    violations.append(Violation("manin.closure-b", (i, j), prod, ()))
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    report = CheckReport(not violations, violations[:MAX_VIOLATIONS], count, "manin-triple")
-    return out, form, report
+    try:
+        post_lie = check_post_lie(out)
+    except PreconditionError as exc:  # the bracket of the double is not Lie
+        post_lie = exc.report
+    nested = [("manin.post-lie", post_lie)]
+    if post_lie.passed:
+        nested.append(("manin.gph", check_gph(out, form, checked=False)))
+    e = [basis_vec(2 * n, i) for i in range(2 * n)]
+
+    # closure of the two halves (true by construction; validated anyway); a
+    # product leaving its half is reported whole against an empty rhs
+    def closure(i, j):
+        for op in ("circ", "bracket"):
+            prod = out.mul(op, e[i], e[j])
+            yield "manin.closure-a", prod if any(prod[n:]) else (), ()
+            prod = out.mul(op, e[n + i], e[n + j])
+            yield "manin.closure-b", prod if any(prod[:n]) else (), ()
+    return out, form, _sweep("manin-triple", [((n, n), closure)], nested)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +303,7 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     solved column-by-column against B.
     """
     if checked:
-        base = check_gph(alg, B)
-        if not base.passed:
-            raise PreconditionError("form is not generalized pseudo-Hessian", base)
+        _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
     n = alg.dim
     Bt = B.transpose()
     e = [basis_vec(n, i) for i in range(n)]
@@ -442,9 +333,7 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
 def bullet_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     """The second post-Lie product: B(x . y, z) = -B(y, x o z)."""
     if checked:
-        base = check_gph(alg, B)
-        if not base.passed:
-            raise PreconditionError("form is not generalized pseudo-Hessian", base)
+        _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
     n = alg.dim
     Bt = B.transpose()
     e = [basis_vec(n, i) for i in range(n)]
@@ -472,9 +361,7 @@ def bullet_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
 def pre_pp_from_o_operator(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True) -> Algebra:
     """Quarter-split structure on V induced by an O-operator T: V -> A."""
     if checked:
-        base = check_o_operator_pp(alg, rep, T)
-        if not base.passed:
-            raise PreconditionError("T is not an O-operator", base)
+        _require(check_o_operator_pp(alg, rep, T), "T is not an O-operator")
     m = rep.dim
     out = Algebra(m, alg.field)
     out = out.op_table_from("se", lambda u, v: rep.act("l_rt", T.apply(u)).apply(v))
@@ -488,9 +375,7 @@ def invertible_o_to_compatible_pre_pp(alg: Algebra, rep: PPRepSpec, T: Matrix,
                                       checked=True) -> Algebra:
     """Compatible quarter-splitting of the pp algebra itself from an invertible O-operator."""
     if checked:
-        base = check_o_operator_pp(alg, rep, T)
-        if not base.passed:
-            raise PreconditionError("T is not an O-operator", base)
+        _require(check_o_operator_pp(alg, rep, T), "T is not an O-operator")
     if T.rows != T.cols:
         raise PreconditionError("operator is not invertible (not square)")
     try:
@@ -528,12 +413,9 @@ def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True):
     r[n+j, i] = T[i, j], r[i, n+j] = -T[i, j].
     """
     if checked:
-        base = check_pp_rep(alg, rep)
-        if not base.passed:
-            raise PreconditionError("not a pp representation", base)
+        _require(check_pp_rep(alg, rep), "not a pp representation")
     n, m = alg.dim, rep.dim
-    if T.rows != n or T.cols != m:
-        raise ValueError("operator shape mismatch")
+    _require_shape(T, n, m, "operator")
     ahat = semidirect_pp(alg, dual_pp_rep(alg, rep, checked=False), checked=False)
     ahat.basis = tuple(alg.basis) + tuple("v%d*" % (i + 1) for i in range(m))
     r = Matrix.zero(n + m, n + m)

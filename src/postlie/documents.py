@@ -33,6 +33,7 @@ from .scalars import Scalar, ScalarParseError
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
 
 KINDS = ("algebra", "form", "map", "tensor2", "coalgebra", "bundle")
+FIELDS = ("Q", "Q(i)")
 
 
 class DocumentError(ValueError):
@@ -138,13 +139,29 @@ def _expect(lines, keyword):
     return lineno, parts[1].strip() if len(parts) > 1 else ""
 
 
+def _field(lines) -> str:
+    lineno, fieldname = _expect(lines, "field")
+    if fieldname not in FIELDS:
+        raise DocumentError("unknown field %r" % fieldname, lineno)
+    return fieldname
+
+
+def _count(text, what, lineno) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise DocumentError("bad %s %r" % (what, text), lineno) from None
+    if value < 0:
+        raise DocumentError("negative %s" % what, lineno)
+    return value
+
+
 def _parse_document(lines) -> Document:
     lineno, kind = _expect(lines, "kind")
     if kind not in KINDS:
         raise DocumentError("unknown kind %r" % kind, lineno)
     if kind == "bundle":
-        lineno, fieldname = _expect(lines, "field")
-        doc = Document("bundle", fieldname)
+        doc = Document("bundle", _field(lines))
         while True:
             lineno, line = lines.next()
             if line is None:
@@ -159,16 +176,9 @@ def _parse_document(lines) -> Document:
                 raise DocumentError("expected 'endsection'", lineno)
         return doc
 
-    lineno, fieldname = _expect(lines, "field")
-    if fieldname not in ("Q", "Q(i)"):
-        raise DocumentError("unknown field %r" % fieldname, lineno)
+    fieldname = _field(lines)
     lineno, dimtxt = _expect(lines, "dim")
-    try:
-        dim = int(dimtxt)
-    except ValueError:
-        raise DocumentError("bad dimension %r" % dimtxt, lineno) from None
-    if dim < 0:
-        raise DocumentError("negative dimension", lineno)
+    dim = _count(dimtxt, "dimension", lineno)
     lineno, basistxt = _expect(lines, "basis")
     basis = tuple(basistxt.split())
     if len(basis) != dim:
@@ -264,7 +274,7 @@ def _parse_matrix_body(lines, doc):
         parts = line.split()
         if len(parts) != 2:
             raise DocumentError("expected 'rows <n>'", lineno)
-        rows = int(parts[1])
+        rows = _count(parts[1], "row count", lineno)
         if doc.kind != "map":
             raise DocumentError("'rows' is only valid for maps", lineno)
         doc.rows = rows

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from .algebra import (
     Algebra,
     CheckReport,
-    MAX_VIOLATIONS,
-    PreconditionError,
-    Violation,
+    _require,
+    _require_shape,
+    _sweep,
     check_lie,
     check_post_lie,
     check_pp_post_lie,
     sub_adjacent_lie,
 )
-from .linalg import Matrix, basis_vec, vadd, vneg, vsub
+from .linalg import Matrix, basis_vec, vadd, vneg, vscale, vsub
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -63,84 +63,56 @@ def form_value(B: Matrix, x, y) -> Scalar:
     return acc
 
 
-def _report(name, violations, checked) -> CheckReport:
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations[:MAX_VIOLATIONS], checked, name)
-
-
-def _scalar_violation(ident, idx, lhs, rhs):
-    return Violation(ident, idx, (lhs,), (rhs,))
-
-
 # ---------------------------------------------------------------------------
 # invariance of bilinear forms
 # ---------------------------------------------------------------------------
 
+def _invariance(alg: Algebra, B: Matrix, checked, tag, circ_identity):
+    """Families for B([x,y],z) = B(x,[y,z]) plus one circ identity of B."""
+    n = alg.dim
+    _require_shape(B, n, n, "form")
+    if checked:
+        _require(check_post_lie(alg), "not a post-Lie algebra")
+    e = [basis_vec(n, i) for i in range(n)]
+
+    def body(i, j, k):
+        x, y, z = e[i], e[j], e[k]
+        yield (tag + ".lie", form_value(B, alg.mul("bracket", x, y), z),
+               form_value(B, x, alg.mul("bracket", y, z)))
+        yield circ_identity(alg, B, x, y, z)
+    return [((n, n, n), body)]
+
+
+def _cocycle(alg, B, x, y, z):
+    o = lambda a, b: alg.mul("circ", a, b)
+    return ("inv.cocycle", form_value(B, o(x, y), z) - form_value(B, x, o(y, z)),
+            form_value(B, o(y, x), z) - form_value(B, y, o(x, z)))
+
+
+def _left_invariance(alg, B, x, y, z):
+    return ("leftinv.circ", form_value(B, alg.mul("circ", x, y), z),
+            -form_value(B, y, alg.mul("circ", x, z)))
+
+
 def check_invariant_form(alg: Algebra, B: Matrix, checked=True) -> CheckReport:
     """Bracket associativity of B plus the circ two-sided cocycle identity."""
-    if B.rows != alg.dim or B.cols != alg.dim:
-        raise ValueError("form dimension mismatch")
-    if checked:
-        rep = check_post_lie(alg)
-        if not rep.passed:
-            raise PreconditionError("not a post-Lie algebra", rep)
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    violations = []
-    checked_count = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = e[i], e[j], e[k]
-                checked_count += 2
-                lhs = form_value(B, alg.mul("bracket", x, y), z)
-                rhs = form_value(B, x, alg.mul("bracket", y, z))
-                if lhs != rhs:
-                    violations.append(_scalar_violation("inv.lie", (i, j, k), lhs, rhs))
-                lhs = form_value(B, alg.mul("circ", x, y), z) - form_value(B, x, alg.mul("circ", y, z))
-                rhs = form_value(B, alg.mul("circ", y, x), z) - form_value(B, y, alg.mul("circ", x, z))
-                if lhs != rhs:
-                    violations.append(_scalar_violation("inv.cocycle", (i, j, k), lhs, rhs))
-    return _report("invariant-form", violations, checked_count)
+    return _sweep("invariant-form", _invariance(alg, B, checked, "inv", _cocycle))
 
 
 def check_gph(alg: Algebra, B: Matrix, checked=True) -> CheckReport:
     """Nondegenerate symmetric invariant form on a post-Lie algebra."""
-    violations = []
-    checked_count = 2
-    if not B.is_symmetric():
-        violations.append(Violation("form.sym", (), tuple(B.entries), tuple(B.transpose().entries)))
-    if alg.dim > 0 and not B.det():
-        violations.append(Violation("form.nondeg", (), (B.det(),), (ONE,)))
-    inner = check_invariant_form(alg, B, checked=checked)
-    violations.extend(inner.violations)
-    return _report("gph", violations, checked_count + inner.checked)
+    families = _invariance(alg, B, checked, "inv", _cocycle)
+
+    def form():
+        yield "form.sym", B, B.transpose()
+        # a degenerate form shows as lhs 0 against rhs 1
+        yield "form.nondeg", ONE if B.det() else ZERO, ONE
+    return _sweep("gph", [((), form)] + families)
 
 
 def check_left_invariant(alg: Algebra, B: Matrix, checked=True) -> CheckReport:
     """Bracket-invariant B with B(x o y, z) = -B(y, x o z)."""
-    if checked:
-        rep = check_post_lie(alg)
-        if not rep.passed:
-            raise PreconditionError("not a post-Lie algebra", rep)
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    violations = []
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = e[i], e[j], e[k]
-                count += 2
-                lhs = form_value(B, alg.mul("bracket", x, y), z)
-                rhs = form_value(B, x, alg.mul("bracket", y, z))
-                if lhs != rhs:
-                    violations.append(_scalar_violation("leftinv.lie", (i, j, k), lhs, rhs))
-                lhs = form_value(B, alg.mul("circ", x, y), z)
-                rhs = -form_value(B, y, alg.mul("circ", x, z))
-                if lhs != rhs:
-                    violations.append(_scalar_violation("leftinv.circ", (i, j, k), lhs, rhs))
-    return _report("left-invariant", violations, count)
+    return _sweep("left-invariant", _invariance(alg, B, checked, "leftinv", _left_invariance))
 
 
 def omega_cocycle(alg: Algebra, B: Matrix):
@@ -149,28 +121,20 @@ def omega_cocycle(alg: Algebra, B: Matrix):
     Returns (omega, report): omega(x,y) = B(x,y) - B(y,x) and the report of
     the cyclic cocycle identity of omega on the sub-adjacent Lie algebra.
     """
-    inv = check_invariant_form(alg, B)
-    if not inv.passed:
-        raise PreconditionError("form is not invariant", inv)
+    _require(check_invariant_form(alg, B), "form is not invariant")
     omega = B - B.transpose()
     sub = sub_adjacent_lie(alg)
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    violations = []
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = e[i], e[j], e[k]
-                count += 1
-                acc = (
-                    form_value(omega, sub.mul("bracket", x, y), z)
-                    + form_value(omega, sub.mul("bracket", y, z), x)
-                    + form_value(omega, sub.mul("bracket", z, x), y)
-                )
-                if acc != ZERO:
-                    violations.append(_scalar_violation("omega.cocycle", (i, j, k), acc, ZERO))
-    return omega, _report("omega-cocycle", violations, count)
+    br = lambda x, y: sub.mul("bracket", x, y)
+
+    def body(i, j, k):
+        x, y, z = e[i], e[j], e[k]
+        yield ("omega.cocycle",
+               form_value(omega, br(x, y), z) + form_value(omega, br(y, z), x)
+               + form_value(omega, br(z, x), y),
+               ZERO)
+    return omega, _sweep("omega-cocycle", [((n, n, n), body)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,37 +143,24 @@ def omega_cocycle(alg: Algebra, B: Matrix):
 
 def check_rota_baxter_lie(alg: Algebra, P: Matrix, weight: Scalar) -> CheckReport:
     """[P(x),P(y)] = P([P(x),y] + [x,P(y)] + weight [x,y]) on basis pairs."""
-    rep = check_lie(alg)
-    if not rep.passed:
-        raise PreconditionError("not a Lie algebra", rep)
+    n = alg.dim
+    _require_shape(P, n, n, "operator")
+    _require(check_lie(alg), "not a Lie algebra")
     if not isinstance(weight, Scalar):
         weight = Scalar(weight)
-    n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    violations = []
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            x, y = e[i], e[j]
-            count += 1
-            px, py = P.apply(x), P.apply(y)
-            lhs = alg.mul("bracket", px, py)
-            inner = vadd(
-                alg.mul("bracket", px, y),
-                alg.mul("bracket", x, py),
-                tuple(weight * c for c in alg.mul("bracket", x, y)),
-            )
-            rhs = P.apply(inner)
-            if lhs != rhs:
-                violations.append(Violation("rb", (i, j), lhs, rhs))
-    return _report("rota-baxter", violations, count)
+    br = lambda x, y: alg.mul("bracket", x, y)
+
+    def body(i, j):
+        x, y = e[i], e[j]
+        px, py = P.apply(x), P.apply(y)
+        yield "rb", br(px, py), P.apply(vadd(br(px, y), br(x, py), vscale(weight, br(x, y))))
+    return _sweep("rota-baxter", [((n, n), body)])
 
 
 def induced_post_lie(alg: Algebra, P: Matrix) -> Algebra:
     """x o y = [P(x), y] for a weight-one Rota-Baxter operator P."""
-    rep = check_rota_baxter_lie(alg, P, ONE)
-    if not rep.passed:
-        raise PreconditionError("P is not a weight-one Rota-Baxter operator", rep)
+    _require(check_rota_baxter_lie(alg, P, ONE), "P is not a weight-one Rota-Baxter operator")
     out = Algebra(alg.dim, alg.field, alg.basis, {"bracket": alg.table("bracket")})
     return out.op_table_from("circ", lambda x, y: alg.mul("bracket", P.apply(x), y))
 
@@ -309,34 +260,24 @@ def pp_split_dual_rep(alg: Algebra) -> RepSpec:
 
 def check_post_lie_rep(alg: Algebra, rep: RepSpec, checked=True) -> CheckReport:
     if checked:
-        base = check_post_lie(alg)
-        if not base.passed:
-            raise PreconditionError("not a post-Lie algebra", base)
+        _require(check_post_lie(alg), "not a post-Lie algebra")
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    violations = []
-    count = 0
 
-    def vmat(ident, i, j, lhs, rhs):
-        if lhs != rhs:
-            violations.append(Violation(ident, (i, j), tuple(lhs.entries), tuple(rhs.entries)))
-
-    for i in range(n):
-        for j in range(n):
-            x, y = e[i], e[j]
-            lx, ly = rep.act("l", x), rep.act("l", y)
-            rx, ry = rep.act("r", x), rep.act("r", y)
-            px, py = rep.act("rho", x), rep.act("rho", y)
-            br = alg.mul("bracket", x, y)
-            xy = alg.mul("circ", x, y)
-            curly = vadd(xy, vneg(alg.mul("circ", y, x)), br)
-            count += 5
-            vmat("rep.lie", i, j, rep.act("rho", br), px * py - py * px)
-            vmat("rep.1", i, j, rep.act("rho", xy), lx * py - py * lx)
-            vmat("rep.2", i, j, rep.act("r", br), px * ry - py * rx)
-            vmat("rep.3", i, j, rep.act("r", xy), lx * ry - ry * (lx - rx + px))
-            vmat("rep.4", i, j, rep.act("l", curly), lx * ly - ly * lx)
-    return _report("post-lie-rep", violations, count)
+    def body(i, j):
+        x, y = e[i], e[j]
+        lx, ly = rep.act("l", x), rep.act("l", y)
+        rx, ry = rep.act("r", x), rep.act("r", y)
+        px, py = rep.act("rho", x), rep.act("rho", y)
+        br = alg.mul("bracket", x, y)
+        xy = alg.mul("circ", x, y)
+        curly = vadd(xy, vneg(alg.mul("circ", y, x)), br)
+        yield "rep.lie", rep.act("rho", br), px * py - py * px
+        yield "rep.1", rep.act("rho", xy), lx * py - py * lx
+        yield "rep.2", rep.act("r", br), px * ry - py * rx
+        yield "rep.3", rep.act("r", xy), lx * ry - ry * (lx - rx + px)
+        yield "rep.4", rep.act("l", curly), lx * ly - ly * lx
+    return _sweep("post-lie-rep", [((n, n), body)])
 
 
 def pp_adjoint_rep(alg: Algebra) -> PPRepSpec:
@@ -359,9 +300,7 @@ def dual_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> PPRepSpec:
     (V*; l_rt* - r_rt* + l_lt* - r_lt*, r_rt*, r_rt* - l_lt*, -(r_rt* + r_lt*), rho*).
     """
     if checked:
-        base = check_pp_rep(alg, rep)
-        if not base.passed:
-            raise PreconditionError("not a pp representation", base)
+        _require(check_pp_rep(alg, rep), "not a pp representation")
     n = len(rep.l_rt)
     l_rt, r_rt, l_lt, r_lt, rho = [], [], [], [], []
     for i in range(n):
@@ -384,58 +323,48 @@ def pp_coadjoint_rep(alg: Algebra) -> PPRepSpec:
 
 def check_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> CheckReport:
     if checked:
-        base = check_pp_post_lie(alg)
-        if not base.passed:
-            raise PreconditionError("not a pp-post-Lie algebra", base)
+        _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
     m = rep.dim
     zero = Matrix.zero(m, m)
-    violations = []
-    count = 0
 
-    def vmat(ident, i, j, lhs, rhs):
-        if lhs != rhs:
-            violations.append(Violation(ident, (i, j), tuple(lhs.entries), tuple(rhs.entries)))
-
-    for i in range(n):
-        for j in range(n):
-            x, y = e[i], e[j]
-            br = alg.mul("bracket", x, y)
-            xy_lt = alg.mul("ltri", x, y)
-            yx_lt = alg.mul("ltri", y, x)
-            circ = vadd(alg.mul("rtri", x, y), xy_lt)
-            bullet = vsub(alg.mul("rtri", x, y), yx_lt)
-            curly = vadd(circ, vneg(vadd(alg.mul("rtri", y, x), yx_lt)), br)
-            lrx, lry = rep.act("l_rt", x), rep.act("l_rt", y)
-            rrx, rry = rep.act("r_rt", x), rep.act("r_rt", y)
-            llx, lly = rep.act("l_lt", x), rep.act("l_lt", y)
-            rlx, rly = rep.act("r_lt", x), rep.act("r_lt", y)
-            px, py = rep.act("rho", x), rep.act("rho", y)
-            count += 14
-            vmat("pprep.lie", i, j, rep.act("rho", br), px * py - py * px)
-            vmat("pprep.01", i, j, rep.act("r_lt", br), rlx * py - rly * px)
-            vmat("pprep.02", i, j, llx * py, rep.act("l_lt", br) - rly * px)
-            # chained vanishing conditions, each member on its own
-            vmat("pprep.03a", i, j, px * (lly + rly), zero)
-            vmat("pprep.03b", i, j, rep.act("l_lt", br) + rep.act("r_lt", br), zero)
-            vmat("pprep.03c", i, j, (llx + rlx) * py, zero)
-            vmat("pprep.03d", i, j, rep.act("rho", vadd(xy_lt, yx_lt)), zero)
-            vmat("pprep.04", i, j, (lrx - rlx) * py, rep.act("rho", circ) + py * (lrx - rlx))
-            vmat("pprep.05", i, j, rep.act("r_rt", br) - rep.act("l_lt", br),
-                 px * (rry - lly) - py * (rrx - llx))
-            vmat("pprep.06", i, j, (lrx + px) * lly,
-                 rep.act("l_lt", bullet) + lly * (lrx + llx))
-            vmat("pprep.07", i, j, (lrx + px) * rly,
-                 rep.act("r_lt", circ) + rly * (lrx - rlx))
-            vmat("pprep.08", i, j, rep.act("r_rt", xy_lt),
-                 rly * (rrx - llx) + llx * (rry + rly) + rep.act("rho", xy_lt))
-            vmat("pprep.09", i, j, rep.act("r_rt", alg.mul("rtri", x, y)),
-                 lrx * rry - rry * (lrx + llx - rrx - rlx + px)
-                 - px * rly - rly * px - rep.act("rho", xy_lt))
-            vmat("pprep.10", i, j, rep.act("l_rt", curly),
-                 lrx * lry - lry * lrx + py * llx - px * lly - rep.act("l_lt", br))
-    return _report("pp-rep", violations, count)
+    def body(i, j):
+        x, y = e[i], e[j]
+        br = alg.mul("bracket", x, y)
+        xy_lt = alg.mul("ltri", x, y)
+        yx_lt = alg.mul("ltri", y, x)
+        circ = vadd(alg.mul("rtri", x, y), xy_lt)
+        bullet = vsub(alg.mul("rtri", x, y), yx_lt)
+        curly = vadd(circ, vneg(vadd(alg.mul("rtri", y, x), yx_lt)), br)
+        lrx, lry = rep.act("l_rt", x), rep.act("l_rt", y)
+        rrx, rry = rep.act("r_rt", x), rep.act("r_rt", y)
+        llx, lly = rep.act("l_lt", x), rep.act("l_lt", y)
+        rlx, rly = rep.act("r_lt", x), rep.act("r_lt", y)
+        px, py = rep.act("rho", x), rep.act("rho", y)
+        yield "pprep.lie", rep.act("rho", br), px * py - py * px
+        yield "pprep.01", rep.act("r_lt", br), rlx * py - rly * px
+        yield "pprep.02", llx * py, rep.act("l_lt", br) - rly * px
+        # chained vanishing conditions, each member on its own
+        yield "pprep.03a", px * (lly + rly), zero
+        yield "pprep.03b", rep.act("l_lt", br) + rep.act("r_lt", br), zero
+        yield "pprep.03c", (llx + rlx) * py, zero
+        yield "pprep.03d", rep.act("rho", vadd(xy_lt, yx_lt)), zero
+        yield "pprep.04", (lrx - rlx) * py, rep.act("rho", circ) + py * (lrx - rlx)
+        yield ("pprep.05", rep.act("r_rt", br) - rep.act("l_lt", br),
+               px * (rry - lly) - py * (rrx - llx))
+        yield ("pprep.06", (lrx + px) * lly,
+               rep.act("l_lt", bullet) + lly * (lrx + llx))
+        yield ("pprep.07", (lrx + px) * rly,
+               rep.act("r_lt", circ) + rly * (lrx - rlx))
+        yield ("pprep.08", rep.act("r_rt", xy_lt),
+               rly * (rrx - llx) + llx * (rry + rly) + rep.act("rho", xy_lt))
+        yield ("pprep.09", rep.act("r_rt", alg.mul("rtri", x, y)),
+               lrx * rry - rry * (lrx + llx - rrx - rlx + px)
+               - px * rly - rly * px - rep.act("rho", xy_lt))
+        yield ("pprep.10", rep.act("l_rt", curly),
+               lrx * lry - lry * lrx + py * llx - px * lly - rep.act("l_lt", br))
+    return _sweep("pp-rep", [((n, n), body)])
 
 
 # ---------------------------------------------------------------------------
@@ -445,32 +374,21 @@ def check_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> CheckReport:
 def check_o_operator_pp(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True) -> CheckReport:
     """T: V -> A intertwining the pp products with the representation."""
     if checked:
-        base = check_pp_rep(alg, rep)
-        if not base.passed:
-            raise PreconditionError("not a pp representation", base)
-    if T.rows != alg.dim or T.cols != rep.dim:
-        raise ValueError("operator shape mismatch")
+        _require(check_pp_rep(alg, rep), "not a pp representation")
     m = rep.dim
+    _require_shape(T, alg.dim, m, "operator")
     e = [basis_vec(m, i) for i in range(m)]
-    violations = []
-    count = 0
-    for i in range(m):
-        for j in range(m):
-            u, v = e[i], e[j]
-            tu, tv = T.apply(u), T.apply(v)
-            count += 3
-            pairs = [
-                ("oop.1", alg.mul("rtri", tu, tv),
-                 T.apply(vadd(rep.act("l_rt", tu).apply(v), rep.act("r_rt", tv).apply(u)))),
-                ("oop.2", alg.mul("ltri", tu, tv),
-                 T.apply(vadd(rep.act("l_lt", tu).apply(v), rep.act("r_lt", tv).apply(u)))),
-                ("oop.3", alg.mul("bracket", tu, tv),
-                 T.apply(vsub(rep.act("rho", tu).apply(v), rep.act("rho", tv).apply(u)))),
-            ]
-            for ident, lhs, rhs in pairs:
-                if lhs != rhs:
-                    violations.append(Violation(ident, (i, j), lhs, rhs))
-    return _report("o-operator", violations, count)
+    t = [T.apply(u) for u in e]
+
+    def body(i, j):
+        u, v, tu, tv = e[i], e[j], t[i], t[j]
+        yield ("oop.1", alg.mul("rtri", tu, tv),
+               T.apply(vadd(rep.act("l_rt", tu).apply(v), rep.act("r_rt", tv).apply(u))))
+        yield ("oop.2", alg.mul("ltri", tu, tv),
+               T.apply(vadd(rep.act("l_lt", tu).apply(v), rep.act("r_lt", tv).apply(u))))
+        yield ("oop.3", alg.mul("bracket", tu, tv),
+               T.apply(vsub(rep.act("rho", tu).apply(v), rep.act("rho", tv).apply(u))))
+    return _sweep("o-operator", [((m, m), body)])
 
 
 def _dual_act(rep: RepSpec, which: str, a) -> Matrix:
@@ -481,87 +399,56 @@ def _dual_act(rep: RepSpec, which: str, a) -> Matrix:
 def check_dual_p_o_operator(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> CheckReport:
     """T: V* -> A compatible with circ via (l* - r*) and with the bracket via rho*."""
     if checked:
-        base = check_post_lie_rep(alg, rep)
-        if not base.passed:
-            raise PreconditionError("not a post-Lie representation", base)
+        _require(check_post_lie_rep(alg, rep), "not a post-Lie representation")
     m = rep.dim
-    if T.rows != alg.dim or T.cols != m:
-        raise ValueError("operator shape mismatch")
+    _require_shape(T, alg.dim, m, "operator")
     e = [basis_vec(m, i) for i in range(m)]
-    violations = []
-    count = 0
-    for i in range(m):
-        for j in range(m):
-            u, v = e[i], e[j]
-            tu, tv = T.apply(u), T.apply(v)
-            count += 3
-            lhs = alg.mul("circ", tu, tv)
-            rhs = T.apply(vsub(
-                (_dual_act(rep, "l", tu) - _dual_act(rep, "r", tu)).apply(v),
-                _dual_act(rep, "r", tv).apply(u),
-            ))
-            if lhs != rhs:
-                violations.append(Violation("dpo.1", (i, j), lhs, rhs))
-            br = alg.mul("bracket", tu, tv)
-            rhs_a = T.apply(_dual_act(rep, "rho", tu).apply(v))
-            rhs_b = vneg(T.apply(_dual_act(rep, "rho", tv).apply(u)))
-            if br != rhs_a:
-                violations.append(Violation("dpo.2a", (i, j), br, rhs_a))
-            if br != rhs_b:
-                violations.append(Violation("dpo.2b", (i, j), br, rhs_b))
-    return _report("dual-p-o-operator", violations, count)
+    t = [T.apply(u) for u in e]
+
+    def body(i, j):
+        u, v, tu, tv = e[i], e[j], t[i], t[j]
+        yield ("dpo.1", alg.mul("circ", tu, tv),
+               T.apply(vsub((_dual_act(rep, "l", tu) - _dual_act(rep, "r", tu)).apply(v),
+                            _dual_act(rep, "r", tv).apply(u))))
+        br = alg.mul("bracket", tu, tv)
+        yield "dpo.2a", br, T.apply(_dual_act(rep, "rho", tu).apply(v))
+        yield "dpo.2b", br, vneg(T.apply(_dual_act(rep, "rho", tv).apply(u)))
+    return _sweep("dual-p-o-operator", [((m, m), body)])
 
 
 def check_strong(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> CheckReport:
     """Strength conditions making the induced dual-space products pp-post-Lie."""
     if checked:
-        base = check_dual_p_o_operator(alg, rep, T, checked=checked)
-        if not base.passed:
-            raise PreconditionError("not a dual p-O-operator", base)
+        _require(check_dual_p_o_operator(alg, rep, T), "not a dual p-O-operator")
     m = rep.dim
+    _require_shape(T, alg.dim, m, "operator")
     e = [basis_vec(m, i) for i in range(m)]
+    t = [T.apply(u) for u in e]
     zero = (ZERO,) * m
-    violations = []
-    count = 0
-    for i in range(m):
-        for j in range(m):
-            u, v = e[i], e[j]
-            tu, tv = T.apply(u), T.apply(v)
-            count += 1
-            lhs = _dual_act(rep, "rho", tu).apply(v)
-            rhs = vneg(_dual_act(rep, "rho", tv).apply(u))
-            if lhs != rhs:
-                violations.append(Violation("strong.1", (i, j), lhs, rhs))
-            for k in range(m):
-                w = basis_vec(m, k)
-                tw = T.apply(w)
-                count += 3
-                a = _dual_act(rep, "rho", tu).apply(vadd(
-                    _dual_act(rep, "r", tv).apply(w), _dual_act(rep, "r", tw).apply(v)))
-                if a != zero:
-                    violations.append(Violation("strong.2a", (i, j, k), a, zero))
-                b = vadd(
-                    _dual_act(rep, "r", alg.mul("bracket", tu, tw)).apply(v),
-                    _dual_act(rep, "r", tv).apply(_dual_act(rep, "rho", tu).apply(w)),
-                )
-                if b != zero:
-                    violations.append(Violation("strong.2b", (i, j, k), b, zero))
-                c = vadd(
-                    _dual_act(rep, "rho", alg.mul("bracket", tu, tv)).apply(w),
-                    _dual_act(rep, "rho", alg.mul("bracket", tv, tw)).apply(u),
-                    _dual_act(rep, "rho", alg.mul("bracket", tw, tu)).apply(v),
-                )
-                if c != zero:
-                    violations.append(Violation("strong.3", (i, j, k), c, zero))
-    return _report("strong", violations, count)
+
+    def pairs(i, j):
+        u, v, tu, tv = e[i], e[j], t[i], t[j]
+        yield ("strong.1", _dual_act(rep, "rho", tu).apply(v),
+               vneg(_dual_act(rep, "rho", tv).apply(u)))
+
+    def triples(i, j, k):
+        u, v, w, tu, tv, tw = e[i], e[j], e[k], t[i], t[j], t[k]
+        yield ("strong.2a", _dual_act(rep, "rho", tu).apply(vadd(
+            _dual_act(rep, "r", tv).apply(w), _dual_act(rep, "r", tw).apply(v))), zero)
+        yield ("strong.2b", vadd(
+            _dual_act(rep, "r", alg.mul("bracket", tu, tw)).apply(v),
+            _dual_act(rep, "r", tv).apply(_dual_act(rep, "rho", tu).apply(w))), zero)
+        yield ("strong.3", vadd(
+            _dual_act(rep, "rho", alg.mul("bracket", tu, tv)).apply(w),
+            _dual_act(rep, "rho", alg.mul("bracket", tv, tw)).apply(u),
+            _dual_act(rep, "rho", alg.mul("bracket", tw, tu)).apply(v)), zero)
+    return _sweep("strong", [((m, m), pairs), ((m, m, m), triples)])
 
 
 def pp_from_dual_p_o(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> Algebra:
     """pp-post-Lie structure on V* induced by a strong dual p-O-operator."""
     if checked:
-        base = check_strong(alg, rep, T)
-        if not base.passed:
-            raise PreconditionError("dual p-O-operator is not strong", base)
+        _require(check_strong(alg, rep, T), "dual p-O-operator is not strong")
     m = rep.dim
     out = Algebra(m, alg.field)
     out = out.op_table_from(

@@ -20,7 +20,6 @@ __all__ = [
     "vsub",
     "vneg",
     "vscale",
-    "is_zero_vec",
 ]
 
 
@@ -68,10 +67,6 @@ def vneg(a) -> tuple:
 
 def vscale(c: Scalar, a) -> tuple:
     return tuple(c * x for x in a)
-
-
-def is_zero_vec(a) -> bool:
-    return all(not x for x in a)
 
 
 # ---------------------------------------------------------------------------

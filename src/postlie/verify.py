@@ -83,17 +83,17 @@ class CriterionResult:
 
 
 class _Fixtures:
+    """Fixture access for the criteria.  Every request parses the document
+    afresh, so a criterion that changes a fixture it was handed (A7 bumps an
+    entry of r6) cannot change what another criterion sees."""
+
     def __init__(self, directory=None):
         self.directory = directory
-        self._cache = {}
 
     def doc(self, name):
-        if name not in self._cache:
-            if self.directory is None:
-                self._cache[name] = corpus_doc(name)
-            else:
-                self._cache[name] = corpus_dir_doc(self.directory, name)
-        return self._cache[name]
+        if self.directory is None:
+            return corpus_doc(name)
+        return corpus_dir_doc(self.directory, name)
 
     def algebra(self, name) -> Algebra:
         return self.doc(name).to_algebra()

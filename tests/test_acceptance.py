@@ -13,7 +13,7 @@ tests.
 import pytest
 
 from postlie import run_acceptance
-from postlie.verify import CRITERIA
+from postlie.verify import CRITERIA, _Fixtures
 
 
 _RESULTS = None
@@ -74,3 +74,12 @@ def test_a7_structural_invariants():
 
 def test_every_criterion_ran():
     assert set(_results()) == {fn.criterion for fn in CRITERIA}
+
+
+def test_criteria_independent_of_order():
+    # one shared fixture set: a criterion that alters a fixture it was
+    # handed (A7 perturbs r6) must not change the verdict of another
+    fx = _Fixtures()
+    forward = {fn.criterion: fn(fx).line() for fn in CRITERIA}
+    backward = {fn.criterion: fn(fx).line() for fn in reversed(CRITERIA)}
+    assert backward == forward

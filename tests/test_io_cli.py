@@ -65,6 +65,10 @@ def test_field_q_rejects_imaginary():
     ("kind algebra\nfield Q\ndim 1\nbasis e\nop circ\n1 : 0\nend\n", "expected"),
     ("kind algebra\nfield Q\ndim 1\nbasis e\nop circ\n2 1 : 0\nend\n", "out of range"),
     ("kind form\nfield Q\ndim 2\nbasis a b\nmatrix\n1 0\n", "unterminated"),
+    ("kind map\nfield Q\ndim 1\nbasis e\nrows x\nmatrix\n1\nend\n",
+     "line 5: bad row count 'x'"),
+    ("kind map\nfield Q\ndim 1\nbasis e\nrows -1\nmatrix\nend\n", "line 5: negative row count"),
+    ("kind bundle\nfield R\n", "line 2: unknown field 'R'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(DocumentError) as err:
@@ -178,6 +182,28 @@ def test_cli_check_usage_errors(corpus_on_disk, capsys):
     assert code == 2
     code, _, err = _run(capsys, "check", "lie", str(corpus_on_disk / "missing.txt"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("check", "cybe", "sl2_pp", "r6"), "tensor is 6x6, expected 3x3"),
+    (("check", "cybe", "sl2_pp", "t2"), "tensor is 2x2, expected 3x3"),
+    (("check", "quasi", "sl2_pp", "r6"), "tensor is 6x6, expected 3x3"),
+    (("check", "quasi", "sl2_pp", "t2"), "tensor is 2x2, expected 3x3"),
+    (("check", "op-form", "sl2_pp", "t2"), "tensor is 2x2, expected 3x3"),
+    (("check", "left-invariant", "sl2_postlie", "r6"), "form is 6x6, expected 3x3"),
+    (("check", "invariant-form", "sl2_postlie", "t2"), "form is 2x2, expected 3x3"),
+    (("check", "gph", "sl2_postlie", "r6"), "form is 6x6, expected 3x3"),
+    (("check", "rb", "sl2_lie", "r6"), "operator is 6x6, expected 3x3"),
+    (("derive", "cobrackets-from-r", "sl2_pp", "t2"), "tensor is 2x2, expected 3x3"),
+])
+def test_cli_size_mismatch_exit_2(corpus_on_disk, capsys, argv, message):
+    (corpus_on_disk / "t2.txt").write_text(
+        "kind tensor2\nfield Q\ndim 2\nbasis a b\nmatrix\n0 1\n-1 0\nend\n")
+    command, kind, *names = argv
+    code, out, err = _run(capsys, command, kind,
+                          *(str(corpus_on_disk / (n + ".txt")) for n in names))
+    assert code == 2
+    assert err == "error: %s\n" % message
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
