@@ -15,6 +15,7 @@ from .linalg import (
     LinAlgError,
     Matrix,
     SingularMatrixError,
+    Tensor,
     basis_vec,
     vadd,
     vneg,

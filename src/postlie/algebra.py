@@ -1,9 +1,15 @@
 """Structure-constant algebras and axiom checkers.
 
-An algebra of dimension n is a map from operation names to order-3
-tables c with the convention
+An algebra of dimension n maps operation names to structure tables: each
+an immutable Tensor c of shape (n, n, n) with the convention
 
-    e_i * e_j = sum_k c[i][j][k] e_k.
+    e_i * e_j = sum_k c[i, j, k] e_k.
+
+The entries are stored flat in row-major order, so the product of two
+basis vectors is the slice of n entries starting at (i * n + j) * n.
+Neither a table nor an algebra's mapping of names to tables can change
+after construction, which is what lets an algebra cache the matrices of
+multiplication by basis elements.
 
 Checkers evaluate each defining identity on every basis tuple, which is
 sufficient by multilinearity, and report exact witnesses.  Identity
@@ -16,8 +22,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
-from .linalg import Matrix, basis_vec, vadd, vneg, vsub, zero_vec
+from .linalg import Matrix, Tensor, basis_vec, vadd, vneg, vsub, zero_vec
 from .scalars import ZERO, Scalar
 
 __all__ = [
@@ -28,7 +36,6 @@ __all__ = [
     "PreconditionError",
     "UnknownOperationError",
     "MAX_VIOLATIONS",
-    "t3_zero",
     "apply_op",
     "check_lie",
     "check_pre_lie",
@@ -78,7 +85,7 @@ class PreconditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# order-3 tables
+# algebras
 # ---------------------------------------------------------------------------
 
 def _basis_index(x):
@@ -92,49 +99,42 @@ def _basis_index(x):
     return idx
 
 
-def t3_zero(n: int):
-    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+def _require_cube(table, n: int, what: str):
+    """Reject a structure or comultiplication table that is not an n x n x n Tensor."""
+    if not isinstance(table, Tensor) or table.shape != (n, n, n):
+        raise ValueError("%s table is not %d^3" % (what, n))
 
 
-def _t3_freeze(c):
-    return [[list(row) for row in plane] for plane in c]
-
-
-@dataclass
+@dataclass(frozen=True)
 class Algebra:
     """Finite-dimensional algebra given by structure constants."""
 
     dim: int
     field: str = "Q(i)"
     basis: tuple = ()
-    ops: dict = dataclasses.field(default_factory=dict)
+    ops: Mapping = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.basis:
-            self.basis = tuple("e%d" % (i + 1) for i in range(self.dim))
-        if len(self.basis) != self.dim:
+        basis = tuple(self.basis) or tuple("e%d" % (i + 1) for i in range(self.dim))
+        if len(basis) != self.dim:
             raise ValueError("basis names do not match dimension")
         for name, table in self.ops.items():
             if name not in OPERATION_NAMES:
                 raise UnknownOperationError(name)
-            self._check_shape(table)
-        # cache of multiplication-operator matrices at basis elements,
-        # valid because tables are never mutated after construction
+            _require_cube(table, self.dim, "structure")
+        object.__setattr__(self, "basis", basis)
+        # A read-only copy of the mapping: no one can rebind a name to another
+        # table, and the tables are immutable Tensors, so the cache of
+        # multiplication matrices at basis elements can never go stale.
+        object.__setattr__(self, "ops", MappingProxyType(dict(self.ops)))
         object.__setattr__(self, "_mult_cache", {})
-
-    def _check_shape(self, table):
-        n = self.dim
-        if len(table) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in table
-        ):
-            raise ValueError("structure table is not %d^3" % n)
 
     # -- operations -----------------------------------------------------
 
     def has(self, op: str) -> bool:
         return op in self.ops
 
-    def table(self, op: str):
+    def table(self, op: str) -> Tensor:
         try:
             return self.ops[op]
         except KeyError:
@@ -147,46 +147,35 @@ class Algebra:
 
     def mul(self, op: str, x, y) -> tuple:
         """Bilinear extension of the structure constants."""
-        c = self.table(op)
+        c = self.table(op).entries
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ValueError("vector length mismatch")
         i = _basis_index(x)
         j = _basis_index(y)
         if i is not None and j is not None:
-            return tuple(c[i][j])
+            start = (i * n + j) * n
+            return c[start:start + n]
         out = [ZERO] * n
-        for i in range(n):
-            xi = x[i]
+        for i, xi in enumerate(x):
             if not xi:
                 continue
-            ci = c[i]
-            for j in range(n):
-                yj = y[j]
+            for j, yj in enumerate(y):
                 if not yj:
                     continue
                 coeff = xi * yj
-                cij = ci[j]
-                for k in range(n):
-                    if cij[k]:
-                        out[k] = out[k] + coeff * cij[k]
+                start = (i * n + j) * n
+                for k, ck in enumerate(c[start:start + n]):
+                    if ck:
+                        out[k] = out[k] + coeff * ck
         return tuple(out)
 
     def basis_mult(self, op: str, i: int, left: bool = True) -> Matrix:
-        """Cached matrix of v -> e_i * v (left) or v -> v * e_i (right).
-
-        The returned matrix is shared; callers must not mutate it.
-        """
+        """Cached matrix of v -> e_i * v (left) or v -> v * e_i (right)."""
         key = (op, i, left)
         m = self._mult_cache.get(key)
         if m is None:
-            c = self.table(op)
-            n = self.dim
-            m = Matrix.zero(n, n)
-            for j in range(n):
-                row = c[i][j] if left else c[j][i]
-                for k in range(n):
-                    m[k, j] = row[k]
+            m = self.table(op).contract(0 if left else 1, basis_vec(self.dim, i)).transpose()
             self._mult_cache[key] = m
         return m
 
@@ -195,27 +184,17 @@ class Algebra:
         i = _basis_index(x)
         if i is not None:
             return self.basis_mult(op, i, True)
-        out = Matrix.zero(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.basis_mult(op, i, True).scale(xi)
-        return out
+        return self.table(op).contract(0, x).transpose()
 
     def right_mult(self, op: str, x) -> Matrix:
         """Matrix of v -> v * x for a coordinate vector x."""
         i = _basis_index(x)
         if i is not None:
             return self.basis_mult(op, i, False)
-        out = Matrix.zero(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.basis_mult(op, i, False).scale(xi)
-        return out
+        return self.table(op).contract(1, x).transpose()
 
-    def with_op(self, name: str, table) -> "Algebra":
-        ops = dict(self.ops)
-        ops[name] = _t3_freeze(table)
-        return Algebra(self.dim, self.field, self.basis, ops)
+    def with_op(self, name: str, table: Tensor) -> "Algebra":
+        return Algebra(self.dim, self.field, self.basis, {**self.ops, name: table})
 
     def without_ops(self, *names) -> "Algebra":
         ops = {k: v for k, v in self.ops.items() if k not in names}
@@ -224,13 +203,8 @@ class Algebra:
     def op_table_from(self, op: str, mul) -> "Algebra":
         """Attach a new op computed by evaluating mul on basis pairs."""
         n = self.dim
-        c = t3_zero(n)
-        for i in range(n):
-            for j in range(n):
-                prod = mul(basis_vec(n, i), basis_vec(n, j))
-                for k in range(n):
-                    c[i][j][k] = prod[k]
-        return self.with_op(op, c)
+        e = [basis_vec(n, i) for i in range(n)]
+        return self.with_op(op, Tensor((n, n, n), [s for x in e for y in e for s in mul(x, y)]))
 
 
 def apply_op(alg: Algebra, op: str, x, y) -> tuple:
@@ -285,14 +259,10 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 def _flat(value) -> tuple:
-    """Witness coordinates of a scalar, vector, Matrix or order-3 table."""
-    if isinstance(value, Matrix):
-        return tuple(value.entries)
+    """Witness coordinates of a scalar, a vector or a Tensor (its entries)."""
     if isinstance(value, Scalar):
         return (value,)
-    if value and isinstance(value[0], list):
-        return tuple(c for plane in value for row in plane for c in row)
-    return tuple(value)
+    return getattr(value, "entries", value)
 
 
 def _collect(families=(), nested=()):

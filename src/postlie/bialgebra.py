@@ -1,9 +1,13 @@
 """Coalgebras, bialgebras and the Yang-Baxter machinery for split post-Lie algebras.
 
-Tensors.  An element r of A (x) A is an n x n Matrix with
-r = sum_ij r[i,j] e_i (x) e_j.  An element of A (x) A (x) A is a dense
-nested list t[i][j][k].  A comultiplication table d stores
-delta(e_k) = sum_ij d[k][i][j] e_i (x) e_j.
+Tensors.  Every tensor here is the one immutable Tensor of
+postlie.linalg, entries flat in row-major order.  An element r of A (x) A
+is an n x n Matrix with r = sum_ij r[i, j] e_i (x) e_j, an element of
+A (x) A (x) A is a Tensor t[i, j, k] of shape (n, n, n), and a
+comultiplication table is a Tensor d of the same shape with
+delta(e_k) = sum_ij d[k, i, j] e_i (x) e_j.  So delta(x) contracts the
+first axis of d against x, and the dual algebra's table is the axis
+permutation c[i, j, k] = d[k, i, j].
 
 Operators on 2-tensors of the form M (x) id + id (x) N act as the
 sandwich M r + r N^T, which agrees with the row-major Kronecker matrix
@@ -14,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .algebra import (
     PP_IDENTITIES,
@@ -23,14 +29,14 @@ from .algebra import (
     _collect,
     _identity_families,
     _report,
+    _require_cube,
     _require_shape,
     _sweep,
     check_lie,
     check_pp_post_lie,
-    t3_zero,
 )
 from .forms import check_o_operator_pp, pp_coadjoint_rep
-from .linalg import Matrix, basis_vec, vadd, vneg, vsub
+from .linalg import Matrix, Tensor, basis_vec, vadd, vneg, vsub
 
 __all__ = [
     "CoalgebraSpec",
@@ -48,7 +54,6 @@ __all__ = [
     "check_quasitriangular_conditions",
     "operator_form_check",
     "op_matrix_2tensor",
-    "t3_is_zero",
 ]
 
 COMAP_NAMES = ("delta_rtri", "delta_ltri", "Delta")
@@ -57,76 +62,65 @@ _COMAP_TO_OP = {"delta_rtri": "rtri", "delta_ltri": "ltri", "Delta": "bracket"}
 _OP_TO_COMAP = {v: k for k, v in _COMAP_TO_OP.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoalgebraSpec:
-    """Coalgebra given by comultiplication tables d[k][i][j]."""
+    """Coalgebra given by comultiplication tables d[k, i, j] (Tensors)."""
 
     dim: int
     field: str = "Q(i)"
     basis: tuple = ()
-    comaps: dict = dataclasses.field(default_factory=dict)
+    comaps: Mapping = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.basis:
-            self.basis = tuple("e%d" % (i + 1) for i in range(self.dim))
-        n = self.dim
         for name, table in self.comaps.items():
             if name not in COMAP_NAMES:
                 raise KeyError("unknown comap %r" % name)
-            if len(table) != n or any(
-                len(plane) != n or any(len(row) != n for row in plane) for plane in table
-            ):
-                raise ValueError("comap table is not %d^3" % n)
+            _require_cube(table, self.dim, "comap")
+        object.__setattr__(self, "basis",
+                           tuple(self.basis) or tuple("e%d" % (i + 1) for i in range(self.dim)))
+        object.__setattr__(self, "comaps", MappingProxyType(dict(self.comaps)))
 
     def has(self, name: str) -> bool:
         return name in self.comaps
 
-    def table(self, name: str):
+    def table(self, name: str) -> Tensor:
         return self.comaps[name]
 
     def apply(self, name: str, x) -> Matrix:
         """delta(x) as an n x n coefficient matrix, linear in x."""
-        n = self.dim
-        d = self.comaps[name]
-        out = Matrix.zero(n, n)
-        for k, xk in enumerate(x):
-            if not xk:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    if d[k][i][j]:
-                        out[i, j] = out[i, j] + xk * d[k][i][j]
-        return out
+        return self.comaps[name].contract(0, x)
 
 
 def dualize(co: CoalgebraSpec) -> Algebra:
-    """Algebra on the dual space: c[i][j][k] = d[k][i][j]."""
-    n = co.dim
-    ops = {}
-    for name, d in co.comaps.items():
-        c = t3_zero(n)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    c[i][j][k] = d[k][i][j]
-        ops[_COMAP_TO_OP[name]] = c
-    return Algebra(n, co.field, tuple(b + "*" for b in co.basis), ops)
+    """Algebra on the dual space: c[i, j, k] = d[k, i, j]."""
+    ops = {_COMAP_TO_OP[name]: d.permute((1, 2, 0)) for name, d in co.comaps.items()}
+    return Algebra(co.dim, co.field, tuple(b + "*" for b in co.basis), ops)
 
 
 def dualize_alg(alg: Algebra, ops=("rtri", "ltri", "bracket")) -> CoalgebraSpec:
     """Coalgebra on the dual space, inverse of dualize."""
-    n = alg.dim
-    comaps = {}
-    for op in ops:
-        c = alg.table(op)
-        d = t3_zero(n)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    d[k][i][j] = c[i][j][k]
-        comaps[_OP_TO_COMAP[op]] = d
+    comaps = {_OP_TO_COMAP[op]: alg.table(op).permute((2, 0, 1)) for op in ops}
     basis = tuple(b[:-1] if b.endswith("*") else b + "*" for b in alg.basis)
-    return CoalgebraSpec(n, alg.field, basis, comaps)
+    return CoalgebraSpec(alg.dim, alg.field, basis, comaps)
+
+
+def _stack(n: int, f) -> Tensor:
+    """The tensor d[k, i, j] = f(e_k)[i, j] of a linear map f to 2-tensors."""
+    return Tensor((n, n, n), [s for k in range(n) for s in f(basis_vec(n, k)).entries])
+
+
+def _apply_first(d: Tensor, t2: Matrix) -> Tensor:
+    """(delta (x) id) t2 = sum_ab t2[a, b] delta(e_a) (x) e_b, delta given by d."""
+    return d.contract(0, t2.transpose()).permute((1, 2, 0))
+
+
+def _apply_second(d: Tensor, t2: Matrix) -> Tensor:
+    """(id (x) delta) t2 = sum_ab t2[a, b] e_a (x) delta(e_b), delta given by d."""
+    return d.contract(0, t2)
+
+
+def _minus_swap12(t: Tensor) -> Tensor:
+    return t - t.permute((1, 0, 2))
 
 
 def check_lie_coalgebra(co: CoalgebraSpec) -> CheckReport:
@@ -144,14 +138,23 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
     A comultiplication that is not co-Lie yields a failing report rather
     than an error.
     """
+    return _pp_coalgebra_reports(co, (mode,))[0]
+
+
+def _pp_coalgebra_reports(co: CoalgebraSpec, modes) -> list:
+    """check_pp_coalgebra in each mode, on one co-Lie check."""
     for name in COMAP_NAMES:
         if not co.has(name):
             raise KeyError("coalgebra lacks comap %r" % name)
     colie = check_lie_coalgebra(co)
     if not colie.passed:
-        return dataclasses.replace(colie, name="pp-coalgebra")
+        return [dataclasses.replace(colie, name="pp-coalgebra") for _ in modes]
+    return [_pp_coalgebra_mode(co, mode) for mode in modes]
+
+
+def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
     if mode == "dual":
-        # the dual bracket is Lie: colie just checked it
+        # the dual bracket is Lie: the co-Lie check just passed
         dual = dualize(co)
         pp = _sweep("pp-post-lie", _identity_families(dual, PP_IDENTITIES(dual)))
         return _sweep("pp-coalgebra", nested=[("dual", pp)])
@@ -159,113 +162,28 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
         raise ValueError("mode must be 'dual' or 'direct'")
 
     n = co.dim
-
-    drt = lambda x: co.apply("delta_rtri", x)
-    dlt = lambda x: co.apply("delta_ltri", x)
-    dDe = lambda x: co.apply("Delta", x)
-    dcirc = lambda x: drt(x) + dlt(x)
-    dbull = lambda x: drt(x) - dlt(x).transpose()
-    dlt_sym = lambda x: dlt(x) + dlt(x).transpose()
-
-    def lift(after, t2: Matrix, slot: int):
-        """3-tensor with comap `after` applied to one slot of a 2-tensor."""
-        out = t3_zero(n)
-        for a in range(n):
-            for b in range(n):
-                if not t2[a, b]:
-                    continue
-                inner = after(basis_vec(n, b if slot == 1 else a))
-                for p in range(n):
-                    for q in range(n):
-                        if inner[p, q]:
-                            if slot == 1:   # x (x) delta(y)
-                                out[a][p][q] = out[a][p][q] + t2[a, b] * inner[p, q]
-                            else:           # delta(x) (x) y
-                                out[p][q][b] = out[p][q][b] + t2[a, b] * inner[p, q]
-        return out
-
-    zero = t3_zero(n)
+    rt, lt, De = (co.table(name) for name in COMAP_NAMES)
+    circ = rt + lt
+    bull = rt - lt.permute((0, 2, 1))
+    lt_sym = lt + lt.permute((0, 2, 1))
+    zero = Tensor.zero(n, n, n)
 
     def body(k):
         x = basis_vec(n, k)
-        yield ("ppco.1", lift(dDe, dlt(x), 1),
-               t3_add(lift(dDe, dlt(x), 0), t3_swap12(lift(dDe, dlt(x), 1))))
-        yield "ppco.2a", lift(dlt_sym, dDe(x), 1), zero
-        yield "ppco.2b", lift(dDe, dlt_sym(x), 0), zero
-        yield ("ppco.3", lift(dDe, dbull(x), 1),
-               t3_add(lift(dcirc, dDe(x), 0), t3_swap12(lift(dbull, dDe(x), 1))))
-        yield ("ppco.4", lift(dlt, drt(x), 1),
-               t3_add(lift(dbull, dlt(x), 0), t3_swap12(lift(dcirc, dlt(x), 1)),
-                      t3_neg(lift(dlt, dDe(x), 1))))
-        yield ("ppco.5", _minus_swap12(lift(dcirc, drt(x), 0)),
-               t3_add(_minus_swap12(lift(drt, drt(x), 1)),
-                      t3_neg(lift(dDe, dcirc(x), 0)),
-                      t3_neg(_minus_swap12(lift(dlt, dDe(x), 1)))))
+        rtx, ltx, Dex = rt.contract(0, x), lt.contract(0, x), De.contract(0, x)
+        yield ("ppco.1", _apply_second(De, ltx),
+               _apply_first(De, ltx) + _apply_second(De, ltx).permute((1, 0, 2)))
+        yield "ppco.2a", _apply_second(lt_sym, Dex), zero
+        yield "ppco.2b", _apply_first(De, lt_sym.contract(0, x)), zero
+        yield ("ppco.3", _apply_second(De, bull.contract(0, x)),
+               _apply_first(circ, Dex) + _apply_second(bull, Dex).permute((1, 0, 2)))
+        yield ("ppco.4", _apply_second(lt, rtx),
+               _apply_first(bull, ltx) + _apply_second(circ, ltx).permute((1, 0, 2))
+               - _apply_second(lt, Dex))
+        yield ("ppco.5", _minus_swap12(_apply_first(circ, rtx)),
+               _minus_swap12(_apply_second(rt, rtx)) - _apply_first(De, circ.contract(0, x))
+               - _minus_swap12(_apply_second(lt, Dex)))
     return _sweep("pp-coalgebra", [((n,), body)])
-
-
-def _minus_swap12(t):
-    return t3_sub(t, t3_swap12(t))
-
-
-# ---------------------------------------------------------------------------
-# order-3 tensor helpers
-# ---------------------------------------------------------------------------
-
-def t3_add(*ts):
-    n = len(ts[0])
-    out = t3_zero(n)
-    for t in ts:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[i][j][k]:
-                        out[i][j][k] = out[i][j][k] + t[i][j][k]
-    return out
-
-
-def t3_sub(a, b):
-    return t3_add(a, t3_neg(b))
-
-
-def t3_neg(t):
-    n = len(t)
-    return [[[-t[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
-
-
-def t3_is_zero(t) -> bool:
-    return all(not c for plane in t for row in plane for c in row)
-
-
-def t3_swap12(t):
-    n = len(t)
-    return [[[t[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
-
-
-def t3_swap23(t):
-    n = len(t)
-    return [[[t[i][k][j] for k in range(n)] for j in range(n)] for i in range(n)]
-
-
-def t3_apply_slot(t, m: Matrix, slot: int):
-    """Apply a matrix to one tensor slot (0, 1 or 2)."""
-    n = len(t)
-    out = t3_zero(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = t[i][j][k]
-                if not c:
-                    continue
-                src = (i, j, k)[slot]
-                for p in range(n):
-                    if m[p, src]:
-                        idx = [i, j, k]
-                        idx[slot] = p
-                        out[idx[0]][idx[1]][idx[2]] = (
-                            out[idx[0]][idx[1]][idx[2]] + m[p, src] * c
-                        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +207,17 @@ def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
 
 def _sandwich(m: Matrix, t2: Matrix, m2: Matrix | None = None) -> Matrix:
     """(m (x) id + id (x) m2) t2, with m2 defaulting to m."""
-    m2 = m if m2 is None else m2
-    return m * t2 + t2 * m2.transpose()
+    return _lhs_apply(m, t2) + _rhs_apply(m if m2 is None else m2, t2)
 
 
 def _lhs_apply(m: Matrix, t2: Matrix) -> Matrix:
     """(m (x) id) t2."""
-    return m * t2
+    return t2.contract(0, m)
 
 
 def _rhs_apply(m: Matrix, t2: Matrix) -> Matrix:
     """(id (x) m) t2."""
-    return t2 * m.transpose()
+    return t2.contract(1, m)
 
 
 def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
@@ -385,62 +302,38 @@ def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
 # Yang-Baxter tensors
 # ---------------------------------------------------------------------------
 
-def cybe_C(alg: Algebra, r: Matrix):
+def cybe_C(alg: Algebra, r: Matrix) -> Tensor:
     """[r12, r13] + [r12, r23] + [r13, r23] as an order-3 tensor."""
-    n = alg.dim
-    out = t3_zero(n)
-    entries = [(i, j, r[i, j]) for i in range(n) for j in range(n) if r[i, j]]
-    for (i1, j1, c1) in entries:
-        for (i2, j2, c2) in entries:
-            c = c1 * c2
-            br = alg.mul("bracket", basis_vec(n, i1), basis_vec(n, i2))
-            for k, bk in enumerate(br):
-                if bk:
-                    out[k][j1][j2] = out[k][j1][j2] + c * bk
-            br = alg.mul("bracket", basis_vec(n, j1), basis_vec(n, i2))
-            for k, bk in enumerate(br):
-                if bk:
-                    out[i1][k][j2] = out[i1][k][j2] + c * bk
-            br = alg.mul("bracket", basis_vec(n, j1), basis_vec(n, j2))
-            for k, bk in enumerate(br):
-                if bk:
-                    out[i1][i2][k] = out[i1][i2][k] + c * bk
-    return out
+    br = alg.table("bracket")
+    return _yang_baxter(r, _products_of_a(br, r).permute((2, 0, 1)), br, br)
 
 
-def cybe_D(alg: Algebra, r: Matrix):
+def cybe_D(alg: Algebra, r: Matrix) -> Tensor:
     """r13 <| r12 + r12 . r23 + r13 o r23 with the displayed slot placement."""
-    n = alg.dim
-    out = t3_zero(n)
-    entries = [(i, j, r[i, j]) for i in range(n) for j in range(n) if r[i, j]]
-    for (i1, j1, c1) in entries:
-        for (i2, j2, c2) in entries:
-            c = c1 * c2
-            # a_i <| a_j (x) b_j (x) b_i
-            prod = alg.mul("ltri", basis_vec(n, i1), basis_vec(n, i2))
-            for k, pk in enumerate(prod):
-                if pk:
-                    out[k][j2][j1] = out[k][j2][j1] + c * pk
-            # a_i (x) b_i . a_j (x) b_j
-            prod = vsub(alg.mul("rtri", basis_vec(n, j1), basis_vec(n, i2)),
-                        alg.mul("ltri", basis_vec(n, i2), basis_vec(n, j1)))
-            for k, pk in enumerate(prod):
-                if pk:
-                    out[i1][k][j2] = out[i1][k][j2] + c * pk
-            # a_i (x) a_j (x) b_i o b_j
-            prod = vadd(alg.mul("rtri", basis_vec(n, j1), basis_vec(n, j2)),
-                        alg.mul("ltri", basis_vec(n, j1), basis_vec(n, j2)))
-            for k, pk in enumerate(prod):
-                if pk:
-                    out[i1][i2][k] = out[i1][i2][k] + c * pk
-    return out
+    rt, lt = alg.table("rtri"), alg.table("ltri")
+    return _yang_baxter(r, _products_of_a(lt, r).permute((2, 1, 0)),
+                        rt - lt.permute((1, 0, 2)), rt + lt)
+
+
+def _products_of_a(c: Tensor, r: Matrix) -> Tensor:
+    """sum_ij b_i (x) b_j (x) c(a_i, a_j) for r = sum_i a_i (x) b_i and the
+    product with structure table c."""
+    rt = r.transpose()
+    return c.contract(0, rt).contract(1, rt)
+
+
+def _yang_baxter(r: Matrix, first: Tensor, c12: Tensor, c23: Tensor) -> Tensor:
+    """first + sum_ij a_i (x) c12(b_i, a_j) (x) b_j + sum_ij a_i (x) a_j (x) c23(b_i, b_j)
+    for r = sum_i a_i (x) b_i and the products with structure tables c12, c23."""
+    return (first + c12.permute((0, 2, 1)).contract(0, r).contract(2, r.transpose())
+            + c23.contract(0, r).contract(1, r))
 
 
 def check_pppcybe(alg: Algebra, r: Matrix) -> CheckReport:
     """r solves the equation iff both tensor obstructions vanish."""
     n = alg.dim
     _require_shape(r, n, n, "tensor")
-    zero = t3_zero(n)
+    zero = Tensor.zero(n, n, n)
 
     def body():
         yield "cybe.c", cybe_C(alg, r), zero
@@ -500,48 +393,16 @@ def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
     _require_shape(r, n, n, "tensor")
-    d_rt, d_lt, d_de = t3_zero(n), t3_zero(n), t3_zero(n)
-    for k in range(n):
-        x = basis_vec(n, k)
-        for table, t2 in (
-            (d_rt, _e_apply(alg, x, r)),
-            (d_lt, _f_apply(alg, x, -r)),
-            (d_de, _g_apply(alg, x, r)),
-        ):
-            for i in range(n):
-                for j in range(n):
-                    table[k][i][j] = t2[i, j]
-    return CoalgebraSpec(n, alg.field, alg.basis,
-                         {"delta_rtri": d_rt, "delta_ltri": d_lt, "Delta": d_de})
+    return CoalgebraSpec(n, alg.field, alg.basis, {
+        "delta_rtri": _stack(n, lambda x: _e_apply(alg, x, r)),
+        "delta_ltri": _stack(n, lambda x: _f_apply(alg, x, -r)),
+        "Delta": _stack(n, lambda x: _g_apply(alg, x, r)),
+    })
 
 
 # ---------------------------------------------------------------------------
 # quasitriangularity: the individual sufficient conditions
 # ---------------------------------------------------------------------------
-
-def _sum_first_slot(r_entries, t2_of, n):
-    """sum_i a_i (x) W(b_i) for W returning a 2-tensor."""
-    out = t3_zero(n)
-    for (p, q, c) in r_entries:
-        w = t2_of(basis_vec(n, q))
-        for u in range(n):
-            for v in range(n):
-                if w[u, v]:
-                    out[p][u][v] = out[p][u][v] + c * w[u, v]
-    return out
-
-
-def _sum_last_slot(r_entries, t2_of, n):
-    """sum_i W(a_i) (x) b_i for W returning a 2-tensor."""
-    out = t3_zero(n)
-    for (p, q, c) in r_entries:
-        w = t2_of(basis_vec(n, p))
-        for u in range(n):
-            for v in range(n):
-                if w[u, v]:
-                    out[u][v][q] = out[u][v][q] + c * w[u, v]
-    return out
-
 
 def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     """Per-equation verdicts for the coalgebra/bialgebra conditions on r.
@@ -553,13 +414,18 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     n = alg.dim
     _require_shape(r, n, n, "tensor")
     s = r + r.transpose()
-    r_entries = [(i, j, r[i, j]) for i in range(n) for j in range(n) if r[i, j]]
     C = cybe_C(alg, r)
     D = cybe_D(alg, r)
     zero2 = Matrix.zero(n, n)
-    zero3 = t3_zero(n)
+    zero3 = Tensor.zero(n, n, n)
     e = [basis_vec(n, i) for i in range(n)]
-    sum_aFb = _sum_first_slot(r_entries, lambda b: _f_apply(alg, b, s), n)
+    swap12 = lambda t: t.permute((1, 0, 2))
+    swap23 = lambda t: t.permute((0, 2, 1))
+    # sum_i a_i (x) W(b_i) and sum_i W(a_i) (x) b_i over r = sum_i a_i (x) b_i
+    # for a linear map W to 2-tensors
+    on_b = lambda w: _apply_second(_stack(n, w), r)
+    on_a = lambda w: _apply_first(_stack(n, w), r)
+    sum_aFb = on_b(lambda b: _f_apply(alg, b, s))
 
     def one_variable(k):
         x = e[k]
@@ -567,57 +433,36 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
         llt = alg.left_mult("ltri", x)
         rlt = alg.right_mult("ltri", x)
         yield "quasi.colie.1", _g_apply(alg, x, s), zero2
-        yield "quasi.colie.2", t3_add(
-            t3_apply_slot(C, ad, 0), t3_apply_slot(C, ad, 1), t3_apply_slot(C, ad, 2)), zero3
-        yield "quasi.coalg.1", t3_add(
-            t3_apply_slot(C, circ, 0), t3_apply_slot(C, circ, 1), t3_apply_slot(C, bullet, 2),
-            _sum_last_slot(r_entries,
-                           lambda a: _lhs_apply(alg.left_mult("bracket", a),
-                                                _f_apply(alg, x, s).transpose()), n)), zero3
-        inner = t3_sub(sum_aFb, D)
-        yield "quasi.coalg.2a", t3_add(
-            t3_apply_slot(t3_add(inner, t3_swap23(inner)), ad, 0),
-            _sum_first_slot(r_entries,
-                            lambda b: _f_apply(alg, alg.mul("bracket", x, b), s), n)), zero3
-        yield "quasi.coalg.2b", t3_apply_slot(C, llt + rlt, 2), zero3
-        yield "quasi.coalg.3", t3_add(
-            t3_apply_slot(C, llt, 0),
-            t3_apply_slot(t3_sub(t3_swap23(D), sum_aFb), ad, 1),
-            t3_neg(t3_apply_slot(D, ad, 2)),
-            t3_neg(_sum_last_slot(r_entries,
-                                  lambda a: _lhs_apply(alg.right_mult("ltri", a),
-                                                       _g_apply(alg, x, s)), n))), zero3
-        part1 = t3_sub(sum_aFb, t3_swap23(D))
-        mid = t3_sub(
-            t3_sub(sum_aFb,
-                   _sum_last_slot(r_entries,
-                                  lambda a: _f_apply(alg, a, s).transpose(), n)),
-            t3_swap23(D))
-        yield "quasi.coalg.4", t3_add(
-            t3_apply_slot(part1, ad + llt, 0),
-            t3_apply_slot(part1, circ, 1),
-            t3_apply_slot(mid, bullet, 2),
-            _sum_last_slot(r_entries,
-                           lambda a: _lhs_apply(alg.right_mult("ltri", a),
-                                                _f_apply(alg, x, s).transpose()), n),
-            t3_neg(_sum_last_slot(
-                r_entries,
-                lambda a: _f_apply(alg, vadd(alg.mul("rtri", x, a), alg.mul("ltri", x, a)),
-                                   s).transpose(), n))), zero3
-        term1 = t3_apply_slot(part1, ad, 0)
-        yield "quasi.coalg.5", t3_add(
-            t3_sub(term1, t3_swap12(term1)),
-            _sum_last_slot(r_entries,
-                           lambda a: _rhs_apply(alg.right_mult("rtri", a),
-                                                _e_apply(alg, x, s)), n),
-            _sum_last_slot(r_entries,
-                           lambda a: _rhs_apply(alg.right_mult("rtri", a)
-                                                + alg.right_mult("ltri", a),
-                                                _g_apply(alg, x, s)), n),
-            _minus_swap12(t3_apply_slot(D, diamond, 2)),
-            t3_neg(t3_apply_slot(C, alg.right_mult("rtri", x)
-                                 - alg.left_mult("ltri", x), 2)),
-            _minus_swap12(t3_apply_slot(t3_sub(D, t3_swap12(D)), rt, 0))), zero3
+        yield "quasi.colie.2", C.contract(0, ad) + C.contract(1, ad) + C.contract(2, ad), zero3
+        yield "quasi.coalg.1", (
+            C.contract(0, circ) + C.contract(1, circ) + C.contract(2, bullet)
+            + on_a(lambda a: _lhs_apply(alg.left_mult("bracket", a),
+                                        _f_apply(alg, x, s).transpose()))), zero3
+        inner = sum_aFb - D
+        yield "quasi.coalg.2a", (
+            (inner + swap23(inner)).contract(0, ad)
+            + on_b(lambda b: _f_apply(alg, alg.mul("bracket", x, b), s))), zero3
+        yield "quasi.coalg.2b", C.contract(2, llt + rlt), zero3
+        yield "quasi.coalg.3", (
+            C.contract(0, llt) + (swap23(D) - sum_aFb).contract(1, ad) - D.contract(2, ad)
+            - on_a(lambda a: _lhs_apply(alg.right_mult("ltri", a), _g_apply(alg, x, s)))), zero3
+        part1 = sum_aFb - swap23(D)
+        mid = sum_aFb - on_a(lambda a: _f_apply(alg, a, s).transpose()) - swap23(D)
+        yield "quasi.coalg.4", (
+            part1.contract(0, ad + llt) + part1.contract(1, circ) + mid.contract(2, bullet)
+            + on_a(lambda a: _lhs_apply(alg.right_mult("ltri", a),
+                                        _f_apply(alg, x, s).transpose()))
+            - on_a(lambda a: _f_apply(alg, vadd(alg.mul("rtri", x, a), alg.mul("ltri", x, a)),
+                                      s).transpose())), zero3
+        term1 = part1.contract(0, ad)
+        yield "quasi.coalg.5", (
+            term1 - swap12(term1)
+            + on_a(lambda a: _rhs_apply(alg.right_mult("rtri", a), _e_apply(alg, x, s)))
+            + on_a(lambda a: _rhs_apply(alg.right_mult("rtri", a) + alg.right_mult("ltri", a),
+                                        _g_apply(alg, x, s)))
+            + _minus_swap12(D.contract(2, diamond))
+            - C.contract(2, alg.right_mult("rtri", x) - alg.left_mult("ltri", x))
+            + _minus_swap12((D - swap12(D)).contract(0, rt))), zero3
 
     def two_variables(a, b):
         x, y = e[a], e[b]

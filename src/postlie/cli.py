@@ -108,8 +108,7 @@ def _pp_coalg(opts, co):
     mode = opts.mode or "dual"
     if mode != "both":
         return bi.check_pp_coalgebra(co, mode)
-    dual = bi.check_pp_coalgebra(co, "dual")
-    direct = bi.check_pp_coalgebra(co, "direct")
+    dual, direct = bi._pp_coalgebra_reports(co, ("dual", "direct"))
     print(dual.render(_verbosity()))
     print(direct.render(_verbosity()))
     if dual.passed != direct.passed:

@@ -7,6 +7,7 @@ antidiagonal block matrix [[0, I], [I, 0]].
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .algebra import (
@@ -19,7 +20,6 @@ from .algebra import (
     check_post_lie,
     check_pp_post_lie,
     horizontal_post_lie,
-    t3_zero,
 )
 from .forms import (
     PPRepSpec,
@@ -32,8 +32,8 @@ from .forms import (
     form_value,
     pp_split_dual_rep,
 )
-from .linalg import Matrix, SingularMatrixError, basis_vec, vadd, vneg, vsub
-from .scalars import ONE
+from .linalg import Matrix, SingularMatrixError, Tensor, basis_vec, vadd, vneg, vsub
+from .scalars import ONE, ZERO
 
 __all__ = [
     "semidirect_post_lie",
@@ -229,11 +229,8 @@ def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps, checked=True) -> Algeb
 
 def pairing_form(n: int) -> Matrix:
     """B_d(x + a*, y + b*) = <x, b*> + <y, a*> on A + A*."""
-    out = Matrix.zero(2 * n, 2 * n)
-    for i in range(n):
-        out[i, n + i] = ONE
-        out[n + i, i] = ONE
-    return out
+    return Matrix((2 * n, 2 * n), [ONE if j == (i + n) % (2 * n) else ZERO
+                                   for i in range(2 * n) for j in range(2 * n)])
 
 
 def double_construction(alg: Algebra, checked=True):
@@ -247,8 +244,12 @@ def double_construction(alg: Algebra, checked=True):
     horiz = horizontal_post_lie(alg, checked=False)
     rep = pp_split_dual_rep(alg)
     double = semidirect_post_lie(horiz, rep, checked=False)
-    double.basis = tuple(alg.basis) + tuple(name + "*" for name in alg.basis)
+    double = dataclasses.replace(double, basis=_doubled_basis(alg))
     return double, pairing_form(alg.dim)
+
+
+def _doubled_basis(alg: Algebra) -> tuple:
+    return tuple(alg.basis) + tuple(name + "*" for name in alg.basis)
 
 
 def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
@@ -267,7 +268,7 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
     ha = horizontal_post_lie(a_pp, checked=False)
     hb = horizontal_post_lie(astar_pp, checked=False)
     out = bowtie(ha, hb, coadjoint_matched_pair_maps(a_pp, astar_pp), checked=False)
-    out.basis = tuple(a_pp.basis) + tuple(name + "*" for name in a_pp.basis)
+    out = dataclasses.replace(out, basis=_doubled_basis(a_pp))
     form = pairing_form(n)
 
     try:
@@ -300,32 +301,15 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     rtri and ltri are the unique solutions of
         B(x |> y, z) = -B(y, x o z - z o x),
         B(x <| y, z) =  B(x, z o y),
-    solved column-by-column against B.
+    solved against B for all basis pairs (x, y) at once.
     """
     if checked:
         _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
-    n = alg.dim
-    Bt = B.transpose()
-    e = [basis_vec(n, i) for i in range(n)]
-    rt = t3_zero(n)
-    lt = t3_zero(n)
-    for i in range(n):
-        for j in range(n):
-            x, y = e[i], e[j]
-            rhs_rt, rhs_lt = [], []
-            for k in range(n):
-                z = e[k]
-                comm = vsub(alg.mul("circ", x, z), alg.mul("circ", z, x))
-                rhs_rt.append(-form_value(B, y, comm))
-                rhs_lt.append(form_value(B, x, alg.mul("circ", z, y)))
-            try:
-                sol_rt = Bt.solve_vec(tuple(rhs_rt))
-                sol_lt = Bt.solve_vec(tuple(rhs_lt))
-            except SingularMatrixError:
-                raise PreconditionError("form is degenerate")
-            for k in range(n):
-                rt[i][j][k] = sol_rt[k]
-                lt[i][j][k] = sol_lt[k]
+    e = [basis_vec(alg.dim, i) for i in range(alg.dim)]
+    o = lambda x, y: alg.mul("circ", x, y)
+    rt = _solve_products(B, [[-form_value(B, y, vsub(o(x, z), o(z, x))) for z in e]
+                             for x in e for y in e])
+    lt = _solve_products(B, [[form_value(B, x, o(z, y)) for z in e] for x in e for y in e])
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": alg.table("bracket"), "rtri": rt, "ltri": lt})
 
@@ -334,24 +318,22 @@ def bullet_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     """The second post-Lie product: B(x . y, z) = -B(y, x o z)."""
     if checked:
         _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
-    n = alg.dim
-    Bt = B.transpose()
-    e = [basis_vec(n, i) for i in range(n)]
-    c = t3_zero(n)
-    for i in range(n):
-        for j in range(n):
-            x, y = e[i], e[j]
-            rhs = []
-            for k in range(n):
-                rhs.append(-form_value(B, y, alg.mul("circ", x, e[k])))
-            try:
-                sol = Bt.solve_vec(tuple(rhs))
-            except SingularMatrixError:
-                raise PreconditionError("form is degenerate")
-            for k in range(n):
-                c[i][j][k] = sol[k]
+    e = [basis_vec(alg.dim, i) for i in range(alg.dim)]
+    c = _solve_products(B, [[-form_value(B, y, alg.mul("circ", x, z)) for z in e]
+                            for x in e for y in e])
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": alg.table("bracket"), "circ": c})
+
+
+def _solve_products(B: Matrix, rhs) -> Tensor:
+    """The table c with B(e_i * e_j, e_k) = rhs[i n + j][k] for all i, j, k:
+    the columns of the one solution X of B^T X = rhs^T."""
+    n = B.rows
+    try:
+        sol = B.transpose().solve(Matrix((n * n, n), [s for row in rhs for s in row]).transpose())
+    except SingularMatrixError:
+        raise PreconditionError("form is degenerate")
+    return Tensor((n, n, n), sol.transpose().entries)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +399,9 @@ def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True):
     n, m = alg.dim, rep.dim
     _require_shape(T, n, m, "operator")
     ahat = semidirect_pp(alg, dual_pp_rep(alg, rep, checked=False), checked=False)
-    ahat.basis = tuple(alg.basis) + tuple("v%d*" % (i + 1) for i in range(m))
-    r = Matrix.zero(n + m, n + m)
-    for i in range(n):
-        for j in range(m):
-            r[n + j, i] = T[i, j]
-            r[i, n + j] = -T[i, j]
+    ahat = dataclasses.replace(
+        ahat, basis=tuple(alg.basis) + tuple("v%d*" % (i + 1) for i in range(m)))
+    Tt = T.transpose()
+    r = Matrix.from_rows([(ZERO,) * n + vneg(T.row(i)) for i in range(n)]
+                         + [Tt.row(j) + (ZERO,) * m for j in range(m)])
     return ahat, r

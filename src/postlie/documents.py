@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import Algebra, OPERATION_NAMES, t3_zero
+from .algebra import Algebra, OPERATION_NAMES
 from .bialgebra import COMAP_NAMES, CoalgebraSpec
-from .linalg import Matrix
-from .scalars import Scalar, ScalarParseError
+from .linalg import Matrix, Tensor
+from .scalars import ZERO, Scalar, ScalarParseError
 
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
 
@@ -46,6 +46,9 @@ class DocumentError(ValueError):
 
 @dataclass
 class Document:
+    """A parsed document.  Its tables and matrices are immutable Tensors, so
+    what to_algebra, to_matrix and to_coalgebra hand out cannot change it."""
+
     kind: str
     field: str = "Q(i)"
     dim: int = 0
@@ -208,7 +211,8 @@ def _parse_algebra_body(lines, doc):
         name = parts[1]
         if name not in OPERATION_NAMES:
             raise DocumentError("unknown operation %r" % name, lineno)
-        table = t3_zero(doc.dim)
+        n = doc.dim
+        entries = [ZERO] * n ** 3
         while True:
             lineno, line = lines.next()
             if line is None:
@@ -226,9 +230,9 @@ def _parse_algebra_body(lines, doc):
                 raise DocumentError("bad basis index", lineno) from None
             if not (0 <= i < doc.dim and 0 <= j < doc.dim):
                 raise DocumentError("basis index out of range", lineno)
-            for k, tok in enumerate(vals):
-                table[i][j][k] = _scal(tok, lineno, doc.field)
-        doc.ops[name] = table
+            start = (i * n + j) * n
+            entries[start:start + n] = [_scal(tok, lineno, doc.field) for tok in vals]
+        doc.ops[name] = Tensor((n, n, n), entries)
 
 
 def _parse_coalgebra_body(lines, doc):
@@ -245,7 +249,8 @@ def _parse_coalgebra_body(lines, doc):
         name = parts[1]
         if name not in COMAP_NAMES:
             raise DocumentError("unknown comap %r" % name, lineno)
-        table = t3_zero(doc.dim)
+        n = doc.dim
+        entries = [ZERO] * n ** 3
         while True:
             lineno, line = lines.next()
             if line is None:
@@ -263,8 +268,8 @@ def _parse_coalgebra_body(lines, doc):
                 raise DocumentError("bad basis index", lineno) from None
             if not all(0 <= t < doc.dim for t in (k, i, j)):
                 raise DocumentError("basis index out of range", lineno)
-            table[k][i][j] = _scal(vals[0], lineno, doc.field)
-        doc.comaps[name] = table
+            entries[(k * n + i) * n + j] = _scal(vals[0], lineno, doc.field)
+        doc.comaps[name] = Tensor((n, n, n), entries)
 
 
 def _parse_matrix_body(lines, doc):
@@ -293,7 +298,7 @@ def _parse_matrix_body(lines, doc):
     lineno, line = lines.next()
     if line != "end":
         raise DocumentError("expected 'end' after matrix", lineno)
-    doc.matrix = Matrix(rows, doc.dim, entries)
+    doc.matrix = Matrix((rows, doc.dim), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +330,7 @@ def _dump_into(doc: Document, out):
             table = doc.ops[name]
             for i in range(doc.dim):
                 for j in range(doc.dim):
-                    row = table[i][j]
+                    row = table.row(i, j)
                     if any(row):
                         out.append("%d %d : %s" % (i + 1, j + 1, " ".join(str(s) for s in row)))
             out.append("end")
@@ -338,8 +343,8 @@ def _dump_into(doc: Document, out):
             for k in range(doc.dim):
                 for i in range(doc.dim):
                     for j in range(doc.dim):
-                        if table[k][i][j]:
-                            out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, table[k][i][j]))
+                        if table[k, i, j]:
+                            out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, table[k, i, j]))
             out.append("end")
     else:
         m = doc.matrix

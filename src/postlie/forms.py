@@ -57,9 +57,9 @@ def form_value(B: Matrix, x, y) -> Scalar:
     for i, xi in enumerate(x):
         if not xi:
             continue
-        for j, yj in enumerate(y):
-            if yj and B[i, j]:
-                acc = acc + xi * B[i, j] * yj
+        for bij, yj in zip(B.row(i), y):
+            if yj and bij:
+                acc = acc + xi * bij * yj
     return acc
 
 
@@ -121,9 +121,9 @@ def omega_cocycle(alg: Algebra, B: Matrix):
     Returns (omega, report): omega(x,y) = B(x,y) - B(y,x) and the report of
     the cyclic cocycle identity of omega on the sub-adjacent Lie algebra.
     """
-    _require(check_invariant_form(alg, B), "form is not invariant")
+    sub = sub_adjacent_lie(alg)  # its precondition is that alg is post-Lie
+    _require(check_invariant_form(alg, B, checked=False), "form is not invariant")
     omega = B - B.transpose()
-    sub = sub_adjacent_lie(alg)
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
     br = lambda x, y: sub.mul("bracket", x, y)

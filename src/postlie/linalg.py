@@ -1,8 +1,12 @@
 """Dense exact linear algebra over Q(i).
 
-Vectors are tuples of Scalar; matrices store their entries as a flat
-row-major list.  Everything here is exact: solving and determinants use
-rational Gaussian elimination and report singularity precisely.
+Vectors are tuples of Scalar.  Everything else -- matrices, forms,
+operators, 2-tensors, structure tables and comultiplication tables -- is
+one immutable Tensor: a shape and a tuple of its entries in row-major
+order.  Two operations do the index work: contraction of one axis against
+a matrix or a vector, and axis permutation.  Everything here is exact:
+solving and determinants use rational Gaussian elimination and report
+singularity precisely.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from .scalars import ONE, ZERO, Scalar
 __all__ = [
     "LinAlgError",
     "SingularMatrixError",
+    "Tensor",
     "Matrix",
     "vec",
     "zero_vec",
@@ -70,148 +75,204 @@ def vscale(c: Scalar, a) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# tensors
 # ---------------------------------------------------------------------------
 
-class Matrix:
-    """rows x cols matrix of Scalar, entries in row-major order."""
+def _size(shape) -> int:
+    size = 1
+    for n in shape:
+        size *= n
+    return size
 
-    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = [e if isinstance(e, Scalar) else Scalar(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise LinAlgError(
-                "expected %d entries for %dx%d, got %d"
-                % (rows * cols, rows, cols, len(entries))
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+def _tensor(shape, entries) -> "Tensor":
+    """A Tensor from a shape tuple and a tuple of Scalars, unchecked."""
+    t = object.__new__(Tensor)
+    object.__setattr__(t, "shape", shape)
+    object.__setattr__(t, "entries", entries)
+    return t
+
+
+class Tensor:
+    """Immutable tensor of Scalars: a shape and its entries in row-major order.
+
+    t[i, j, k] is entry (i * n1 + j) * n2 + k of a tensor of shape
+    (n0, n1, n2).  A matrix is the two-axis case and is also called Matrix.
+    """
+
+    __slots__ = ("shape", "entries")
+
+    def __init__(self, shape, entries):
+        shape = tuple(shape)
+        entries = tuple(e if isinstance(e, Scalar) else Scalar(e) for e in entries)
+        if len(entries) != _size(shape):
+            raise LinAlgError("expected %d entries for %s, got %d"
+                              % (_size(shape), "x".join(map(str, shape)), len(entries)))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tensor is immutable")
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def from_rows(rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
+    def zero(*shape) -> "Tensor":
+        return _tensor(shape, (ZERO,) * _size(shape))
+
+    @staticmethod
+    def from_rows(rows) -> "Tensor":
+        rows = [tuple(r) for r in rows]
         m = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != m:
-                raise LinAlgError("ragged rows")
-        return Matrix(n, m, [e for r in rows for e in r])
+        if any(len(r) != m for r in rows):
+            raise LinAlgError("ragged rows")
+        return Tensor((len(rows), m), [e for r in rows for e in r])
 
     @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+    def identity(n: int) -> "Tensor":
+        return Tensor.diagonal([ONE] * n)
 
     @staticmethod
-    def zero(rows: int, cols: int | None = None) -> "Matrix":
-        cols = rows if cols is None else cols
-        return Matrix(rows, cols, [ZERO] * (rows * cols))
-
-    @staticmethod
-    def diagonal(values) -> "Matrix":
+    def diagonal(values) -> "Tensor":
         values = list(values)
         n = len(values)
-        m = Matrix.zero(n, n)
-        for i, v in enumerate(values):
-            m[i, i] = v if isinstance(v, Scalar) else Scalar(v)
-        return m
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, list(self.entries))
+        return Tensor((n, n), [values[i] if i == j else ZERO
+                               for i in range(n) for j in range(n)])
 
     # -- element access --------------------------------------------------
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
 
-    def __setitem__(self, ij, value):
-        i, j = ij
-        self.entries[i * self.cols + j] = value if isinstance(value, Scalar) else Scalar(value)
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
 
-    def row(self, i: int) -> tuple:
-        return tuple(self.entries[i * self.cols : (i + 1) * self.cols])
+    def __getitem__(self, index):
+        if len(index) != len(self.shape):
+            raise IndexError("index %r for a tensor of shape %r" % (index, self.shape))
+        offset = 0
+        for i, n in zip(index, self.shape):
+            if not 0 <= i < n:
+                raise IndexError("index %r out of range for shape %r" % (index, self.shape))
+            offset = offset * n + i
+        return self.entries[offset]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+    def row(self, *index) -> tuple:
+        """Entries along the last axis at the leading indices."""
+        n = self.shape[-1]
+        offset = 0
+        for i, m in zip(index, self.shape):
+            offset = offset * m + i
+        return self.entries[offset * n:(offset + 1) * n]
+
+    # -- the two index operations ----------------------------------------
+
+    def contract(self, axis: int, other):
+        """Contract one axis against a matrix or a vector, skipping zeros.
+
+        Against a p x s matrix M the axis (of length s) becomes one of length p,
+            out[.., a, ..] = sum_b M[a, b] self[.., b, ..];
+        against a vector v of length s it is summed away,
+            out[.., ..] = sum_b v[b] self[.., b, ..].
+        A result with one axis is returned as a vector (a tuple).
+        """
+        shape = self.shape
+        s = shape[axis]
+        # (b, [(a, weight)]) for each index b of the axis with a nonzero weight
+        if isinstance(other, Tensor):
+            p, cols = other.shape
+            if cols != s:
+                raise LinAlgError("cannot contract an axis of length %d against a %dx%d matrix"
+                                  % (s, p, cols))
+            live = []
+            for b in range(s):
+                w = [(a, c) for a, c in enumerate(other.entries[b::cols]) if c]
+                if w:
+                    live.append((b, w))
+            out_shape = shape[:axis] + (p,) + shape[axis + 1:]
+        else:
+            if len(other) != s:
+                raise LinAlgError("vector length %d != axis length %d" % (len(other), s))
+            live = [(b, ((0, c),)) for b, c in enumerate(other) if c]
+            p = 1
+            out_shape = shape[:axis] + shape[axis + 1:]
+        inner = _size(shape[axis + 1:])
+        ent = self.entries
+        out = [ZERO] * _size(out_shape)
+        for o in range(_size(shape[:axis])):
+            for b, w in live:
+                src = (o * s + b) * inner
+                for r in range(inner):
+                    x = ent[src + r]
+                    if not x:
+                        continue
+                    for a, c in w:
+                        k = (o * p + a) * inner + r
+                        acc = out[k]
+                        out[k] = c * x if acc is ZERO else acc + c * x
+        if len(out_shape) == 1:
+            return tuple(out)
+        return _tensor(out_shape, tuple(out))
+
+    def permute(self, axes) -> "Tensor":
+        """Reorder the axes: axis k of the result is axis axes[k] of self, so
+        out[i_0, .., i_d] = self[j] with j[axes[k]] = i_k."""
+        shape = self.shape
+        if sorted(axes) != list(range(len(shape))):
+            raise LinAlgError("%r is not a permutation of %d axes" % (axes, len(shape)))
+        strides = [_size(shape[a + 1:]) for a in range(len(shape))]
+        offsets = [0]
+        for a in axes:
+            step = strides[a]
+            offsets = [o + i * step for o in offsets for i in range(shape[a])]
+        ent = self.entries
+        return _tensor(tuple(shape[a] for a in axes), tuple(ent[o] for o in offsets))
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return _tensor(self.shape, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return _tensor(self.shape, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return _tensor(self.shape, tuple(-a for a in self.entries))
 
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+    def scale(self, c: Scalar) -> "Tensor":
+        return _tensor(self.shape, tuple(c * a for a in self.entries))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise LinAlgError("shape mismatch in product")
-            out = Matrix.zero(self.rows, other.cols)
-            for i in range(self.rows):
-                for k in range(self.cols):
-                    a = self[i, k]
-                    if not a:
-                        continue
-                    for j in range(other.cols):
-                        b = other[k, j]
-                        if b:
-                            out[i, j] = out[i, j] + a * b
-            return out
-        raise TypeError("matrix product expects a Matrix")
+        """Matrix product: other's first axis contracted against self."""
+        if not isinstance(other, Tensor):
+            raise TypeError("matrix product expects a Matrix")
+        return other.contract(0, self)
 
     def apply(self, v) -> tuple:
         """Matrix acting on a coordinate column."""
-        if len(v) != self.cols:
-            raise LinAlgError("vector length %d != cols %d" % (len(v), self.cols))
-        out = [ZERO] * self.rows
-        ent = self.entries
-        cols = self.cols
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            for i in range(self.rows):
-                a = ent[i * cols + j]
-                if a:
-                    out[i] = out[i] + a * vj
-        return tuple(out)
+        return self.contract(1, v)
 
-    def transpose(self) -> "Matrix":
-        out = Matrix.zero(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j, i] = self[i, j]
-        return out
+    def transpose(self) -> "Tensor":
+        return self.permute((1, 0))
 
-    def dual(self) -> "Matrix":
+    def dual(self) -> "Tensor":
         """Negated transpose: the matrix of the dual action on V*."""
         return -self.transpose()
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix):
+        if not isinstance(other, Tensor):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return self.shape == other.shape and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash((self.shape, self.entries))
 
     def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
+        return not any(self.entries)
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -220,127 +281,106 @@ class Matrix:
         return (self + self.transpose()).is_zero()
 
     def _same_shape(self, other):
-        if not isinstance(other, Matrix):
-            raise TypeError("expected a Matrix")
-        if self.rows != other.rows or self.cols != other.cols:
+        if not isinstance(other, Tensor):
+            raise TypeError("expected a Tensor")
+        if self.shape != other.shape:
             raise LinAlgError("shape mismatch")
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-        return "Matrix(%dx%d: %s)" % (self.rows, self.cols, body)
+        n = self.shape[-1] if self.shape else 1
+        body = "; ".join(" ".join(str(e) for e in self.entries[i:i + n])
+                         for i in range(0, len(self.entries), n or 1))
+        return "Tensor(%s: %s)" % ("x".join(map(str, self.shape)), body)
 
-    # -- elimination -----------------------------------------------------
+    # -- elimination on local row lists ------------------------------------
+
+    def _row_lists(self) -> list:
+        n = self.cols
+        return [list(self.entries[i * n:(i + 1) * n]) for i in range(self.rows)]
 
     def det(self) -> Scalar:
         """Exact determinant by rational Gaussian elimination."""
         if self.rows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
         n = self.rows
-        work = self.copy()
+        work = self._row_lists()
         det = ONE
         for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if work[r, col]:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
                 return ZERO
             if pivot != col:
-                for j in range(n):
-                    work[col, j], work[pivot, j] = work[pivot, j], work[col, j]
+                work[col], work[pivot] = work[pivot], work[col]
                 det = -det
-            p = work[col, col]
+            prow = work[col]
+            p = prow[col]
             det = det * p
-            for r in range(col + 1, n):
-                f = work[r, col] / p
-                if not f:
-                    continue
-                for j in range(col, n):
-                    work[r, j] = work[r, j] - f * work[col, j]
+            for row in work[col + 1:]:
+                f = row[col] / p
+                if f:
+                    for j in range(col, n):
+                        row[j] = row[j] - f * prow[j]
         return det
 
-    def solve(self, rhs: "Matrix") -> "Matrix":
+    def solve(self, rhs: "Tensor") -> "Tensor":
         """Solve self * X = rhs exactly; raises SingularMatrixError."""
         if self.rows != self.cols:
             raise LinAlgError("solve expects a square matrix")
         if rhs.rows != self.rows:
             raise LinAlgError("rhs has %d rows, expected %d" % (rhs.rows, self.rows))
         n = self.rows
-        work = self.copy()
-        out = rhs.copy()
+        work = self._row_lists()
+        out = rhs._row_lists()
         for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if work[r, col]:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(col, n) if work[r][col]), None)
             if pivot is None:
                 raise SingularMatrixError("matrix is singular (rank < %d)" % n)
             if pivot != col:
-                for j in range(n):
-                    work[col, j], work[pivot, j] = work[pivot, j], work[col, j]
-                for j in range(out.cols):
-                    out[col, j], out[pivot, j] = out[pivot, j], out[col, j]
-            p = work[col, col]
+                work[col], work[pivot] = work[pivot], work[col]
+                out[col], out[pivot] = out[pivot], out[col]
+            prow, orow = work[col], out[col]
+            p = prow[col]
             for r in range(n):
                 if r == col:
                     continue
-                f = work[r, col] / p
+                f = work[r][col] / p
                 if not f:
                     continue
+                row = work[r]
                 for j in range(col, n):
-                    work[r, j] = work[r, j] - f * work[col, j]
-                for j in range(out.cols):
-                    out[r, j] = out[r, j] - f * out[col, j]
-        for i in range(n):
-            p = work[i, i]
-            for j in range(out.cols):
-                out[i, j] = out[i, j] / p
-        return out
+                    row[j] = row[j] - f * prow[j]
+                row = out[r]
+                for j, x in enumerate(orow):
+                    row[j] = row[j] - f * x
+        return _tensor(rhs.shape, tuple(x / work[i][i] for i in range(n) for x in out[i]))
 
-    def solve_vec(self, v) -> tuple:
-        sol = self.solve(Matrix(len(v), 1, list(v)))
-        return tuple(sol[i, 0] for i in range(sol.rows))
-
-    def inverse(self) -> "Matrix":
-        return self.solve(Matrix.identity(self.rows))
+    def inverse(self) -> "Tensor":
+        return self.solve(Tensor.identity(self.rows))
 
     def rank(self) -> int:
-        work = self.copy()
+        work = self._row_lists()
         rank = 0
         for col in range(self.cols):
-            pivot = None
-            for r in range(rank, self.rows):
-                if work[r, col]:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(rank, self.rows) if work[r][col]), None)
             if pivot is None:
                 continue
-            if pivot != rank:
-                for j in range(self.cols):
-                    work[rank, j], work[pivot, j] = work[pivot, j], work[rank, j]
-            p = work[rank, col]
-            for r in range(rank + 1, self.rows):
-                f = work[r, col] / p
-                if not f:
-                    continue
-                for j in range(col, self.cols):
-                    work[r, j] = work[r, j] - f * work[rank, j]
+            work[rank], work[pivot] = work[pivot], work[rank]
+            prow = work[rank]
+            p = prow[col]
+            for row in work[rank + 1:]:
+                f = row[col] / p
+                if f:
+                    for j in range(col, self.cols):
+                        row[j] = row[j] - f * prow[j]
             rank += 1
         return rank
 
-    def kron(self, other: "Matrix") -> "Matrix":
+    def kron(self, other: "Tensor") -> "Tensor":
         """Kronecker product, row-major convention: (A kron B)(u ox v) = Au ox Bv."""
-        out = Matrix.zero(self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self[i, j]
-                if not a:
-                    continue
-                for p in range(other.rows):
-                    for q in range(other.cols):
-                        b = other[p, q]
-                        if b:
-                            out[i * other.rows + p, j * other.cols + q] = a * b
-        return out
+        return _tensor((self.rows * other.rows, self.cols * other.cols),
+                       tuple(a * b for i in range(self.rows) for p in range(other.rows)
+                             for a in self.row(i) for b in other.row(p)))
+
+
+# the name of the two-axis case: forms, operators, r-matrices, carrier matrices
+Matrix = Tensor

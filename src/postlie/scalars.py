@@ -75,8 +75,8 @@ class Scalar:
         if isinstance(re, int) and isinstance(im, int):
             s = _raw(re, im, 1)
         else:
-            re = Fraction(re)
-            im = Fraction(im)
+            re = _exact(re)
+            im = _exact(im)
             d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
             s = _build(re.numerator * (d // re.denominator),
                        im.numerator * (d // im.denominator), d)
@@ -215,6 +215,14 @@ def _coerce(value) -> Scalar:
     if isinstance(value, (int, Fraction)):
         return Scalar(value)
     raise TypeError("cannot mix Scalar with %r" % type(value).__name__)
+
+
+def _exact(value) -> Fraction:
+    """One part given to the constructor, as a Fraction; binary floating
+    point is refused rather than converted."""
+    if isinstance(value, (float, complex)):
+        raise TypeError("cannot mix Scalar with %r" % type(value).__name__)
+    return Fraction(value)
 
 
 def sc(re=0, im=0) -> Scalar:

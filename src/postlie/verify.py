@@ -40,7 +40,6 @@ from .bialgebra import (
     dualize,
     dualize_alg,
     operator_form_check,
-    t3_is_zero,
 )
 from .construct import (
     check_matched_pair,
@@ -63,8 +62,8 @@ from .forms import (
     induced_post_lie,
     pp_adjoint_rep,
 )
-from .linalg import Matrix
-from .scalars import ONE, Scalar, sc
+from .linalg import Matrix, Tensor
+from .scalars import ONE, ZERO, Scalar, sc
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
@@ -83,17 +82,19 @@ class CriterionResult:
 
 
 class _Fixtures:
-    """Fixture access for the criteria.  Every request parses the document
-    afresh, so a criterion that changes a fixture it was handed (A7 bumps an
-    entry of r6) cannot change what another criterion sees."""
+    """Fixture access for the criteria.  Each fixture is parsed once; the
+    tables and matrices handed out are immutable, so no criterion can change
+    what another one sees (A7 builds its perturbed r6 as a new tensor)."""
 
     def __init__(self, directory=None):
         self.directory = directory
+        self._docs = {}
 
     def doc(self, name):
-        if self.directory is None:
-            return corpus_doc(name)
-        return corpus_dir_doc(self.directory, name)
+        if name not in self._docs:
+            self._docs[name] = (corpus_doc(name) if self.directory is None
+                                else corpus_dir_doc(self.directory, name))
+        return self._docs[name]
 
     def algebra(self, name) -> Algebra:
         return self.doc(name).to_algebra()
@@ -180,7 +181,7 @@ def _table_diff_count(a: Algebra, b: Algebra, ops) -> int:
         ta, tb = a.table(op), b.table(op)
         for i in range(n):
             for j in range(n):
-                if ta[i][j] != tb[i][j]:
+                if ta.row(i, j) != tb.row(i, j):
                     count += 1
     return count
 
@@ -220,9 +221,9 @@ def _a5(fx) -> CriterionResult:
     r = fx.matrix("r6")
     if not r.is_antisymmetric():
         details.append("bundled tensor is not antisymmetric")
-    if not t3_is_zero(cybe_C(ahat_expected, r)):
+    if not cybe_C(ahat_expected, r).is_zero():
         details.append("C(r) != 0")
-    if not t3_is_zero(cybe_D(ahat_expected, r)):
+    if not cybe_D(ahat_expected, r).is_zero():
         details.append("D(r) != 0")
     co = cobrackets_from_r(ahat_expected, r)
     co_expected = fx.coalgebra("final_cobrackets")
@@ -236,7 +237,8 @@ def _a5(fx) -> CriterionResult:
 
 
 def _upper_block(table, n):
-    return [[[table[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    return Tensor((n, n, n), [table[i, j, k] for i in range(n) for j in range(n)
+                              for k in range(n)])
 
 
 def _random_scalar(rng) -> Scalar:
@@ -247,13 +249,9 @@ def _random_scalar(rng) -> Scalar:
 
 
 def _random_antisymmetric(rng, n) -> Matrix:
-    m = Matrix.zero(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _random_scalar(rng)
-            m[i, j] = v
-            m[j, i] = -v
-    return m
+    upper = {(i, j): _random_scalar(rng) for i in range(n) for j in range(i + 1, n)}
+    return Matrix((n, n), [upper[i, j] if i < j else -upper[j, i] if j < i else ZERO
+                           for i in range(n) for j in range(n)])
 
 
 @_crit("A6")
@@ -302,9 +300,10 @@ def _a6(fx) -> CriterionResult:
     qrep = quarter_split_rep(prepp)
     maps = [Matrix.identity(3), fx.matrix("final_P")]
     for _ in range(10):
-        t = Matrix.identity(3)
-        t[rng.randrange(3), rng.randrange(3)] = _random_scalar(rng) + sc(3)
-        maps.append(t)
+        # the value is drawn before its position, as the seeded operators always were
+        value = _random_scalar(rng) + sc(3)
+        index = rng.randrange(3), rng.randrange(3)
+        maps.append(_with_entry(Matrix.identity(3), index, value))
     agree = True
     any_fail = False
     for t in maps:
@@ -337,11 +336,7 @@ def _triple_verdicts(a_pp: Algebra, astar_pp: Algebra, co):
 
 
 def _flip_comap_sign(co, name):
-    table = co.table(name)
-    flipped = [[[-e for e in row] for row in plane] for plane in table]
-    comaps = dict(co.comaps)
-    comaps[name] = flipped
-    return type(co)(co.dim, co.field, co.basis, comaps)
+    return type(co)(co.dim, co.field, co.basis, {**co.comaps, name: -co.table(name)})
 
 
 @_crit("A7")
@@ -387,23 +382,28 @@ def _a7(fx) -> CriterionResult:
     rep = check_pp_post_lie(broken)
     if rep.passed or not rep.violations:
         details.append("sl2_pp_broken unexpectedly passes (no witness)")
+    se = fx.algebra("final_prepp").table("se")
     mutated_prepp = fx.algebra("final_prepp").with_op(
-        "se", _bump_entry(fx.algebra("final_prepp").table("se")))
+        "se", _with_entry(se, (0, 1, 1), se[0, 1, 1] + ONE))
     rep = check_pre_pp_post_lie(mutated_prepp)
     if rep.passed or not rep.violations:
         details.append("mutated quarter-split unexpectedly passes (no witness)")
-    r_bad = fx.matrix("r6")
-    r_bad[0, 3] = r_bad[0, 3] + ONE
+    r6 = fx.matrix("r6")
+    r_bad = _with_entry(r6, (0, 3), r6[0, 3] + ONE)
     rep = check_pppcybe(fx.algebra("ahat_pp"), r_bad)
     if rep.passed or not rep.violations:
         details.append("perturbed tensor unexpectedly solves the equation")
     return CriterionResult("A7", not details, details)
 
 
-def _bump_entry(table):
-    out = [[list(row) for row in plane] for plane in table]
-    out[0][1][1] = out[0][1][1] + ONE
-    return out
+def _with_entry(t: Tensor, index, value) -> Tensor:
+    """A mutant of t: the same entries but value at index."""
+    entries = list(t.entries)
+    offset = 0
+    for i, n in zip(index, t.shape):
+        offset = offset * n + i
+    entries[offset] = value
+    return Tensor(t.shape, entries)
 
 
 CRITERIA = (_a1, _a2, _a3, _a4, _a5, _a6, _a7)

@@ -77,9 +77,22 @@ def test_every_criterion_ran():
 
 
 def test_criteria_independent_of_order():
-    # one shared fixture set: a criterion that alters a fixture it was
-    # handed (A7 perturbs r6) must not change the verdict of another
+    # one shared fixture set: a criterion that derives a mutant from a
+    # fixture (A7 perturbs r6) must not change the verdict of another
     fx = _Fixtures()
     forward = {fn.criterion: fn(fx).line() for fn in CRITERIA}
     backward = {fn.criterion: fn(fx).line() for fn in reversed(CRITERIA)}
     assert backward == forward
+
+
+def test_fixtures_parsed_once_per_run(monkeypatch):
+    # A1, A2 and A3 all read sl2_postlie; one run parses it once
+    import postlie.verify
+    parsed = []
+    load = postlie.verify.corpus_doc
+    monkeypatch.setattr(postlie.verify, "corpus_doc",
+                        lambda name: parsed.append(name) or load(name))
+    results = run_acceptance(names=["A1", "A2", "A3"])
+    assert [r.name for r in results] == ["A1", "A2", "A3"]
+    assert parsed.count("sl2_postlie") == 1
+    assert len(parsed) == len(set(parsed))

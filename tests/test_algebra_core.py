@@ -7,6 +7,7 @@ from postlie import (
     Algebra,
     PreconditionError,
     Scalar,
+    Tensor,
     UnknownOperationError,
     apply_op,
     basis_vec,
@@ -28,7 +29,6 @@ from postlie import (
 from postlie.algebra import (
     POST_LIE_IDENTITIES,
     PP_IDENTITIES,
-    t3_zero,
 )
 
 E1, E2, E3 = (basis_vec(3, i) for i in range(3))
@@ -36,12 +36,28 @@ HALF = sc("1/2")
 IHALF = sc("1/2i")
 
 
-def _entry(table, i, j, k, value):
-    table[i - 1][j - 1][k - 1] = value if isinstance(value, Scalar) else sc(value)
+def _with_entries(table, values):
+    """table with each 1-based entry (i, j, k) in values replaced."""
+    n = table.shape[0]
+    entries = list(table.entries)
+    for (i, j, k), value in values.items():
+        entries[((i - 1) * n + j - 1) * n + k - 1] = value
+    return Tensor(table.shape, entries)
+
+
+def _zero(n):
+    return Tensor.zero(n, n, n)
+
+
+def _swapped(table):
+    """t[j, i, k] at (i, j, k), computed entry by entry."""
+    n = table.shape[0]
+    return Tensor(table.shape, [table[j, i, k] for i in range(n) for j in range(n)
+                                for k in range(n)])
 
 
 def zero_algebra(n, ops=("circ", "bracket")):
-    return Algebra(n, ops={name: t3_zero(n) for name in ops})
+    return Algebra(n, ops={name: _zero(n) for name in ops})
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +101,8 @@ def test_check_lie_abelian():
 
 
 def test_check_lie_mutated_reports_witness(sl2_lie):
-    table = [[list(r) for r in p] for p in sl2_lie.table("bracket")]
-    _entry(table, 1, 2, 3, 2)  # [e1,e2] = 2 e3 breaks antisymmetry
-    bad = Algebra(3, ops={"bracket": table})
+    # [e1,e2] = 2 e3 breaks antisymmetry
+    bad = Algebra(3, ops={"bracket": _with_entries(sl2_lie.table("bracket"), {(1, 2, 3): 2})})
     rep = check_lie(bad)
     assert not rep.passed
     assert rep.violations
@@ -99,8 +114,7 @@ def test_check_lie_mutated_reports_witness(sl2_lie):
 
 
 def test_check_pre_lie_one_dim_idempotent():
-    table = t3_zero(1)
-    _entry(table, 1, 1, 1, 1)
+    table = _with_entries(_zero(1), {(1, 1, 1): 1})
     assert check_pre_lie(Algebra(1, ops={"circ": table})).passed
 
 
@@ -128,26 +142,21 @@ def test_check_post_lie_sl2(sl2_postlie):
 
 
 def test_check_post_lie_zero_circ(sl2_lie):
-    alg = sl2_lie.with_op("circ", t3_zero(3))
+    alg = sl2_lie.with_op("circ", _zero(3))
     assert check_post_lie(alg).passed
 
 
 def test_check_post_lie_bracket_and_opposite(sl2_lie):
     # circ = [-,-] over the opposite bracket
-    opp = t3_zero(3)
     table = sl2_lie.table("bracket")
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                opp[i][j][k] = table[j][i][k]
+    opp = _swapped(table)
     alg = Algebra(3, ops={"circ": table, "bracket": opp})
     assert check_post_lie(alg).passed
 
 
 def test_check_post_lie_precondition():
-    bad = t3_zero(2)
-    _entry(bad, 1, 1, 1, 1)  # not antisymmetric
-    alg = Algebra(2, ops={"circ": t3_zero(2), "bracket": bad})
+    bad = _with_entries(_zero(2), {(1, 1, 1): 1})  # not antisymmetric
+    alg = Algebra(2, ops={"circ": _zero(2), "bracket": bad})
     with pytest.raises(PreconditionError) as err:
         check_post_lie(alg)
     assert err.value.report is not None
@@ -159,7 +168,7 @@ def test_check_post_lie_precondition():
 # ---------------------------------------------------------------------------
 
 def test_sub_adjacent_zero_circ(sl2_lie):
-    alg = sl2_lie.with_op("circ", t3_zero(3))
+    alg = sl2_lie.with_op("circ", _zero(3))
     sub = sub_adjacent_lie(alg)
     assert sub.table("bracket") == sl2_lie.table("bracket")
 
@@ -182,11 +191,7 @@ def test_sub_adjacent_sl2(sl2_postlie):
 
 def test_sub_adjacent_opposite_bracket_cancellation(sl2_lie):
     table = sl2_lie.table("bracket")
-    opp = t3_zero(3)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                opp[i][j][k] = table[j][i][k]
+    opp = _swapped(table)
     alg = Algebra(3, ops={"circ": opp, "bracket": table})
     sub = sub_adjacent_lie(alg)
     # {x,y} = [y,x] - [x,y] + [x,y] = [y,x]
@@ -202,7 +207,7 @@ def test_opposite_post_lie(sl2_postlie, sl2_lie):
     assert again.table("circ") == sl2_postlie.table("circ")
     assert again.table("bracket") == sl2_postlie.table("bracket")
     # circ = 0 case: * = [-,-] over the opposite bracket
-    triv = sl2_lie.with_op("circ", t3_zero(3))
+    triv = sl2_lie.with_op("circ", _zero(3))
     out = opposite_post_lie(triv)
     assert out.table("circ") == sl2_lie.table("bracket")
 
@@ -218,7 +223,7 @@ def test_check_pp_sl2(sl2_pp):
 def test_check_pp_post_lie_reduction(sl2_postlie):
     alg = Algebra(3, ops={
         "rtri": sl2_postlie.table("circ"),
-        "ltri": t3_zero(3),
+        "ltri": _zero(3),
         "bracket": sl2_postlie.table("bracket"),
     })
     assert check_pp_post_lie(alg).passed
@@ -226,9 +231,8 @@ def test_check_pp_post_lie_reduction(sl2_postlie):
 
 def test_check_pp_ldendriform_reduction():
     # pre-Lie product as rtri with ltri = bracket = 0
-    t = t3_zero(1)
-    _entry(t, 1, 1, 1, 1)
-    alg = Algebra(1, ops={"rtri": t, "ltri": t3_zero(1), "bracket": t3_zero(1)})
+    t = _with_entries(_zero(1), {(1, 1, 1): 1})
+    alg = Algebra(1, ops={"rtri": t, "ltri": _zero(1), "bracket": _zero(1)})
     assert check_pp_post_lie(alg).passed
     assert check_l_dendriform(alg).passed
 
@@ -245,7 +249,7 @@ def test_horizontal_vertical_reproduce_circ(sl2_pp, sl2_postlie):
 def test_horizontal_with_zero_ltri(sl2_postlie):
     alg = Algebra(3, ops={
         "rtri": sl2_postlie.table("circ"),
-        "ltri": t3_zero(3),
+        "ltri": _zero(3),
         "bracket": sl2_postlie.table("bracket"),
     })
     assert horizontal_post_lie(alg).table("circ") == sl2_postlie.table("circ")
@@ -309,9 +313,8 @@ def test_check_pre_pp_zero():
 
 
 def test_check_pre_pp_mutated(final_prepp):
-    table = [[list(r) for r in p] for p in final_prepp.table("se")]
-    _entry(table, 1, 2, 2, 1)  # e1 se e2 gains an e2 term
-    _entry(table, 1, 2, 3, 0)
+    # e1 se e2 gains an e2 term
+    table = _with_entries(final_prepp.table("se"), {(1, 2, 2): 1, (1, 2, 3): 0})
     bad = final_prepp.with_op("se", table)
     rep = check_pre_pp_post_lie(bad)
     assert not rep.passed
@@ -319,12 +322,10 @@ def test_check_pre_pp_mutated(final_prepp):
 
 
 def test_check_pre_pp_precondition():
-    t = t3_zero(2)
-    _entry(t, 1, 2, 1, 1)  # x . y with (x.y).z - x.(y.z) asymmetric
-    _entry(t, 2, 1, 2, 1)
-    _entry(t, 2, 2, 1, 1)
-    alg = Algebra(2, ops={"se": t3_zero(2), "ne": t3_zero(2), "sw": t3_zero(2),
-                          "nw": t3_zero(2), "dot": t})
+    # x . y with (x.y).z - x.(y.z) asymmetric
+    t = _with_entries(_zero(2), {(1, 2, 1): 1, (2, 1, 2): 1, (2, 2, 1): 1})
+    alg = Algebra(2, ops={"se": _zero(2), "ne": _zero(2), "sw": _zero(2),
+                          "nw": _zero(2), "dot": t})
     if check_pre_lie(alg, "dot").passed:
         pytest.skip("accidentally pre-Lie")
     with pytest.raises(PreconditionError):
@@ -336,16 +337,16 @@ def test_sub_adjacent_pp_final_example(final_prepp, ahat_pp):
     assert check_pp_post_lie(sub).passed
     n = 3
     for op in ("rtri", "ltri", "bracket"):
-        block = [[[ahat_pp.table(op)[i][j][k] for k in range(n)]
-                  for j in range(n)] for i in range(n)]
-        assert sub.table(op) == block
+        block = [ahat_pp.table(op)[i, j, k] for i in range(n) for j in range(n)
+                 for k in range(n)]
+        assert sub.table(op).entries == tuple(block)
 
 
 def test_sub_adjacent_pp_zero():
     sub = sub_adjacent_pp(zero_algebra(2, ("se", "ne", "sw", "nw", "dot")))
-    assert sub.table("rtri") == t3_zero(2)
-    assert sub.table("ltri") == t3_zero(2)
-    assert sub.table("bracket") == t3_zero(2)
+    assert sub.table("rtri") == _zero(2)
+    assert sub.table("ltri") == _zero(2)
+    assert sub.table("bracket") == _zero(2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +355,7 @@ def test_sub_adjacent_pp_zero():
 
 def test_violations_capped_and_sorted():
     rng = random.Random(7)
-    table = t3_zero(3)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                table[i][j][k] = sc(rng.randint(1, 3))
+    table = Tensor((3, 3, 3), [sc(rng.randint(1, 3)) for _ in range(27)])
     rep = check_lie(Algebra(3, ops={"bracket": table}))
     assert not rep.passed
     assert len(rep.violations) <= 32
@@ -367,10 +364,8 @@ def test_violations_capped_and_sorted():
 
 
 def test_zero_dim_algebra_passes_everything():
-    alg = Algebra(0, ops={
-        "circ": [], "bracket": [], "rtri": [], "ltri": [],
-        "se": [], "ne": [], "sw": [], "nw": [], "dot": [],
-    })
+    alg = Algebra(0, ops={name: _zero(0) for name in (
+        "circ", "bracket", "rtri", "ltri", "se", "ne", "sw", "nw", "dot")})
     assert check_lie(alg).passed
     assert check_pre_lie(alg).passed
     assert check_post_lie(alg).passed

@@ -9,6 +9,7 @@ from postlie import (
     Matrix,
     PreconditionError,
     Scalar,
+    Tensor,
     basis_vec,
     check_lie_bialgebra,
     check_lie_coalgebra,
@@ -32,13 +33,22 @@ from postlie import (
     semidirect_pp,
     sub_adjacent_pp,
 )
-from postlie.algebra import t3_zero
-from postlie.bialgebra import op_matrix_2tensor, t3_is_zero
+from postlie.bialgebra import op_matrix_2tensor
 from postlie.forms import PPRepSpec
 
 
+def _zero(n):
+    return Tensor.zero(n, n, n)
+
+
+def _unit(n, i, j):
+    """The n x n matrix with a single 1 at (i, j)."""
+    return Matrix((n, n), [sc(1) if (a, b) == (i, j) else sc(0)
+                           for a in range(n) for b in range(n)])
+
+
 def _zero_coalgebra(n, names=("delta_rtri", "delta_ltri", "Delta")):
-    return CoalgebraSpec(n, comaps={name: t3_zero(n) for name in names})
+    return CoalgebraSpec(n, comaps={name: _zero(n) for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +59,7 @@ def test_dualize_zero():
     co = _zero_coalgebra(2)
     alg = dualize(co)
     for op in ("rtri", "ltri", "bracket"):
-        assert alg.table(op) == t3_zero(2)
+        assert alg.table(op) == _zero(2)
 
 
 def test_dualize_roundtrip(sl2_pp, ahat_pp):
@@ -59,7 +69,7 @@ def test_dualize_roundtrip(sl2_pp, ahat_pp):
 
 
 def test_dualize_index_shuffle(final_cobrackets):
-    # <a* . b*, x> = <a* (x) b*, delta(x)> means c[i][j][k] = d[k][i][j]
+    # <a* . b*, x> = <a* (x) b*, delta(x)> means c[i, j, k] = d[k, i, j]
     alg = dualize(final_cobrackets)
     d = final_cobrackets.table("Delta")
     c = alg.table("bracket")
@@ -67,7 +77,7 @@ def test_dualize_index_shuffle(final_cobrackets):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert c[i][j][k] == d[k][i][j]
+                assert c[i, j, k] == d[k, i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +93,8 @@ def test_lie_coalgebra_final(final_cobrackets):
 
 
 def test_lie_coalgebra_symmetric_fails():
-    d = t3_zero(2)
-    d[1][0][0] = sc(1)  # Delta(e2) = e1 (x) e1 is symmetric
+    d = Tensor((2, 2, 2), [sc(1) if f == 4 else sc(0) for f in range(8)])
+    assert d[1, 0, 0] == sc(1)  # Delta(e2) = e1 (x) e1 is symmetric
     co = CoalgebraSpec(2, comaps={"Delta": d})
     rep = check_lie_coalgebra(co)
     assert not rep.passed
@@ -110,11 +120,12 @@ def test_pp_coalgebra_corpus(final_cobrackets):
 
 def _random_coalgebra(rng, n):
     def table():
-        t = t3_zero(n)
+        entries = [sc(0)] * n ** 3
         for _ in range(3):
-            t[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = \
-                Scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
-        return t
+            value = Scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            entries[(i * n + j) * n + k] = value
+        return Tensor((n, n, n), entries)
     return CoalgebraSpec(n, comaps={"delta_rtri": table(),
                                     "delta_ltri": table(),
                                     "Delta": table()})
@@ -156,9 +167,9 @@ def test_lie_bialgebra_corpus(ahat_pp, final_cobrackets):
 
 def test_lie_bialgebra_flipped_sign_fails(ahat_pp, final_cobrackets):
     alg = Algebra(6, ops={"bracket": ahat_pp.table("bracket")})
-    d = [[list(r) for r in p] for p in final_cobrackets.table("Delta")]
+    delta = final_cobrackets.table("Delta")
     # negate Delta(e2) only: co-antisymmetry survives, the cocycle breaks
-    d[1] = [[-x for x in row] for row in d[1]]
+    d = Tensor(delta.shape, [-x if f // 36 == 1 else x for f, x in enumerate(delta.entries)])
     co = CoalgebraSpec(6, comaps={"Delta": d})
     rep = check_lie_bialgebra(alg, co)
     assert not rep.passed
@@ -175,8 +186,7 @@ def test_pp_bialgebra_corpus(ahat_pp, final_cobrackets):
 
 def test_pp_bialgebra_wrong_sign_fails(ahat_pp, final_cobrackets):
     # the other sign convention for delta_ltri violates compatibility
-    flipped = [[[-x for x in row] for row in plane]
-               for plane in final_cobrackets.table("delta_ltri")]
+    flipped = -final_cobrackets.table("delta_ltri")
     co = CoalgebraSpec(6, comaps={
         "delta_rtri": final_cobrackets.table("delta_rtri"),
         "delta_ltri": flipped,
@@ -191,54 +201,54 @@ def test_pp_bialgebra_wrong_sign_fails(ahat_pp, final_cobrackets):
 # ---------------------------------------------------------------------------
 
 def test_cybe_zero_tensor(sl2_pp):
-    assert t3_is_zero(cybe_C(sl2_pp, Matrix.zero(3)))
-    assert t3_is_zero(cybe_D(sl2_pp, Matrix.zero(3)))
+    assert cybe_C(sl2_pp, Matrix.zero(3, 3)).is_zero()
+    assert cybe_D(sl2_pp, Matrix.zero(3, 3)).is_zero()
 
 
 def test_cybe_corpus_solution(ahat_pp, r6):
-    assert t3_is_zero(cybe_C(ahat_pp, r6))
-    assert t3_is_zero(cybe_D(ahat_pp, r6))
+    assert cybe_C(ahat_pp, r6).is_zero()
+    assert cybe_D(ahat_pp, r6).is_zero()
     assert check_pppcybe(ahat_pp, r6).passed
 
 
 def test_cybe_abelian_bracket():
-    alg = Algebra(2, ops={"rtri": t3_zero(2), "ltri": t3_zero(2),
-                          "bracket": t3_zero(2)})
+    alg = Algebra(2, ops={"rtri": _zero(2), "ltri": _zero(2), "bracket": _zero(2)})
     r = Matrix.from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
-    assert t3_is_zero(cybe_C(alg, r))
-    assert t3_is_zero(cybe_D(alg, r))
+    assert cybe_C(alg, r).is_zero()
+    assert cybe_D(alg, r).is_zero()
 
 
 def test_cybe_component_convention(sl2_pp):
     # D(r)'s first term places a_i <| a_j in slot 1, b_j in slot 2, b_i in
     # slot 3; pin it with a rank-one tensor r = e1 (x) e2
-    r = Matrix.zero(3)
-    r[0, 1] = sc(1)
+    r = _unit(3, 0, 1)
     d = cybe_D(sl2_pp, r)
-    expected = t3_zero(3)
+    expected = [sc(0)] * 27
+
+    def add(i, j, k, value):
+        expected[(i * 3 + j) * 3 + k] += value
     # single (i, j) pair: a = e1, b = e2
     lt = sl2_pp.mul("ltri", basis_vec(3, 0), basis_vec(3, 0))
     for k in range(3):
         if lt[k]:
-            expected[k][1][1] = expected[k][1][1] + lt[k]
+            add(k, 1, 1, lt[k])
     bullet = tuple(x - y for x, y in zip(
         sl2_pp.mul("rtri", basis_vec(3, 1), basis_vec(3, 0)),
         sl2_pp.mul("ltri", basis_vec(3, 0), basis_vec(3, 1))))
     for k in range(3):
         if bullet[k]:
-            expected[0][k][1] = expected[0][k][1] + bullet[k]
+            add(0, k, 1, bullet[k])
     circ = tuple(x + y for x, y in zip(
         sl2_pp.mul("rtri", basis_vec(3, 1), basis_vec(3, 1)),
         sl2_pp.mul("ltri", basis_vec(3, 1), basis_vec(3, 1))))
     for k in range(3):
         if circ[k]:
-            expected[0][0][k] = expected[0][0][k] + circ[k]
-    assert d == expected
+            add(0, 0, k, circ[k])
+    assert d == Tensor((3, 3, 3), expected)
 
 
 def test_pppcybe_mutated_fails(ahat_pp, r6):
-    r = r6.copy()
-    r[0, 3] = r[0, 3] + sc(1)
+    r = r6 + _unit(6, 0, 3)
     rep = check_pppcybe(ahat_pp, r)
     assert not rep.passed
     assert rep.violations
@@ -249,9 +259,9 @@ def test_pppcybe_mutated_fails(ahat_pp, r6):
 # ---------------------------------------------------------------------------
 
 def test_cobrackets_zero(sl2_pp):
-    co = cobrackets_from_r(sl2_pp, Matrix.zero(3))
+    co = cobrackets_from_r(sl2_pp, Matrix.zero(3, 3))
     for name in ("delta_rtri", "delta_ltri", "Delta"):
-        assert co.table(name) == t3_zero(3)
+        assert co.table(name) == _zero(3)
 
 
 def test_cobrackets_corpus(ahat_pp, r6, final_cobrackets):
@@ -262,7 +272,7 @@ def test_cobrackets_corpus(ahat_pp, r6, final_cobrackets):
 
 def test_cobrackets_vanish_on_central_elements(sl2_pp):
     # extend by a central, product-trivial direction and check its comaps
-    z = [Matrix.zero(1) for _ in range(3)]
+    z = [Matrix.zero(1, 1) for _ in range(3)]
     rep = PPRepSpec(1, list(z), list(z), list(z), list(z), list(z))
     ext = semidirect_pp(sl2_pp, rep, checked=False)
     rng = random.Random(12)
@@ -270,7 +280,7 @@ def test_cobrackets_vanish_on_central_elements(sl2_pp):
                           for _ in range(4)])
     co = cobrackets_from_r(ext, r)
     for name in ("delta_rtri", "delta_ltri", "Delta"):
-        assert all(not x for row in co.table(name)[3] for x in row)
+        assert all(not co.table(name)[3, i, j] for i in range(4) for j in range(4))
 
 
 def test_cobrackets_antisymmetric_bookkeeping(ahat_pp, r6):
@@ -301,12 +311,11 @@ def test_quasi_corpus_solution(ahat_pp, r6):
 
 
 def test_quasi_zero(sl2_pp):
-    assert check_quasitriangular_conditions(sl2_pp, Matrix.zero(3)).passed
+    assert check_quasitriangular_conditions(sl2_pp, Matrix.zero(3, 3)).passed
 
 
 def test_quasi_symmetric_fails(ahat_pp):
-    r = Matrix.zero(6)
-    r[0, 0] = sc(1)
+    r = _unit(6, 0, 0)
     rep = check_quasitriangular_conditions(ahat_pp, r)
     assert not rep.passed
     idents = {v.identity for v in rep.violations}
@@ -345,25 +354,21 @@ def test_operator_form_corpus(ahat_pp, r6):
 
 
 def test_operator_form_zero(sl2_pp):
-    assert operator_form_check(sl2_pp, Matrix.zero(3)).passed
+    assert operator_form_check(sl2_pp, Matrix.zero(3, 3)).passed
 
 
 def test_operator_form_requires_antisymmetry(sl2_pp):
-    r = Matrix.zero(3)
-    r[0, 0] = sc(1)
+    r = _unit(3, 0, 0)
     with pytest.raises(PreconditionError):
         operator_form_check(sl2_pp, r)
 
 
 def _random_antisymmetric(rng, n):
-    m = Matrix.zero(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = Scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
-                       Fraction(rng.randint(-1, 1)))
-            m[i, j] = v
-            m[j, i] = -v
-    return m
+    upper = {(i, j): Scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+                            Fraction(rng.randint(-1, 1)))
+             for i in range(n) for j in range(i + 1, n)}
+    return Matrix((n, n), [upper[i, j] if i < j else -upper[j, i] if j < i else sc(0)
+                           for i in range(n) for j in range(n)])
 
 
 def test_operator_form_agreement_random(sl2_pp):

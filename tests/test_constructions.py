@@ -38,17 +38,17 @@ from postlie import (
     vertical_post_lie,
     zero_vec,
 )
-from postlie.algebra import t3_zero
+from postlie import Tensor
 from postlie.forms import PPRepSpec, RepSpec
 
 
 def _zero_rep(n, m):
-    z = [Matrix.zero(m) for _ in range(n)]
+    z = [Matrix.zero(m, m) for _ in range(n)]
     return RepSpec(m, list(z), list(z), list(z))
 
 
 def _zero_pp_rep(n, m, rho=None):
-    z = [Matrix.zero(m) for _ in range(n)]
+    z = [Matrix.zero(m, m) for _ in range(n)]
     return PPRepSpec(m, list(z), list(z), list(z), list(z),
                      rho if rho is not None else list(z))
 
@@ -113,17 +113,18 @@ def test_semidirect_pp_zero_rep(sl2_pp):
 # ---------------------------------------------------------------------------
 
 def test_matched_pair_with_point(sl2_postlie):
-    b = Algebra(0, ops={"circ": [], "bracket": []})
+    empty = Tensor.zero(0, 0, 0)
+    b = Algebra(0, ops={"circ": empty, "bracket": empty})
     maps = coadjoint_matched_pair_maps(
         Algebra(3, ops={"rtri": sl2_postlie.table("circ"),
-                        "ltri": t3_zero(3),
+                        "ltri": Tensor.zero(3, 3, 3),
                         "bracket": sl2_postlie.table("bracket")}),
-        Algebra(0, ops={"rtri": [], "ltri": [], "bracket": []}),
+        Algebra(0, ops={"rtri": empty, "ltri": empty, "bracket": empty}),
     )
     # actions of A on the 0-dim carrier are empty matrices
-    maps.l_a = [Matrix.zero(0) for _ in range(3)]
-    maps.r_a = [Matrix.zero(0) for _ in range(3)]
-    maps.rho_a = [Matrix.zero(0) for _ in range(3)]
+    maps.l_a = [Matrix.zero(0, 0) for _ in range(3)]
+    maps.r_a = [Matrix.zero(0, 0) for _ in range(3)]
+    maps.rho_a = [Matrix.zero(0, 0) for _ in range(3)]
     rep = check_matched_pair(sl2_postlie, b, maps)
     assert rep.passed
 
@@ -149,11 +150,11 @@ def test_matched_pair_perturbed_fails(ahat_pp, final_cobrackets):
 
 def test_bowtie_zero_actions(sl2_postlie):
     n = 3
-    zero3 = [Matrix.zero(n) for _ in range(n)]
+    zero3 = [Matrix.zero(n, n) for _ in range(n)]
     from postlie import MatchedPairMaps
     maps = MatchedPairMaps(list(zero3), list(zero3), list(zero3),
                            list(zero3), list(zero3), list(zero3))
-    abelian = Algebra(3, ops={"circ": t3_zero(3), "bracket": t3_zero(3)})
+    abelian = Algebra(3, ops={"circ": Tensor.zero(3, 3, 3), "bracket": Tensor.zero(3, 3, 3)})
     out = bowtie(sl2_postlie, abelian, maps)
     assert check_post_lie(out).passed
     # restriction of the products to A x A equals A's products
@@ -168,8 +169,8 @@ def test_bowtie_equals_double(sl2_pp):
     # bowtie of A with the zero structure on A* along the canonical actions
     # reproduces the semidirect double
     n = sl2_pp.dim
-    zero_pp = Algebra(n, ops={"rtri": t3_zero(n), "ltri": t3_zero(n),
-                              "bracket": t3_zero(n)})
+    zero_pp = Algebra(n, ops={"rtri": Tensor.zero(n, n, n), "ltri": Tensor.zero(n, n, n),
+                              "bracket": Tensor.zero(n, n, n)})
     maps = coadjoint_matched_pair_maps(sl2_pp, zero_pp)
     ha = horizontal_post_lie(sl2_pp, checked=False)
     hb = horizontal_post_lie(zero_pp, checked=False)
@@ -191,25 +192,25 @@ def test_double_construction(sl2_pp):
 
 
 def test_double_construction_zero():
-    zero_pp = Algebra(2, ops={"rtri": t3_zero(2), "ltri": t3_zero(2),
-                              "bracket": t3_zero(2)})
+    zero_pp = Algebra(2, ops={"rtri": Tensor.zero(2, 2, 2), "ltri": Tensor.zero(2, 2, 2),
+                              "bracket": Tensor.zero(2, 2, 2)})
     double, form = double_construction(zero_pp)
     assert form.det()
     for op in ("circ", "bracket"):
-        assert double.table(op) == t3_zero(4)
+        assert double.table(op) == Tensor.zero(4, 4, 4)
 
 
 def test_manin_triple_trivial():
-    zero_pp = Algebra(2, ops={"rtri": t3_zero(2), "ltri": t3_zero(2),
-                              "bracket": t3_zero(2)})
+    zero_pp = Algebra(2, ops={"rtri": Tensor.zero(2, 2, 2), "ltri": Tensor.zero(2, 2, 2),
+                              "bracket": Tensor.zero(2, 2, 2)})
     _, _, report = manin_triple_build(zero_pp, zero_pp)
     assert report.passed
 
 
 def test_manin_triple_with_zero_dual(sl2_pp):
     n = sl2_pp.dim
-    zero_pp = Algebra(n, ops={"rtri": t3_zero(n), "ltri": t3_zero(n),
-                              "bracket": t3_zero(n)})
+    zero_pp = Algebra(n, ops={"rtri": Tensor.zero(n, n, n), "ltri": Tensor.zero(n, n, n),
+                              "bracket": Tensor.zero(n, n, n)})
     double, form, report = manin_triple_build(sl2_pp, zero_pp)
     assert report.passed
     # coincides with the semidirect double in this degenerate case
@@ -228,13 +229,11 @@ def test_manin_triple_corpus_instance(ahat_pp, final_cobrackets):
 
 def test_manin_triple_incompatible_fails(sl2_pp):
     n = sl2_pp.dim
-    transposed = {"bracket": t3_zero(n), "rtri": t3_zero(n), "ltri": t3_zero(n)}
+    transposed = {}
     for op in ("rtri", "ltri", "bracket"):
         src = sl2_pp.table(op)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    transposed[op][i][j][k] = src[j][i][k]
+        transposed[op] = Tensor((n, n, n), [src[j, i, k] for i in range(n) for j in range(n)
+                                            for k in range(n)])
     bad = Algebra(n, ops=transposed)
     if not check_pp_post_lie(bad).passed:
         bad_tables_ok = False
@@ -250,8 +249,8 @@ def test_manin_triple_incompatible_fails(sl2_pp):
 
 
 def test_manin_triple_dimension_mismatch(sl2_pp):
-    other = Algebra(2, ops={"rtri": t3_zero(2), "ltri": t3_zero(2),
-                            "bracket": t3_zero(2)})
+    other = Algebra(2, ops={"rtri": Tensor.zero(2, 2, 2), "ltri": Tensor.zero(2, 2, 2),
+                            "bracket": Tensor.zero(2, 2, 2)})
     with pytest.raises(ValueError):
         manin_triple_build(sl2_pp, other)
 
@@ -304,15 +303,15 @@ def test_compatible_pp_matches_dual_p_o_route(sl2_postlie, kappa):
 
 
 def test_compatible_pp_trivial():
-    abelian = Algebra(2, ops={"circ": t3_zero(2), "bracket": t3_zero(2)})
+    abelian = Algebra(2, ops={"circ": Tensor.zero(2, 2, 2), "bracket": Tensor.zero(2, 2, 2)})
     out = compatible_pp_from_gph(abelian, Matrix.identity(2))
-    assert out.table("rtri") == t3_zero(2)
-    assert out.table("ltri") == t3_zero(2)
+    assert out.table("rtri") == Tensor.zero(2, 2, 2)
+    assert out.table("ltri") == Tensor.zero(2, 2, 2)
 
 
 def test_compatible_pp_degenerate_form(sl2_postlie):
     with pytest.raises(PreconditionError):
-        compatible_pp_from_gph(sl2_postlie, Matrix.zero(3))
+        compatible_pp_from_gph(sl2_postlie, Matrix.zero(3, 3))
 
 
 def test_bullet_from_gph(sl2_postlie, kappa):
@@ -327,9 +326,9 @@ def test_bullet_from_gph(sl2_postlie, kappa):
 
 
 def test_bullet_from_gph_trivial():
-    abelian = Algebra(2, ops={"circ": t3_zero(2), "bracket": t3_zero(2)})
+    abelian = Algebra(2, ops={"circ": Tensor.zero(2, 2, 2), "bracket": Tensor.zero(2, 2, 2)})
     out = bullet_from_gph(abelian, Matrix.identity(2))
-    assert out.table("circ") == t3_zero(2)
+    assert out.table("circ") == Tensor.zero(2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +343,9 @@ def test_pre_pp_from_o_operator_final_example(sl2_pp, final_P, final_prepp):
 
 
 def test_pre_pp_from_zero_operator(sl2_pp):
-    out = pre_pp_from_o_operator(sl2_pp, pp_adjoint_rep(sl2_pp), Matrix.zero(3))
+    out = pre_pp_from_o_operator(sl2_pp, pp_adjoint_rep(sl2_pp), Matrix.zero(3, 3))
     for op in ("se", "ne", "sw", "nw", "dot"):
-        assert out.table(op) == t3_zero(3)
+        assert out.table(op) == Tensor.zero(3, 3, 3)
 
 
 def test_pre_pp_from_o_operator_precondition(sl2_pp):
@@ -400,7 +399,7 @@ def test_hom_embed_r_final_example(final_prepp, ahat_pp, r6):
 
 
 def test_hom_embed_zero_operator(sl2_pp):
-    ahat, r = hom_embed_r(sl2_pp, pp_adjoint_rep(sl2_pp), Matrix.zero(3))
+    ahat, r = hom_embed_r(sl2_pp, pp_adjoint_rep(sl2_pp), Matrix.zero(3, 3))
     assert r.is_zero()
     assert check_pppcybe(ahat, r).passed
 
@@ -429,7 +428,7 @@ def test_hom_embed_rectangular_operator(sl2_pp):
     # one-dimensional trivial carrier: T(v1) = e1 is an O-operator because
     # e1 |> e1 = e1 <| e1 = [e1, e1] = 0
     rep = _zero_pp_rep(3, 1)
-    T = Matrix(3, 1, [sc(1), sc(0), sc(0)])
+    T = Matrix((3, 1), [sc(1), sc(0), sc(0)])
     assert check_o_operator_pp(sl2_pp, rep, T).passed
     ahat, r = hom_embed_r(sl2_pp, rep, T)
     assert ahat.dim == 4
@@ -438,7 +437,7 @@ def test_hom_embed_rectangular_operator(sl2_pp):
     assert check_pppcybe(ahat, r).passed
     # a carrier image with nonzero products is not an O-operator, and the
     # embedded tensor detects it
-    T_bad = Matrix(3, 1, [sc(1), sc(1), sc(0)])
+    T_bad = Matrix((3, 1), [sc(1), sc(1), sc(0)])
     assert not check_o_operator_pp(sl2_pp, rep, T_bad).passed
     ahat_b, r_b = hom_embed_r(sl2_pp, rep, T_bad, checked=False)
     assert not check_pppcybe(ahat_b, r_b).passed

@@ -31,7 +31,7 @@ from postlie import (
     pp_split_dual_rep,
     sc,
 )
-from postlie.algebra import t3_zero
+from postlie import Tensor
 from postlie.construct import quarter_split_rep
 from postlie.forms import PPRepSpec, RepSpec
 
@@ -47,7 +47,7 @@ def test_invariant_form_killing(sl2_postlie, kappa):
 
 
 def test_invariant_form_trivial_algebra():
-    alg = Algebra(2, ops={"circ": t3_zero(2), "bracket": t3_zero(2)})
+    alg = Algebra(2, ops={"circ": Tensor.zero(2, 2, 2), "bracket": Tensor.zero(2, 2, 2)})
     b = Matrix.from_rows([[sc(1), sc(2)], [sc(2), sc(5)]])
     assert check_invariant_form(alg, b).passed
 
@@ -61,12 +61,10 @@ def test_invariant_form_perturbed_fails(sl2_postlie):
 
 def test_gph(sl2_postlie, kappa):
     assert check_gph(sl2_postlie, kappa).passed
-    rep = check_gph(sl2_postlie, Matrix.zero(3))
+    rep = check_gph(sl2_postlie, Matrix.zero(3, 3))
     assert not rep.passed
     assert any(v.identity == "form.nondeg" for v in rep.violations)
-    skew = Matrix.zero(3)
-    skew[0, 1] = ONE
-    skew[1, 0] = -ONE
+    skew = Matrix.from_rows([[0, ONE, 0], [-ONE, 0, 0], [0, 0, 0]])
     rep = check_gph(sl2_postlie, skew)
     assert any(v.identity == "form.sym" for v in rep.violations)
 
@@ -89,8 +87,22 @@ def test_omega_cocycle_symmetric(sl2_postlie, kappa):
     assert rep.passed
 
 
+def test_omega_cocycle_checks_post_lie_once(sl2_postlie, kappa, monkeypatch):
+    # the sub-adjacent bracket's precondition is the only post-Lie check
+    import postlie.algebra
+    import postlie.forms
+    calls = []
+    check = postlie.algebra.check_post_lie
+    counting = lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs)
+    monkeypatch.setattr(postlie.algebra, "check_post_lie", counting)
+    monkeypatch.setattr(postlie.forms, "check_post_lie", counting)
+    omega, rep = omega_cocycle(sl2_postlie, kappa)
+    assert rep.passed
+    assert len(calls) == 1
+
+
 def test_omega_cocycle_nonsymmetric_on_abelian():
-    alg = Algebra(2, ops={"circ": t3_zero(2), "bracket": t3_zero(2)})
+    alg = Algebra(2, ops={"circ": Tensor.zero(2, 2, 2), "bracket": Tensor.zero(2, 2, 2)})
     b = Matrix.from_rows([[sc(1), sc(3)], [sc(0), sc(1)]])
     omega, rep = omega_cocycle(alg, b)
     assert not omega.is_zero()
@@ -111,7 +123,7 @@ def test_rota_baxter_weight_one(sl2_lie, sl2_P):
 
 
 def test_rota_baxter_trivial_cases(sl2_lie):
-    assert check_rota_baxter_lie(sl2_lie, Matrix.zero(3), sc(7)).passed
+    assert check_rota_baxter_lie(sl2_lie, Matrix.zero(3, 3), sc(7)).passed
     assert check_rota_baxter_lie(sl2_lie, Matrix.identity(3), sc(-1)).passed
 
 
@@ -128,8 +140,8 @@ def test_induced_post_lie(sl2_lie, sl2_P, sl2_postlie):
 
 
 def test_induced_post_lie_zero(sl2_lie):
-    induced = induced_post_lie(sl2_lie, Matrix.zero(3))
-    assert induced.table("circ") == t3_zero(3)
+    induced = induced_post_lie(sl2_lie, Matrix.zero(3, 3))
+    assert induced.table("circ") == Tensor.zero(3, 3, 3)
 
 
 def test_induced_post_lie_precondition(sl2_lie):
@@ -168,7 +180,7 @@ def test_adjoint_rep(sl2_postlie):
 
 
 def test_zero_rep(sl2_postlie):
-    z = [Matrix.zero(2) for _ in range(3)]
+    z = [Matrix.zero(2, 2) for _ in range(3)]
     rep = RepSpec(2, list(z), list(z), list(z))
     assert check_post_lie_rep(sl2_postlie, rep).passed
 
@@ -196,9 +208,9 @@ def test_pp_adjoint_rep(sl2_pp):
 
 
 def test_pp_rep_zero_actions(sl2_lie):
-    alg = Algebra(3, ops={"rtri": t3_zero(3), "ltri": t3_zero(3),
+    alg = Algebra(3, ops={"rtri": Tensor.zero(3, 3, 3), "ltri": Tensor.zero(3, 3, 3),
                           "bracket": sl2_lie.table("bracket")})
-    z = [Matrix.zero(3) for _ in range(3)]
+    z = [Matrix.zero(3, 3) for _ in range(3)]
     ad = [sl2_lie.left_mult("bracket", basis_vec(3, i)) for i in range(3)]
     rep = PPRepSpec(3, list(z), list(z), list(z), list(z), ad)
     assert check_pp_rep(alg, rep).passed
@@ -230,9 +242,9 @@ def test_coadjoint_formula_entrywise(sl2_pp):
 
 
 def test_dual_pp_rep_zero(sl2_lie):
-    alg = Algebra(3, ops={"rtri": t3_zero(3), "ltri": t3_zero(3),
+    alg = Algebra(3, ops={"rtri": Tensor.zero(3, 3, 3), "ltri": Tensor.zero(3, 3, 3),
                           "bracket": sl2_lie.table("bracket")})
-    z = [Matrix.zero(3) for _ in range(3)]
+    z = [Matrix.zero(3, 3) for _ in range(3)]
     ad = [sl2_lie.left_mult("bracket", basis_vec(3, i)) for i in range(3)]
     rep = PPRepSpec(3, list(z), list(z), list(z), list(z), ad)
     dual = dual_pp_rep(alg, rep)
@@ -263,7 +275,7 @@ def test_o_operator_weight_zero(sl2_pp, final_P):
 
 
 def test_o_operator_zero(sl2_pp):
-    assert check_o_operator_pp(sl2_pp, pp_adjoint_rep(sl2_pp), Matrix.zero(3)).passed
+    assert check_o_operator_pp(sl2_pp, pp_adjoint_rep(sl2_pp), Matrix.zero(3, 3)).passed
 
 
 def test_o_operator_identity_on_quarter_rep(final_prepp):
@@ -296,8 +308,8 @@ def test_dual_p_o_from_form(sl2_postlie, kappa):
 
 def test_dual_p_o_zero(sl2_postlie):
     rep = adjoint_rep(sl2_postlie)
-    assert check_dual_p_o_operator(sl2_postlie, rep, Matrix.zero(3)).passed
-    assert check_strong(sl2_postlie, rep, Matrix.zero(3)).passed
+    assert check_dual_p_o_operator(sl2_postlie, rep, Matrix.zero(3, 3)).passed
+    assert check_strong(sl2_postlie, rep, Matrix.zero(3, 3)).passed
 
 
 def test_dual_p_o_identity_on_split_dual(sl2_pp, sl2_postlie):
@@ -339,14 +351,14 @@ def test_pp_from_dual_p_o(sl2_postlie, kappa):
     T = _phi_inverse(kappa)
     out = pp_from_dual_p_o(sl2_postlie, adjoint_rep(sl2_postlie), T)
     assert check_pp_post_lie(out).passed
-    assert horizontal_post_lie(out, checked=False).table("circ") != t3_zero(3)
+    assert horizontal_post_lie(out, checked=False).table("circ") != Tensor.zero(3, 3, 3)
 
 
 def test_pp_from_dual_p_o_zero(sl2_postlie):
-    out = pp_from_dual_p_o(sl2_postlie, adjoint_rep(sl2_postlie), Matrix.zero(3))
-    assert out.table("rtri") == t3_zero(3)
-    assert out.table("ltri") == t3_zero(3)
-    assert out.table("bracket") == t3_zero(3)
+    out = pp_from_dual_p_o(sl2_postlie, adjoint_rep(sl2_postlie), Matrix.zero(3, 3))
+    assert out.table("rtri") == Tensor.zero(3, 3, 3)
+    assert out.table("ltri") == Tensor.zero(3, 3, 3)
+    assert out.table("bracket") == Tensor.zero(3, 3, 3)
 
 
 def test_form_value():

@@ -16,7 +16,7 @@ import tempfile
 
 import pytest
 
-from postlie import ONE, Document, corpus_doc, dualize, dumps
+from postlie import ONE, Document, Tensor, corpus_doc, dualize, dumps
 from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
 from postlie.corpus import write_corpus
 
@@ -119,9 +119,10 @@ ZERO_PP = ("kind algebra\nfield Q(i)\ndim 3\nbasis f1 f2 f3\n"
 
 
 def _bumped(table, k, i, j, delta=ONE):
-    out = [[list(row) for row in plane] for plane in table]
-    out[k][i][j] = out[k][i][j] + delta
-    return out
+    n = table.shape[0]
+    entries = list(table.entries)
+    entries[(k * n + i) * n + j] += delta
+    return Tensor(table.shape, entries)
 
 
 def _coalgebra_with(name, table):
@@ -136,9 +137,11 @@ def write_inputs(directory):
     prepp = corpus_doc("final_prepp")
     prepp.ops["se"] = _bumped(prepp.ops["se"], 0, 1, 1)
     r6 = corpus_doc("r6")
-    r6.matrix[0, 3] = -r6.matrix[0, 3]
+    entries = list(r6.matrix.entries)
+    entries[3] = -entries[3]  # entry (0, 3) of the 6x6 tensor
+    r6.matrix = Tensor(r6.matrix.shape, entries)
     co = corpus_doc("final_cobrackets")
-    flipped = [[[-c for c in row] for row in plane] for plane in co.comaps["Delta"]]
+    flipped = -co.comaps["Delta"]
     docs = {
         "identity3": IDENTITY3,
         "zero_pp": ZERO_PP,

@@ -2,6 +2,7 @@ import pytest
 
 from postlie import (
     CORPUS_NAMES,
+    ONE,
     Document,
     DocumentError,
     corpus_doc,
@@ -9,6 +10,8 @@ from postlie import (
     dumps,
     loads,
 )
+from postlie import bialgebra
+from postlie.bialgebra import COMAP_NAMES
 from postlie.cli import main
 from postlie.corpus import write_corpus
 
@@ -40,6 +43,33 @@ def test_bundle_roundtrip():
     again = loads(text)
     assert dumps(again) == text
     assert again.sections["algebra"].ops == inner.ops
+
+
+def _assign_fails(value, order):
+    """Item assignment, by a tuple index or by chained indices, raises TypeError."""
+    with pytest.raises(TypeError):
+        value[(0,) * order] = ONE
+    with pytest.raises(TypeError):
+        value[0][0] = ONE
+
+
+def test_values_handed_out_by_documents_cannot_be_changed():
+    cases = (
+        ("sl2_pp", 3, lambda doc: [doc.to_algebra().table(op)
+                                   for op in ("rtri", "ltri", "bracket")]),
+        ("kappa", 2, lambda doc: [doc.to_matrix()]),
+        ("final_cobrackets", 3, lambda doc: [doc.to_coalgebra().table(name)
+                                             for name in COMAP_NAMES]),
+    )
+    for name, order, values in cases:
+        doc = corpus_doc(name)
+        before = dumps(doc)
+        for value in values(doc):
+            _assign_fails(value, order)
+        assert dumps(doc) == before
+    alg = corpus_doc("sl2_pp").to_algebra()
+    with pytest.raises(TypeError):
+        alg.ops["rtri"] = alg.table("ltri")
 
 
 def test_malformed_scalar_is_parse_error():
@@ -165,6 +195,18 @@ def test_cli_check_bialg(corpus_on_disk, capsys):
     assert code == 0
 
 
+def test_cli_pp_coalg_both_modes_check_co_lie_once(corpus_on_disk, capsys, monkeypatch):
+    calls = []
+    check = bialgebra.check_lie_coalgebra
+    monkeypatch.setattr(bialgebra, "check_lie_coalgebra",
+                        lambda co: calls.append(co) or check(co))
+    code, out, _ = _run(capsys, "check", "pp-coalg",
+                        str(corpus_on_disk / "final_cobrackets.txt"), "--mode", "both")
+    assert code == 0
+    assert out.count("pp-coalgebra: PASS") == 2
+    assert len(calls) == 1
+
+
 def test_cli_check_pre_pp(corpus_on_disk, capsys):
     code, _, _ = _run(capsys, "check", "pre-pp", str(corpus_on_disk / "final_prepp.txt"))
     assert code == 0
@@ -270,9 +312,9 @@ def test_cli_derive_sub_adjacent_quarter(corpus_on_disk, tmp_path, capsys):
     derived = loads(out_path.read_text()).to_algebra()
     ahat = corpus_doc("ahat_pp").to_algebra()
     for op in ("rtri", "ltri", "bracket"):
-        block = [[[ahat.table(op)[i][j][k] for k in range(3)]
-                  for j in range(3)] for i in range(3)]
-        assert derived.table(op) == block
+        block = [ahat.table(op)[i, j, k] for i in range(3) for j in range(3)
+                 for k in range(3)]
+        assert derived.table(op).entries == tuple(block)
 
 
 def test_cli_derive_double(corpus_on_disk, tmp_path, capsys):

@@ -53,7 +53,7 @@ def test_solve_singular():
 
 def test_det_examples():
     assert Matrix.identity(3).det() == sc(1)
-    assert Matrix.zero(3).det() == sc(0)
+    assert Matrix.zero(3, 3).det() == sc(0)
     kappa = Matrix.diagonal([sc(-2)] * 3)
     assert kappa.det() == sc(-8)
     assert kappa.det() == _cofactor_det(kappa)
@@ -88,7 +88,7 @@ def test_inverse_property_random():
 
 def test_shape_errors():
     with pytest.raises(LinAlgError):
-        Matrix(2, 2, [sc(1)] * 3)
+        Matrix((2, 2), [sc(1)] * 3)
     with pytest.raises(LinAlgError):
         Matrix.from_rows([[sc(1), sc(2)], [sc(3)]])
     with pytest.raises(LinAlgError):

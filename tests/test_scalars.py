@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import I, ONE, ZERO, Scalar, ScalarParseError, sc
+from postlie import I, ONE, ZERO, Matrix, Scalar, ScalarParseError, sc
 
 
 def test_modulus_identity():
@@ -112,3 +112,15 @@ def test_equality_and_hash():
 def test_immutability():
     with pytest.raises(AttributeError):
         ONE.a = 5
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, -2.0, 1e30, 1j, complex(1, 0)])
+def test_binary_floating_point_is_refused(value):
+    # the same TypeError as in arithmetic, never a silent binary expansion
+    for make in (lambda: Scalar(value), lambda: Scalar(0, value), lambda: Scalar(ONE.re, value),
+                 lambda: sc(value), lambda: sc(1, value), lambda: Matrix.from_rows([[value]])):
+        with pytest.raises(TypeError, match="cannot mix Scalar"):
+            make()
+    with pytest.raises(TypeError, match="cannot mix Scalar"):
+        ONE + value
+    assert Scalar(Fraction(1, 10)) == sc("1/10")
