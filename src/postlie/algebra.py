@@ -8,8 +8,8 @@ an immutable Tensor c of shape (n, n, n) with the convention
 The entries are stored flat in row-major order, so the product of two
 basis vectors is the slice of n entries starting at (i * n + j) * n.
 Neither a table nor an algebra's mapping of names to tables can change
-after construction, which is what lets an algebra cache the matrices of
-multiplication by basis elements.
+after construction.  Derived algebras are tensor expressions in the
+tables: sums, differences and axis permutations.
 
 Checkers evaluate each defining identity on every basis tuple, which is
 sufficient by multilinearity, and report exact witnesses.  Identity
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import Matrix, Tensor, basis_vec, vadd, vneg, vsub, zero_vec
+from .linalg import Matrix, Tensor, _basis_index, basis_vec, vadd, vneg, vsub, zero_vec
 from .scalars import ZERO, Scalar
 
 __all__ = [
@@ -88,17 +88,6 @@ class PreconditionError(ValueError):
 # algebras
 # ---------------------------------------------------------------------------
 
-def _basis_index(x):
-    """Index i if x is exactly the i-th standard basis vector, else None."""
-    idx = None
-    for i, xi in enumerate(x):
-        if xi:
-            if idx is not None or xi.a != 1 or xi.b != 0 or xi.d != 1:
-                return None
-            idx = i
-    return idx
-
-
 def _require_cube(table, n: int, what: str):
     """Reject a structure or comultiplication table that is not an n x n x n Tensor."""
     if not isinstance(table, Tensor) or table.shape != (n, n, n):
@@ -123,11 +112,8 @@ class Algebra:
                 raise UnknownOperationError(name)
             _require_cube(table, self.dim, "structure")
         object.__setattr__(self, "basis", basis)
-        # A read-only copy of the mapping: no one can rebind a name to another
-        # table, and the tables are immutable Tensors, so the cache of
-        # multiplication matrices at basis elements can never go stale.
+        # a read-only copy of the mapping: no one can rebind a name to another table
         object.__setattr__(self, "ops", MappingProxyType(dict(self.ops)))
-        object.__setattr__(self, "_mult_cache", {})
 
     # -- operations -----------------------------------------------------
 
@@ -170,41 +156,12 @@ class Algebra:
                         out[k] = out[k] + coeff * ck
         return tuple(out)
 
-    def basis_mult(self, op: str, i: int, left: bool = True) -> Matrix:
-        """Cached matrix of v -> e_i * v (left) or v -> v * e_i (right)."""
-        key = (op, i, left)
-        m = self._mult_cache.get(key)
-        if m is None:
-            m = self.table(op).contract(0 if left else 1, basis_vec(self.dim, i)).transpose()
-            self._mult_cache[key] = m
-        return m
-
-    def left_mult(self, op: str, x) -> Matrix:
-        """Matrix of v -> x * v for a coordinate vector x."""
-        i = _basis_index(x)
-        if i is not None:
-            return self.basis_mult(op, i, True)
-        return self.table(op).contract(0, x).transpose()
-
-    def right_mult(self, op: str, x) -> Matrix:
-        """Matrix of v -> v * x for a coordinate vector x."""
-        i = _basis_index(x)
-        if i is not None:
-            return self.basis_mult(op, i, False)
-        return self.table(op).contract(1, x).transpose()
-
     def with_op(self, name: str, table: Tensor) -> "Algebra":
         return Algebra(self.dim, self.field, self.basis, {**self.ops, name: table})
 
     def without_ops(self, *names) -> "Algebra":
         ops = {k: v for k, v in self.ops.items() if k not in names}
         return Algebra(self.dim, self.field, self.basis, ops)
-
-    def op_table_from(self, op: str, mul) -> "Algebra":
-        """Attach a new op computed by evaluating mul on basis pairs."""
-        n = self.dim
-        e = [basis_vec(n, i) for i in range(n)]
-        return self.with_op(op, Tensor((n, n, n), [s for x in e for y in e for s in mul(x, y)]))
 
 
 def apply_op(alg: Algebra, op: str, x, y) -> tuple:
@@ -576,22 +533,24 @@ def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
 # derived algebras
 # ---------------------------------------------------------------------------
 
+# the axis order taking the table of x * y to the table of y * x
+_SWAP = (1, 0, 2)
+
+
 def sub_adjacent_lie(alg: Algebra, circ="circ", bracket="bracket") -> Algebra:
     """Lie algebra with {x,y} = x o y - y o x + [x,y]."""
     _require(check_post_lie(alg, circ, bracket), "not a post-Lie algebra")
-    out = Algebra(alg.dim, alg.field, alg.basis)
-    return out.op_table_from(
-        "bracket",
-        lambda x, y: vadd(alg.mul(circ, x, y), vneg(alg.mul(circ, y, x)), alg.mul(bracket, x, y)),
-    )
+    c = alg.table(circ)
+    return Algebra(alg.dim, alg.field, alg.basis,
+                   {"bracket": c - c.permute(_SWAP) + alg.table(bracket)})
 
 
 def opposite_post_lie(alg: Algebra, circ="circ", bracket="bracket") -> Algebra:
     """x * y = x o y + [x,y] over the opposite bracket."""
     _require(check_post_lie(alg, circ, bracket), "not a post-Lie algebra")
-    out = Algebra(alg.dim, alg.field, alg.basis)
-    out = out.op_table_from("circ", lambda x, y: vadd(alg.mul(circ, x, y), alg.mul(bracket, x, y)))
-    return out.op_table_from("bracket", lambda x, y: alg.mul(bracket, y, x))
+    b = alg.table(bracket)
+    return Algebra(alg.dim, alg.field, alg.basis,
+                   {"circ": alg.table(circ) + b, "bracket": b.permute(_SWAP)})
 
 
 def _require_pp(alg: Algebra):
@@ -602,33 +561,33 @@ def horizontal_post_lie(alg: Algebra, checked=True) -> Algebra:
     """Post-Lie product x o y = x |> y + x <| y over the same bracket."""
     if checked:
         _require_pp(alg)
-    out = Algebra(alg.dim, alg.field, alg.basis, {"bracket": alg.table("bracket")})
-    return out.op_table_from("circ", lambda x, y: vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y)))
+    return Algebra(alg.dim, alg.field, alg.basis, {
+        "bracket": alg.table("bracket"), "circ": alg.table("rtri") + alg.table("ltri")})
 
 
 def vertical_post_lie(alg: Algebra, checked=True) -> Algebra:
     """Post-Lie product x . y = x |> y - y <| x over the same bracket."""
     if checked:
         _require_pp(alg)
-    out = Algebra(alg.dim, alg.field, alg.basis, {"bracket": alg.table("bracket")})
-    return out.op_table_from("circ", lambda x, y: vsub(alg.mul("rtri", x, y), alg.mul("ltri", y, x)))
+    return Algebra(alg.dim, alg.field, alg.basis, {
+        "bracket": alg.table("bracket"),
+        "circ": alg.table("rtri") - alg.table("ltri").permute(_SWAP)})
 
 
 def transpose_pp(alg: Algebra, checked=True) -> Algebra:
     """Swap to x |> y, -y <| x; exchanges horizontal and vertical."""
     if checked:
         _require_pp(alg)
-    out = Algebra(alg.dim, alg.field, alg.basis, {"bracket": alg.table("bracket")})
-    out = out.with_op("rtri", alg.table("rtri"))
-    return out.op_table_from("ltri", lambda x, y: vneg(alg.mul("ltri", y, x)))
+    return Algebra(alg.dim, alg.field, alg.basis, {
+        "bracket": alg.table("bracket"), "rtri": alg.table("rtri"),
+        "ltri": -alg.table("ltri").permute(_SWAP)})
 
 
 def sub_adjacent_pp(alg: Algebra, checked=True) -> Algebra:
     """pp-post-Lie algebra underlying a quarter-split (se/ne/sw/nw/dot)."""
     if checked:
         _require(check_pre_pp_post_lie(alg), "not a pre-pp-post-Lie algebra")
-    out = Algebra(alg.dim, alg.field, alg.basis)
-    out = out.op_table_from("rtri", lambda x, y: vadd(alg.mul("se", x, y), alg.mul("ne", x, y)))
-    out = out.op_table_from("ltri", lambda x, y: vadd(alg.mul("sw", x, y), alg.mul("nw", x, y)))
-    return out.op_table_from("bracket", lambda x, y: vsub(alg.mul("dot", x, y), alg.mul("dot", y, x)))
-
+    t = alg.table
+    return Algebra(alg.dim, alg.field, alg.basis, {
+        "rtri": t("se") + t("ne"), "ltri": t("sw") + t("nw"),
+        "bracket": t("dot") - t("dot").permute(_SWAP)})

@@ -11,7 +11,9 @@ permutation c[i, j, k] = d[k, i, j].
 
 Operators on 2-tensors of the form M (x) id + id (x) N act as the
 sandwich M r + r N^T, which agrees with the row-major Kronecker matrix
-acting on the vectorised tensor (cross-checked in the test suite).
+acting on the vectorised tensor (cross-checked in the test suite).  The
+matrices of multiplication by x are the actions of the pp adjoint
+representation, whose carriers are permuted tables built once per call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .algebra import (
     check_lie,
     check_pp_post_lie,
 )
-from .forms import check_o_operator_pp, pp_coadjoint_rep
+from .forms import LEFT, PPRepSpec, check_o_operator_pp, pp_adjoint_rep, pp_coadjoint_rep
 from .linalg import Matrix, Tensor, basis_vec, vadd, vneg, vsub
 
 __all__ = [
@@ -195,11 +197,12 @@ def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     nested = [("bialg.alg", check_lie(alg)), ("bialg.coalg", check_lie_coalgebra(co))]
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
+    ad = alg.table("bracket").permute(LEFT)
 
     def body(i, j):
         x, y = e[i], e[j]
-        adx = alg.left_mult("bracket", x)
-        ady = alg.left_mult("bracket", y)
+        adx = ad.contract(0, x)
+        ady = ad.contract(0, y)
         yield ("bialg.cocycle", co.apply("Delta", alg.mul("bracket", x, y)),
                _sandwich(adx, co.apply("Delta", y)) - _sandwich(ady, co.apply("Delta", x)))
     return _sweep("lie-bialgebra", [((n, n), body)], nested)
@@ -236,14 +239,13 @@ def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     curly = lambda x, y: vadd(circ(x, y), vneg(circ(y, x)), alg.mul("bracket", x, y))
 
     # per-basis operator matrices and comap values, hoisted out of the loop
-    ad_ = [alg.basis_mult("bracket", k, True) for k in range(n)]
-    lrt = [alg.basis_mult("rtri", k, True) for k in range(n)]
-    llt = [alg.basis_mult("ltri", k, True) for k in range(n)]
-    rlt = [alg.basis_mult("ltri", k, False) for k in range(n)]
+    adj = pp_adjoint_rep(alg)
+    ad_, lrt, llt, rrt, rlt = ([adj.act(which, x) for x in e]
+                               for which in ("rho", "l_rt", "l_lt", "r_rt", "r_lt"))
     lcirc = [lrt[k] + llt[k] for k in range(n)]
     lbull = [lrt[k] - rlt[k] for k in range(n)]
-    rcirc = [alg.basis_mult("rtri", k, False) + rlt[k] for k in range(n)]
-    rbull = [alg.basis_mult("rtri", k, False) - llt[k] for k in range(n)]
+    rcirc = [rrt[k] + rlt[k] for k in range(n)]
+    rbull = [rrt[k] - llt[k] for k in range(n)]
     De_ = [dDe(e[k]) for k in range(n)]
     lt_ = [dlt(e[k]) for k in range(n)]
     rt_ = [drt(e[k]) for k in range(n)]
@@ -345,13 +347,10 @@ def check_pppcybe(alg: Algebra, r: Matrix) -> CheckReport:
 # cobrackets from a classical r-matrix
 # ---------------------------------------------------------------------------
 
-def _left_ops(alg: Algebra, x):
-    """L_rt, L_diamond, L_circ, L_bullet and ad at x, as matrices."""
-    rt = alg.left_mult("rtri", x)
-    lt = alg.left_mult("ltri", x)
-    rrt = alg.right_mult("rtri", x)
-    rlt = alg.right_mult("ltri", x)
-    ad = alg.left_mult("bracket", x)
+def _left_ops(adj: PPRepSpec, x):
+    """L_rt, L_diamond, L_circ, L_bullet and ad at x, as matrices, from the
+    pp adjoint representation adj."""
+    rt, lt, rrt, rlt, ad = (adj.act(which, x) for which in ("l_rt", "l_lt", "r_rt", "r_lt", "rho"))
     circ = rt + lt
     bullet = rt - rlt
     diamond = lt + rt - rlt - rrt
@@ -365,19 +364,18 @@ def op_matrix_2tensor(m1: Matrix, m2: Matrix) -> Matrix:
     return m1.kron(eye) + eye.kron(m2)
 
 
-def _e_apply(alg, x, t2: Matrix) -> Matrix:
-    rt, diamond, _, _, _ = _left_ops(alg, x)
+def _e_apply(adj, x, t2: Matrix) -> Matrix:
+    rt, diamond, _, _, _ = _left_ops(adj, x)
     return _sandwich(rt, t2, diamond)
 
 
-def _f_apply(alg, x, t2: Matrix) -> Matrix:
-    _, _, circ, bullet, _ = _left_ops(alg, x)
+def _f_apply(adj, x, t2: Matrix) -> Matrix:
+    _, _, circ, bullet, _ = _left_ops(adj, x)
     return _sandwich(circ, t2, bullet)
 
 
-def _g_apply(alg, x, t2: Matrix) -> Matrix:
-    ad = alg.left_mult("bracket", x)
-    return _sandwich(ad, t2)
+def _g_apply(adj, x, t2: Matrix) -> Matrix:
+    return _sandwich(adj.act("rho", x), t2)
 
 
 def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
@@ -393,11 +391,19 @@ def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
     _require_shape(r, n, n, "tensor")
+    adj = pp_adjoint_rep(alg)
+    rt, lt, rrt, rlt, ad = adj.l_rt, adj.l_lt, adj.r_rt, adj.r_lt, adj.rho
     return CoalgebraSpec(n, alg.field, alg.basis, {
-        "delta_rtri": _stack(n, lambda x: _e_apply(alg, x, r)),
-        "delta_ltri": _stack(n, lambda x: _f_apply(alg, x, -r)),
-        "Delta": _stack(n, lambda x: _g_apply(alg, x, r)),
+        "delta_rtri": _sandwiches(rt, r, lt + rt - rlt - rrt),
+        "delta_ltri": _sandwiches(rt + lt, -r, rt - rlt),
+        "Delta": _sandwiches(ad, r, ad),
     })
+
+
+def _sandwiches(left: Tensor, t2: Matrix, right: Tensor) -> Tensor:
+    """The comap x -> (L(x) (x) id + id (x) R(x)) t2 for the carriers L and R
+    of two actions: d[k] = L[k] t2 + t2 R[k]^T."""
+    return left.contract(2, t2.transpose()) + right.contract(2, t2).permute((0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +419,7 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
     _require_shape(r, n, n, "tensor")
+    adj = pp_adjoint_rep(alg)
     s = r + r.transpose()
     C = cybe_C(alg, r)
     D = cybe_D(alg, r)
@@ -425,75 +432,75 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     # for a linear map W to 2-tensors
     on_b = lambda w: _apply_second(_stack(n, w), r)
     on_a = lambda w: _apply_first(_stack(n, w), r)
-    sum_aFb = on_b(lambda b: _f_apply(alg, b, s))
+    sum_aFb = on_b(lambda b: _f_apply(adj, b, s))
 
     def one_variable(k):
         x = e[k]
-        rt, diamond, circ, bullet, ad = _left_ops(alg, x)
-        llt = alg.left_mult("ltri", x)
-        rlt = alg.right_mult("ltri", x)
-        yield "quasi.colie.1", _g_apply(alg, x, s), zero2
+        rt, diamond, circ, bullet, ad = _left_ops(adj, x)
+        llt = adj.act("l_lt", x)
+        rlt = adj.act("r_lt", x)
+        yield "quasi.colie.1", _g_apply(adj, x, s), zero2
         yield "quasi.colie.2", C.contract(0, ad) + C.contract(1, ad) + C.contract(2, ad), zero3
         yield "quasi.coalg.1", (
             C.contract(0, circ) + C.contract(1, circ) + C.contract(2, bullet)
-            + on_a(lambda a: _lhs_apply(alg.left_mult("bracket", a),
-                                        _f_apply(alg, x, s).transpose()))), zero3
+            + on_a(lambda a: _lhs_apply(adj.act("rho", a),
+                                        _f_apply(adj, x, s).transpose()))), zero3
         inner = sum_aFb - D
         yield "quasi.coalg.2a", (
             (inner + swap23(inner)).contract(0, ad)
-            + on_b(lambda b: _f_apply(alg, alg.mul("bracket", x, b), s))), zero3
+            + on_b(lambda b: _f_apply(adj, alg.mul("bracket", x, b), s))), zero3
         yield "quasi.coalg.2b", C.contract(2, llt + rlt), zero3
         yield "quasi.coalg.3", (
             C.contract(0, llt) + (swap23(D) - sum_aFb).contract(1, ad) - D.contract(2, ad)
-            - on_a(lambda a: _lhs_apply(alg.right_mult("ltri", a), _g_apply(alg, x, s)))), zero3
+            - on_a(lambda a: _lhs_apply(adj.act("r_lt", a), _g_apply(adj, x, s)))), zero3
         part1 = sum_aFb - swap23(D)
-        mid = sum_aFb - on_a(lambda a: _f_apply(alg, a, s).transpose()) - swap23(D)
+        mid = sum_aFb - on_a(lambda a: _f_apply(adj, a, s).transpose()) - swap23(D)
         yield "quasi.coalg.4", (
             part1.contract(0, ad + llt) + part1.contract(1, circ) + mid.contract(2, bullet)
-            + on_a(lambda a: _lhs_apply(alg.right_mult("ltri", a),
-                                        _f_apply(alg, x, s).transpose()))
-            - on_a(lambda a: _f_apply(alg, vadd(alg.mul("rtri", x, a), alg.mul("ltri", x, a)),
+            + on_a(lambda a: _lhs_apply(adj.act("r_lt", a),
+                                        _f_apply(adj, x, s).transpose()))
+            - on_a(lambda a: _f_apply(adj, vadd(alg.mul("rtri", x, a), alg.mul("ltri", x, a)),
                                       s).transpose())), zero3
         term1 = part1.contract(0, ad)
         yield "quasi.coalg.5", (
             term1 - swap12(term1)
-            + on_a(lambda a: _rhs_apply(alg.right_mult("rtri", a), _e_apply(alg, x, s)))
-            + on_a(lambda a: _rhs_apply(alg.right_mult("rtri", a) + alg.right_mult("ltri", a),
-                                        _g_apply(alg, x, s)))
+            + on_a(lambda a: _rhs_apply(adj.act("r_rt", a), _e_apply(adj, x, s)))
+            + on_a(lambda a: _rhs_apply(adj.act("r_rt", a) + adj.act("r_lt", a),
+                                        _g_apply(adj, x, s)))
             + _minus_swap12(D.contract(2, diamond))
-            - C.contract(2, alg.right_mult("rtri", x) - alg.left_mult("ltri", x))
+            - C.contract(2, adj.act("r_rt", x) - adj.act("l_lt", x))
             + _minus_swap12((D - swap12(D)).contract(0, rt))), zero3
 
     def two_variables(a, b):
         x, y = e[a], e[b]
-        adx = alg.left_mult("bracket", x)
-        ady = alg.left_mult("bracket", y)
-        yield "quasi.compat.1", _lhs_apply(adx, _f_apply(alg, y, s)), zero2
+        adx = adj.act("rho", x)
+        ady = adj.act("rho", y)
+        yield "quasi.compat.1", _lhs_apply(adx, _f_apply(adj, y, s)), zero2
         yield ("quasi.compat.2",
-               _f_apply(alg, alg.mul("bracket", x, y), s)
-               + _lhs_apply(adx, _f_apply(alg, y, s))
-               - _lhs_apply(ady, _f_apply(alg, x, s)), zero2)
+               _f_apply(adj, alg.mul("bracket", x, y), s)
+               + _lhs_apply(adx, _f_apply(adj, y, s))
+               - _lhs_apply(ady, _f_apply(adj, x, s)), zero2)
         circ_xy = vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
-        rtx, _, circx, _, _ = _left_ops(alg, x)
+        rtx, _, circx, _, _ = _left_ops(adj, x)
         yield ("quasi.compat.3",
-               _f_apply(alg, circ_xy, s)
-               + _rhs_apply(circx, _f_apply(alg, y, s))
-               + _lhs_apply(adx + rtx, _f_apply(alg, y, s))
-               - _lhs_apply(alg.right_mult("ltri", y), _f_apply(alg, x, s).transpose()), zero2)
+               _f_apply(adj, circ_xy, s)
+               + _rhs_apply(circx, _f_apply(adj, y, s))
+               + _lhs_apply(adx + rtx, _f_apply(adj, y, s))
+               - _lhs_apply(adj.act("r_lt", y), _f_apply(adj, x, s).transpose()), zero2)
         lt_xy = alg.mul("ltri", x, y)
-        inner4 = _lhs_apply(alg.left_mult("ltri", x), _e_apply(alg, y, s))
+        inner4 = _lhs_apply(adj.act("l_lt", x), _e_apply(adj, y, s))
         yield ("quasi.compat.4",
-               _e_apply(alg, lt_xy, s) - _f_apply(alg, lt_xy, s)
+               _e_apply(adj, lt_xy, s) - _f_apply(adj, lt_xy, s)
                + inner4 - inner4.transpose()
-               + _g_apply(alg, x, s)
-               + _rhs_apply(alg.right_mult("ltri", y),
-                            _f_apply(alg, x, s) - _e_apply(alg, x, s)), zero2)
+               + _g_apply(adj, x, s)
+               + _rhs_apply(adj.act("r_lt", y),
+                            _f_apply(adj, x, s) - _e_apply(adj, x, s)), zero2)
 
     def invariance(k):
         x = e[k]
-        yield "quasi.inv.e", _e_apply(alg, x, s), zero2
-        yield "quasi.inv.f", _f_apply(alg, x, s), zero2
-        yield "quasi.inv.g", _g_apply(alg, x, s), zero2
+        yield "quasi.inv.e", _e_apply(adj, x, s), zero2
+        yield "quasi.inv.f", _f_apply(adj, x, s), zero2
+        yield "quasi.inv.g", _g_apply(adj, x, s), zero2
 
     violations, checked = _collect([((n,), one_variable), ((n, n), two_variables),
                                     ((n,), invariance)])

@@ -2,7 +2,10 @@
 
 Doubled spaces always order the basis as e_1..e_n of A followed by the
 dual basis e_1*..e_n* of A*, so the canonical pairing form is the
-antidiagonal block matrix [[0, I], [I, 0]].
+antidiagonal block matrix [[0, I], [I, 0]].  Every algebra on a sum A + B
+(semidirect products, bowtie products, doubles) is one block sum of
+tables: A's and B's products on the diagonal blocks and the carriers of
+the mutual actions, permuted into tables, on the mixed ones.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .algebra import (
     horizontal_post_lie,
 )
 from .forms import (
+    FROM_RIGHT,
+    LEFT,
+    RIGHT,
     PPRepSpec,
     RepSpec,
     check_gph,
@@ -29,11 +35,9 @@ from .forms import (
     check_post_lie_rep,
     check_pp_rep,
     dual_pp_rep,
-    form_value,
     pp_split_dual_rep,
 )
-from .linalg import Matrix, SingularMatrixError, Tensor, basis_vec, vadd, vneg, vsub
-from .scalars import ONE, ZERO
+from .linalg import Matrix, SingularMatrixError, Tensor, basis_vec, vadd, vneg
 
 __all__ = [
     "semidirect_post_lie",
@@ -54,73 +58,79 @@ __all__ = [
 ]
 
 
-def _split(vec, n):
-    return vec[:n], vec[n:]
+# (op, left carrier, right carrier) of each product of a representation
+_POST_LIE_PRODUCTS = (("circ", "l", "r"), ("bracket", "rho", "rho"))
+_PP_PRODUCTS = (("rtri", "l_rt", "r_rt"), ("ltri", "l_lt", "r_lt"), ("bracket", "rho", "rho"))
 
 
-def _join(a, v):
-    return tuple(a) + tuple(v)
+def _block_sum(a: Algebra, b: Algebra, on_b, on_a, products, basis) -> Algebra:
+    """The algebra on A + B whose products restrict to A's and B's and mix
+    them through the actions: for x, y in A, u, v in B and the carriers
+    (l, r) named by each (op, left, right) of products,
+        x * v = l_b(x) v + r_a(v) x,    u * y = r_b(y) u + l_a(u) y,
+    with l_b, r_b those of on_b (A acting on B: the B part) and l_a, r_a
+    those of on_a (B acting on A: the A part; None for no action).  The
+    bracket's right action is -rho."""
+    na, nb = a.dim, b.dim
+    shape = (na + nb,) * 3
+    ops = {}
+    for op, left, right in products:
+        table = a.table(op).embed(shape, (0, 0, 0)) + b.table(op).embed(shape, (na, na, na))
+        for rep, p, q in ((on_b, 0, na), (on_a, na, 0)):
+            if rep is None:
+                continue
+            r = -getattr(rep, right) if op == "bracket" else getattr(rep, right)
+            table = (table + getattr(rep, left).permute(LEFT).embed(shape, (p, q, q))
+                     + r.permute(FROM_RIGHT).embed(shape, (q, p, q)))
+        ops[op] = table
+    return Algebra(na + nb, a.field, basis, ops)
 
 
 def _semidirect(alg: Algebra, rep, products) -> Algebra:
-    """A + V with V an abelian ideal: each (op, left, right, combine) product
-    is op on the A parts plus combine(left(x) v, right(y) u) on V."""
-    n = alg.dim
-    out = Algebra(n + rep.dim, alg.field,
-                  tuple(alg.basis) + tuple("v%d" % (i + 1) for i in range(rep.dim)))
-    for op, left, right, combine in products:
-        def mul(xs, ys, op=op, left=left, right=right, combine=combine):
-            x, u = _split(xs, n)
-            y, v = _split(ys, n)
-            return _join(alg.mul(op, x, y),
-                         combine(rep.act(left, x).apply(v), rep.act(right, y).apply(u)))
-        out = out.op_table_from(op, mul)
-    return out
+    """A + V with V an abelian ideal acted on by rep."""
+    m = rep.dim
+    abelian = Algebra(m, ops={op: Tensor.zero(m, m, m) for op, _, _ in products})
+    return _block_sum(alg, abelian, rep, None, products,
+                      tuple(alg.basis) + tuple("v%d" % (i + 1) for i in range(m)))
 
 
 def semidirect_post_lie(alg: Algebra, rep: RepSpec, checked=True) -> Algebra:
     """Post-Lie structure on A + V with V an abelian ideal acted on by (l, r, rho)."""
     if checked:
         _require(check_post_lie_rep(alg, rep), "not a post-Lie representation")
-    return _semidirect(alg, rep, (("circ", "l", "r", vadd), ("bracket", "rho", "rho", vsub)))
+    return _semidirect(alg, rep, _POST_LIE_PRODUCTS)
 
 
 def semidirect_pp(alg: Algebra, rep: PPRepSpec, checked=True) -> Algebra:
     """pp-post-Lie structure on A + V from a pp representation."""
     if checked:
         _require(check_pp_rep(alg, rep), "not a pp representation")
-    return _semidirect(alg, rep, (("rtri", "l_rt", "r_rt", vadd), ("ltri", "l_lt", "r_lt", vadd),
-                                  ("bracket", "rho", "rho", vsub)))
+    return _semidirect(alg, rep, _PP_PRODUCTS)
 
 
 # ---------------------------------------------------------------------------
 # matched pairs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MatchedPairMaps:
-    """Mutual actions: *_a maps live on B's carrier indexed by A's basis, and
-    vice versa."""
+    """Mutual actions of a matched pair: on_b is A acting on B's space and
+    on_a is B acting on A's."""
 
-    l_a: list
-    r_a: list
-    rho_a: list
-    l_b: list
-    r_b: list
-    rho_b: list
+    on_b: RepSpec
+    on_a: RepSpec
 
-    def rep_on_b(self, dim_b: int) -> RepSpec:
-        return RepSpec(dim_b, self.l_a, self.r_a, self.rho_a)
-
-    def rep_on_a(self, dim_a: int) -> RepSpec:
-        return RepSpec(dim_a, self.l_b, self.r_b, self.rho_b)
+    def acting_on(self, a: Algebra, b: Algebra):
+        """(on_b, on_a), checked to act on B's and A's spaces."""
+        if self.on_b.dim != b.dim or self.on_a.dim != a.dim:
+            raise ValueError("carrier matrix has wrong shape")
+        return self.on_b, self.on_a
 
 
 def coadjoint_matched_pair_maps(a_pp: Algebra, b_pp: Algebra) -> MatchedPairMaps:
     """The canonical dual-space actions (L_rt* - R_lt*, -R_lt*, ad*) on both
     sides, for B carrying the structure dual to A*'s pp algebra."""
-    a, b = pp_split_dual_rep(a_pp), pp_split_dual_rep(b_pp)
-    return MatchedPairMaps(a.l, a.r, a.rho, b.l, b.r, b.rho)
+    return MatchedPairMaps(pp_split_dual_rep(a_pp), pp_split_dual_rep(b_pp))
 
 
 def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps,
@@ -132,8 +142,7 @@ def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps,
     na, nb = a.dim, b.dim
     ea = [basis_vec(na, i) for i in range(na)]
     eb = [basis_vec(nb, i) for i in range(nb)]
-    rep_b = maps.rep_on_b(nb)
-    rep_a = maps.rep_on_a(na)
+    rep_b, rep_a = maps.acting_on(a, b)
     nested = [("mp.rep-a", check_post_lie_rep(a, rep_b, checked=False)),
               ("mp.rep-b", check_post_lie_rep(b, rep_a, checked=False))]
 
@@ -198,29 +207,8 @@ def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps, checked=True) -> Algeb
     """Post-Lie structure on A + B defined by the mutual actions."""
     if checked:
         _require(check_matched_pair(a, b, maps), "not a matched pair")
-    na, nb = a.dim, b.dim
-    rep_b = maps.rep_on_b(nb)
-    rep_a = maps.rep_on_a(na)
-    out = Algebra(na + nb, a.field, tuple(a.basis) + tuple(b.basis))
-
-    def circ(xs, ys):
-        x, u = _split(xs, na)
-        y, v = _split(ys, na)
-        apart = vadd(a.mul("circ", x, y), rep_a.act("l", u).apply(y), rep_a.act("r", v).apply(x))
-        bpart = vadd(b.mul("circ", u, v), rep_b.act("l", x).apply(v), rep_b.act("r", y).apply(u))
-        return _join(apart, bpart)
-
-    def bracket(xs, ys):
-        x, u = _split(xs, na)
-        y, v = _split(ys, na)
-        apart = vadd(a.mul("bracket", x, y),
-                     rep_a.act("rho", u).apply(y), vneg(rep_a.act("rho", v).apply(x)))
-        bpart = vadd(b.mul("bracket", u, v),
-                     rep_b.act("rho", x).apply(v), vneg(rep_b.act("rho", y).apply(u)))
-        return _join(apart, bpart)
-
-    out = out.op_table_from("circ", circ)
-    return out.op_table_from("bracket", bracket)
+    return _block_sum(a, b, *maps.acting_on(a, b), _POST_LIE_PRODUCTS,
+                      tuple(a.basis) + tuple(b.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +217,8 @@ def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps, checked=True) -> Algeb
 
 def pairing_form(n: int) -> Matrix:
     """B_d(x + a*, y + b*) = <x, b*> + <y, a*> on A + A*."""
-    return Matrix((2 * n, 2 * n), [ONE if j == (i + n) % (2 * n) else ZERO
-                                   for i in range(2 * n) for j in range(2 * n)])
+    eye, shape = Matrix.identity(n), (2 * n, 2 * n)
+    return eye.embed(shape, (0, n)) + eye.embed(shape, (n, 0))
 
 
 def double_construction(alg: Algebra, checked=True):
@@ -305,11 +293,10 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     """
     if checked:
         _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
-    e = [basis_vec(alg.dim, i) for i in range(alg.dim)]
-    o = lambda x, y: alg.mul("circ", x, y)
-    rt = _solve_products(B, [[-form_value(B, y, vsub(o(x, z), o(z, x))) for z in e]
-                             for x in e for y in e])
-    lt = _solve_products(B, [[form_value(B, x, o(z, y)) for z in e] for x in e for y in e])
+    c = alg.table("circ")
+    # B(e_a, x o z - z o x) at [x, z, a] and B(e_a, z o y) at [z, y, a]
+    rt = _solve_products(B, -(c - c.permute((1, 0, 2))).contract(2, B).permute((0, 2, 1)))
+    lt = _solve_products(B, c.contract(2, B).permute((2, 1, 0)))
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": alg.table("bracket"), "rtri": rt, "ltri": lt})
 
@@ -318,19 +305,18 @@ def bullet_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     """The second post-Lie product: B(x . y, z) = -B(y, x o z)."""
     if checked:
         _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
-    e = [basis_vec(alg.dim, i) for i in range(alg.dim)]
-    c = _solve_products(B, [[-form_value(B, y, alg.mul("circ", x, z)) for z in e]
-                            for x in e for y in e])
+    # B(e_a, x o z) at [x, z, a]
+    c = _solve_products(B, -alg.table("circ").contract(2, B).permute((0, 2, 1)))
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": alg.table("bracket"), "circ": c})
 
 
-def _solve_products(B: Matrix, rhs) -> Tensor:
-    """The table c with B(e_i * e_j, e_k) = rhs[i n + j][k] for all i, j, k:
+def _solve_products(B: Matrix, rhs: Tensor) -> Tensor:
+    """The table c with B(e_i * e_j, e_k) = rhs[i, j, k] for all i, j, k:
     the columns of the one solution X of B^T X = rhs^T."""
     n = B.rows
     try:
-        sol = B.transpose().solve(Matrix((n * n, n), [s for row in rhs for s in row]).transpose())
+        sol = B.transpose().solve(Matrix((n * n, n), rhs.entries).transpose())
     except SingularMatrixError:
         raise PreconditionError("form is degenerate")
     return Tensor((n, n, n), sol.transpose().entries)
@@ -344,13 +330,8 @@ def pre_pp_from_o_operator(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True
     """Quarter-split structure on V induced by an O-operator T: V -> A."""
     if checked:
         _require(check_o_operator_pp(alg, rep, T), "T is not an O-operator")
-    m = rep.dim
-    out = Algebra(m, alg.field)
-    out = out.op_table_from("se", lambda u, v: rep.act("l_rt", T.apply(u)).apply(v))
-    out = out.op_table_from("ne", lambda u, v: rep.act("r_rt", T.apply(v)).apply(u))
-    out = out.op_table_from("sw", lambda u, v: rep.act("l_lt", T.apply(u)).apply(v))
-    out = out.op_table_from("nw", lambda u, v: rep.act("r_lt", T.apply(v)).apply(u))
-    return out.op_table_from("dot", lambda u, v: rep.act("rho", T.apply(u)).apply(v))
+    # the carriers at T(u), indexed by u in V
+    return _quarter_split(rep.map(lambda c: c.contract(0, T.transpose())), alg.field)
 
 
 def invertible_o_to_compatible_pre_pp(alg: Algebra, rep: PPRepSpec, T: Matrix,
@@ -364,27 +345,27 @@ def invertible_o_to_compatible_pre_pp(alg: Algebra, rep: PPRepSpec, T: Matrix,
         Tinv = T.inverse()
     except SingularMatrixError:
         raise PreconditionError("operator is singular")
-    out = Algebra(alg.dim, alg.field, alg.basis)
-    out = out.op_table_from("se", lambda x, y: T.apply(rep.act("l_rt", x).apply(Tinv.apply(y))))
-    out = out.op_table_from("ne", lambda x, y: T.apply(rep.act("r_rt", y).apply(Tinv.apply(x))))
-    out = out.op_table_from("sw", lambda x, y: T.apply(rep.act("l_lt", x).apply(Tinv.apply(y))))
-    out = out.op_table_from("nw", lambda x, y: T.apply(rep.act("r_lt", y).apply(Tinv.apply(x))))
-    return out.op_table_from("dot", lambda x, y: T.apply(rep.act("rho", x).apply(Tinv.apply(y))))
+    # the carriers conjugated to act on A: x -> T c(x) T^-1
+    conjugated = rep.map(lambda c: c.contract(1, T).contract(2, Tinv.transpose()))
+    return _quarter_split(conjugated, alg.field, alg.basis)
+
+
+def _quarter_split(rep: PPRepSpec, field: str, basis=()) -> Algebra:
+    """The quarter products on V read off a pp representation indexed by V
+    itself: x se y = l_rt(x) y, x ne y = r_rt(y) x, x sw y = l_lt(x) y,
+    x nw y = r_lt(y) x, x . y = rho(x) y (inverse of quarter_split_rep)."""
+    return Algebra(rep.dim, field, basis, {
+        "se": rep.l_rt.permute(LEFT), "ne": rep.r_rt.permute(FROM_RIGHT),
+        "sw": rep.l_lt.permute(LEFT), "nw": rep.r_lt.permute(FROM_RIGHT),
+        "dot": rep.rho.permute(LEFT)})
 
 
 def quarter_split_rep(alg: Algebra) -> PPRepSpec:
     """(A; L_se, R_ne, L_sw, R_nw, L_dot): the representation of the underlying
     pp algebra carried by a quarter-split structure."""
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    return PPRepSpec(
-        n,
-        [alg.left_mult("se", x) for x in e],
-        [alg.right_mult("ne", x) for x in e],
-        [alg.left_mult("sw", x) for x in e],
-        [alg.right_mult("nw", x) for x in e],
-        [alg.left_mult("dot", x) for x in e],
-    )
+    t = alg.table
+    return PPRepSpec(t("se").permute(LEFT), t("ne").permute(RIGHT), t("sw").permute(LEFT),
+                     t("nw").permute(RIGHT), t("dot").permute(LEFT))
 
 
 def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True):
@@ -401,7 +382,5 @@ def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True):
     ahat = semidirect_pp(alg, dual_pp_rep(alg, rep, checked=False), checked=False)
     ahat = dataclasses.replace(
         ahat, basis=tuple(alg.basis) + tuple("v%d*" % (i + 1) for i in range(m)))
-    Tt = T.transpose()
-    r = Matrix.from_rows([(ZERO,) * n + vneg(T.row(i)) for i in range(n)]
-                         + [Tt.row(j) + (ZERO,) * m for j in range(m)])
-    return ahat, r
+    shape = (n + m, n + m)
+    return ahat, (-T).embed(shape, (0, n)) + T.transpose().embed(shape, (n, 0))

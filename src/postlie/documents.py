@@ -189,15 +189,22 @@ def _parse_document(lines) -> Document:
     doc = Document(kind, fieldname, dim, basis)
 
     if kind == "algebra":
-        _parse_algebra_body(lines, doc)
+        _parse_tables(lines, doc, "op", "operation", OPERATION_NAMES, 2)
     elif kind == "coalgebra":
-        _parse_coalgebra_body(lines, doc)
+        _parse_tables(lines, doc, "comap", "comap", COMAP_NAMES, 3)
     else:
         _parse_matrix_body(lines, doc)
     return doc
 
 
-def _parse_algebra_body(lines, doc):
+def _parse_tables(lines, doc, keyword, noun, names, indices):
+    """The '<keyword> <name>' ... 'end' blocks of an algebra (op, two indices
+    and a row of dim scalars per line) or a coalgebra (comap, three indices
+    and one scalar per line), each into an n x n x n Tensor."""
+    n = doc.dim
+    per = n ** (3 - indices)
+    usage = "%s : %s" % (" ".join("kij"[3 - indices:]),
+                         "scalar" if indices == 3 else "%d scalars" % per)
     while True:
         lineno, line = lines.next()
         if line is None:
@@ -206,70 +213,35 @@ def _parse_algebra_body(lines, doc):
             lines.pos -= 1
             return
         parts = line.split()
-        if parts[0] != "op" or len(parts) != 2:
-            raise DocumentError("expected 'op <name>'", lineno)
+        if parts[0] != keyword or len(parts) != 2:
+            raise DocumentError("expected '%s <name>'" % keyword, lineno)
         name = parts[1]
-        if name not in OPERATION_NAMES:
-            raise DocumentError("unknown operation %r" % name, lineno)
-        n = doc.dim
+        if name not in names:
+            raise DocumentError("unknown %s %r" % (noun, name), lineno)
         entries = [ZERO] * n ** 3
         while True:
             lineno, line = lines.next()
             if line is None:
-                raise DocumentError("unterminated op block")
+                raise DocumentError("unterminated %s block" % keyword)
             if line == "end":
                 break
             head, _, tail = line.partition(":")
             idx = head.split()
             vals = tail.split()
-            if len(idx) != 2 or len(vals) != doc.dim:
-                raise DocumentError("expected 'i j : %d scalars'" % doc.dim, lineno)
+            if len(idx) != indices or len(vals) != per:
+                raise DocumentError("expected '%s'" % usage, lineno)
             try:
-                i, j = int(idx[0]) - 1, int(idx[1]) - 1
+                idx = [int(t) - 1 for t in idx]
             except ValueError:
                 raise DocumentError("bad basis index", lineno) from None
-            if not (0 <= i < doc.dim and 0 <= j < doc.dim):
+            if not all(0 <= t < n for t in idx):
                 raise DocumentError("basis index out of range", lineno)
-            start = (i * n + j) * n
-            entries[start:start + n] = [_scal(tok, lineno, doc.field) for tok in vals]
-        doc.ops[name] = Tensor((n, n, n), entries)
-
-
-def _parse_coalgebra_body(lines, doc):
-    while True:
-        lineno, line = lines.next()
-        if line is None:
-            return
-        if line == "endsection":
-            lines.pos -= 1
-            return
-        parts = line.split()
-        if parts[0] != "comap" or len(parts) != 2:
-            raise DocumentError("expected 'comap <name>'", lineno)
-        name = parts[1]
-        if name not in COMAP_NAMES:
-            raise DocumentError("unknown comap %r" % name, lineno)
-        n = doc.dim
-        entries = [ZERO] * n ** 3
-        while True:
-            lineno, line = lines.next()
-            if line is None:
-                raise DocumentError("unterminated comap block")
-            if line == "end":
-                break
-            head, _, tail = line.partition(":")
-            idx = head.split()
-            vals = tail.split()
-            if len(idx) != 3 or len(vals) != 1:
-                raise DocumentError("expected 'k i j : scalar'", lineno)
-            try:
-                k, i, j = (int(t) - 1 for t in idx)
-            except ValueError:
-                raise DocumentError("bad basis index", lineno) from None
-            if not all(0 <= t < doc.dim for t in (k, i, j)):
-                raise DocumentError("basis index out of range", lineno)
-            entries[(k * n + i) * n + j] = _scal(vals[0], lineno, doc.field)
-        doc.comaps[name] = Tensor((n, n, n), entries)
+            start = 0
+            for t in idx:
+                start = start * n + t
+            start *= per
+            entries[start:start + per] = [_scal(tok, lineno, doc.field) for tok in vals]
+        getattr(doc, keyword + "s")[name] = Tensor((n, n, n), entries)
 
 
 def _parse_matrix_body(lines, doc):

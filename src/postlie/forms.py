@@ -1,15 +1,19 @@
 """Bilinear forms, Rota-Baxter operators, representations and O-type operators.
 
 Conventions.  A bilinear form is an n x n Matrix with B[i,j] = B(e_i, e_j).
-A linear map acts on coordinate columns.  Representations are stored
-extensionally: one carrier matrix per algebra basis element, extended
-linearly in the algebra slot.  Dual spaces always use the dual basis, so
-the pairing matrix is the identity and every dualized operator is the
-negated transpose.
+A linear map acts on coordinate columns.  A representation of an
+n-dimensional algebra on an m-dimensional space V holds one carrier
+Tensor per action, of shape (n, m, m): c[i] is the matrix by which e_i
+acts, and x acts by c contracted against x along the first axis.  The
+carriers of left and right multiplication are axis permutations of the
+structure table, L[i, k, j] = R[j, k, i] = c[i, j, k].  Dual spaces always
+use the dual basis, so the pairing matrix is the identity and every
+dualized action is the negated transpose, -c[i, b, a].
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .algebra import (
@@ -23,7 +27,7 @@ from .algebra import (
     check_pp_post_lie,
     sub_adjacent_lie,
 )
-from .linalg import Matrix, basis_vec, vadd, vneg, vscale, vsub
+from .linalg import Matrix, Tensor, basis_vec, vadd, vneg, vscale, vsub
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -161,101 +165,89 @@ def check_rota_baxter_lie(alg: Algebra, P: Matrix, weight: Scalar) -> CheckRepor
 def induced_post_lie(alg: Algebra, P: Matrix) -> Algebra:
     """x o y = [P(x), y] for a weight-one Rota-Baxter operator P."""
     _require(check_rota_baxter_lie(alg, P, ONE), "P is not a weight-one Rota-Baxter operator")
-    out = Algebra(alg.dim, alg.field, alg.basis, {"bracket": alg.table("bracket")})
-    return out.op_table_from("circ", lambda x, y: alg.mul("bracket", P.apply(x), y))
+    br = alg.table("bracket")
+    return Algebra(alg.dim, alg.field, alg.basis,
+                   {"bracket": br, "circ": br.contract(0, P.transpose())})
 
 
 # ---------------------------------------------------------------------------
 # representations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RepSpec:
-    """Post-Lie representation (V; l, r, rho), one carrier matrix per basis element."""
+# axis orders taking a structure table to the carrier of left multiplication,
+# L[i, k, j] = c[i, j, k], and of right multiplication, R[j, k, i] = c[i, j, k];
+# a carrier goes back to a table by LEFT (its own inverse) or FROM_RIGHT
+LEFT, RIGHT, FROM_RIGHT = (0, 2, 1), (1, 2, 0), (2, 0, 1)
 
-    dim: int
-    l: list
-    r: list
-    rho: list
+
+class _Carriers:
+    """Immutable carrier tensors of a representation, all of one shape
+    (source_dim, dim, dim)."""
 
     def __post_init__(self):
-        for mats in (self.l, self.r, self.rho):
-            for m in mats:
-                if m.rows != self.dim or m.cols != self.dim:
-                    raise ValueError("carrier matrix has wrong shape")
+        shape = None
+        for c in self.carriers():
+            if (not isinstance(c, Tensor) or len(c.shape) != 3 or c.shape[1] != c.shape[2]
+                    or shape not in (None, c.shape)):
+                raise ValueError("carriers must be Tensors of one shape (n, m, m)")
+            shape = c.shape
+
+    def carriers(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def map(self, f):
+        """The representation whose carriers are f of these."""
+        return type(self)(*(f(c) for c in self.carriers()))
 
     @property
-    def source_dim(self):
-        return len(self.l)
+    def dim(self) -> int:
+        return self.rho.shape[1]
+
+    @property
+    def source_dim(self) -> int:
+        return self.rho.shape[0]
 
     def act(self, which: str, x) -> Matrix:
-        return _combine(getattr(self, which), x, self.dim)
+        return getattr(self, which).contract(0, x)
 
 
-@dataclass
-class PPRepSpec:
+@dataclass(frozen=True)
+class RepSpec(_Carriers):
+    """Post-Lie representation (V; l, r, rho)."""
+
+    l: Tensor
+    r: Tensor
+    rho: Tensor
+
+
+@dataclass(frozen=True)
+class PPRepSpec(_Carriers):
     """pp-post-Lie representation (V; l_rt, r_rt, l_lt, r_lt, rho)."""
 
-    dim: int
-    l_rt: list
-    r_rt: list
-    l_lt: list
-    r_lt: list
-    rho: list
-
-    def __post_init__(self):
-        for mats in (self.l_rt, self.r_rt, self.l_lt, self.r_lt, self.rho):
-            for m in mats:
-                if m.rows != self.dim or m.cols != self.dim:
-                    raise ValueError("carrier matrix has wrong shape")
-
-    def act(self, which: str, x) -> Matrix:
-        return _combine(getattr(self, which), x, self.dim)
+    l_rt: Tensor
+    r_rt: Tensor
+    l_lt: Tensor
+    r_lt: Tensor
+    rho: Tensor
 
 
-def _combine(mats, x, dim) -> Matrix:
-    """Linear combination of carrier matrices; shared result for basis x."""
-    live = [(i, xi) for i, xi in enumerate(x) if xi]
-    if len(live) == 1:
-        xi = live[0][1]
-        if xi.a == 1 and xi.b == 0 and xi.d == 1:
-            return mats[live[0][0]]
-    out = Matrix.zero(dim, dim)
-    for i, xi in live:
-        out = out + mats[i].scale(xi)
-    return out
-
-
-def dual_map(mats) -> list:
+def dual_map(carrier: Tensor) -> Tensor:
     """Dual action on V* under the standard pairing: each matrix to -M^T."""
-    return [m.dual() for m in mats]
+    return -carrier.permute((0, 2, 1))
 
 
 def adjoint_rep(alg: Algebra) -> RepSpec:
     """(A; L_circ, R_circ, ad) on the algebra itself."""
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    return RepSpec(
-        n,
-        [alg.left_mult("circ", x) for x in e],
-        [alg.right_mult("circ", x) for x in e],
-        [alg.left_mult("bracket", x) for x in e],
-    )
+    c = alg.table("circ")
+    return RepSpec(c.permute(LEFT), c.permute(RIGHT), alg.table("bracket").permute(LEFT))
 
 
 def pp_split_dual_rep(alg: Algebra) -> RepSpec:
     """(A*; L_rt* - R_lt*, -R_lt*, ad*): the dual-space representation that
     characterises a pp splitting of the horizontal post-Lie product."""
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    lmats, rmats, rhomats = [], [], []
-    for x in e:
-        lrt = alg.left_mult("rtri", x)
-        rlt = alg.right_mult("ltri", x)
-        lmats.append(lrt.dual() - rlt.dual())
-        rmats.append(-rlt.dual())
-        rhomats.append(alg.left_mult("bracket", x).dual())
-    return RepSpec(n, lmats, rmats, rhomats)
+    lrt = dual_map(alg.table("rtri").permute(LEFT))
+    rlt = dual_map(alg.table("ltri").permute(RIGHT))
+    return RepSpec(lrt - rlt, -rlt, dual_map(alg.table("bracket").permute(LEFT)))
 
 
 def check_post_lie_rep(alg: Algebra, rep: RepSpec, checked=True) -> CheckReport:
@@ -282,16 +274,9 @@ def check_post_lie_rep(alg: Algebra, rep: RepSpec, checked=True) -> CheckReport:
 
 def pp_adjoint_rep(alg: Algebra) -> PPRepSpec:
     """(A; L_rt, R_rt, L_lt, R_lt, ad) on the pp algebra itself."""
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    return PPRepSpec(
-        n,
-        [alg.left_mult("rtri", x) for x in e],
-        [alg.right_mult("rtri", x) for x in e],
-        [alg.left_mult("ltri", x) for x in e],
-        [alg.right_mult("ltri", x) for x in e],
-        [alg.left_mult("bracket", x) for x in e],
-    )
+    rt, lt = alg.table("rtri"), alg.table("ltri")
+    return PPRepSpec(rt.permute(LEFT), rt.permute(RIGHT), lt.permute(LEFT), lt.permute(RIGHT),
+                     alg.table("bracket").permute(LEFT))
 
 
 def dual_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> PPRepSpec:
@@ -301,19 +286,8 @@ def dual_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> PPRepSpec:
     """
     if checked:
         _require(check_pp_rep(alg, rep), "not a pp representation")
-    n = len(rep.l_rt)
-    l_rt, r_rt, l_lt, r_lt, rho = [], [], [], [], []
-    for i in range(n):
-        a = rep.l_rt[i].dual()
-        b = rep.r_rt[i].dual()
-        c = rep.l_lt[i].dual()
-        d = rep.r_lt[i].dual()
-        l_rt.append(a - b + c - d)
-        r_rt.append(b)
-        l_lt.append(b - c)
-        r_lt.append(-(b + d))
-        rho.append(rep.rho[i].dual())
-    return PPRepSpec(rep.dim, l_rt, r_rt, l_lt, r_lt, rho)
+    a, b, c, d, rho = rep.map(dual_map).carriers()
+    return PPRepSpec(a - b + c - d, b, b - c, -(b + d), rho)
 
 
 def pp_coadjoint_rep(alg: Algebra) -> PPRepSpec:
@@ -391,11 +365,6 @@ def check_o_operator_pp(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True) -
     return _sweep("o-operator", [((m, m), body)])
 
 
-def _dual_act(rep: RepSpec, which: str, a) -> Matrix:
-    """Matrix of the dualized action of a in A on V* (dual basis)."""
-    return rep.act(which, a).dual()
-
-
 def check_dual_p_o_operator(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> CheckReport:
     """T: V* -> A compatible with circ via (l* - r*) and with the bracket via rho*."""
     if checked:
@@ -404,15 +373,16 @@ def check_dual_p_o_operator(alg: Algebra, rep: RepSpec, T: Matrix, checked=True)
     _require_shape(T, alg.dim, m, "operator")
     e = [basis_vec(m, i) for i in range(m)]
     t = [T.apply(u) for u in e]
+    star = rep.map(dual_map)
 
     def body(i, j):
         u, v, tu, tv = e[i], e[j], t[i], t[j]
         yield ("dpo.1", alg.mul("circ", tu, tv),
-               T.apply(vsub((_dual_act(rep, "l", tu) - _dual_act(rep, "r", tu)).apply(v),
-                            _dual_act(rep, "r", tv).apply(u))))
+               T.apply(vsub((star.act("l", tu) - star.act("r", tu)).apply(v),
+                            star.act("r", tv).apply(u))))
         br = alg.mul("bracket", tu, tv)
-        yield "dpo.2a", br, T.apply(_dual_act(rep, "rho", tu).apply(v))
-        yield "dpo.2b", br, vneg(T.apply(_dual_act(rep, "rho", tv).apply(u)))
+        yield "dpo.2a", br, T.apply(star.act("rho", tu).apply(v))
+        yield "dpo.2b", br, vneg(T.apply(star.act("rho", tv).apply(u)))
     return _sweep("dual-p-o-operator", [((m, m), body)])
 
 
@@ -424,24 +394,25 @@ def check_strong(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> CheckRe
     _require_shape(T, alg.dim, m, "operator")
     e = [basis_vec(m, i) for i in range(m)]
     t = [T.apply(u) for u in e]
+    star = rep.map(dual_map)
     zero = (ZERO,) * m
 
     def pairs(i, j):
         u, v, tu, tv = e[i], e[j], t[i], t[j]
-        yield ("strong.1", _dual_act(rep, "rho", tu).apply(v),
-               vneg(_dual_act(rep, "rho", tv).apply(u)))
+        yield ("strong.1", star.act("rho", tu).apply(v),
+               vneg(star.act("rho", tv).apply(u)))
 
     def triples(i, j, k):
         u, v, w, tu, tv, tw = e[i], e[j], e[k], t[i], t[j], t[k]
-        yield ("strong.2a", _dual_act(rep, "rho", tu).apply(vadd(
-            _dual_act(rep, "r", tv).apply(w), _dual_act(rep, "r", tw).apply(v))), zero)
+        yield ("strong.2a", star.act("rho", tu).apply(vadd(
+            star.act("r", tv).apply(w), star.act("r", tw).apply(v))), zero)
         yield ("strong.2b", vadd(
-            _dual_act(rep, "r", alg.mul("bracket", tu, tw)).apply(v),
-            _dual_act(rep, "r", tv).apply(_dual_act(rep, "rho", tu).apply(w))), zero)
+            star.act("r", alg.mul("bracket", tu, tw)).apply(v),
+            star.act("r", tv).apply(star.act("rho", tu).apply(w))), zero)
         yield ("strong.3", vadd(
-            _dual_act(rep, "rho", alg.mul("bracket", tu, tv)).apply(w),
-            _dual_act(rep, "rho", alg.mul("bracket", tv, tw)).apply(u),
-            _dual_act(rep, "rho", alg.mul("bracket", tw, tu)).apply(v)), zero)
+            star.act("rho", alg.mul("bracket", tu, tv)).apply(w),
+            star.act("rho", alg.mul("bracket", tv, tw)).apply(u),
+            star.act("rho", alg.mul("bracket", tw, tu)).apply(v)), zero)
     return _sweep("strong", [((m, m), pairs), ((m, m, m), triples)])
 
 
@@ -449,17 +420,8 @@ def pp_from_dual_p_o(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> Alg
     """pp-post-Lie structure on V* induced by a strong dual p-O-operator."""
     if checked:
         _require(check_strong(alg, rep, T), "dual p-O-operator is not strong")
-    m = rep.dim
-    out = Algebra(m, alg.field)
-    out = out.op_table_from(
-        "rtri",
-        lambda u, v: (_dual_act(rep, "l", T.apply(u)) - _dual_act(rep, "r", T.apply(u))).apply(v),
-    )
-    out = out.op_table_from(
-        "ltri",
-        lambda u, v: vneg(_dual_act(rep, "r", T.apply(v)).apply(u)),
-    )
-    return out.op_table_from(
-        "bracket",
-        lambda u, v: _dual_act(rep, "rho", T.apply(u)).apply(v),
-    )
+    # the dual carriers at T(u), indexed by u in V*
+    l, r, rho = rep.map(lambda c: dual_map(c).contract(0, T.transpose())).carriers()
+    return Algebra(rep.dim, alg.field, ops={"rtri": (l - r).permute(LEFT),
+                                            "ltri": -r.permute(FROM_RIGHT),
+                                            "bracket": rho.permute(LEFT)})

@@ -4,12 +4,17 @@ Vectors are tuples of Scalar.  Everything else -- matrices, forms,
 operators, 2-tensors, structure tables and comultiplication tables -- is
 one immutable Tensor: a shape and a tuple of its entries in row-major
 order.  Two operations do the index work: contraction of one axis against
-a matrix or a vector, and axis permutation.  Everything here is exact:
+a matrix or a vector, and axis permutation; embed places a tensor as a
+block inside a zero tensor of a larger shape.  Everything here is exact:
 solving and determinants use rational Gaussian elimination and report
 singularity precisely.
 """
 
 from __future__ import annotations
+
+import itertools
+from functools import reduce
+from operator import add
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -57,7 +62,8 @@ def vadd(*vs) -> tuple:
     for v in vs:
         if len(v) != n:
             raise LinAlgError("vector length mismatch")
-    return tuple(sum(v[k] for v in vs) for k in range(n))
+    # each coordinate folds from the first vector's, never from the int 0
+    return tuple(reduce(add, column) for column in zip(*vs))
 
 
 def vsub(a, b) -> tuple:
@@ -72,6 +78,17 @@ def vneg(a) -> tuple:
 
 def vscale(c: Scalar, a) -> tuple:
     return tuple(c * x for x in a)
+
+
+def _basis_index(x):
+    """Index i if x is exactly the i-th standard basis vector, else None."""
+    idx = None
+    for i, xi in enumerate(x):
+        if xi:
+            if idx is not None or xi.a != 1 or xi.b != 0 or xi.d != 1:
+                return None
+            idx = i
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +192,19 @@ class Tensor:
         Against a p x s matrix M the axis (of length s) becomes one of length p,
             out[.., a, ..] = sum_b M[a, b] self[.., b, ..];
         against a vector v of length s it is summed away,
-            out[.., ..] = sum_b v[b] self[.., b, ..].
-        A result with one axis is returned as a vector (a tuple).
+            out[.., ..] = sum_b v[b] self[.., b, ..],
+        which for the first axis and a standard basis vector e_b is the
+        slice self[b].  A result with one axis is returned as a vector (a
+        tuple).
         """
         shape = self.shape
         s = shape[axis]
+        if axis == 0 and not isinstance(other, Tensor) and len(other) == s:
+            b = _basis_index(other)
+            if b is not None:
+                inner = _size(shape[1:])
+                out = self.entries[b * inner:(b + 1) * inner]
+                return out if len(shape) == 2 else _tensor(shape[1:], out)
         # (b, [(a, weight)]) for each index b of the axis with a nonzero weight
         if isinstance(other, Tensor):
             p, cols = other.shape
@@ -229,6 +254,27 @@ class Tensor:
             offsets = [o + i * step for o in offsets for i in range(shape[a])]
         ent = self.entries
         return _tensor(tuple(shape[a] for a in axes), tuple(ent[o] for o in offsets))
+
+    def embed(self, shape, offset) -> "Tensor":
+        """This tensor as the block at index offset of a zero tensor of the
+        given shape: out[offset + idx] = self[idx], zero elsewhere."""
+        shape, offset = tuple(shape), tuple(offset)
+        if (len(shape) != len(self.shape) or len(offset) != len(shape)
+                or any(o < 0 or o + n > m for o, n, m in zip(offset, self.shape, shape))):
+            raise LinAlgError("cannot place a %s tensor at %r in a %s tensor"
+                              % ("x".join(map(str, self.shape)), offset,
+                                 "x".join(map(str, shape))))
+        out = [ZERO] * _size(shape)
+        run = self.shape[-1] if shape else 1
+        src = 0
+        # one run of entries along the last axis per index of the others
+        for idx in itertools.product(*(range(n) for n in self.shape[:-1])):
+            dst = 0
+            for i, o, m in zip(idx + (0,), offset, shape):
+                dst = dst * m + i + o
+            out[dst:dst + run] = self.entries[src:src + run]
+            src += run
+        return _tensor(shape, tuple(out))
 
     # -- algebra -----------------------------------------------------------
 
@@ -298,28 +344,39 @@ class Tensor:
         n = self.cols
         return [list(self.entries[i * n:(i + 1) * n]) for i in range(self.rows)]
 
+    def _forward(self):
+        """Forward Gaussian elimination on local row lists: the echelon rows,
+        the pivot columns and the number of row swaps."""
+        work = self._row_lists()
+        pivots, swaps = [], 0
+        for col in range(self.cols):
+            rank = len(pivots)
+            pivot = next((r for r in range(rank, self.rows) if work[r][col]), None)
+            if pivot is None:
+                continue
+            if pivot != rank:
+                work[rank], work[pivot] = work[pivot], work[rank]
+                swaps += 1
+            prow = work[rank]
+            p = prow[col]
+            for row in work[rank + 1:]:
+                f = row[col] / p
+                if f:
+                    for j in range(col, self.cols):
+                        row[j] = row[j] - f * prow[j]
+            pivots.append(col)
+        return work, pivots, swaps
+
     def det(self) -> Scalar:
         """Exact determinant by rational Gaussian elimination."""
         if self.rows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
-        n = self.rows
-        work = self._row_lists()
-        det = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return ZERO
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            prow = work[col]
-            p = prow[col]
-            det = det * p
-            for row in work[col + 1:]:
-                f = row[col] / p
-                if f:
-                    for j in range(col, n):
-                        row[j] = row[j] - f * prow[j]
+        work, pivots, swaps = self._forward()
+        if len(pivots) < self.rows:
+            return ZERO
+        det = -ONE if swaps % 2 else ONE
+        for i, row in enumerate(work):
+            det = det * row[i]
         return det
 
     def solve(self, rhs: "Tensor") -> "Tensor":
@@ -358,22 +415,7 @@ class Tensor:
         return self.solve(Tensor.identity(self.rows))
 
     def rank(self) -> int:
-        work = self._row_lists()
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if work[r][col]), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            prow = work[rank]
-            p = prow[col]
-            for row in work[rank + 1:]:
-                f = row[col] / p
-                if f:
-                    for j in range(col, self.cols):
-                        row[j] = row[j] - f * prow[j]
-            rank += 1
-        return rank
+        return len(self._forward()[1])
 
     def kron(self, other: "Tensor") -> "Tensor":
         """Kronecker product, row-major convention: (A kron B)(u ox v) = Au ox Bv."""

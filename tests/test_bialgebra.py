@@ -272,8 +272,8 @@ def test_cobrackets_corpus(ahat_pp, r6, final_cobrackets):
 
 def test_cobrackets_vanish_on_central_elements(sl2_pp):
     # extend by a central, product-trivial direction and check its comaps
-    z = [Matrix.zero(1, 1) for _ in range(3)]
-    rep = PPRepSpec(1, list(z), list(z), list(z), list(z), list(z))
+    z = Tensor.zero(3, 1, 1)
+    rep = PPRepSpec(z, z, z, z, z)
     ext = semidirect_pp(sl2_pp, rep, checked=False)
     rng = random.Random(12)
     r = Matrix.from_rows([[Scalar(Fraction(rng.randint(-2, 2), 1)) for _ in range(4)]
@@ -326,17 +326,18 @@ def test_efg_matrix_convention(sl2_pp):
     # the documented n^2 x n^2 operator matrices agree with the sandwich
     # implementation on vectorised tensors
     from postlie.bialgebra import _e_apply, _f_apply, _g_apply, _left_ops
+    adj = pp_adjoint_rep(sl2_pp)
     rng = random.Random(13)
     n = 3
     r = Matrix.from_rows([[Scalar(Fraction(rng.randint(-3, 3), 1), Fraction(rng.randint(-1, 1)))
                            for _ in range(n)] for _ in range(n)])
     for k in range(n):
         x = basis_vec(n, k)
-        rt, diamond, circ, bullet, ad = _left_ops(sl2_pp, x)
+        rt, diamond, circ, bullet, ad = _left_ops(adj, x)
         for big, small in (
-            (op_matrix_2tensor(rt, diamond), _e_apply(sl2_pp, x, r)),
-            (op_matrix_2tensor(circ, bullet), _f_apply(sl2_pp, x, r)),
-            (op_matrix_2tensor(ad, ad), _g_apply(sl2_pp, x, r)),
+            (op_matrix_2tensor(rt, diamond), _e_apply(adj, x, r)),
+            (op_matrix_2tensor(circ, bullet), _f_apply(adj, x, r)),
+            (op_matrix_2tensor(ad, ad), _g_apply(adj, x, r)),
         ):
             vec = tuple(r.entries)
             out = big.apply(vec)

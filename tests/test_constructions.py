@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from postlie import (
@@ -43,14 +45,19 @@ from postlie.forms import PPRepSpec, RepSpec
 
 
 def _zero_rep(n, m):
-    z = [Matrix.zero(m, m) for _ in range(n)]
-    return RepSpec(m, list(z), list(z), list(z))
+    z = Tensor.zero(n, m, m)
+    return RepSpec(z, z, z)
 
 
-def _zero_pp_rep(n, m, rho=None):
-    z = [Matrix.zero(m, m) for _ in range(n)]
-    return PPRepSpec(m, list(z), list(z), list(z), list(z),
-                     rho if rho is not None else list(z))
+def _zero_pp_rep(n, m):
+    z = Tensor.zero(n, m, m)
+    return PPRepSpec(z, z, z, z, z)
+
+
+def _bumped(carrier, k):
+    """The carrier with the identity added to its k-th matrix."""
+    m = carrier.shape[1]
+    return carrier + Tensor((1, m, m), Matrix.identity(m).entries).embed(carrier.shape, (k, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +91,9 @@ def test_semidirect_adjoint(sl2_postlie):
 
 def test_semidirect_rejects_bad_rep(sl2_postlie):
     rep = adjoint_rep(sl2_postlie)
-    rep.rho[0] = rep.rho[0] + Matrix.identity(3)
+    rep = dataclasses.replace(rep, rho=_bumped(rep.rho, 0))
+    assert rep.act("rho", basis_vec(3, 0)) == adjoint_rep(sl2_postlie).act(
+        "rho", basis_vec(3, 0)) + Matrix.identity(3)
     with pytest.raises(PreconditionError):
         semidirect_post_lie(sl2_postlie, rep)
 
@@ -115,18 +124,21 @@ def test_semidirect_pp_zero_rep(sl2_pp):
 def test_matched_pair_with_point(sl2_postlie):
     empty = Tensor.zero(0, 0, 0)
     b = Algebra(0, ops={"circ": empty, "bracket": empty})
-    maps = coadjoint_matched_pair_maps(
+    # actions of A on the 0-dim carrier are empty matrices, and the point
+    # has no basis element to act on A with
+    from postlie import MatchedPairMaps
+    maps = MatchedPairMaps(_zero_rep(3, 0), _zero_rep(0, 3))
+    rep = check_matched_pair(sl2_postlie, b, maps)
+    assert rep.passed
+    # the coadjoint actions of the point act on its own 0-dim dual, not on A
+    coadjoint = coadjoint_matched_pair_maps(
         Algebra(3, ops={"rtri": sl2_postlie.table("circ"),
                         "ltri": Tensor.zero(3, 3, 3),
                         "bracket": sl2_postlie.table("bracket")}),
         Algebra(0, ops={"rtri": empty, "ltri": empty, "bracket": empty}),
     )
-    # actions of A on the 0-dim carrier are empty matrices
-    maps.l_a = [Matrix.zero(0, 0) for _ in range(3)]
-    maps.r_a = [Matrix.zero(0, 0) for _ in range(3)]
-    maps.rho_a = [Matrix.zero(0, 0) for _ in range(3)]
-    rep = check_matched_pair(sl2_postlie, b, maps)
-    assert rep.passed
+    with pytest.raises(ValueError):
+        check_matched_pair(sl2_postlie, b, dataclasses.replace(coadjoint, on_b=maps.on_b))
 
 
 def test_matched_pair_corpus_instance(ahat_pp, final_cobrackets):
@@ -142,18 +154,34 @@ def test_matched_pair_perturbed_fails(ahat_pp, final_cobrackets):
     ha = horizontal_post_lie(ahat_pp, checked=False)
     hb = horizontal_post_lie(dual_pp, checked=False)
     maps = coadjoint_matched_pair_maps(ahat_pp, dual_pp)
-    maps.l_a[0] = maps.l_a[0] + Matrix.identity(6)
+    bumped = dataclasses.replace(maps.on_b, l=_bumped(maps.on_b.l, 0))
+    maps = dataclasses.replace(maps, on_b=bumped)
     rep = check_matched_pair(ha, hb, maps)
     assert not rep.passed
     assert rep.violations
 
 
+def test_representation_carriers_cannot_be_changed(sl2_postlie, sl2_pp, ahat_pp,
+                                                   final_cobrackets):
+    maps = coadjoint_matched_pair_maps(ahat_pp, dualize(final_cobrackets))
+    for rep in (adjoint_rep(sl2_postlie), pp_adjoint_rep(sl2_pp), maps.on_b, maps.on_a):
+        for field in dataclasses.fields(rep):
+            carrier = getattr(rep, field.name)
+            with pytest.raises(TypeError):
+                carrier[0, 0, 0] = sc(1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, field.name, carrier)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        maps.on_b = maps.on_a
+    with pytest.raises(ValueError):
+        RepSpec([Matrix.zero(2, 2)] * 3, [Matrix.zero(2, 2)] * 3, [Matrix.zero(2, 2)] * 3)
+    with pytest.raises(ValueError):
+        RepSpec(Tensor.zero(3, 2, 2), Tensor.zero(3, 2, 2), Tensor.zero(2, 2, 2))
+
+
 def test_bowtie_zero_actions(sl2_postlie):
-    n = 3
-    zero3 = [Matrix.zero(n, n) for _ in range(n)]
     from postlie import MatchedPairMaps
-    maps = MatchedPairMaps(list(zero3), list(zero3), list(zero3),
-                           list(zero3), list(zero3), list(zero3))
+    maps = MatchedPairMaps(_zero_rep(3, 3), _zero_rep(3, 3))
     abelian = Algebra(3, ops={"circ": Tensor.zero(3, 3, 3), "bracket": Tensor.zero(3, 3, 3)})
     out = bowtie(sl2_postlie, abelian, maps)
     assert check_post_lie(out).passed

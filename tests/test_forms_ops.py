@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from postlie import (
@@ -36,6 +38,11 @@ from postlie.construct import quarter_split_rep
 from postlie.forms import PPRepSpec, RepSpec
 
 E1, E2, E3 = (basis_vec(3, i) for i in range(3))
+
+
+def _ad(alg):
+    """The carrier of ad: ad[i, k, j] = c[i, j, k] for the bracket table c."""
+    return alg.table("bracket").permute((0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +161,24 @@ def test_induced_post_lie_precondition(sl2_lie):
 # ---------------------------------------------------------------------------
 
 def test_dual_map_identity():
-    mats = [Matrix.identity(3)]
-    assert dual_map(mats)[0] == -Matrix.identity(3)
+    carrier = Tensor((1, 3, 3), Matrix.identity(3).entries)
+    assert dual_map(carrier) == -carrier
 
 
 def test_dual_map_involution(sl2_lie):
-    ad = [sl2_lie.left_mult("bracket", basis_vec(3, i)) for i in range(3)]
+    ad = _ad(sl2_lie)
     assert dual_map(dual_map(ad)) == ad
 
 
 def test_dual_map_entrywise(sl2_lie):
-    ad1 = sl2_lie.left_mult("bracket", E1)
-    dual = dual_map([ad1])[0]
-    for i in range(3):
-        for j in range(3):
-            assert dual[i, j] == -ad1[j, i]
+    ad = _ad(sl2_lie)
+    dual = dual_map(ad)
+    for k in range(3):
+        for i in range(3):
+            for j in range(3):
+                assert dual[k, i, j] == -ad[k, j, i]
+                # ad(e_k) e_j = [e_k, e_j]
+                assert ad[k, i, j] == sl2_lie.mul("bracket", basis_vec(3, k), basis_vec(3, j))[i]
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +190,9 @@ def test_adjoint_rep(sl2_postlie):
 
 
 def test_zero_rep(sl2_postlie):
-    z = [Matrix.zero(2, 2) for _ in range(3)]
-    rep = RepSpec(2, list(z), list(z), list(z))
+    z = Tensor.zero(3, 2, 2)
+    rep = RepSpec(z, z, z)
+    assert rep.dim == 2 and rep.source_dim == 3
     assert check_post_lie_rep(sl2_postlie, rep).passed
 
 
@@ -193,7 +204,9 @@ def test_split_dual_rep(sl2_pp, sl2_postlie):
 def test_broken_rep_fails(sl2_postlie):
     # [e2,e3] = e1, so shifting rho(e1) breaks the Lie representation law
     rep = adjoint_rep(sl2_postlie)
-    rep.rho[0] = rep.rho[0] + Matrix.identity(3)
+    eye = Tensor((1, 3, 3), Matrix.identity(3).entries).embed((3, 3, 3), (0, 0, 0))
+    rep = dataclasses.replace(rep, rho=rep.rho + eye)
+    assert rep.act("rho", E1) == adjoint_rep(sl2_postlie).act("rho", E1) + Matrix.identity(3)
     report = check_post_lie_rep(sl2_postlie, rep)
     assert not report.passed
     assert any(v.identity == "rep.lie" for v in report.violations)
@@ -210,9 +223,8 @@ def test_pp_adjoint_rep(sl2_pp):
 def test_pp_rep_zero_actions(sl2_lie):
     alg = Algebra(3, ops={"rtri": Tensor.zero(3, 3, 3), "ltri": Tensor.zero(3, 3, 3),
                           "bracket": sl2_lie.table("bracket")})
-    z = [Matrix.zero(3, 3) for _ in range(3)]
-    ad = [sl2_lie.left_mult("bracket", basis_vec(3, i)) for i in range(3)]
-    rep = PPRepSpec(3, list(z), list(z), list(z), list(z), ad)
+    z = Tensor.zero(3, 3, 3)
+    rep = PPRepSpec(z, z, z, z, _ad(sl2_lie))
     assert check_pp_rep(alg, rep).passed
 
 
@@ -225,28 +237,32 @@ def test_coadjoint_formula_entrywise(sl2_pp):
     # the dualized adjoint representation must match the closed form
     # (L_diamond*, R_rt*, R_bullet*, -R_circ*, ad*)
     co = pp_coadjoint_rep(sl2_pp)
+    e = [basis_vec(3, i) for i in range(3)]
+
+    def mult(op, k, left):
+        """The matrix of v -> e_k * v (left) or v -> v * e_k, column by column."""
+        cols = [sl2_pp.mul(op, e[k], v) if left else sl2_pp.mul(op, v, e[k]) for v in e]
+        return Matrix.from_rows(zip(*cols))
+
     for k in range(3):
-        x = basis_vec(3, k)
-        lrt = sl2_pp.left_mult("rtri", x)
-        llt = sl2_pp.left_mult("ltri", x)
-        rrt = sl2_pp.right_mult("rtri", x)
-        rlt = sl2_pp.right_mult("ltri", x)
+        lrt, llt = mult("rtri", k, True), mult("ltri", k, True)
+        rrt, rlt = mult("rtri", k, False), mult("ltri", k, False)
         diamond = llt + lrt - rlt - rrt
         bullet_right = rrt - llt
         circ_right = rrt + rlt
-        assert co.l_rt[k] == diamond.dual()
-        assert co.r_rt[k] == rrt.dual()
-        assert co.l_lt[k] == bullet_right.dual()
-        assert co.r_lt[k] == -(circ_right.dual())
-        assert co.rho[k] == sl2_pp.left_mult("bracket", x).dual()
+        assert co.act("l_rt", e[k]) == diamond.dual()
+        assert co.act("r_rt", e[k]) == rrt.dual()
+        assert co.act("l_lt", e[k]) == bullet_right.dual()
+        assert co.act("r_lt", e[k]) == -(circ_right.dual())
+        assert co.act("rho", e[k]) == mult("bracket", k, True).dual()
 
 
 def test_dual_pp_rep_zero(sl2_lie):
     alg = Algebra(3, ops={"rtri": Tensor.zero(3, 3, 3), "ltri": Tensor.zero(3, 3, 3),
                           "bracket": sl2_lie.table("bracket")})
-    z = [Matrix.zero(3, 3) for _ in range(3)]
-    ad = [sl2_lie.left_mult("bracket", basis_vec(3, i)) for i in range(3)]
-    rep = PPRepSpec(3, list(z), list(z), list(z), list(z), ad)
+    z = Tensor.zero(3, 3, 3)
+    ad = _ad(sl2_lie)
+    rep = PPRepSpec(z, z, z, z, ad)
     dual = dual_pp_rep(alg, rep)
     assert dual.l_rt == z and dual.r_rt == z and dual.l_lt == z and dual.r_lt == z
     assert dual.rho == dual_map(ad)

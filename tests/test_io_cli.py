@@ -5,6 +5,7 @@ from postlie import (
     ONE,
     Document,
     DocumentError,
+    Tensor,
     corpus_doc,
     corpus_text,
     dumps,
@@ -104,6 +105,45 @@ def test_parse_errors(text, fragment):
     with pytest.raises(DocumentError) as err:
         loads(text)
     assert fragment in str(err.value)
+
+
+_AB = "field Q\ndim 2\nbasis a b\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("kind algebra\nfield Q\ndim 1\nbasis e\nop circ\n1 : 0\nend\n",
+     "line 6: expected 'i j : 1 scalars'"),
+    ("kind algebra\n" + _AB + "op circ\n1 1 : 0\nend\n", "line 6: expected 'i j : 2 scalars'"),
+    ("kind algebra\n" + _AB + "op circ\n1 x : 0 0\nend\n", "line 6: bad basis index"),
+    ("kind algebra\n" + _AB + "op circ\n1 3 : 0 0\nend\n", "line 6: basis index out of range"),
+    ("kind algebra\n" + _AB + "op circ\n1 1 : 0 0\n", "unterminated op block"),
+    ("kind algebra\n" + _AB + "comap Delta\nend\n", "line 5: expected 'op <name>'"),
+    ("kind algebra\n" + _AB + "op Delta\nend\n", "line 5: unknown operation 'Delta'"),
+    ("kind coalgebra\n" + _AB + "comap Delta\n1 1 : 0\nend\n",
+     "line 6: expected 'k i j : scalar'"),
+    ("kind coalgebra\n" + _AB + "comap Delta\n1 1 1 : 0 0\nend\n",
+     "line 6: expected 'k i j : scalar'"),
+    ("kind coalgebra\n" + _AB + "comap Delta\n1 1 y : 0\nend\n", "line 6: bad basis index"),
+    ("kind coalgebra\n" + _AB + "comap Delta\n1 1 3 : 0\nend\n",
+     "line 6: basis index out of range"),
+    ("kind coalgebra\n" + _AB + "comap Delta\n1 1 1 : 0\n", "unterminated comap block"),
+    ("kind coalgebra\n" + _AB + "comap circ\nend\n", "line 5: unknown comap 'circ'"),
+    ("kind coalgebra\n" + _AB + "op circ\nend\n", "line 5: expected 'comap <name>'"),
+    ("kind coalgebra\n" + _AB + "comap Delta\n1 1 1 : 1/0\nend\n",
+     "line 6: zero denominator in '1/0'"),
+])
+def test_table_block_errors_are_exact(text, message):
+    # op and comap blocks share one reader; each message keeps its wording
+    with pytest.raises(DocumentError) as err:
+        loads(text)
+    assert str(err.value) == message
+
+
+def test_table_blocks_fill_their_entries():
+    alg = loads("kind algebra\n" + _AB + "op circ\n2 1 : 3 4\nend\n").to_algebra()
+    assert alg.table("circ") == Tensor((2, 2, 2), [0, 0, 0, 0, 3, 4, 0, 0])
+    co = loads("kind coalgebra\n" + _AB + "comap Delta\n2 1 2 : 5\nend\n").to_coalgebra()
+    assert co.table("Delta") == Tensor((2, 2, 2), [0, 0, 0, 0, 0, 5, 0, 0])
 
 
 def test_comments_and_blank_lines():
@@ -237,6 +277,9 @@ def test_cli_check_usage_errors(corpus_on_disk, capsys):
     (("check", "gph", "sl2_postlie", "r6"), "form is 6x6, expected 3x3"),
     (("check", "rb", "sl2_lie", "r6"), "operator is 6x6, expected 3x3"),
     (("derive", "cobrackets-from-r", "sl2_pp", "t2"), "tensor is 2x2, expected 3x3"),
+    (("check", "matched-pair", "sl2_pp", "ahat_pp"), "carrier matrix has wrong shape"),
+    (("check", "matched-pair", "ahat_pp", "sl2_pp"), "carrier matrix has wrong shape"),
+    (("derive", "bowtie", "sl2_pp", "ahat_pp"), "carrier matrix has wrong shape"),
 ])
 def test_cli_size_mismatch_exit_2(corpus_on_disk, capsys, argv, message):
     (corpus_on_disk / "t2.txt").write_text(
@@ -246,6 +289,17 @@ def test_cli_size_mismatch_exit_2(corpus_on_disk, capsys, argv, message):
                           *(str(corpus_on_disk / (n + ".txt")) for n in names))
     assert code == 2
     assert err == "error: %s\n" % message
+
+
+def test_cli_quarter_rep_needs_quarter_ops_in_every_dimension(tmp_path, capsys):
+    # the quarter tables are read whatever the dimension, so a 0-dimensional
+    # algebra without them is refused like any other
+    zero = tmp_path / "zero.txt"
+    zero.write_text("kind algebra\nfield Q\ndim 0\nbasis\n")
+    for argv in (("check", "pp-rep"), ("derive", "semidirect-pp")):
+        code, out, err = _run(capsys, *argv, str(zero), "--rep", "quarter")
+        assert code == 2
+        assert err == "error: 'se'\n"
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):

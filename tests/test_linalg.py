@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+
 
 from postlie import (
     LinAlgError,
@@ -13,6 +15,7 @@ from postlie import (
     vadd,
     vsub,
 )
+from postlie.linalg import vec
 
 
 def _cofactor_det(m: Matrix) -> Scalar:
@@ -72,6 +75,40 @@ def test_det_matches_cofactor_oracle_random():
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 4))
         assert m.det() == _cofactor_det(m)
+
+
+def test_rank_matches_minor_oracle_random():
+    # rank = the size of the largest nonzero minor; rows are made dependent
+    # by repeating combinations of earlier rows
+    rng = random.Random(6)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = _random_matrix(rng, max(rows, cols))
+        picked = [list(m.row(i))[:cols] for i in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            picked[-1] = [a + sc(2) * b for a, b in zip(picked[0], picked[1 % (rows - 1)])]
+        m = Matrix.from_rows(picked)
+        oracle = max([k for k in range(1, min(rows, cols) + 1)
+                      for r in itertools.combinations(range(rows), k)
+                      for c in itertools.combinations(range(cols), k)
+                      if _cofactor_det(Matrix.from_rows([[m[i, j] for j in c] for i in r]))],
+                     default=0)
+        assert m.rank() == oracle
+
+
+def test_vadd_folds_from_the_first_vector(monkeypatch):
+    # each coordinate starts from the first vector's entry, not from the int 0
+    add = Scalar.__radd__
+
+    def radd(self, other):
+        if isinstance(other, int):
+            raise AssertionError("%r + %r" % (other, self))
+        return add(self, other)
+    monkeypatch.setattr(Scalar, "__radd__", radd)
+    a, b, c = vec(1, sc(0, 2), sc("1/2")), vec(3, 4, 5), vec(sc(1, 1), 0, -1)
+    assert vadd(a, b, c) == (sc(5, 1), sc(4, 2), sc("9/2"))
+    assert vadd(a) == a
+    assert vadd((), ()) == ()
 
 
 def test_inverse_property_random():

@@ -1,4 +1,4 @@
-"""The one tensor type: its two index operations against slow references.
+"""The one tensor type: its index operations against slow references.
 
 The references are the nested-list loops that contraction and permutation
 replaced: applying a matrix to one slot of an order-3 table, lifting a
@@ -7,6 +7,13 @@ transposition of dualization, and the matrix product and matrix-vector
 product of the former Matrix class.  Inputs are random Gaussian-rational
 tensors of dimensions 1 to 4 with zero, real, purely imaginary and mixed
 entries.
+
+The derived algebras, representations and block sums built from tables
+are compared in the same way with the closures they replaced: a product
+evaluated on every pair of basis vectors, representations as lists of
+matrices combined linearly, and products on A + B evaluated on split
+vectors.  On the bundled pp algebras x <| y is antisymmetric, so an axis
+swapped in ltri goes unnoticed there; these tables are random and dense.
 """
 
 import itertools
@@ -20,14 +27,42 @@ from postlie import (
     Algebra,
     CoalgebraSpec,
     LinAlgError,
+    MatchedPairMaps,
     Matrix,
+    PPRepSpec,
+    RepSpec,
     Scalar,
     Tensor,
+    adjoint_rep,
+    bowtie,
+    bullet_from_gph,
+    cobrackets_from_r,
+    compatible_pp_from_gph,
     cybe_C,
     cybe_D,
+    dual_pp_rep,
     dualize,
     dualize_alg,
+    hom_embed_r,
+    horizontal_post_lie,
+    induced_post_lie,
+    invertible_o_to_compatible_pre_pp,
+    opposite_post_lie,
+    pairing_form,
+    pp_adjoint_rep,
+    pp_from_dual_p_o,
+    pp_split_dual_rep,
+    pre_pp_from_o_operator,
+    quarter_split_rep,
+    semidirect_post_lie,
+    semidirect_pp,
+    sub_adjacent_lie,
+    sub_adjacent_pp,
+    transpose_pp,
+    vertical_post_lie,
 )
+from postlie import algebra as algebra_mod
+from postlie import forms as forms_mod
 from postlie.bialgebra import COMAP_NAMES, _apply_first, _apply_second
 
 ZERO = Scalar(0)
@@ -280,3 +315,403 @@ def test_yang_baxter_tensors_match_entry_loops(n):
             ref_cybe(alg, r, br, br, br, "ij"), (n, n, n))
         assert cybe_D(alg, _tensor(r, (n, n))) == _tensor(
             ref_cybe(alg, r, mul("ltri"), bullet, circ, "ji"), (n, n, n))
+
+
+# ---------------------------------------------------------------------------
+# derived tables, representations and block sums against the closures they
+# replaced
+# ---------------------------------------------------------------------------
+
+PAIRS = [(n, m) for n in DIMS for m in DIMS]
+
+
+def _dense_scalar(rng):
+    while True:
+        s = _scalar(rng)
+        if s:
+            return s
+
+
+def _dense(rng, shape):
+    if len(shape) == 1:
+        return [_dense_scalar(rng) for _ in range(shape[0])]
+    return [_dense(rng, shape[1:]) for _ in range(shape[0])]
+
+
+def _e(n, i):
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def ref_mul(t, x, y):
+    """Bilinear product of nested table t on coordinate vectors."""
+    out = [ZERO] * len(t[0][0])
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, c in enumerate(t[i][j]):
+                out[k] = out[k] + xi * yj * c
+    return tuple(out)
+
+
+def ref_table(n, mul):
+    """The deleted Algebra.op_table_from: mul evaluated on basis pairs."""
+    return [[list(mul(_e(n, i), _e(n, j))) for j in range(n)] for i in range(n)]
+
+
+def ref_vadd(*vs):
+    return tuple(sum(col[1:], col[0]) for col in zip(*vs))
+
+
+def ref_vneg(v):
+    return tuple(-a for a in v)
+
+
+def ref_left_mult(t, x):
+    """Matrix of v -> x * v: its column j is x * e_j."""
+    n = len(t)
+    cols = [ref_mul(t, x, _e(n, j)) for j in range(n)]
+    return [[cols[j][k] for j in range(n)] for k in range(len(cols[0]))]
+
+
+def ref_right_mult(t, x):
+    n = len(t)
+    cols = [ref_mul(t, _e(n, j), x) for j in range(n)]
+    return [[cols[j][k] for j in range(n)] for k in range(len(cols[0]))]
+
+
+def ref_combine(mats, x):
+    """The deleted _combine: sum_i x_i mats[i]."""
+    m = len(mats[0])
+    out = [[ZERO] * m for _ in range(m)]
+    for xi, mat in zip(x, mats):
+        for a in range(m):
+            for b in range(m):
+                out[a][b] = out[a][b] + xi * mat[a][b]
+    return out
+
+
+def ref_dual(m):
+    return [[-m[j][i] for j in range(len(m))] for i in range(len(m[0]))]
+
+
+def ref_lin(*terms):
+    """sum of c * matrix over (c, matrix) terms."""
+    m = terms[0][1]
+    return [[sum((c * t[a][b] for c, t in terms[1:]), terms[0][0] * m[a][b])
+             for b in range(len(m[0]))] for a in range(len(m))]
+
+
+def ref_mults(t, left):
+    n = len(t)
+    return [(ref_left_mult if left else ref_right_mult)(t, _e(n, i)) for i in range(n)]
+
+
+def _alg(tables):
+    n = len(next(iter(tables.values())))
+    return Algebra(n, ops={op: _tensor(t, (n, n, n)) for op, t in tables.items()})
+
+
+def _carriers(mats, n, m):
+    return _tensor(mats, (n, m, m))
+
+
+def _random_tables(rng, n, ops):
+    return {op: _dense(rng, (n, n, n)) for op in ops}
+
+
+@pytest.fixture
+def unchecked(monkeypatch):
+    """Constructions without a checked flag, run on random tables that fail
+    their preconditions."""
+    for module in (algebra_mod, forms_mod):
+        monkeypatch.setattr(module, "_require", lambda report, message: None)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_derived_algebras_match_basis_pair_closures(n, unchecked):
+    rng = random.Random(800 + n)
+    t = _random_tables(rng, n, ("circ", "bracket", "rtri", "ltri", "se", "ne", "sw", "nw", "dot"))
+    alg = _alg(t)
+    P = _dense(rng, (n, n))
+    o = lambda x, y: ref_mul(t["circ"], x, y)
+    br = lambda x, y: ref_mul(t["bracket"], x, y)
+    rt = lambda x, y: ref_mul(t["rtri"], x, y)
+    lt = lambda x, y: ref_mul(t["ltri"], x, y)
+    q = lambda op: lambda x, y: ref_mul(t[op], x, y)
+    table = lambda mul: _tensor(ref_table(n, mul), (n, n, n))
+    assert sub_adjacent_lie(alg).table("bracket") == table(
+        lambda x, y: ref_vadd(o(x, y), ref_vneg(o(y, x)), br(x, y)))
+    opp = opposite_post_lie(alg)
+    assert opp.table("circ") == table(lambda x, y: ref_vadd(o(x, y), br(x, y)))
+    assert opp.table("bracket") == table(lambda x, y: br(y, x))
+    assert horizontal_post_lie(alg, checked=False).table("circ") == table(
+        lambda x, y: ref_vadd(rt(x, y), lt(x, y)))
+    assert vertical_post_lie(alg, checked=False).table("circ") == table(
+        lambda x, y: ref_vadd(rt(x, y), ref_vneg(lt(y, x))))
+    tr = transpose_pp(alg, checked=False)
+    assert tr.table("rtri") == alg.table("rtri")
+    assert tr.table("ltri") == table(lambda x, y: ref_vneg(lt(y, x)))
+    sub = sub_adjacent_pp(alg, checked=False)
+    assert sub.table("rtri") == table(lambda x, y: ref_vadd(q("se")(x, y), q("ne")(x, y)))
+    assert sub.table("ltri") == table(lambda x, y: ref_vadd(q("sw")(x, y), q("nw")(x, y)))
+    assert sub.table("bracket") == table(
+        lambda x, y: ref_vadd(q("dot")(x, y), ref_vneg(q("dot")(y, x))))
+    assert induced_post_lie(alg, _tensor(P, (n, n))).table("circ") == table(
+        lambda x, y: br(ref_apply(P, x), y))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_adjoint_carriers_match_multiplication_matrices(n):
+    rng = random.Random(900 + n)
+    t = _random_tables(rng, n, ("circ", "bracket", "rtri", "ltri", "se", "ne", "sw", "nw", "dot"))
+    alg = _alg(t)
+    L = lambda op: _carriers(ref_mults(t[op], True), n, n)
+    R = lambda op: _carriers(ref_mults(t[op], False), n, n)
+    assert adjoint_rep(alg) == RepSpec(L("circ"), R("circ"), L("bracket"))
+    assert pp_adjoint_rep(alg) == PPRepSpec(L("rtri"), R("rtri"), L("ltri"), R("ltri"),
+                                            L("bracket"))
+    assert quarter_split_rep(alg) == PPRepSpec(L("se"), R("ne"), L("sw"), R("nw"), L("dot"))
+    lrt, rlt, ad = (ref_mults(t[op], left) for op, left in
+                    (("rtri", True), ("ltri", False), ("bracket", True)))
+    split = [[ref_lin((ONE, ref_dual(a)), (-ONE, ref_dual(b))) for a, b in zip(lrt, rlt)],
+             [ref_lin((-ONE, ref_dual(b))) for b in rlt], [ref_dual(a) for a in ad]]
+    assert pp_split_dual_rep(alg) == RepSpec(*(_carriers(c, n, n) for c in split))
+    # acting by any vector is the linear combination of the carrier matrices
+    x = tuple(_scalar(rng) for _ in range(n))
+    assert pp_adjoint_rep(alg).act("l_lt", x) == _tensor(ref_left_mult(t["ltri"], x), (n, n))
+    assert pp_adjoint_rep(alg).act("r_lt", x) == _tensor(ref_right_mult(t["ltri"], x), (n, n))
+
+
+def ref_dual_pp_rep(rep):
+    """The deleted per-basis loop of dual_pp_rep on lists of matrices."""
+    l_rt, r_rt, l_lt, r_lt, rho = [], [], [], [], []
+    for i in range(len(rep[0])):
+        a, b, c, d = (ref_dual(mats[i]) for mats in rep[:4])
+        l_rt.append(ref_lin((ONE, a), (-ONE, b), (ONE, c), (-ONE, d)))
+        r_rt.append(b)
+        l_lt.append(ref_lin((ONE, b), (-ONE, c)))
+        r_lt.append(ref_lin((-ONE, b), (-ONE, d)))
+        rho.append(ref_dual(rep[4][i]))
+    return [l_rt, r_rt, l_lt, r_lt, rho]
+
+
+def ref_block_sum(n, m, products, a_tables, b_tables, on_b, on_a):
+    """The deleted _semidirect and bowtie closures: each product on split
+    vectors (x, u), (y, v) of A + B, its A part
+        x * y + l_a(u) y + r_a(v) x
+    and its B part
+        u * v + l_b(x) v + r_b(y) u,
+    with the right actions negated for the bracket."""
+    tables = {}
+    for op, left, right in products:
+        sign = -ONE if op == "bracket" else ONE
+
+        def mul(xs, ys, op=op, left=left, right=right, sign=sign):
+            x, u, y, v = xs[:n], xs[n:], ys[:n], ys[n:]
+            apart = ref_mul(a_tables[op], x, y)
+            bpart = ref_mul(b_tables[op], u, v) if b_tables else (ZERO,) * m
+            bpart = ref_vadd(bpart, ref_apply(ref_combine(on_b[left], x), v),
+                             ref_apply(ref_lin((sign, ref_combine(on_b[right], y))), u))
+            if on_a:
+                apart = ref_vadd(apart, ref_apply(ref_combine(on_a[left], u), y),
+                                 ref_apply(ref_lin((sign, ref_combine(on_a[right], v))), x))
+            return apart + bpart
+        tables[op] = _tensor(ref_table(n + m, mul), (n + m,) * 3)
+    return tables
+
+
+POST_LIE = (("circ", "l", "r"), ("bracket", "rho", "rho"))
+PP = (("rtri", "l_rt", "r_rt"), ("ltri", "l_lt", "r_lt"), ("bracket", "rho", "rho"))
+
+
+@pytest.mark.parametrize("n, m", PAIRS)
+def test_dual_pp_rep_and_semidirect_sums_match_closures(n, m):
+    rng = random.Random(1000 + 10 * n + m)
+    t = _random_tables(rng, n, ("circ", "bracket", "rtri", "ltri"))
+    alg = _alg(t)
+    names = ("l_rt", "r_rt", "l_lt", "r_lt", "rho")
+    pp_lists = [_dense(rng, (n, m, m)) for _ in names]
+    pp = PPRepSpec(*(_carriers(c, n, m) for c in pp_lists))
+    dual = dual_pp_rep(alg, pp, checked=False)
+    assert dual == PPRepSpec(*(_carriers(c, n, m) for c in ref_dual_pp_rep(pp_lists)))
+    out = semidirect_pp(alg, pp, checked=False)
+    want = ref_block_sum(n, m, PP, t, None, dict(zip(names, pp_lists)), None)
+    for op, table in want.items():
+        assert out.table(op) == table, op
+    post_lists = [_dense(rng, (n, m, m)) for _ in range(3)]
+    out = semidirect_post_lie(alg, RepSpec(*(_carriers(c, n, m) for c in post_lists)),
+                              checked=False)
+    want = ref_block_sum(n, m, POST_LIE, t, None, dict(zip(("l", "r", "rho"), post_lists)), None)
+    for op, table in want.items():
+        assert out.table(op) == table, op
+    assert out.basis == alg.basis + tuple("v%d" % (i + 1) for i in range(m))
+
+
+@pytest.mark.parametrize("n, m", PAIRS)
+def test_bowtie_matches_closures(n, m):
+    rng = random.Random(1100 + 10 * n + m)
+    ta = _random_tables(rng, n, ("circ", "bracket"))
+    tb = _random_tables(rng, m, ("circ", "bracket"))
+    on_b = {name: _dense(rng, (n, m, m)) for name in ("l", "r", "rho")}
+    on_a = {name: _dense(rng, (m, n, n)) for name in ("l", "r", "rho")}
+    maps = MatchedPairMaps(RepSpec(*(_carriers(on_b[k], n, m) for k in ("l", "r", "rho"))),
+                           RepSpec(*(_carriers(on_a[k], m, n) for k in ("l", "r", "rho"))))
+    out = bowtie(_alg(ta), _alg(tb), maps, checked=False)
+    for op, table in ref_block_sum(n, m, POST_LIE, ta, tb, on_b, on_a).items():
+        assert out.table(op) == table, op
+
+
+@pytest.mark.parametrize("n, m", PAIRS)
+def test_operator_constructions_match_closures(n, m):
+    rng = random.Random(1200 + 10 * n + m)
+    alg = _alg(_random_tables(rng, n, ("rtri", "ltri", "bracket")))
+    pp_lists = [_dense(rng, (n, m, m)) for _ in range(5)]
+    pp = PPRepSpec(*(_carriers(c, n, m) for c in pp_lists))
+    l_rt, r_rt, l_lt, r_lt, rho = pp_lists
+    T = _dense(rng, (n, m))
+    Tm = _tensor(T, (n, m))
+    Tu = lambda u: ref_apply(T, u)
+    act = lambda mats, x, v: ref_apply(ref_combine(mats, x), v)
+    table = lambda mul: _tensor(ref_table(m, mul), (m, m, m))
+
+    quarter = pre_pp_from_o_operator(alg, pp, Tm, checked=False)
+    for op, mul in (("se", lambda u, v: act(l_rt, Tu(u), v)),
+                    ("ne", lambda u, v: act(r_rt, Tu(v), u)),
+                    ("sw", lambda u, v: act(l_lt, Tu(u), v)),
+                    ("nw", lambda u, v: act(r_lt, Tu(v), u)),
+                    ("dot", lambda u, v: act(rho, Tu(u), v))):
+        assert quarter.table(op) == table(mul), op
+
+    post_lists = [_dense(rng, (n, m, m)) for _ in range(3)]
+    l, r, rho3 = post_lists
+    dual_act = lambda mats, x, v: ref_apply(ref_dual(ref_combine(mats, x)), v)
+    split = pp_from_dual_p_o(alg, RepSpec(*(_carriers(c, n, m) for c in post_lists)), Tm,
+                             checked=False)
+    assert split.table("rtri") == table(
+        lambda u, v: ref_vadd(dual_act(l, Tu(u), v), ref_vneg(dual_act(r, Tu(u), v))))
+    assert split.table("ltri") == table(lambda u, v: ref_vneg(dual_act(r, Tu(v), u)))
+    assert split.table("bracket") == table(lambda u, v: dual_act(rho3, Tu(u), v))
+
+    _, r_embedded = hom_embed_r(alg, pp, Tm, checked=False)
+    Tt = [[T[i][j] for i in range(n)] for j in range(m)]
+    assert r_embedded == Matrix.from_rows(
+        [[ZERO] * n + list(ref_vneg(T[i])) for i in range(n)]
+        + [Tt[j] + [ZERO] * m for j in range(m)])
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_invertible_o_operator_matches_closures(n):
+    rng = random.Random(1300 + n)
+    alg = _alg(_random_tables(rng, n, ("rtri", "ltri", "bracket")))
+    pp_lists = [_dense(rng, (n, n, n)) for _ in range(5)]
+    pp = PPRepSpec(*(_carriers(c, n, n) for c in pp_lists))
+    while True:
+        T = _dense(rng, (n, n))
+        if _tensor(T, (n, n)).det():
+            break
+    Tinv = _tensor(T, (n, n)).inverse()
+    Tinv = [list(Tinv.row(i)) for i in range(n)]
+    conj = lambda mats, x, y: ref_apply(T, ref_apply(ref_combine(mats, x), ref_apply(Tinv, y)))
+    l_rt, r_rt, l_lt, r_lt, rho = pp_lists
+    out = invertible_o_to_compatible_pre_pp(alg, pp, _tensor(T, (n, n)), checked=False)
+    for op, mul in (("se", lambda x, y: conj(l_rt, x, y)), ("ne", lambda x, y: conj(r_rt, y, x)),
+                    ("sw", lambda x, y: conj(l_lt, x, y)), ("nw", lambda x, y: conj(r_lt, y, x)),
+                    ("dot", lambda x, y: conj(rho, x, y))):
+        assert out.table(op) == _tensor(ref_table(n, mul), (n, n, n)), op
+    assert out.basis == alg.basis
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3))
+def test_pairing_form_matches_entry_formula(n):
+    assert pairing_form(n) == Matrix((2 * n, 2 * n), [
+        ONE if j == (i + n) % (2 * n) else ZERO for i in range(2 * n) for j in range(2 * n)])
+
+
+def test_embed_places_a_block():
+    rng = random.Random(1400)
+    block = _nested(rng, (2, 3, 1))
+    out = _tensor(block, (2, 3, 1)).embed((3, 5, 2), (1, 2, 1))
+    for idx in itertools.product(range(3), range(5), range(2)):
+        inside = 1 <= idx[0] < 3 and 2 <= idx[1] < 5 and idx[2] == 1
+        assert out[idx] == (block[idx[0] - 1][idx[1] - 2][0] if inside else ZERO)
+    with pytest.raises(LinAlgError):
+        _tensor(block, (2, 3, 1)).embed((3, 5, 2), (2, 0, 0))
+    with pytest.raises(LinAlgError):
+        _tensor(block, (2, 3, 1)).embed((3, 5), (0, 0))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_contract_first_axis_at_basis_vector_is_the_slice(n):
+    rng = random.Random(1500 + n)
+    t = _tensor(_nested(rng, (n, n, n)), (n, n, n))
+    m = _tensor(_nested(rng, (n, n)), (n, n))
+    for i in range(n):
+        e = _e(n, i)
+        assert t.contract(0, e) == Tensor((n, n), [t[i, j, k] for j in range(n) for k in range(n)])
+        assert m.contract(0, e) == m.row(i)
+        # the slow path on a multiple of e gives the same entries
+        assert t.contract(0, tuple(x * Scalar(2) for x in e)) == t.contract(0, e).scale(Scalar(2))
+
+
+def ref_form(B, x, y):
+    return sum((x[i] * B[i][j] * y[j] for i in range(len(x)) for j in range(len(y))), ZERO)
+
+
+def _invertible(rng, n):
+    while True:
+        m = _dense(rng, (n, n))
+        if _tensor(m, (n, n)).det():
+            return m
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_products_from_a_form_match_basis_closures(n):
+    """The right-hand sides B(x * y, z) of the gph splittings, once built by
+    evaluating the form on every basis triple."""
+    rng = random.Random(1600 + n)
+    t = _random_tables(rng, n, ("circ", "bracket"))
+    alg, B = _alg(t), _invertible(rng, n)
+    Bm = _tensor(B, (n, n))
+    o = lambda x, y: ref_mul(t["circ"], x, y)
+    e = [_e(n, i) for i in range(n)]
+
+    def solved(rhs):
+        """The table c with B(e_i * e_j, e_k) = rhs(e_i, e_j, e_k)."""
+        inv = Bm.transpose().inverse()
+        cols = [ref_apply([list(inv.row(a)) for a in range(n)], [rhs(x, y, z) for z in e])
+                for x in e for y in e]
+        return Tensor((n, n, n), [s for col in cols for s in col])
+
+    split = compatible_pp_from_gph(alg, Bm, checked=False)
+    assert split.table("rtri") == solved(
+        lambda x, y, z: -ref_form(B, y, ref_vadd(o(x, z), ref_vneg(o(z, x)))))
+    assert split.table("ltri") == solved(lambda x, y, z: ref_form(B, x, o(z, y)))
+    assert bullet_from_gph(alg, Bm, checked=False).table("circ") == solved(
+        lambda x, y, z: -ref_form(B, y, o(x, z)))
+
+
+def ref_sandwich(m1, t2, m2):
+    """(m1 (x) id + id (x) m2) t2 = m1 t2 + t2 m2^T on nested matrices."""
+    n = len(t2)
+    return [[sum((m1[i][a] * t2[a][j] + t2[i][a] * m2[j][a] for a in range(n)), ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_cobrackets_match_per_basis_sandwiches(n):
+    rng = random.Random(1700 + n)
+    t = _random_tables(rng, n, ("rtri", "ltri", "bracket"))
+    r = _dense(rng, (n, n))
+    co = cobrackets_from_r(_alg(t), _tensor(r, (n, n)))
+    minus_r = [[-a for a in row] for row in r]
+    lrt, llt, ad = (ref_mults(t[op], True) for op in ("rtri", "ltri", "bracket"))
+    rrt, rlt = (ref_mults(t[op], False) for op in ("rtri", "ltri"))
+    comaps = {"delta_rtri": [], "delta_ltri": [], "Delta": []}
+    for k in range(n):
+        diamond = ref_lin((ONE, llt[k]), (ONE, lrt[k]), (-ONE, rlt[k]), (-ONE, rrt[k]))
+        circ = ref_lin((ONE, lrt[k]), (ONE, llt[k]))
+        bullet = ref_lin((ONE, lrt[k]), (-ONE, rlt[k]))
+        comaps["delta_rtri"].append(ref_sandwich(lrt[k], r, diamond))
+        comaps["delta_ltri"].append(ref_sandwich(circ, minus_r, bullet))
+        comaps["Delta"].append(ref_sandwich(ad[k], r, ad[k]))
+    for name, d in comaps.items():
+        assert co.table(name) == _tensor(d, (n, n, n)), name
