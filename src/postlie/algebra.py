@@ -11,10 +11,38 @@ Neither a table nor an algebra's mapping of names to tables can change
 after construction.  Derived algebras are tensor expressions in the
 tables: sums, differences and axis permutations.
 
-Checkers evaluate each defining identity on every basis tuple, which is
-sufficient by multilinearity, and report exact witnesses.  Identity
-evaluation is factored so the same identity functions can be run on
-arbitrary (e.g. random rational) vectors in property tests.
+Each identity set (Lie, pre-Lie, post-Lie, pp-post-Lie, L-dendriform,
+pre-pp-post-Lie) is a list of closures over Algebra.mul, vadd, vsub and
+vneg, returning (lhs, rhs) for given vectors; on tuple vectors they serve
+random-vector spot checks.  The identities are multilinear, so they hold
+everywhere if they hold on every tuple of basis vectors, and the checkers
+evaluate them on all n^arity basis tuples.  They do so on batched values
+rather than one tuple at a time:
+
+* Once per check, D is the least common multiple of the denominators of
+  every entry of the tables the identity set uses, and each table becomes,
+  per basis pair (a, b), the list of nonzero Gaussian-integer numerators
+  (k, re, im) of D * c[a, b, k].
+* A batched value has axes, the argument positions it depends on; a
+  vector for each index tuple over those axes, stored as its nonzero
+  numerators {k: (re, im)}; and a degree d: the true coordinates are the
+  numerators divided by D^d.  A product joins its operands on the axes
+  they share and has degree d1 + d2 + 1.  A sum broadcasts each operand
+  over the axes it lacks and brings it to the highest degree by a power
+  of D, so no identity need be homogeneous.  Zeros are dropped, so equal
+  values of one axes and degree have equal numerators.
+* The closures run once per index i of the first argument: it is e_i, and
+  every other argument is the batch of all basis vectors along its own
+  axis, so no value has more than about n^2 index tuples.  Algebra.mul,
+  vadd, vsub and vneg hand batched values to the kernel.
+* Each identity counts n^arity instances.  Only at the index tuples where
+  the two sides differ are the full lhs and rhs vectors built as exact
+  Scalars, numerator / D^d; the report sorts those witnesses and keeps
+  the first MAX_VIOLATIONS.
+
+The other checkers (forms, representations, constructions, bialgebras)
+run on the per-tuple sweep _sweep: families (shape, body) whose body
+yields (identity, lhs, rhs) for one index tuple.
 """
 
 from __future__ import annotations
@@ -22,11 +50,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from math import gcd
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import Matrix, Tensor, _basis_index, basis_vec, vadd, vneg, vsub, zero_vec
-from .scalars import ZERO, Scalar
+from .linalg import Matrix, Tensor, _basis_index, vadd, vneg, vsub, zero_vec
+from .scalars import ZERO, Scalar, _build
 
 __all__ = [
     "OPERATION_NAMES",
@@ -133,6 +163,8 @@ class Algebra:
 
     def mul(self, op: str, x, y) -> tuple:
         """Bilinear extension of the structure constants."""
+        if isinstance(x, _Batch):     # an identity closure running on the kernel
+            return x.times(self, op, y)
         c = self.table(op).entries
         n = self.dim
         if len(x) != n or len(y) != n:
@@ -253,12 +285,173 @@ def _sweep(name, families=(), nested=()) -> CheckReport:
     return _report(name, *_collect(families, nested))
 
 
-def _identity_families(alg: Algebra, identity_set):
-    """One family per (name, fn, arity) identity, run on basis vectors."""
-    e = [basis_vec(alg.dim, i) for i in range(alg.dim)]
-    return [((alg.dim,) * arity,
-             lambda *idx, name=name, fn=fn: [(name, *fn(*(e[i] for i in idx)))])
-            for name, fn, arity in identity_set]
+# ---------------------------------------------------------------------------
+# the identity kernel (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _getter(positions):
+    """The function taking a tuple to the tuple of its entries at positions."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        p, = positions
+        return lambda t: (t[p],)
+    return lambda t: ()
+
+
+def _spread(n, axes, to):
+    """The function taking a key over axes to the keys over the axes `to`
+    (a superset, both sorted) that extend it, each missing axis running
+    over range(n)."""
+    missing = tuple(a for a in to if a not in axes)
+    if not missing:
+        return lambda key: (key,)
+    fill = list(itertools.product(range(n), repeat=len(missing)))
+    merge = _getter(axes.index(a) if a in axes else len(axes) + missing.index(a) for a in to)
+    return lambda key: [merge(key + f) for f in fill]
+
+
+def _vmul(x, y, rows, n) -> dict:
+    """The product of two sparse numerator vectors by one integer table."""
+    out = {}
+    for a, (xr, xi) in x.items():
+        base = a * n
+        for b, (yr, yi) in y.items():
+            row = rows[base + b]
+            if not row:
+                continue
+            cr, ci = xr * yr - xi * yi, xr * yi + xi * yr
+            for k, tr, ti in row:
+                re, im = cr * tr - ci * ti, cr * ti + ci * tr
+                c = out.get(k)
+                out[k] = (re, im) if c is None else (c[0] + re, c[1] + im)
+    return {k: c for k, c in out.items() if c[0] or c[1]}
+
+
+class _Kernel:
+    """The integer tables of one check.
+
+    D is the least common multiple of the denominators of every entry of
+    the tables used, and rows[op][a * n + b] lists the nonzero (k, re, im)
+    with D * c[a, b, k] = re + im i.
+    """
+
+    def __init__(self, alg: Algebra, ops):
+        tables = {op: alg.table(op).entries for op in ops}
+        n = alg.dim
+        D = 1
+        for d in {s.d for entries in tables.values() for s in entries}:
+            D = D * d // gcd(D, d)
+        self.alg, self.n, self.D = alg, n, D
+        self.rows = {op: [tuple((k, s.a * (D // s.d), s.b * (D // s.d))
+                                for k, s in enumerate(entries[p * n:(p + 1) * n]) if s)
+                          for p in range(n * n)]
+                     for op, entries in tables.items()}
+
+    def lift(self, value) -> "_Batch":
+        """A batched value as itself, and a zero vector as the zero value."""
+        if isinstance(value, _Batch):
+            return value
+        if any(value):
+            raise ValueError("an identity side is a constant nonzero vector")
+        return _Batch(self, (), {}, 0)
+
+
+class _Batch:
+    """One vector for each index tuple over some argument positions (axes).
+
+    vectors maps an index tuple over axes to the vector's nonzero
+    coordinates {k: (re, im)}, where (re + im i) / D ** deg is coordinate
+    k; an absent tuple or coordinate is zero, so equal values of one axes
+    and degree have equal vectors.
+    """
+
+    __slots__ = ("kernel", "axes", "vectors", "deg")
+
+    def __init__(self, kernel, axes, vectors, deg):
+        self.kernel, self.axes, self.vectors, self.deg = kernel, axes, vectors, deg
+
+    def __iter__(self):
+        """The index tuples at which the value is not zero."""
+        return iter(self.vectors)
+
+    def times(self, alg: Algebra, op: str, other) -> "_Batch":
+        """alg.mul(op, self, other), joined on the axes the two share."""
+        kernel = self.kernel
+        if alg is not kernel.alg or op not in kernel.rows:
+            raise ValueError("operation %r is not among the tables of this check" % op)
+        other = kernel.lift(other)
+        rows, n = kernel.rows[op], kernel.n
+        ax, ay = self.axes, other.axes
+        axes = tuple(sorted(set(ax) | set(ay)))
+        shared = [a for a in ax if a in ay]
+        key_x = _getter(ax.index(a) for a in shared)
+        key_y = _getter(ay.index(a) for a in shared)
+        # an output key from kx + ky: each axis read from kx if self has it
+        merge = _getter(ax.index(a) if a in ax else len(ax) + ay.index(a) for a in axes)
+        groups = {}
+        for ky, vy in other.vectors.items():
+            groups.setdefault(key_y(ky), []).append((ky, vy))
+        out = {}
+        for kx, vx in self.vectors.items():
+            for ky, vy in groups.get(key_x(kx), ()):
+                v = _vmul(vx, vy, rows, n)
+                if v:
+                    out[merge(kx + ky)] = v
+        return _Batch(kernel, axes, out, self.deg + other.deg + 1)
+
+    def combine(self, values, signs=None) -> "_Batch":
+        """sum(sign * value), broadcast over the axes a value lacks and
+        rescaled by powers of D to the highest degree."""
+        kernel = self.kernel
+        values = [kernel.lift(v) for v in values]
+        axes = tuple(sorted(set().union(*(v.axes for v in values))))
+        deg = max(v.deg for v in values)
+        out = {}
+        for v, sign in zip(values, signs or (1,) * len(values)):
+            scale = sign * kernel.D ** (deg - v.deg)
+            spread = _spread(kernel.n, v.axes, axes)
+            for kv, vec in v.vectors.items():
+                for key in spread(kv):
+                    acc = out.setdefault(key, {})
+                    for k, (re, im) in vec.items():
+                        c = acc.get(k)
+                        acc[k] = ((scale * re, scale * im) if c is None
+                                  else (c[0] + scale * re, c[1] + scale * im))
+        vectors = {}
+        for key, acc in out.items():
+            vec = {k: c for k, c in acc.items() if c[0] or c[1]}
+            if vec:
+                vectors[key] = vec
+        return _Batch(kernel, axes, vectors, deg)
+
+    def at(self, idx) -> tuple:
+        """The vector at the basis tuple idx (one index per argument), as Scalars."""
+        vec = self.vectors.get(tuple(idx[a] for a in self.axes), {})
+        d = self.kernel.D ** self.deg
+        return tuple(_build(*vec[k], d) if k in vec else ZERO for k in range(self.kernel.n))
+
+
+def _identities(name, alg: Algebra, ops, identity_set) -> CheckReport:
+    """The report of every (identity, fn, arity) of identity_set on every
+    basis tuple, through the kernel on the tables of ops."""
+    kernel = _Kernel(alg, ops)
+    n = alg.dim
+    violations, checked = [], 0
+    for ident, fn, arity in identity_set:
+        checked += n ** arity
+        rest = [_Batch(kernel, (p,), {(j,): {j: (1, 0)} for j in range(n)}, 0)
+                for p in range(1, arity)]
+        for i in range(n):
+            lhs, rhs = (kernel.lift(v) for v in fn(_Batch(kernel, (), {(): {i: (1, 0)}}, 0), *rest))
+            diff = lhs.combine((lhs, rhs), (1, -1))
+            spread = _spread(n, diff.axes, tuple(range(1, arity)))
+            for key in diff:
+                for others in spread(key):
+                    idx = (i,) + others
+                    violations.append(Violation(ident, idx, lhs.at(idx), rhs.at(idx)))
+    return _report(name, violations, checked)
 
 
 def _require(report: CheckReport, message: str):
@@ -278,7 +471,7 @@ def _require_shape(m: Matrix, rows: int, cols: int, what: str):
 #
 # Each identity is a closure over the algebra's multiplication maps and
 # returns (lhs, rhs) for the given vectors, so the same definitions serve
-# the basis sweep and random-vector spot checks.
+# the kernel's batched values and random-vector spot checks.
 # ---------------------------------------------------------------------------
 
 def LIE_IDENTITIES(alg: Algebra, op="bracket"):
@@ -496,37 +689,44 @@ def PRE_PP_IDENTITIES(alg: Algebra):
 # checkers
 # ---------------------------------------------------------------------------
 
+# the operations of a quarter-split
+_QUARTERS = ("se", "ne", "sw", "nw", "dot")
+
+
 def check_lie(alg: Algebra, op="bracket") -> CheckReport:
     alg.require(op)
-    return _sweep("lie", _identity_families(alg, LIE_IDENTITIES(alg, op)))
+    return _identities("lie", alg, (op,), LIE_IDENTITIES(alg, op))
 
 
 def check_pre_lie(alg: Algebra, op="circ") -> CheckReport:
     alg.require(op)
-    return _sweep("pre-lie", _identity_families(alg, PRE_LIE_IDENTITIES(alg, op)))
+    return _identities("pre-lie", alg, (op,), PRE_LIE_IDENTITIES(alg, op))
 
 
 def check_post_lie(alg: Algebra, circ="circ", bracket="bracket") -> CheckReport:
     alg.require(circ, bracket)
     _require(check_lie(alg, bracket), "operation %r is not a Lie bracket" % bracket)
-    return _sweep("post-lie", _identity_families(alg, POST_LIE_IDENTITIES(alg, circ, bracket)))
+    return _identities("post-lie", alg, (circ, bracket),
+                       POST_LIE_IDENTITIES(alg, circ, bracket))
 
 
 def check_pp_post_lie(alg: Algebra, rtri="rtri", ltri="ltri", bracket="bracket") -> CheckReport:
     alg.require(rtri, ltri, bracket)
     _require(check_lie(alg, bracket), "operation %r is not a Lie bracket" % bracket)
-    return _sweep("pp-post-lie", _identity_families(alg, PP_IDENTITIES(alg, rtri, ltri, bracket)))
+    return _identities("pp-post-lie", alg, (rtri, ltri, bracket),
+                       PP_IDENTITIES(alg, rtri, ltri, bracket))
 
 
 def check_l_dendriform(alg: Algebra, rtri="rtri", ltri="ltri") -> CheckReport:
     alg.require(rtri, ltri)
-    return _sweep("l-dendriform", _identity_families(alg, L_DENDRIFORM_IDENTITIES(alg, rtri, ltri)))
+    return _identities("l-dendriform", alg, (rtri, ltri),
+                       L_DENDRIFORM_IDENTITIES(alg, rtri, ltri))
 
 
 def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
-    alg.require("se", "ne", "sw", "nw", "dot")
+    alg.require(*_QUARTERS)
     _require(check_pre_lie(alg, "dot"), "operation 'dot' is not pre-Lie")
-    return _sweep("pre-pp-post-lie", _identity_families(alg, PRE_PP_IDENTITIES(alg)))
+    return _identities("pre-pp-post-lie", alg, _QUARTERS, PRE_PP_IDENTITIES(alg))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .algebra import (
     CheckReport,
     PreconditionError,
     _collect,
-    _identity_families,
+    _identities,
     _report,
     _require_cube,
     _require_shape,
@@ -158,7 +158,7 @@ def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
     if mode == "dual":
         # the dual bracket is Lie: the co-Lie check just passed
         dual = dualize(co)
-        pp = _sweep("pp-post-lie", _identity_families(dual, PP_IDENTITIES(dual)))
+        pp = _identities("pp-post-lie", dual, ("rtri", "ltri", "bracket"), PP_IDENTITIES(dual))
         return _sweep("pp-coalgebra", nested=[("dual", pp)])
     if mode != "direct":
         raise ValueError("mode must be 'dual' or 'direct'")

@@ -75,14 +75,14 @@ def _block_sum(a: Algebra, b: Algebra, on_b, on_a, products, basis) -> Algebra:
     shape = (na + nb,) * 3
     ops = {}
     for op, left, right in products:
-        table = a.table(op).embed(shape, (0, 0, 0)) + b.table(op).embed(shape, (na, na, na))
+        blocks = [(a.table(op), (0, 0, 0)), (b.table(op), (na, na, na))]
         for rep, p, q in ((on_b, 0, na), (on_a, na, 0)):
             if rep is None:
                 continue
             r = -getattr(rep, right) if op == "bracket" else getattr(rep, right)
-            table = (table + getattr(rep, left).permute(LEFT).embed(shape, (p, q, q))
-                     + r.permute(FROM_RIGHT).embed(shape, (q, p, q)))
-        ops[op] = table
+            blocks += [(getattr(rep, left).permute(LEFT), (p, q, q)),
+                       (r.permute(FROM_RIGHT), (q, p, q))]
+        ops[op] = Tensor.blocks(shape, blocks)
     return Algebra(na + nb, a.field, basis, ops)
 
 
@@ -217,8 +217,8 @@ def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps, checked=True) -> Algeb
 
 def pairing_form(n: int) -> Matrix:
     """B_d(x + a*, y + b*) = <x, b*> + <y, a*> on A + A*."""
-    eye, shape = Matrix.identity(n), (2 * n, 2 * n)
-    return eye.embed(shape, (0, n)) + eye.embed(shape, (n, 0))
+    eye = Matrix.identity(n)
+    return Tensor.blocks((2 * n, 2 * n), [(eye, (0, n)), (eye, (n, 0))])
 
 
 def double_construction(alg: Algebra, checked=True):
@@ -382,5 +382,4 @@ def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True):
     ahat = semidirect_pp(alg, dual_pp_rep(alg, rep, checked=False), checked=False)
     ahat = dataclasses.replace(
         ahat, basis=tuple(alg.basis) + tuple("v%d*" % (i + 1) for i in range(m)))
-    shape = (n + m, n + m)
-    return ahat, (-T).embed(shape, (0, n)) + T.transpose().embed(shape, (n, 0))
+    return ahat, Tensor.blocks((n + m, n + m), [(-T, (0, n)), (T.transpose(), (n, 0))])

@@ -4,8 +4,9 @@ Vectors are tuples of Scalar.  Everything else -- matrices, forms,
 operators, 2-tensors, structure tables and comultiplication tables -- is
 one immutable Tensor: a shape and a tuple of its entries in row-major
 order.  Two operations do the index work: contraction of one axis against
-a matrix or a vector, and axis permutation; embed places a tensor as a
-block inside a zero tensor of a larger shape.  Everything here is exact:
+a matrix or a vector, and axis permutation; Tensor.blocks places
+tensors as disjoint blocks inside a zero tensor of a larger shape (embed
+is the one-block case).  Everything here is exact:
 solving and determinants use rational Gaussian elimination and report
 singularity precisely.
 """
@@ -58,6 +59,8 @@ def basis_vec(n: int, i: int) -> tuple:
 
 
 def vadd(*vs) -> tuple:
+    if not isinstance(vs[0], (tuple, list)):    # batched values of the identity kernel
+        return vs[0].combine(vs)
     n = len(vs[0])
     for v in vs:
         if len(v) != n:
@@ -67,12 +70,16 @@ def vadd(*vs) -> tuple:
 
 
 def vsub(a, b) -> tuple:
+    if not isinstance(a, (tuple, list)):
+        return a.combine((a, b), (1, -1))
     if len(a) != len(b):
         raise LinAlgError("vector length mismatch")
     return tuple(x - y for x, y in zip(a, b))
 
 
 def vneg(a) -> tuple:
+    if not isinstance(a, (tuple, list)):
+        return a.combine((a,), (-1,))
     return tuple(-x for x in a)
 
 
@@ -255,26 +262,40 @@ class Tensor:
         ent = self.entries
         return _tensor(tuple(shape[a] for a in axes), tuple(ent[o] for o in offsets))
 
-    def embed(self, shape, offset) -> "Tensor":
-        """This tensor as the block at index offset of a zero tensor of the
-        given shape: out[offset + idx] = self[idx], zero elsewhere."""
-        shape, offset = tuple(shape), tuple(offset)
-        if (len(shape) != len(self.shape) or len(offset) != len(shape)
-                or any(o < 0 or o + n > m for o, n, m in zip(offset, self.shape, shape))):
-            raise LinAlgError("cannot place a %s tensor at %r in a %s tensor"
-                              % ("x".join(map(str, self.shape)), offset,
-                                 "x".join(map(str, shape))))
+    @staticmethod
+    def blocks(shape, blocks) -> "Tensor":
+        """The tensor of the given shape holding each (tensor, offset) of
+        blocks at its offset, out[offset + idx] = tensor[idx], and zero
+        elsewhere.  The blocks must fit and must not overlap."""
+        shape = tuple(shape)
+        boxes = []
         out = [ZERO] * _size(shape)
-        run = self.shape[-1] if shape else 1
-        src = 0
-        # one run of entries along the last axis per index of the others
-        for idx in itertools.product(*(range(n) for n in self.shape[:-1])):
-            dst = 0
-            for i, o, m in zip(idx + (0,), offset, shape):
-                dst = dst * m + i + o
-            out[dst:dst + run] = self.entries[src:src + run]
-            src += run
+        for t, offset in blocks:
+            offset = tuple(offset)
+            if (len(t.shape) != len(shape) or len(offset) != len(shape)
+                    or any(o < 0 or o + n > m for o, n, m in zip(offset, t.shape, shape))):
+                raise LinAlgError("cannot place a %s tensor at %r in a %s tensor"
+                                  % ("x".join(map(str, t.shape)), offset,
+                                     "x".join(map(str, shape))))
+            box = tuple(zip(offset, t.shape))
+            if any(all(o < p + m and p < o + n for (o, n), (p, m) in zip(box, other))
+                   for other in boxes):
+                raise LinAlgError("blocks at %r overlap" % (offset,))
+            boxes.append(box)
+            run = t.shape[-1] if shape else 1
+            src = 0
+            # one run of entries along the last axis per index of the others
+            for idx in itertools.product(*(range(n) for n in t.shape[:-1])):
+                dst = 0
+                for i, o, m in zip(idx + (0,), offset, shape):
+                    dst = dst * m + i + o
+                out[dst:dst + run] = t.entries[src:src + run]
+                src += run
         return _tensor(shape, tuple(out))
+
+    def embed(self, shape, offset) -> "Tensor":
+        """This tensor as the one block at offset of a zero tensor of shape."""
+        return Tensor.blocks(shape, [(self, offset)])
 
     # -- algebra -----------------------------------------------------------
 
@@ -304,10 +325,6 @@ class Tensor:
 
     def transpose(self) -> "Tensor":
         return self.permute((1, 0))
-
-    def dual(self) -> "Tensor":
-        """Negated transpose: the matrix of the dual action on V*."""
-        return -self.transpose()
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):

@@ -250,11 +250,11 @@ def test_coadjoint_formula_entrywise(sl2_pp):
         diamond = llt + lrt - rlt - rrt
         bullet_right = rrt - llt
         circ_right = rrt + rlt
-        assert co.act("l_rt", e[k]) == diamond.dual()
-        assert co.act("r_rt", e[k]) == rrt.dual()
-        assert co.act("l_lt", e[k]) == bullet_right.dual()
-        assert co.act("r_lt", e[k]) == -(circ_right.dual())
-        assert co.act("rho", e[k]) == mult("bracket", k, True).dual()
+        assert co.act("l_rt", e[k]) == -(diamond.transpose())
+        assert co.act("r_rt", e[k]) == -(rrt.transpose())
+        assert co.act("l_lt", e[k]) == -(bullet_right.transpose())
+        assert co.act("r_lt", e[k]) == -(-(circ_right.transpose()))
+        assert co.act("rho", e[k]) == -(mult("bracket", k, True).transpose())
 
 
 def test_dual_pp_rep_zero(sl2_lie):

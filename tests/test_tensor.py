@@ -639,6 +639,20 @@ def test_embed_places_a_block():
         _tensor(block, (2, 3, 1)).embed((3, 5), (0, 0))
 
 
+def test_blocks_is_the_sum_of_its_embedded_blocks():
+    rng = random.Random(1401)
+    shape = (4, 5, 3)
+    parts = [(_tensor(_nested(rng, (2, 3, 1)), (2, 3, 1)), (0, 0, 0)),
+             (_tensor(_nested(rng, (2, 3, 2)), (2, 3, 2)), (0, 0, 1)),
+             (_tensor(_nested(rng, (2, 5, 3)), (2, 5, 3)), (2, 0, 0))]
+    want = Tensor.zero(*shape)
+    for t, offset in parts:
+        want = want + t.embed(shape, offset)
+    assert Tensor.blocks(shape, parts) == want
+    with pytest.raises(LinAlgError):
+        Tensor.blocks(shape, parts + [(parts[0][0], (1, 2, 0))])
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_contract_first_axis_at_basis_vector_is_the_slice(n):
     rng = random.Random(1500 + n)
