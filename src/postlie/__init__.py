@@ -17,6 +17,7 @@ from .linalg import (
     SingularMatrixError,
     Tensor,
     basis_vec,
+    einsum,
     vadd,
     vneg,
     vscale,
@@ -59,7 +60,6 @@ from .forms import (
     check_strong,
     dual_map,
     dual_pp_rep,
-    form_value,
     induced_post_lie,
     omega_cocycle,
     pp_adjoint_rep,

@@ -40,9 +40,13 @@ rather than one tuple at a time:
   Scalars, numerator / D^d; the report sorts those witnesses and keeps
   the first MAX_VIOLATIONS.
 
-The other checkers (forms, representations, constructions, bialgebras)
-run on the per-tuple sweep _sweep: families (shape, body) whose body
-yields (identity, lhs, rhs) for one index tuple.
+The other checkers (forms, representations, operators, constructions,
+coalgebras, bialgebras) are lists of whole-tensor equations, Identity:
+a name, the labels of its index axes and two sides, each a sum of signed
+einsum terms over tables, carriers, forms, operators, r-matrices or
+comaps.  _sweep evaluates each side once over one common denominator in
+integers (linalg.einsum), counts one instance per index tuple, and builds
+Scalars only for the witnesses the report keeps.
 """
 
 from __future__ import annotations
@@ -53,10 +57,22 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
-from .linalg import Matrix, Tensor, _basis_index, vadd, vneg, vsub, zero_vec
-from .scalars import ZERO, Scalar, _build
+from .linalg import (
+    Matrix,
+    Tensor,
+    _add_into,
+    _basis_index,
+    _einsum,
+    _nonzero,
+    _Num,
+    vadd,
+    vneg,
+    vsub,
+    zero_vec,
+)
+from .scalars import ZERO, _build
 
 __all__ = [
     "OPERATION_NAMES",
@@ -240,39 +256,118 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# the identity sweep
+# identities as tensor equations
 #
-# A family is a pair (shape, body): body(*idx) yields (identity, lhs, rhs)
-# for one index tuple of that shape, so work shared by the identities of a
-# family is done once per tuple.  Each comparison is one checked instance.
+# An identity is a name, the labels of its index axes and two sides, each a
+# sum of signed terms; a term is one exact einsum over tables, carriers,
+# forms, operators, r-matrices or comaps, whose output labels are the index
+# labels followed by the value labels.  The identity holds at an index
+# tuple when the two sides agree on every value entry there, and each index
+# tuple is one checked instance.
 # ---------------------------------------------------------------------------
 
-def _flat(value) -> tuple:
-    """Witness coordinates of a scalar, a vector or a Tensor (its entries)."""
-    if isinstance(value, Scalar):
-        return (value,)
-    return getattr(value, "entries", value)
+class Term(NamedTuple):
+    spec: str
+    operands: tuple
+    coef: int = 1
+
+    def __neg__(self):
+        return self._replace(coef=-self.coef)
 
 
-def _collect(families=(), nested=()):
-    """Violations and instance count of the families and nested reports.
+def term(spec: str, *operands) -> Term:
+    return Term(spec, operands)
+
+
+class Identity(NamedTuple):
+    name: str
+    index: str              # labels of the index axes
+    lhs: tuple
+    rhs: tuple = ()         # no terms: zero
+    witness: Callable = None  # index tuple -> (lhs, rhs), replacing the two slices
+
+
+def _side(index: str, terms) -> _Num:
+    """The sum of terms over the lcm of their denominators (shape None for
+    no terms)."""
+    nums = []
+    for t in terms:
+        if not t.spec.partition("->")[2].startswith(index):
+            raise ValueError("term %r does not lead with the index labels %r" % (t.spec, index))
+        nums.append((t.coef, _einsum(t.spec, t.operands)))
+    if len({num.shape for _, num in nums}) > 1:
+        raise ValueError("the terms of one side differ in shape")
+    den = 1
+    for _, num in nums:
+        den = den * num.den // gcd(den, num.den)
+    re, im = {}, {}
+    for coef, num in nums:
+        scale = coef * (den // num.den)
+        _add_into(re, num.re, scale)
+        _add_into(im, num.im, scale)
+    return _Num(nums[0][1].shape if nums else None, den, _nonzero(re), _nonzero(im))
+
+
+def _evaluate(identity: Identity, limit: int):
+    """The instance count of one identity and, for the first `limit` index
+    tuples where its two sides differ, in index order, (index tuple,
+    function building its Violation)."""
+    k = len(identity.index)
+    lhs, rhs = _side(identity.index, identity.lhs), _side(identity.index, identity.rhs)
+    shape = lhs.shape if lhs.shape is not None else rhs.shape
+    count = 1
+    for n in shape[:k]:
+        count *= n
+    width = 1                       # the entries of one value
+    for n in shape[k:]:
+        width *= n
+    den = lhs.den * rhs.den // gcd(lhs.den, rhs.den)
+    fl, fr = den // lhs.den, den // rhs.den
+    bad = set()
+    for a, b in ((lhs.re, rhs.re), (lhs.im, rhs.im)):
+        for f in a.keys() | b.keys():
+            if fl * a.get(f, 0) != fr * b.get(f, 0):
+                bad.add(f // width)
+
+    def build(at, idx):
+        if identity.witness is not None:
+            return Violation(identity.name, idx, *identity.witness(idx))
+        return Violation(identity.name, idx, *(tuple(side.at(f) for f in range(
+            at * width, (at + 1) * width)) for side in (lhs, rhs)))
+
+    found = []
+    for at in sorted(bad)[:limit]:
+        idx, rest = [], at
+        for n in reversed(shape[:k]):
+            rest, i = divmod(rest, n)
+            idx.append(i)
+        idx = tuple(reversed(idx))
+        found.append((idx, lambda at=at, idx=idx: build(at, idx)))
+    return count, found
+
+
+def _collect(identities=(), nested=(), per_identity=None):
+    """The instance count of the identities and nested reports, and their
+    first MAX_VIOLATIONS violations by (identity, indices), with at most
+    per_identity from each identity.  Scalars are built only for those.
 
     nested holds (prefix, report) pairs; each witness of a nested report is
     renamed prefix.identity.
     """
-    violations = []
+    found = []
     checked = 0
     for prefix, report in nested:
         checked += report.checked
-        violations.extend(dataclasses.replace(v, identity="%s.%s" % (prefix, v.identity))
-                          for v in report.violations)
-    for shape, body in families:
-        for idx in itertools.product(*(range(n) for n in shape)):
-            for ident, lhs, rhs in body(*idx):
-                checked += 1
-                if lhs != rhs:
-                    violations.append(Violation(ident, idx, _flat(lhs), _flat(rhs)))
-    return violations, checked
+        for v in report.violations:
+            v = dataclasses.replace(v, identity=prefix + "." + v.identity)
+            found.append(((v.identity, v.indices), lambda v=v: v))
+    limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
+    for identity in identities:
+        count, bad = _evaluate(identity, limit)
+        checked += count
+        found.extend(((identity.name, idx), build) for idx, build in bad)
+    found.sort(key=lambda item: item[0])
+    return [build() for _, build in found[:MAX_VIOLATIONS]], checked
 
 
 def _report(name, violations, checked) -> CheckReport:
@@ -281,8 +376,8 @@ def _report(name, violations, checked) -> CheckReport:
     return CheckReport(not violations, violations[:MAX_VIOLATIONS], checked, name)
 
 
-def _sweep(name, families=(), nested=()) -> CheckReport:
-    return _report(name, *_collect(families, nested))
+def _sweep(name, identities=(), nested=()) -> CheckReport:
+    return _report(name, *_collect(identities, nested))
 
 
 # ---------------------------------------------------------------------------

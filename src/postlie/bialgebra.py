@@ -14,6 +14,11 @@ sandwich M r + r N^T, which agrees with the row-major Kronecker matrix
 acting on the vectorised tensor (cross-checked in the test suite).  The
 matrices of multiplication by x are the actions of the pp adjoint
 representation, whose carriers are permuted tables built once per call.
+
+The coalgebra, bialgebra, Yang-Baxter and quasitriangularity checks are
+lists of whole-tensor equations (algebra.Identity) in the tables, the
+carriers, the comaps and r; C(r) and D(r) are one sum of einsum terms
+each.
 """
 
 from __future__ import annotations
@@ -27,18 +32,23 @@ from .algebra import (
     PP_IDENTITIES,
     Algebra,
     CheckReport,
+    Identity,
     PreconditionError,
+    Term,
     _collect,
     _identities,
     _report,
     _require_cube,
     _require_shape,
+    _side,
     _sweep,
     check_lie,
     check_pp_post_lie,
+    term,
 )
 from .forms import LEFT, PPRepSpec, check_o_operator_pp, pp_adjoint_rep, pp_coadjoint_rep
-from .linalg import Matrix, Tensor, basis_vec, vadd, vneg, vsub
+from .linalg import Matrix, Tensor, einsum
+from .scalars import ONE
 
 __all__ = [
     "CoalgebraSpec",
@@ -106,25 +116,6 @@ def dualize_alg(alg: Algebra, ops=("rtri", "ltri", "bracket")) -> CoalgebraSpec:
     return CoalgebraSpec(alg.dim, alg.field, basis, comaps)
 
 
-def _stack(n: int, f) -> Tensor:
-    """The tensor d[k, i, j] = f(e_k)[i, j] of a linear map f to 2-tensors."""
-    return Tensor((n, n, n), [s for k in range(n) for s in f(basis_vec(n, k)).entries])
-
-
-def _apply_first(d: Tensor, t2: Matrix) -> Tensor:
-    """(delta (x) id) t2 = sum_ab t2[a, b] delta(e_a) (x) e_b, delta given by d."""
-    return d.contract(0, t2.transpose()).permute((1, 2, 0))
-
-
-def _apply_second(d: Tensor, t2: Matrix) -> Tensor:
-    """(id (x) delta) t2 = sum_ab t2[a, b] e_a (x) delta(e_b), delta given by d."""
-    return d.contract(0, t2)
-
-
-def _minus_swap12(t: Tensor) -> Tensor:
-    return t - t.permute((1, 0, 2))
-
-
 def check_lie_coalgebra(co: CoalgebraSpec) -> CheckReport:
     """Co-antisymmetry and co-Jacobi, checked on the dual algebra."""
     only_delta = CoalgebraSpec(co.dim, co.field, co.basis, {"Delta": co.table("Delta")})
@@ -163,219 +154,161 @@ def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
     if mode != "direct":
         raise ValueError("mode must be 'dual' or 'direct'")
 
-    n = co.dim
     rt, lt, De = (co.table(name) for name in COMAP_NAMES)
+    swap23 = lambda t: t.permute((0, 2, 1))
     circ = rt + lt
-    bull = rt - lt.permute((0, 2, 1))
-    lt_sym = lt + lt.permute((0, 2, 1))
-    zero = Tensor.zero(n, n, n)
-
-    def body(k):
-        x = basis_vec(n, k)
-        rtx, ltx, Dex = rt.contract(0, x), lt.contract(0, x), De.contract(0, x)
-        yield ("ppco.1", _apply_second(De, ltx),
-               _apply_first(De, ltx) + _apply_second(De, ltx).permute((1, 0, 2)))
-        yield "ppco.2a", _apply_second(lt_sym, Dex), zero
-        yield "ppco.2b", _apply_first(De, lt_sym.contract(0, x)), zero
-        yield ("ppco.3", _apply_second(De, bull.contract(0, x)),
-               _apply_first(circ, Dex) + _apply_second(bull, Dex).permute((1, 0, 2)))
-        yield ("ppco.4", _apply_second(lt, rtx),
-               _apply_first(bull, ltx) + _apply_second(circ, ltx).permute((1, 0, 2))
-               - _apply_second(lt, Dex))
-        yield ("ppco.5", _minus_swap12(_apply_first(circ, rtx)),
-               _minus_swap12(_apply_second(rt, rtx)) - _apply_first(De, circ.contract(0, x))
-               - _minus_swap12(_apply_second(lt, Dex)))
-    return _sweep("pp-coalgebra", [((n,), body)])
+    bull = rt - swap23(lt)
+    lt_sym = lt + swap23(lt)
+    # at x = e_k, with d1 (x) id and id (x) d2 applied to the 2-tensor d3(x):
+    # first(d1, d3) = (d1 (x) id) d3(x), second(d2, d3) = (id (x) d2) d3(x),
+    # and swapped, the second with its first two slots exchanged
+    first = lambda d1, d3: term("ksc,sab->kabc", d3, d1)
+    second = lambda d2, d3: term("kas,sbc->kabc", d3, d2)
+    swapped = lambda d2, d3: term("kbs,sac->kabc", d3, d2)
+    return _sweep("pp-coalgebra", [
+        Identity("ppco.1", "k", [second(De, lt)], [first(De, lt), swapped(De, lt)]),
+        Identity("ppco.2a", "k", [second(lt_sym, De)]),
+        Identity("ppco.2b", "k", [first(De, lt_sym)]),
+        Identity("ppco.3", "k", [second(De, bull)], [first(circ, De), swapped(bull, De)]),
+        Identity("ppco.4", "k", [second(lt, rt)],
+                 [first(bull, lt), swapped(circ, lt), -second(lt, De)]),
+        # t - t with its first two slots exchanged, for each t
+        Identity("ppco.5", "k", [first(circ, rt), -term("ksc,sba->kabc", rt, circ)],
+                 [second(rt, rt), -swapped(rt, rt), -first(De, circ),
+                  -second(lt, De), swapped(lt, De)]),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # bialgebra compatibility checks
 # ---------------------------------------------------------------------------
 
+# With x, y = e_i, e_j, a carrier M (the matrix M(x) = M[i]) and a
+# comultiplication table d (the 2-tensor d(y) = d[j]):
+#   _lhs(M, d)   (M(x) (x) id) d(y)   = M(x) d(y)
+#   _rhs(M, d)   (id (x) M(x)) d(y)   = d(y) M(x)^T
+# and with yx=True the same with x and y exchanged;
+#   _co_on(c, d) d(x * y) for the product with table c.
+
+def _lhs(m, d, yx=False) -> Term:
+    return term("jps,isq->ijpq" if yx else "ips,jsq->ijpq", m, d)
+
+
+def _rhs(m, d, yx=False) -> Term:
+    return term("ips,jqs->ijpq" if yx else "jps,iqs->ijpq", d, m)
+
+
+def _co_on(c, d) -> Term:
+    return term("ijk,kpq->ijpq", c, d)
+
+
+def _cocycle(name, br, ad, De) -> Identity:
+    """Delta([x, y]) = ad(x).Delta(y) - ad(y).Delta(x), with
+    ad(x).t = (ad(x) (x) id + id (x) ad(x)) t."""
+    return Identity(name, "ij", [_co_on(br, De)],
+                    [_lhs(ad, De), _rhs(ad, De), -_lhs(ad, De, True), -_rhs(ad, De, True)])
+
+
 def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """Lie algebra + Lie coalgebra + the adjoint cocycle condition on Delta."""
     nested = [("bialg.alg", check_lie(alg)), ("bialg.coalg", check_lie_coalgebra(co))]
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    ad = alg.table("bracket").permute(LEFT)
-
-    def body(i, j):
-        x, y = e[i], e[j]
-        adx = ad.contract(0, x)
-        ady = ad.contract(0, y)
-        yield ("bialg.cocycle", co.apply("Delta", alg.mul("bracket", x, y)),
-               _sandwich(adx, co.apply("Delta", y)) - _sandwich(ady, co.apply("Delta", x)))
-    return _sweep("lie-bialgebra", [((n, n), body)], nested)
-
-
-def _sandwich(m: Matrix, t2: Matrix, m2: Matrix | None = None) -> Matrix:
-    """(m (x) id + id (x) m2) t2, with m2 defaulting to m."""
-    return _lhs_apply(m, t2) + _rhs_apply(m if m2 is None else m2, t2)
-
-
-def _lhs_apply(m: Matrix, t2: Matrix) -> Matrix:
-    """(m (x) id) t2."""
-    return t2.contract(0, m)
-
-
-def _rhs_apply(m: Matrix, t2: Matrix) -> Matrix:
-    """(id (x) m) t2."""
-    return t2.contract(1, m)
+    br = alg.table("bracket")
+    return _sweep("lie-bialgebra", [_cocycle("bialg.cocycle", br, br.permute(LEFT),
+                                             co.table("Delta"))], nested)
 
 
 def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """pp algebra + pp coalgebra + the nine mixed compatibility conditions."""
     nested = [("ppbialg.alg", check_pp_post_lie(alg)), ("ppbialg.coalg", check_pp_coalgebra(co))]
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    drt = lambda x: co.apply("delta_rtri", x)
-    dlt = lambda x: co.apply("delta_ltri", x)
-    dDe = lambda x: co.apply("Delta", x)
-    dcirc = lambda x: drt(x) + dlt(x)
-    dbull = lambda x: drt(x) - dlt(x).transpose()
-
-    circ = lambda x, y: vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
-    bull = lambda x, y: vsub(alg.mul("rtri", x, y), alg.mul("ltri", y, x))
-    curly = lambda x, y: vadd(circ(x, y), vneg(circ(y, x)), alg.mul("bracket", x, y))
-
-    # per-basis operator matrices and comap values, hoisted out of the loop
-    adj = pp_adjoint_rep(alg)
-    ad_, lrt, llt, rrt, rlt = ([adj.act(which, x) for x in e]
-                               for which in ("rho", "l_rt", "l_lt", "r_rt", "r_lt"))
-    lcirc = [lrt[k] + llt[k] for k in range(n)]
-    lbull = [lrt[k] - rlt[k] for k in range(n)]
-    rcirc = [rrt[k] + rlt[k] for k in range(n)]
-    rbull = [rrt[k] - llt[k] for k in range(n)]
-    De_ = [dDe(e[k]) for k in range(n)]
-    lt_ = [dlt(e[k]) for k in range(n)]
-    rt_ = [drt(e[k]) for k in range(n)]
-    circ_ = [rt_[k] + lt_[k] for k in range(n)]
-    bull_ = [rt_[k] - lt_[k].transpose() for k in range(n)]
-
-    def body(i, j):
-        x, y = e[i], e[j]
-        adx, ady = ad_[i], ad_[j]
-        yield ("ppbialg.cocycle",
-               dDe(alg.mul("bracket", x, y)),
-               _sandwich(adx, De_[j]) - _sandwich(ady, De_[i]))
-        yield ("ppbialg.1",
-               dDe(circ(x, y)),
-               _sandwich(lcirc[i], De_[j], lbull[i])
-               + _rhs_apply(ady, lt_[i]) + _lhs_apply(ady, lt_[i]))
-        yield ("ppbialg.2",
-               dDe(bull(x, y)),
-               _sandwich(lbull[i], De_[j])
-               - _rhs_apply(ady, lt_[i].transpose()) + _lhs_apply(ady, lt_[i]))
-        yield ("ppbialg.3",
-               dbull(alg.mul("bracket", x, y)),
-               _rhs_apply(adx, bull_[j]) - _rhs_apply(ady, bull_[i])
-               + _lhs_apply(rlt[i], De_[j]) - _lhs_apply(rlt[j], De_[i]))
-        yield ("ppbialg.4",
-               dcirc(alg.mul("bracket", x, y)),
-               _rhs_apply(adx, circ_[j]) - _rhs_apply(ady, bull_[i])
-               + _lhs_apply(rlt[i], De_[j]) + _lhs_apply(llt[j], De_[i]))
-        yield ("ppbialg.5",
-               dbull(circ(x, y)),
-               _rhs_apply(lcirc[i], bull_[j])
-               + _lhs_apply(lrt[i] + adx, bull_[j])
-               - _lhs_apply(rlt[j], lt_[i].transpose())
-               + _rhs_apply(rcirc[j], rt_[i] + De_[i]))
-        yield ("ppbialg.6",
-               dcirc(bull(x, y)),
-               _rhs_apply(lbull[i], circ_[j])
-               + _lhs_apply(lrt[i] + adx, circ_[j])
-               - _lhs_apply(llt[j], lt_[i])
-               + _rhs_apply(rbull[j], rt_[i] + De_[i]))
-        yield ("ppbialg.7",
-               dlt(curly(x, y)),
-               _rhs_apply(lbull[i], lt_[j]) + _lhs_apply(lcirc[i], lt_[j])
-               - _rhs_apply(lbull[j], lt_[i]) - _lhs_apply(lcirc[j], lt_[i]))
-        xy_lt = alg.mul("ltri", x, y)
-        yield ("ppbialg.8",
-               dcirc(xy_lt) - dcirc(xy_lt).transpose() + dDe(xy_lt),
-               _rhs_apply(llt[i], bull_[j])
-               + _rhs_apply(rlt[j], circ_[i])
-               - _lhs_apply(llt[i], bull_[j].transpose())
-               - _lhs_apply(rlt[j], circ_[i].transpose()))
-    return _sweep("pp-bialgebra", [((n, n), body)], nested)
+    swap = lambda t: t.permute((1, 0, 2))
+    transpose = lambda t: t.permute((0, 2, 1))
+    rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
+    circ = rt + lt
+    bull = rt - swap(lt)
+    curly = circ - swap(circ) + br
+    # the carriers of multiplication by x, and the comultiplications
+    lrt, rrt, llt, rlt, ad = pp_adjoint_rep(alg).carriers()
+    lcirc, lbull, rcirc, rbull = lrt + llt, lrt - rlt, rrt + rlt, rrt - llt
+    d_rt, d_lt, De = (co.table(name) for name in COMAP_NAMES)
+    d_circ = d_rt + d_lt
+    d_bull = d_rt - transpose(d_lt)
+    return _sweep("pp-bialgebra", [
+        _cocycle("ppbialg.cocycle", br, ad, De),
+        Identity("ppbialg.1", "ij", [_co_on(circ, De)],
+                 [_lhs(lcirc, De), _rhs(lbull, De), _rhs(ad, d_lt, True),
+                  _lhs(ad, d_lt, True)]),
+        Identity("ppbialg.2", "ij", [_co_on(bull, De)],
+                 [_lhs(lbull, De), _rhs(lbull, De), -_rhs(ad, transpose(d_lt), True),
+                  _lhs(ad, d_lt, True)]),
+        Identity("ppbialg.3", "ij", [_co_on(br, d_bull)],
+                 [_rhs(ad, d_bull), -_rhs(ad, d_bull, True), _lhs(rlt, De),
+                  -_lhs(rlt, De, True)]),
+        Identity("ppbialg.4", "ij", [_co_on(br, d_circ)],
+                 [_rhs(ad, d_circ), -_rhs(ad, d_bull, True), _lhs(rlt, De),
+                  _lhs(llt, De, True)]),
+        Identity("ppbialg.5", "ij", [_co_on(circ, d_bull)],
+                 [_rhs(lcirc, d_bull), _lhs(lrt + ad, d_bull),
+                  -_lhs(rlt, transpose(d_lt), True), _rhs(rcirc, d_rt + De, True)]),
+        Identity("ppbialg.6", "ij", [_co_on(bull, d_circ)],
+                 [_rhs(lbull, d_circ), _lhs(lrt + ad, d_circ), -_lhs(llt, d_lt, True),
+                  _rhs(rbull, d_rt + De, True)]),
+        Identity("ppbialg.7", "ij", [_co_on(curly, d_lt)],
+                 [_rhs(lbull, d_lt), _lhs(lcirc, d_lt), -_rhs(lbull, d_lt, True),
+                  -_lhs(lcirc, d_lt, True)]),
+        Identity("ppbialg.8", "ij",
+                 [_co_on(lt, d_circ - transpose(d_circ) + De)],
+                 [_rhs(llt, d_bull), _rhs(rlt, d_circ, True), -_lhs(llt, transpose(d_bull)),
+                  -_lhs(rlt, transpose(d_circ), True)]),
+    ], nested)
 
 
 # ---------------------------------------------------------------------------
 # Yang-Baxter tensors
 # ---------------------------------------------------------------------------
 
+def _yang_baxter_terms(first, r: Matrix, c12: Tensor, c23: Tensor) -> list:
+    """first + sum_ij a_i (x) c12(b_i, a_j) (x) b_j + sum_ij a_i (x) a_j (x) c23(b_i, b_j)
+    for r = sum_i a_i (x) b_i and the products with structure tables c12, c23."""
+    return [first, term("xa,bz,aby->xyz", r, r, c12), term("xa,yb,abz->xyz", r, r, c23)]
+
+
+def _cybe_C_terms(alg: Algebra, r: Matrix) -> list:
+    br = alg.table("bracket")
+    return _yang_baxter_terms(term("abx,ay,bz->xyz", br, r, r), r, br, br)
+
+
+def _cybe_D_terms(alg: Algebra, r: Matrix) -> list:
+    rt, lt = alg.table("rtri"), alg.table("ltri")
+    return _yang_baxter_terms(term("abx,by,az->xyz", lt, r, r), r,
+                              rt - lt.permute((1, 0, 2)), rt + lt)
+
+
 def cybe_C(alg: Algebra, r: Matrix) -> Tensor:
     """[r12, r13] + [r12, r23] + [r13, r23] as an order-3 tensor."""
-    br = alg.table("bracket")
-    return _yang_baxter(r, _products_of_a(br, r).permute((2, 0, 1)), br, br)
+    return _side("", _cybe_C_terms(alg, r)).tensor()
 
 
 def cybe_D(alg: Algebra, r: Matrix) -> Tensor:
     """r13 <| r12 + r12 . r23 + r13 o r23 with the displayed slot placement."""
-    rt, lt = alg.table("rtri"), alg.table("ltri")
-    return _yang_baxter(r, _products_of_a(lt, r).permute((2, 1, 0)),
-                        rt - lt.permute((1, 0, 2)), rt + lt)
-
-
-def _products_of_a(c: Tensor, r: Matrix) -> Tensor:
-    """sum_ij b_i (x) b_j (x) c(a_i, a_j) for r = sum_i a_i (x) b_i and the
-    product with structure table c."""
-    rt = r.transpose()
-    return c.contract(0, rt).contract(1, rt)
-
-
-def _yang_baxter(r: Matrix, first: Tensor, c12: Tensor, c23: Tensor) -> Tensor:
-    """first + sum_ij a_i (x) c12(b_i, a_j) (x) b_j + sum_ij a_i (x) a_j (x) c23(b_i, b_j)
-    for r = sum_i a_i (x) b_i and the products with structure tables c12, c23."""
-    return (first + c12.permute((0, 2, 1)).contract(0, r).contract(2, r.transpose())
-            + c23.contract(0, r).contract(1, r))
+    return _side("", _cybe_D_terms(alg, r)).tensor()
 
 
 def check_pppcybe(alg: Algebra, r: Matrix) -> CheckReport:
     """r solves the equation iff both tensor obstructions vanish."""
-    n = alg.dim
-    _require_shape(r, n, n, "tensor")
-    zero = Tensor.zero(n, n, n)
-
-    def body():
-        yield "cybe.c", cybe_C(alg, r), zero
-        yield "cybe.d", cybe_D(alg, r), zero
-    return _sweep("pppcybe", [((), body)])
+    _require_shape(r, alg.dim, alg.dim, "tensor")
+    return _sweep("pppcybe", [Identity("cybe.c", "", _cybe_C_terms(alg, r)),
+                              Identity("cybe.d", "", _cybe_D_terms(alg, r))])
 
 
 # ---------------------------------------------------------------------------
 # cobrackets from a classical r-matrix
 # ---------------------------------------------------------------------------
 
-def _left_ops(adj: PPRepSpec, x):
-    """L_rt, L_diamond, L_circ, L_bullet and ad at x, as matrices, from the
-    pp adjoint representation adj."""
-    rt, lt, rrt, rlt, ad = (adj.act(which, x) for which in ("l_rt", "l_lt", "r_rt", "r_lt", "rho"))
-    circ = rt + lt
-    bullet = rt - rlt
-    diamond = lt + rt - rlt - rrt
-    return rt, diamond, circ, bullet, ad
-
-
 def op_matrix_2tensor(m1: Matrix, m2: Matrix) -> Matrix:
     """(m1 (x) id + id (x) m2) as an n^2 x n^2 matrix on vectorised 2-tensors."""
     n = m1.rows
     eye = Matrix.identity(n)
     return m1.kron(eye) + eye.kron(m2)
-
-
-def _e_apply(adj, x, t2: Matrix) -> Matrix:
-    rt, diamond, _, _, _ = _left_ops(adj, x)
-    return _sandwich(rt, t2, diamond)
-
-
-def _f_apply(adj, x, t2: Matrix) -> Matrix:
-    _, _, circ, bullet, _ = _left_ops(adj, x)
-    return _sandwich(circ, t2, bullet)
-
-
-def _g_apply(adj, x, t2: Matrix) -> Matrix:
-    return _sandwich(adj.act("rho", x), t2)
 
 
 def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
@@ -410,6 +343,19 @@ def _sandwiches(left: Tensor, t2: Matrix, right: Tensor) -> Tensor:
 # quasitriangularity: the individual sufficient conditions
 # ---------------------------------------------------------------------------
 
+def _efg(adj: PPRepSpec, t2: Matrix):
+    """The comaps x -> e(x) t2, f(x) t2, g(x) t2 for the operators
+    e(x) = L_rt(x) (x) id + id (x) L_diamond(x),
+    f(x) = L_circ(x) (x) id + id (x) L_bullet(x),
+    g(x) = ad(x) (x) id + id (x) ad(x),
+    with L_circ = L_rt + L_lt, L_bullet = L_rt - R_lt and
+    L_diamond = L_circ - R_lt - R_rt on the pp adjoint representation adj."""
+    lrt, rrt, llt, rlt, ad = adj.carriers()
+    return (_sandwiches(lrt, t2, lrt + llt - rlt - rrt),
+            _sandwiches(lrt + llt, t2, lrt - rlt),
+            _sandwiches(ad, t2, ad))
+
+
 def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     """Per-equation verdicts for the coalgebra/bialgebra conditions on r.
 
@@ -420,97 +366,66 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     n = alg.dim
     _require_shape(r, n, n, "tensor")
     adj = pp_adjoint_rep(alg)
-    s = r + r.transpose()
-    C = cybe_C(alg, r)
-    D = cybe_D(alg, r)
-    zero2 = Matrix.zero(n, n)
-    zero3 = Tensor.zero(n, n, n)
-    e = [basis_vec(n, i) for i in range(n)]
+    lrt, rrt, llt, rlt, ad = adj.carriers()
+    rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
     swap12 = lambda t: t.permute((1, 0, 2))
     swap23 = lambda t: t.permute((0, 2, 1))
-    # sum_i a_i (x) W(b_i) and sum_i W(a_i) (x) b_i over r = sum_i a_i (x) b_i
-    # for a linear map W to 2-tensors
-    on_b = lambda w: _apply_second(_stack(n, w), r)
-    on_a = lambda w: _apply_first(_stack(n, w), r)
-    sum_aFb = on_b(lambda b: _f_apply(adj, b, s))
-
-    def one_variable(k):
-        x = e[k]
-        rt, diamond, circ, bullet, ad = _left_ops(adj, x)
-        llt = adj.act("l_lt", x)
-        rlt = adj.act("r_lt", x)
-        yield "quasi.colie.1", _g_apply(adj, x, s), zero2
-        yield "quasi.colie.2", C.contract(0, ad) + C.contract(1, ad) + C.contract(2, ad), zero3
-        yield "quasi.coalg.1", (
-            C.contract(0, circ) + C.contract(1, circ) + C.contract(2, bullet)
-            + on_a(lambda a: _lhs_apply(adj.act("rho", a),
-                                        _f_apply(adj, x, s).transpose()))), zero3
-        inner = sum_aFb - D
-        yield "quasi.coalg.2a", (
-            (inner + swap23(inner)).contract(0, ad)
-            + on_b(lambda b: _f_apply(adj, alg.mul("bracket", x, b), s))), zero3
-        yield "quasi.coalg.2b", C.contract(2, llt + rlt), zero3
-        yield "quasi.coalg.3", (
-            C.contract(0, llt) + (swap23(D) - sum_aFb).contract(1, ad) - D.contract(2, ad)
-            - on_a(lambda a: _lhs_apply(adj.act("r_lt", a), _g_apply(adj, x, s)))), zero3
-        part1 = sum_aFb - swap23(D)
-        mid = sum_aFb - on_a(lambda a: _f_apply(adj, a, s).transpose()) - swap23(D)
-        yield "quasi.coalg.4", (
-            part1.contract(0, ad + llt) + part1.contract(1, circ) + mid.contract(2, bullet)
-            + on_a(lambda a: _lhs_apply(adj.act("r_lt", a),
-                                        _f_apply(adj, x, s).transpose()))
-            - on_a(lambda a: _f_apply(adj, vadd(alg.mul("rtri", x, a), alg.mul("ltri", x, a)),
-                                      s).transpose())), zero3
-        term1 = part1.contract(0, ad)
-        yield "quasi.coalg.5", (
-            term1 - swap12(term1)
-            + on_a(lambda a: _rhs_apply(adj.act("r_rt", a), _e_apply(adj, x, s)))
-            + on_a(lambda a: _rhs_apply(adj.act("r_rt", a) + adj.act("r_lt", a),
-                                        _g_apply(adj, x, s)))
-            + _minus_swap12(D.contract(2, diamond))
-            - C.contract(2, adj.act("r_rt", x) - adj.act("l_lt", x))
-            + _minus_swap12((D - swap12(D)).contract(0, rt))), zero3
-
-    def two_variables(a, b):
-        x, y = e[a], e[b]
-        adx = adj.act("rho", x)
-        ady = adj.act("rho", y)
-        yield "quasi.compat.1", _lhs_apply(adx, _f_apply(adj, y, s)), zero2
-        yield ("quasi.compat.2",
-               _f_apply(adj, alg.mul("bracket", x, y), s)
-               + _lhs_apply(adx, _f_apply(adj, y, s))
-               - _lhs_apply(ady, _f_apply(adj, x, s)), zero2)
-        circ_xy = vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
-        rtx, _, circx, _, _ = _left_ops(adj, x)
-        yield ("quasi.compat.3",
-               _f_apply(adj, circ_xy, s)
-               + _rhs_apply(circx, _f_apply(adj, y, s))
-               + _lhs_apply(adx + rtx, _f_apply(adj, y, s))
-               - _lhs_apply(adj.act("r_lt", y), _f_apply(adj, x, s).transpose()), zero2)
-        lt_xy = alg.mul("ltri", x, y)
-        inner4 = _lhs_apply(adj.act("l_lt", x), _e_apply(adj, y, s))
-        yield ("quasi.compat.4",
-               _e_apply(adj, lt_xy, s) - _f_apply(adj, lt_xy, s)
-               + inner4 - inner4.transpose()
-               + _g_apply(adj, x, s)
-               + _rhs_apply(adj.act("r_lt", y),
-                            _f_apply(adj, x, s) - _e_apply(adj, x, s)), zero2)
-
-    def invariance(k):
-        x = e[k]
-        yield "quasi.inv.e", _e_apply(adj, x, s), zero2
-        yield "quasi.inv.f", _f_apply(adj, x, s), zero2
-        yield "quasi.inv.g", _g_apply(adj, x, s), zero2
-
-    violations, checked = _collect([((n,), one_variable), ((n, n), two_variables),
-                                    ((n,), invariance)])
-    # one witness per condition, so the cap cannot hide a failing equation;
-    # each condition is one family run in increasing index order, so its
-    # first witness is its least
-    firsts = {}
-    for v in violations:
-        firsts.setdefault(v.identity, v)
-    return _report("quasitriangular", list(firsts.values()), checked)
+    E, F, G = _efg(adj, r + r.transpose())
+    C, D = cybe_C(alg, r), cybe_D(alg, r)
+    # over r = sum_i a_i (x) b_i: sum_aFb = sum_i a_i (x) F(b_i), and mid
+    # also subtracts sum_i F(a_i)^T (x) b_i
+    sum_aFb = einsum("xb,byz->xyz", r, F)
+    part1 = sum_aFb - swap23(D)
+    mid = part1 - einsum("wc,wba->abc", r, F)
+    inner = sum_aFb - D
+    ones = Tensor((n,), [ONE] * n)
+    # X contracted along axis 0, 1 or 2 with the matrix M(x) at x = e_k
+    on0 = lambda m, x: term("kat,tbc->kabc", m, x)
+    on1 = lambda m, x: term("kbt,atc->kabc", m, x)
+    on2 = lambda m, x: term("kct,abt->kabc", m, x)
+    # sum_i W(a_i) (x) b_i at x = e_k for W(a) = M(a) X(x) (left_on_a),
+    # M(a) X(x)^T (left_t_on_a) or X(x) M(a)^T (right_on_a)
+    left_on_a = lambda m, x: term("wc,wat,ktb->kabc", r, m, x)
+    left_t_on_a = lambda m, x: term("wc,wat,kbt->kabc", r, m, x)
+    right_on_a = lambda x, m: term("wc,kat,wbt->kabc", r, x, m)
+    # x = e_i, y = e_j acting on the matrices of a (k, p, q) tensor X
+    left_xy = lambda m, x: term("ipt,jtq->ijpq", m, x)
+    left_yx = lambda m, x: term("jpt,itq->ijpq", m, x)
+    product = lambda c, x: term("ijt,tpq->ijpq", c, x)
+    identities = [
+        Identity("quasi.colie.1", "k", [term("kpq->kpq", G)]),
+        Identity("quasi.colie.2", "k", [on0(ad, C), on1(ad, C), on2(ad, C)]),
+        Identity("quasi.coalg.1", "k", [on0(lrt + llt, C), on1(lrt + llt, C),
+                                        on2(lrt - rlt, C), left_t_on_a(ad, F)]),
+        Identity("quasi.coalg.2a", "k", [on0(ad, inner), term("kat,tcb->kabc", ad, inner),
+                                         term("aw,kwt,tbc->kabc", r, br, F)]),
+        Identity("quasi.coalg.2b", "k", [on2(llt + rlt, C)]),
+        Identity("quasi.coalg.3", "k", [on0(llt, C), on1(ad, swap23(D) - sum_aFb),
+                                        -on2(ad, D), -left_on_a(rlt, G)]),
+        Identity("quasi.coalg.4", "k", [on0(ad + llt, part1), on1(lrt + llt, part1),
+                                        on2(lrt - rlt, mid), left_t_on_a(rlt, F),
+                                        -term("wc,kwt,tba->kabc", r, rt + lt, F)]),
+        Identity("quasi.coalg.5", "k", [
+            on0(ad, part1), -term("kbt,tac->kabc", ad, part1),
+            right_on_a(E, rrt), right_on_a(G, rrt + rlt),
+            on2(llt + lrt - rlt - rrt, D), -term("kct,bat->kabc", llt + lrt - rlt - rrt, D),
+            -on2(rrt - llt, C),
+            on0(lrt, D - swap12(D)), -term("kbt,tac->kabc", lrt, D - swap12(D))]),
+        Identity("quasi.compat.1", "ij", [left_xy(ad, F)]),
+        Identity("quasi.compat.2", "ij", [product(br, F), left_xy(ad, F), -left_yx(ad, F)]),
+        Identity("quasi.compat.3", "ij", [
+            product(rt + lt, F), term("jpt,iqt->ijpq", F, lrt + llt), left_xy(ad + lrt, F),
+            -term("jpt,iqt->ijpq", rlt, F)]),
+        Identity("quasi.compat.4", "ij", [
+            product(lt, E - F), left_xy(llt, E), -term("iqt,jtp->ijpq", llt, E),
+            term("ipq,j->ijpq", G, ones), term("ipt,jqt->ijpq", F - E, rlt)]),
+        Identity("quasi.inv.e", "k", [term("kpq->kpq", E)]),
+        Identity("quasi.inv.f", "k", [term("kpq->kpq", F)]),
+        Identity("quasi.inv.g", "k", [term("kpq->kpq", G)]),
+    ]
+    # one witness per condition, its least, so the cap cannot hide a
+    # failing equation
+    return _report("quasitriangular", *_collect(identities, per_identity=1))
 
 
 # ---------------------------------------------------------------------------

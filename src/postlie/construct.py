@@ -6,6 +6,10 @@ antidiagonal block matrix [[0, I], [I, 0]].  Every algebra on a sum A + B
 (semidirect products, bowtie products, doubles) is one block sum of
 tables: A's and B's products on the diagonal blocks and the carriers of
 the mutual actions, permuted into tables, on the mixed ones.
+
+The matched-pair equations and the closure of the two halves of a Manin
+triple are whole-tensor equations (algebra.Identity) in the tables and
+carriers, indexed by the basis tuples of their arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from .algebra import (
     Algebra,
     CheckReport,
+    Identity,
     PreconditionError,
     _require,
     _require_shape,
@@ -23,6 +28,7 @@ from .algebra import (
     check_post_lie,
     check_pp_post_lie,
     horizontal_post_lie,
+    term,
 )
 from .forms import (
     FROM_RIGHT,
@@ -37,7 +43,7 @@ from .forms import (
     dual_pp_rep,
     pp_split_dual_rep,
 )
-from .linalg import Matrix, SingularMatrixError, Tensor, basis_vec, vadd, vneg
+from .linalg import Matrix, SingularMatrixError, Tensor
 
 __all__ = [
     "semidirect_post_lie",
@@ -139,68 +145,48 @@ def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps,
     if checked:
         for alg in (a, b):
             _require(check_post_lie(alg), "not a post-Lie algebra")
-    na, nb = a.dim, b.dim
-    ea = [basis_vec(na, i) for i in range(na)]
-    eb = [basis_vec(nb, i) for i in range(nb)]
     rep_b, rep_a = maps.acting_on(a, b)
     nested = [("mp.rep-a", check_post_lie_rep(a, rep_b, checked=False)),
               ("mp.rep-b", check_post_lie_rep(b, rep_a, checked=False))]
-
-    la = lambda x, v: rep_b.act("l", x).apply(v)
-    ra = lambda x, v: rep_b.act("r", x).apply(v)
-    pa = lambda x, v: rep_b.act("rho", x).apply(v)
-    lb = lambda u, v: rep_a.act("l", u).apply(v)
-    rb = lambda u, v: rep_a.act("r", u).apply(v)
-    pb = lambda u, v: rep_a.act("rho", u).apply(v)
-    bra = lambda x, y: a.mul("bracket", x, y)
-    brb = lambda u, v: b.mul("bracket", u, v)
-    ca = lambda x, y: a.mul("circ", x, y)
-    cb = lambda u, v: b.mul("circ", u, v)
-    curly_a = lambda x, y: vadd(ca(x, y), vneg(ca(y, x)), bra(x, y))
-    curly_b = lambda u, v: vadd(cb(u, v), vneg(cb(v, u)), brb(u, v))
-
-    def one_a_two_b(i, j, k):
-        x, u, v = ea[i], eb[j], eb[k]
-        yield ("mp.01", pa(x, brb(u, v)),
-               vadd(brb(pa(x, u), v), brb(u, pa(x, v)),
-                    pa(pb(v, x), u), vneg(pa(pb(u, x), v))))
-        yield ("mp.02", pa(x, cb(u, v)),
-               vadd(cb(u, pa(x, v)), brb(v, ra(x, u)),
-                    vneg(pa(lb(u, x), v)), vneg(ra(pb(v, x), u))))
-        yield ("mp.05", la(x, brb(u, v)),
-               vadd(brb(la(x, u), v), brb(u, la(x, v)),
-                    pa(rb(u, x), v), vneg(pa(rb(v, x), u))))
-        yield ("mp.06", la(x, cb(u, v)),
-               vadd(cb(la(x, u), v), cb(u, la(x, v)),
-                    vneg(cb(ra(x, u), v)), cb(pa(x, u), v),
-                    ra(rb(v, x), u), vneg(la(lb(u, x), v)),
-                    la(rb(u, x), v), vneg(la(pb(u, x), v))))
-        yield ("mp.09", ra(x, curly_b(u, v)),
-               vadd(cb(u, ra(x, v)), vneg(cb(v, ra(x, u))),
-                    ra(lb(v, x), u), vneg(ra(lb(u, x), v))))
-
-    def one_b_two_a(i, j, k):
-        u, x, y = eb[i], ea[j], ea[k]
-        yield ("mp.03", pb(u, bra(x, y)),
-               vadd(bra(pb(u, x), y), bra(x, pb(u, y)),
-                    pb(pa(y, u), x), vneg(pb(pa(x, u), y))))
-        yield ("mp.04", pb(u, ca(x, y)),
-               vadd(ca(x, pb(u, y)), bra(y, rb(u, x)),
-                    vneg(pb(la(x, u), y)), vneg(rb(pa(y, u), x))))
-        yield ("mp.07", lb(u, bra(x, y)),
-               vadd(bra(lb(u, x), y), bra(x, lb(u, y)),
-                    pb(ra(x, u), y), vneg(pb(ra(y, u), x))))
-        yield ("mp.08", lb(u, ca(x, y)),
-               vadd(ca(lb(u, x), y), ca(x, lb(u, y)),
-                    vneg(ca(rb(u, x), y)), ca(pb(u, x), y),
-                    rb(ra(y, u), x), vneg(lb(la(x, u), y)),
-                    lb(ra(x, u), y), vneg(lb(pa(x, u), y))))
-        yield ("mp.10", rb(u, curly_a(x, y)),
-               vadd(ca(x, rb(u, y)), vneg(ca(y, rb(u, x))),
-                    rb(la(y, u), x), vneg(rb(la(x, u), y))))
-
-    return _sweep("matched-pair", [((na, nb, nb), one_a_two_b), ((nb, na, na), one_b_two_a)],
+    return _sweep("matched-pair", _mixed(("mp.01", "mp.02", "mp.05", "mp.06", "mp.09"),
+                                         b, rep_b, rep_a)
+                  + _mixed(("mp.03", "mp.04", "mp.07", "mp.08", "mp.10"), a, rep_a, rep_b),
                   nested)
+
+
+def _mixed(names, b: Algebra, on_b: RepSpec, on_a: RepSpec) -> list:
+    """The five compatibility equations of the actions on_b (A on B) and
+    on_a (B on A) at x = e_i in A and u, v = e_j, e_k in B, valued in B
+    (index p): the actions of x on [u, v], u o v and {u, v} = u o v - v o u
+    + [u, v], each against the products of u and v with actions of x and
+    the actions of (actions of u and v on x) on v and u.  The other five
+    equations are these with A and B exchanged."""
+    cb, brb = b.table("circ"), b.table("bracket")
+    l, r, rho = on_b.carriers()
+    l2, r2, rho2 = on_a.carriers()
+    curly = cb - cb.permute((1, 0, 2)) + brb
+    # the action of x on a product of u and v; the product of the action of
+    # x on u (on v) with v (with u); the action of (an action of v (of u)
+    # on x) on u (on v)
+    on_product = lambda c, m: term("jks,ips->ijkp", c, m)
+    first = lambda m, c: term("isj,skp->ijkp", m, c)
+    second = lambda m, c: term("isk,jsp->ijkp", m, c)
+    second_swapped = lambda m, c: term("isj,ksp->ijkp", m, c)
+    back_v = lambda m2, m: term("ksi,spj->ijkp", m2, m)
+    back_u = lambda m2, m: term("jsi,spk->ijkp", m2, m)
+    return [
+        Identity(names[0], "ijk", [on_product(brb, rho)],
+                 [first(rho, brb), second(rho, brb), back_v(rho2, rho), -back_u(rho2, rho)]),
+        Identity(names[1], "ijk", [on_product(cb, rho)],
+                 [second(rho, cb), second_swapped(r, brb), -back_u(l2, rho), -back_v(rho2, r)]),
+        Identity(names[2], "ijk", [on_product(brb, l)],
+                 [first(l, brb), second(l, brb), back_u(r2, rho), -back_v(r2, rho)]),
+        Identity(names[3], "ijk", [on_product(cb, l)],
+                 [first(l - r + rho, cb), second(l, cb), back_v(r2, r),
+                  back_u(r2 - l2 - rho2, l)]),
+        Identity(names[4], "ijk", [on_product(curly, r)],
+                 [second(r, cb), -second_swapped(r, cb), back_v(l2, r), -back_u(l2, r)]),
+    ]
 
 
 def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps, checked=True) -> Algebra:
@@ -266,17 +252,23 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
     nested = [("manin.post-lie", post_lie)]
     if post_lie.passed:
         nested.append(("manin.gph", check_gph(out, form, checked=False)))
-    e = [basis_vec(2 * n, i) for i in range(2 * n)]
-
-    # closure of the two halves (true by construction; validated anyway); a
+    # closure of the two halves (true by construction; validated anyway): a
+    # product of two basis vectors of one half has no part in the other; a
     # product leaving its half is reported whole against an empty rhs
-    def closure(i, j):
-        for op in ("circ", "bracket"):
-            prod = out.mul(op, e[i], e[j])
-            yield "manin.closure-a", prod if any(prod[n:]) else (), ()
-            prod = out.mul(op, e[n + i], e[n + j])
-            yield "manin.closure-b", prod if any(prod[:n]) else (), ()
-    return out, form, _sweep("manin-triple", [((n, n), closure)], nested)
+    # per half: its name, the embedding of its basis, the projection onto
+    # the other half and its first index
+    eye = Matrix.identity(n)
+    halves = [(name, Tensor.blocks((2 * n, n), [(eye, (start, 0))]),
+               Tensor.blocks((2 * n, 2 * n), [(eye, (n - start, n - start))]), start)
+              for name, start in (("manin.closure-a", 0), ("manin.closure-b", n))]
+    closure = []
+    for op in ("circ", "bracket"):
+        table = out.table(op)
+        for name, embed, other, start in halves:
+            closure.append(Identity(
+                name, "ij", [term("ai,bj,abc,kc->ijk", embed, embed, table, other)],
+                witness=lambda idx, t=table, s=start: (t.row(idx[0] + s, idx[1] + s), ())))
+    return out, form, _sweep("manin-triple", closure, nested)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _scal(tok, lineno, fieldname):
         s = Scalar.parse(tok)
     except ScalarParseError as exc:
         raise DocumentError(str(exc), lineno) from None
-    if fieldname == "Q" and s.im != 0:
+    if fieldname == "Q" and s.b:
         raise DocumentError("imaginary scalar %r in a Q document" % tok, lineno)
     return s
 

@@ -9,6 +9,12 @@ carriers of left and right multiplication are axis permutations of the
 structure table, L[i, k, j] = R[j, k, i] = c[i, j, k].  Dual spaces always
 use the dual basis, so the pairing matrix is the identity and every
 dualized action is the negated transpose, -c[i, b, a].
+
+Every checker here is a list of whole-tensor equations (algebra.Identity)
+in the tables, the carriers, the form B or the operator T, indexed by the
+basis tuples of its arguments: for instance B([x, y], z) = B(x, [y, z])
+at (x, y, z) = (e_i, e_j, e_k) is ijc,ck->ijk of (bracket, B) against
+ia,jka->ijk of (B, bracket).
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from dataclasses import dataclass
 from .algebra import (
     Algebra,
     CheckReport,
+    Identity,
+    Term,
     _require,
     _require_shape,
     _sweep,
@@ -26,12 +34,12 @@ from .algebra import (
     check_post_lie,
     check_pp_post_lie,
     sub_adjacent_lie,
+    term,
 )
-from .linalg import Matrix, Tensor, basis_vec, vadd, vneg, vscale, vsub
+from .linalg import Matrix, Tensor
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
-    "form_value",
     "check_invariant_form",
     "check_gph",
     "check_left_invariant",
@@ -55,47 +63,33 @@ __all__ = [
 ]
 
 
-def form_value(B: Matrix, x, y) -> Scalar:
-    """B(x, y) for coordinate vectors x, y."""
-    acc = ZERO
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for bij, yj in zip(B.row(i), y):
-            if yj and bij:
-                acc = acc + xi * bij * yj
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # invariance of bilinear forms
 # ---------------------------------------------------------------------------
 
-def _invariance(alg: Algebra, B: Matrix, checked, tag, circ_identity):
-    """Families for B([x,y],z) = B(x,[y,z]) plus one circ identity of B."""
+def _invariance(alg: Algebra, B: Matrix, checked, tag, circ_identity) -> list:
+    """B([x,y],z) = B(x,[y,z]) plus one circ identity of B, at (x, y, z) = (i, j, k)."""
     n = alg.dim
     _require_shape(B, n, n, "form")
     if checked:
         _require(check_post_lie(alg), "not a post-Lie algebra")
-    e = [basis_vec(n, i) for i in range(n)]
-
-    def body(i, j, k):
-        x, y, z = e[i], e[j], e[k]
-        yield (tag + ".lie", form_value(B, alg.mul("bracket", x, y), z),
-               form_value(B, x, alg.mul("bracket", y, z)))
-        yield circ_identity(alg, B, x, y, z)
-    return [((n, n, n), body)]
+    br = alg.table("bracket")
+    return [Identity(tag + ".lie", "ijk", [term("ijc,ck->ijk", br, B)],
+                     [term("ia,jka->ijk", B, br)]),
+            circ_identity(alg.table("circ"), B)]
 
 
-def _cocycle(alg, B, x, y, z):
-    o = lambda a, b: alg.mul("circ", a, b)
-    return ("inv.cocycle", form_value(B, o(x, y), z) - form_value(B, x, o(y, z)),
-            form_value(B, o(y, x), z) - form_value(B, y, o(x, z)))
+def _cocycle(c, B) -> Identity:
+    """B(x o y, z) - B(x, y o z) = B(y o x, z) - B(y, x o z)."""
+    return Identity("inv.cocycle", "ijk",
+                    [term("ijc,ck->ijk", c, B), -term("ia,jka->ijk", B, c)],
+                    [term("jic,ck->ijk", c, B), -term("ja,ika->ijk", B, c)])
 
 
-def _left_invariance(alg, B, x, y, z):
-    return ("leftinv.circ", form_value(B, alg.mul("circ", x, y), z),
-            -form_value(B, y, alg.mul("circ", x, z)))
+def _left_invariance(c, B) -> Identity:
+    """B(x o y, z) = -B(y, x o z)."""
+    return Identity("leftinv.circ", "ijk", [term("ijc,ck->ijk", c, B)],
+                    [-term("ja,ika->ijk", B, c)])
 
 
 def check_invariant_form(alg: Algebra, B: Matrix, checked=True) -> CheckReport:
@@ -105,13 +99,12 @@ def check_invariant_form(alg: Algebra, B: Matrix, checked=True) -> CheckReport:
 
 def check_gph(alg: Algebra, B: Matrix, checked=True) -> CheckReport:
     """Nondegenerate symmetric invariant form on a post-Lie algebra."""
-    families = _invariance(alg, B, checked, "inv", _cocycle)
-
-    def form():
-        yield "form.sym", B, B.transpose()
-        # a degenerate form shows as lhs 0 against rhs 1
-        yield "form.nondeg", ONE if B.det() else ZERO, ONE
-    return _sweep("gph", [((), form)] + families)
+    identities = _invariance(alg, B, checked, "inv", _cocycle)
+    # a degenerate form shows as lhs 0 against rhs 1
+    nondeg = Tensor((), [ONE if B.det() else ZERO])
+    return _sweep("gph", [Identity("form.sym", "", [term("ij->ij", B)], [term("ji->ij", B)]),
+                          Identity("form.nondeg", "", [term("->", nondeg)],
+                                   [term("->", Tensor((), [ONE]))])] + identities)
 
 
 def check_left_invariant(alg: Algebra, B: Matrix, checked=True) -> CheckReport:
@@ -128,17 +121,11 @@ def omega_cocycle(alg: Algebra, B: Matrix):
     sub = sub_adjacent_lie(alg)  # its precondition is that alg is post-Lie
     _require(check_invariant_form(alg, B, checked=False), "form is not invariant")
     omega = B - B.transpose()
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    br = lambda x, y: sub.mul("bracket", x, y)
-
-    def body(i, j, k):
-        x, y, z = e[i], e[j], e[k]
-        yield ("omega.cocycle",
-               form_value(omega, br(x, y), z) + form_value(omega, br(y, z), x)
-               + form_value(omega, br(z, x), y),
-               ZERO)
-    return omega, _sweep("omega-cocycle", [((n, n, n), body)])
+    br = sub.table("bracket")
+    # omega([x,y], z) + omega([y,z], x) + omega([z,x], y) = 0
+    return omega, _sweep("omega-cocycle", [Identity("omega.cocycle", "ijk", [
+        term("ijc,ck->ijk", br, omega), term("jkc,ci->ijk", br, omega),
+        term("kic,cj->ijk", br, omega)])])
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +139,11 @@ def check_rota_baxter_lie(alg: Algebra, P: Matrix, weight: Scalar) -> CheckRepor
     _require(check_lie(alg), "not a Lie algebra")
     if not isinstance(weight, Scalar):
         weight = Scalar(weight)
-    e = [basis_vec(n, i) for i in range(n)]
-    br = lambda x, y: alg.mul("bracket", x, y)
-
-    def body(i, j):
-        x, y = e[i], e[j]
-        px, py = P.apply(x), P.apply(y)
-        yield "rb", br(px, py), P.apply(vadd(br(px, y), br(x, py), vscale(weight, br(x, y))))
-    return _sweep("rota-baxter", [((n, n), body)])
+    br = alg.table("bracket")
+    return _sweep("rota-baxter", [Identity(
+        "rb", "ij", [term("ai,bj,abk->ijk", P, P, br)],
+        [term("kc,ai,ajc->ijk", P, P, br), term("kc,bj,ibc->ijk", P, P, br),
+         term("kc,ijc->ijk", P.scale(weight), br)])])
 
 
 def induced_post_lie(alg: Algebra, P: Matrix) -> Algebra:
@@ -250,26 +234,38 @@ def pp_split_dual_rep(alg: Algebra) -> RepSpec:
     return RepSpec(lrt - rlt, -rlt, dual_map(alg.table("bracket").permute(LEFT)))
 
 
+# the terms of the representation identities at x, y = e_i, e_j, as
+# matrices on V (indices p, q)
+
+def _on(table, carrier) -> Term:
+    """The action of the product x * y with the given table."""
+    return term("ijk,kpq->ijpq", table, carrier)
+
+
+def _xy(first, second) -> Term:
+    """first(x) second(y)."""
+    return term("ips,jsq->ijpq", first, second)
+
+
+def _yx(first, second) -> Term:
+    """first(y) second(x)."""
+    return term("jps,isq->ijpq", first, second)
+
+
 def check_post_lie_rep(alg: Algebra, rep: RepSpec, checked=True) -> CheckReport:
     if checked:
         _require(check_post_lie(alg), "not a post-Lie algebra")
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-
-    def body(i, j):
-        x, y = e[i], e[j]
-        lx, ly = rep.act("l", x), rep.act("l", y)
-        rx, ry = rep.act("r", x), rep.act("r", y)
-        px, py = rep.act("rho", x), rep.act("rho", y)
-        br = alg.mul("bracket", x, y)
-        xy = alg.mul("circ", x, y)
-        curly = vadd(xy, vneg(alg.mul("circ", y, x)), br)
-        yield "rep.lie", rep.act("rho", br), px * py - py * px
-        yield "rep.1", rep.act("rho", xy), lx * py - py * lx
-        yield "rep.2", rep.act("r", br), px * ry - py * rx
-        yield "rep.3", rep.act("r", xy), lx * ry - ry * (lx - rx + px)
-        yield "rep.4", rep.act("l", curly), lx * ly - ly * lx
-    return _sweep("post-lie-rep", [((n, n), body)])
+    c, br = alg.table("circ"), alg.table("bracket")
+    l, r, rho = rep.carriers()
+    # {x, y} = x o y - y o x + [x, y]
+    curly = c - c.permute((1, 0, 2)) + br
+    return _sweep("post-lie-rep", [
+        Identity("rep.lie", "ij", [_on(br, rho)], [_xy(rho, rho), -_yx(rho, rho)]),
+        Identity("rep.1", "ij", [_on(c, rho)], [_xy(l, rho), -_yx(rho, l)]),
+        Identity("rep.2", "ij", [_on(br, r)], [_xy(rho, r), -_yx(rho, r)]),
+        Identity("rep.3", "ij", [_on(c, r)], [_xy(l, r), -_yx(r, l - r + rho)]),
+        Identity("rep.4", "ij", [_on(curly, l)], [_xy(l, l), -_yx(l, l)]),
+    ])
 
 
 def pp_adjoint_rep(alg: Algebra) -> PPRepSpec:
@@ -298,122 +294,103 @@ def pp_coadjoint_rep(alg: Algebra) -> PPRepSpec:
 def check_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> CheckReport:
     if checked:
         _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    m = rep.dim
-    zero = Matrix.zero(m, m)
-
-    def body(i, j):
-        x, y = e[i], e[j]
-        br = alg.mul("bracket", x, y)
-        xy_lt = alg.mul("ltri", x, y)
-        yx_lt = alg.mul("ltri", y, x)
-        circ = vadd(alg.mul("rtri", x, y), xy_lt)
-        bullet = vsub(alg.mul("rtri", x, y), yx_lt)
-        curly = vadd(circ, vneg(vadd(alg.mul("rtri", y, x), yx_lt)), br)
-        lrx, lry = rep.act("l_rt", x), rep.act("l_rt", y)
-        rrx, rry = rep.act("r_rt", x), rep.act("r_rt", y)
-        llx, lly = rep.act("l_lt", x), rep.act("l_lt", y)
-        rlx, rly = rep.act("r_lt", x), rep.act("r_lt", y)
-        px, py = rep.act("rho", x), rep.act("rho", y)
-        yield "pprep.lie", rep.act("rho", br), px * py - py * px
-        yield "pprep.01", rep.act("r_lt", br), rlx * py - rly * px
-        yield "pprep.02", llx * py, rep.act("l_lt", br) - rly * px
+    rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
+    lr, rr, ll, rl, p = rep.carriers()
+    swap = lambda t: t.permute((1, 0, 2))
+    circ = rt + lt
+    bullet = rt - swap(lt)
+    curly = circ - swap(circ) + br
+    return _sweep("pp-rep", [
+        Identity("pprep.lie", "ij", [_on(br, p)], [_xy(p, p), -_yx(p, p)]),
+        Identity("pprep.01", "ij", [_on(br, rl)], [_xy(rl, p), -_yx(rl, p)]),
+        Identity("pprep.02", "ij", [_xy(ll, p)], [_on(br, ll), -_yx(rl, p)]),
         # chained vanishing conditions, each member on its own
-        yield "pprep.03a", px * (lly + rly), zero
-        yield "pprep.03b", rep.act("l_lt", br) + rep.act("r_lt", br), zero
-        yield "pprep.03c", (llx + rlx) * py, zero
-        yield "pprep.03d", rep.act("rho", vadd(xy_lt, yx_lt)), zero
-        yield "pprep.04", (lrx - rlx) * py, rep.act("rho", circ) + py * (lrx - rlx)
-        yield ("pprep.05", rep.act("r_rt", br) - rep.act("l_lt", br),
-               px * (rry - lly) - py * (rrx - llx))
-        yield ("pprep.06", (lrx + px) * lly,
-               rep.act("l_lt", bullet) + lly * (lrx + llx))
-        yield ("pprep.07", (lrx + px) * rly,
-               rep.act("r_lt", circ) + rly * (lrx - rlx))
-        yield ("pprep.08", rep.act("r_rt", xy_lt),
-               rly * (rrx - llx) + llx * (rry + rly) + rep.act("rho", xy_lt))
-        yield ("pprep.09", rep.act("r_rt", alg.mul("rtri", x, y)),
-               lrx * rry - rry * (lrx + llx - rrx - rlx + px)
-               - px * rly - rly * px - rep.act("rho", xy_lt))
-        yield ("pprep.10", rep.act("l_rt", curly),
-               lrx * lry - lry * lrx + py * llx - px * lly - rep.act("l_lt", br))
-    return _sweep("pp-rep", [((n, n), body)])
+        Identity("pprep.03a", "ij", [_xy(p, ll + rl)]),
+        Identity("pprep.03b", "ij", [_on(br, ll + rl)]),
+        Identity("pprep.03c", "ij", [_xy(ll + rl, p)]),
+        Identity("pprep.03d", "ij", [_on(lt + swap(lt), p)]),
+        Identity("pprep.04", "ij", [_xy(lr - rl, p)], [_on(circ, p), _yx(p, lr - rl)]),
+        Identity("pprep.05", "ij", [_on(br, rr - ll)],
+                 [_xy(p, rr - ll), -_yx(p, rr - ll)]),
+        Identity("pprep.06", "ij", [_xy(lr + p, ll)],
+                 [_on(bullet, ll), _yx(ll, lr + ll)]),
+        Identity("pprep.07", "ij", [_xy(lr + p, rl)],
+                 [_on(circ, rl), _yx(rl, lr - rl)]),
+        Identity("pprep.08", "ij", [_on(lt, rr)],
+                 [_yx(rl, rr - ll), _xy(ll, rr + rl), _on(lt, p)]),
+        Identity("pprep.09", "ij", [_on(rt, rr)],
+                 [_xy(lr, rr), -_yx(rr, lr + ll - rr - rl + p), -_xy(p, rl),
+                  -_yx(rl, p), -_on(lt, p)]),
+        Identity("pprep.10", "ij", [_on(curly, lr)],
+                 [_xy(lr, lr), -_yx(lr, lr), _yx(p, ll), -_xy(p, ll), -_on(br, ll)]),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # O-operators and their dual analogues
 # ---------------------------------------------------------------------------
 
+# T(u), T(v) for u, v = e_i, e_j in V multiplied with a table; T applied
+# to the action of T(u) on v, and to the action of T(v) on u
+_PRODUCT_OF_T, _T_LEFT, _T_RIGHT = "ai,bj,abk->ijk", "ai,apj,kp->ijk", "bj,bpi,kp->ijk"
+
+
+def _o_operator(name, table, left, right, T, sign=1) -> Identity:
+    """T(u) * T(v) = T(left(T(u)) v + sign right(T(v)) u)."""
+    return Identity(name, "ij", [term(_PRODUCT_OF_T, T, T, table)],
+                    [term(_T_LEFT, T, left, T), Term(_T_RIGHT, (T, right, T), sign)])
+
+
 def check_o_operator_pp(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True) -> CheckReport:
     """T: V -> A intertwining the pp products with the representation."""
     if checked:
         _require(check_pp_rep(alg, rep), "not a pp representation")
-    m = rep.dim
-    _require_shape(T, alg.dim, m, "operator")
-    e = [basis_vec(m, i) for i in range(m)]
-    t = [T.apply(u) for u in e]
-
-    def body(i, j):
-        u, v, tu, tv = e[i], e[j], t[i], t[j]
-        yield ("oop.1", alg.mul("rtri", tu, tv),
-               T.apply(vadd(rep.act("l_rt", tu).apply(v), rep.act("r_rt", tv).apply(u))))
-        yield ("oop.2", alg.mul("ltri", tu, tv),
-               T.apply(vadd(rep.act("l_lt", tu).apply(v), rep.act("r_lt", tv).apply(u))))
-        yield ("oop.3", alg.mul("bracket", tu, tv),
-               T.apply(vsub(rep.act("rho", tu).apply(v), rep.act("rho", tv).apply(u))))
-    return _sweep("o-operator", [((m, m), body)])
+    _require_shape(T, alg.dim, rep.dim, "operator")
+    return _sweep("o-operator", [
+        _o_operator("oop.1", alg.table("rtri"), rep.l_rt, rep.r_rt, T),
+        _o_operator("oop.2", alg.table("ltri"), rep.l_lt, rep.r_lt, T),
+        _o_operator("oop.3", alg.table("bracket"), rep.rho, rep.rho, T, -1),
+    ])
 
 
 def check_dual_p_o_operator(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> CheckReport:
     """T: V* -> A compatible with circ via (l* - r*) and with the bracket via rho*."""
     if checked:
         _require(check_post_lie_rep(alg, rep), "not a post-Lie representation")
-    m = rep.dim
-    _require_shape(T, alg.dim, m, "operator")
-    e = [basis_vec(m, i) for i in range(m)]
-    t = [T.apply(u) for u in e]
-    star = rep.map(dual_map)
-
-    def body(i, j):
-        u, v, tu, tv = e[i], e[j], t[i], t[j]
-        yield ("dpo.1", alg.mul("circ", tu, tv),
-               T.apply(vsub((star.act("l", tu) - star.act("r", tu)).apply(v),
-                            star.act("r", tv).apply(u))))
-        br = alg.mul("bracket", tu, tv)
-        yield "dpo.2a", br, T.apply(star.act("rho", tu).apply(v))
-        yield "dpo.2b", br, vneg(T.apply(star.act("rho", tv).apply(u)))
-    return _sweep("dual-p-o-operator", [((m, m), body)])
+    _require_shape(T, alg.dim, rep.dim, "operator")
+    l, r, rho = rep.map(dual_map).carriers()
+    br = alg.table("bracket")
+    return _sweep("dual-p-o-operator", [
+        _o_operator("dpo.1", alg.table("circ"), l - r, r, T, -1),
+        Identity("dpo.2a", "ij", [term(_PRODUCT_OF_T, T, T, br)], [term(_T_LEFT, T, rho, T)]),
+        Identity("dpo.2b", "ij", [term(_PRODUCT_OF_T, T, T, br)],
+                 [-term(_T_RIGHT, T, rho, T)]),
+    ])
 
 
 def check_strong(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> CheckReport:
     """Strength conditions making the induced dual-space products pp-post-Lie."""
     if checked:
         _require(check_dual_p_o_operator(alg, rep, T), "not a dual p-O-operator")
-    m = rep.dim
-    _require_shape(T, alg.dim, m, "operator")
-    e = [basis_vec(m, i) for i in range(m)]
-    t = [T.apply(u) for u in e]
-    star = rep.map(dual_map)
-    zero = (ZERO,) * m
-
-    def pairs(i, j):
-        u, v, tu, tv = e[i], e[j], t[i], t[j]
-        yield ("strong.1", star.act("rho", tu).apply(v),
-               vneg(star.act("rho", tv).apply(u)))
-
-    def triples(i, j, k):
-        u, v, w, tu, tv, tw = e[i], e[j], e[k], t[i], t[j], t[k]
-        yield ("strong.2a", star.act("rho", tu).apply(vadd(
-            star.act("r", tv).apply(w), star.act("r", tw).apply(v))), zero)
-        yield ("strong.2b", vadd(
-            star.act("r", alg.mul("bracket", tu, tw)).apply(v),
-            star.act("r", tv).apply(star.act("rho", tu).apply(w))), zero)
-        yield ("strong.3", vadd(
-            star.act("rho", alg.mul("bracket", tu, tv)).apply(w),
-            star.act("rho", alg.mul("bracket", tv, tw)).apply(u),
-            star.act("rho", alg.mul("bracket", tw, tu)).apply(v)), zero)
-    return _sweep("strong", [((m, m), pairs), ((m, m, m), triples)])
+    _require_shape(T, alg.dim, rep.dim, "operator")
+    _, r, rho = rep.map(dual_map).carriers()
+    br = alg.table("bracket")
+    # with u, v, w = e_i, e_j, e_k in V* and the actions of T(u), T(v), T(w)
+    return _sweep("strong", [
+        # rho*(T u) v = -rho*(T v) u
+        Identity("strong.1", "ij", [term("ai,apj->ijp", T, rho)],
+                 [-term("bj,bpi->ijp", T, rho)]),
+        # rho*(T u) (r*(T v) w + r*(T w) v) = 0
+        Identity("strong.2a", "ijk", [term("ai,aqs,bj,bsk->ijkq", T, rho, T, r),
+                                      term("ai,aqs,ck,csj->ijkq", T, rho, T, r)]),
+        # r*([T u, T w]) v + r*(T v) rho*(T u) w = 0
+        Identity("strong.2b", "ijk", [term("ai,bk,abc,cqj->ijkq", T, T, br, r),
+                                      term("bj,bqs,ai,ask->ijkq", T, r, T, rho)]),
+        # rho*([T u, T v]) w + rho*([T v, T w]) u + rho*([T w, T u]) v = 0
+        Identity("strong.3", "ijk", [term("ai,bj,abc,cqk->ijkq", T, T, br, rho),
+                                     term("aj,bk,abc,cqi->ijkq", T, T, br, rho),
+                                     term("ak,bi,abc,cqj->ijkq", T, T, br, rho)]),
+    ])
 
 
 def pp_from_dual_p_o(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> Algebra:

@@ -3,21 +3,23 @@
 Vectors are tuples of Scalar.  Everything else -- matrices, forms,
 operators, 2-tensors, structure tables and comultiplication tables -- is
 one immutable Tensor: a shape and a tuple of its entries in row-major
-order.  Two operations do the index work: contraction of one axis against
-a matrix or a vector, and axis permutation; Tensor.blocks places
-tensors as disjoint blocks inside a zero tensor of a larger shape (embed
-is the one-block case).  Everything here is exact:
-solving and determinants use rational Gaussian elimination and report
-singularity precisely.
+order.  Two operations do the index work of constructions: contraction of
+one axis against a matrix or a vector, and axis permutation; Tensor.blocks
+places tensors as disjoint blocks inside a zero tensor of a larger shape
+(embed is the one-block case).  einsum contracts any number of tensors
+exactly on their Gaussian-integer numerators; the identity checkers run on
+it.  Everything here is exact: solving and determinants use rational
+Gaussian elimination and report singularity precisely.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import reduce
+from math import gcd
 from operator import add
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _build
 
 __all__ = [
     "LinAlgError",
@@ -31,6 +33,7 @@ __all__ = [
     "vsub",
     "vneg",
     "vscale",
+    "einsum",
 ]
 
 
@@ -124,7 +127,7 @@ class Tensor:
     (n0, n1, n2).  A matrix is the two-axis case and is also called Matrix.
     """
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ("shape", "entries", "_num")
 
     def __init__(self, shape, entries):
         shape = tuple(shape)
@@ -299,16 +302,19 @@ class Tensor:
 
     # -- algebra -----------------------------------------------------------
 
+    # zero entries are skipped: tables and carriers are mostly zero
     def __add__(self, other):
         self._same_shape(other)
-        return _tensor(self.shape, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _tensor(self.shape, tuple(a + b if a and b else a or b
+                                         for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return _tensor(self.shape, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return _tensor(self.shape, tuple(a - b if b else a
+                                         for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self):
-        return _tensor(self.shape, tuple(-a for a in self.entries))
+        return _tensor(self.shape, tuple(-a if a else a for a in self.entries))
 
     def scale(self, c: Scalar) -> "Tensor":
         return _tensor(self.shape, tuple(c * a for a in self.entries))
@@ -443,3 +449,214 @@ class Tensor:
 
 # the name of the two-axis case: forms, operators, r-matrices, carrier matrices
 Matrix = Tensor
+
+
+# ---------------------------------------------------------------------------
+# exact einsum
+# ---------------------------------------------------------------------------
+
+class _Num:
+    """An exact tensor as sparse Gaussian-integer numerators over one
+    positive denominator: the entry at flat row-major offset f is
+    (re[f] + im[f] i) / den, with f missing from re (from im) for a zero
+    real (imaginary) part."""
+
+    __slots__ = ("shape", "den", "re", "im")
+
+    def __init__(self, shape, den, re, im):
+        self.shape, self.den, self.re, self.im = shape, den, re, im
+
+    def at(self, f: int) -> Scalar:
+        """The entry at flat offset f as a Scalar."""
+        re, im = self.re.get(f, 0), self.im.get(f, 0)
+        return _build(re, im, self.den) if re or im else ZERO
+
+    def tensor(self) -> Tensor:
+        return _tensor(self.shape, tuple(self.at(f) for f in range(_size(self.shape))))
+
+
+def _numerators(t) -> _Num:
+    """The numerators of a Tensor over the lcm of its entries' denominators,
+    computed once per Tensor (tensors are immutable)."""
+    if isinstance(t, _Num):
+        return t
+    num = getattr(t, "_num", None)
+    if num is None:
+        nonzero = [(f, s) for f, s in enumerate(t.entries) if s]
+        den = 1
+        for d in {s.d for _, s in nonzero}:
+            den = den * d // gcd(den, d)
+        re, im = {}, {}
+        for f, s in nonzero:
+            scale = den // s.d
+            if s.a:
+                re[f] = s.a * scale
+            if s.b:
+                im[f] = s.b * scale
+        num = _Num(t.shape, den, re, im)
+        object.__setattr__(t, "_num", num)
+    return num
+
+
+def _nonzero(d: dict) -> dict:
+    return {k: v for k, v in d.items() if v}
+
+
+def _add_into(acc: dict, d: dict, scale: int) -> dict:
+    get = acc.get
+    for k, v in d.items():
+        acc[k] = get(k, 0) + scale * v
+    return acc
+
+
+def _flattener(labels, sizes, target, skip=()):
+    """The function taking a flat offset over labels to its part of the
+    flat offset over target: the sum over the labels in target (and not in
+    skip) of index times stride in target."""
+    weights, w = {}, 1
+    for label in reversed(target):
+        weights[label] = w
+        w *= sizes[label]
+    axes, stride = [], 1
+    for label in reversed(labels):
+        if label in weights and label not in skip:
+            axes.append((stride, sizes[label], weights[label]))
+        stride *= sizes[label]
+    if not axes:
+        return lambda f: 0
+    if len(axes) == 1:
+        (s1, n1, w1), = axes
+        return lambda f: f // s1 % n1 * w1
+    if len(axes) == 2:
+        (s1, n1, w1), (s2, n2, w2) = axes
+        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2
+    if len(axes) == 3:
+        (s1, n1, w1), (s2, n2, w2), (s3, n3, w3) = axes
+        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2 + f // s3 % n3 * w3
+    return lambda f: sum(f // s % n * w for s, n, w in axes)
+
+
+def _pair(a, b, out, sizes):
+    """Contract two (labels, re, im) operands over their shared labels into
+    the labels out (in that order), summing every other label away."""
+    la, ra, ia = a
+    lb, rb, ib = b
+    shared = tuple(l for l in la if l in lb)
+    a_shared, a_out = _flattener(la, sizes, shared), _flattener(la, sizes, out)
+    b_shared, b_out = _flattener(lb, sizes, shared), _flattener(lb, sizes, out, la)
+    re, im = {}, {}
+    get_re, get_im = re.get, im.get
+    groups = {}
+    for f in rb.keys() | ib.keys():
+        groups.setdefault(b_shared(f), []).append((b_out(f), rb.get(f, 0), ib.get(f, 0)))
+    for f in ra.keys() | ia.keys():
+        group = groups.get(a_shared(f))
+        if group:
+            vr, vi = ra.get(f, 0), ia.get(f, 0)
+            base = a_out(f)
+            for q, wr, wi in group:
+                k = base + q
+                re[k] = get_re(k, 0) + vr * wr - vi * wi
+                im[k] = get_im(k, 0) + vr * wi + vi * wr
+    return out, _nonzero(re), _nonzero(im)
+
+
+def _parse(spec: str, count: int):
+    if "->" not in spec:
+        raise LinAlgError("einsum spec %r has no '->'" % spec)
+    inputs, output = spec.replace(" ", "").split("->")
+    inputs = inputs.split(",") if count else []
+    if len(inputs) != count:
+        raise LinAlgError("einsum spec %r names %d operands, got %d" % (spec, len(inputs), count))
+    if len(set(output)) != len(output):
+        raise LinAlgError("einsum spec %r repeats an output label" % spec)
+    return [tuple(labels) for labels in inputs], tuple(output)
+
+
+def _rekey(d: dict, key) -> dict:
+    """d with each offset f moved to key(f), entries meeting there added up."""
+    out = {}
+    get = out.get
+    for f, v in d.items():
+        k = key(f)
+        out[k] = get(k, 0) + v
+    return _nonzero(out)
+
+
+def _einsum(spec: str, operands) -> _Num:
+    """einsum on numerators: the result's denominator is the product of the
+    operands' denominators."""
+    inputs, output = _parse(spec, len(operands))
+    if not operands:
+        raise LinAlgError("einsum needs at least one operand")
+    sizes = {}
+    work = []
+    den = 1
+    for labels, operand in zip(inputs, operands):
+        num = _numerators(operand)
+        if len(labels) != len(num.shape):
+            raise LinAlgError("einsum labels %r for a tensor of shape %r"
+                              % ("".join(labels), num.shape))
+        # a label repeated within one operand takes the diagonal: it gets a
+        # private name per position, and entries off the diagonal are dropped
+        axes = tuple(l if l not in labels[:p] else (l, p) for p, l in enumerate(labels))
+        for label, n in zip(labels, num.shape):
+            if sizes.setdefault(label, n) != n:
+                raise LinAlgError("einsum label %r has extents %d and %d"
+                                  % (label, sizes[label], n))
+        den *= num.den
+        re, im = num.re, num.im
+        if axes != labels:
+            for axis, n in zip(axes, num.shape):
+                sizes[axis] = n
+            unique = tuple(dict.fromkeys(labels))
+            copies = [(_flattener(axes, sizes, (l,)), _flattener(axes, sizes, (a,)))
+                      for a, l in zip(axes, labels) if a != l]
+            on_diagonal = lambda f: all(x(f) == y(f) for x, y in copies)
+            key = _flattener(axes, sizes, unique)
+            re = _rekey({f: v for f, v in re.items() if on_diagonal(f)}, key)
+            im = _rekey({f: v for f, v in im.items() if on_diagonal(f)}, key)
+            axes = unique
+        work.append((axes, re, im))
+    missing = [l for l in output if l not in sizes]
+    if missing:
+        raise LinAlgError("einsum output label %r is on no operand" % missing[0])
+    while len(work) > 1:
+        # the cheapest pair, by the expected number of products; a pair
+        # sharing a label always beats an outer product
+        best = None
+        for i, j in itertools.combinations(range(len(work)), 2):
+            shared = set(work[i][0]) & set(work[j][0])
+            cost = ((len(work[i][1]) + len(work[i][2])) * (len(work[j][1]) + len(work[j][2]))
+                    // max(_size(sizes[l] for l in shared), 1))
+            key = (not shared, cost, i, j)
+            if best is None or key < best:
+                best = key
+        _, _, i, j = best
+        rest = [w for k, w in enumerate(work) if k not in (i, j)]
+        if rest:
+            keep = set(output).union(*(w[0] for w in rest))
+            la, lb = work[i][0], work[j][0]
+            out = tuple(l for l in la if l in keep) + tuple(l for l in lb
+                                                             if l in keep and l not in la)
+        else:
+            out = output
+        work = rest + [_pair(work[i], work[j], out, sizes)]
+    labels, re, im = work[0]
+    if labels != output:
+        key = _flattener(labels, sizes, output)
+        re, im = _rekey(re, key), _rekey(im, key)
+    return _Num(tuple(sizes[l] for l in output), den, re, im)
+
+
+def einsum(spec: str, *operands) -> Tensor:
+    """Exact Einstein summation over Tensors, e.g. einsum("ij,jk->ik", a, b).
+
+    Each operand is read as Gaussian-integer numerators over the lcm of its
+    entries' denominators, once per Tensor.  A label repeated within one
+    operand takes its diagonal; a label missing from the output is summed.
+    The operands are contracted two at a time, always the pair with the
+    fewest expected products, so no outer product is formed while a shared
+    label could avoid it; zeros are skipped throughout.
+    """
+    return _einsum(spec, operands).tensor()

@@ -37,13 +37,22 @@ _RE_IMAG = _re.compile(rf"^(-?)((?:\d+(?:/\d+)?)?)i$")
 _RE_BOTH = _re.compile(rf"^({_RAT})([+-])((?:\d+(?:/\d+)?)?)i$")
 
 
-def _frac(text: str) -> Fraction:
+def _ratio(text: str):
+    """(p, q) with q > 0 of an optionally signed integer or fraction p/q."""
     if "/" in text:
         num, den = text.split("/", 1)
-        if int(den) == 0:
+        q = int(den)
+        if q == 0:
             raise ScalarParseError("zero denominator in %r" % text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return int(num), q
+    return int(text), 1
+
+
+def _from_ratios(re, im) -> "Scalar":
+    """(p1/q1) + (p2/q2) i for re = (p1, q1) and im = (p2, q2)."""
+    (p1, q1), (p2, q2) = re, im
+    d = q1 * q2 // gcd(q1, q2)
+    return _build(p1 * (d // q1), p2 * (d // q2), d)
 
 
 def _raw(a: int, b: int, d: int) -> "Scalar":
@@ -102,15 +111,16 @@ class Scalar:
         s = text.strip()
         m = _RE_REAL.match(s)
         if m:
-            return Scalar(_frac(m.group(1)))
+            return _from_ratios(_ratio(m.group(1)), (0, 1))
         m = _RE_IMAG.match(s)
         if m:
-            mag = _frac(m.group(2)) if m.group(2) else Fraction(1)
-            return Scalar(0, -mag if m.group(1) == "-" else mag)
+            p, q = _ratio(m.group(2)) if m.group(2) else (1, 1)
+            return _from_ratios((0, 1), (-p if m.group(1) == "-" else p, q))
         m = _RE_BOTH.match(s)
         if m:
-            mag = _frac(m.group(3)) if m.group(3) else Fraction(1)
-            return Scalar(_frac(m.group(1)), -mag if m.group(2) == "-" else mag)
+            # the imaginary part is read first, as its error is reported first
+            p, q = _ratio(m.group(3)) if m.group(3) else (1, 1)
+            return _from_ratios(_ratio(m.group(1)), (-p if m.group(2) == "-" else p, q))
         raise ScalarParseError("cannot parse scalar %r" % text)
 
     # -- arithmetic ----------------------------------------------------

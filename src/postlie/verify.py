@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     Algebra,
+    PreconditionError,
     check_lie,
     check_post_lie,
     check_pp_post_lie,
@@ -329,7 +330,7 @@ def _triple_verdicts(a_pp: Algebra, astar_pp: Algebra, co):
     maps = coadjoint_matched_pair_maps(a_pp, astar_pp)
     try:
         ok_matched = check_matched_pair(ha, hb, maps, checked=True).passed
-    except Exception:
+    except PreconditionError:   # a half that is not post-Lie: not a matched pair
         ok_matched = False
     ok_bialg = check_pp_bialgebra(a_pp, co).passed
     return (ok_manin, ok_matched, ok_bialg)

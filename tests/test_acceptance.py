@@ -96,3 +96,32 @@ def test_fixtures_parsed_once_per_run(monkeypatch):
     assert [r.name for r in results] == ["A1", "A2", "A3"]
     assert parsed.count("sl2_postlie") == 1
     assert len(parsed) == len(set(parsed))
+
+
+def test_a6_surfaces_a_crash_in_the_matched_pair_check(monkeypatch):
+    # only a failed precondition counts as "not a matched pair"; any other
+    # exception fails the criterion instead of passing as the expected
+    # disagreement on the perturbed instance
+    import postlie.verify
+
+    def crash(*args, **kwargs):
+        raise KeyError("bracket")
+
+    monkeypatch.setattr(postlie.verify, "check_matched_pair", crash)
+    result, = run_acceptance(names=["A6"])
+    assert not result.passed
+    assert result.details[0].startswith("raised KeyError")
+
+
+def test_a6_perturbed_matched_pair_fails_its_precondition():
+    from postlie import PreconditionError, check_matched_pair, dualize, horizontal_post_lie
+    from postlie.construct import coadjoint_matched_pair_maps
+    from postlie.verify import _flip_comap_sign
+
+    fx = _Fixtures()
+    ahat = fx.algebra("ahat_pp")
+    dual = dualize(_flip_comap_sign(fx.coalgebra("final_cobrackets"), "Delta"))
+    with pytest.raises(PreconditionError):
+        check_matched_pair(horizontal_post_lie(ahat, checked=False),
+                           horizontal_post_lie(dual, checked=False),
+                           coadjoint_matched_pair_maps(ahat, dual), checked=True)

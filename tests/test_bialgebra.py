@@ -325,23 +325,26 @@ def test_quasi_symmetric_fails(ahat_pp):
 def test_efg_matrix_convention(sl2_pp):
     # the documented n^2 x n^2 operator matrices agree with the sandwich
     # implementation on vectorised tensors
-    from postlie.bialgebra import _e_apply, _f_apply, _g_apply, _left_ops
+    from postlie.bialgebra import _efg
     adj = pp_adjoint_rep(sl2_pp)
     rng = random.Random(13)
     n = 3
     r = Matrix.from_rows([[Scalar(Fraction(rng.randint(-3, 3), 1), Fraction(rng.randint(-1, 1)))
                            for _ in range(n)] for _ in range(n)])
+    E, F, G = _efg(adj, r)
     for k in range(n):
         x = basis_vec(n, k)
-        rt, diamond, circ, bullet, ad = _left_ops(adj, x)
+        rt, lt, rrt, rlt, ad = (adj.act(which, x) for which in ("l_rt", "l_lt", "r_rt", "r_lt",
+                                                                "rho"))
+        diamond, circ, bullet = lt + rt - rlt - rrt, rt + lt, rt - rlt
         for big, small in (
-            (op_matrix_2tensor(rt, diamond), _e_apply(adj, x, r)),
-            (op_matrix_2tensor(circ, bullet), _f_apply(adj, x, r)),
-            (op_matrix_2tensor(ad, ad), _g_apply(adj, x, r)),
+            (op_matrix_2tensor(rt, diamond), E),
+            (op_matrix_2tensor(circ, bullet), F),
+            (op_matrix_2tensor(ad, ad), G),
         ):
             vec = tuple(r.entries)
             out = big.apply(vec)
-            assert out == tuple(small.entries)
+            assert out == small.contract(0, x).entries
 
 
 # ---------------------------------------------------------------------------

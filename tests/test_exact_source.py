@@ -2,7 +2,8 @@
 
 Walks the syntax tree of every module of the package and fails on a float
 or complex literal, a call of float() or complex(), or any name taken from
-the math module other than gcd.
+the math module other than gcd.  Also: the modules whose checkers are
+whole-tensor equations do not sweep basis tuples.
 """
 
 import ast
@@ -64,3 +65,10 @@ def test_guard_catches(source):
 ])
 def test_guard_allows(source):
     assert offences(source) == []
+
+
+@pytest.mark.parametrize("name", ["forms.py", "construct.py", "bialgebra.py"])
+def test_equation_modules_do_not_sweep_basis_tuples(name):
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert "itertools.product" not in source
+    assert "basis_vec(" not in source

@@ -22,7 +22,7 @@ from postlie import (
     check_strong,
     dual_map,
     dual_pp_rep,
-    form_value,
+    einsum,
     horizontal_post_lie,
     induced_post_lie,
     omega_cocycle,
@@ -378,8 +378,9 @@ def test_pp_from_dual_p_o_zero(sl2_postlie):
 
 
 def test_form_value():
+    # the checkers evaluate B(x, y) as the contraction x_i B[i, j] y_j
     b = Matrix.from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
-    x = (sc(1), sc(1))
-    y = (sc(1), sc(-1))
+    x = Tensor((2,), (sc(1), sc(1)))
+    y = Tensor((2,), (sc(1), sc(-1)))
     # (1,1) B (1,-1)^T = 1 - 2 + 3 - 4
-    assert form_value(b, x, y) == sc(-2)
+    assert einsum("i,ij,j->", x, b, y) == Tensor((), [sc(-2)])

@@ -201,6 +201,61 @@ def test_cli_matches_golden(command, kind, inputs, goldens, monkeypatch):
         assert transcript(case, inputs) == goldens[case_id(case)], case_id(case)
 
 
+def test_checks_run_on_whole_tensors(inputs, monkeypatch):
+    """Every check kind evaluates its identities as whole-tensor equations
+    or on the batched kernel: Algebra.mul never receives a tuple vector, and
+    the identity evaluator never loops over index tuples."""
+    import itertools
+    import sys
+
+    import postlie.algebra as algebra
+    from postlie import Algebra
+
+    muls = {"tuple": 0, "batched": 0}
+    mul = Algebra.mul
+
+    def counted(self, op, x, y):
+        muls["tuple" if isinstance(x, tuple) or isinstance(y, tuple) else "batched"] += 1
+        return mul(self, op, x, y)
+
+    loops = []
+
+    class Recording:
+        """itertools as the identity module sees it, recording who loops."""
+
+        def __getattr__(self, name):
+            return getattr(itertools, name)
+
+        @staticmethod
+        def product(*args, **kwargs):
+            loops.append(sys._getframe(1).f_code.co_name)
+            return itertools.product(*args, **kwargs)
+
+    evaluated = []
+    evaluate = algebra._evaluate
+
+    def recorded(identity, limit):
+        evaluated.append(identity.name)
+        return evaluate(identity, limit)
+
+    monkeypatch.setattr(Algebra, "mul", counted)
+    monkeypatch.setattr(algebra, "itertools", Recording())
+    monkeypatch.setattr(algebra, "_evaluate", recorded)
+    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
+    kinds = set()
+    for case in CASES:
+        if case[0] == "check":
+            transcript(case, inputs)
+            kinds.add(case[1])
+    assert kinds == set(CHECK_KINDS)
+    assert muls["tuple"] == 0
+    assert muls["batched"] > 0
+    assert not {"_collect", "_evaluate", "_sweep"} & set(loops)
+    assert {"rep.lie", "pprep.lie", "oop.1", "dpo.1", "strong.1", "inv.lie", "form.sym",
+            "leftinv.circ", "rb", "mp.01", "mp.03", "manin.closure-a", "bialg.cocycle",
+            "ppbialg.1", "ppco.1", "cybe.c", "quasi.colie.1"} <= set(evaluated)
+
+
 if __name__ == "__main__":
     os.environ.pop("POSTLIE_VERBOSE", None)
     with tempfile.TemporaryDirectory() as tmp:

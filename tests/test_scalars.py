@@ -124,3 +124,84 @@ def test_binary_floating_point_is_refused(value):
     with pytest.raises(TypeError, match="cannot mix Scalar"):
         ONE + value
     assert Scalar(Fraction(1, 10)) == sc("1/10")
+
+
+# ---------------------------------------------------------------------------
+# parsing against the earlier Fraction-based reader
+# ---------------------------------------------------------------------------
+
+def _reference_parse(text):
+    """Scalar.parse as it read entries through two Fractions."""
+    from postlie.scalars import _RE_BOTH, _RE_IMAG, _RE_REAL
+
+    def frac(t):
+        if "/" in t:
+            num, den = t.split("/", 1)
+            if int(den) == 0:
+                raise ScalarParseError("zero denominator in %r" % t)
+            return Fraction(int(num), int(den))
+        return Fraction(int(t))
+
+    s = text.strip()
+    m = _RE_REAL.match(s)
+    if m:
+        return Scalar(frac(m.group(1)))
+    m = _RE_IMAG.match(s)
+    if m:
+        mag = frac(m.group(2)) if m.group(2) else Fraction(1)
+        return Scalar(0, -mag if m.group(1) == "-" else mag)
+    m = _RE_BOTH.match(s)
+    if m:
+        mag = frac(m.group(3)) if m.group(3) else Fraction(1)
+        return Scalar(frac(m.group(1)), -mag if m.group(2) == "-" else mag)
+    raise ScalarParseError("cannot parse scalar %r" % text)
+
+
+def _outcome(parse, text):
+    try:
+        s = parse(text)
+    except ScalarParseError as exc:
+        return "error", str(exc)
+    return "value", (s.a, s.b, s.d)
+
+
+def _random_token(rng):
+    def number(signed):
+        digits = str(rng.choice((0, 1, 2, 3, 6, 12, 10 ** 20 + 7, 2 ** 70)))
+        if rng.random() < 0.5:
+            digits += "/" + str(rng.choice((0, 1, 2, 4, 9, 10 ** 19, 3 ** 45)))
+        return ("-" if signed and rng.random() < 0.5 else "") + digits
+
+    kind = rng.choice(("real", "imaginary", "both"))
+    if kind == "real":
+        token = number(True)
+    elif kind == "imaginary":
+        token = ("-" if rng.random() < 0.5 else "") + (number(False) if rng.random() < 0.7
+                                                        else "") + "i"
+    else:
+        token = number(True) + rng.choice("+-") + (number(False) if rng.random() < 0.7
+                                                   else "") + "i"
+    return rng.choice(("", " ", "\t")) + token + rng.choice(("", " "))
+
+
+def test_parse_matches_the_fraction_reader_on_random_tokens():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        token = _random_token(rng)
+        assert _outcome(Scalar.parse, token) == _outcome(_reference_parse, token), token
+
+
+@pytest.mark.parametrize("token", [
+    "1/0", "--1", "1/-2", "i/2", "", " ", "1/0i", "1/0+2/0i", "2/0-1/0i", "3+1/0i", "1/0+i",
+    "+1", "1.5", "1e3", "i1", "1+", "1++i", "1+-i", "ii", "-", "/2", "1/", "1/2/3", "2i+1",
+    "1 + i", "0/0", "-0/5i", "0+0i", "007/014", "-12/8+18/12i",
+])
+def test_parse_matches_the_fraction_reader_on_edge_tokens(token):
+    assert _outcome(Scalar.parse, token) == _outcome(_reference_parse, token)
+
+
+def test_parse_rejects_malformed_tokens_with_the_same_messages():
+    assert _outcome(Scalar.parse, "1/0") == ("error", "zero denominator in '1/0'")
+    assert _outcome(Scalar.parse, "1/0+2/0i") == ("error", "zero denominator in '2/0'")
+    for token in ("--1", "1/-2", "i/2", ""):
+        assert _outcome(Scalar.parse, token) == ("error", "cannot parse scalar %r" % token)

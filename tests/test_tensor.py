@@ -63,7 +63,8 @@ from postlie import (
 )
 from postlie import algebra as algebra_mod
 from postlie import forms as forms_mod
-from postlie.bialgebra import COMAP_NAMES, _apply_first, _apply_second
+from postlie.bialgebra import COMAP_NAMES
+from postlie.linalg import einsum
 
 ZERO = Scalar(0)
 DIMS = (1, 2, 3, 4)
@@ -236,8 +237,10 @@ def test_comap_slots_match_lift(n):
     for _ in range(4):
         d, t2 = _nested(rng, (n, n, n)), _nested(rng, (n, n))
         dt, t2t = _tensor(d, (n, n, n)), _tensor(t2, (n, n))
-        assert _apply_second(dt, t2t) == _tensor(ref_lift(d, t2, 1), (n, n, n))
-        assert _apply_first(dt, t2t) == _tensor(ref_lift(d, t2, 0), (n, n, n))
+        # (id (x) delta) t2 and (delta (x) id) t2, as the pp-coalgebra
+        # equations write them
+        assert einsum("as,sbc->abc", t2t, dt) == _tensor(ref_lift(d, t2, 1), (n, n, n))
+        assert einsum("sc,sab->abc", t2t, dt) == _tensor(ref_lift(d, t2, 0), (n, n, n))
 
 
 @pytest.mark.parametrize("n", DIMS)
