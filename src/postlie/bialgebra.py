@@ -35,8 +35,8 @@ from .algebra import (
     Identity,
     PreconditionError,
     Term,
+    UnknownOperationError,
     _collect,
-    _identities,
     _report,
     _require_cube,
     _require_shape,
@@ -86,7 +86,7 @@ class CoalgebraSpec:
     def __post_init__(self):
         for name, table in self.comaps.items():
             if name not in COMAP_NAMES:
-                raise KeyError("unknown comap %r" % name)
+                raise UnknownOperationError("unknown comap %r" % name)
             _require_cube(table, self.dim, "comap")
         object.__setattr__(self, "basis",
                            tuple(self.basis) or tuple("e%d" % (i + 1) for i in range(self.dim)))
@@ -96,11 +96,14 @@ class CoalgebraSpec:
         return name in self.comaps
 
     def table(self, name: str) -> Tensor:
-        return self.comaps[name]
+        try:
+            return self.comaps[name]
+        except KeyError:
+            raise UnknownOperationError(name) from None
 
     def apply(self, name: str, x) -> Matrix:
         """delta(x) as an n x n coefficient matrix, linear in x."""
-        return self.comaps[name].contract(0, x)
+        return self.table(name).contract(0, x)
 
 
 def dualize(co: CoalgebraSpec) -> Algebra:
@@ -138,7 +141,7 @@ def _pp_coalgebra_reports(co: CoalgebraSpec, modes) -> list:
     """check_pp_coalgebra in each mode, on one co-Lie check."""
     for name in COMAP_NAMES:
         if not co.has(name):
-            raise KeyError("coalgebra lacks comap %r" % name)
+            raise UnknownOperationError("coalgebra lacks comap %r" % name)
     colie = check_lie_coalgebra(co)
     if not colie.passed:
         return [dataclasses.replace(colie, name="pp-coalgebra") for _ in modes]
@@ -149,7 +152,7 @@ def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
     if mode == "dual":
         # the dual bracket is Lie: the co-Lie check just passed
         dual = dualize(co)
-        pp = _identities("pp-post-lie", dual, ("rtri", "ltri", "bracket"), PP_IDENTITIES(dual))
+        pp = _sweep("pp-post-lie", PP_IDENTITIES(dual))
         return _sweep("pp-coalgebra", nested=[("dual", pp)])
     if mode != "direct":
         raise ValueError("mode must be 'dual' or 'direct'")

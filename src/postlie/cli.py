@@ -106,6 +106,8 @@ def _horizontal_pair(a_pp: Algebra, b_pp: Algebra):
 
 def _pp_coalg(opts, co):
     mode = opts.mode or "dual"
+    if mode not in ("dual", "direct", "both"):
+        raise UsageError("mode must be 'dual' or 'direct'")
     if mode != "both":
         return bi.check_pp_coalgebra(co, mode)
     dual, direct = bi._pp_coalgebra_reports(co, ("dual", "direct"))
@@ -287,7 +289,11 @@ def cmd_corpus(args) -> int:
     if args.action == "show":
         if not args.name:
             raise UsageError("corpus show needs a fixture name")
-        sys.stdout.write(corpus_text(args.name))
+        try:
+            text = corpus_text(args.name)
+        except KeyError as exc:     # not a bundled fixture
+            raise UsageError(str(exc)) from None
+        sys.stdout.write(text)
         return 0
     if args.action == "write":
         if not args.name:
@@ -357,7 +363,7 @@ def main(argv=None) -> int:
         if exc.report is not None:
             print(exc.report.render(_verbosity()), file=sys.stderr)
         return 1
-    except (UnknownOperationError, LinAlgError, KeyError, ValueError) as exc:
+    except (UnknownOperationError, LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -43,7 +43,7 @@ from .forms import (
     dual_pp_rep,
     pp_split_dual_rep,
 )
-from .linalg import Matrix, SingularMatrixError, Tensor
+from .linalg import LinAlgError, Matrix, SingularMatrixError, Tensor
 
 __all__ = [
     "semidirect_post_lie",
@@ -129,7 +129,7 @@ class MatchedPairMaps:
     def acting_on(self, a: Algebra, b: Algebra):
         """(on_b, on_a), checked to act on B's and A's spaces."""
         if self.on_b.dim != b.dim or self.on_a.dim != a.dim:
-            raise ValueError("carrier matrix has wrong shape")
+            raise LinAlgError("carrier matrix has wrong shape")
         return self.on_b, self.on_a
 
 
@@ -234,7 +234,7 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
     two halves embed as subalgebras.
     """
     if a_pp.dim != astar_pp.dim:
-        raise ValueError("dimension mismatch between the two halves")
+        raise LinAlgError("dimension mismatch between the two halves")
     if checked:
         for alg in (a_pp, astar_pp):
             _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")

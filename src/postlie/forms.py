@@ -36,7 +36,7 @@ from .algebra import (
     sub_adjacent_lie,
     term,
 )
-from .linalg import Matrix, Tensor
+from .linalg import LinAlgError, Matrix, Tensor
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -173,7 +173,7 @@ class _Carriers:
         for c in self.carriers():
             if (not isinstance(c, Tensor) or len(c.shape) != 3 or c.shape[1] != c.shape[2]
                     or shape not in (None, c.shape)):
-                raise ValueError("carriers must be Tensors of one shape (n, m, m)")
+                raise LinAlgError("carriers must be Tensors of one shape (n, m, m)")
             shape = c.shape
 
     def carriers(self) -> tuple:

@@ -62,8 +62,6 @@ def basis_vec(n: int, i: int) -> tuple:
 
 
 def vadd(*vs) -> tuple:
-    if not isinstance(vs[0], (tuple, list)):    # batched values of the identity kernel
-        return vs[0].combine(vs)
     n = len(vs[0])
     for v in vs:
         if len(v) != n:
@@ -73,16 +71,12 @@ def vadd(*vs) -> tuple:
 
 
 def vsub(a, b) -> tuple:
-    if not isinstance(a, (tuple, list)):
-        return a.combine((a, b), (1, -1))
     if len(a) != len(b):
         raise LinAlgError("vector length mismatch")
     return tuple(x - y for x, y in zip(a, b))
 
 
 def vneg(a) -> tuple:
-    if not isinstance(a, (tuple, list)):
-        return a.combine((a,), (-1,))
     return tuple(-x for x in a)
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from postlie import (
+    ONE,
+    ZERO,
     Algebra,
     PreconditionError,
     Scalar,
@@ -17,6 +19,7 @@ from postlie import (
     check_pp_post_lie,
     check_pre_lie,
     check_pre_pp_post_lie,
+    einsum,
     horizontal_post_lie,
     opposite_post_lie,
     sc,
@@ -27,8 +30,12 @@ from postlie import (
     zero_vec,
 )
 from postlie.algebra import (
+    L_DENDRIFORM_IDENTITIES,
+    LIE_IDENTITIES,
     POST_LIE_IDENTITIES,
     PP_IDENTITIES,
+    PRE_LIE_IDENTITIES,
+    PRE_PP_IDENTITIES,
 )
 
 E1, E2, E3 = (basis_vec(3, i) for i in range(3))
@@ -79,6 +86,18 @@ def test_apply_bilinear_zero(sl2_lie):
 def test_apply_circ(sl2_postlie):
     assert apply_op(sl2_postlie, "circ", E2, E2) == (sc("-1/2i"), sc(0), sc(0))
     assert apply_op(sl2_postlie, "circ", E2, E1) == (sc(0), IHALF, HALF)
+
+
+def test_mul_matches_the_scalar_loop(ahat_pp, request):
+    # Algebra.mul is one einsum; the fixture's loop multiplies Scalar by Scalar
+    einsum_mul = Algebra.mul
+    scalar_mul = request.getfixturevalue("naive_mul")
+    rng = random.Random(5)
+    vectors = [basis_vec(6, 2), zero_vec(6)] + [_random_vec(rng, 6) for _ in range(4)]
+    for op in ahat_pp.ops:
+        for x in vectors:
+            for y in vectors:
+                assert einsum_mul(ahat_pp, op, x, y) == scalar_mul(ahat_pp, op, x, y)
 
 
 def test_apply_errors(sl2_lie):
@@ -379,16 +398,111 @@ def _random_vec(rng, n):
                         Fraction(rng.randint(-1, 1), 1)) for _ in range(n))
 
 
-def test_multilinearity_spot_check(sl2_postlie, sl2_pp):
-    # identities verified on basis triples must hold on arbitrary vectors
+def matrix_ldend():
+    """The 2x2 matrices (basis E11, E12, E21, E22) as an L-dendriform
+    algebra: x <| y = xy and x |> y = 0."""
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    entries = [ONE if q == r and units.index((p, s)) == k else ZERO
+               for p, q in units for r, s in units for k in range(4)]
+    return Algebra(4, ops={"ltri": Tensor((4, 4, 4), entries), "rtri": _zero(4)})
+
+
+# (set, the base: a fixture name or a function making it, its identities)
+SETS = [
+    ("lie", "sl2_lie", LIE_IDENTITIES),
+    ("pre-lie", "final_prepp", lambda a: PRE_LIE_IDENTITIES(a, "dot")),
+    ("post-lie", "sl2_postlie", POST_LIE_IDENTITIES),
+    ("pp-post-lie", "sl2_pp", PP_IDENTITIES),
+    ("l-dendriform", matrix_ldend, L_DENDRIFORM_IDENTITIES),
+    ("pre-pp-post-lie", "final_prepp", PRE_PP_IDENTITIES),
+]
+
+
+def _base(request, base):
+    return request.getfixturevalue(base) if isinstance(base, str) else base()
+
+
+def _at(identity, side, vectors):
+    """One side of identity with each index label contracted with its vector."""
+    n = len(vectors[0])
+    total = Tensor.zero(n)
+    for t in side:
+        inputs, output = t.spec.split("->")
+        index = identity.index
+        spec = ",".join([inputs] + list(index)) + "->" + output[len(index):]
+        value = einsum(spec, *t.operands, *(Tensor((n,), v) for v in vectors))
+        total = total + value.scale(Scalar(t.coef))
+    return total
+
+
+def test_multilinearity_spot_check(request):
+    # identities verified on basis tuples must hold on arbitrary vectors
     rng = random.Random(8)
-    for ident, fn, arity in POST_LIE_IDENTITIES(sl2_postlie):
-        for _ in range(20):
-            args = [_random_vec(rng, 3) for _ in range(arity)]
-            lhs, rhs = fn(*args)
-            assert lhs == rhs, ident
-    for ident, fn, arity in PP_IDENTITIES(sl2_pp):
-        for _ in range(20):
-            args = [_random_vec(rng, 3) for _ in range(arity)]
-            lhs, rhs = fn(*args)
-            assert lhs == rhs, ident
+    for _, base, identities in SETS:
+        alg = _base(request, base)
+        for identity in identities(alg):
+            for _ in range(5):
+                vectors = [_random_vec(rng, alg.dim) for _ in identity.index]
+                assert (_at(identity, identity.lhs, vectors)
+                        == _at(identity, identity.rhs, vectors)), identity.name
+
+
+# ---------------------------------------------------------------------------
+# mutation adequacy: every identity of the six sets catches a one-entry change
+# ---------------------------------------------------------------------------
+
+CHECKERS = {
+    "lie": check_lie,
+    "pre-lie": lambda a: check_pre_lie(a, "dot"),
+    "post-lie": check_post_lie,
+    "pp-post-lie": check_pp_post_lie,
+    "l-dendriform": check_l_dendriform,
+    "pre-pp-post-lie": check_pre_pp_post_lie,
+}
+
+# identity -> (set, the table changed and its 0-based entry, which gains 1)
+MUTANTS = {
+    "lie.antisym": ("lie", "bracket", (0, 0, 0)),
+    "lie.jacobi": ("lie", "bracket", (0, 0, 0)),
+    "prelie.left-sym": ("pre-lie", "dot", (0, 1, 0)),
+    "postlie.1": ("post-lie", "circ", (0, 0, 0)),
+    "postlie.2": ("post-lie", "circ", (0, 0, 0)),
+    "pp.1": ("pp-post-lie", "ltri", (0, 0, 0)),
+    "pp.2a": ("pp-post-lie", "ltri", (0, 0, 0)),
+    "pp.2b": ("pp-post-lie", "ltri", (0, 0, 0)),
+    "pp.3": ("pp-post-lie", "rtri", (0, 0, 0)),
+    "pp.4": ("pp-post-lie", "rtri", (0, 0, 0)),
+    "pp.5": ("pp-post-lie", "rtri", (0, 0, 0)),
+    "ldend.1": ("l-dendriform", "rtri", (0, 0, 0)),
+    "ldend.2": ("l-dendriform", "rtri", (0, 0, 0)),
+    "prepp.01": ("pre-pp-post-lie", "nw", (0, 1, 0)),
+    "prepp.02": ("pre-pp-post-lie", "sw", (0, 1, 0)),
+    "prepp.03a": ("pre-pp-post-lie", "sw", (0, 0, 1)),
+    "prepp.03b": ("pre-pp-post-lie", "sw", (0, 1, 0)),
+    "prepp.04a": ("pre-pp-post-lie", "sw", (1, 0, 0)),
+    "prepp.04b": ("pre-pp-post-lie", "sw", (0, 0, 0)),
+    "prepp.05": ("pre-pp-post-lie", "se", (0, 0, 0)),
+    "prepp.06": ("pre-pp-post-lie", "ne", (0, 1, 0)),
+    "prepp.07": ("pre-pp-post-lie", "se", (0, 0, 0)),
+    "prepp.08": ("pre-pp-post-lie", "se", (0, 0, 0)),
+    "prepp.09": ("pre-pp-post-lie", "ne", (0, 1, 0)),
+    "prepp.10": ("pre-pp-post-lie", "se", (0, 0, 0)),
+    "prepp.11": ("pre-pp-post-lie", "se", (0, 1, 0)),
+}
+
+
+def test_every_identity_has_a_mutant(request):
+    names = {i.name for _, base, identities in SETS for i in identities(_base(request, base))}
+    assert set(MUTANTS) == names
+
+
+@pytest.mark.parametrize("identity", sorted(MUTANTS))
+def test_single_entry_mutant_breaks_identity(identity, request):
+    name, op, (i, j, k) = MUTANTS[identity]
+    base = next(b for s, b, _ in SETS if s == name)
+    alg = _base(request, base)
+    check = CHECKERS[name]
+    assert check(alg).passed
+    table = alg.table(op)
+    mutant = alg.with_op(op, _with_entries(table, {(i + 1, j + 1, k + 1): table[i, j, k] + ONE}))
+    assert identity in {v.identity for v in check(mutant).violations}

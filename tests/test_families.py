@@ -4,8 +4,8 @@ The checkers of representations, operators, forms, matched pairs, Manin
 triples, coalgebras, bialgebras and the Yang-Baxter equations evaluate
 their identities as whole-tensor einsum equations.  The references below
 are the per-tuple bodies they replaced: each yields (identity, lhs, rhs)
-for one index tuple, evaluated on basis vectors with Algebra.mul and
-Tensor.contract.  With MAX_VIOLATIONS unbounded both must give the same
+for one index tuple, evaluated on basis vectors with Algebra.mul (as the
+Scalar double loop of the naive_mul fixture) and Tensor.contract.  With MAX_VIOLATIONS unbounded both must give the same
 complete report -- name, verdict, instance count and every witness with
 its lhs and rhs -- on random Gaussian-rational inputs of dimensions 0 to 4
 (sparse and dense, with numerators above 2^64), on the bundled fixtures
@@ -49,6 +49,10 @@ from postlie.construct import MatchedPairMaps
 from postlie.forms import LEFT, PPRepSpec, RepSpec, dual_map, pp_adjoint_rep
 from postlie.linalg import einsum
 from postlie.scalars import ONE, ZERO
+
+
+# the references multiply with the Scalar loop, never with einsum
+pytestmark = pytest.mark.usefixtures("naive_mul")
 
 
 # ---------------------------------------------------------------------------

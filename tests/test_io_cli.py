@@ -11,7 +11,7 @@ from postlie import (
     dumps,
     loads,
 )
-from postlie import bialgebra
+from postlie import algebra, bialgebra
 from postlie.bialgebra import COMAP_NAMES
 from postlie.cli import main
 from postlie.corpus import write_corpus
@@ -289,6 +289,36 @@ def test_cli_size_mismatch_exit_2(corpus_on_disk, capsys, argv, message):
                           *(str(corpus_on_disk / (n + ".txt")) for n in names))
     assert code == 2
     assert err == "error: %s\n" % message
+
+
+def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
+    # each is raised as a package error type, not as a bare KeyError or ValueError
+    co = corpus_on_disk / "final_cobrackets.txt"
+    text = co.read_text()
+    start = text.index("comap Delta")
+    no_delta = corpus_on_disk / "no_delta.txt"
+    no_delta.write_text(text[:start] + text[text.index("end\n", start) + 4:])
+    for argv, message in [
+        (("corpus", "show", "nosuch"), "\"unknown corpus fixture 'nosuch'\""),
+        (("check", "pp-coalg", str(co), "--mode", "bogus"), "mode must be 'dual' or 'direct'"),
+        (("check", "lie-coalg", str(no_delta)), "'Delta'"),
+        (("check", "pp-coalg", str(no_delta)), "\"coalgebra lacks comap 'Delta'\""),
+        (("check", "manin-triple", str(corpus_on_disk / "sl2_pp.txt"),
+          str(corpus_on_disk / "ahat_pp.txt")), "dimension mismatch between the two halves"),
+    ]:
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (2, "error: %s\n" % message), argv
+
+
+@pytest.mark.parametrize("error", (KeyError, ValueError))
+def test_cli_internal_errors_escape(corpus_on_disk, monkeypatch, error):
+    # a bug inside the package is not reported as bad input (exit 2)
+    def broken(alg):
+        raise error("internal")
+
+    monkeypatch.setattr(algebra, "check_lie", broken)
+    with pytest.raises(error, match="internal"):
+        main(["check", "lie", str(corpus_on_disk / "sl2_lie.txt")])
 
 
 def test_cli_quarter_rep_needs_quarter_ops_in_every_dimension(tmp_path, capsys):
