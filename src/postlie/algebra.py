@@ -17,20 +17,19 @@ pre-pp-post-Lie) are such lists over the structure tables: the identities
 are multilinear, so they hold everywhere if they hold on every tuple of
 basis vectors, and a nested product such as (x * y) o z is one einsum of
 two tables whose index axes run over those tuples.  _sweep evaluates each
-side once over one common denominator in integers (linalg.einsum), counts
-one instance per index tuple, and builds Scalars only for the witnesses
-the report keeps.
+side once as a Tensor of Gaussian-integer numerators (linalg.einsum),
+compares the sides on their nonzero entries, counts one instance per index
+tuple, and builds Scalars only for the witnesses the report keeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .linalg import LinAlgError, Matrix, Tensor, _add_into, _einsum, _nonzero, _Num, einsum
+from .linalg import LinAlgError, Matrix, Tensor, einsum
 
 __all__ = [
     "OPERATION_NAMES",
@@ -226,25 +225,19 @@ class Identity(NamedTuple):
     witness: Callable = None  # index tuple -> (lhs, rhs), replacing the two slices
 
 
-def _side(index: str, terms) -> _Num:
-    """The sum of terms over the lcm of their denominators (shape None for
-    no terms)."""
-    nums = []
+def _side(index: str, terms):
+    """The Tensor sum of terms, None for no terms."""
+    total = None
     for t in terms:
         if not t.spec.partition("->")[2].startswith(index):
             raise ValueError("term %r does not lead with the index labels %r" % (t.spec, index))
-        nums.append((t.coef, _einsum(t.spec, t.operands)))
-    if len({num.shape for _, num in nums}) > 1:
-        raise ValueError("the terms of one side differ in shape")
-    den = 1
-    for _, num in nums:
-        den = den * num.den // gcd(den, num.den)
-    re, im = {}, {}
-    for coef, num in nums:
-        scale = coef * (den // num.den)
-        _add_into(re, num.re, scale)
-        _add_into(im, num.im, scale)
-    return _Num(nums[0][1].shape if nums else None, den, _nonzero(re), _nonzero(im))
+        value = einsum(t.spec, *t.operands)
+        if t.coef != 1:
+            value = value.scale(t.coef)
+        if total is not None and total.shape != value.shape:
+            raise ValueError("the terms of one side differ in shape")
+        total = value if total is None else total + value
+    return total
 
 
 def _evaluate(identity: Identity, limit: int):
@@ -253,25 +246,21 @@ def _evaluate(identity: Identity, limit: int):
     function building its Violation)."""
     k = len(identity.index)
     lhs, rhs = _side(identity.index, identity.lhs), _side(identity.index, identity.rhs)
-    shape = lhs.shape if lhs.shape is not None else rhs.shape
+    shape = (rhs if lhs is None else lhs).shape
+    lhs, rhs = (Tensor.zero(*shape) if side is None else side for side in (lhs, rhs))
     count = 1
     for n in shape[:k]:
         count *= n
     width = 1                       # the entries of one value
     for n in shape[k:]:
         width *= n
-    den = lhs.den * rhs.den // gcd(lhs.den, rhs.den)
-    fl, fr = den // lhs.den, den // rhs.den
-    bad = set()
-    for a, b in ((lhs.re, rhs.re), (lhs.im, rhs.im)):
-        for f in a.keys() | b.keys():
-            if fl * a.get(f, 0) != fr * b.get(f, 0):
-                bad.add(f // width)
+    diff = lhs - rhs
+    bad = {f // width for f in diff.re.keys() | diff.im.keys()}
 
     def build(at, idx):
         if identity.witness is not None:
             return Violation(identity.name, idx, *identity.witness(idx))
-        return Violation(identity.name, idx, *(tuple(side.at(f) for f in range(
+        return Violation(identity.name, idx, *(tuple(side._at(f) for f in range(
             at * width, (at + 1) * width)) for side in (lhs, rhs)))
 
     found = []

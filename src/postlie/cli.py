@@ -107,7 +107,7 @@ def _horizontal_pair(a_pp: Algebra, b_pp: Algebra):
 def _pp_coalg(opts, co):
     mode = opts.mode or "dual"
     if mode not in ("dual", "direct", "both"):
-        raise UsageError("mode must be 'dual' or 'direct'")
+        raise UsageError("mode must be 'dual', 'direct' or 'both'")
     if mode != "both":
         return bi.check_pp_coalgebra(co, mode)
     dual, direct = bi._pp_coalgebra_reports(co, ("dual", "direct"))

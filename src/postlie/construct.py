@@ -308,10 +308,10 @@ def _solve_products(B: Matrix, rhs: Tensor) -> Tensor:
     the columns of the one solution X of B^T X = rhs^T."""
     n = B.rows
     try:
-        sol = B.transpose().solve(Matrix((n * n, n), rhs.entries).transpose())
+        sol = B.transpose().solve(rhs.reshape(n * n, n).transpose())
     except SingularMatrixError:
         raise PreconditionError("form is degenerate")
-    return Tensor((n, n, n), sol.transpose().entries)
+    return sol.transpose().reshape(n, n, n)
 
 
 # ---------------------------------------------------------------------------

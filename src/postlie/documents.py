@@ -19,6 +19,12 @@ coalgebra: blocks ``comap <name>`` ... ``end`` with lines ``k i j : s``
            meaning delta(e_k) contains s * e_i (x) e_j.
 bundle:    named ``section <name>`` ... ``endsection`` wrappers, each holding
            a complete document.
+
+Tables and matrices are read straight into sparse Tensors: a ``0`` token
+builds nothing, and each distinct nonzero token text is parsed once per
+document; its errors name the line of its first use.  Writing prints only
+the rows that hold a nonzero entry (all rows of a matrix) and builds
+Scalars for those rows alone.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import Algebra, OPERATION_NAMES
 from .bialgebra import COMAP_NAMES, CoalgebraSpec
 from .linalg import Matrix, Tensor
-from .scalars import ZERO, Scalar, ScalarParseError
+from .scalars import Scalar, ScalarParseError
 
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
 
@@ -103,13 +109,17 @@ class Document:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _scal(tok, lineno, fieldname):
-    try:
-        s = Scalar.parse(tok)
-    except ScalarParseError as exc:
-        raise DocumentError(str(exc), lineno) from None
-    if fieldname == "Q" and s.b:
-        raise DocumentError("imaginary scalar %r in a Q document" % tok, lineno)
+def _scal(tok, lineno, fieldname, seen):
+    """tok as a Scalar; seen maps the token texts already read to theirs."""
+    s = seen.get(tok)
+    if s is None:
+        try:
+            s = Scalar.parse(tok)
+        except ScalarParseError as exc:
+            raise DocumentError(str(exc), lineno) from None
+        if fieldname == "Q" and s.b:
+            raise DocumentError("imaginary scalar %r in a Q document" % tok, lineno)
+        seen[tok] = s
     return s
 
 
@@ -203,6 +213,7 @@ def _parse_tables(lines, doc, keyword, noun, names, indices):
     and one scalar per line), each into an n x n x n Tensor."""
     n = doc.dim
     per = n ** (3 - indices)
+    seen = {}
     usage = "%s : %s" % (" ".join("kij"[3 - indices:]),
                          "scalar" if indices == 3 else "%d scalars" % per)
     while True:
@@ -218,7 +229,7 @@ def _parse_tables(lines, doc, keyword, noun, names, indices):
         name = parts[1]
         if name not in names:
             raise DocumentError("unknown %s %r" % (noun, name), lineno)
-        entries = [ZERO] * n ** 3
+        values = {}
         while True:
             lineno, line = lines.next()
             if line is None:
@@ -239,9 +250,13 @@ def _parse_tables(lines, doc, keyword, noun, names, indices):
             start = 0
             for t in idx:
                 start = start * n + t
-            start *= per
-            entries[start:start + per] = [_scal(tok, lineno, doc.field) for tok in vals]
-        getattr(doc, keyword + "s")[name] = Tensor((n, n, n), entries)
+            # a repeated line replaces the earlier one; a 0 token builds nothing
+            for f, tok in enumerate(vals, start * per):
+                if tok == "0":
+                    values.pop(f, None)
+                else:
+                    values[f] = _scal(tok, lineno, doc.field, seen)
+        getattr(doc, keyword + "s")[name] = Tensor.sparse((n, n, n), values)
 
 
 def _parse_matrix_body(lines, doc):
@@ -258,19 +273,20 @@ def _parse_matrix_body(lines, doc):
         lineno, line = lines.next()
     if line != "matrix":
         raise DocumentError("expected 'matrix'", lineno)
-    entries = []
-    for _ in range(rows):
+    seen, values = {}, {}
+    for r in range(rows):
         lineno, line = lines.next()
         if line is None:
             raise DocumentError("unterminated matrix block")
         toks = line.split()
         if len(toks) != doc.dim:
             raise DocumentError("expected %d entries per row" % doc.dim, lineno)
-        entries.extend(_scal(t, lineno, doc.field) for t in toks)
+        values.update((f, _scal(tok, lineno, doc.field, seen))
+                      for f, tok in enumerate(toks, r * doc.dim) if tok != "0")
     lineno, line = lines.next()
     if line != "end":
         raise DocumentError("expected 'end' after matrix", lineno)
-    doc.matrix = Matrix((rows, doc.dim), entries)
+    doc.matrix = Matrix.sparse((rows, doc.dim), values)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +316,9 @@ def _dump_into(doc: Document, out):
                 continue
             out.append("op %s" % name)
             table = doc.ops[name]
-            for i in range(doc.dim):
-                for j in range(doc.dim):
-                    row = table.row(i, j)
-                    if any(row):
-                        out.append("%d %d : %s" % (i + 1, j + 1, " ".join(str(s) for s in row)))
+            for at in sorted({f // doc.dim for f in table.re.keys() | table.im.keys()}):
+                i, j = divmod(at, doc.dim)
+                out.append("%d %d : %s" % (i + 1, j + 1, " ".join(map(str, table.row(i, j)))))
             out.append("end")
     elif doc.kind == "coalgebra":
         for name in COMAP_NAMES:
@@ -312,11 +326,9 @@ def _dump_into(doc: Document, out):
                 continue
             out.append("comap %s" % name)
             table = doc.comaps[name]
-            for k in range(doc.dim):
-                for i in range(doc.dim):
-                    for j in range(doc.dim):
-                        if table[k, i, j]:
-                            out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, table[k, i, j]))
+            for f in sorted(table.re.keys() | table.im.keys()):
+                k, i, j = f // doc.dim ** 2, f // doc.dim % doc.dim, f % doc.dim
+                out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, table[k, i, j]))
             out.append("end")
     else:
         m = doc.matrix
@@ -324,7 +336,7 @@ def _dump_into(doc: Document, out):
             out.append("rows %d" % m.rows)
         out.append("matrix")
         for i in range(m.rows):
-            out.append(" ".join(str(m[i, j]) for j in range(m.cols)))
+            out.append(" ".join(map(str, m.row(i))))
         out.append("end")
 
 

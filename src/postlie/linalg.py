@@ -1,15 +1,17 @@
-"""Dense exact linear algebra over Q(i).
+"""Exact sparse linear algebra over Q(i).
 
 Vectors are tuples of Scalar.  Everything else -- matrices, forms,
 operators, 2-tensors, structure tables and comultiplication tables -- is
-one immutable Tensor: a shape and a tuple of its entries in row-major
-order.  Two operations do the index work of constructions: contraction of
-one axis against a matrix or a vector, and axis permutation; Tensor.blocks
-places tensors as disjoint blocks inside a zero tensor of a larger shape
-(embed is the one-block case).  einsum contracts any number of tensors
-exactly on their Gaussian-integer numerators; the identity checkers run on
-it.  Everything here is exact: solving and determinants use rational
-Gaussian elimination and report singularity precisely.
+one immutable Tensor: a shape, one positive denominator and the nonzero
+Gaussian-integer numerators of its entries, keyed by flat row-major offset.
+Tensors are kept in lowest terms, so == and hash compare values.  Sums,
+negation, scaling, axis permutation, contraction and block placement
+(Tensor.blocks; embed is the one-block case) work on the numerators in
+time proportional to the nonzero entries, and einsum contracts any number
+of tensors on them; the identity checkers run on it.  Scalars appear only
+at the edges: entries, indexing, rows, repr, and elimination -- solving,
+determinants and rank use rational Gaussian elimination on rows of Scalars
+and report singularity precisely.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import reduce
 from math import gcd
 from operator import add
 
-from .scalars import ONE, ZERO, Scalar, _build
+from .scalars import ONE, ZERO, Scalar, _build, _coerce
 
 __all__ = [
     "LinAlgError",
@@ -84,17 +86,6 @@ def vscale(c: Scalar, a) -> tuple:
     return tuple(c * x for x in a)
 
 
-def _basis_index(x):
-    """Index i if x is exactly the i-th standard basis vector, else None."""
-    idx = None
-    for i, xi in enumerate(x):
-        if xi:
-            if idx is not None or xi.a != 1 or xi.b != 0 or xi.d != 1:
-                return None
-            idx = i
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # tensors
 # ---------------------------------------------------------------------------
@@ -106,31 +97,82 @@ def _size(shape) -> int:
     return size
 
 
-def _tensor(shape, entries) -> "Tensor":
-    """A Tensor from a shape tuple and a tuple of Scalars, unchecked."""
-    t = object.__new__(Tensor)
-    object.__setattr__(t, "shape", shape)
-    object.__setattr__(t, "entries", entries)
+def _gather(values):
+    """(den, re, im) of a mapping of flat offsets to Scalars: the numerators
+    over the lcm of the denominators, zeros left out."""
+    den = 1
+    for d in {s.d for s in values.values()}:
+        den = den * d // gcd(den, d)
+    re, im = {}, {}
+    for f, s in values.items():
+        if s.a:
+            re[f] = s.a * (den // s.d)
+        if s.b:
+            im[f] = s.b * (den // s.d)
+    return den, re, im
+
+
+def _tensor(shape, den, re, im, t=None) -> "Tensor":
+    """The Tensor t (a new one for None) of numerators already canonical."""
+    t = object.__new__(Tensor) if t is None else t
+    for name, value in zip(Tensor.__slots__, (shape, den, re, im, None, {})):
+        object.__setattr__(t, name, value)
     return t
 
 
-class Tensor:
-    """Immutable tensor of Scalars: a shape and its entries in row-major order.
+def _make(shape, den, re, im, t=None) -> "Tensor":
+    """The canonical Tensor t (a new one for None) of the nonzero numerators
+    re, im over den > 0: all divided by the gcd of den and them."""
+    g = gcd(den, *re.values(), *im.values()) if den > 1 else 1
+    if g > 1:
+        den //= g
+        re = {f: v // g for f, v in re.items()}
+        im = {f: v // g for f, v in im.items()}
+    return _tensor(shape, den, re, im, t)
 
-    t[i, j, k] is entry (i * n1 + j) * n2 + k of a tensor of shape
-    (n0, n1, n2).  A matrix is the two-axis case and is also called Matrix.
+
+def _mapper(axes):
+    """The function f -> sum of f // s % n * w over the (s, n, w) of axes."""
+    if not axes:
+        return lambda f: 0
+    if len(axes) == 1:
+        (s1, n1, w1), = axes
+        return lambda f: f // s1 % n1 * w1
+    if len(axes) == 2:
+        (s1, n1, w1), (s2, n2, w2) = axes
+        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2
+    if len(axes) == 3:
+        (s1, n1, w1), (s2, n2, w2), (s3, n3, w3) = axes
+        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2 + f // s3 % n3 * w3
+    return lambda f: sum(f // s % n * w for s, n, w in axes)
+
+
+def _strides(shape) -> list:
+    return [_size(shape[a + 1:]) for a in range(len(shape))]
+
+
+class Tensor:
+    """Immutable exact tensor over Q(i): a shape, one positive denominator
+    den and the nonzero Gaussian-integer numerators of the entries.
+
+    t[i, j, k] is the entry at flat row-major offset f = (i * n1 + j) * n2 + k
+    of a tensor of shape (n0, n1, n2); its value is (re[f] + im[f] i) / den,
+    with f missing from re (im) where the real (imaginary) part is zero.
+    The form is canonical: gcd(den, all numerators) = 1, and a zero tensor
+    has den 1.  The dicts re and im may be shared between tensors and are
+    never changed.  A matrix is the two-axis case and is also called Matrix.
     """
 
-    __slots__ = ("shape", "entries", "_num")
+    # _layouts: einsum's groupings of the entries, by layout
+    __slots__ = ("shape", "den", "re", "im", "_entries", "_layouts")
 
     def __init__(self, shape, entries):
         shape = tuple(shape)
-        entries = tuple(e if isinstance(e, Scalar) else Scalar(e) for e in entries)
+        entries = [e if isinstance(e, Scalar) else Scalar(e) for e in entries]
         if len(entries) != _size(shape):
             raise LinAlgError("expected %d entries for %s, got %d"
                               % (_size(shape), "x".join(map(str, shape)), len(entries)))
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", entries)
+        _make(shape, *_gather(dict(enumerate(entries))), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -138,8 +180,17 @@ class Tensor:
     # -- constructors --------------------------------------------------
 
     @staticmethod
+    def sparse(shape, values) -> "Tensor":
+        """The tensor of the given shape with the Scalar values[f] at each flat
+        row-major offset f of the mapping values, and zero elsewhere."""
+        shape, size = tuple(shape), _size(shape)
+        if any(not 0 <= f < size for f in values):
+            raise LinAlgError("offset out of range for shape %r" % (shape,))
+        return _make(shape, *_gather(values))
+
+    @staticmethod
     def zero(*shape) -> "Tensor":
-        return _tensor(shape, (ZERO,) * _size(shape))
+        return _tensor(shape, 1, {}, {})
 
     @staticmethod
     def from_rows(rows) -> "Tensor":
@@ -151,7 +202,7 @@ class Tensor:
 
     @staticmethod
     def identity(n: int) -> "Tensor":
-        return Tensor.diagonal([ONE] * n)
+        return _tensor((n, n), 1, {i * (n + 1): 1 for i in range(n)}, {})
 
     @staticmethod
     def diagonal(values) -> "Tensor":
@@ -170,6 +221,21 @@ class Tensor:
     def cols(self) -> int:
         return self.shape[1]
 
+    def _at(self, f: int) -> Scalar:
+        """The entry at flat offset f as a Scalar."""
+        re, im = self.re.get(f, 0), self.im.get(f, 0)
+        return _build(re, im, self.den) if re or im else ZERO
+
+    @property
+    def entries(self) -> tuple:
+        """All entries as Scalars in row-major order, built on first use."""
+        if self._entries is None:
+            out = [ZERO] * _size(self.shape)
+            for f in self.re.keys() | self.im.keys():
+                out[f] = self._at(f)
+            object.__setattr__(self, "_entries", tuple(out))
+        return self._entries
+
     def __getitem__(self, index):
         if len(index) != len(self.shape):
             raise IndexError("index %r for a tensor of shape %r" % (index, self.shape))
@@ -178,7 +244,7 @@ class Tensor:
             if not 0 <= i < n:
                 raise IndexError("index %r out of range for shape %r" % (index, self.shape))
             offset = offset * n + i
-        return self.entries[offset]
+        return self._at(offset)
 
     def row(self, *index) -> tuple:
         """Entries along the last axis at the leading indices."""
@@ -186,12 +252,19 @@ class Tensor:
         offset = 0
         for i, m in zip(index, self.shape):
             offset = offset * m + i
-        return self.entries[offset * n:(offset + 1) * n]
+        return tuple(self._at(f) for f in range(offset * n, (offset + 1) * n))
+
+    def reshape(self, *shape) -> "Tensor":
+        """The same entries in row-major order under a shape of the same size."""
+        if _size(shape) != _size(self.shape):
+            raise LinAlgError("cannot reshape a %s tensor to %s"
+                              % ("x".join(map(str, self.shape)), "x".join(map(str, shape))))
+        return _tensor(shape, self.den, self.re, self.im)
 
     # -- the two index operations ----------------------------------------
 
     def contract(self, axis: int, other):
-        """Contract one axis against a matrix or a vector, skipping zeros.
+        """Contract one axis against a matrix or a vector.
 
         Against a p x s matrix M the axis (of length s) becomes one of length p,
             out[.., a, ..] = sum_b M[a, b] self[.., b, ..];
@@ -203,47 +276,22 @@ class Tensor:
         """
         shape = self.shape
         s = shape[axis]
-        if axis == 0 and not isinstance(other, Tensor) and len(other) == s:
-            b = _basis_index(other)
-            if b is not None:
-                inner = _size(shape[1:])
-                out = self.entries[b * inner:(b + 1) * inner]
-                return out if len(shape) == 2 else _tensor(shape[1:], out)
-        # (b, [(a, weight)]) for each index b of the axis with a nonzero weight
+        labels = tuple(range(len(shape)))
         if isinstance(other, Tensor):
             p, cols = other.shape
             if cols != s:
                 raise LinAlgError("cannot contract an axis of length %d against a %dx%d matrix"
                                   % (s, p, cols))
-            live = []
-            for b in range(s):
-                w = [(a, c) for a, c in enumerate(other.entries[b::cols]) if c]
-                if w:
-                    live.append((b, w))
-            out_shape = shape[:axis] + (p,) + shape[axis + 1:]
+            out = labels[:axis] + ("z",) + labels[axis + 1:]
         else:
             if len(other) != s:
                 raise LinAlgError("vector length %d != axis length %d" % (len(other), s))
-            live = [(b, ((0, c),)) for b, c in enumerate(other) if c]
-            p = 1
-            out_shape = shape[:axis] + shape[axis + 1:]
-        inner = _size(shape[axis + 1:])
-        ent = self.entries
-        out = [ZERO] * _size(out_shape)
-        for o in range(_size(shape[:axis])):
-            for b, w in live:
-                src = (o * s + b) * inner
-                for r in range(inner):
-                    x = ent[src + r]
-                    if not x:
-                        continue
-                    for a, c in w:
-                        k = (o * p + a) * inner + r
-                        acc = out[k]
-                        out[k] = c * x if acc is ZERO else acc + c * x
-        if len(out_shape) == 1:
-            return tuple(out)
-        return _tensor(out_shape, tuple(out))
+            other, out = Tensor((1, s), other), labels[:axis] + labels[axis + 1:]
+        sizes = dict(enumerate(shape), z=other.rows)
+        _, re, im, _ = _pair((("z", axis), other.re, other.im, other),
+                             (labels, self.re, self.im, self), out, sizes)
+        out = _make(tuple(sizes[l] for l in out), self.den * other.den, re, im)
+        return out.entries if len(out.shape) == 1 else out
 
     def permute(self, axes) -> "Tensor":
         """Reorder the axes: axis k of the result is axis axes[k] of self, so
@@ -251,22 +299,20 @@ class Tensor:
         shape = self.shape
         if sorted(axes) != list(range(len(shape))):
             raise LinAlgError("%r is not a permutation of %d axes" % (axes, len(shape)))
-        strides = [_size(shape[a + 1:]) for a in range(len(shape))]
-        offsets = [0]
-        for a in axes:
-            step = strides[a]
-            offsets = [o + i * step for o in offsets for i in range(shape[a])]
-        ent = self.entries
-        return _tensor(tuple(shape[a] for a in axes), tuple(ent[o] for o in offsets))
+        shape = tuple(shape[a] for a in axes)
+        strides = _strides(self.shape)
+        key = _mapper([(strides[a], n, w) for a, n, w in zip(axes, shape, _strides(shape))])
+        return _tensor(shape, self.den, {key(f): v for f, v in self.re.items()},
+                       {key(f): v for f, v in self.im.items()})
 
     @staticmethod
     def blocks(shape, blocks) -> "Tensor":
         """The tensor of the given shape holding each (tensor, offset) of
         blocks at its offset, out[offset + idx] = tensor[idx], and zero
         elsewhere.  The blocks must fit and must not overlap."""
-        shape = tuple(shape)
-        boxes = []
-        out = [ZERO] * _size(shape)
+        shape, strides = tuple(shape), _strides(shape)
+        boxes, placed = [], []
+        den = 1
         for t, offset in blocks:
             offset = tuple(offset)
             if (len(t.shape) != len(shape) or len(offset) != len(shape)
@@ -279,39 +325,51 @@ class Tensor:
                    for other in boxes):
                 raise LinAlgError("blocks at %r overlap" % (offset,))
             boxes.append(box)
-            run = t.shape[-1] if shape else 1
-            src = 0
-            # one run of entries along the last axis per index of the others
-            for idx in itertools.product(*(range(n) for n in t.shape[:-1])):
-                dst = 0
-                for i, o, m in zip(idx + (0,), offset, shape):
-                    dst = dst * m + i + o
-                out[dst:dst + run] = t.entries[src:src + run]
-                src += run
-        return _tensor(shape, tuple(out))
+            key = _mapper(list(zip(_strides(t.shape), t.shape, strides)))
+            placed.append((t, sum(o * w for o, w in zip(offset, strides)), key))
+            den = den * t.den // gcd(den, t.den)
+        re, im = {}, {}
+        for t, base, key in placed:
+            scale = den // t.den
+            re.update((base + key(f), v * scale) for f, v in t.re.items())
+            im.update((base + key(f), v * scale) for f, v in t.im.items())
+        return _make(shape, den, re, im)
 
     def embed(self, shape, offset) -> "Tensor":
         """This tensor as the one block at offset of a zero tensor of shape."""
         return Tensor.blocks(shape, [(self, offset)])
 
-    # -- algebra -----------------------------------------------------------
+    # -- algebra: on the numerators, in time proportional to the nonzeros ----
 
-    # zero entries are skipped: tables and carriers are mostly zero
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "Tensor":
+        """self + sign * other."""
         self._same_shape(other)
-        return _tensor(self.shape, tuple(a + b if a and b else a or b
-                                         for a, b in zip(self.entries, other.entries)))
+        den = self.den * other.den // gcd(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        re = _add_into({f: v * mine for f, v in self.re.items()}, other.re, theirs)
+        im = _add_into({f: v * mine for f, v in self.im.items()}, other.im, theirs)
+        return _make(self.shape, den, _nonzero(re), _nonzero(im))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return _tensor(self.shape, tuple(a - b if b else a
-                                         for a, b in zip(self.entries, other.entries)))
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return _tensor(self.shape, tuple(-a if a else a for a in self.entries))
+        return _tensor(self.shape, self.den, {f: -v for f, v in self.re.items()},
+                       {f: -v for f, v in self.im.items()})
 
-    def scale(self, c: Scalar) -> "Tensor":
-        return _tensor(self.shape, tuple(c * a for a in self.entries))
+    def scale(self, c) -> "Tensor":
+        """c times this tensor; an int c builds no Scalar."""
+        if not isinstance(c, int):
+            c = _coerce(c)
+        a, b, d = (c, 0, 1) if isinstance(c, int) else (c.a, c.b, c.d)
+        re, im = {}, {}
+        for f in self.re.keys() | self.im.keys():
+            x, y = self.re.get(f, 0), self.im.get(f, 0)
+            re[f], im[f] = x * a - y * b, x * b + y * a
+        return _make(self.shape, self.den * d, _nonzero(re), _nonzero(im))
 
     def __mul__(self, other):
         """Matrix product: other's first axis contracted against self."""
@@ -329,13 +387,15 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return (self.shape == other.shape and self.den == other.den
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.shape, self.entries))
+        return hash((self.shape, self.den, frozenset(self.re.items()),
+                     frozenset(self.im.items())))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self.re and not self.im
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -350,12 +410,13 @@ class Tensor:
             raise LinAlgError("shape mismatch")
 
     def __repr__(self):
+        entries = self.entries
         n = self.shape[-1] if self.shape else 1
-        body = "; ".join(" ".join(str(e) for e in self.entries[i:i + n])
-                         for i in range(0, len(self.entries), n or 1))
+        body = "; ".join(" ".join(str(e) for e in entries[i:i + n])
+                         for i in range(0, len(entries), n or 1))
         return "Tensor(%s: %s)" % ("x".join(map(str, self.shape)), body)
 
-    # -- elimination on local row lists ------------------------------------
+    # -- elimination on local row lists of Scalars --------------------------
 
     def _row_lists(self) -> list:
         n = self.cols
@@ -426,7 +487,7 @@ class Tensor:
                 row = out[r]
                 for j, x in enumerate(orow):
                     row[j] = row[j] - f * x
-        return _tensor(rhs.shape, tuple(x / work[i][i] for i in range(n) for x in out[i]))
+        return Tensor(rhs.shape, [x / work[i][i] for i in range(n) for x in out[i]])
 
     def inverse(self) -> "Tensor":
         return self.solve(Tensor.identity(self.rows))
@@ -436,9 +497,8 @@ class Tensor:
 
     def kron(self, other: "Tensor") -> "Tensor":
         """Kronecker product, row-major convention: (A kron B)(u ox v) = Au ox Bv."""
-        return _tensor((self.rows * other.rows, self.cols * other.cols),
-                       tuple(a * b for i in range(self.rows) for p in range(other.rows)
-                             for a in self.row(i) for b in other.row(p)))
+        return einsum("ij,pq->ipjq", self, other).reshape(self.rows * other.rows,
+                                                          self.cols * other.cols)
 
 
 # the name of the two-axis case: forms, operators, r-matrices, carrier matrices
@@ -448,49 +508,6 @@ Matrix = Tensor
 # ---------------------------------------------------------------------------
 # exact einsum
 # ---------------------------------------------------------------------------
-
-class _Num:
-    """An exact tensor as sparse Gaussian-integer numerators over one
-    positive denominator: the entry at flat row-major offset f is
-    (re[f] + im[f] i) / den, with f missing from re (from im) for a zero
-    real (imaginary) part."""
-
-    __slots__ = ("shape", "den", "re", "im")
-
-    def __init__(self, shape, den, re, im):
-        self.shape, self.den, self.re, self.im = shape, den, re, im
-
-    def at(self, f: int) -> Scalar:
-        """The entry at flat offset f as a Scalar."""
-        re, im = self.re.get(f, 0), self.im.get(f, 0)
-        return _build(re, im, self.den) if re or im else ZERO
-
-    def tensor(self) -> Tensor:
-        return _tensor(self.shape, tuple(self.at(f) for f in range(_size(self.shape))))
-
-
-def _numerators(t) -> _Num:
-    """The numerators of a Tensor over the lcm of its entries' denominators,
-    computed once per Tensor (tensors are immutable)."""
-    if isinstance(t, _Num):
-        return t
-    num = getattr(t, "_num", None)
-    if num is None:
-        nonzero = [(f, s) for f, s in enumerate(t.entries) if s]
-        den = 1
-        for d in {s.d for _, s in nonzero}:
-            den = den * d // gcd(den, d)
-        re, im = {}, {}
-        for f, s in nonzero:
-            scale = den // s.d
-            if s.a:
-                re[f] = s.a * scale
-            if s.b:
-                im[f] = s.b * scale
-        num = _Num(t.shape, den, re, im)
-        object.__setattr__(t, "_num", num)
-    return num
-
 
 def _nonzero(d: dict) -> dict:
     return {k: v for k, v in d.items() if v}
@@ -503,10 +520,10 @@ def _add_into(acc: dict, d: dict, scale: int) -> dict:
     return acc
 
 
-def _flattener(labels, sizes, target, skip=()):
-    """The function taking a flat offset over labels to its part of the
-    flat offset over target: the sum over the labels in target (and not in
-    skip) of index times stride in target."""
+def _axes(labels, sizes, target, skip=()):
+    """The (stride, extent, weight) per axis of _mapper taking a flat offset
+    over labels to its part of the flat offset over target: the sum over the
+    labels in target (and not in skip) of index times stride in target."""
     weights, w = {}, 1
     for label in reversed(target):
         weights[label] = w
@@ -516,43 +533,49 @@ def _flattener(labels, sizes, target, skip=()):
         if label in weights and label not in skip:
             axes.append((stride, sizes[label], weights[label]))
         stride *= sizes[label]
-    if not axes:
-        return lambda f: 0
-    if len(axes) == 1:
-        (s1, n1, w1), = axes
-        return lambda f: f // s1 % n1 * w1
-    if len(axes) == 2:
-        (s1, n1, w1), (s2, n2, w2) = axes
-        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2
-    if len(axes) == 3:
-        (s1, n1, w1), (s2, n2, w2), (s3, n3, w3) = axes
-        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2 + f // s3 % n3 * w3
-    return lambda f: sum(f // s % n * w for s, n, w in axes)
+    return tuple(axes)
+
+
+def _grouped(operand, sizes, shared, out, skip=()):
+    """The nonzero entries of a (labels, re, im, tensor) operand as
+    {offset over shared: [(offset over out, re, im)]}, skipping the labels
+    of skip in out.  Kept on the operand's tensor, if it has one, for the
+    next contraction that lays it out the same way."""
+    labels, re, im, tensor = operand
+    # the tensor fixes the extents of its own labels
+    layout = (labels, shared, out, skip, tuple(sizes[l] for l in out))
+    cache = {} if tensor is None else tensor._layouts
+    groups = cache.get(layout)
+    if groups is None:
+        by_shared = _mapper(_axes(labels, sizes, shared))
+        by_out = _mapper(_axes(labels, sizes, out, skip))
+        groups = {}
+        for f in re.keys() | im.keys():
+            groups.setdefault(by_shared(f), []).append((by_out(f), re.get(f, 0), im.get(f, 0)))
+        cache[layout] = groups
+    return groups
 
 
 def _pair(a, b, out, sizes):
-    """Contract two (labels, re, im) operands over their shared labels into
-    the labels out (in that order), summing every other label away."""
-    la, ra, ia = a
-    lb, rb, ib = b
-    shared = tuple(l for l in la if l in lb)
-    a_shared, a_out = _flattener(la, sizes, shared), _flattener(la, sizes, out)
-    b_shared, b_out = _flattener(lb, sizes, shared), _flattener(lb, sizes, out, la)
+    """Contract two (labels, re, im, tensor) operands over their shared
+    labels into the labels out (in that order), summing every other label
+    away."""
+    shared = tuple(l for l in a[0] if l in b[0])
+    left, right = _grouped(a, sizes, shared, out), _grouped(b, sizes, shared, out, a[0])
     re, im = {}, {}
     get_re, get_im = re.get, im.get
-    groups = {}
-    for f in rb.keys() | ib.keys():
-        groups.setdefault(b_shared(f), []).append((b_out(f), rb.get(f, 0), ib.get(f, 0)))
-    for f in ra.keys() | ia.keys():
-        group = groups.get(a_shared(f))
-        if group:
-            vr, vi = ra.get(f, 0), ia.get(f, 0)
-            base = a_out(f)
-            for q, wr, wi in group:
-                k = base + q
+    real = not a[2] and not b[2]    # no imaginary parts to track
+    for key, group in left.items():
+        other = right.get(key)
+        if not other:
+            continue
+        for p, vr, vi in group:
+            for q, wr, wi in other:
+                k = p + q
                 re[k] = get_re(k, 0) + vr * wr - vi * wi
-                im[k] = get_im(k, 0) + vr * wi + vi * wr
-    return out, _nonzero(re), _nonzero(im)
+                if not real:
+                    im[k] = get_im(k, 0) + vr * wi + vi * wr
+    return out, _nonzero(re), _nonzero(im), None
 
 
 def _parse(spec: str, count: int):
@@ -577,9 +600,16 @@ def _rekey(d: dict, key) -> dict:
     return _nonzero(out)
 
 
-def _einsum(spec: str, operands) -> _Num:
-    """einsum on numerators: the result's denominator is the product of the
-    operands' denominators."""
+def einsum(spec: str, *operands) -> Tensor:
+    """Exact Einstein summation over Tensors, e.g. einsum("ij,jk->ik", a, b).
+
+    The operands' numerators are contracted in integers; the result's
+    denominator is the product of theirs, reduced.  A label repeated within
+    one operand takes its diagonal; a label missing from the output is
+    summed.  The operands are contracted two at a time, always the pair with
+    the fewest expected products, so no outer product is formed while a
+    shared label could avoid it; only nonzero entries are visited.
+    """
     inputs, output = _parse(spec, len(operands))
     if not operands:
         raise LinAlgError("einsum needs at least one operand")
@@ -587,31 +617,30 @@ def _einsum(spec: str, operands) -> _Num:
     work = []
     den = 1
     for labels, operand in zip(inputs, operands):
-        num = _numerators(operand)
-        if len(labels) != len(num.shape):
+        if len(labels) != len(operand.shape):
             raise LinAlgError("einsum labels %r for a tensor of shape %r"
-                              % ("".join(labels), num.shape))
+                              % ("".join(labels), operand.shape))
         # a label repeated within one operand takes the diagonal: it gets a
         # private name per position, and entries off the diagonal are dropped
         axes = tuple(l if l not in labels[:p] else (l, p) for p, l in enumerate(labels))
-        for label, n in zip(labels, num.shape):
+        for label, n in zip(labels, operand.shape):
             if sizes.setdefault(label, n) != n:
                 raise LinAlgError("einsum label %r has extents %d and %d"
                                   % (label, sizes[label], n))
-        den *= num.den
-        re, im = num.re, num.im
+        den *= operand.den
+        re, im, tensor = operand.re, operand.im, operand
         if axes != labels:
-            for axis, n in zip(axes, num.shape):
+            for axis, n in zip(axes, operand.shape):
                 sizes[axis] = n
             unique = tuple(dict.fromkeys(labels))
-            copies = [(_flattener(axes, sizes, (l,)), _flattener(axes, sizes, (a,)))
+            copies = [(_mapper(_axes(axes, sizes, (l,))), _mapper(_axes(axes, sizes, (a,))))
                       for a, l in zip(axes, labels) if a != l]
             on_diagonal = lambda f: all(x(f) == y(f) for x, y in copies)
-            key = _flattener(axes, sizes, unique)
+            key = _mapper(_axes(axes, sizes, unique))
             re = _rekey({f: v for f, v in re.items() if on_diagonal(f)}, key)
             im = _rekey({f: v for f, v in im.items() if on_diagonal(f)}, key)
-            axes = unique
-        work.append((axes, re, im))
+            axes, tensor = unique, None
+        work.append((axes, re, im, tensor))
     missing = [l for l in output if l not in sizes]
     if missing:
         raise LinAlgError("einsum output label %r is on no operand" % missing[0])
@@ -636,21 +665,8 @@ def _einsum(spec: str, operands) -> _Num:
         else:
             out = output
         work = rest + [_pair(work[i], work[j], out, sizes)]
-    labels, re, im = work[0]
+    labels, re, im, _ = work[0]
     if labels != output:
-        key = _flattener(labels, sizes, output)
+        key = _mapper(_axes(labels, sizes, output))
         re, im = _rekey(re, key), _rekey(im, key)
-    return _Num(tuple(sizes[l] for l in output), den, re, im)
-
-
-def einsum(spec: str, *operands) -> Tensor:
-    """Exact Einstein summation over Tensors, e.g. einsum("ij,jk->ik", a, b).
-
-    Each operand is read as Gaussian-integer numerators over the lcm of its
-    entries' denominators, once per Tensor.  A label repeated within one
-    operand takes its diagonal; a label missing from the output is summed.
-    The operands are contracted two at a time, always the pair with the
-    fewest expected products, so no outer product is formed while a shared
-    label could avoid it; zeros are skipped throughout.
-    """
-    return _einsum(spec, operands).tensor()
+    return _make(tuple(sizes[l] for l in output), den, re, im)

@@ -37,15 +37,22 @@ _RE_IMAG = _re.compile(rf"^(-?)((?:\d+(?:/\d+)?)?)i$")
 _RE_BOTH = _re.compile(rf"^({_RAT})([+-])((?:\d+(?:/\d+)?)?)i$")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:      # more digits than int() reads from text
+        raise ScalarParseError("too many digits in %r" % text) from None
+
+
 def _ratio(text: str):
     """(p, q) with q > 0 of an optionally signed integer or fraction p/q."""
     if "/" in text:
         num, den = text.split("/", 1)
-        q = int(den)
+        q = _int(den)
         if q == 0:
             raise ScalarParseError("zero denominator in %r" % text)
-        return int(num), q
-    return int(text), 1
+        return _int(num), q
+    return _int(text), 1
 
 
 def _from_ratios(re, im) -> "Scalar":

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,9 +30,11 @@ from postlie import (
     vertical_post_lie,
     zero_vec,
 )
+from postlie import scalars
 from postlie.algebra import (
     L_DENDRIFORM_IDENTITIES,
     LIE_IDENTITIES,
+    MAX_VIOLATIONS,
     POST_LIE_IDENTITIES,
     PP_IDENTITIES,
     PRE_LIE_IDENTITIES,
@@ -506,3 +509,52 @@ def test_single_entry_mutant_breaks_identity(identity, request):
     table = alg.table(op)
     mutant = alg.with_op(op, _with_entries(table, {(i + 1, j + 1, k + 1): table[i, j, k] + ONE}))
     assert identity in {v.identity for v in check(mutant).violations}
+
+
+# ---------------------------------------------------------------------------
+# Scalars only at the edges: a check runs on numerators and builds Scalars
+# for nothing but the witnesses its report keeps
+# ---------------------------------------------------------------------------
+
+def _gl_bracket(m):
+    """gl_m on the matrix units E_ab: [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    n = m * m
+    entries = [ZERO] * n ** 3
+    for a, b, c, d in itertools.product(range(m), repeat=4):
+        at = ((a * m + b) * n + c * m + d) * n
+        if b == c:
+            entries[at + a * m + d] += ONE
+        if d == a:
+            entries[at + c * m + b] -= ONE
+    return Algebra(n, ops={"bracket": Tensor((n, n, n), entries)})
+
+
+@pytest.fixture
+def scalars_built(monkeypatch):
+    """The (a, b, d) of every Scalar constructed from here on."""
+    built = []
+    raw = scalars._raw
+    monkeypatch.setattr(scalars, "_raw", lambda a, b, d: built.append((a, b, d)) or raw(a, b, d))
+    return built
+
+
+def test_passing_checks_build_no_scalars(sl2_pp, ahat_pp, sl2_postlie, request):
+    gl3 = _gl_bracket(3)
+    built = request.getfixturevalue("scalars_built")
+    reports = [check_pp_post_lie(sl2_pp), check_pp_post_lie(ahat_pp),
+               check_post_lie(sl2_postlie), check_lie(gl3)]
+    assert [r.passed for r in reports] == [True] * 4
+    assert all(r.checked for r in reports)
+    assert built == []
+
+
+def test_failing_check_builds_scalars_only_for_kept_witnesses(request):
+    gl3 = _gl_bracket(3)
+    # 46 violations, of which the report keeps the first MAX_VIOLATIONS
+    mutant = gl3.with_op("bracket", _with_entries(gl3.table("bracket"),
+                                                  {(1, 2, 2): HALF, (5, 6, 6): IHALF}))
+    built = request.getfixturevalue("scalars_built")
+    report = check_lie(mutant)
+    assert not report.passed and len(report.violations) == MAX_VIOLATIONS < 46
+    # one Scalar per nonzero witness entry; zero entries are the shared ZERO
+    assert len(built) == sum(1 for v in report.violations for s in v.lhs + v.rhs if s)

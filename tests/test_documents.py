@@ -1,0 +1,130 @@
+"""Property tests of the document format.
+
+Generated algebra, coalgebra, form, map and tensor2 documents over Q and
+Q(i) survive dumps then loads unchanged: values drawn from a small pool (so
+tokens repeat), mostly zero (so whole rows vanish), with numerators and
+denominators beyond 2^64.  The parser, given arbitrary text or a damaged
+valid document, returns a Document or raises DocumentError and nothing
+else.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from postlie import Document, DocumentError, Scalar, Tensor, dumps, loads
+from postlie.algebra import OPERATION_NAMES
+from postlie.bialgebra import COMAP_NAMES
+
+ZERO = Scalar(0)
+BIG = 2 ** 64
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+numerators = st.one_of(st.integers(-3, 3), st.integers(-BIG * BIG, BIG * BIG))
+denominators = st.one_of(st.integers(1, 4), st.integers(BIG, BIG * BIG))
+
+
+@st.composite
+def scalars(draw, field):
+    part = lambda: Fraction(draw(numerators), draw(denominators))
+    return Scalar(part(), part() if field == "Q(i)" and draw(st.booleans()) else 0)
+
+
+@st.composite
+def documents(draw):
+    kind = draw(st.sampled_from(["algebra", "coalgebra", "form", "map", "tensor2"]))
+    field = draw(st.sampled_from(["Q", "Q(i)"]))
+    dim = draw(st.integers(0, 3))
+    basis = tuple(draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True),
+                                min_size=dim, max_size=dim, unique=True)))
+    pool = draw(st.lists(scalars(field), min_size=1, max_size=4))
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), st.sampled_from(pool))
+
+    def tensor(*shape):
+        size = 1
+        for n in shape:
+            size *= n
+        return Tensor(shape, draw(st.lists(entry, min_size=size, max_size=size)))
+
+    if kind in ("algebra", "coalgebra"):
+        names = OPERATION_NAMES if kind == "algebra" else COMAP_NAMES
+        tables = {name: tensor(dim, dim, dim)
+                  for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=3))}
+        if kind == "algebra":
+            return Document(kind, field, dim, basis, ops=tables)
+        return Document(kind, field, dim, basis, comaps=tables)
+    # a map with rows but no columns would print blank rows, which loads skips
+    rows = draw(st.integers(0, 3)) if kind == "map" and dim else dim
+    return Document.from_matrix(kind, tensor(rows, dim), field, basis)
+
+
+@SETTINGS
+@given(documents())
+def test_dumps_then_loads_is_identity(doc):
+    text = dumps(doc)
+    again = loads(text)
+    assert again == doc
+    assert dumps(again) == text
+
+
+def test_equal_values_print_alike():
+    halves = Tensor((2,), [Scalar.parse("1/4"), 0]) + Tensor((2,), [Scalar.parse("1/4"), 0])
+    doc = Document.from_matrix("map", halves.reshape(1, 2), "Q", ("a", "b"))
+    assert dumps(doc) == "kind map\nfield Q\ndim 2\nbasis a b\nrows 1\nmatrix\n1/2 0\nend\n"
+
+
+def _parses_or_refuses(text):
+    try:
+        doc = loads(text)
+    except DocumentError:
+        return
+    assert isinstance(doc, Document)
+
+
+@SETTINGS
+@given(st.text())
+def test_arbitrary_text_parses_or_raises_document_error(text):
+    _parses_or_refuses(text)
+
+
+# fragments that reach the parser's deeper branches
+TOKENS = ["0", "1", "-1/2", "3+i", "i", "1/0", "2i3", "x", "-", ":", "1 1 :", "1 1 1 :",
+          "kind", "field", "dim", "basis", "op", "comap", "end", "matrix", "rows",
+          "section", "endsection", "bracket", "Delta", "Q", "Q(i)", "bundle", "#",
+          "9" * 5000, "1/" + "9" * 5000]
+
+
+@st.composite
+def damaged(draw):
+    lines = dumps(draw(documents())).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        how = draw(st.sampled_from(["replace", "insert", "delete", "duplicate"]))
+        junk = " ".join(draw(st.lists(st.one_of(st.sampled_from(TOKENS), st.text(max_size=4)),
+                                      min_size=1, max_size=5)))
+        if how == "insert" or at == len(lines):
+            lines.insert(at, junk)
+        elif how == "replace":
+            lines[at] = junk
+        elif how == "delete":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    return "\n".join(lines)
+
+
+@SETTINGS
+@given(damaged())
+def test_damaged_documents_parse_or_raise_document_error(text):
+    _parses_or_refuses(text)
+
+
+@SETTINGS
+@given(st.lists(documents(), min_size=1, max_size=3), st.data())
+def test_damaged_bundles_parse_or_raise_document_error(docs, data):
+    text = dumps(Document.bundle({"s%d" % i: doc for i, doc in enumerate(docs)}))
+    cut = data.draw(st.integers(0, len(text)))
+    _parses_or_refuses(text[:cut] + data.draw(st.sampled_from(TOKENS)) + text[cut:])

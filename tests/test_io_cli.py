@@ -300,7 +300,7 @@ def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
     no_delta.write_text(text[:start] + text[text.index("end\n", start) + 4:])
     for argv, message in [
         (("corpus", "show", "nosuch"), "\"unknown corpus fixture 'nosuch'\""),
-        (("check", "pp-coalg", str(co), "--mode", "bogus"), "mode must be 'dual' or 'direct'"),
+        (("check", "pp-coalg", str(co), "--mode", "bogus"), "mode must be 'dual', 'direct' or 'both'"),
         (("check", "lie-coalg", str(no_delta)), "'Delta'"),
         (("check", "pp-coalg", str(no_delta)), "\"coalgebra lacks comap 'Delta'\""),
         (("check", "manin-triple", str(corpus_on_disk / "sl2_pp.txt"),
@@ -337,6 +337,10 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     bad.write_text("kind form\nfield Q\ndim 1\nbasis e\nmatrix\n1/0\nend\n")
     code, _, err = _run(capsys, "check", "lie", str(bad))
     assert code == 2
+    bad.write_text("kind algebra\nfield Q\ndim 1\nbasis e\nop bracket\n1 1 : %s\nend\n"
+                   % ("9" * 5000))
+    code, _, err = _run(capsys, "check", "lie", str(bad))
+    assert code == 2 and "line 6: too many digits in '999" in err
 
 
 def test_cli_derive_induced_matches_corpus(corpus_on_disk, tmp_path, capsys):

@@ -84,7 +84,11 @@ def test_random_roundtrip():
         assert Scalar.parse(str(s)) == s
 
 
-@pytest.mark.parametrize("bad", ["1/0", "abc", "1.5", "i2", "1+", "--1", "1 + i", "+1"])
+# the last three have more digits than int() reads from text
+@pytest.mark.parametrize("bad", ["1/0", "abc", "1.5", "i2", "1+", "--1", "1 + i", "+1",
+                                 pytest.param("9" * 5000, id="long-integer"),
+                                 pytest.param("1/" + "9" * 5000, id="long-denominator"),
+                                 pytest.param("1+" + "9" * 5000 + "i", id="long-imaginary")])
 def test_parse_errors(bad):
     with pytest.raises(ScalarParseError):
         Scalar.parse(bad)

@@ -19,6 +19,7 @@ swapped in ltri goes unnoticed there; these tables are random and dense.
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -732,3 +733,187 @@ def test_cobrackets_match_per_basis_sandwiches(n):
         comaps["Delta"].append(ref_sandwich(ad[k], r, ad[k]))
     for name, d in comaps.items():
         assert co.table(name) == _tensor(d, (n, n, n)), name
+
+
+# ---------------------------------------------------------------------------
+# the numerator representation against tuples of Scalars
+#
+# A Tensor holds one denominator and the nonzero Gaussian-integer
+# numerators of its entries.  Every operation is compared here with the
+# same operation on a (shape, tuple of Scalars) reference, on random
+# tensors of orders 0 to 3 and extents 0 to 4 with zero, real, imaginary
+# and mixed entries and parts beyond 2^64, and every result must be in
+# canonical form.
+# ---------------------------------------------------------------------------
+
+BIG = 2 ** 64
+
+
+def _wide_scalar(rng, density):
+    if rng.random() >= density:
+        return ZERO
+    part = lambda: Fraction(rng.choice([rng.randint(-3, 3), rng.randint(-BIG * BIG, BIG * BIG)]),
+                            rng.choice([1, 2, 3, 4, 6, BIG + 1, 3 ** 41]))
+    kind = rng.randrange(3)
+    return Scalar(part() if kind != 1 else 0, part() if kind != 0 else 0)
+
+
+def _shape(rng, order=None):
+    return tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 3) if order is None else order))
+
+
+def _flat(shape, idx):
+    f = 0
+    for i, n in zip(idx, shape):
+        f = f * n + i
+    return f
+
+
+def _indices(shape):
+    return itertools.product(*(range(n) for n in shape))
+
+
+def _ref(rng, shape, density=None):
+    """A random (shape, entries) reference."""
+    density = rng.choice([0.0, 0.2, 0.6, 1.0]) if density is None else density
+    return shape, tuple(_wide_scalar(rng, density) for _ in range(len(list(_indices(shape)))))
+
+
+def _same(t, ref):
+    """t holds the reference's entries, in canonical form."""
+    shape, entries = ref
+    assert t.shape == shape and t.entries == entries
+    size = len(entries)
+    assert t.den > 0 and gcd(t.den, *t.re.values(), *t.im.values()) == 1
+    assert all(v and 0 <= f < size for part in (t.re, t.im) for f, v in part.items())
+    assert set(t.re) | set(t.im) == {f for f, s in enumerate(entries) if s}
+
+
+def ref_permute(ref, axes):
+    shape, entries = ref
+    out = tuple(shape[a] for a in axes)
+    values = []
+    for idx in _indices(out):
+        src = [0] * len(shape)
+        for k, a in enumerate(axes):
+            src[a] = idx[k]
+        values.append(entries[_flat(shape, src)])
+    return out, tuple(values)
+
+
+def ref_blocks(shape, blocks):
+    values = [ZERO] * len(list(_indices(shape)))
+    for (inner, entries), offset in blocks:
+        for idx, s in zip(_indices(inner), entries):
+            values[_flat(shape, [i + o for i, o in zip(idx, offset)])] = s
+    return shape, tuple(values)
+
+
+def ref_contract(ref, axis, other):
+    """other a (matrix shape, entries) reference or a vector."""
+    shape, entries = ref
+    if isinstance(other, tuple) and len(other) == 2 and isinstance(other[0], tuple):
+        (p, s), m = other
+        out = shape[:axis] + (p,) + shape[axis + 1:]
+        weight = lambda idx: [(b, m[idx[axis] * s + b]) for b in range(s)]
+    else:
+        out = shape[:axis] + shape[axis + 1:]
+        weight = lambda idx: list(enumerate(other))
+    values = []
+    for idx in _indices(out):
+        total = ZERO
+        for b, w in weight(idx if len(out) == len(shape) else idx[:axis] + (0,) + idx[axis:]):
+            src = idx[:axis] + (b,) + idx[axis + (len(out) == len(shape)):]
+            total = total + w * entries[_flat(shape, src)]
+        values.append(total)
+    return out, tuple(values)
+
+
+def ref_kron(a, b):
+    (ra, ca), ea = a
+    (rb, cb), eb = b
+    return (ra * rb, ca * cb), tuple(ea[i * ca + j] * eb[p * cb + q] for i in range(ra)
+                                     for p in range(rb) for j in range(ca) for q in range(cb))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_ops_match_scalar_tuples(seed):
+    rng = random.Random(1800 + seed)
+    for _ in range(6):
+        shape = _shape(rng)
+        a, b = _ref(rng, shape), _ref(rng, shape)
+        ta, tb = Tensor(*a), Tensor(*b)
+        _same(ta, a)
+        _same(ta + tb, (shape, tuple(x + y for x, y in zip(a[1], b[1]))))
+        _same(ta - tb, (shape, tuple(x - y for x, y in zip(a[1], b[1]))))
+        _same(ta - ta, (shape, (ZERO,) * len(a[1])))
+        _same(-ta, (shape, tuple(-x for x in a[1])))
+        for c in (_wide_scalar(rng, 1.0), ZERO, Scalar(3), Scalar(0, -1)):
+            _same(ta.scale(c), (shape, tuple(c * x for x in a[1])))
+        _same(ta.scale(-2), (shape, tuple(Scalar(-2) * x for x in a[1])))
+        for axes in itertools.permutations(range(len(shape))):
+            _same(ta.permute(axes), ref_permute(a, axes))
+        for axis in range(len(shape)):
+            p = rng.randint(0, 4)
+            m = _ref(rng, (p, shape[axis]))
+            v = _ref(rng, (shape[axis],))[1]
+            for other, ref_other in ((Tensor(*m), m), (v, v)):
+                got, want = ta.contract(axis, other), ref_contract(a, axis, ref_other)
+                if len(want[0]) == 1:       # a result with one axis is a vector
+                    assert got == want[1]
+                else:
+                    _same(got, want)
+        assert ta.reshape(len(a[1])).entries == a[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blocks_embed_and_kron_match_scalar_tuples(seed):
+    rng = random.Random(1900 + seed)
+    for _ in range(6):
+        order = rng.randint(0, 3)
+        inner = _shape(rng, order)
+        shape = tuple(n + rng.randint(0, 3) for n in inner)
+        offset = tuple(rng.randint(0, m - n) for n, m in zip(inner, shape))
+        block = _ref(rng, inner)
+        _same(Tensor(*block).embed(shape, offset), ref_blocks(shape, [(block, offset)]))
+        # two blocks side by side along the first axis
+        if order:
+            first = _ref(rng, (1,) + inner[1:])
+            second = _ref(rng, (2,) + inner[1:])
+            whole = (3,) + inner[1:]
+            parts = [(first, (0,) * order), (second, (1,) + (0,) * (order - 1))]
+            _same(Tensor.blocks(whole, [(Tensor(*r), o) for r, o in parts]),
+                  ref_blocks(whole, parts))
+        a, b = _ref(rng, _shape(rng, 2)), _ref(rng, _shape(rng, 2))
+        _same(Tensor(*a).kron(Tensor(*b)), ref_kron(a, b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_values_are_equal_tensors_whatever_the_route(seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(6):
+        shape = _shape(rng)
+        a = _ref(rng, shape)
+        t = Tensor(*a)
+        half = Scalar(Fraction(1, 2))
+        routes = [Tensor(shape, list(a[1])), t + Tensor.zero(*shape), t.scale(2) - t,
+                  t.scale(half) + t.scale(half), t.scale(Scalar(0, 1)).scale(Scalar(0, -1)),
+                  -(-t), t.permute(tuple(range(len(shape))))]
+        for other in routes:
+            assert other == t and hash(other) == hash(t)
+            _same(other, a)
+        if a[1]:
+            changed = list(a[1])
+            changed[rng.randrange(len(changed))] += Scalar(Fraction(1, BIG + 1))
+            assert Tensor(shape, changed) != t
+
+
+def test_one_half_parsed_equals_two_quarters():
+    half = Tensor((1, 2), [Scalar.parse("1/2"), Scalar.parse("-1/2i")])
+    quarters = Tensor((1, 2), [Scalar.parse("1/4"), Scalar.parse("-1/4i")])
+    assert quarters + quarters == half and hash(quarters + quarters) == hash(half)
+    assert (half.den, half.re, half.im) == (2, {0: 1}, {1: -1})
+    # 1/6 - 1/6 + 1/3 reduces to denominator 3, and a zero tensor to 1
+    t = Tensor((2,), [Scalar(Fraction(1, 6)), Scalar(Fraction(1, 3))])
+    assert (t - Tensor((2,), [Scalar(Fraction(1, 6)), 0])).den == 3
+    assert (t - t).den == 1 and (t - t) == Tensor.zero(2) and (t - t).is_zero()
