@@ -16,20 +16,22 @@ algebra identity sets (Lie, pre-Lie, post-Lie, pp-post-Lie, L-dendriform,
 pre-pp-post-Lie) are such lists over the structure tables: the identities
 are multilinear, so they hold everywhere if they hold on every tuple of
 basis vectors, and a nested product such as (x * y) o z is one einsum of
-two tables whose index axes run over those tuples.  _sweep evaluates each
-side once as a Tensor of Gaussian-integer numerators (linalg.einsum),
-compares the sides on their nonzero entries, counts one instance per index
-tuple, and builds Scalars only for the witnesses the report keeps.
+two tables whose index axes run over those tuples.  _sweep adds the terms
+of lhs - rhs into one Gaussian-integer accumulator (linalg._accumulate),
+counts one instance per index tuple, and evaluates the sides and builds
+Scalars only for the witnesses a report keeps, when they are first read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import reduce
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .linalg import LinAlgError, Matrix, Tensor, einsum
+from .linalg import LinAlgError, Matrix, Tensor, _accumulate, _size, einsum
 
 __all__ = [
     "OPERATION_NAMES",
@@ -168,6 +170,10 @@ class Violation:
 
 @dataclass
 class CheckReport:
+    """A verdict, its instance count and its first violations.  A checker's
+    report keeps a builder per violation until violations is first read, so
+    reading passed, checked or name builds no Scalar."""
+
     passed: bool
     violations: list
     checked: int = 0
@@ -175,6 +181,19 @@ class CheckReport:
 
     def __bool__(self):
         return self.passed
+
+    def __getattr__(self, attr):
+        # reached only while violations is unset: build them from the pairs
+        if attr != "violations" or "_pending" not in self.__dict__:
+            raise AttributeError(attr)
+        self.violations = [build() for _, build in self._pending]
+        del self._pending
+        return self.violations
+
+    def _witnesses(self) -> list:
+        """The ((identity, indices), build) pair of each violation, building none."""
+        return self.__dict__.get("_pending") or [((v.identity, v.indices), lambda v=v: v)
+                                                 for v in self.violations]
 
     def render(self, limit=None) -> str:
         lines = ["%s: %s (%d instances checked)" % (
@@ -200,7 +219,7 @@ class CheckReport:
 # sum of signed terms; a term is one exact einsum over tables, carriers,
 # forms, operators, r-matrices or comaps, whose output labels are the index
 # labels followed by the value labels.  The identity holds at an index
-# tuple when the two sides agree on every value entry there, and each index
+# tuple when lhs - rhs vanishes on every value entry there, and each index
 # tuple is one checked instance.
 # ---------------------------------------------------------------------------
 
@@ -225,59 +244,55 @@ class Identity(NamedTuple):
     witness: Callable = None  # index tuple -> (lhs, rhs), replacing the two slices
 
 
-def _side(index: str, terms):
-    """The Tensor sum of terms, None for no terms."""
-    total = None
-    for t in terms:
-        if not t.spec.partition("->")[2].startswith(index):
-            raise ValueError("term %r does not lead with the index labels %r" % (t.spec, index))
-        value = einsum(t.spec, *t.operands)
-        if t.coef != 1:
-            value = value.scale(t.coef)
-        if total is not None and total.shape != value.shape:
-            raise ValueError("the terms of one side differ in shape")
-        total = value if total is None else total + value
-    return total
+def _side(terms) -> Tensor:
+    """The Tensor sum of terms."""
+    first, *rest = (einsum(t.spec, *t.operands).scale(t.coef) for t in terms)
+    return sum(rest, first)
 
 
 def _evaluate(identity: Identity, limit: int):
     """The instance count of one identity and, for the first `limit` index
     tuples where its two sides differ, in index order, (index tuple,
-    function building its Violation)."""
+    function building its Violation).  Over the lcm L of the terms'
+    denominators d, each the product of its operands', every term adds
+    sign * coef * L / d times its numerators into one pair of dicts."""
     k = len(identity.index)
-    lhs, rhs = _side(identity.index, identity.lhs), _side(identity.index, identity.rhs)
-    shape = (rhs if lhs is None else lhs).shape
-    lhs, rhs = (Tensor.zero(*shape) if side is None else side for side in (lhs, rhs))
-    count = 1
-    for n in shape[:k]:
-        count *= n
-    width = 1                       # the entries of one value
-    for n in shape[k:]:
-        width *= n
-    diff = lhs - rhs
-    bad = {f // width for f in diff.re.keys() | diff.im.keys()}
+    terms = [(t, 1) for t in identity.lhs] + [(t, -1) for t in identity.rhs]
+    for t, _ in terms:
+        if not t.spec.partition("->")[2].startswith(identity.index):
+            raise ValueError("term %r does not lead with the index labels %r"
+                             % (t.spec, identity.index))
+    dens = [_size(x.den for x in t.operands) for t, _ in terms]
+    common = reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
+    re, im = {}, {}
+    shapes = {_accumulate(t.spec, t.operands, re, im, sign * t.coef * (common // d))
+              for (t, sign), d in zip(terms, dens)}
+    if len(shapes) != 1:
+        raise ValueError("the terms of %r differ in shape" % identity.name)
+    shape, = shapes
+    width = _size(shape[k:])         # the entries of one value
+    sides = []
 
     def build(at, idx):
         if identity.witness is not None:
             return Violation(identity.name, idx, *identity.witness(idx))
+        if not sides:
+            sides.extend(_side(s) if s else Tensor.zero(*shape)
+                         for s in (identity.lhs, identity.rhs))
         return Violation(identity.name, idx, *(tuple(side._at(f) for f in range(
-            at * width, (at + 1) * width)) for side in (lhs, rhs)))
+            at * width, (at + 1) * width)) for side in sides))
 
     found = []
-    for at in sorted(bad)[:limit]:
-        idx, rest = [], at
-        for n in reversed(shape[:k]):
-            rest, i = divmod(rest, n)
-            idx.append(i)
-        idx = tuple(reversed(idx))
+    for at in sorted({f // width for d in (re, im) for f, v in d.items() if v})[:limit]:
+        idx = tuple(at // _size(shape[p + 1:k]) % shape[p] for p in range(k))
         found.append((idx, lambda at=at, idx=idx: build(at, idx)))
-    return count, found
+    return _size(shape[:k]), found
 
 
 def _collect(identities=(), nested=(), per_identity=None):
-    """The instance count of the identities and nested reports, and their
-    first MAX_VIOLATIONS violations by (identity, indices), with at most
-    per_identity from each identity.  Scalars are built only for those.
+    """The instance count of the identities and nested reports, and the
+    ((identity, indices), build) pairs of their first MAX_VIOLATIONS
+    violations in that order, at most per_identity from each identity.
 
     nested holds (prefix, report) pairs; each witness of a nested report is
     renamed prefix.identity.
@@ -286,22 +301,24 @@ def _collect(identities=(), nested=(), per_identity=None):
     checked = 0
     for prefix, report in nested:
         checked += report.checked
-        for v in report.violations:
-            v = dataclasses.replace(v, identity=prefix + "." + v.identity)
-            found.append(((v.identity, v.indices), lambda v=v: v))
+        for (name, idx), build in report._witnesses():
+            name = prefix + "." + name
+            found.append(((name, idx), lambda build=build, name=name: dataclasses.replace(
+                build(), identity=name)))
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
     for identity in identities:
         count, bad = _evaluate(identity, limit)
         checked += count
         found.extend(((identity.name, idx), build) for idx, build in bad)
     found.sort(key=lambda item: item[0])
-    return [build() for _, build in found[:MAX_VIOLATIONS]], checked
+    return found[:MAX_VIOLATIONS], checked
 
 
-def _report(name, violations, checked) -> CheckReport:
-    """The one place that orders witnesses and caps them at MAX_VIOLATIONS."""
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations[:MAX_VIOLATIONS], checked, name)
+def _report(name, witnesses, checked) -> CheckReport:
+    """The report of _collect's pairs; its violations are built when first read."""
+    report = CheckReport.__new__(CheckReport)
+    report.__dict__.update(passed=not witnesses, checked=checked, name=name, _pending=witnesses)
+    return report
 
 
 def _sweep(name, identities=(), nested=()) -> CheckReport:

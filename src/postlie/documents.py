@@ -274,7 +274,8 @@ def _parse_matrix_body(lines, doc):
     if line != "matrix":
         raise DocumentError("expected 'matrix'", lineno)
     seen, values = {}, {}
-    for r in range(rows):
+    # a row of no entries is written as a blank line, which the reader skips
+    for r in range(rows if doc.dim else 0):
         lineno, line = lines.next()
         if line is None:
             raise DocumentError("unterminated matrix block")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     Algebra,
@@ -287,7 +288,13 @@ def dual_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> PPRepSpec:
 
 
 def pp_coadjoint_rep(alg: Algebra) -> PPRepSpec:
-    """(A*; L_diamond*, R_rt*, R_bullet*, -R_circ*, ad*)."""
+    """(A*; L_diamond*, R_rt*, R_bullet*, -R_circ*, ad*), kept per tables."""
+    return _coadjoint(*(alg.table(op) for op in ("rtri", "ltri", "bracket")))
+
+
+@lru_cache(maxsize=8)
+def _coadjoint(rtri: Tensor, ltri: Tensor, bracket: Tensor) -> PPRepSpec:
+    alg = Algebra(rtri.shape[0], ops={"rtri": rtri, "ltri": ltri, "bracket": bracket})
     return dual_pp_rep(alg, pp_adjoint_rep(alg), checked=False)
 
 

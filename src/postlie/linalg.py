@@ -17,7 +17,7 @@ and report singularity precisely.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from operator import add
 
@@ -274,23 +274,19 @@ class Tensor:
         slice self[b].  A result with one axis is returned as a vector (a
         tuple).
         """
-        shape = self.shape
-        s = shape[axis]
-        labels = tuple(range(len(shape)))
+        s = self.shape[axis]
+        labels = "abcdefghijklmnopqrstuvwxy"[:len(self.shape)]
+        before, this, after = labels[:axis], labels[axis], labels[axis + 1:]
         if isinstance(other, Tensor):
             p, cols = other.shape
             if cols != s:
                 raise LinAlgError("cannot contract an axis of length %d against a %dx%d matrix"
                                   % (s, p, cols))
-            out = labels[:axis] + ("z",) + labels[axis + 1:]
+            out = einsum("z%s,%s->%sz%s" % (this, labels, before, after), other, self)
         else:
             if len(other) != s:
                 raise LinAlgError("vector length %d != axis length %d" % (len(other), s))
-            other, out = Tensor((1, s), other), labels[:axis] + labels[axis + 1:]
-        sizes = dict(enumerate(shape), z=other.rows)
-        _, re, im, _ = _pair((("z", axis), other.re, other.im, other),
-                             (labels, self.re, self.im, self), out, sizes)
-        out = _make(tuple(sizes[l] for l in out), self.den * other.den, re, im)
+            out = einsum("%s,%s->%s%s" % (this, labels, before, after), Tensor((s,), other), self)
         return out.entries if len(out.shape) == 1 else out
 
     def permute(self, axes) -> "Tensor":
@@ -513,9 +509,11 @@ def _nonzero(d: dict) -> dict:
     return {k: v for k, v in d.items() if v}
 
 
-def _add_into(acc: dict, d: dict, scale: int) -> dict:
+def _add_into(acc: dict, d: dict, scale: int = 1, key=None) -> dict:
+    """acc with scale * d[f] added at key(f), or at f for no key, for each f of d."""
     get = acc.get
-    for k, v in d.items():
+    for f, v in d.items():
+        k = f if key is None else key(f)
         acc[k] = get(k, 0) + scale * v
     return acc
 
@@ -536,33 +534,37 @@ def _axes(labels, sizes, target, skip=()):
     return tuple(axes)
 
 
-def _grouped(operand, sizes, shared, out, skip=()):
+def _grouped(operand, sizes, mappers, shared, out, skip=()):
     """The nonzero entries of a (labels, re, im, tensor) operand as
     {offset over shared: [(offset over out, re, im)]}, skipping the labels
     of skip in out.  Kept on the operand's tensor, if it has one, for the
-    next contraction that lays it out the same way."""
+    next contraction that lays it out the same way; the two offset maps of
+    each layout are kept in mappers."""
     labels, re, im, tensor = operand
     # the tensor fixes the extents of its own labels
     layout = (labels, shared, out, skip, tuple(sizes[l] for l in out))
     cache = {} if tensor is None else tensor._layouts
     groups = cache.get(layout)
     if groups is None:
-        by_shared = _mapper(_axes(labels, sizes, shared))
-        by_out = _mapper(_axes(labels, sizes, out, skip))
+        if layout not in mappers:
+            mappers[layout] = (_mapper(_axes(labels, sizes, shared)),
+                               _mapper(_axes(labels, sizes, out, skip)))
+        by_shared, by_out = mappers[layout]
         groups = {}
-        for f in re.keys() | im.keys():
+        for f in (re.keys() | im.keys() if im else re):
             groups.setdefault(by_shared(f), []).append((by_out(f), re.get(f, 0), im.get(f, 0)))
         cache[layout] = groups
     return groups
 
 
-def _pair(a, b, out, sizes):
-    """Contract two (labels, re, im, tensor) operands over their shared
-    labels into the labels out (in that order), summing every other label
-    away."""
+def _pair(a, b, out, sizes, mappers, re, im, scale=1):
+    """Add scale times the contraction of two (labels, re, im, tensor)
+    operands over their shared labels into the dicts re and im, keyed by
+    offset over the labels out (in that order); every other label is
+    summed away."""
     shared = tuple(l for l in a[0] if l in b[0])
-    left, right = _grouped(a, sizes, shared, out), _grouped(b, sizes, shared, out, a[0])
-    re, im = {}, {}
+    left = _grouped(a, sizes, mappers, shared, out)
+    right = _grouped(b, sizes, mappers, shared, out, a[0])
     get_re, get_im = re.get, im.get
     real = not a[2] and not b[2]    # no imaginary parts to track
     for key, group in left.items():
@@ -570,12 +572,12 @@ def _pair(a, b, out, sizes):
         if not other:
             continue
         for p, vr, vi in group:
+            vr, vi = vr * scale, vi * scale
             for q, wr, wi in other:
                 k = p + q
                 re[k] = get_re(k, 0) + vr * wr - vi * wi
                 if not real:
                     im[k] = get_im(k, 0) + vr * wi + vi * wr
-    return out, _nonzero(re), _nonzero(im), None
 
 
 def _parse(spec: str, count: int):
@@ -590,83 +592,94 @@ def _parse(spec: str, count: int):
     return [tuple(labels) for labels in inputs], tuple(output)
 
 
-def _rekey(d: dict, key) -> dict:
-    """d with each offset f moved to key(f), entries meeting there added up."""
-    out = {}
-    get = out.get
-    for f, v in d.items():
-        k = key(f)
-        out[k] = get(k, 0) + v
-    return _nonzero(out)
+@lru_cache(maxsize=1024)
+def _plan(spec: str, shapes: tuple):
+    """What einsum needs of spec and the operand shapes alone: per operand its
+    labels and, for a repeated label, the map of its entries to the diagonal;
+    the extents; the output labels and shape; for one operand, the offset map
+    onto the output (None for none needed); the offset maps _grouped keeps."""
+    inputs, output = _parse(spec, len(shapes))
+    if not shapes:
+        raise LinAlgError("einsum needs at least one operand")
+    sizes, operands = {}, []
+    for labels, shape in zip(inputs, shapes):
+        if len(labels) != len(shape):
+            raise LinAlgError("einsum labels %r for a tensor of shape %r"
+                              % ("".join(labels), shape))
+        # a label repeated within one operand takes the diagonal: it gets a
+        # private name per position, and entries off the diagonal are dropped
+        axes = tuple(l if l not in labels[:p] else (l, p) for p, l in enumerate(labels))
+        for label, n in zip(labels, shape):
+            if sizes.setdefault(label, n) != n:
+                raise LinAlgError("einsum label %r has extents %d and %d"
+                                  % (label, sizes[label], n))
+        diagonal = None
+        if axes != labels:
+            sizes.update(zip(axes, shape))
+            copies = [(_mapper(_axes(axes, sizes, (l,))), _mapper(_axes(axes, sizes, (a,))))
+                      for a, l in zip(axes, labels) if a != l]
+            unique = tuple(dict.fromkeys(labels))
+            key = _mapper(_axes(axes, sizes, unique))
+            diagonal = lambda d, copies=copies, key=key: _nonzero(_add_into(
+                {}, {f: v for f, v in d.items() if all(x(f) == y(f) for x, y in copies)}, 1, key))
+            axes = unique
+        operands.append((axes, diagonal))
+    missing = [l for l in output if l not in sizes]
+    if missing:
+        raise LinAlgError("einsum output label %r is on no operand" % missing[0])
+    onto = None
+    if len(operands) == 1 and operands[0][0] != output:
+        onto = _mapper(_axes(operands[0][0], sizes, output))
+    return operands, sizes, output, tuple(sizes[l] for l in output), onto, {}
+
+
+def _cost(a, b, sizes) -> tuple:
+    """(no shared label, expected products) of contracting operands a and b."""
+    shared = set(a[0]) & set(b[0])
+    return (not shared, (len(a[1]) + len(a[2])) * (len(b[1]) + len(b[2]))
+            // max(_size(sizes[l] for l in shared), 1))
+
+
+def _accumulate(spec: str, operands, re: dict, im: dict, scale: int = 1) -> tuple:
+    """Add scale times the numerators of einsum(spec, *operands), over the
+    product of the operands' denominators, into the {offset: int} dicts re
+    and im, and return the result's shape.  The operands are contracted two
+    at a time, always the pair with the fewest expected products, so no outer
+    product is formed while a shared label could avoid it; only nonzero
+    entries are visited, and the last pair adds straight into re and im."""
+    plan, sizes, output, shape, onto, mappers = _plan(spec, tuple(t.shape for t in operands))
+    work = [(axes, t.re, t.im, t) if diagonal is None
+            else (axes, diagonal(t.re), diagonal(t.im), None)
+            for (axes, diagonal), t in zip(plan, operands)]
+    while len(work) > 2:
+        # the cheapest pair, by the expected number of products; a pair
+        # sharing a label always beats an outer product
+        i, j = min(itertools.combinations(range(len(work)), 2),
+                   key=lambda ij: _cost(work[ij[0]], work[ij[1]], sizes))
+        rest = [w for k, w in enumerate(work) if k not in (i, j)]
+        keep = set(output).union(*(w[0] for w in rest))
+        la, lb = work[i][0], work[j][0]
+        out = tuple(l for l in la if l in keep) + tuple(l for l in lb if l in keep and l not in la)
+        pair_re, pair_im = {}, {}
+        _pair(work[i], work[j], out, sizes, mappers, pair_re, pair_im)
+        work = rest + [(out, _nonzero(pair_re), _nonzero(pair_im), None)]
+    if len(work) == 2:
+        _pair(*work, output, sizes, mappers, re, im, scale)
+    else:
+        (_, one_re, one_im, _), = work
+        _add_into(re, one_re, scale, onto)
+        _add_into(im, one_im, scale, onto)
+    return shape
 
 
 def einsum(spec: str, *operands) -> Tensor:
     """Exact Einstein summation over Tensors, e.g. einsum("ij,jk->ik", a, b).
 
-    The operands' numerators are contracted in integers; the result's
-    denominator is the product of theirs, reduced.  A label repeated within
-    one operand takes its diagonal; a label missing from the output is
-    summed.  The operands are contracted two at a time, always the pair with
-    the fewest expected products, so no outer product is formed while a
-    shared label could avoid it; only nonzero entries are visited.
+    The operands' numerators are contracted in integers (see _accumulate);
+    the result's denominator is the product of theirs, reduced.  A label
+    repeated within one operand takes its diagonal; a label missing from
+    the output is summed.
     """
-    inputs, output = _parse(spec, len(operands))
-    if not operands:
-        raise LinAlgError("einsum needs at least one operand")
-    sizes = {}
-    work = []
-    den = 1
-    for labels, operand in zip(inputs, operands):
-        if len(labels) != len(operand.shape):
-            raise LinAlgError("einsum labels %r for a tensor of shape %r"
-                              % ("".join(labels), operand.shape))
-        # a label repeated within one operand takes the diagonal: it gets a
-        # private name per position, and entries off the diagonal are dropped
-        axes = tuple(l if l not in labels[:p] else (l, p) for p, l in enumerate(labels))
-        for label, n in zip(labels, operand.shape):
-            if sizes.setdefault(label, n) != n:
-                raise LinAlgError("einsum label %r has extents %d and %d"
-                                  % (label, sizes[label], n))
-        den *= operand.den
-        re, im, tensor = operand.re, operand.im, operand
-        if axes != labels:
-            for axis, n in zip(axes, operand.shape):
-                sizes[axis] = n
-            unique = tuple(dict.fromkeys(labels))
-            copies = [(_mapper(_axes(axes, sizes, (l,))), _mapper(_axes(axes, sizes, (a,))))
-                      for a, l in zip(axes, labels) if a != l]
-            on_diagonal = lambda f: all(x(f) == y(f) for x, y in copies)
-            key = _mapper(_axes(axes, sizes, unique))
-            re = _rekey({f: v for f, v in re.items() if on_diagonal(f)}, key)
-            im = _rekey({f: v for f, v in im.items() if on_diagonal(f)}, key)
-            axes, tensor = unique, None
-        work.append((axes, re, im, tensor))
-    missing = [l for l in output if l not in sizes]
-    if missing:
-        raise LinAlgError("einsum output label %r is on no operand" % missing[0])
-    while len(work) > 1:
-        # the cheapest pair, by the expected number of products; a pair
-        # sharing a label always beats an outer product
-        best = None
-        for i, j in itertools.combinations(range(len(work)), 2):
-            shared = set(work[i][0]) & set(work[j][0])
-            cost = ((len(work[i][1]) + len(work[i][2])) * (len(work[j][1]) + len(work[j][2]))
-                    // max(_size(sizes[l] for l in shared), 1))
-            key = (not shared, cost, i, j)
-            if best is None or key < best:
-                best = key
-        _, _, i, j = best
-        rest = [w for k, w in enumerate(work) if k not in (i, j)]
-        if rest:
-            keep = set(output).union(*(w[0] for w in rest))
-            la, lb = work[i][0], work[j][0]
-            out = tuple(l for l in la if l in keep) + tuple(l for l in lb
-                                                             if l in keep and l not in la)
-        else:
-            out = output
-        work = rest + [_pair(work[i], work[j], out, sizes)]
-    labels, re, im, _ = work[0]
-    if labels != output:
-        key = _mapper(_axes(labels, sizes, output))
-        re, im = _rekey(re, key), _rekey(im, key)
-    return _make(tuple(sizes[l] for l in output), den, re, im)
+    re, im = {}, {}
+    shape = _accumulate(spec, operands, re, im)
+    return _make(shape, _size(t.den for t in operands), _nonzero(re), _nonzero(im))

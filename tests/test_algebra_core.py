@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from postlie import (
     Scalar,
     Tensor,
     UnknownOperationError,
+    Violation,
     apply_op,
     basis_vec,
     check_l_dendriform,
@@ -20,8 +22,11 @@ from postlie import (
     check_pp_post_lie,
     check_pre_lie,
     check_pre_pp_post_lie,
+    check_pppcybe,
+    cybe_C,
     einsum,
     horizontal_post_lie,
+    operator_form_check,
     opposite_post_lie,
     sc,
     sub_adjacent_lie,
@@ -30,7 +35,7 @@ from postlie import (
     vertical_post_lie,
     zero_vec,
 )
-from postlie import scalars
+from postlie import algebra, scalars
 from postlie.algebra import (
     L_DENDRIFORM_IDENTITIES,
     LIE_IDENTITIES,
@@ -39,6 +44,9 @@ from postlie.algebra import (
     PP_IDENTITIES,
     PRE_LIE_IDENTITIES,
     PRE_PP_IDENTITIES,
+    Identity,
+    Term,
+    term,
 )
 
 E1, E2, E3 = (basis_vec(3, i) for i in range(3))
@@ -558,3 +566,106 @@ def test_failing_check_builds_scalars_only_for_kept_witnesses(request):
     assert not report.passed and len(report.violations) == MAX_VIOLATIONS < 46
     # one Scalar per nonzero witness entry; zero entries are the shared ZERO
     assert len(built) == sum(1 for v in report.violations for s in v.lhs + v.rhs if s)
+
+
+def test_reading_the_verdict_builds_no_witness(sl2_pp, request):
+    gl3 = _gl_bracket(3)
+    mutant = gl3.with_op("bracket", _with_entries(gl3.table("bracket"),
+                                                  {(1, 2, 2): HALF, (5, 6, 6): IHALF}))
+    rng = random.Random(11)
+    upper = {(i, j): _random_vec(rng, 1)[0] for i in range(3) for j in range(i + 1, 3)}
+    r = Tensor((3, 3), [upper[i, j] if i < j else -upper[j, i] if j < i else ZERO
+                        for i in range(3) for j in range(3)])
+    checks = [lambda: check_lie(mutant), lambda: check_pppcybe(sl2_pp, r),
+              lambda: operator_form_check(sl2_pp, r)]
+    # the witnesses of a report read at once, as an eager report builds them
+    expected = [make().violations for make in checks]
+    assert expected[1][0] == Violation("cybe.c", (), cybe_C(sl2_pp, r).entries, (ZERO,) * 27)
+    built = request.getfixturevalue("scalars_built")
+    for make, want in zip(checks, expected):
+        report = make()
+        assert not report.passed and not report and report.checked > 0 and report.name
+        assert built == []
+        assert report.violations == want != []
+        # one Scalar per nonzero witness entry, as before
+        assert len(built) == sum(1 for v in want for s in v.lhs + v.rhs if s)
+        assert dataclasses.replace(report, name="renamed").violations == want
+        built.clear()
+
+
+# ---------------------------------------------------------------------------
+# the signed integer accumulation of lhs - rhs against a Tensor sum per term
+# ---------------------------------------------------------------------------
+
+def _random_tensor(rng, shape, den):
+    """About half the entries zero, the others Gaussian rationals over den."""
+    size = 1
+    for n in shape:
+        size *= n
+    return Tensor(shape, [Scalar(Fraction(rng.randint(-3, 3), den),
+                                 Fraction(rng.choice([0, rng.randint(-2, 2)]), den))
+                          if rng.random() < 0.5 else ZERO for _ in range(size)])
+
+
+def _reference(identity):
+    """The instance count and every violation of identity, each side summed
+    term by term as Tensors (einsum, scale, +) and compared entry by entry."""
+    k = len(identity.index)
+    first = (identity.lhs or identity.rhs)[0]
+    shape = einsum(first.spec, *first.operands).shape
+    lhs, rhs = (sum((einsum(t.spec, *t.operands).scale(Scalar(t.coef)) for t in side),
+                    Tensor.zero(*shape)) for side in (identity.lhs, identity.rhs))
+    values = list(itertools.product(*map(range, shape[k:])))
+    tuples = list(itertools.product(*map(range, shape[:k])))
+    found = []
+    for idx in tuples:
+        at_l, at_r = (tuple(side[idx + v] for v in values) for side in (lhs, rhs))
+        if at_l != at_r:
+            found.append(Violation(identity.name, idx, at_l, at_r))
+    return len(tuples), found
+
+
+def _parity_identities(rng):
+    """Identities over random operands that hold everywhere except at known
+    index tuples, with (index labels, failing index tuples) for each."""
+    n = 3
+    a, b = _random_tensor(rng, (n, n, n), 2), _random_tensor(rng, (n, n, n), 3)
+    m, p = _random_tensor(rng, (n, n), 5), _random_tensor(rng, (n, n), 7)
+    third = Tensor.diagonal([Scalar(Fraction(1, 3))] * n)
+    diag_a = Tensor((n, n), [a[i, j, j] for i in range(n) for j in range(n)])
+    # the perturbations, nonzero only at the failing index tuples
+    s = Tensor.sparse((n, n), {1: Scalar(Fraction(4, 11), Fraction(1, 11)), 8: ONE})
+    s3 = Tensor.sparse((n, n, n), {7: Scalar(Fraction(2, 13)), 18: Scalar(0, Fraction(1, 13))})
+    t3 = Tensor.sparse((n, n, n), {11: Scalar(Fraction(5, 17))})
+    return [
+        # terms over 2 * 5, 3 and 2 * 7 against 2 * 5 * 7, 3 and 13
+        (Identity("mixed", "ij", [term("ijm,mk->ijk", a, m), -term("jik->ijk", b),
+                                  Term("ijm,mk->ijk", (a, p), -1)],
+                  [term("ijm,mk->ijk", a, m - p), -term("jik->ijk", b), term("ijk->ijk", s3)]),
+         [(0, 2), (2, 0)]),
+        (Identity("no-rhs", "k", [term("kpq->kpq", a + a.permute((0, 2, 1))),
+                                  -term("kqp->kpq", a), -term("kpq->kpq", a),
+                                  term("kpq->kpq", t3)]),
+         [(1,)]),
+        (Identity("no-lhs", "i", [], [term("ij->ij", m), Term("ij->ij", (m,), -1),
+                                      term("ij->ij", s)]),
+         [(0,), (2,)]),
+        # m / 3 over 3 * 5 and over 15
+        (Identity("cancel", "ij", [term("ia,aj->ij", m, third), term("ij->ij", s)],
+                  [term("ij->ij", m.scale(Scalar(Fraction(1, 3))))]),
+         [(0, 1), (2, 2)]),
+        (Identity("diagonal", "i", [term("ijj->ij", a)],
+                  [term("ij->ij", diag_a), term("ij->ij", s)]),
+         [(0,), (2,)]),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_accumulation_matches_a_tensor_sum_per_term(seed):
+    for identity, failing in _parity_identities(random.Random(seed)):
+        count, found = algebra._evaluate(identity, 10 ** 9)
+        want_count, want = _reference(identity)
+        assert count == want_count, identity.name
+        assert [build() for _, build in found] == want, identity.name
+        # entries that cancel exactly are no violations
+        assert [idx for idx, _ in found] == failing, identity.name

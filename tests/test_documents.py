@@ -10,6 +10,7 @@ else.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -56,8 +57,8 @@ def documents(draw):
         if kind == "algebra":
             return Document(kind, field, dim, basis, ops=tables)
         return Document(kind, field, dim, basis, comaps=tables)
-    # a map with rows but no columns would print blank rows, which loads skips
-    rows = draw(st.integers(0, 3)) if kind == "map" and dim else dim
+    # maps may have no rows, or rows but no columns
+    rows = draw(st.integers(0, 3)) if kind == "map" else dim
     return Document.from_matrix(kind, tensor(rows, dim), field, basis)
 
 
@@ -74,6 +75,14 @@ def test_equal_values_print_alike():
     halves = Tensor((2,), [Scalar.parse("1/4"), 0]) + Tensor((2,), [Scalar.parse("1/4"), 0])
     doc = Document.from_matrix("map", halves.reshape(1, 2), "Q", ("a", "b"))
     assert dumps(doc) == "kind map\nfield Q\ndim 2\nbasis a b\nrows 1\nmatrix\n1/2 0\nend\n"
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 0), (0, 2), (0, 0)])
+def test_maps_without_rows_or_columns_round_trip(rows, cols):
+    doc = Document.from_matrix("map", Tensor.zero(rows, cols), basis=("a", "b")[:cols])
+    text = dumps(doc)
+    assert loads(text) == doc
+    assert dumps(loads(text)) == text
 
 
 def _parses_or_refuses(text):
