@@ -147,10 +147,6 @@ class Algebra:
     def with_op(self, name: str, table: Tensor) -> "Algebra":
         return Algebra(self.dim, self.field, self.basis, {**self.ops, name: table})
 
-    def without_ops(self, *names) -> "Algebra":
-        ops = {k: v for k, v in self.ops.items() if k not in names}
-        return Algebra(self.dim, self.field, self.basis, ops)
-
 
 def apply_op(alg: Algebra, op: str, x, y) -> tuple:
     return alg.mul(op, x, y)

@@ -327,13 +327,8 @@ def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
     _require_shape(r, n, n, "tensor")
-    adj = pp_adjoint_rep(alg)
-    rt, lt, rrt, rlt, ad = adj.l_rt, adj.l_lt, adj.r_rt, adj.r_lt, adj.rho
-    return CoalgebraSpec(n, alg.field, alg.basis, {
-        "delta_rtri": _sandwiches(rt, r, lt + rt - rlt - rrt),
-        "delta_ltri": _sandwiches(rt + lt, -r, rt - rlt),
-        "Delta": _sandwiches(ad, r, ad),
-    })
+    E, F, G = _efg(pp_adjoint_rep(alg), r)
+    return CoalgebraSpec(n, alg.field, alg.basis, {"delta_rtri": E, "delta_ltri": -F, "Delta": G})
 
 
 def _sandwiches(left: Tensor, t2: Matrix, right: Tensor) -> Tensor:

@@ -94,7 +94,8 @@ class Document:
         rows = m.rows if m.rows != m.cols else None
         if kind in ("form", "tensor2") and m.rows != m.cols:
             raise DocumentError("%s must be square" % kind)
-        return Document(kind, field, dim, tuple(basis), rows=rows, matrix=m)
+        basis = tuple(basis) or tuple("e%d" % (i + 1) for i in range(dim))
+        return Document(kind, field, dim, basis, rows=rows, matrix=m)
 
     @staticmethod
     def from_coalgebra(co: CoalgebraSpec) -> "Document":

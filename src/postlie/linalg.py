@@ -8,10 +8,10 @@ Tensors are kept in lowest terms, so == and hash compare values.  Sums,
 negation, scaling, axis permutation, contraction and block placement
 (Tensor.blocks; embed is the one-block case) work on the numerators in
 time proportional to the nonzero entries, and einsum contracts any number
-of tensors on them; the identity checkers run on it.  Scalars appear only
-at the edges: entries, indexing, rows, repr, and elimination -- solving,
-determinants and rank use rational Gaussian elimination on rows of Scalars
-and report singularity precisely.
+of tensors on them; the identity checkers run on it.  Determinants, rank,
+solving and inversion are views of one fraction-free elimination on the
+numerators, which reports singularity precisely.  Scalars appear only at
+the edges: entries, indexing, rows, repr and the value of det.
 """
 
 from __future__ import annotations
@@ -393,9 +393,6 @@ class Tensor:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
-
     def is_antisymmetric(self) -> bool:
         return (self + self.transpose()).is_zero()
 
@@ -412,46 +409,51 @@ class Tensor:
                          for i in range(0, len(entries), n or 1))
         return "Tensor(%s: %s)" % ("x".join(map(str, self.shape)), body)
 
-    # -- elimination on local row lists of Scalars --------------------------
+    # -- elimination: one fraction-free routine on the numerators -----------
 
-    def _row_lists(self) -> list:
-        n = self.cols
-        return [list(self.entries[i * n:(i + 1) * n]) for i in range(self.rows)]
-
-    def _forward(self):
-        """Forward Gaussian elimination on local row lists: the echelon rows,
-        the pivot columns and the number of row swaps."""
-        work = self._row_lists()
-        pivots, swaps = [], 0
-        for col in range(self.cols):
-            rank = len(pivots)
-            pivot = next((r for r in range(rank, self.rows) if work[r][col]), None)
-            if pivot is None:
+    def _eliminate(self, rhs=None):
+        """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of self's
+        rows, rhs's columns appended, as Gaussian-integer rows each divided by
+        its content, the gcd of its integers.  Each step sets every other row
+        to (p * row - f * pivot_row) / u, u the previous pivot: exact in Z[i]
+        as times conj(u) over |u|^2.  Returns (rank, d, c, rows): d is the last
+        pivot (0 below full rank), c the product of the contents negated per
+        row swap (self's numerators have determinant c * d); rows end d * (I | X)."""
+        m, n = self.shape
+        parts = [(self, n, 1)] if rhs is None else [(self, n, rhs.den), (rhs, rhs.cols, self.den)]
+        rows, c = [], 1
+        for i in range(m):
+            row = [(t.re.get(f, 0) * s, t.im.get(f, 0) * s)
+                   for t, w, s in parts for f in range(i * w, i * w + w)]
+            g = gcd(*itertools.chain(*row)) or 1
+            rows.append([(x // g, y // g) for x, y in row])
+            c *= g
+        rank, (ur, ui) = 0, (1, 0)
+        for col in range(n):
+            r = next((r for r in range(rank, m) if rows[r][col] != (0, 0)), None)
+            if r is None:
                 continue
-            if pivot != rank:
-                work[rank], work[pivot] = work[pivot], work[rank]
-                swaps += 1
-            prow = work[rank]
-            p = prow[col]
-            for row in work[rank + 1:]:
-                f = row[col] / p
-                if f:
-                    for j in range(col, self.cols):
-                        row[j] = row[j] - f * prow[j]
-            pivots.append(col)
-        return work, pivots, swaps
+            if r != rank:
+                rows[rank], rows[r], c = rows[r], rows[rank], -c
+            prow, (pr, pi), norm = rows[rank], rows[rank][col], ur * ur + ui * ui
+            for i, row in enumerate(rows):
+                fr, fi = row[col]
+                if i == rank or not (fr or fi) and (pr, pi) == (ur, ui):
+                    continue    # p * row / p is the row
+                rows[i] = [
+                    ((a * ur + b * ui) // norm, (b * ur - a * ui) // norm)
+                    for a, b in ((pr * xr - pi * xi - fr * yr + fi * yi,
+                                  pr * xi + pi * xr - fr * yi - fi * yr)
+                                 for (xr, xi), (yr, yi) in zip(row, prow))]
+            rank, ur, ui = rank + 1, pr, pi
+        return rank, ((ur, ui) if rank == n == m else (0, 0)), c, rows
 
     def det(self) -> Scalar:
-        """Exact determinant by rational Gaussian elimination."""
+        """Exact determinant by fraction-free elimination."""
         if self.rows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
-        work, pivots, swaps = self._forward()
-        if len(pivots) < self.rows:
-            return ZERO
-        det = -ONE if swaps % 2 else ONE
-        for i, row in enumerate(work):
-            det = det * row[i]
-        return det
+        _, (a, b), c, _ = self._eliminate()
+        return _build(a * c, b * c, self.den ** self.rows)
 
     def solve(self, rhs: "Tensor") -> "Tensor":
         """Solve self * X = rhs exactly; raises SingularMatrixError."""
@@ -459,37 +461,20 @@ class Tensor:
             raise LinAlgError("solve expects a square matrix")
         if rhs.rows != self.rows:
             raise LinAlgError("rhs has %d rows, expected %d" % (rhs.rows, self.rows))
-        n = self.rows
-        work = self._row_lists()
-        out = rhs._row_lists()
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular (rank < %d)" % n)
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                out[col], out[pivot] = out[pivot], out[col]
-            prow, orow = work[col], out[col]
-            p = prow[col]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = work[r][col] / p
-                if not f:
-                    continue
-                row = work[r]
-                for j in range(col, n):
-                    row[j] = row[j] - f * prow[j]
-                row = out[r]
-                for j, x in enumerate(orow):
-                    row[j] = row[j] - f * x
-        return Tensor(rhs.shape, [x / work[i][i] for i in range(n) for x in out[i]])
+        rank, (dr, di), _, rows = self._eliminate(rhs)
+        if rank < self.rows:
+            raise SingularMatrixError("matrix is singular (rank < %d)" % self.rows)
+        # X, self * X = rhs: the rhs columns over d, put over the positive |d|^2
+        x = [v for row in rows for v in row[rank:]]
+        return _make(rhs.shape, dr * dr + di * di,
+                     _nonzero({f: a * dr + b * di for f, (a, b) in enumerate(x)}),
+                     _nonzero({f: b * dr - a * di for f, (a, b) in enumerate(x)}))
 
     def inverse(self) -> "Tensor":
         return self.solve(Tensor.identity(self.rows))
 
     def rank(self) -> int:
-        return len(self._forward()[1])
+        return self._eliminate()[0]
 
     def kron(self, other: "Tensor") -> "Tensor":
         """Kronecker product, row-major convention: (A kron B)(u ox v) = Au ox Bv."""

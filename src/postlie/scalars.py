@@ -24,7 +24,7 @@ import re as _re
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["Scalar", "ScalarParseError", "ZERO", "ONE", "I", "sc", "parse_scalar"]
+__all__ = ["Scalar", "ScalarParseError", "ZERO", "ONE", "I", "sc"]
 
 
 class ScalarParseError(ValueError):
@@ -249,10 +249,6 @@ def sc(re=0, im=0) -> Scalar:
             raise ValueError("sc(text) takes no imaginary argument")
         return Scalar.parse(re)
     return Scalar(re, im)
-
-
-def parse_scalar(text: str) -> Scalar:
-    return Scalar.parse(text)
 
 
 ZERO = Scalar(0)

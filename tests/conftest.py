@@ -1,6 +1,6 @@
 import pytest
 
-from postlie import Algebra, corpus_doc
+from postlie import Algebra, corpus_doc, scalars
 from postlie.scalars import ZERO
 
 
@@ -29,6 +29,15 @@ def naive_mul(monkeypatch):
     reference shares no einsum with the checker it is compared against."""
     monkeypatch.setattr(Algebra, "mul", _scalar_mul)
     return _scalar_mul
+
+
+@pytest.fixture
+def scalars_built(monkeypatch):
+    """The (a, b, d) of every Scalar constructed from here on."""
+    built = []
+    raw = scalars._raw
+    monkeypatch.setattr(scalars, "_raw", lambda a, b, d: built.append((a, b, d)) or raw(a, b, d))
+    return built
 
 
 @pytest.fixture(scope="session")

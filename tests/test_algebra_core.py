@@ -35,7 +35,7 @@ from postlie import (
     vertical_post_lie,
     zero_vec,
 )
-from postlie import algebra, scalars
+from postlie import algebra
 from postlie.algebra import (
     L_DENDRIFORM_IDENTITIES,
     LIE_IDENTITIES,
@@ -535,15 +535,6 @@ def _gl_bracket(m):
         if d == a:
             entries[at + c * m + b] -= ONE
     return Algebra(n, ops={"bracket": Tensor((n, n, n), entries)})
-
-
-@pytest.fixture
-def scalars_built(monkeypatch):
-    """The (a, b, d) of every Scalar constructed from here on."""
-    built = []
-    raw = scalars._raw
-    monkeypatch.setattr(scalars, "_raw", lambda a, b, d: built.append((a, b, d)) or raw(a, b, d))
-    return built
 
 
 def test_passing_checks_build_no_scalars(sl2_pp, ahat_pp, sl2_postlie, request):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from postlie import Document, DocumentError, Scalar, Tensor, dumps, loads
+from postlie import Document, DocumentError, Matrix, Scalar, Tensor, dumps, loads
 from postlie.algebra import OPERATION_NAMES
 from postlie.bialgebra import COMAP_NAMES
 
@@ -57,8 +57,11 @@ def documents(draw):
         if kind == "algebra":
             return Document(kind, field, dim, basis, ops=tables)
         return Document(kind, field, dim, basis, comaps=tables)
-    # maps may have no rows, or rows but no columns
+    # maps may have no rows, or rows but no columns; without a basis the
+    # basis is e1 ... en
     rows = draw(st.integers(0, 3)) if kind == "map" else dim
+    if draw(st.booleans()):
+        return Document.from_matrix(kind, tensor(rows, dim), field)
     return Document.from_matrix(kind, tensor(rows, dim), field, basis)
 
 
@@ -75,6 +78,12 @@ def test_equal_values_print_alike():
     halves = Tensor((2,), [Scalar.parse("1/4"), 0]) + Tensor((2,), [Scalar.parse("1/4"), 0])
     doc = Document.from_matrix("map", halves.reshape(1, 2), "Q", ("a", "b"))
     assert dumps(doc) == "kind map\nfield Q\ndim 2\nbasis a b\nrows 1\nmatrix\n1/2 0\nend\n"
+
+
+def test_matrix_without_a_basis_names_it_e1_to_en():
+    doc = Document.from_matrix("form", Matrix.identity(2))
+    assert doc.basis == ("e1", "e2")
+    assert loads(dumps(doc)) == doc
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 0), (0, 2), (0, 0)])

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from postlie import (
     LinAlgError,
     Matrix,
     Scalar,
     SingularMatrixError,
+    Tensor,
     basis_vec,
     sc,
     vadd,
@@ -167,3 +169,95 @@ def test_zero_dim():
     m = Matrix.zero(0, 0)
     assert m.det() == sc(1)
     assert m.solve(Matrix.zero(0, 0)) == Matrix.zero(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# elimination against sympy's DomainMatrix over QQ_I
+# ---------------------------------------------------------------------------
+
+def _gaussian_matrix(rng, rows, cols):
+    """A random Gaussian-rational matrix, a third of them with numerators
+    above 2^64 and some with one row a multiple of another."""
+    big = rng.random() < 1 / 3
+    num = lambda: rng.randint(-2 ** 70, 2 ** 70) if big else rng.randint(-3, 3)
+    den = lambda: rng.randint(1, 2 ** 66) if big and rng.random() < 0.2 else rng.randint(1, 4)
+
+    def entry():
+        if rng.random() < 0.25:
+            return sc(0)
+        return Scalar(Fraction(num(), den()), Fraction(num(), den()) if rng.random() < 0.5 else 0)
+    picked = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(rows), 2)
+        c = entry()
+        picked[i] = [c * x for x in picked[j]]
+    return Tensor((rows, cols), [x for row in picked for x in row])
+
+
+def _to_oracle(m: Matrix) -> DomainMatrix:
+    return DomainMatrix([[QQ_I(QQ(s.a, s.d), QQ(s.b, s.d)) for s in m.row(i)]
+                         for i in range(m.rows)], m.shape, QQ_I)
+
+
+def _scalar(q) -> Scalar:
+    return Scalar(Fraction(int(q.x.numerator), int(q.x.denominator)),
+                  Fraction(int(q.y.numerator), int(q.y.denominator)))
+
+
+def _from_oracle(dm: DomainMatrix) -> Matrix:
+    return Tensor(dm.shape, [_scalar(q) for row in dm.to_list() for q in row])
+
+
+def test_det_solve_inverse_match_sympy_oracle():
+    rng = random.Random(10)
+    singular = large = 0
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        m = _gaussian_matrix(rng, n, n)
+        rhs = _gaussian_matrix(rng, n, rng.randint(1, n + 1))
+        large += any(abs(v) > 2 ** 64 for v in m.re.values())
+        oracle = _to_oracle(m)
+        det = _scalar(oracle.det())
+        assert m.det() == det
+        assert m.rank() == oracle.rank()
+        if not det:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                m.solve(rhs)
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+            continue
+        assert m.inverse() == (_from_oracle(oracle.inv()) if n else Matrix.zero(0, 0))
+        assert m.solve(rhs) == (_from_oracle(oracle.lu_solve(_to_oracle(rhs))) if n else rhs)
+    assert 20 < singular < 100 and large > 20
+
+
+def test_rank_of_any_shape_matches_sympy_oracle():
+    rng = random.Random(12)
+    deficient = 0
+    for _ in range(150):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        m = _gaussian_matrix(rng, rows, cols)
+        rank = _to_oracle(m).rank()
+        assert m.rank() == rank
+        deficient += rank < min(rows, cols)
+    assert deficient > 10
+
+
+def test_elimination_builds_one_scalar_for_det_only(scalars_built):
+    rng = random.Random(14)
+    m = _gaussian_matrix(rng, 5, 5)
+    while not m.det():
+        m = _gaussian_matrix(rng, 5, 5)
+    singular = Matrix.from_rows([m.row(0), m.row(1), m.row(0), m.row(3), m.row(4)])
+    rhs = _gaussian_matrix(rng, 5, 3)
+    wide = _gaussian_matrix(rng, 3, 7)
+    scalars_built.clear()
+    m.rank(), singular.rank(), wide.rank(), m.solve(rhs), m.inverse()
+    with pytest.raises(SingularMatrixError):
+        singular.solve(rhs)
+    assert scalars_built == []
+    for a in (m, singular):
+        a.det()
+        assert len(scalars_built) == 1
+        scalars_built.clear()
