@@ -16,13 +16,7 @@ from .linalg import (
     Matrix,
     SingularMatrixError,
     Tensor,
-    basis_vec,
     einsum,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
-    zero_vec,
 )
 from .algebra import (
     Algebra,
@@ -31,7 +25,6 @@ from .algebra import (
     PreconditionError,
     UnknownOperationError,
     Violation,
-    apply_op,
     check_l_dendriform,
     check_lie,
     check_post_lie,

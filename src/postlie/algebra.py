@@ -41,7 +41,6 @@ __all__ = [
     "PreconditionError",
     "UnknownOperationError",
     "MAX_VIOLATIONS",
-    "apply_op",
     "check_lie",
     "check_pre_lie",
     "check_post_lie",
@@ -136,20 +135,8 @@ class Algebra:
             if op not in self.ops:
                 raise UnknownOperationError(op)
 
-    def mul(self, op: str, x, y) -> tuple:
-        """Bilinear extension of the structure constants."""
-        c = self.table(op)
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise LinAlgError("vector length mismatch")
-        return einsum("i,j,ijk->k", Tensor((n,), x), Tensor((n,), y), c).entries
-
     def with_op(self, name: str, table: Tensor) -> "Algebra":
         return Algebra(self.dim, self.field, self.basis, {**self.ops, name: table})
-
-
-def apply_op(alg: Algebra, op: str, x, y) -> tuple:
-    return alg.mul(op, x, y)
 
 
 # ---------------------------------------------------------------------------

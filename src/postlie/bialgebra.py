@@ -65,7 +65,6 @@ __all__ = [
     "cobrackets_from_r",
     "check_quasitriangular_conditions",
     "operator_form_check",
-    "op_matrix_2tensor",
 ]
 
 COMAP_NAMES = ("delta_rtri", "delta_ltri", "Delta")
@@ -100,10 +99,6 @@ class CoalgebraSpec:
             return self.comaps[name]
         except KeyError:
             raise UnknownOperationError(name) from None
-
-    def apply(self, name: str, x) -> Matrix:
-        """delta(x) as an n x n coefficient matrix, linear in x."""
-        return self.table(name).contract(0, x)
 
 
 def dualize(co: CoalgebraSpec) -> Algebra:
@@ -306,13 +301,6 @@ def check_pppcybe(alg: Algebra, r: Matrix) -> CheckReport:
 # ---------------------------------------------------------------------------
 # cobrackets from a classical r-matrix
 # ---------------------------------------------------------------------------
-
-def op_matrix_2tensor(m1: Matrix, m2: Matrix) -> Matrix:
-    """(m1 (x) id + id (x) m2) as an n^2 x n^2 matrix on vectorised 2-tensors."""
-    n = m1.rows
-    eye = Matrix.identity(n)
-    return m1.kron(eye) + eye.kron(m2)
-
 
 def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
     """Comultiplications induced by r on a pp-post-Lie algebra.

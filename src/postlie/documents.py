@@ -65,6 +65,10 @@ class Document:
     comaps: dict = dc_field(default_factory=dict)
     sections: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind != "bundle" and len(self.basis) != self.dim:
+            raise DocumentError("basis has %d names, dim is %d" % (len(self.basis), self.dim))
+
     # -- conversions -----------------------------------------------------
 
     def to_algebra(self) -> Algebra:

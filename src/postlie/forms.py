@@ -192,9 +192,6 @@ class _Carriers:
     def source_dim(self) -> int:
         return self.rho.shape[0]
 
-    def act(self, which: str, x) -> Matrix:
-        return getattr(self, which).contract(0, x)
-
 
 @dataclass(frozen=True)
 class RepSpec(_Carriers):

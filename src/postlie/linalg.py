@@ -1,40 +1,33 @@
 """Exact sparse linear algebra over Q(i).
 
-Vectors are tuples of Scalar.  Everything else -- matrices, forms,
-operators, 2-tensors, structure tables and comultiplication tables -- is
-one immutable Tensor: a shape, one positive denominator and the nonzero
-Gaussian-integer numerators of its entries, keyed by flat row-major offset.
+Every value -- vectors, matrices, forms, operators, 2-tensors, structure
+tables and comultiplication tables -- is one immutable Tensor: a shape,
+one positive denominator and the nonzero Gaussian-integer numerators of
+its entries, keyed by flat row-major offset; a vector is an (n,) Tensor.
 Tensors are kept in lowest terms, so == and hash compare values.  Sums,
-negation, scaling, axis permutation, contraction and block placement
-(Tensor.blocks; embed is the one-block case) work on the numerators in
-time proportional to the nonzero entries, and einsum contracts any number
-of tensors on them; the identity checkers run on it.  Determinants, rank,
-solving and inversion are views of one fraction-free elimination on the
-numerators, which reports singularity precisely.  Scalars appear only at
-the edges: entries, indexing, rows, repr and the value of det.
+negation, scaling, axis permutation, contraction against a matrix and
+block placement (Tensor.blocks; embed is the one-block case) work on the
+numerators in time proportional to the nonzero entries, and einsum
+contracts any number of tensors on them: the identity checkers and all
+vector arithmetic run on it.  Determinants, rank, solving and inversion
+are views of one fraction-free elimination on the numerators, which
+reports singularity precisely.  Scalars appear only at the edges:
+entries, indexing, rows, repr and the value of det.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
-from operator import add
 
-from .scalars import ONE, ZERO, Scalar, _build, _coerce
+from .scalars import ZERO, Scalar, _build, _coerce
 
 __all__ = [
     "LinAlgError",
     "SingularMatrixError",
     "Tensor",
     "Matrix",
-    "vec",
-    "zero_vec",
-    "basis_vec",
-    "vadd",
-    "vsub",
-    "vneg",
-    "vscale",
     "einsum",
 ]
 
@@ -45,45 +38,6 @@ class LinAlgError(ValueError):
 
 class SingularMatrixError(LinAlgError):
     """Exact singularity detected while solving or inverting."""
-
-
-# ---------------------------------------------------------------------------
-# vectors
-# ---------------------------------------------------------------------------
-
-def vec(*entries) -> tuple:
-    return tuple(e if isinstance(e, Scalar) else Scalar(e) for e in entries)
-
-
-def zero_vec(n: int) -> tuple:
-    return (ZERO,) * n
-
-
-def basis_vec(n: int, i: int) -> tuple:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vadd(*vs) -> tuple:
-    n = len(vs[0])
-    for v in vs:
-        if len(v) != n:
-            raise LinAlgError("vector length mismatch")
-    # each coordinate folds from the first vector's, never from the int 0
-    return tuple(reduce(add, column) for column in zip(*vs))
-
-
-def vsub(a, b) -> tuple:
-    if len(a) != len(b):
-        raise LinAlgError("vector length mismatch")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a) -> tuple:
-    return tuple(-x for x in a)
-
-
-def vscale(c: Scalar, a) -> tuple:
-    return tuple(c * x for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +217,21 @@ class Tensor:
 
     # -- the two index operations ----------------------------------------
 
-    def contract(self, axis: int, other):
-        """Contract one axis against a matrix or a vector.
-
-        Against a p x s matrix M the axis (of length s) becomes one of length p,
-            out[.., a, ..] = sum_b M[a, b] self[.., b, ..];
-        against a vector v of length s it is summed away,
-            out[.., ..] = sum_b v[b] self[.., b, ..],
-        which for the first axis and a standard basis vector e_b is the
-        slice self[b].  A result with one axis is returned as a vector (a
-        tuple).
+    def contract(self, axis: int, m: "Tensor") -> "Tensor":
+        """Contract one axis against a matrix: against a p x s matrix M the
+        axis (of length s) becomes one of length p,
+            out[.., a, ..] = sum_b M[a, b] self[.., b, ..].
         """
+        if not isinstance(m, Tensor):
+            raise TypeError("contract expects a Matrix")
         s = self.shape[axis]
         labels = "abcdefghijklmnopqrstuvwxy"[:len(self.shape)]
         before, this, after = labels[:axis], labels[axis], labels[axis + 1:]
-        if isinstance(other, Tensor):
-            p, cols = other.shape
-            if cols != s:
-                raise LinAlgError("cannot contract an axis of length %d against a %dx%d matrix"
-                                  % (s, p, cols))
-            out = einsum("z%s,%s->%sz%s" % (this, labels, before, after), other, self)
-        else:
-            if len(other) != s:
-                raise LinAlgError("vector length %d != axis length %d" % (len(other), s))
-            out = einsum("%s,%s->%s%s" % (this, labels, before, after), Tensor((s,), other), self)
-        return out.entries if len(out.shape) == 1 else out
+        p, cols = m.shape
+        if cols != s:
+            raise LinAlgError("cannot contract an axis of length %d against a %dx%d matrix"
+                              % (s, p, cols))
+        return einsum("z%s,%s->%sz%s" % (this, labels, before, after), m, self)
 
     def permute(self, axes) -> "Tensor":
         """Reorder the axes: axis k of the result is axis axes[k] of self, so
@@ -372,10 +316,6 @@ class Tensor:
         if not isinstance(other, Tensor):
             raise TypeError("matrix product expects a Matrix")
         return other.contract(0, self)
-
-    def apply(self, v) -> tuple:
-        """Matrix acting on a coordinate column."""
-        return self.contract(1, v)
 
     def transpose(self) -> "Tensor":
         return self.permute((1, 0))
@@ -475,11 +415,6 @@ class Tensor:
 
     def rank(self) -> int:
         return self._eliminate()[0]
-
-    def kron(self, other: "Tensor") -> "Tensor":
-        """Kronecker product, row-major convention: (A kron B)(u ox v) = Au ox Bv."""
-        return einsum("ij,pq->ipjq", self, other).reshape(self.rows * other.rows,
-                                                          self.cols * other.cols)
 
 
 # the name of the two-axis case: forms, operators, r-matrices, carrier matrices

@@ -176,14 +176,12 @@ def _a3(fx) -> CriterionResult:
 
 
 def _table_diff_count(a: Algebra, b: Algebra, ops) -> int:
-    n = a.dim
+    """The number of cells (op, i, j) where the rows c[i, j, :] differ: the
+    distinct f // n over the nonzero offsets f of the difference."""
     count = 0
     for op in ops:
-        ta, tb = a.table(op), b.table(op)
-        for i in range(n):
-            for j in range(n):
-                if ta.row(i, j) != tb.row(i, j):
-                    count += 1
+        d = a.table(op) - b.table(op)
+        count += len({f // a.dim for f in d.re.keys() | d.im.keys()})
     return count
 
 

@@ -1,34 +1,6 @@
 import pytest
 
-from postlie import Algebra, corpus_doc, scalars
-from postlie.scalars import ZERO
-
-
-def _scalar_mul(self, op, x, y):
-    """Algebra.mul as a double loop over the Scalars of the structure table."""
-    c, n = self.table(op), self.dim
-    if len(x) != n or len(y) != n:
-        raise ValueError("vector length mismatch")
-    out = [ZERO] * n
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            coeff = xi * yj
-            for k, ck in enumerate(c.row(i, j)):
-                if ck:
-                    out[k] = out[k] + coeff * ck
-    return tuple(out)
-
-
-@pytest.fixture
-def naive_mul(monkeypatch):
-    """Algebra.mul replaced by the Scalar double loop, so that a per-tuple
-    reference shares no einsum with the checker it is compared against."""
-    monkeypatch.setattr(Algebra, "mul", _scalar_mul)
-    return _scalar_mul
+from postlie import corpus_doc, scalars
 
 
 @pytest.fixture

@@ -11,11 +11,14 @@ checked by the three test_a3_* certificate tests below it.
 """
 
 import itertools
+import random
 
 import pytest
 import sympy
 
 from postlie import (
+    Algebra,
+    Scalar,
     Tensor,
     check_pp_post_lie,
     compatible_pp_from_gph,
@@ -26,7 +29,7 @@ from postlie import (
 )
 from postlie.algebra import _side
 from postlie.forms import _cocycle, _invariance
-from postlie.verify import CRITERIA, _Fixtures
+from postlie.verify import CRITERIA, _Fixtures, _table_diff_count
 
 
 _RESULTS = None
@@ -112,6 +115,19 @@ def test_a3_attainable_clauses():
     result = _report("A3")
     assert len(result.details) == 1
     assert "4 entries" in result.details[0]
+
+
+def test_table_diff_count_counts_differing_rows():
+    # the cells (op, i, j) whose rows c[i, j, :] differ, against a row loop
+    rng = random.Random(3)
+    for n in range(4):
+        for _ in range(5):
+            entry = lambda: Scalar(rng.choice((0, 0, 1)), rng.choice((0, 0, 0, 1)))
+            a, b = (Algebra(n, ops={op: Tensor((n, n, n), [entry() for _ in range(n ** 3)])
+                                    for op in ("rtri", "ltri")}) for _ in range(2))
+            rows = sum(a.table(op).row(i, j) != b.table(op).row(i, j)
+                       for op in ("rtri", "ltri") for i in range(n) for j in range(n))
+            assert _table_diff_count(a, b, ("rtri", "ltri")) == rows
 
 
 def test_a4_double_construction():

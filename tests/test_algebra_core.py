@@ -9,13 +9,13 @@ from postlie import (
     ONE,
     ZERO,
     Algebra,
+    CoalgebraSpec,
+    LinAlgError,
     PreconditionError,
     Scalar,
     Tensor,
     UnknownOperationError,
     Violation,
-    apply_op,
-    basis_vec,
     check_l_dendriform,
     check_lie,
     check_post_lie,
@@ -33,7 +33,6 @@ from postlie import (
     sub_adjacent_pp,
     transpose_pp,
     vertical_post_lie,
-    zero_vec,
 )
 from postlie import algebra
 from postlie.algebra import (
@@ -48,8 +47,23 @@ from postlie.algebra import (
     Term,
     term,
 )
+from vectors import (
+    act,
+    act_apply,
+    apply,
+    basis_vec,
+    coapply,
+    mul,
+    ref_kron,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+    zero_vec,
+)
 
 E1, E2, E3 = (basis_vec(3, i) for i in range(3))
+V1, V2, V3 = (Tensor((3,), e) for e in (E1, E2, E3))
 HALF = sc("1/2")
 IHALF = sc("1/2i")
 
@@ -82,40 +96,88 @@ def zero_algebra(n, ops=("circ", "bracket")):
 # apply
 # ---------------------------------------------------------------------------
 
+def _product(alg, op, x, y):
+    """x * y under the table of op, on (n,) Tensors."""
+    return einsum("i,j,ijk->k", x, y, alg.table(op))
+
+
 def test_apply_bracket(sl2_lie):
-    assert apply_op(sl2_lie, "bracket", E1, E2) == E3
-    assert apply_op(sl2_lie, "bracket", E2, E3) == E1
-    assert apply_op(sl2_lie, "bracket", E3, E1) == E2
+    assert _product(sl2_lie, "bracket", V1, V2) == V3
+    assert _product(sl2_lie, "bracket", V2, V3) == V1
+    assert _product(sl2_lie, "bracket", V3, V1) == V2
 
 
 def test_apply_bilinear_zero(sl2_lie):
-    assert apply_op(sl2_lie, "bracket", zero_vec(3), E2) == zero_vec(3)
-    two_e1 = tuple(sc(2) * c for c in E1)
-    assert apply_op(sl2_lie, "bracket", two_e1, E2) == tuple(sc(2) * c for c in E3)
+    assert _product(sl2_lie, "bracket", Tensor.zero(3), V2) == Tensor.zero(3)
+    assert _product(sl2_lie, "bracket", V1.scale(2), V2) == V3.scale(2)
 
 
 def test_apply_circ(sl2_postlie):
-    assert apply_op(sl2_postlie, "circ", E2, E2) == (sc("-1/2i"), sc(0), sc(0))
-    assert apply_op(sl2_postlie, "circ", E2, E1) == (sc(0), IHALF, HALF)
+    assert _product(sl2_postlie, "circ", V2, V2) == Tensor((3,), [sc("-1/2i"), sc(0), sc(0)])
+    assert _product(sl2_postlie, "circ", V2, V1) == Tensor((3,), [sc(0), IHALF, HALF])
 
 
-def test_mul_matches_the_scalar_loop(ahat_pp, request):
-    # Algebra.mul is one einsum; the fixture's loop multiplies Scalar by Scalar
-    einsum_mul = Algebra.mul
-    scalar_mul = request.getfixturevalue("naive_mul")
+def _gaussian(rng, big):
+    if big:
+        part = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 70),
+                                rng.randint(2 ** 64, 2 ** 66))
+    else:
+        part = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Scalar(part(), part())
+
+
+def _gaussian_tensor(rng, shape, density, big):
+    """Each entry a random Gaussian rational with probability density, else 0."""
+    size = 1
+    for n in shape:
+        size *= n
+    return Tensor(shape, [_gaussian(rng, big) if rng.random() < density else ZERO
+                          for _ in range(size)])
+
+
+def test_vector_helpers_match_einsum(ahat_pp):
+    # the Scalar-tuple helpers of the references against einsum on (n,)
+    # Tensors, on sparse, dense and big (numerators above 2^64) operands
     rng = random.Random(5)
-    vectors = [basis_vec(6, 2), zero_vec(6)] + [_random_vec(rng, 6) for _ in range(4)]
-    for op in ahat_pp.ops:
+    for density, big in ((0.3, False), (1.0, False), (1.0, True)):
+        rand = lambda *shape: _gaussian_tensor(rng, shape, density, big)
+        n, m = 4, 3
+        alg = Algebra(n, ops={"circ": rand(n, n, n), "bracket": rand(n, n, n)})
+        co = CoalgebraSpec(n, comaps={"Delta": rand(n, n, n)})
+        carrier, matrix, c = rand(n, m, m), rand(m, n), _gaussian(rng, big)
+        vectors = [basis_vec(n, 2), zero_vec(n)] + [rand(n).entries for _ in range(3)]
+        on_m = [basis_vec(m, 0), zero_vec(m), rand(m).entries]
         for x in vectors:
+            X = Tensor((n,), x)
+            assert vneg(x) == (-X).entries
+            assert vscale(c, x) == X.scale(c).entries
+            assert apply(matrix, x) == einsum("ij,j->i", matrix, X).entries
+            assert act(carrier, x) == einsum("i,iab->ab", X, carrier)
+            assert coapply(co, "Delta", x) == einsum("k,kij->ij", X, co.table("Delta"))
+            for v in on_m:
+                assert (act_apply(carrier, x, v)
+                        == einsum("i,iab,b->a", X, carrier, Tensor((m,), v)).entries)
             for y in vectors:
-                assert einsum_mul(ahat_pp, op, x, y) == scalar_mul(ahat_pp, op, x, y)
+                Y = Tensor((n,), y)
+                assert vadd(x, y, x) == (X + Y + X).entries
+                assert vsub(x, y) == (X - Y).entries
+                for op in alg.ops:
+                    assert mul(alg, op, x, y) == _product(alg, op, X, Y).entries
+        a, b = rand(2, 3), rand(3, 2)
+        assert ref_kron(a, b) == einsum("ij,pq->ipjq", a, b).reshape(6, 6)
+    six = [basis_vec(6, 2), zero_vec(6)] + [_random_vec(rng, 6) for _ in range(4)]
+    for op in ahat_pp.ops:
+        for x in six:
+            for y in six:
+                assert mul(ahat_pp, op, x, y) == _product(
+                    ahat_pp, op, Tensor((6,), x), Tensor((6,), y)).entries
 
 
 def test_apply_errors(sl2_lie):
     with pytest.raises(UnknownOperationError):
-        apply_op(sl2_lie, "circ", E1, E2)
-    with pytest.raises(ValueError):
-        apply_op(sl2_lie, "bracket", (sc(1),), E2)
+        _product(sl2_lie, "circ", V1, V2)
+    with pytest.raises(LinAlgError):
+        _product(sl2_lie, "bracket", Tensor((1,), [sc(1)]), V2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +219,7 @@ def test_check_pre_lie_sl2_circ_fails(sl2_postlie):
     assert not rep.passed
     # independent oracle: evaluate both sides of the left-symmetry identity
     # on (e1, e2, e3) straight from the product table
-    o = lambda x, y: sl2_postlie.mul("circ", x, y)
+    o = lambda x, y: mul(sl2_postlie, "circ", x, y)
     lhs = tuple(a - b for a, b in zip(o(o(E1, E2), E3), o(E1, o(E2, E3))))
     rhs = tuple(a - b for a, b in zip(o(o(E2, E1), E3), o(E2, o(E1, E3))))
     assert lhs != rhs
@@ -212,11 +274,11 @@ def test_sub_adjacent_sl2(sl2_postlie):
             x, y = basis_vec(3, i), basis_vec(3, j)
             direct = tuple(
                 a - b + c for a, b, c in zip(
-                    sl2_postlie.mul("circ", x, y),
-                    sl2_postlie.mul("circ", y, x),
-                    sl2_postlie.mul("bracket", x, y),
+                    mul(sl2_postlie, "circ", x, y),
+                    mul(sl2_postlie, "circ", y, x),
+                    mul(sl2_postlie, "bracket", x, y),
                 ))
-            assert sub.mul("bracket", x, y) == direct
+            assert mul(sub, "bracket", x, y) == direct
 
 
 def test_sub_adjacent_opposite_bracket_cancellation(sl2_lie):
@@ -316,7 +378,7 @@ def test_l_dendriform_sl2_pp_fails(sl2_pp):
     # the two-sided splitting needs its nonzero bracket; dropping it fails
     rep = check_l_dendriform(sl2_pp)
     assert not rep.passed
-    o = lambda a, x, y: sl2_pp.mul(a, x, y)
+    o = lambda a, x, y: mul(sl2_pp, a, x, y)
     lhs = o("ltri", tuple(a - b for a, b in zip(o("rtri", E1, E2), o("ltri", E2, E1))), E3)
     rhs = tuple(a - b for a, b in zip(
         o("rtri", E1, o("ltri", E2, E3)),

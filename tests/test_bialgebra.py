@@ -10,7 +10,6 @@ from postlie import (
     PreconditionError,
     Scalar,
     Tensor,
-    basis_vec,
     check_lie_bialgebra,
     check_lie_coalgebra,
     check_o_operator_pp,
@@ -33,8 +32,8 @@ from postlie import (
     semidirect_pp,
     sub_adjacent_pp,
 )
-from postlie.bialgebra import op_matrix_2tensor
 from postlie.forms import PPRepSpec
+from vectors import act, apply, basis_vec, mul, ref_kron
 
 
 def _zero(n):
@@ -228,19 +227,19 @@ def test_cybe_component_convention(sl2_pp):
     def add(i, j, k, value):
         expected[(i * 3 + j) * 3 + k] += value
     # single (i, j) pair: a = e1, b = e2
-    lt = sl2_pp.mul("ltri", basis_vec(3, 0), basis_vec(3, 0))
+    lt = mul(sl2_pp, "ltri", basis_vec(3, 0), basis_vec(3, 0))
     for k in range(3):
         if lt[k]:
             add(k, 1, 1, lt[k])
     bullet = tuple(x - y for x, y in zip(
-        sl2_pp.mul("rtri", basis_vec(3, 1), basis_vec(3, 0)),
-        sl2_pp.mul("ltri", basis_vec(3, 0), basis_vec(3, 1))))
+        mul(sl2_pp, "rtri", basis_vec(3, 1), basis_vec(3, 0)),
+        mul(sl2_pp, "ltri", basis_vec(3, 0), basis_vec(3, 1))))
     for k in range(3):
         if bullet[k]:
             add(0, k, 1, bullet[k])
     circ = tuple(x + y for x, y in zip(
-        sl2_pp.mul("rtri", basis_vec(3, 1), basis_vec(3, 1)),
-        sl2_pp.mul("ltri", basis_vec(3, 1), basis_vec(3, 1))))
+        mul(sl2_pp, "rtri", basis_vec(3, 1), basis_vec(3, 1)),
+        mul(sl2_pp, "ltri", basis_vec(3, 1), basis_vec(3, 1))))
     for k in range(3):
         if circ[k]:
             add(0, 0, k, circ[k])
@@ -323,8 +322,9 @@ def test_quasi_symmetric_fails(ahat_pp):
 
 
 def test_efg_matrix_convention(sl2_pp):
-    # the documented n^2 x n^2 operator matrices agree with the sandwich
-    # implementation on vectorised tensors
+    # the documented n^2 x n^2 operator matrices M (x) id + id (x) N, as
+    # row-major Kronecker products, agree with the sandwich implementation
+    # on vectorised tensors
     from postlie.bialgebra import _efg
     adj = pp_adjoint_rep(sl2_pp)
     rng = random.Random(13)
@@ -332,19 +332,15 @@ def test_efg_matrix_convention(sl2_pp):
     r = Matrix.from_rows([[Scalar(Fraction(rng.randint(-3, 3), 1), Fraction(rng.randint(-1, 1)))
                            for _ in range(n)] for _ in range(n)])
     E, F, G = _efg(adj, r)
+    eye = Matrix.identity(n)
     for k in range(n):
         x = basis_vec(n, k)
-        rt, lt, rrt, rlt, ad = (adj.act(which, x) for which in ("l_rt", "l_lt", "r_rt", "r_lt",
-                                                                "rho"))
+        rt, lt, rrt, rlt, ad = (act(c, x) for c in (adj.l_rt, adj.l_lt, adj.r_rt, adj.r_lt,
+                                                    adj.rho))
         diamond, circ, bullet = lt + rt - rlt - rrt, rt + lt, rt - rlt
-        for big, small in (
-            (op_matrix_2tensor(rt, diamond), E),
-            (op_matrix_2tensor(circ, bullet), F),
-            (op_matrix_2tensor(ad, ad), G),
-        ):
-            vec = tuple(r.entries)
-            out = big.apply(vec)
-            assert out == small.contract(0, x).entries
+        for m1, m2, small in ((rt, diamond, E), (circ, bullet, F), (ad, ad, G)):
+            big = ref_kron(m1, eye) + ref_kron(eye, m2)
+            assert apply(big, r.entries) == act(small, x).entries
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +385,7 @@ def test_rtilde_convention(ahat_pp, r6):
     rep = pp_coadjoint_rep(ahat_pp)
     rtilde = r6.transpose()
     assert check_o_operator_pp(ahat_pp, rep, rtilde, checked=False).passed
-    assert rtilde.apply(basis_vec(6, 3)) == basis_vec(6, 0)
+    assert apply(rtilde, basis_vec(6, 3)) == basis_vec(6, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from postlie import (
     Matrix,
     PreconditionError,
     adjoint_rep,
-    basis_vec,
     bowtie,
     bullet_from_gph,
     check_dual_p_o_operator,
@@ -38,10 +37,10 @@ from postlie import (
     semidirect_pp,
     sub_adjacent_pp,
     vertical_post_lie,
-    zero_vec,
 )
 from postlie import Tensor
 from postlie.forms import PPRepSpec, RepSpec
+from vectors import act, apply, basis_vec, mul, zero_vec
 
 
 def _zero_rep(n, m):
@@ -71,12 +70,12 @@ def test_semidirect_zero_rep_direct_sum(sl2_postlie):
     # A embeds with its own products, V is an ideal with zero products
     for i in range(3):
         for j in range(3):
-            prod = out.mul("circ", basis_vec(5, i), basis_vec(5, j))
+            prod = mul(out, "circ", basis_vec(5, i), basis_vec(5, j))
             assert prod[3:] == zero_vec(2)
     for i in range(3, 5):
         for j in range(3, 5):
-            assert out.mul("circ", basis_vec(5, i), basis_vec(5, j)) == zero_vec(5)
-            assert out.mul("bracket", basis_vec(5, i), basis_vec(5, j)) == zero_vec(5)
+            assert mul(out, "circ", basis_vec(5, i), basis_vec(5, j)) == zero_vec(5)
+            assert mul(out, "bracket", basis_vec(5, i), basis_vec(5, j)) == zero_vec(5)
 
 
 def test_semidirect_adjoint(sl2_postlie):
@@ -86,14 +85,14 @@ def test_semidirect_adjoint(sl2_postlie):
     # carrier-carrier products vanish pairwise
     for i in range(3, 6):
         for j in range(3, 6):
-            assert out.mul("circ", basis_vec(6, i), basis_vec(6, j)) == zero_vec(6)
+            assert mul(out, "circ", basis_vec(6, i), basis_vec(6, j)) == zero_vec(6)
 
 
 def test_semidirect_rejects_bad_rep(sl2_postlie):
     rep = adjoint_rep(sl2_postlie)
     rep = dataclasses.replace(rep, rho=_bumped(rep.rho, 0))
-    assert rep.act("rho", basis_vec(3, 0)) == adjoint_rep(sl2_postlie).act(
-        "rho", basis_vec(3, 0)) + Matrix.identity(3)
+    e1 = basis_vec(3, 0)
+    assert act(rep.rho, e1) == act(adjoint_rep(sl2_postlie).rho, e1) + Matrix.identity(3)
     with pytest.raises(PreconditionError):
         semidirect_post_lie(sl2_postlie, rep)
 
@@ -114,7 +113,7 @@ def test_semidirect_pp_zero_rep(sl2_pp):
     for op in ("rtri", "ltri", "bracket"):
         for i in range(3, 5):
             for j in range(3, 5):
-                assert out.mul(op, basis_vec(5, i), basis_vec(5, j)) == zero_vec(5)
+                assert mul(out, op, basis_vec(5, i), basis_vec(5, j)) == zero_vec(5)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +187,8 @@ def test_bowtie_zero_actions(sl2_postlie):
     # restriction of the products to A x A equals A's products
     for i in range(3):
         for j in range(3):
-            prod = out.mul("circ", basis_vec(6, i), basis_vec(6, j))
-            assert prod[:3] == sl2_postlie.mul("circ", basis_vec(3, i), basis_vec(3, j))
+            prod = mul(out, "circ", basis_vec(6, i), basis_vec(6, j))
+            assert prod[:3] == mul(sl2_postlie, "circ", basis_vec(3, i), basis_vec(3, j))
             assert prod[3:] == zero_vec(3)
 
 
@@ -301,10 +300,10 @@ def test_compatible_pp_from_gph_pins_known_tables(sl2_postlie, kappa):
     # differs from the bundled sl2_pp table (both are valid splittings)
     derived = compatible_pp_from_gph(sl2_postlie, kappa)
     e = [basis_vec(3, i) for i in range(3)]
-    assert derived.mul("rtri", e[1], e[2]) == (sc("1/2"), sc(0), sc(0))
-    assert derived.mul("rtri", e[2], e[1]) == (sc("-1/2"), sc(0), sc(0))
-    assert derived.mul("ltri", e[1], e[2]) == (sc(-1), sc(0), sc(0))
-    assert derived.mul("ltri", e[2], e[1]) == (sc(1), sc(0), sc(0))
+    assert mul(derived, "rtri", e[1], e[2]) == (sc("1/2"), sc(0), sc(0))
+    assert mul(derived, "rtri", e[2], e[1]) == (sc("-1/2"), sc(0), sc(0))
+    assert mul(derived, "ltri", e[1], e[2]) == (sc(-1), sc(0), sc(0))
+    assert mul(derived, "ltri", e[2], e[1]) == (sc(1), sc(0), sc(0))
 
 
 def test_compatible_pp_scale_invariance(sl2_postlie, kappa):
@@ -326,8 +325,8 @@ def test_compatible_pp_matches_dual_p_o_route(sl2_postlie, kappa):
         for i in range(3):
             for j in range(3):
                 x, y = basis_vec(3, i), basis_vec(3, j)
-                pulled = phi_inv.apply(on_dual.mul(op, phi.apply(x), phi.apply(y)))
-                assert pulled == derived.mul(op, x, y)
+                pulled = apply(phi_inv, mul(on_dual, op, apply(phi, x), apply(phi, y)))
+                assert pulled == mul(derived, op, x, y)
 
 
 def test_compatible_pp_trivial():
@@ -391,8 +390,8 @@ def test_pre_pp_homomorphism_property(sl2_pp, final_P):
         for i in range(3):
             for j in range(3):
                 u, v = basis_vec(3, i), basis_vec(3, j)
-                lhs = final_P.apply(sub.mul(op, u, v))
-                rhs = sl2_pp.mul(op, final_P.apply(u), final_P.apply(v))
+                lhs = apply(final_P, mul(sub, op, u, v))
+                rhs = mul(sl2_pp, op, apply(final_P, u), apply(final_P, v))
                 assert lhs == rhs
 
 

@@ -86,6 +86,18 @@ def test_matrix_without_a_basis_names_it_e1_to_en():
     assert loads(dumps(doc)) == doc
 
 
+def test_wrong_length_basis_is_refused():
+    # the same refusal as loads gives the text such a document would print
+    with pytest.raises(DocumentError, match="basis has 1 names, dim is 2"):
+        Document.from_matrix("form", Matrix.identity(2), basis=("a",))
+    with pytest.raises(DocumentError, match="basis has 3 names, dim is 2"):
+        Document("algebra", "Q", 2, ("a", "b", "c"))
+    with pytest.raises(DocumentError, match="basis has 0 names, dim is 1"):
+        Document("coalgebra", "Q", 1)
+    with pytest.raises(DocumentError, match="line 4: basis has 1 names, dim is 2"):
+        loads("kind form\nfield Q\ndim 2\nbasis a\nmatrix\n1 0\n0 1\nend\n")
+
+
 @pytest.mark.parametrize("rows, cols", [(2, 0), (0, 2), (0, 0)])
 def test_maps_without_rows_or_columns_round_trip(rows, cols):
     doc = Document.from_matrix("map", Tensor.zero(rows, cols), basis=("a", "b")[:cols])

@@ -4,12 +4,13 @@ The checkers of representations, operators, forms, matched pairs, Manin
 triples, coalgebras, bialgebras and the Yang-Baxter equations evaluate
 their identities as whole-tensor einsum equations.  The references below
 are the per-tuple bodies they replaced: each yields (identity, lhs, rhs)
-for one index tuple, evaluated on basis vectors with Algebra.mul (as the
-Scalar double loop of the naive_mul fixture) and Tensor.contract.  With MAX_VIOLATIONS unbounded both must give the same
-complete report -- name, verdict, instance count and every witness with
-its lhs and rhs -- on random Gaussian-rational inputs of dimensions 0 to 4
-(sparse and dense, with numerators above 2^64), on the bundled fixtures
-and on a single-entry mutant of each of their operands.
+for one index tuple, evaluated on basis vectors with the Scalar-tuple
+helpers of vectors.py, which share no einsum with the checkers.  With
+MAX_VIOLATIONS unbounded both must give the same complete report -- name,
+verdict, instance count and every witness with its lhs and rhs -- on random
+Gaussian-rational inputs of dimensions 0 to 4 (sparse and dense, with
+numerators above 2^64), on the bundled fixtures and on a single-entry
+mutant of each of their operands.
 
 Preconditions are switched off (_require never raises), so every checker
 reports on inputs that are not valid structures.
@@ -32,16 +33,11 @@ from postlie import (
     Matrix,
     Scalar,
     Tensor,
-    basis_vec,
     check_lie,
     check_post_lie,
     corpus_doc,
     dualize,
     horizontal_post_lie,
-    vadd,
-    vneg,
-    vscale,
-    vsub,
 )
 from postlie.algebra import CheckReport, Violation
 from postlie.bialgebra import COMAP_NAMES
@@ -49,10 +45,7 @@ from postlie.construct import MatchedPairMaps
 from postlie.forms import LEFT, PPRepSpec, RepSpec, dual_map, pp_adjoint_rep
 from postlie.linalg import einsum
 from postlie.scalars import ONE, ZERO
-
-
-# the references multiply with the Scalar loop, never with einsum
-pytestmark = pytest.mark.usefixtures("naive_mul")
+from vectors import act, act_apply, apply, basis_vec, coapply, mul, vadd, vneg, vscale, vsub
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +104,21 @@ def ref_invariance(alg, B, tag, circ_identity):
 
     def body(i, j, k):
         x, y, z = e[i], e[j], e[k]
-        yield (tag + ".lie", form_value(B, alg.mul("bracket", x, y), z),
-               form_value(B, x, alg.mul("bracket", y, z)))
+        yield (tag + ".lie", form_value(B, mul(alg, "bracket", x, y), z),
+               form_value(B, x, mul(alg, "bracket", y, z)))
         yield circ_identity(alg, B, x, y, z)
     return [((n, n, n), body)]
 
 
 def ref_cocycle(alg, B, x, y, z):
-    o = lambda a, b: alg.mul("circ", a, b)
+    o = lambda a, b: mul(alg, "circ", a, b)
     return ("inv.cocycle", form_value(B, o(x, y), z) - form_value(B, x, o(y, z)),
             form_value(B, o(y, x), z) - form_value(B, y, o(x, z)))
 
 
 def ref_left_invariance(alg, B, x, y, z):
-    return ("leftinv.circ", form_value(B, alg.mul("circ", x, y), z),
-            -form_value(B, y, alg.mul("circ", x, z)))
+    return ("leftinv.circ", form_value(B, mul(alg, "circ", x, y), z),
+            -form_value(B, y, mul(alg, "circ", x, z)))
 
 
 def ref_invariant_form(alg, B):
@@ -148,7 +141,7 @@ def ref_omega_cocycle(alg, B):
     omega = B - B.transpose()
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    br = lambda x, y: sub.mul("bracket", x, y)
+    br = lambda x, y: mul(sub, "bracket", x, y)
 
     def body(i, j, k):
         x, y, z = e[i], e[j], e[k]
@@ -162,12 +155,12 @@ def ref_omega_cocycle(alg, B):
 def ref_rota_baxter(alg, P, weight):
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    br = lambda x, y: alg.mul("bracket", x, y)
+    br = lambda x, y: mul(alg, "bracket", x, y)
 
     def body(i, j):
         x, y = e[i], e[j]
-        px, py = P.apply(x), P.apply(y)
-        yield "rb", br(px, py), P.apply(vadd(br(px, y), br(x, py), vscale(weight, br(x, y))))
+        px, py = apply(P, x), apply(P, y)
+        yield "rb", br(px, py), apply(P, vadd(br(px, y), br(x, py), vscale(weight, br(x, y))))
     return ref_sweep("rota-baxter", [((n, n), body)])
 
 
@@ -181,17 +174,17 @@ def ref_post_lie_rep(alg, rep):
 
     def body(i, j):
         x, y = e[i], e[j]
-        lx, ly = rep.act("l", x), rep.act("l", y)
-        rx, ry = rep.act("r", x), rep.act("r", y)
-        px, py = rep.act("rho", x), rep.act("rho", y)
-        br = alg.mul("bracket", x, y)
-        xy = alg.mul("circ", x, y)
-        curly = vadd(xy, vneg(alg.mul("circ", y, x)), br)
-        yield "rep.lie", rep.act("rho", br), px * py - py * px
-        yield "rep.1", rep.act("rho", xy), lx * py - py * lx
-        yield "rep.2", rep.act("r", br), px * ry - py * rx
-        yield "rep.3", rep.act("r", xy), lx * ry - ry * (lx - rx + px)
-        yield "rep.4", rep.act("l", curly), lx * ly - ly * lx
+        lx, ly = act(rep.l, x), act(rep.l, y)
+        rx, ry = act(rep.r, x), act(rep.r, y)
+        px, py = act(rep.rho, x), act(rep.rho, y)
+        br = mul(alg, "bracket", x, y)
+        xy = mul(alg, "circ", x, y)
+        curly = vadd(xy, vneg(mul(alg, "circ", y, x)), br)
+        yield "rep.lie", act(rep.rho, br), px * py - py * px
+        yield "rep.1", act(rep.rho, xy), lx * py - py * lx
+        yield "rep.2", act(rep.r, br), px * ry - py * rx
+        yield "rep.3", act(rep.r, xy), lx * ry - ry * (lx - rx + px)
+        yield "rep.4", act(rep.l, curly), lx * ly - ly * lx
     return ref_sweep("post-lie-rep", [((n, n), body)])
 
 
@@ -203,97 +196,97 @@ def ref_pp_rep(alg, rep):
 
     def body(i, j):
         x, y = e[i], e[j]
-        br = alg.mul("bracket", x, y)
-        xy_lt = alg.mul("ltri", x, y)
-        yx_lt = alg.mul("ltri", y, x)
-        circ = vadd(alg.mul("rtri", x, y), xy_lt)
-        bullet = vsub(alg.mul("rtri", x, y), yx_lt)
-        curly = vadd(circ, vneg(vadd(alg.mul("rtri", y, x), yx_lt)), br)
-        lrx, lry = rep.act("l_rt", x), rep.act("l_rt", y)
-        rrx, rry = rep.act("r_rt", x), rep.act("r_rt", y)
-        llx, lly = rep.act("l_lt", x), rep.act("l_lt", y)
-        rlx, rly = rep.act("r_lt", x), rep.act("r_lt", y)
-        px, py = rep.act("rho", x), rep.act("rho", y)
-        yield "pprep.lie", rep.act("rho", br), px * py - py * px
-        yield "pprep.01", rep.act("r_lt", br), rlx * py - rly * px
-        yield "pprep.02", llx * py, rep.act("l_lt", br) - rly * px
+        br = mul(alg, "bracket", x, y)
+        xy_lt = mul(alg, "ltri", x, y)
+        yx_lt = mul(alg, "ltri", y, x)
+        circ = vadd(mul(alg, "rtri", x, y), xy_lt)
+        bullet = vsub(mul(alg, "rtri", x, y), yx_lt)
+        curly = vadd(circ, vneg(vadd(mul(alg, "rtri", y, x), yx_lt)), br)
+        lrx, lry = act(rep.l_rt, x), act(rep.l_rt, y)
+        rrx, rry = act(rep.r_rt, x), act(rep.r_rt, y)
+        llx, lly = act(rep.l_lt, x), act(rep.l_lt, y)
+        rlx, rly = act(rep.r_lt, x), act(rep.r_lt, y)
+        px, py = act(rep.rho, x), act(rep.rho, y)
+        yield "pprep.lie", act(rep.rho, br), px * py - py * px
+        yield "pprep.01", act(rep.r_lt, br), rlx * py - rly * px
+        yield "pprep.02", llx * py, act(rep.l_lt, br) - rly * px
         yield "pprep.03a", px * (lly + rly), zero
-        yield "pprep.03b", rep.act("l_lt", br) + rep.act("r_lt", br), zero
+        yield "pprep.03b", act(rep.l_lt, br) + act(rep.r_lt, br), zero
         yield "pprep.03c", (llx + rlx) * py, zero
-        yield "pprep.03d", rep.act("rho", vadd(xy_lt, yx_lt)), zero
-        yield "pprep.04", (lrx - rlx) * py, rep.act("rho", circ) + py * (lrx - rlx)
-        yield ("pprep.05", rep.act("r_rt", br) - rep.act("l_lt", br),
+        yield "pprep.03d", act(rep.rho, vadd(xy_lt, yx_lt)), zero
+        yield "pprep.04", (lrx - rlx) * py, act(rep.rho, circ) + py * (lrx - rlx)
+        yield ("pprep.05", act(rep.r_rt, br) - act(rep.l_lt, br),
                px * (rry - lly) - py * (rrx - llx))
         yield ("pprep.06", (lrx + px) * lly,
-               rep.act("l_lt", bullet) + lly * (lrx + llx))
+               act(rep.l_lt, bullet) + lly * (lrx + llx))
         yield ("pprep.07", (lrx + px) * rly,
-               rep.act("r_lt", circ) + rly * (lrx - rlx))
-        yield ("pprep.08", rep.act("r_rt", xy_lt),
-               rly * (rrx - llx) + llx * (rry + rly) + rep.act("rho", xy_lt))
-        yield ("pprep.09", rep.act("r_rt", alg.mul("rtri", x, y)),
+               act(rep.r_lt, circ) + rly * (lrx - rlx))
+        yield ("pprep.08", act(rep.r_rt, xy_lt),
+               rly * (rrx - llx) + llx * (rry + rly) + act(rep.rho, xy_lt))
+        yield ("pprep.09", act(rep.r_rt, mul(alg, "rtri", x, y)),
                lrx * rry - rry * (lrx + llx - rrx - rlx + px)
-               - px * rly - rly * px - rep.act("rho", xy_lt))
-        yield ("pprep.10", rep.act("l_rt", curly),
-               lrx * lry - lry * lrx + py * llx - px * lly - rep.act("l_lt", br))
+               - px * rly - rly * px - act(rep.rho, xy_lt))
+        yield ("pprep.10", act(rep.l_rt, curly),
+               lrx * lry - lry * lrx + py * llx - px * lly - act(rep.l_lt, br))
     return ref_sweep("pp-rep", [((n, n), body)])
 
 
 def ref_o_operator(alg, rep, T):
     m = rep.dim
     e = [basis_vec(m, i) for i in range(m)]
-    t = [T.apply(u) for u in e]
+    t = [apply(T, u) for u in e]
 
     def body(i, j):
         u, v, tu, tv = e[i], e[j], t[i], t[j]
-        yield ("oop.1", alg.mul("rtri", tu, tv),
-               T.apply(vadd(rep.act("l_rt", tu).apply(v), rep.act("r_rt", tv).apply(u))))
-        yield ("oop.2", alg.mul("ltri", tu, tv),
-               T.apply(vadd(rep.act("l_lt", tu).apply(v), rep.act("r_lt", tv).apply(u))))
-        yield ("oop.3", alg.mul("bracket", tu, tv),
-               T.apply(vsub(rep.act("rho", tu).apply(v), rep.act("rho", tv).apply(u))))
+        yield ("oop.1", mul(alg, "rtri", tu, tv),
+               apply(T, vadd(act_apply(rep.l_rt, tu, v), act_apply(rep.r_rt, tv, u))))
+        yield ("oop.2", mul(alg, "ltri", tu, tv),
+               apply(T, vadd(act_apply(rep.l_lt, tu, v), act_apply(rep.r_lt, tv, u))))
+        yield ("oop.3", mul(alg, "bracket", tu, tv),
+               apply(T, vsub(act_apply(rep.rho, tu, v), act_apply(rep.rho, tv, u))))
     return ref_sweep("o-operator", [((m, m), body)])
 
 
 def ref_dual_p_o(alg, rep, T):
     m = rep.dim
     e = [basis_vec(m, i) for i in range(m)]
-    t = [T.apply(u) for u in e]
+    t = [apply(T, u) for u in e]
     star = rep.map(dual_map)
 
     def body(i, j):
         u, v, tu, tv = e[i], e[j], t[i], t[j]
-        yield ("dpo.1", alg.mul("circ", tu, tv),
-               T.apply(vsub((star.act("l", tu) - star.act("r", tu)).apply(v),
-                            star.act("r", tv).apply(u))))
-        br = alg.mul("bracket", tu, tv)
-        yield "dpo.2a", br, T.apply(star.act("rho", tu).apply(v))
-        yield "dpo.2b", br, vneg(T.apply(star.act("rho", tv).apply(u)))
+        yield ("dpo.1", mul(alg, "circ", tu, tv),
+               apply(T, vsub(apply(act(star.l, tu) - act(star.r, tu), v),
+                             act_apply(star.r, tv, u))))
+        br = mul(alg, "bracket", tu, tv)
+        yield "dpo.2a", br, apply(T, act_apply(star.rho, tu, v))
+        yield "dpo.2b", br, vneg(apply(T, act_apply(star.rho, tv, u)))
     return ref_sweep("dual-p-o-operator", [((m, m), body)])
 
 
 def ref_strong(alg, rep, T):
     m = rep.dim
     e = [basis_vec(m, i) for i in range(m)]
-    t = [T.apply(u) for u in e]
+    t = [apply(T, u) for u in e]
     star = rep.map(dual_map)
     zero = (ZERO,) * m
 
     def pairs(i, j):
         u, v, tu, tv = e[i], e[j], t[i], t[j]
-        yield ("strong.1", star.act("rho", tu).apply(v),
-               vneg(star.act("rho", tv).apply(u)))
+        yield ("strong.1", act_apply(star.rho, tu, v),
+               vneg(act_apply(star.rho, tv, u)))
 
     def triples(i, j, k):
         u, v, w, tu, tv, tw = e[i], e[j], e[k], t[i], t[j], t[k]
-        yield ("strong.2a", star.act("rho", tu).apply(vadd(
-            star.act("r", tv).apply(w), star.act("r", tw).apply(v))), zero)
+        yield ("strong.2a", act_apply(star.rho, tu, vadd(
+            act_apply(star.r, tv, w), act_apply(star.r, tw, v))), zero)
         yield ("strong.2b", vadd(
-            star.act("r", alg.mul("bracket", tu, tw)).apply(v),
-            star.act("r", tv).apply(star.act("rho", tu).apply(w))), zero)
+            act_apply(star.r, mul(alg, "bracket", tu, tw), v),
+            act_apply(star.r, tv, act_apply(star.rho, tu, w))), zero)
         yield ("strong.3", vadd(
-            star.act("rho", alg.mul("bracket", tu, tv)).apply(w),
-            star.act("rho", alg.mul("bracket", tv, tw)).apply(u),
-            star.act("rho", alg.mul("bracket", tw, tu)).apply(v)), zero)
+            act_apply(star.rho, mul(alg, "bracket", tu, tv), w),
+            act_apply(star.rho, mul(alg, "bracket", tv, tw), u),
+            act_apply(star.rho, mul(alg, "bracket", tw, tu), v)), zero)
     return ref_sweep("strong", [((m, m), pairs), ((m, m, m), triples)])
 
 
@@ -309,16 +302,16 @@ def ref_matched_pair(a, b, maps):
     nested = [("mp.rep-a", ref_post_lie_rep(a, rep_b)),
               ("mp.rep-b", ref_post_lie_rep(b, rep_a))]
 
-    la = lambda x, v: rep_b.act("l", x).apply(v)
-    ra = lambda x, v: rep_b.act("r", x).apply(v)
-    pa = lambda x, v: rep_b.act("rho", x).apply(v)
-    lb = lambda u, v: rep_a.act("l", u).apply(v)
-    rb = lambda u, v: rep_a.act("r", u).apply(v)
-    pb = lambda u, v: rep_a.act("rho", u).apply(v)
-    bra = lambda x, y: a.mul("bracket", x, y)
-    brb = lambda u, v: b.mul("bracket", u, v)
-    ca = lambda x, y: a.mul("circ", x, y)
-    cb = lambda u, v: b.mul("circ", u, v)
+    la = lambda x, v: act_apply(rep_b.l, x, v)
+    ra = lambda x, v: act_apply(rep_b.r, x, v)
+    pa = lambda x, v: act_apply(rep_b.rho, x, v)
+    lb = lambda u, v: act_apply(rep_a.l, u, v)
+    rb = lambda u, v: act_apply(rep_a.r, u, v)
+    pb = lambda u, v: act_apply(rep_a.rho, u, v)
+    bra = lambda x, y: mul(a, "bracket", x, y)
+    brb = lambda u, v: mul(b, "bracket", u, v)
+    ca = lambda x, y: mul(a, "circ", x, y)
+    cb = lambda u, v: mul(b, "circ", u, v)
     curly_a = lambda x, y: vadd(ca(x, y), vneg(ca(y, x)), bra(x, y))
     curly_b = lambda u, v: vadd(cb(u, v), vneg(cb(v, u)), brb(u, v))
 
@@ -371,9 +364,9 @@ def ref_manin_closure(out, n):
 
     def closure(i, j):
         for op in ("circ", "bracket"):
-            prod = out.mul(op, e[i], e[j])
+            prod = mul(out, op, e[i], e[j])
             yield "manin.closure-a", prod if any(prod[n:]) else (), ()
-            prod = out.mul(op, e[n + i], e[n + j])
+            prod = mul(out, op, e[n + i], e[n + j])
             yield "manin.closure-b", prod if any(prod[:n]) else (), ()
     return [((n, n), closure)]
 
@@ -432,18 +425,18 @@ def ref_pp_coalgebra_direct(co):
 
     def body(k):
         x = basis_vec(n, k)
-        rtx, ltx, Dex = rt.contract(0, x), lt.contract(0, x), De.contract(0, x)
+        rtx, ltx, Dex = act(rt, x), act(lt, x), act(De, x)
         yield ("ppco.1", _apply_second(De, ltx),
                _apply_first(De, ltx) + _apply_second(De, ltx).permute((1, 0, 2)))
         yield "ppco.2a", _apply_second(lt_sym, Dex), zero
-        yield "ppco.2b", _apply_first(De, lt_sym.contract(0, x)), zero
-        yield ("ppco.3", _apply_second(De, bull.contract(0, x)),
+        yield "ppco.2b", _apply_first(De, act(lt_sym, x)), zero
+        yield ("ppco.3", _apply_second(De, act(bull, x)),
                _apply_first(circ, Dex) + _apply_second(bull, Dex).permute((1, 0, 2)))
         yield ("ppco.4", _apply_second(lt, rtx),
                _apply_first(bull, ltx) + _apply_second(circ, ltx).permute((1, 0, 2))
                - _apply_second(lt, Dex))
         yield ("ppco.5", _minus_swap12(_apply_first(circ, rtx)),
-               _minus_swap12(_apply_second(rt, rtx)) - _apply_first(De, circ.contract(0, x))
+               _minus_swap12(_apply_second(rt, rtx)) - _apply_first(De, act(circ, x))
                - _minus_swap12(_apply_second(lt, Dex)))
     return ref_sweep("pp-coalgebra", [((n,), body)])
 
@@ -457,10 +450,10 @@ def ref_lie_bialgebra(alg, co):
 
     def body(i, j):
         x, y = e[i], e[j]
-        adx = ad.contract(0, x)
-        ady = ad.contract(0, y)
-        yield ("bialg.cocycle", co.apply("Delta", alg.mul("bracket", x, y)),
-               _sandwich(adx, co.apply("Delta", y)) - _sandwich(ady, co.apply("Delta", x)))
+        adx = act(ad, x)
+        ady = act(ad, y)
+        yield ("bialg.cocycle", coapply(co, "Delta", mul(alg, "bracket", x, y)),
+               _sandwich(adx, coapply(co, "Delta", y)) - _sandwich(ady, coapply(co, "Delta", x)))
     return ref_sweep("lie-bialgebra", [((n, n), body)], nested)
 
 
@@ -469,19 +462,19 @@ def ref_pp_bialgebra(alg, co):
               ("ppbialg.coalg", bialgebra.check_pp_coalgebra(co))]
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    drt = lambda x: co.apply("delta_rtri", x)
-    dlt = lambda x: co.apply("delta_ltri", x)
-    dDe = lambda x: co.apply("Delta", x)
+    drt = lambda x: coapply(co, "delta_rtri", x)
+    dlt = lambda x: coapply(co, "delta_ltri", x)
+    dDe = lambda x: coapply(co, "Delta", x)
     dcirc = lambda x: drt(x) + dlt(x)
     dbull = lambda x: drt(x) - dlt(x).transpose()
 
-    circ = lambda x, y: vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
-    bull = lambda x, y: vsub(alg.mul("rtri", x, y), alg.mul("ltri", y, x))
-    curly = lambda x, y: vadd(circ(x, y), vneg(circ(y, x)), alg.mul("bracket", x, y))
+    circ = lambda x, y: vadd(mul(alg, "rtri", x, y), mul(alg, "ltri", x, y))
+    bull = lambda x, y: vsub(mul(alg, "rtri", x, y), mul(alg, "ltri", y, x))
+    curly = lambda x, y: vadd(circ(x, y), vneg(circ(y, x)), mul(alg, "bracket", x, y))
 
     adj = pp_adjoint_rep(alg)
-    ad_, lrt, llt, rrt, rlt = ([adj.act(which, x) for x in e]
-                               for which in ("rho", "l_rt", "l_lt", "r_rt", "r_lt"))
+    ad_, lrt, llt, rrt, rlt = ([act(c, x) for x in e]
+                               for c in (adj.rho, adj.l_rt, adj.l_lt, adj.r_rt, adj.r_lt))
     lcirc = [lrt[k] + llt[k] for k in range(n)]
     lbull = [lrt[k] - rlt[k] for k in range(n)]
     rcirc = [rrt[k] + rlt[k] for k in range(n)]
@@ -496,7 +489,7 @@ def ref_pp_bialgebra(alg, co):
         x, y = e[i], e[j]
         adx, ady = ad_[i], ad_[j]
         yield ("ppbialg.cocycle",
-               dDe(alg.mul("bracket", x, y)),
+               dDe(mul(alg, "bracket", x, y)),
                _sandwich(adx, De_[j]) - _sandwich(ady, De_[i]))
         yield ("ppbialg.1",
                dDe(circ(x, y)),
@@ -507,11 +500,11 @@ def ref_pp_bialgebra(alg, co):
                _sandwich(lbull[i], De_[j])
                - _rhs_apply(ady, lt_[i].transpose()) + _lhs_apply(ady, lt_[i]))
         yield ("ppbialg.3",
-               dbull(alg.mul("bracket", x, y)),
+               dbull(mul(alg, "bracket", x, y)),
                _rhs_apply(adx, bull_[j]) - _rhs_apply(ady, bull_[i])
                + _lhs_apply(rlt[i], De_[j]) - _lhs_apply(rlt[j], De_[i]))
         yield ("ppbialg.4",
-               dcirc(alg.mul("bracket", x, y)),
+               dcirc(mul(alg, "bracket", x, y)),
                _rhs_apply(adx, circ_[j]) - _rhs_apply(ady, bull_[i])
                + _lhs_apply(rlt[i], De_[j]) + _lhs_apply(llt[j], De_[i]))
         yield ("ppbialg.5",
@@ -530,7 +523,7 @@ def ref_pp_bialgebra(alg, co):
                dlt(curly(x, y)),
                _rhs_apply(lbull[i], lt_[j]) + _lhs_apply(lcirc[i], lt_[j])
                - _rhs_apply(lbull[j], lt_[i]) - _lhs_apply(lcirc[j], lt_[i]))
-        xy_lt = alg.mul("ltri", x, y)
+        xy_lt = mul(alg, "ltri", x, y)
         yield ("ppbialg.8",
                dcirc(xy_lt) - dcirc(xy_lt).transpose() + dDe(xy_lt),
                _rhs_apply(llt[i], bull_[j])
@@ -572,7 +565,7 @@ def ref_pppcybe(alg, r):
 
 
 def _left_ops(adj, x):
-    rt, lt, rrt, rlt, ad = (adj.act(which, x) for which in ("l_rt", "l_lt", "r_rt", "r_lt", "rho"))
+    rt, lt, rrt, rlt, ad = (act(c, x) for c in (adj.l_rt, adj.l_lt, adj.r_rt, adj.r_lt, adj.rho))
     return rt, lt + rt - rlt - rrt, rt + lt, rt - rlt, ad
 
 
@@ -587,7 +580,7 @@ def _f_apply(adj, x, t2):
 
 
 def _g_apply(adj, x, t2):
-    return _sandwich(adj.act("rho", x), t2)
+    return _sandwich(act(adj.rho, x), t2)
 
 
 def ref_quasitriangular(alg, r):
@@ -608,63 +601,63 @@ def ref_quasitriangular(alg, r):
     def one_variable(k):
         x = e[k]
         rt, diamond, circ, bullet, ad = _left_ops(adj, x)
-        llt = adj.act("l_lt", x)
-        rlt = adj.act("r_lt", x)
+        llt = act(adj.l_lt, x)
+        rlt = act(adj.r_lt, x)
         yield "quasi.colie.1", _g_apply(adj, x, s), zero2
         yield "quasi.colie.2", C.contract(0, ad) + C.contract(1, ad) + C.contract(2, ad), zero3
         yield "quasi.coalg.1", (
             C.contract(0, circ) + C.contract(1, circ) + C.contract(2, bullet)
-            + on_a(lambda a: _lhs_apply(adj.act("rho", a),
+            + on_a(lambda a: _lhs_apply(act(adj.rho, a),
                                         _f_apply(adj, x, s).transpose()))), zero3
         inner = sum_aFb - D
         yield "quasi.coalg.2a", (
             (inner + swap23(inner)).contract(0, ad)
-            + on_b(lambda b: _f_apply(adj, alg.mul("bracket", x, b), s))), zero3
+            + on_b(lambda b: _f_apply(adj, mul(alg, "bracket", x, b), s))), zero3
         yield "quasi.coalg.2b", C.contract(2, llt + rlt), zero3
         yield "quasi.coalg.3", (
             C.contract(0, llt) + (swap23(D) - sum_aFb).contract(1, ad) - D.contract(2, ad)
-            - on_a(lambda a: _lhs_apply(adj.act("r_lt", a), _g_apply(adj, x, s)))), zero3
+            - on_a(lambda a: _lhs_apply(act(adj.r_lt, a), _g_apply(adj, x, s)))), zero3
         part1 = sum_aFb - swap23(D)
         mid = sum_aFb - on_a(lambda a: _f_apply(adj, a, s).transpose()) - swap23(D)
         yield "quasi.coalg.4", (
             part1.contract(0, ad + llt) + part1.contract(1, circ) + mid.contract(2, bullet)
-            + on_a(lambda a: _lhs_apply(adj.act("r_lt", a),
+            + on_a(lambda a: _lhs_apply(act(adj.r_lt, a),
                                         _f_apply(adj, x, s).transpose()))
-            - on_a(lambda a: _f_apply(adj, vadd(alg.mul("rtri", x, a), alg.mul("ltri", x, a)),
+            - on_a(lambda a: _f_apply(adj, vadd(mul(alg, "rtri", x, a), mul(alg, "ltri", x, a)),
                                       s).transpose())), zero3
         term1 = part1.contract(0, ad)
         yield "quasi.coalg.5", (
             term1 - swap12(term1)
-            + on_a(lambda a: _rhs_apply(adj.act("r_rt", a), _e_apply(adj, x, s)))
-            + on_a(lambda a: _rhs_apply(adj.act("r_rt", a) + adj.act("r_lt", a),
+            + on_a(lambda a: _rhs_apply(act(adj.r_rt, a), _e_apply(adj, x, s)))
+            + on_a(lambda a: _rhs_apply(act(adj.r_rt, a) + act(adj.r_lt, a),
                                         _g_apply(adj, x, s)))
             + _minus_swap12(D.contract(2, diamond))
-            - C.contract(2, adj.act("r_rt", x) - adj.act("l_lt", x))
+            - C.contract(2, act(adj.r_rt, x) - act(adj.l_lt, x))
             + _minus_swap12((D - swap12(D)).contract(0, rt))), zero3
 
     def two_variables(a, b):
         x, y = e[a], e[b]
-        adx = adj.act("rho", x)
-        ady = adj.act("rho", y)
+        adx = act(adj.rho, x)
+        ady = act(adj.rho, y)
         yield "quasi.compat.1", _lhs_apply(adx, _f_apply(adj, y, s)), zero2
         yield ("quasi.compat.2",
-               _f_apply(adj, alg.mul("bracket", x, y), s)
+               _f_apply(adj, mul(alg, "bracket", x, y), s)
                + _lhs_apply(adx, _f_apply(adj, y, s))
                - _lhs_apply(ady, _f_apply(adj, x, s)), zero2)
-        circ_xy = vadd(alg.mul("rtri", x, y), alg.mul("ltri", x, y))
+        circ_xy = vadd(mul(alg, "rtri", x, y), mul(alg, "ltri", x, y))
         rtx, _, circx, _, _ = _left_ops(adj, x)
         yield ("quasi.compat.3",
                _f_apply(adj, circ_xy, s)
                + _rhs_apply(circx, _f_apply(adj, y, s))
                + _lhs_apply(adx + rtx, _f_apply(adj, y, s))
-               - _lhs_apply(adj.act("r_lt", y), _f_apply(adj, x, s).transpose()), zero2)
-        lt_xy = alg.mul("ltri", x, y)
-        inner4 = _lhs_apply(adj.act("l_lt", x), _e_apply(adj, y, s))
+               - _lhs_apply(act(adj.r_lt, y), _f_apply(adj, x, s).transpose()), zero2)
+        lt_xy = mul(alg, "ltri", x, y)
+        inner4 = _lhs_apply(act(adj.l_lt, x), _e_apply(adj, y, s))
         yield ("quasi.compat.4",
                _e_apply(adj, lt_xy, s) - _f_apply(adj, lt_xy, s)
                + inner4 - inner4.transpose()
                + _g_apply(adj, x, s)
-               + _rhs_apply(adj.act("r_lt", y),
+               + _rhs_apply(act(adj.r_lt, y),
                             _f_apply(adj, x, s) - _e_apply(adj, x, s)), zero2)
 
     def invariance(k):

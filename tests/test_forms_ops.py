@@ -8,7 +8,6 @@ from postlie import (
     ONE,
     PreconditionError,
     adjoint_rep,
-    basis_vec,
     check_dual_p_o_operator,
     check_gph,
     check_invariant_form,
@@ -36,6 +35,7 @@ from postlie import (
 from postlie import Tensor
 from postlie.construct import quarter_split_rep
 from postlie.forms import PPRepSpec, RepSpec
+from vectors import act, basis_vec, mul
 
 E1, E2, E3 = (basis_vec(3, i) for i in range(3))
 
@@ -178,7 +178,7 @@ def test_dual_map_entrywise(sl2_lie):
             for j in range(3):
                 assert dual[k, i, j] == -ad[k, j, i]
                 # ad(e_k) e_j = [e_k, e_j]
-                assert ad[k, i, j] == sl2_lie.mul("bracket", basis_vec(3, k), basis_vec(3, j))[i]
+                assert ad[k, i, j] == mul(sl2_lie, "bracket", basis_vec(3, k), basis_vec(3, j))[i]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_broken_rep_fails(sl2_postlie):
     rep = adjoint_rep(sl2_postlie)
     eye = Tensor((1, 3, 3), Matrix.identity(3).entries).embed((3, 3, 3), (0, 0, 0))
     rep = dataclasses.replace(rep, rho=rep.rho + eye)
-    assert rep.act("rho", E1) == adjoint_rep(sl2_postlie).act("rho", E1) + Matrix.identity(3)
+    assert act(rep.rho, E1) == act(adjoint_rep(sl2_postlie).rho, E1) + Matrix.identity(3)
     report = check_post_lie_rep(sl2_postlie, rep)
     assert not report.passed
     assert any(v.identity == "rep.lie" for v in report.violations)
@@ -241,7 +241,7 @@ def test_coadjoint_formula_entrywise(sl2_pp):
 
     def mult(op, k, left):
         """The matrix of v -> e_k * v (left) or v -> v * e_k, column by column."""
-        cols = [sl2_pp.mul(op, e[k], v) if left else sl2_pp.mul(op, v, e[k]) for v in e]
+        cols = [mul(sl2_pp, op, e[k], v) if left else mul(sl2_pp, op, v, e[k]) for v in e]
         return Matrix.from_rows(zip(*cols))
 
     for k in range(3):
@@ -250,11 +250,11 @@ def test_coadjoint_formula_entrywise(sl2_pp):
         diamond = llt + lrt - rlt - rrt
         bullet_right = rrt - llt
         circ_right = rrt + rlt
-        assert co.act("l_rt", e[k]) == -(diamond.transpose())
-        assert co.act("r_rt", e[k]) == -(rrt.transpose())
-        assert co.act("l_lt", e[k]) == -(bullet_right.transpose())
-        assert co.act("r_lt", e[k]) == -(-(circ_right.transpose()))
-        assert co.act("rho", e[k]) == -(mult("bracket", k, True).transpose())
+        assert act(co.l_rt, e[k]) == -(diamond.transpose())
+        assert act(co.r_rt, e[k]) == -(rrt.transpose())
+        assert act(co.l_lt, e[k]) == -(bullet_right.transpose())
+        assert act(co.r_lt, e[k]) == -(-(circ_right.transpose()))
+        assert act(co.rho, e[k]) == -(mult("bracket", k, True).transpose())
 
 
 def test_dual_pp_rep_zero(sl2_lie):

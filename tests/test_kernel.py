@@ -2,13 +2,14 @@
 
 The reference is the closure form the identity sets had before they became
 einsum equations: each identity a function of vectors (tuples of Scalar)
-over Algebra.mul (as the Scalar double loop of the naive_mul fixture), vadd,
-vsub and vneg, evaluated on basis vectors one index tuple at a time.  Each
-set's Identity list and its public checker must give the same complete
-report -- verdict, instance count and every witness with its lhs and rhs --
-on random Gaussian-rational tables, on every bundled algebra and on a
-single-entry mutant of each.  Where a checker's precondition fails, the
-report it raises must be the reference report of the precondition.
+over the Scalar-tuple helpers of vectors.py (mul, vadd, vsub and vneg, which
+share no einsum with the checkers), evaluated on basis vectors one index
+tuple at a time.  Each set's Identity list and its public checker must give
+the same complete report -- verdict, instance count and every witness with
+its lhs and rhs -- on random Gaussian-rational tables, on every bundled
+algebra and on a single-entry mutant of each.  Where a checker's
+precondition fails, the report it raises must be the reference report of
+the precondition.
 """
 
 import itertools
@@ -23,7 +24,6 @@ from postlie import (
     PreconditionError,
     Scalar,
     Tensor,
-    basis_vec,
     check_l_dendriform,
     check_lie,
     check_post_lie,
@@ -32,16 +32,10 @@ from postlie import (
     check_pre_pp_post_lie,
     corpus_doc,
     dualize,
-    vadd,
-    vneg,
-    vsub,
-    zero_vec,
 )
 from postlie.algebra import CheckReport, Violation
 from postlie.scalars import ZERO
-
-# the references multiply with the Scalar loop, never with einsum
-pytestmark = pytest.mark.usefixtures("naive_mul")
+from vectors import basis_vec, mul, vadd, vneg, vsub, zero_vec
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +43,7 @@ pytestmark = pytest.mark.usefixtures("naive_mul")
 # ---------------------------------------------------------------------------
 
 def LIE_IDENTITIES(alg: Algebra, op="bracket"):
-    br = lambda x, y: alg.mul(op, x, y)
+    br = lambda x, y: mul(alg, op, x, y)
     z = zero_vec(alg.dim)
 
     def antisym(x, y):
@@ -62,19 +56,19 @@ def LIE_IDENTITIES(alg: Algebra, op="bracket"):
 
 
 def PRE_LIE_IDENTITIES(alg: Algebra, op="circ"):
-    mul = lambda x, y: alg.mul(op, x, y)
+    pr = lambda x, y: mul(alg, op, x, y)
 
     def left_sym(x, y, zv):
-        lhs = vsub(mul(mul(x, y), zv), mul(x, mul(y, zv)))
-        rhs = vsub(mul(mul(y, x), zv), mul(y, mul(x, zv)))
+        lhs = vsub(pr(pr(x, y), zv), pr(x, pr(y, zv)))
+        rhs = vsub(pr(pr(y, x), zv), pr(y, pr(x, zv)))
         return lhs, rhs
 
     return [("prelie.left-sym", left_sym, 3)]
 
 
 def POST_LIE_IDENTITIES(alg: Algebra, circ="circ", bracket="bracket"):
-    o = lambda x, y: alg.mul(circ, x, y)
-    br = lambda x, y: alg.mul(bracket, x, y)
+    o = lambda x, y: mul(alg, circ, x, y)
+    br = lambda x, y: mul(alg, bracket, x, y)
 
     def derivation(x, y, zv):
         return o(x, br(y, zv)), vadd(br(o(x, y), zv), br(y, o(x, zv)))
@@ -88,9 +82,9 @@ def POST_LIE_IDENTITIES(alg: Algebra, circ="circ", bracket="bracket"):
 
 
 def PP_IDENTITIES(alg: Algebra, rtri="rtri", ltri="ltri", bracket="bracket"):
-    rt = lambda x, y: alg.mul(rtri, x, y)
-    lt = lambda x, y: alg.mul(ltri, x, y)
-    br = lambda x, y: alg.mul(bracket, x, y)
+    rt = lambda x, y: mul(alg, rtri, x, y)
+    lt = lambda x, y: mul(alg, ltri, x, y)
+    br = lambda x, y: mul(alg, bracket, x, y)
     z = zero_vec(alg.dim)
 
     def curly(x, y):
@@ -142,8 +136,8 @@ def PP_IDENTITIES(alg: Algebra, rtri="rtri", ltri="ltri", bracket="bracket"):
 
 
 def L_DENDRIFORM_IDENTITIES(alg: Algebra, rtri="rtri", ltri="ltri"):
-    rt = lambda x, y: alg.mul(rtri, x, y)
-    lt = lambda x, y: alg.mul(ltri, x, y)
+    rt = lambda x, y: mul(alg, rtri, x, y)
+    lt = lambda x, y: mul(alg, ltri, x, y)
 
     def ld1(x, y, zv):
         lhs = lt(vsub(rt(x, y), lt(y, x)), zv)
@@ -159,11 +153,11 @@ def L_DENDRIFORM_IDENTITIES(alg: Algebra, rtri="rtri", ltri="ltri"):
 
 
 def PRE_PP_IDENTITIES(alg: Algebra):
-    se = lambda x, y: alg.mul("se", x, y)
-    ne = lambda x, y: alg.mul("ne", x, y)
-    sw = lambda x, y: alg.mul("sw", x, y)
-    nw = lambda x, y: alg.mul("nw", x, y)
-    dot = lambda x, y: alg.mul("dot", x, y)
+    se = lambda x, y: mul(alg, "se", x, y)
+    ne = lambda x, y: mul(alg, "ne", x, y)
+    sw = lambda x, y: mul(alg, "sw", x, y)
+    nw = lambda x, y: mul(alg, "nw", x, y)
+    dot = lambda x, y: mul(alg, "dot", x, y)
     z = zero_vec(alg.dim)
 
     br = lambda x, y: vsub(dot(x, y), dot(y, x))
@@ -388,15 +382,14 @@ def test_bundled_verdicts_are_not_vacuous(monkeypatch):
 # one path
 # ---------------------------------------------------------------------------
 
-def test_identity_checkers_never_multiply_tuples(monkeypatch):
-    """The six checkers, their preconditions included, never call
-    Algebra.mul: each identity is evaluated as whole-tensor equations."""
-    calls = []
-    mul = Algebra.mul
-    monkeypatch.setattr(Algebra, "mul", lambda self, op, x, y: calls.append(op) or mul(self, op, x, y))
-    reports = [check(bundled(doc)) for doc, check in (
+def test_identity_checkers_never_multiply_tuples(scalars_built):
+    """The six checkers, their preconditions included, multiply no tuples of
+    Scalars: each identity is evaluated as whole-tensor equations, and a
+    verdict builds no Scalar."""
+    cases = [(bundled(doc), check) for doc, check in (
         ("sl2_lie", check_lie), ("final_prepp", lambda a: check_pre_lie(a, "dot")),
         ("sl2_postlie", check_post_lie), ("ahat_pp", check_pp_post_lie),
         ("sl2_pp", check_l_dendriform), ("final_prepp", check_pre_pp_post_lie))]
-    assert [r.passed for r in reports] == [True, True, True, True, False, True]
-    assert calls == []
+    scalars_built.clear()
+    assert [check(alg).passed for alg, check in cases] == [True, True, True, True, False, True]
+    assert scalars_built == []

@@ -12,12 +12,9 @@ from postlie import (
     Scalar,
     SingularMatrixError,
     Tensor,
-    basis_vec,
+    einsum,
     sc,
-    vadd,
-    vsub,
 )
-from postlie.linalg import vec
 
 
 def _cofactor_det(m: Matrix) -> Scalar:
@@ -98,21 +95,6 @@ def test_rank_matches_minor_oracle_random():
         assert m.rank() == oracle
 
 
-def test_vadd_folds_from_the_first_vector(monkeypatch):
-    # each coordinate starts from the first vector's entry, not from the int 0
-    add = Scalar.__radd__
-
-    def radd(self, other):
-        if isinstance(other, int):
-            raise AssertionError("%r + %r" % (other, self))
-        return add(self, other)
-    monkeypatch.setattr(Scalar, "__radd__", radd)
-    a, b, c = vec(1, sc(0, 2), sc("1/2")), vec(3, 4, 5), vec(sc(1, 1), 0, -1)
-    assert vadd(a, b, c) == (sc(5, 1), sc(4, 2), sc("9/2"))
-    assert vadd(a) == a
-    assert vadd((), ()) == ()
-
-
 def test_inverse_property_random():
     rng = random.Random(5)
     found = 0
@@ -135,34 +117,21 @@ def test_shape_errors():
     with pytest.raises(LinAlgError):
         Matrix.identity(2).solve(Matrix.identity(3))
     with pytest.raises(LinAlgError):
-        Matrix.identity(2).apply((sc(1),))
+        einsum("ij,j->i", Matrix.identity(2), Tensor((1,), [sc(1)]))
 
 
 def test_apply_and_vectors():
+    # a vector is an (n,) Tensor; a matrix acts on it by einsum
     m = Matrix.from_rows([[sc(0), sc(1)], [sc(1), sc(0)]])
-    assert m.apply((sc(2), sc(3))) == (sc(3), sc(2))
-    assert vadd((sc(1),), (sc(2),)) == (sc(3),)
-    assert vsub((sc(1),), (sc(2),)) == (sc(-1),)
-    assert basis_vec(3, 1) == (sc(0), sc(1), sc(0))
+    assert einsum("ij,j->i", m, Tensor((2,), [sc(2), sc(3)])) == Tensor((2,), [sc(3), sc(2)])
+    assert Tensor((1,), [sc(1)]) + Tensor((1,), [sc(2)]) == Tensor((1,), [sc(3)])
+    assert Tensor((1,), [sc(1)]) - Tensor((1,), [sc(2)]) == Tensor((1,), [sc(-1)])
+    assert Tensor.sparse((3,), {1: sc(1)}).entries == (sc(0), sc(1), sc(0))
 
 
 def test_transpose_dual():
     m = Matrix.from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
     assert m.transpose()[0, 1] == sc(3)
-
-
-def test_kron_row_major_convention():
-    rng = random.Random(6)
-    a = _random_matrix(rng, 2)
-    b = _random_matrix(rng, 2)
-    u = (sc(1), sc(2))
-    v = (sc(3), sc("1/2"))
-    uv = tuple(x * y for x in u for y in v)  # row-major u (x) v
-    lhs = a.kron(b).apply(uv)
-    au = a.apply(u)
-    bv = b.apply(v)
-    rhs = tuple(x * y for x in au for y in bv)
-    assert lhs == rhs
 
 
 def test_zero_dim():

@@ -66,6 +66,7 @@ from postlie import algebra as algebra_mod
 from postlie import forms as forms_mod
 from postlie.bialgebra import COMAP_NAMES
 from postlie.linalg import einsum
+from vectors import basis_vec, mul, ref_kron, vadd, vneg
 
 ZERO = Scalar(0)
 DIMS = (1, 2, 3, 4)
@@ -187,19 +188,18 @@ def ref_cybe(alg, r, c_first, c_mid, c_last, first_slots):
     a_i (x) a_j (x) c_last(b_i, b_j)."""
     n = alg.dim
     out = _zero3(n)
-    e = lambda i: tuple(ONE if j == i else ZERO for j in range(n))
     entries = [(i, j, r[i][j]) for i in range(n) for j in range(n) if r[i][j]]
     for i1, j1, c1 in entries:
         for i2, j2, c2 in entries:
             c = c1 * c2
-            for k, pk in enumerate(c_first(e(i1), e(i2))):
+            for k, pk in enumerate(c_first(basis_vec(n, i1), basis_vec(n, i2))):
                 if pk:
                     s, t = (j1, j2) if first_slots == "ij" else (j2, j1)
                     out[k][s][t] = out[k][s][t] + c * pk
-            for k, pk in enumerate(c_mid(e(j1), e(i2))):
+            for k, pk in enumerate(c_mid(basis_vec(n, j1), basis_vec(n, i2))):
                 if pk:
                     out[i1][k][j2] = out[i1][k][j2] + c * pk
-            for k, pk in enumerate(c_last(e(j1), e(j2))):
+            for k, pk in enumerate(c_last(basis_vec(n, j1), basis_vec(n, j2))):
                 if pk:
                     out[i1][i2][k] = out[i1][i2][k] + c * pk
     return out
@@ -229,7 +229,8 @@ def test_contract_vector_sums_an_axis_away(n):
         for idx in itertools.product(range(n), repeat=3):
             rest = idx[:axis] + idx[axis + 1:]
             expected[rest[0]][rest[1]] += v[idx[axis]] * t[idx[0]][idx[1]][idx[2]]
-        assert _tensor(t, (n, n, n)).contract(axis, v) == _tensor(expected, (n, n))
+        spec = "%s,abc->%s" % ("abc"[axis], "abc".replace("abc"[axis], ""))
+        assert einsum(spec, Tensor((n,), v), _tensor(t, (n, n, n))) == _tensor(expected, (n, n))
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -283,15 +284,13 @@ def test_matrix_product_and_apply_non_square(shape):
         v = tuple(_scalar(rng) for _ in range(inner))
         ma, mb = _tensor(a, (rows, inner)), _tensor(b, (inner, cols))
         assert ma * mb == _tensor(ref_matmul(a, b), (rows, cols))
-        assert ma.apply(v) == ref_apply(a, v)
+        assert einsum("ij,j->i", ma, Tensor((inner,), v)).entries == ref_apply(a, v)
 
 
 def test_shape_errors():
     t = Tensor.zero(2, 2, 2)
     with pytest.raises(LinAlgError):
         t.contract(0, Matrix.zero(2, 3))
-    with pytest.raises(LinAlgError):
-        t.contract(1, (ONE,))
     with pytest.raises(LinAlgError):
         t.permute((0, 0, 1))
     with pytest.raises(LinAlgError):
@@ -302,6 +301,12 @@ def test_shape_errors():
         t[0, 1]
 
 
+def test_contract_rejects_a_tuple():
+    # a vector is an (n,) Tensor, and contract takes only a matrix
+    with pytest.raises(TypeError, match="contract expects a Matrix"):
+        Tensor.zero(2, 2, 2).contract(1, (ONE, ONE))
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_yang_baxter_tensors_match_entry_loops(n):
     rng = random.Random(700 + n)
@@ -309,16 +314,16 @@ def test_yang_baxter_tensors_match_entry_loops(n):
         alg = Algebra(n, ops={op: _tensor(_nested(rng, (n, n, n)), (n, n, n))
                               for op in ("rtri", "ltri", "bracket")})
         r = _nested(rng, (n, n))
-        mul = lambda op: lambda x, y: alg.mul(op, x, y)
-        bullet = lambda x, y: tuple(a - b for a, b in zip(alg.mul("rtri", x, y),
-                                                          alg.mul("ltri", y, x)))
-        circ = lambda x, y: tuple(a + b for a, b in zip(alg.mul("rtri", x, y),
-                                                        alg.mul("ltri", x, y)))
-        br = mul("bracket")
+        product = lambda op: lambda x, y: mul(alg, op, x, y)
+        bullet = lambda x, y: tuple(a - b for a, b in zip(mul(alg, "rtri", x, y),
+                                                          mul(alg, "ltri", y, x)))
+        circ = lambda x, y: tuple(a + b for a, b in zip(mul(alg, "rtri", x, y),
+                                                        mul(alg, "ltri", x, y)))
+        br = product("bracket")
         assert cybe_C(alg, _tensor(r, (n, n))) == _tensor(
             ref_cybe(alg, r, br, br, br, "ij"), (n, n, n))
         assert cybe_D(alg, _tensor(r, (n, n))) == _tensor(
-            ref_cybe(alg, r, mul("ltri"), bullet, circ, "ji"), (n, n, n))
+            ref_cybe(alg, r, product("ltri"), bullet, circ, "ji"), (n, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +347,6 @@ def _dense(rng, shape):
     return [_dense(rng, shape[1:]) for _ in range(shape[0])]
 
 
-def _e(n, i):
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def ref_mul(t, x, y):
     """Bilinear product of nested table t on coordinate vectors."""
     out = [ZERO] * len(t[0][0])
@@ -358,27 +359,19 @@ def ref_mul(t, x, y):
 
 def ref_table(n, mul):
     """The deleted Algebra.op_table_from: mul evaluated on basis pairs."""
-    return [[list(mul(_e(n, i), _e(n, j))) for j in range(n)] for i in range(n)]
-
-
-def ref_vadd(*vs):
-    return tuple(sum(col[1:], col[0]) for col in zip(*vs))
-
-
-def ref_vneg(v):
-    return tuple(-a for a in v)
+    return [[list(mul(basis_vec(n, i), basis_vec(n, j))) for j in range(n)] for i in range(n)]
 
 
 def ref_left_mult(t, x):
     """Matrix of v -> x * v: its column j is x * e_j."""
     n = len(t)
-    cols = [ref_mul(t, x, _e(n, j)) for j in range(n)]
+    cols = [ref_mul(t, x, basis_vec(n, j)) for j in range(n)]
     return [[cols[j][k] for j in range(n)] for k in range(len(cols[0]))]
 
 
 def ref_right_mult(t, x):
     n = len(t)
-    cols = [ref_mul(t, _e(n, j), x) for j in range(n)]
+    cols = [ref_mul(t, basis_vec(n, j), x) for j in range(n)]
     return [[cols[j][k] for j in range(n)] for k in range(len(cols[0]))]
 
 
@@ -406,7 +399,7 @@ def ref_lin(*terms):
 
 def ref_mults(t, left):
     n = len(t)
-    return [(ref_left_mult if left else ref_right_mult)(t, _e(n, i)) for i in range(n)]
+    return [(ref_left_mult if left else ref_right_mult)(t, basis_vec(n, i)) for i in range(n)]
 
 
 def _alg(tables):
@@ -443,22 +436,22 @@ def test_derived_algebras_match_basis_pair_closures(n, unchecked):
     q = lambda op: lambda x, y: ref_mul(t[op], x, y)
     table = lambda mul: _tensor(ref_table(n, mul), (n, n, n))
     assert sub_adjacent_lie(alg).table("bracket") == table(
-        lambda x, y: ref_vadd(o(x, y), ref_vneg(o(y, x)), br(x, y)))
+        lambda x, y: vadd(o(x, y), vneg(o(y, x)), br(x, y)))
     opp = opposite_post_lie(alg)
-    assert opp.table("circ") == table(lambda x, y: ref_vadd(o(x, y), br(x, y)))
+    assert opp.table("circ") == table(lambda x, y: vadd(o(x, y), br(x, y)))
     assert opp.table("bracket") == table(lambda x, y: br(y, x))
     assert horizontal_post_lie(alg, checked=False).table("circ") == table(
-        lambda x, y: ref_vadd(rt(x, y), lt(x, y)))
+        lambda x, y: vadd(rt(x, y), lt(x, y)))
     assert vertical_post_lie(alg, checked=False).table("circ") == table(
-        lambda x, y: ref_vadd(rt(x, y), ref_vneg(lt(y, x))))
+        lambda x, y: vadd(rt(x, y), vneg(lt(y, x))))
     tr = transpose_pp(alg, checked=False)
     assert tr.table("rtri") == alg.table("rtri")
-    assert tr.table("ltri") == table(lambda x, y: ref_vneg(lt(y, x)))
+    assert tr.table("ltri") == table(lambda x, y: vneg(lt(y, x)))
     sub = sub_adjacent_pp(alg, checked=False)
-    assert sub.table("rtri") == table(lambda x, y: ref_vadd(q("se")(x, y), q("ne")(x, y)))
-    assert sub.table("ltri") == table(lambda x, y: ref_vadd(q("sw")(x, y), q("nw")(x, y)))
+    assert sub.table("rtri") == table(lambda x, y: vadd(q("se")(x, y), q("ne")(x, y)))
+    assert sub.table("ltri") == table(lambda x, y: vadd(q("sw")(x, y), q("nw")(x, y)))
     assert sub.table("bracket") == table(
-        lambda x, y: ref_vadd(q("dot")(x, y), ref_vneg(q("dot")(y, x))))
+        lambda x, y: vadd(q("dot")(x, y), vneg(q("dot")(y, x))))
     assert induced_post_lie(alg, _tensor(P, (n, n))).table("circ") == table(
         lambda x, y: br(ref_apply(P, x), y))
 
@@ -481,8 +474,10 @@ def test_adjoint_carriers_match_multiplication_matrices(n):
     assert pp_split_dual_rep(alg) == RepSpec(*(_carriers(c, n, n) for c in split))
     # acting by any vector is the linear combination of the carrier matrices
     x = tuple(_scalar(rng) for _ in range(n))
-    assert pp_adjoint_rep(alg).act("l_lt", x) == _tensor(ref_left_mult(t["ltri"], x), (n, n))
-    assert pp_adjoint_rep(alg).act("r_lt", x) == _tensor(ref_right_mult(t["ltri"], x), (n, n))
+    adj = pp_adjoint_rep(alg)
+    by_x = lambda carrier: einsum("i,iab->ab", Tensor((n,), x), carrier)
+    assert by_x(adj.l_lt) == _tensor(ref_left_mult(t["ltri"], x), (n, n))
+    assert by_x(adj.r_lt) == _tensor(ref_right_mult(t["ltri"], x), (n, n))
 
 
 def ref_dual_pp_rep(rep):
@@ -513,11 +508,11 @@ def ref_block_sum(n, m, products, a_tables, b_tables, on_b, on_a):
             x, u, y, v = xs[:n], xs[n:], ys[:n], ys[n:]
             apart = ref_mul(a_tables[op], x, y)
             bpart = ref_mul(b_tables[op], u, v) if b_tables else (ZERO,) * m
-            bpart = ref_vadd(bpart, ref_apply(ref_combine(on_b[left], x), v),
-                             ref_apply(ref_lin((sign, ref_combine(on_b[right], y))), u))
+            bpart = vadd(bpart, ref_apply(ref_combine(on_b[left], x), v),
+                         ref_apply(ref_lin((sign, ref_combine(on_b[right], y))), u))
             if on_a:
-                apart = ref_vadd(apart, ref_apply(ref_combine(on_a[left], u), y),
-                                 ref_apply(ref_lin((sign, ref_combine(on_a[right], v))), x))
+                apart = vadd(apart, ref_apply(ref_combine(on_a[left], u), y),
+                             ref_apply(ref_lin((sign, ref_combine(on_a[right], v))), x))
             return apart + bpart
         tables[op] = _tensor(ref_table(n + m, mul), (n + m,) * 3)
     return tables
@@ -591,14 +586,14 @@ def test_operator_constructions_match_closures(n, m):
     split = pp_from_dual_p_o(alg, RepSpec(*(_carriers(c, n, m) for c in post_lists)), Tm,
                              checked=False)
     assert split.table("rtri") == table(
-        lambda u, v: ref_vadd(dual_act(l, Tu(u), v), ref_vneg(dual_act(r, Tu(u), v))))
-    assert split.table("ltri") == table(lambda u, v: ref_vneg(dual_act(r, Tu(v), u)))
+        lambda u, v: vadd(dual_act(l, Tu(u), v), vneg(dual_act(r, Tu(u), v))))
+    assert split.table("ltri") == table(lambda u, v: vneg(dual_act(r, Tu(v), u)))
     assert split.table("bracket") == table(lambda u, v: dual_act(rho3, Tu(u), v))
 
     _, r_embedded = hom_embed_r(alg, pp, Tm, checked=False)
     Tt = [[T[i][j] for i in range(n)] for j in range(m)]
     assert r_embedded == Matrix.from_rows(
-        [[ZERO] * n + list(ref_vneg(T[i])) for i in range(n)]
+        [[ZERO] * n + list(vneg(T[i])) for i in range(n)]
         + [Tt[j] + [ZERO] * m for j in range(m)])
 
 
@@ -663,11 +658,12 @@ def test_contract_first_axis_at_basis_vector_is_the_slice(n):
     t = _tensor(_nested(rng, (n, n, n)), (n, n, n))
     m = _tensor(_nested(rng, (n, n)), (n, n))
     for i in range(n):
-        e = _e(n, i)
-        assert t.contract(0, e) == Tensor((n, n), [t[i, j, k] for j in range(n) for k in range(n)])
-        assert m.contract(0, e) == m.row(i)
-        # the slow path on a multiple of e gives the same entries
-        assert t.contract(0, tuple(x * Scalar(2) for x in e)) == t.contract(0, e).scale(Scalar(2))
+        e = Tensor((n,), basis_vec(n, i))
+        slice_t = einsum("i,ijk->jk", e, t)
+        assert slice_t == Tensor((n, n), [t[i, j, k] for j in range(n) for k in range(n)])
+        assert einsum("i,ij->j", e, m).entries == m.row(i)
+        # a multiple of e gives the same entries, scaled
+        assert einsum("i,ijk->jk", e.scale(2), t) == slice_t.scale(Scalar(2))
 
 
 def ref_form(B, x, y):
@@ -690,7 +686,7 @@ def test_products_from_a_form_match_basis_closures(n):
     alg, B = _alg(t), _invertible(rng, n)
     Bm = _tensor(B, (n, n))
     o = lambda x, y: ref_mul(t["circ"], x, y)
-    e = [_e(n, i) for i in range(n)]
+    e = [basis_vec(n, i) for i in range(n)]
 
     def solved(rhs):
         """The table c with B(e_i * e_j, e_k) = rhs(e_i, e_j, e_k)."""
@@ -701,7 +697,7 @@ def test_products_from_a_form_match_basis_closures(n):
 
     split = compatible_pp_from_gph(alg, Bm, checked=False)
     assert split.table("rtri") == solved(
-        lambda x, y, z: -ref_form(B, y, ref_vadd(o(x, z), ref_vneg(o(z, x)))))
+        lambda x, y, z: -ref_form(B, y, vadd(o(x, z), vneg(o(z, x)))))
     assert split.table("ltri") == solved(lambda x, y, z: ref_form(B, x, o(z, y)))
     assert bullet_from_gph(alg, Bm, checked=False).table("circ") == solved(
         lambda x, y, z: -ref_form(B, y, o(x, z)))
@@ -829,13 +825,6 @@ def ref_contract(ref, axis, other):
     return out, tuple(values)
 
 
-def ref_kron(a, b):
-    (ra, ca), ea = a
-    (rb, cb), eb = b
-    return (ra * rb, ca * cb), tuple(ea[i * ca + j] * eb[p * cb + q] for i in range(ra)
-                                     for p in range(rb) for j in range(ca) for q in range(cb))
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_tensor_ops_match_scalar_tuples(seed):
     rng = random.Random(1800 + seed)
@@ -857,12 +846,10 @@ def test_tensor_ops_match_scalar_tuples(seed):
             p = rng.randint(0, 4)
             m = _ref(rng, (p, shape[axis]))
             v = _ref(rng, (shape[axis],))[1]
-            for other, ref_other in ((Tensor(*m), m), (v, v)):
-                got, want = ta.contract(axis, other), ref_contract(a, axis, ref_other)
-                if len(want[0]) == 1:       # a result with one axis is a vector
-                    assert got == want[1]
-                else:
-                    _same(got, want)
+            _same(ta.contract(axis, Tensor(*m)), ref_contract(a, axis, m))
+            labels = "abc"[:len(shape)]
+            spec = "%s,%s->%s" % (labels[axis], labels, labels.replace(labels[axis], ""))
+            _same(einsum(spec, Tensor((shape[axis],), v), ta), ref_contract(a, axis, v))
         assert ta.reshape(len(a[1])).entries == a[1]
 
 
@@ -884,8 +871,10 @@ def test_blocks_embed_and_kron_match_scalar_tuples(seed):
             parts = [(first, (0,) * order), (second, (1,) + (0,) * (order - 1))]
             _same(Tensor.blocks(whole, [(Tensor(*r), o) for r, o in parts]),
                   ref_blocks(whole, parts))
-        a, b = _ref(rng, _shape(rng, 2)), _ref(rng, _shape(rng, 2))
-        _same(Tensor(*a).kron(Tensor(*b)), ref_kron(a, b))
+        # the row-major Kronecker product u ox v -> au ox bv as einsum
+        a, b = Tensor(*_ref(rng, _shape(rng, 2))), Tensor(*_ref(rng, _shape(rng, 2)))
+        want = ref_kron(a, b)
+        _same(einsum("ij,pq->ipjq", a, b).reshape(*want.shape), (want.shape, want.entries))
 
 
 @pytest.mark.parametrize("seed", range(6))
