@@ -17,27 +17,27 @@ pre-pp-post-Lie) are such lists over the structure tables: the identities
 are multilinear, so they hold everywhere if they hold on every tuple of
 basis vectors, and a nested product such as (x * y) o z is one einsum of
 two tables whose index axes run over those tuples.  _sweep adds the terms
-of lhs - rhs into one Gaussian-integer accumulator (linalg._accumulate),
-counts one instance per index tuple, and evaluates the sides and builds
-Scalars only for the witnesses a report keeps, when they are first read.
+of lhs - rhs into one Gaussian-integer accumulator (linalg._combine),
+counts one instance per index tuple, and returns an immutable CheckReport
+whose witnesses evaluate the sides and build Scalars only when first read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .linalg import LinAlgError, Matrix, Tensor, _accumulate, _size, einsum
+from .linalg import LinAlgError, Matrix, Tensor, _combine, _make, _size
 
 __all__ = [
     "OPERATION_NAMES",
     "Algebra",
     "CheckReport",
     "Violation",
+    "Witness",
     "PreconditionError",
     "UnknownOperationError",
     "MAX_VIOLATIONS",
@@ -151,32 +151,35 @@ class Violation:
     rhs: tuple
 
 
-@dataclass
-class CheckReport:
-    """A verdict, its instance count and its first violations.  A checker's
-    report keeps a builder per violation until violations is first read, so
-    reading passed, checked or name builds no Scalar."""
+class Witness(NamedTuple):
+    """One violation before its sides are evaluated: sides() gives (lhs, rhs)."""
+    identity: str
+    indices: tuple
+    sides: Callable
 
-    passed: bool
-    violations: list
-    checked: int = 0
-    name: str = ""
+
+@dataclass(frozen=True, eq=False)
+class CheckReport:
+    """A verdict, its instance count and the witnesses of its first
+    violations, sorted by (identity, indices).  The sides of a witness are
+    evaluated when violations is first read, so reading passed, checked or
+    name builds no Scalar.  Reports are not compared by value: a witness
+    holds a function."""
+
+    name: str
+    checked: int
+    witnesses: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
     def __bool__(self):
         return self.passed
 
-    def __getattr__(self, attr):
-        # reached only while violations is unset: build them from the pairs
-        if attr != "violations" or "_pending" not in self.__dict__:
-            raise AttributeError(attr)
-        self.violations = [build() for _, build in self._pending]
-        del self._pending
-        return self.violations
-
-    def _witnesses(self) -> list:
-        """The ((identity, indices), build) pair of each violation, building none."""
-        return self.__dict__.get("_pending") or [((v.identity, v.indices), lambda v=v: v)
-                                                 for v in self.violations]
+    @cached_property
+    def violations(self) -> list:
+        return [Violation(w.identity, w.indices, *w.sides()) for w in self.witnesses]
 
     def render(self, limit=None) -> str:
         lines = ["%s: %s (%d instances checked)" % (
@@ -212,7 +215,7 @@ class Term(NamedTuple):
     coef: int = 1
 
     def __neg__(self):
-        return self._replace(coef=-self.coef)
+        return Term(self.spec, self.operands, -self.coef)
 
 
 def term(spec: str, *operands) -> Term:
@@ -224,88 +227,56 @@ class Identity(NamedTuple):
     index: str              # labels of the index axes
     lhs: tuple
     rhs: tuple = ()         # no terms: zero
-    witness: Callable = None  # index tuple -> (lhs, rhs), replacing the two slices
 
 
-def _side(terms) -> Tensor:
-    """The Tensor sum of terms."""
-    first, *rest = (einsum(t.spec, *t.operands).scale(t.coef) for t in terms)
-    return sum(rest, first)
+def _side(terms, shape=None) -> Tensor:
+    """The Tensor sum of terms, or the zero Tensor of shape for none."""
+    return _make(*_combine(terms)) if terms else Tensor.zero(*shape)
 
 
 def _evaluate(identity: Identity, limit: int):
-    """The instance count of one identity and, for the first `limit` index
-    tuples where its two sides differ, in index order, (index tuple,
-    function building its Violation).  Over the lcm L of the terms'
-    denominators d, each the product of its operands', every term adds
-    sign * coef * L / d times its numerators into one pair of dicts."""
+    """The instance count of one identity and the Witnesses of the first
+    `limit` index tuples where its two sides differ, in index order.
+    lhs - rhs is one integer accumulation (linalg._combine); the two sides
+    are evaluated apart only when a witness is first read."""
     k = len(identity.index)
-    terms = [(t, 1) for t in identity.lhs] + [(t, -1) for t in identity.rhs]
-    for t, _ in terms:
+    terms = [*identity.lhs, *(-t for t in identity.rhs)]
+    for t in terms:
         if not t.spec.partition("->")[2].startswith(identity.index):
             raise ValueError("term %r does not lead with the index labels %r"
                              % (t.spec, identity.index))
-    dens = [_size(x.den for x in t.operands) for t, _ in terms]
-    common = reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
-    re, im = {}, {}
-    shapes = {_accumulate(t.spec, t.operands, re, im, sign * t.coef * (common // d))
-              for (t, sign), d in zip(terms, dens)}
-    if len(shapes) != 1:
-        raise ValueError("the terms of %r differ in shape" % identity.name)
-    shape, = shapes
+    shape, _, re, im = _combine(terms)
     width = _size(shape[k:])         # the entries of one value
     sides = []
 
-    def build(at, idx):
-        if identity.witness is not None:
-            return Violation(identity.name, idx, *identity.witness(idx))
+    def at(offset):
         if not sides:
-            sides.extend(_side(s) if s else Tensor.zero(*shape)
-                         for s in (identity.lhs, identity.rhs))
-        return Violation(identity.name, idx, *(tuple(side._at(f) for f in range(
-            at * width, (at + 1) * width)) for side in sides))
+            sides.extend(_side(s, shape) for s in (identity.lhs, identity.rhs))
+        return tuple(tuple(side._at(f) for f in range(offset * width, (offset + 1) * width))
+                     for side in sides)
 
     found = []
-    for at in sorted({f // width for d in (re, im) for f, v in d.items() if v})[:limit]:
-        idx = tuple(at // _size(shape[p + 1:k]) % shape[p] for p in range(k))
-        found.append((idx, lambda at=at, idx=idx: build(at, idx)))
+    for offset in sorted({f // width for d in (re, im) for f in d})[:limit]:
+        idx = tuple(offset // _size(shape[p + 1:k]) % shape[p] for p in range(k))
+        found.append(Witness(identity.name, idx, lambda offset=offset: at(offset)))
     return _size(shape[:k]), found
 
 
-def _collect(identities=(), nested=(), per_identity=None):
-    """The instance count of the identities and nested reports, and the
-    ((identity, indices), build) pairs of their first MAX_VIOLATIONS
-    violations in that order, at most per_identity from each identity.
-
-    nested holds (prefix, report) pairs; each witness of a nested report is
-    renamed prefix.identity.
-    """
-    found = []
-    checked = 0
-    for prefix, report in nested:
-        checked += report.checked
-        for (name, idx), build in report._witnesses():
-            name = prefix + "." + name
-            found.append(((name, idx), lambda build=build, name=name: dataclasses.replace(
-                build(), identity=name)))
+def _sweep(name, identities=(), nested=(), per_identity=None) -> CheckReport:
+    """The report of the identities and the nested reports: their instance
+    count and the witnesses of their first MAX_VIOLATIONS violations, at
+    most per_identity from each identity.  nested holds (prefix, report)
+    pairs; each witness of a nested report is renamed prefix.identity."""
+    found = [w._replace(identity=prefix + "." + w.identity)
+             for prefix, report in nested for w in report.witnesses]
+    checked = sum(report.checked for _, report in nested)
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
     for identity in identities:
-        count, bad = _evaluate(identity, limit)
+        count, witnesses = _evaluate(identity, limit)
         checked += count
-        found.extend(((identity.name, idx), build) for idx, build in bad)
-    found.sort(key=lambda item: item[0])
-    return found[:MAX_VIOLATIONS], checked
-
-
-def _report(name, witnesses, checked) -> CheckReport:
-    """The report of _collect's pairs; its violations are built when first read."""
-    report = CheckReport.__new__(CheckReport)
-    report.__dict__.update(passed=not witnesses, checked=checked, name=name, _pending=witnesses)
-    return report
-
-
-def _sweep(name, identities=(), nested=()) -> CheckReport:
-    return _report(name, *_collect(identities, nested))
+        found += witnesses
+    found.sort(key=lambda w: w[:2])
+    return CheckReport(name, checked, tuple(found[:MAX_VIOLATIONS]))
 
 
 def _require(report: CheckReport, message: str):
@@ -350,8 +321,8 @@ def _right(a: Tensor, b: Tensor, args: str) -> Term:
     return term("%s%sm,%sml->ijkl" % (q, r, p), b, a)
 
 
-def LIE_IDENTITIES(alg: Algebra, op="bracket"):
-    br = alg.table(op)
+def LIE_IDENTITIES(alg: Algebra):
+    br = alg.table("bracket")
     return [
         Identity("lie.antisym", "ij", [term("ijl->ijl", br), term("jil->ijl", br)]),
         Identity("lie.jacobi", "ijk",
@@ -365,8 +336,8 @@ def PRE_LIE_IDENTITIES(alg: Algebra, op="circ"):
                      [_left(o, o, "jik"), -_right(o, o, "jik")])]
 
 
-def POST_LIE_IDENTITIES(alg: Algebra, circ="circ", bracket="bracket"):
-    o, br = alg.table(circ), alg.table(bracket)
+def POST_LIE_IDENTITIES(alg: Algebra):
+    o, br = alg.table("circ"), alg.table("bracket")
     curly = o - _swap(o) + br
     return [
         Identity("postlie.1", "ijk", [_right(o, br, "ijk")],
@@ -376,8 +347,8 @@ def POST_LIE_IDENTITIES(alg: Algebra, circ="circ", bracket="bracket"):
     ]
 
 
-def PP_IDENTITIES(alg: Algebra, rtri="rtri", ltri="ltri", bracket="bracket"):
-    rt, lt, br = alg.table(rtri), alg.table(ltri), alg.table(bracket)
+def PP_IDENTITIES(alg: Algebra):
+    rt, lt, br = (alg.table(op) for op in ("rtri", "ltri", "bracket"))
     circ = rt + lt                  # x |> y + x <| y
     bullet = rt - _swap(lt)         # x |> y - y <| x
     lt_sym = lt + _swap(lt)         # x <| y + y <| x
@@ -398,8 +369,8 @@ def PP_IDENTITIES(alg: Algebra, rtri="rtri", ltri="ltri", bracket="bracket"):
     ]
 
 
-def L_DENDRIFORM_IDENTITIES(alg: Algebra, rtri="rtri", ltri="ltri"):
-    rt, lt = alg.table(rtri), alg.table(ltri)
+def L_DENDRIFORM_IDENTITIES(alg: Algebra):
+    rt, lt = alg.table("rtri"), alg.table("ltri")
     circ = rt + lt
     return [
         Identity("ldend.1", "ijk", [_left(lt, rt - _swap(lt), "ijk")],
@@ -455,9 +426,9 @@ def PRE_PP_IDENTITIES(alg: Algebra):
 # checkers
 # ---------------------------------------------------------------------------
 
-def check_lie(alg: Algebra, op="bracket") -> CheckReport:
-    alg.require(op)
-    return _sweep("lie", LIE_IDENTITIES(alg, op))
+def check_lie(alg: Algebra) -> CheckReport:
+    alg.require("bracket")
+    return _sweep("lie", LIE_IDENTITIES(alg))
 
 
 def check_pre_lie(alg: Algebra, op="circ") -> CheckReport:
@@ -465,21 +436,21 @@ def check_pre_lie(alg: Algebra, op="circ") -> CheckReport:
     return _sweep("pre-lie", PRE_LIE_IDENTITIES(alg, op))
 
 
-def check_post_lie(alg: Algebra, circ="circ", bracket="bracket") -> CheckReport:
-    alg.require(circ, bracket)
-    _require(check_lie(alg, bracket), "operation %r is not a Lie bracket" % bracket)
-    return _sweep("post-lie", POST_LIE_IDENTITIES(alg, circ, bracket))
+def check_post_lie(alg: Algebra) -> CheckReport:
+    alg.require("circ", "bracket")
+    _require(check_lie(alg), "operation 'bracket' is not a Lie bracket")
+    return _sweep("post-lie", POST_LIE_IDENTITIES(alg))
 
 
-def check_pp_post_lie(alg: Algebra, rtri="rtri", ltri="ltri", bracket="bracket") -> CheckReport:
-    alg.require(rtri, ltri, bracket)
-    _require(check_lie(alg, bracket), "operation %r is not a Lie bracket" % bracket)
-    return _sweep("pp-post-lie", PP_IDENTITIES(alg, rtri, ltri, bracket))
+def check_pp_post_lie(alg: Algebra) -> CheckReport:
+    alg.require("rtri", "ltri", "bracket")
+    _require(check_lie(alg), "operation 'bracket' is not a Lie bracket")
+    return _sweep("pp-post-lie", PP_IDENTITIES(alg))
 
 
-def check_l_dendriform(alg: Algebra, rtri="rtri", ltri="ltri") -> CheckReport:
-    alg.require(rtri, ltri)
-    return _sweep("l-dendriform", L_DENDRIFORM_IDENTITIES(alg, rtri, ltri))
+def check_l_dendriform(alg: Algebra) -> CheckReport:
+    alg.require("rtri", "ltri")
+    return _sweep("l-dendriform", L_DENDRIFORM_IDENTITIES(alg))
 
 
 def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
@@ -493,20 +464,20 @@ def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def sub_adjacent_lie(alg: Algebra, circ="circ", bracket="bracket") -> Algebra:
+def sub_adjacent_lie(alg: Algebra) -> Algebra:
     """Lie algebra with {x,y} = x o y - y o x + [x,y]."""
-    _require(check_post_lie(alg, circ, bracket), "not a post-Lie algebra")
-    c = alg.table(circ)
+    _require(check_post_lie(alg), "not a post-Lie algebra")
+    c = alg.table("circ")
     return Algebra(alg.dim, alg.field, alg.basis,
-                   {"bracket": c - _swap(c) + alg.table(bracket)})
+                   {"bracket": c - _swap(c) + alg.table("bracket")})
 
 
-def opposite_post_lie(alg: Algebra, circ="circ", bracket="bracket") -> Algebra:
+def opposite_post_lie(alg: Algebra) -> Algebra:
     """x * y = x o y + [x,y] over the opposite bracket."""
-    _require(check_post_lie(alg, circ, bracket), "not a post-Lie algebra")
-    b = alg.table(bracket)
+    _require(check_post_lie(alg), "not a post-Lie algebra")
+    b = alg.table("bracket")
     return Algebra(alg.dim, alg.field, alg.basis,
-                   {"circ": alg.table(circ) + b, "bracket": _swap(b)})
+                   {"circ": alg.table("circ") + b, "bracket": _swap(b)})
 
 
 def _require_pp(alg: Algebra):

@@ -36,8 +36,6 @@ from .algebra import (
     PreconditionError,
     Term,
     UnknownOperationError,
-    _collect,
-    _report,
     _require_cube,
     _require_shape,
     _side,
@@ -47,7 +45,7 @@ from .algebra import (
     term,
 )
 from .forms import LEFT, PPRepSpec, check_o_operator_pp, pp_adjoint_rep, pp_coadjoint_rep
-from .linalg import Matrix, Tensor, einsum
+from .linalg import LinAlgError, Matrix, Tensor, einsum
 from .scalars import ONE
 
 __all__ = [
@@ -83,12 +81,14 @@ class CoalgebraSpec:
     comaps: Mapping = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
+        basis = tuple(self.basis) or tuple("e%d" % (i + 1) for i in range(self.dim))
+        if len(basis) != self.dim:
+            raise LinAlgError("basis names do not match dimension")
         for name, table in self.comaps.items():
             if name not in COMAP_NAMES:
                 raise UnknownOperationError("unknown comap %r" % name)
             _require_cube(table, self.dim, "comap")
-        object.__setattr__(self, "basis",
-                           tuple(self.basis) or tuple("e%d" % (i + 1) for i in range(self.dim)))
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "comaps", MappingProxyType(dict(self.comaps)))
 
     def has(self, name: str) -> bool:
@@ -411,7 +411,7 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     ]
     # one witness per condition, its least, so the cap cannot hide a
     # failing equation
-    return _report("quasitriangular", *_collect(identities, per_identity=1))
+    return _sweep("quasitriangular", identities, per_identity=1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +425,5 @@ def operator_form_check(alg: Algebra, r: Matrix) -> CheckReport:
     if not r.is_antisymmetric():
         raise PreconditionError("r is not antisymmetric")
     rep = pp_coadjoint_rep(alg)
-    report = check_o_operator_pp(alg, rep, r.transpose(), checked=False)
-    report.name = "operator-form"   # not dataclasses.replace, which builds the violations
-    return report
+    return dataclasses.replace(check_o_operator_pp(alg, rep, r.transpose(), checked=False),
+                               name="operator-form")

@@ -253,21 +253,15 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
     if post_lie.passed:
         nested.append(("manin.gph", check_gph(out, form, checked=False)))
     # closure of the two halves (true by construction; validated anyway): a
-    # product of two basis vectors of one half has no part in the other; a
-    # product leaving its half is reported whole against an empty rhs
-    # per half: its name, the embedding of its basis, the projection onto
-    # the other half and its first index
+    # product of two basis vectors of one half has no part in the other, so
+    # that part, over all 2n basis vectors, must vanish.  Per half: its name,
+    # the embedding of its basis and the projection onto the other half
     eye = Matrix.identity(n)
     halves = [(name, Tensor.blocks((2 * n, n), [(eye, (start, 0))]),
-               Tensor.blocks((2 * n, 2 * n), [(eye, (n - start, n - start))]), start)
+               Tensor.blocks((2 * n, 2 * n), [(eye, (n - start, n - start))]))
               for name, start in (("manin.closure-a", 0), ("manin.closure-b", n))]
-    closure = []
-    for op in ("circ", "bracket"):
-        table = out.table(op)
-        for name, embed, other, start in halves:
-            closure.append(Identity(
-                name, "ij", [term("ai,bj,abc,kc->ijk", embed, embed, table, other)],
-                witness=lambda idx, t=table, s=start: (t.row(idx[0] + s, idx[1] + s), ())))
+    closure = [Identity(name, "ij", [term("ai,bj,abc,kc->ijk", e, e, out.table(op), other)])
+               for op in ("circ", "bracket") for name, e, other in halves]
     return out, form, _sweep("manin-triple", closure, nested)
 
 

@@ -592,6 +592,24 @@ def _accumulate(spec: str, operands, re: dict, im: dict, scale: int = 1) -> tupl
     return shape
 
 
+def _combine(terms) -> tuple:
+    """(shape, den, re, im) of the sum of the (spec, operands, coef) terms
+    coef * einsum(spec, *operands): den is the lcm of the terms'
+    denominators, each the product of its operands', and every term adds
+    coef * den / (its denominator) times its numerators into one pair of
+    {offset: int} dicts, returned without their zeros (not reduced)."""
+    dens = [_size(t.den for t in operands) for _, operands, _ in terms]
+    den = 1
+    for d in dens:
+        den = den * d // gcd(den, d)
+    re, im = {}, {}
+    shapes = [_accumulate(spec, operands, re, im, coef * (den // d))
+              for (spec, operands, coef), d in zip(terms, dens)]
+    if shapes.count(shapes[0]) != len(shapes):
+        raise LinAlgError("einsum terms differ in shape")
+    return shapes[0], den, _nonzero(re), _nonzero(im)
+
+
 def einsum(spec: str, *operands) -> Tensor:
     """Exact Einstein summation over Tensors, e.g. einsum("ij,jk->ik", a, b).
 
@@ -600,6 +618,4 @@ def einsum(spec: str, *operands) -> Tensor:
     repeated within one operand takes its diagonal; a label missing from
     the output is summed.
     """
-    re, im = {}, {}
-    shape = _accumulate(spec, operands, re, im)
-    return _make(shape, _size(t.den for t in operands), _nonzero(re), _nonzero(im))
+    return _make(*_combine([(spec, operands, 1)]))

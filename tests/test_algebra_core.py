@@ -19,6 +19,7 @@ from postlie import (
     check_l_dendriform,
     check_lie,
     check_post_lie,
+    check_pp_coalgebra,
     check_pp_post_lie,
     check_pre_lie,
     check_pre_pp_post_lie,
@@ -629,8 +630,12 @@ def test_reading_the_verdict_builds_no_witness(sl2_pp, request):
     upper = {(i, j): _random_vec(rng, 1)[0] for i in range(3) for j in range(i + 1, 3)}
     r = Tensor((3, 3), [upper[i, j] if i < j else -upper[j, i] if j < i else ZERO
                         for i in range(3) for j in range(3)])
+    # a comultiplication whose dual bracket is the mutant's is not co-Lie
+    zero = Tensor.zero(9, 9, 9)
+    not_colie = CoalgebraSpec(9, comaps={"delta_rtri": zero, "delta_ltri": zero,
+                                         "Delta": mutant.table("bracket").permute((2, 0, 1))})
     checks = [lambda: check_lie(mutant), lambda: check_pppcybe(sl2_pp, r),
-              lambda: operator_form_check(sl2_pp, r)]
+              lambda: operator_form_check(sl2_pp, r), lambda: check_pp_coalgebra(not_colie)]
     # the witnesses of a report read at once, as an eager report builds them
     expected = [make().violations for make in checks]
     assert expected[1][0] == Violation("cybe.c", (), cybe_C(sl2_pp, r).entries, (ZERO,) * 27)
@@ -638,11 +643,14 @@ def test_reading_the_verdict_builds_no_witness(sl2_pp, request):
     for make, want in zip(checks, expected):
         report = make()
         assert not report.passed and not report and report.checked > 0 and report.name
+        renamed = dataclasses.replace(report, name="renamed")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.name = "renamed"
         assert built == []
         assert report.violations == want != []
         # one Scalar per nonzero witness entry, as before
         assert len(built) == sum(1 for v in want for s in v.lhs + v.rhs if s)
-        assert dataclasses.replace(report, name="renamed").violations == want
+        assert renamed.violations == want
         built.clear()
 
 
@@ -660,14 +668,20 @@ def _random_tensor(rng, shape, den):
                           if rng.random() < 0.5 else ZERO for _ in range(size)])
 
 
-def _reference(identity):
-    """The instance count and every violation of identity, each side summed
-    term by term as Tensors (einsum, scale, +) and compared entry by entry."""
-    k = len(identity.index)
+def _reference_sides(identity):
+    """Each side of identity summed term by term as Tensors (einsum, scale, +)."""
     first = (identity.lhs or identity.rhs)[0]
     shape = einsum(first.spec, *first.operands).shape
-    lhs, rhs = (sum((einsum(t.spec, *t.operands).scale(Scalar(t.coef)) for t in side),
-                    Tensor.zero(*shape)) for side in (identity.lhs, identity.rhs))
+    return tuple(sum((einsum(t.spec, *t.operands).scale(Scalar(t.coef)) for t in side),
+                     Tensor.zero(*shape)) for side in (identity.lhs, identity.rhs))
+
+
+def _reference(identity):
+    """The instance count and every violation of identity, its two
+    reference sides compared entry by entry."""
+    k = len(identity.index)
+    lhs, rhs = _reference_sides(identity)
+    shape = lhs.shape
     values = list(itertools.product(*map(range, shape[k:])))
     tuples = list(itertools.product(*map(range, shape[:k])))
     found = []
@@ -719,6 +733,10 @@ def test_accumulation_matches_a_tensor_sum_per_term(seed):
         count, found = algebra._evaluate(identity, 10 ** 9)
         want_count, want = _reference(identity)
         assert count == want_count, identity.name
-        assert [build() for _, build in found] == want, identity.name
+        assert [Violation(w.identity, w.indices, *w.sides()) for w in found] == want, \
+            identity.name
         # entries that cancel exactly are no violations
-        assert [idx for idx, _ in found] == failing, identity.name
+        assert [w.indices for w in found] == failing, identity.name
+        lhs, rhs = _reference_sides(identity)
+        assert algebra._side(identity.lhs, lhs.shape) == lhs, identity.name
+        assert algebra._side(identity.rhs, rhs.shape) == rhs, identity.name

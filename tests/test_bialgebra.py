@@ -6,6 +6,7 @@ import pytest
 from postlie import (
     Algebra,
     CoalgebraSpec,
+    LinAlgError,
     Matrix,
     PreconditionError,
     Scalar,
@@ -82,6 +83,12 @@ def test_dualize_index_shuffle(final_cobrackets):
 # ---------------------------------------------------------------------------
 # coalgebras
 # ---------------------------------------------------------------------------
+
+def test_coalgebra_refuses_a_basis_of_the_wrong_length():
+    with pytest.raises(LinAlgError, match="basis names do not match dimension"):
+        CoalgebraSpec(2, basis=("a",))
+    assert CoalgebraSpec(2, basis=("a", "b")).basis == ("a", "b")
+
 
 def test_lie_coalgebra_zero():
     assert check_lie_coalgebra(_zero_coalgebra(3, ("Delta",))).passed

@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -39,7 +40,7 @@ from postlie import (
     dualize,
     horizontal_post_lie,
 )
-from postlie.algebra import CheckReport, Violation
+from postlie.algebra import Violation
 from postlie.bialgebra import COMAP_NAMES
 from postlie.construct import MatchedPairMaps
 from postlie.forms import LEFT, PPRepSpec, RepSpec, dual_map, pp_adjoint_rep
@@ -74,9 +75,17 @@ def ref_collect(families=(), nested=()):
     return violations, checked
 
 
+class RefReport(NamedTuple):
+    """A reference report as a plain record."""
+    name: str
+    checked: int
+    passed: bool
+    violations: list
+
+
 def ref_report(name, violations, checked):
     violations.sort(key=lambda v: (v.identity, v.indices))
-    return CheckReport(not violations, violations, checked, name)
+    return RefReport(name, checked, not violations, violations)
 
 
 def ref_sweep(name, families=(), nested=()):
@@ -360,14 +369,17 @@ def ref_matched_pair(a, b, maps):
 
 
 def ref_manin_closure(out, n):
+    """Each product of two basis vectors of one half, its own half zeroed,
+    against zero."""
     e = [basis_vec(2 * n, i) for i in range(2 * n)]
+    zero = (ZERO,) * (2 * n)
 
     def closure(i, j):
         for op in ("circ", "bracket"):
             prod = mul(out, op, e[i], e[j])
-            yield "manin.closure-a", prod if any(prod[n:]) else (), ()
+            yield "manin.closure-a", zero[n:] + prod[n:], zero
             prod = mul(out, op, e[n + i], e[n + j])
-            yield "manin.closure-b", prod if any(prod[:n]) else (), ()
+            yield "manin.closure-b", prod[:n] + zero[n:], zero
     return [((n, n), closure)]
 
 
@@ -967,7 +979,10 @@ def test_manin_closure_witnesses_match_reference(monkeypatch):
         ("manin.closure-a", (0, 1), (ZERO, Scalar(3))),
         ("manin.closure-a", (1, 0), (ZERO, ZERO)),
         ("manin.closure-b", (0, 1), (ZERO, ZERO))]
-    assert all(v.rhs == () and len(v.lhs) == 12 for v in closure)
+    # the product's part in the other half must vanish
+    assert all(v.rhs == (ZERO,) * 12 and len(v.lhs) == 12 for v in closure)
+    assert all(not any(v.lhs[:6] if v.identity.endswith("-a") else v.lhs[6:])
+               for v in closure)
 
 
 # ---------------------------------------------------------------------------

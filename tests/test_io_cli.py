@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from postlie import (
@@ -455,6 +457,9 @@ def test_cli_corpus_verify_reports_known_state(capsys):
         assert "%s: PASS" % name in out
     assert "A3: FAIL" in out
     assert "first failing criterion: A3" in out
+    # the whole output: the digest benchmarks/workloads.py records as VERIFY_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "636a42387685c71f9d830cf9de9d4830e03326c3bb7fd2abbbd5e49129bf28de")
 
 
 def test_corpus_verify_mutated_P(tmp_path):
