@@ -162,9 +162,9 @@ class Witness(NamedTuple):
 class CheckReport:
     """A verdict, its instance count and the witnesses of its first
     violations, sorted by (identity, indices).  The sides of a witness are
-    evaluated when violations is first read, so reading passed, checked or
-    name builds no Scalar.  Reports are not compared by value: a witness
-    holds a function."""
+    evaluated when violations is first read or render prints the witness,
+    so reading passed, checked or name builds no Scalar.  Reports are not
+    compared by value: a witness holds a function."""
 
     name: str
     checked: int
@@ -178,23 +178,25 @@ class CheckReport:
         return self.passed
 
     @cached_property
-    def violations(self) -> list:
-        return [Violation(w.identity, w.indices, *w.sides()) for w in self.witnesses]
+    def violations(self) -> tuple:
+        return tuple(Violation(w.identity, w.indices, *w.sides()) for w in self.witnesses)
 
     def render(self, limit=None) -> str:
+        """The verdict line and the first `limit` witnesses (all for None);
+        only the printed witnesses have their sides evaluated."""
         lines = ["%s: %s (%d instances checked)" % (
             self.name or "check", "PASS" if self.passed else "FAIL", self.checked)]
-        shown = self.violations if limit is None else self.violations[:limit]
-        for v in shown:
-            idx = ",".join(str(i + 1) for i in v.indices)
+        shown = self.witnesses if limit is None else self.witnesses[:limit]
+        for w in shown:
+            lhs, rhs = w.sides()
             lines.append(
                 "  %s at basis (%s): lhs = (%s), rhs = (%s)"
-                % (v.identity, idx,
-                   ", ".join(str(s) for s in v.lhs),
-                   ", ".join(str(s) for s in v.rhs))
+                % (w.identity, ",".join(str(i + 1) for i in w.indices),
+                   ", ".join(str(s) for s in lhs),
+                   ", ".join(str(s) for s in rhs))
             )
-        if limit is not None and len(self.violations) > limit:
-            lines.append("  ... %d more" % (len(self.violations) - limit))
+        if limit is not None and len(self.witnesses) > limit:
+            lines.append("  ... %d more" % (len(self.witnesses) - limit))
         return "\n".join(lines)
 
 

@@ -11,6 +11,7 @@ Set POSTLIE_VERBOSE to control how many witnesses a failing check prints
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -46,6 +47,10 @@ def _load(path) -> Document:
         raise UsageError("no such file: %s" % path)
     except DocumentError as exc:
         raise UsageError("%s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s: not UTF-8 text at byte %d" % (path, exc.start))
+    except OSError as exc:      # a directory, or a file we may not read
+        raise UsageError("%s: %s" % (path, exc.strerror or exc))
 
 
 def _algebra(path) -> Algebra:
@@ -89,6 +94,13 @@ def _post_lie_rep(alg: Algebra, which: str | None):
         horiz = alg_mod.horizontal_post_lie(alg, checked=False)
         return horiz, forms.pp_split_dual_rep(alg)
     raise UsageError("unknown post-Lie representation %r" % which)
+
+
+def _path(text: str) -> str:
+    """A path argument; open() cannot take one with a NUL in it."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path cannot contain a NUL character")
+    return text
 
 
 def _report_exit(report: CheckReport) -> int:
@@ -274,8 +286,11 @@ def cmd_derive(args) -> int:
         return 1
     text = dumps(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("%s: %s" % (args.output, exc.strerror or exc))
     else:
         sys.stdout.write(text)
     return 0
@@ -298,7 +313,11 @@ def cmd_corpus(args) -> int:
     if args.action == "write":
         if not args.name:
             raise UsageError("corpus write needs a directory")
-        for path in write_corpus(args.name):
+        try:
+            paths = write_corpus(args.name)
+        except OSError as exc:      # a file in the way, or a directory we may not write
+            raise UsageError("%s: %s" % (exc.filename or args.name, exc.strerror or exc))
+        for path in paths:
             print(path)
         return 0
     if args.action == "verify":
@@ -313,7 +332,10 @@ def cmd_corpus(args) -> int:
     raise UsageError("unknown corpus action %r" % args.action)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main()
+    call in the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="postlie",
         description="Exact checks and constructions for post-Lie algebras, "
@@ -322,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check", help="run an axiom or compatibility checker")
     p_check.add_argument("kind", choices=CHECK_KINDS)
-    p_check.add_argument("files", nargs="*")
+    p_check.add_argument("files", nargs="*", type=_path)
     p_check.add_argument("--rep", help="representation to build from the algebra "
                                        "(adjoint, coadjoint, split-dual, quarter)")
     p_check.add_argument("--weight", help="Rota-Baxter weight (default 1)")
@@ -331,15 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derive = subs.add_parser("derive", help="run a construction and emit a document")
     p_derive.add_argument("kind", choices=DERIVE_KINDS)
-    p_derive.add_argument("files", nargs="*")
-    p_derive.add_argument("-o", "--output", help="write the document here instead of stdout")
+    p_derive.add_argument("files", nargs="*", type=_path)
+    p_derive.add_argument("-o", "--output", type=_path,
+                          help="write the document here instead of stdout")
     p_derive.add_argument("--rep", help="representation to build from the algebra")
     p_derive.set_defaults(fn=cmd_derive)
 
     p_corpus = subs.add_parser("corpus", help="work with the bundled fixtures")
     p_corpus.add_argument("action", choices=("verify", "list", "write", "show"))
-    p_corpus.add_argument("name", nargs="?", help="fixture name or output directory")
-    p_corpus.add_argument("--dir", help="verify fixtures from this directory instead")
+    p_corpus.add_argument("name", nargs="?", type=_path,
+                          help="fixture name or output directory")
+    p_corpus.add_argument("--dir", type=_path, help="verify fixtures from this directory instead")
     p_corpus.set_defaults(fn=cmd_corpus)
     return parser
 

@@ -17,7 +17,7 @@ bundled table.  The comparison is still performed and reported honestly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     Algebra,
@@ -69,11 +69,14 @@ from .scalars import ONE, ZERO, Scalar, sc
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriterionResult:
     name: str
     passed: bool
-    details: list = field(default_factory=list)
+    details: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "details", tuple(self.details))
 
     def line(self) -> str:
         head = "%s: %s" % (self.name, "PASS" if self.passed else "FAIL")

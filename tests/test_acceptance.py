@@ -10,6 +10,7 @@ green, and the argument that no form reproduces the bundled table is
 checked by the three test_a3_* certificate tests below it.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -117,6 +118,13 @@ def test_a3_attainable_clauses():
     assert "4 entries" in result.details[0]
 
 
+def test_criterion_results_are_frozen():
+    for result in _results().values():
+        assert isinstance(result.details, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.passed = True
+
+
 def test_table_diff_count_counts_differing_rows():
     # the cells (op, i, j) whose rows c[i, j, :] differ, against a row loop
     rng = random.Random(3)
@@ -185,6 +193,7 @@ def test_a6_surfaces_a_crash_in_the_matched_pair_check(monkeypatch):
     result, = run_acceptance(names=["A6"])
     assert not result.passed
     assert result.details[0].startswith("raised KeyError")
+    assert isinstance(result.details, tuple)
 
 
 def test_a6_perturbed_matched_pair_fails_its_precondition():

@@ -80,11 +80,11 @@ class RefReport(NamedTuple):
     name: str
     checked: int
     passed: bool
-    violations: list
+    violations: tuple
 
 
 def ref_report(name, violations, checked):
-    violations.sort(key=lambda v: (v.identity, v.indices))
+    violations = tuple(sorted(violations, key=lambda v: (v.identity, v.indices)))
     return RefReport(name, checked, not violations, violations)
 
 

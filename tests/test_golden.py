@@ -9,14 +9,16 @@ After an intended change of output, regenerate the goldens with
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
 
-from postlie import ONE, Document, Tensor, corpus_doc, dualize, dumps
+from postlie import ONE, CheckReport, Document, Tensor, corpus_doc, dualize, dumps
 from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
 from postlie.corpus import write_corpus
 
@@ -226,6 +228,79 @@ def test_checks_run_on_whole_tensors(inputs, monkeypatch):
             "rep.lie", "pprep.lie", "oop.1", "dpo.1", "strong.1", "inv.lie", "form.sym",
             "leftinv.circ", "rb", "mp.01", "mp.03", "manin.closure-a", "bialg.cocycle",
             "ppbialg.1", "ppco.1", "cybe.c", "quasi.colie.1"} <= set(evaluated)
+
+
+def test_transcripts_replay_in_one_process_in_any_order(inputs, goldens, monkeypatch):
+    """The parser shared by every main() call keeps no state: every golden
+    transcript replays in a shuffled order, between calls that make
+    argparse print help or exit."""
+    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
+    exiting = [("check", "nonsense"), ("--help",), ()]
+    order = [(case, False) for case in CASES] + [(argv, True) for argv in exiting * 8]
+    random.Random(13).shuffle(order)
+    seen = {}
+    for argv, exits in order:
+        if not exits:
+            assert transcript(argv, inputs) == goldens[case_id(argv)], case_id(argv)
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        got = (code, out.getvalue(), err.getvalue())
+        assert got[0] in (0, 2) and got[1] + got[2]
+        assert seen.setdefault(argv, got) == got, argv
+
+
+def _rendered_reports(case, directory, monkeypatch):
+    """Every CheckReport the CLI renders for case."""
+    reports = []
+    render = CheckReport.render
+    with monkeypatch.context() as patch:
+        patch.setattr(CheckReport, "render",
+                      lambda self, limit=None: reports.append(self) or render(self, limit))
+        transcript(case, directory)
+    return reports
+
+
+def reference_render(report, limit=None) -> str:
+    """The text of a report as rendered from all of its violations."""
+    lines = ["%s: %s (%d instances checked)" % (
+        report.name or "check", "PASS" if report.passed else "FAIL", report.checked)]
+    shown = report.violations if limit is None else report.violations[:limit]
+    for v in shown:
+        idx = ",".join(str(i + 1) for i in v.indices)
+        lines.append("  %s at basis (%s): lhs = (%s), rhs = (%s)"
+                     % (v.identity, idx, ", ".join(str(s) for s in v.lhs),
+                        ", ".join(str(s) for s in v.rhs)))
+    if limit is not None and len(report.violations) > limit:
+        lines.append("  ... %d more" % (len(report.violations) - limit))
+    return "\n".join(lines)
+
+
+def test_render_evaluates_only_the_witnesses_it_prints(inputs, goldens, monkeypatch):
+    failing = [case for case in CASES if goldens[case_id(case)]["exit"] == 1]
+    reports = [(case, report) for case in failing
+               for report in _rendered_reports(case, inputs, monkeypatch)]
+    assert {case for case, _ in reports} >= {
+        case for case in failing if "FAIL" in goldens[case_id(case)]["stdout"]}
+    most = 0
+    for case, report in reports:
+        most = max(most, len(report.witnesses))
+        for limit in (0, 1, 5, None):
+            evaluated = []
+
+            def counted(w):
+                return w._replace(sides=lambda: evaluated.append(w) or w.sides())
+
+            fresh = dataclasses.replace(
+                report, witnesses=tuple(counted(w) for w in report.witnesses))
+            assert fresh.render(limit) == reference_render(report, limit), case_id(case)
+            shown = len(report.witnesses) if limit is None else limit
+            assert len(evaluated) == min(shown, len(report.witnesses))
+    assert most > 5     # some report has witnesses render(5) leaves out
 
 
 if __name__ == "__main__":

@@ -1,6 +1,14 @@
+import argparse
+import contextlib
 import hashlib
+import io
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from postlie import (
     CORPUS_NAMES,
@@ -13,9 +21,9 @@ from postlie import (
     dumps,
     loads,
 )
-from postlie import algebra, bialgebra
+from postlie import algebra, bialgebra, cli
 from postlie.bialgebra import COMAP_NAMES
-from postlie.cli import main
+from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
 from postlie.corpus import write_corpus
 
 
@@ -345,6 +353,45 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert code == 2 and "line 6: too many digits in '999" in err
 
 
+def test_cli_input_not_utf8_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    text = corpus_text("sl2_lie").encode()
+    bad.write_bytes(text + b"# caf\xe9\n")
+    code, out, err = _run(capsys, "check", "lie", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: not UTF-8 text at byte %d\n" % (bad, len(text) + 5)
+
+
+@pytest.mark.parametrize("how", ["directory", "symlink loop"])
+def test_cli_unreadable_input_exit_2(tmp_path, capsys, how):
+    path = tmp_path / "input"
+    if how == "directory":
+        path.mkdir()
+        reason = "Is a directory"
+    else:
+        path.symlink_to(tmp_path / "other")
+        (tmp_path / "other").symlink_to(path)
+        reason = "Too many levels of symbolic links"
+    code, out, err = _run(capsys, "check", "lie", str(path))
+    assert (code, out, err) == (2, "", "error: %s: %s\n" % (path, reason))
+
+
+@pytest.mark.parametrize("argv", [("check", "lie", "a\0b"),
+                                  ("derive", "horizontal", "sl2_pp", "-o", "a\0b")])
+def test_cli_path_with_nul_is_a_usage_error(corpus_on_disk, capsys, argv):
+    # no shell passes a NUL, but an in-process caller can
+    with pytest.raises(SystemExit) as exc:
+        main([str(corpus_on_disk / (w + ".txt")) if w == "sl2_pp" else w for w in argv])
+    assert exc.value.code == 2
+    assert "a path cannot contain a NUL character" in capsys.readouterr().err
+
+
+def test_cli_derive_output_directory_exit_2(corpus_on_disk, capsys):
+    code, out, err = _run(capsys, "derive", "horizontal", str(corpus_on_disk / "sl2_pp.txt"),
+                          "-o", str(corpus_on_disk))
+    assert (code, out, err) == (2, "", "error: %s: Is a directory\n" % corpus_on_disk)
+
+
 def test_cli_derive_induced_matches_corpus(corpus_on_disk, tmp_path, capsys):
     out_path = tmp_path / "derived.txt"
     code, _, _ = _run(capsys, "derive", "induced",
@@ -449,6 +496,13 @@ def test_cli_corpus_list_show_write(tmp_path, capsys):
     assert (target / "sl2_lie.txt").exists()
 
 
+def test_cli_corpus_write_over_a_file_exit_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, out, err = _run(capsys, "corpus", "write", str(target))
+    assert (code, out, err) == (2, "", "error: %s: File exists\n" % target)
+
+
 def test_cli_corpus_verify_reports_known_state(capsys):
     # A3 carries the documented red assertion; everything else passes
     code, out, _ = _run(capsys, "corpus", "verify")
@@ -487,6 +541,96 @@ def test_corpus_verify_mutated_r(tmp_path):
 
 def test_cli_no_command(capsys):
     assert main([]) == 2
+
+
+def test_cli_builds_its_parser_once_per_process(corpus_on_disk, capsys, monkeypatch):
+    # importing the module builds no parser; the first main() call builds
+    # the tree (postlie and its three subcommands) and later calls reuse it
+    code = ("import postlie.cli as cli; "
+            "assert cli.build_parser.cache_info().currsize == 0")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    cli.build_parser.cache_clear()
+    sl2_lie = str(corpus_on_disk / "sl2_lie.txt")
+    for _ in range(3):
+        assert _run(capsys, "check", "lie", sl2_lie)[0] == 0
+        assert _run(capsys, "derive", "horizontal", str(corpus_on_disk / "sl2_pp.txt"))[0] == 0
+        assert _run(capsys, "corpus", "list")[0] == 0
+        assert _run(capsys)[0] == 2
+        with pytest.raises(SystemExit):
+            main(["check", "nonsense"])
+    assert built == ["postlie", "postlie check", "postlie derive", "postlie corpus"]
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzzing: every argv ends in an exit code, never in a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_corpus(str(directory))
+    (directory / "subdir").mkdir()
+    return directory
+
+
+FUZZ_FIXTURES = {cli._algebra: ("sl2_lie", "sl2_postlie", "sl2_pp", "sl2_pp_broken",
+                                 "final_prepp", "ahat_pp"),
+                 cli._matrix: ("sl2_P", "kappa", "final_P", "r6"),
+                 cli._coalgebra: ("final_cobrackets",)}
+FUZZ_VALUES = {"--rep": ("adjoint", "coadjoint", "quarter", "split-dual", "bogus"),
+               "--weight": ("1", "-1/2", "i", "x", "1/0"),
+               "--mode": ("dual", "direct", "both", "bogus"),
+               "-o": ("out.txt", "subdir", "no/out.txt")}
+FUZZ_FLAGS = {"check": ("--rep", "--weight", "--mode"), "derive": ("--rep", "-o")}
+
+
+@st.composite
+def argvs(draw, directory):
+    """A check or derive command line: mostly a kind, fixtures of the kinds
+    its loaders read and the command's own flags; sometimes a file too many
+    or too few, a fixture of another kind, a missing path, a directory, a
+    file of arbitrary bytes, an unknown kind or a stray word."""
+    command = draw(st.sampled_from(("check", "derive")))
+    registry = cli.CHECKS if command == "check" else cli.DERIVES
+    kind = draw(st.sampled_from(tuple(registry) + ("nonsense",)))
+    loaders = registry[kind].loaders if kind in registry else ()
+    arbitrary = directory / "bytes.txt"
+    arbitrary.write_bytes(draw(st.binary(max_size=300)))
+    fixtures = [n for names in FUZZ_FIXTURES.values() for n in names]
+    unusable = st.sampled_from([directory / "missing.txt", directory / "subdir", arbitrary])
+    count = draw(st.sampled_from((len(loaders),) * 3 + (0, 1, 2, 3)))
+    names = [draw(st.sampled_from(FUZZ_FIXTURES.get(loader, fixtures)))
+             for loader in (loaders + (None,) * 3)[:count]]
+    files = [draw(unusable) if draw(st.integers(0, 9)) == 0 else directory / (name + ".txt")
+             for name in names]
+    argv = [command, kind] + [str(path) for path in files]
+    for flag in draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), max_size=2)):
+        value = draw(st.sampled_from(FUZZ_VALUES[flag]))
+        argv += [flag, str(directory / value) if flag == "-o" else value]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(["--help", "-o", "--weight", "--bogus", "@", ""])
+                         | st.text(max_size=8)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.data())
+def test_cli_fuzz_exits_with_a_code_and_no_traceback(fuzz_dir, data):
+    argv = data.draw(argvs(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            assert code in (0, 1, 2), argv
+        except SystemExit as exc:       # argparse: --help, or a usage error
+            assert exc.code in (0, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_cli_every_check_kind(corpus_on_disk, capsys):

@@ -276,7 +276,7 @@ class Report(NamedTuple):
     name: str
     checked: int
     passed: bool
-    violations: list
+    violations: tuple
 
 
 def record(report) -> Report:
@@ -296,7 +296,7 @@ def reference(name, alg, identity_set):
             if lhs != rhs:
                 violations.append(Violation(ident, idx, tuple(lhs), tuple(rhs)))
     violations.sort(key=lambda v: (v.identity, v.indices))
-    return Report(name, checked, not violations, violations)
+    return Report(name, checked, not violations, tuple(violations))
 
 
 def assert_same(alg, name, monkeypatch):
