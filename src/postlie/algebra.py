@@ -77,7 +77,15 @@ MAX_VIOLATIONS = 32
 
 
 class UnknownOperationError(KeyError):
-    pass
+    """A table is missing or its name is unknown; name is the table's name.
+    A KeyError, but its str is the message rather than the quoted key."""
+
+    def __init__(self, message: str, name: str):
+        super().__init__(message)
+        self.name = name
+
+    def __str__(self):
+        return self.args[0]
 
 
 class PreconditionError(ValueError):
@@ -113,7 +121,7 @@ class Algebra:
             raise LinAlgError("basis names do not match dimension")
         for name, table in self.ops.items():
             if name not in OPERATION_NAMES:
-                raise UnknownOperationError(name)
+                raise UnknownOperationError("unknown operation table %r" % name, name)
             _require_cube(table, self.dim, "structure")
         object.__setattr__(self, "basis", basis)
         # a read-only copy of the mapping: no one can rebind a name to another table
@@ -125,15 +133,13 @@ class Algebra:
         return op in self.ops
 
     def table(self, op: str) -> Tensor:
-        try:
-            return self.ops[op]
-        except KeyError:
-            raise UnknownOperationError(op) from None
+        self.require(op)
+        return self.ops[op]
 
     def require(self, *names):
         for op in names:
             if op not in self.ops:
-                raise UnknownOperationError(op)
+                raise UnknownOperationError("algebra has no operation table %r" % op, op)
 
     def with_op(self, name: str, table: Tensor) -> "Algebra":
         return Algebra(self.dim, self.field, self.basis, {**self.ops, name: table})

@@ -86,7 +86,7 @@ class CoalgebraSpec:
             raise LinAlgError("basis names do not match dimension")
         for name, table in self.comaps.items():
             if name not in COMAP_NAMES:
-                raise UnknownOperationError("unknown comap %r" % name)
+                raise UnknownOperationError("unknown comap table %r" % name, name)
             _require_cube(table, self.dim, "comap")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "comaps", MappingProxyType(dict(self.comaps)))
@@ -95,10 +95,9 @@ class CoalgebraSpec:
         return name in self.comaps
 
     def table(self, name: str) -> Tensor:
-        try:
-            return self.comaps[name]
-        except KeyError:
-            raise UnknownOperationError(name) from None
+        if name not in self.comaps:
+            raise UnknownOperationError("coalgebra has no comap table %r" % name, name)
+        return self.comaps[name]
 
 
 def dualize(co: CoalgebraSpec) -> Algebra:
@@ -135,8 +134,7 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
 def _pp_coalgebra_reports(co: CoalgebraSpec, modes) -> list:
     """check_pp_coalgebra in each mode, on one co-Lie check."""
     for name in COMAP_NAMES:
-        if not co.has(name):
-            raise UnknownOperationError("coalgebra lacks comap %r" % name)
+        co.table(name)
     colie = check_lie_coalgebra(co)
     if not colie.passed:
         return [dataclasses.replace(colie, name="pp-coalgebra") for _ in modes]
@@ -207,8 +205,16 @@ def _cocycle(name, br, ad, De) -> Identity:
                     [_lhs(ad, De), _rhs(ad, De), -_lhs(ad, De, True), -_rhs(ad, De, True)])
 
 
+def _require_same_space(alg: Algebra, co: CoalgebraSpec):
+    """Reject a coalgebra on a space of another dimension than the algebra's."""
+    if co.dim != alg.dim:
+        raise LinAlgError("coalgebra is %d-dimensional, algebra is %d-dimensional"
+                          % (co.dim, alg.dim))
+
+
 def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """Lie algebra + Lie coalgebra + the adjoint cocycle condition on Delta."""
+    _require_same_space(alg, co)
     nested = [("bialg.alg", check_lie(alg)), ("bialg.coalg", check_lie_coalgebra(co))]
     br = alg.table("bracket")
     return _sweep("lie-bialgebra", [_cocycle("bialg.cocycle", br, br.permute(LEFT),
@@ -217,6 +223,7 @@ def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
 
 def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """pp algebra + pp coalgebra + the nine mixed compatibility conditions."""
+    _require_same_space(alg, co)
     nested = [("ppbialg.alg", check_pp_post_lie(alg)), ("ppbialg.coalg", check_pp_coalgebra(co))]
     swap = lambda t: t.permute((1, 0, 2))
     transpose = lambda t: t.permute((0, 2, 1))

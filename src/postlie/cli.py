@@ -272,15 +272,28 @@ def _inputs(command: str, kind: _Kind, args) -> list:
     return [loader(path) for loader, path in zip(kind.loaders, files)]
 
 
+def _run_kind(command: str, kinds: dict, args):
+    """Run the kind args.kind of kinds on its loaded files; a missing table
+    is a usage error naming the first file whose structure lacks it."""
+    kind = kinds[args.kind]
+    inputs = _inputs(command, kind, args)
+    try:
+        return kind.run(args, *inputs)
+    except UnknownOperationError as exc:
+        lacking = [path for path, x in zip(args.files, inputs)
+                   if isinstance(x, (Algebra, bi.CoalgebraSpec)) and not x.has(exc.name)]
+        if not lacking:
+            raise
+        raise UsageError("%s: %s" % (lacking[0], exc)) from None
+
+
 def cmd_check(args) -> int:
-    kind = CHECKS[args.kind]
-    result = kind.run(args, *_inputs("check", kind, args))
+    result = _run_kind("check", CHECKS, args)
     return _report_exit(result) if isinstance(result, CheckReport) else result
 
 
 def cmd_derive(args) -> int:
-    kind = DERIVES[args.kind]
-    doc, report = kind.run(args, *_inputs("derive", kind, args))
+    doc, report = _run_kind("derive", DERIVES, args)
     if report is not None and not report.passed:
         print(report.render(_verbosity()))
         return 1
@@ -321,6 +334,8 @@ def cmd_corpus(args) -> int:
             print(path)
         return 0
     if args.action == "verify":
+        if args.dir is not None and not os.path.isdir(args.dir):
+            raise UsageError("%s: not a directory" % args.dir)
         results = run_acceptance(corpus_dir=args.dir)
         failed = [r for r in results if not r.passed]
         for r in results:

@@ -9,17 +9,20 @@ negation, scaling, axis permutation, contraction against a matrix and
 block placement (Tensor.blocks; embed is the one-block case) work on the
 numerators in time proportional to the nonzero entries, and einsum
 contracts any number of tensors on them: the identity checkers and all
-vector arithmetic run on it.  Determinants, rank, solving and inversion
-are views of one fraction-free elimination on the numerators, which
-reports singularity precisely.  Scalars appear only at the edges:
-entries, indexing, rows, repr and the value of det.
+vector arithmetic run on it.  einsum plans pair candidates, layouts and
+offset maps once per (spec, shapes); a call does only the per-entry work.
+Determinants, rank, solving and inversion are views of one fraction-free
+elimination on the numerators, which reports singularity precisely.
+Scalars appear only at the edges: entries, indexing, rows, repr and the
+value of det.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
+from operator import countOf
 
 from .scalars import ZERO, Scalar, _build, _coerce
 
@@ -454,50 +457,75 @@ def _axes(labels, sizes, target, skip=()):
     return tuple(axes)
 
 
-def _grouped(operand, sizes, mappers, shared, out, skip=()):
-    """The nonzero entries of a (labels, re, im, tensor) operand as
-    {offset over shared: [(offset over out, re, im)]}, skipping the labels
-    of skip in out.  Kept on the operand's tensor, if it has one, for the
-    next contraction that lays it out the same way; the two offset maps of
-    each layout are kept in mappers."""
-    labels, re, im, tensor = operand
-    # the tensor fixes the extents of its own labels
-    layout = (labels, shared, out, skip, tuple(sizes[l] for l in out))
-    cache = {} if tensor is None else tensor._layouts
-    groups = cache.get(layout)
+# one token per layout of _grouped, under which a Tensor's _layouts keeps
+# that grouping: hashed by identity instead of as a nested tuple, and one
+# setdefault call, so every plan (and thread) gets the same token
+_LAYOUTS: dict = {}
+
+
+def _step(la, lb, out, sizes) -> tuple:
+    """One contraction of an operand labelled la with one labelled lb onto
+    the labels out: per side its layout key and the offset maps onto the
+    shared labels and onto out (lb's labels also on la left out)."""
+    shared, extents = tuple(l for l in la if l in lb), tuple(sizes[l] for l in out)
+    return tuple((_LAYOUTS.setdefault((labels, shared, out, skip, extents), object()),
+                  _mapper(_axes(labels, sizes, shared)), _mapper(_axes(labels, sizes, out, skip)))
+                 for labels, skip in ((la, ()), (lb, la)))
+
+
+def _grouped(operand, side) -> dict:
+    """The nonzero entries of a (re, im, layouts) operand as
+    {offset over shared: [(offset over out, re, im)]} for one side of a
+    _step.  Kept in layouts, the operand's Tensor._layouts (None for an
+    intermediate), for the next contraction that lays it out the same way."""
+    re, im, layouts = operand
+    layout, by_shared, by_out = side
+    groups = None if layouts is None else layouts.get(layout)
     if groups is None:
-        if layout not in mappers:
-            mappers[layout] = (_mapper(_axes(labels, sizes, shared)),
-                               _mapper(_axes(labels, sizes, out, skip)))
-        by_shared, by_out = mappers[layout]
         groups = {}
-        for f in (re.keys() | im.keys() if im else re):
-            groups.setdefault(by_shared(f), []).append((by_out(f), re.get(f, 0), im.get(f, 0)))
-        cache[layout] = groups
+        if im:
+            for f in re.keys() | im.keys():
+                vr, vi = re.get(f, 0), im.get(f, 0)
+                if vr or vi:
+                    groups.setdefault(by_shared(f), []).append((by_out(f), vr, vi))
+        else:
+            for f, vr in re.items():
+                if vr:
+                    groups.setdefault(by_shared(f), []).append((by_out(f), vr, 0))
+        if layouts is not None:
+            layouts[layout] = groups
     return groups
 
 
-def _pair(a, b, out, sizes, mappers, re, im, scale=1):
-    """Add scale times the contraction of two (labels, re, im, tensor)
-    operands over their shared labels into the dicts re and im, keyed by
-    offset over the labels out (in that order); every other label is
-    summed away."""
-    shared = tuple(l for l in a[0] if l in b[0])
-    left = _grouped(a, sizes, mappers, shared, out)
-    right = _grouped(b, sizes, mappers, shared, out, a[0])
-    get_re, get_im = re.get, im.get
-    real = not a[2] and not b[2]    # no imaginary parts to track
+def _pair(a, b, step, re, im, scale=1):
+    """Add scale times the contraction of two (re, im, layouts) operands by
+    a _step into the dicts re and im, keyed by offset over its output
+    labels; zero sums stay in them."""
+    side_a, side_b = step
+    left, right = _grouped(a, side_a), _grouped(b, side_b)
+    get_re = re.get
+    if not a[1] and not b[1]:   # no imaginary parts to track
+        for key, group in left.items():
+            other = right.get(key)
+            if other is None:
+                continue
+            for p, vr, _ in group:
+                vr *= scale
+                for q, wr, _ in other:
+                    k = p + q
+                    re[k] = get_re(k, 0) + vr * wr
+        return
+    get_im = im.get
     for key, group in left.items():
         other = right.get(key)
-        if not other:
+        if other is None:
             continue
         for p, vr, vi in group:
             vr, vi = vr * scale, vi * scale
             for q, wr, wi in other:
                 k = p + q
                 re[k] = get_re(k, 0) + vr * wr - vi * wi
-                if not real:
-                    im[k] = get_im(k, 0) + vr * wi + vi * wr
+                im[k] = get_im(k, 0) + vr * wi + vi * wr
 
 
 def _parse(spec: str, count: int):
@@ -512,16 +540,46 @@ def _parse(spec: str, count: int):
     return [tuple(labels) for labels in inputs], tuple(output)
 
 
+class _Node:
+    """A labelling of _accumulate's work list of three or more operands and,
+    built when first reached, its candidate pairs in combinations order:
+    (i, j, no shared label, product of the shared extents, the _step onto
+    the labels kept, then), then the _Node of the work list after the step
+    or, once two operands remain, the final _step onto the output."""
+
+    def __init__(self, labels, sizes, output):
+        self.labels, self.sizes, self.output = labels, sizes, output
+
+    @cached_property
+    def pairs(self) -> list:
+        labels, sizes, output = self.labels, self.sizes, self.output
+        pairs = []
+        for i, j in itertools.combinations(range(len(labels)), 2):
+            la, lb = labels[i], labels[j]
+            rest = [l for k, l in enumerate(labels) if k != i and k != j]
+            keep = set(output).union(*rest)
+            out = (tuple(l for l in la if l in keep)
+                   + tuple(l for l in lb if l in keep and l not in la))
+            shared = [l for l in la if l in lb]
+            after = (*rest, out)
+            then = (_step(*after, output, sizes) if len(after) == 2
+                    else _Node(after, sizes, output))
+            pairs.append((i, j, not shared, max(_size(sizes[l] for l in shared), 1),
+                          _step(la, lb, out, sizes), then))
+        return pairs
+
+
 @lru_cache(maxsize=1024)
 def _plan(spec: str, shapes: tuple):
-    """What einsum needs of spec and the operand shapes alone: per operand its
-    labels and, for a repeated label, the map of its entries to the diagonal;
-    the extents; the output labels and shape; for one operand, the offset map
-    onto the output (None for none needed); the offset maps _grouped keeps."""
+    """What einsum needs of spec and the operand shapes alone: per operand,
+    for a repeated label, the map of its entries to the diagonal (else
+    None); the output shape; and how to contract: for one operand the
+    offset map onto the output (None for none needed), for two the _step,
+    for more the _Node of the operands' labels."""
     inputs, output = _parse(spec, len(shapes))
     if not shapes:
         raise LinAlgError("einsum needs at least one operand")
-    sizes, operands = {}, []
+    sizes, labelling, diagonals = {}, [], []
     for labels, shape in zip(inputs, shapes):
         if len(labels) != len(shape):
             raise LinAlgError("einsum labels %r for a tensor of shape %r"
@@ -540,55 +598,51 @@ def _plan(spec: str, shapes: tuple):
                       for a, l in zip(axes, labels) if a != l]
             unique = tuple(dict.fromkeys(labels))
             key = _mapper(_axes(axes, sizes, unique))
-            diagonal = lambda d, copies=copies, key=key: _nonzero(_add_into(
-                {}, {f: v for f, v in d.items() if all(x(f) == y(f) for x, y in copies)}, 1, key))
+            diagonal = lambda d, copies=copies, key=key: {
+                key(f): v for f, v in d.items() if all(x(f) == y(f) for x, y in copies)}
             axes = unique
-        operands.append((axes, diagonal))
+        labelling.append(axes)
+        diagonals.append(diagonal)
     missing = [l for l in output if l not in sizes]
     if missing:
         raise LinAlgError("einsum output label %r is on no operand" % missing[0])
-    onto = None
-    if len(operands) == 1 and operands[0][0] != output:
-        onto = _mapper(_axes(operands[0][0], sizes, output))
-    return operands, sizes, output, tuple(sizes[l] for l in output), onto, {}
-
-
-def _cost(a, b, sizes) -> tuple:
-    """(no shared label, expected products) of contracting operands a and b."""
-    shared = set(a[0]) & set(b[0])
-    return (not shared, (len(a[1]) + len(a[2])) * (len(b[1]) + len(b[2]))
-            // max(_size(sizes[l] for l in shared), 1))
+    if len(labelling) == 1:
+        how = _mapper(_axes(labelling[0], sizes, output)) if labelling[0] != output else None
+    elif len(labelling) == 2:
+        how = _step(*labelling, output, sizes)
+    else:
+        how = _Node(tuple(labelling), sizes, output)
+    return diagonals, tuple(sizes[l] for l in output), how
 
 
 def _accumulate(spec: str, operands, re: dict, im: dict, scale: int = 1) -> tuple:
     """Add scale times the numerators of einsum(spec, *operands), over the
     product of the operands' denominators, into the {offset: int} dicts re
     and im, and return the result's shape.  The operands are contracted two
-    at a time, always the pair with the fewest expected products, so no outer
-    product is formed while a shared label could avoid it; only nonzero
-    entries are visited, and the last pair adds straight into re and im."""
-    plan, sizes, output, shape, onto, mappers = _plan(spec, tuple(t.shape for t in operands))
-    work = [(axes, t.re, t.im, t) if diagonal is None
-            else (axes, diagonal(t.re), diagonal(t.im), None)
-            for (axes, diagonal), t in zip(plan, operands)]
+    at a time, always the pair with the fewest expected products, nonzero
+    entries times nonzero entries over the shared extents (the first such
+    pair of the combinations on a tie), so no outer product is formed while
+    a shared label could avoid it; only nonzero entries are visited, and
+    the last pair adds straight into re and im."""
+    diagonals, shape, how = _plan(spec, tuple(t.shape for t in operands))
+    work = [(t.re, t.im, t._layouts) if diagonal is None
+            else (diagonal(t.re), diagonal(t.im), None)
+            for diagonal, t in zip(diagonals, operands)]
+    if len(work) == 1:
+        _add_into(re, work[0][0], scale, how)
+        _add_into(im, work[0][1], scale, how)
+        return shape
+    counts = [len(w_re) + len(w_im) for w_re, w_im, _ in work]
     while len(work) > 2:
-        # the cheapest pair, by the expected number of products; a pair
-        # sharing a label always beats an outer product
-        i, j = min(itertools.combinations(range(len(work)), 2),
-                   key=lambda ij: _cost(work[ij[0]], work[ij[1]], sizes))
-        rest = [w for k, w in enumerate(work) if k not in (i, j)]
-        keep = set(output).union(*(w[0] for w in rest))
-        la, lb = work[i][0], work[j][0]
-        out = tuple(l for l in la if l in keep) + tuple(l for l in lb if l in keep and l not in la)
-        pair_re, pair_im = {}, {}
-        _pair(work[i], work[j], out, sizes, mappers, pair_re, pair_im)
-        work = rest + [(out, _nonzero(pair_re), _nonzero(pair_im), None)]
-    if len(work) == 2:
-        _pair(*work, output, sizes, mappers, re, im, scale)
-    else:
-        (_, one_re, one_im, _), = work
-        _add_into(re, one_re, scale, onto)
-        _add_into(im, one_im, scale, onto)
+        i, j, _, _, step, how = min(
+            how.pairs, key=lambda c: (c[2], counts[c[0]] * counts[c[1]] // c[3]))
+        pair = ({}, {}, None)
+        _pair(work[i], work[j], step, pair[0], pair[1])
+        work = [w for k, w in enumerate(work) if k != i and k != j] + [pair]
+        if len(work) > 2:   # another choice follows: count the pair's nonzeros
+            counts = [c for k, c in enumerate(counts) if k != i and k != j] + [
+                sum(len(d) - countOf(d.values(), 0) for d in pair[:2])]
+    _pair(*work, how, re, im, scale)
     return shape
 
 

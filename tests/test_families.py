@@ -18,6 +18,7 @@ reports on inputs that are not valid structures.
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -28,6 +29,7 @@ import postlie.algebra as algebra
 import postlie.bialgebra as bialgebra
 import postlie.construct as construct
 import postlie.forms as forms
+import postlie.linalg as linalg
 from postlie import (
     Algebra,
     CoalgebraSpec,
@@ -1031,7 +1033,64 @@ SPECS = [
     ("ijk->kji", ((2, 3, 4),)),
     ("ij->ij", ((0, 3),)),                     # empty extents
     ("ij,jk->ik", ((2, 0), (0, 3))),
+    ("ai,bj,abc,cqk->ijkq", ((2, 2), (2, 2), (2, 2, 2), (2, 2, 2))),
+    ("ab,bc,cd,de,ea->", ((2, 3), (3, 2), (2, 2), (2, 3), (3, 2))),
 ]
+
+
+def reference_order(spec, operands):
+    """The pairs of labels einsum contracts, by its greedy rule: of the work
+    list's pairs in combinations order, the first with the least (no shared
+    label, nonzero entries of one times those of the other // the product of
+    the shared extents); its result, on the labels still needed, joins the
+    end of the list.  Intermediates are computed by naive_einsum."""
+    inputs, output = spec.split("->")
+    work = []
+    for labels, t in zip(inputs.split(","), operands):
+        unique = "".join(dict.fromkeys(labels))
+        work.append((unique, naive_einsum(labels + "->" + unique, t)))
+    sizes = {l: n for labels, t in work for l, n in zip(labels, t.shape)}
+
+    def cost(ij):
+        (la, a), (lb, b) = work[ij[0]], work[ij[1]]
+        shared = set(la) & set(lb)
+        return (not shared, (len(a.re) + len(a.im)) * (len(b.re) + len(b.im))
+                // max(math.prod(sizes[l] for l in shared), 1))
+
+    order = []
+    while len(work) > 2:
+        i, j = min(itertools.combinations(range(len(work)), 2), key=cost)
+        rest = [w for k, w in enumerate(work) if k not in (i, j)]
+        keep = set(output).union(*(labels for labels, _ in rest))
+        (la, a), (lb, b) = work[i], work[j]
+        out = "".join(l for l in la if l in keep) + "".join(
+            l for l in lb if l in keep and l not in la)
+        order.append((la, lb))
+        work = rest + [(out, naive_einsum("%s,%s->%s" % (la, lb, out), a, b))]
+    return order + [(work[0][0], work[1][0])] if len(work) == 2 else order
+
+
+def engine_order(spec, operands):
+    """The pairs of labels einsum(spec, *operands) contracts, in order, read
+    from the _step of each _pair call on a freshly built plan."""
+    labels_of, order = {}, []
+    step, pair = linalg._step, linalg._pair
+
+    def recording_step(la, lb, out, sizes):
+        built = step(la, lb, out, sizes)
+        labels_of[id(built)] = ("".join(la), "".join(lb))
+        return built
+
+    def recording_pair(a, b, built, *rest):
+        order.append(labels_of[id(built)])
+        return pair(a, b, built, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_step", recording_step)
+        patch.setattr(linalg, "_pair", recording_pair)
+        linalg._plan.cache_clear()
+        einsum(spec, *operands)
+    return order
 
 
 @pytest.mark.parametrize("spec, shapes", SPECS, ids=[s for s, _ in SPECS])
@@ -1041,6 +1100,68 @@ def test_einsum_matches_naive_sum(spec, shapes, density, big):
     for _ in range(3):
         operands = [rnd.tensor(*shape) for shape in shapes]
         assert einsum(spec, *operands) == naive_einsum(spec, *operands)
+        assert engine_order(spec, operands) == reference_order(spec, operands)
+
+
+def test_einsum_keeps_cancelled_intermediates_exact():
+    # a and b contract first (the tie goes to the first pair) to a stored
+    # zero, which the last pair must treat as no entry
+    a, b, c = (Tensor.from_rows(rows) for rows in ([[1, 1]], [[1], [-1]], [[5]]))
+    spec = "ij,jk,kl->il"
+    assert engine_order(spec, (a, b, c)) == [("ij", "jk"), ("kl", "ik")]
+    assert einsum(spec, a, b, c) == naive_einsum(spec, a, b, c) == Tensor.zero(1, 1)
+    # with four operands the cancelled pair counts as no entry in the next
+    # choice: contracting it costs 0 products, less than c with d
+    operands = [Tensor.from_rows(rows) for rows in ([[1, 1]], [[1], [-1]], [[1, -1]], [[1], [1]])]
+    spec = "ij,jk,kl,lm->im"
+    assert engine_order(spec, operands) == reference_order(spec, operands) == [
+        ("ij", "jk"), ("kl", "ik"), ("lm", "li")]
+    assert einsum(spec, *operands) == naive_einsum(spec, *operands)
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    ("ij,jk->ik", ((3, 3), (3, 3))),
+    ("iij,j->ij", ((2, 2, 3), (3,))),
+    ("ai,bj,abk->ijk", ((3, 2), (3, 2), (3, 3, 3))),
+    ("ab,bc,cd,da->", ((2, 3), (3, 2), (2, 2), (2, 2))),
+])
+def test_einsum_plans_once_per_spec_and_shapes(spec, shapes, monkeypatch):
+    # the steps and offset maps are built on the first call; a call on fresh
+    # tensors of the same shapes and entries builds none
+    built = []
+    for name in ("_step", "_mapper"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
+                            built.append(name) or real(*args))
+    linalg._plan.cache_clear()
+    first = einsum(spec, *(Random(spec, 0.7, False).tensor(*s) for s in shapes))
+    assert "_step" in built
+    del built[:]
+    for _ in range(3):
+        assert einsum(spec, *(Random(spec, 0.7, False).tensor(*s) for s in shapes)) == first
+    assert built == []
+
+
+def test_einsum_groups_a_tensor_once_per_layout(monkeypatch):
+    # the first contraction that lays a fresh tensor out one way groups its
+    # entries; every later one reuses that grouping
+    rnd = Random("layouts", 0.8, False)
+    a, b, c = rnd.tensor(3, 3), rnd.tensor(3, 3), rnd.tensor(3, 3, 3)
+    misses = []
+    real = linalg._grouped
+    monkeypatch.setattr(linalg, "_grouped", lambda operand, side: misses.append(
+        operand[2] is not None and side[0] not in operand[2]) or real(operand, side))
+    terms = [("ij,jk->ik", a, b), ("ij,jk->ik", b, a), ("ai,bj,abk->ijk", a, b, c)]
+    for spec, *operands in terms:
+        einsum(spec, *operands)
+    assert misses.count(True) == len(a._layouts) + len(b._layouts) + len(c._layouts) > 0
+    groupings = dict(a._layouts)
+    del misses[:]
+    for _ in range(3):
+        for spec, *operands in terms:
+            einsum(spec, *operands)
+    assert misses and not any(misses)
+    assert all(a._layouts[layout] is groups for layout, groups in groupings.items())
 
 
 def test_einsum_random_specs():
@@ -1056,6 +1177,7 @@ def test_einsum_random_specs():
         rnd = Random(trial, rng.choice((0.3, 1.0)), trial % 5 == 0)
         operands = [rnd.tensor(*(sizes[l] for l in names)) for names in inputs]
         assert einsum(spec, *operands) == naive_einsum(spec, *operands), spec
+        assert engine_order(spec, operands) == reference_order(spec, operands), spec
 
 
 def test_einsum_rejects_malformed_specs():

@@ -290,6 +290,10 @@ def test_cli_check_usage_errors(corpus_on_disk, capsys):
     (("check", "matched-pair", "sl2_pp", "ahat_pp"), "carrier matrix has wrong shape"),
     (("check", "matched-pair", "ahat_pp", "sl2_pp"), "carrier matrix has wrong shape"),
     (("derive", "bowtie", "sl2_pp", "ahat_pp"), "carrier matrix has wrong shape"),
+    (("check", "lie-bialg", "sl2_lie", "final_cobrackets"),
+     "coalgebra is 6-dimensional, algebra is 3-dimensional"),
+    (("check", "pp-bialg", "sl2_pp", "final_cobrackets"),
+     "coalgebra is 6-dimensional, algebra is 3-dimensional"),
 ])
 def test_cli_size_mismatch_exit_2(corpus_on_disk, capsys, argv, message):
     (corpus_on_disk / "t2.txt").write_text(
@@ -311,8 +315,10 @@ def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
     for argv, message in [
         (("corpus", "show", "nosuch"), "\"unknown corpus fixture 'nosuch'\""),
         (("check", "pp-coalg", str(co), "--mode", "bogus"), "mode must be 'dual', 'direct' or 'both'"),
-        (("check", "lie-coalg", str(no_delta)), "'Delta'"),
-        (("check", "pp-coalg", str(no_delta)), "\"coalgebra lacks comap 'Delta'\""),
+        (("check", "lie-coalg", str(no_delta)),
+         "%s: coalgebra has no comap table 'Delta'" % no_delta),
+        (("check", "pp-coalg", str(no_delta)),
+         "%s: coalgebra has no comap table 'Delta'" % no_delta),
         (("check", "manin-triple", str(corpus_on_disk / "sl2_pp.txt"),
           str(corpus_on_disk / "ahat_pp.txt")), "dimension mismatch between the two halves"),
     ]:
@@ -331,6 +337,16 @@ def test_cli_internal_errors_escape(corpus_on_disk, monkeypatch, error):
         main(["check", "lie", str(corpus_on_disk / "sl2_lie.txt")])
 
 
+def test_cli_missing_table_names_the_table_and_the_file(corpus_on_disk, capsys):
+    # a KeyError underneath, but the message says which table of which file
+    path = corpus_on_disk / "sl2_lie.txt"
+    code, out, err = _run(capsys, "check", "pp", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: algebra has no operation table 'rtri'\n" % path
+    with pytest.raises(KeyError):
+        algebra.check_pp_post_lie(corpus_doc("sl2_lie").to_algebra())
+
+
 def test_cli_quarter_rep_needs_quarter_ops_in_every_dimension(tmp_path, capsys):
     # the quarter tables are read whatever the dimension, so a 0-dimensional
     # algebra without them is refused like any other
@@ -339,7 +355,7 @@ def test_cli_quarter_rep_needs_quarter_ops_in_every_dimension(tmp_path, capsys):
     for argv in (("check", "pp-rep"), ("derive", "semidirect-pp")):
         code, out, err = _run(capsys, *argv, str(zero), "--rep", "quarter")
         assert code == 2
-        assert err == "error: 'se'\n"
+        assert err == "error: %s: algebra has no operation table 'se'\n" % zero
 
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
@@ -537,6 +553,15 @@ def test_corpus_verify_mutated_r(tmp_path):
     r_path.write_text("\n".join(lines) + "\n")
     results = {r.name: r for r in run_acceptance(corpus_dir=str(tmp_path), names=["A5"])}
     assert not results["A5"].passed
+
+
+def test_cli_corpus_verify_dir_must_be_a_directory(tmp_path, capsys):
+    # a usage error (exit 2), not seven failing criteria (exit 1)
+    missing, plain = tmp_path / "missing", tmp_path / "plain.txt"
+    plain.write_text("")
+    for path in (missing, plain):
+        code, out, err = _run(capsys, "corpus", "verify", "--dir", str(path))
+        assert (code, out, err) == (2, "", "error: %s: not a directory\n" % path)
 
 
 def test_cli_no_command(capsys):
