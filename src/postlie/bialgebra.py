@@ -44,7 +44,8 @@ from .algebra import (
     check_pp_post_lie,
     term,
 )
-from .forms import LEFT, PPRepSpec, check_o_operator_pp, pp_adjoint_rep, pp_coadjoint_rep
+from .forms import (
+    LEFT, PPRepSpec, _on, _xy, _yx, check_o_operator_pp, pp_adjoint_rep, pp_coadjoint_rep)
 from .linalg import LinAlgError, Matrix, Tensor, einsum
 from .scalars import ONE
 
@@ -181,28 +182,20 @@ def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
 
 # With x, y = e_i, e_j, a carrier M (the matrix M(x) = M[i]) and a
 # comultiplication table d (the 2-tensor d(y) = d[j]):
-#   _lhs(M, d)   (M(x) (x) id) d(y)   = M(x) d(y)
+#   _xy(M, d)    (M(x) (x) id) d(y)   = M(x) d(y)
 #   _rhs(M, d)   (id (x) M(x)) d(y)   = d(y) M(x)^T
-# and with yx=True the same with x and y exchanged;
-#   _co_on(c, d) d(x * y) for the product with table c.
-
-def _lhs(m, d, yx=False) -> Term:
-    return term("jps,isq->ijpq" if yx else "ips,jsq->ijpq", m, d)
-
+# with _yx(M, d), or _rhs with yx=True, the same with x and y exchanged;
+#   _on(c, d)    d(x * y) for the product with table c.
 
 def _rhs(m, d, yx=False) -> Term:
     return term("ips,jqs->ijpq" if yx else "jps,iqs->ijpq", d, m)
 
 
-def _co_on(c, d) -> Term:
-    return term("ijk,kpq->ijpq", c, d)
-
-
 def _cocycle(name, br, ad, De) -> Identity:
     """Delta([x, y]) = ad(x).Delta(y) - ad(y).Delta(x), with
     ad(x).t = (ad(x) (x) id + id (x) ad(x)) t."""
-    return Identity(name, "ij", [_co_on(br, De)],
-                    [_lhs(ad, De), _rhs(ad, De), -_lhs(ad, De, True), -_rhs(ad, De, True)])
+    return Identity(name, "ij", [_on(br, De)],
+                    [_xy(ad, De), _rhs(ad, De), -_yx(ad, De), -_rhs(ad, De, True)])
 
 
 def _require_same_space(alg: Algebra, co: CoalgebraSpec):
@@ -239,31 +232,31 @@ def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     d_bull = d_rt - transpose(d_lt)
     return _sweep("pp-bialgebra", [
         _cocycle("ppbialg.cocycle", br, ad, De),
-        Identity("ppbialg.1", "ij", [_co_on(circ, De)],
-                 [_lhs(lcirc, De), _rhs(lbull, De), _rhs(ad, d_lt, True),
-                  _lhs(ad, d_lt, True)]),
-        Identity("ppbialg.2", "ij", [_co_on(bull, De)],
-                 [_lhs(lbull, De), _rhs(lbull, De), -_rhs(ad, transpose(d_lt), True),
-                  _lhs(ad, d_lt, True)]),
-        Identity("ppbialg.3", "ij", [_co_on(br, d_bull)],
-                 [_rhs(ad, d_bull), -_rhs(ad, d_bull, True), _lhs(rlt, De),
-                  -_lhs(rlt, De, True)]),
-        Identity("ppbialg.4", "ij", [_co_on(br, d_circ)],
-                 [_rhs(ad, d_circ), -_rhs(ad, d_bull, True), _lhs(rlt, De),
-                  _lhs(llt, De, True)]),
-        Identity("ppbialg.5", "ij", [_co_on(circ, d_bull)],
-                 [_rhs(lcirc, d_bull), _lhs(lrt + ad, d_bull),
-                  -_lhs(rlt, transpose(d_lt), True), _rhs(rcirc, d_rt + De, True)]),
-        Identity("ppbialg.6", "ij", [_co_on(bull, d_circ)],
-                 [_rhs(lbull, d_circ), _lhs(lrt + ad, d_circ), -_lhs(llt, d_lt, True),
+        Identity("ppbialg.1", "ij", [_on(circ, De)],
+                 [_xy(lcirc, De), _rhs(lbull, De), _rhs(ad, d_lt, True),
+                  _yx(ad, d_lt)]),
+        Identity("ppbialg.2", "ij", [_on(bull, De)],
+                 [_xy(lbull, De), _rhs(lbull, De), -_rhs(ad, transpose(d_lt), True),
+                  _yx(ad, d_lt)]),
+        Identity("ppbialg.3", "ij", [_on(br, d_bull)],
+                 [_rhs(ad, d_bull), -_rhs(ad, d_bull, True), _xy(rlt, De),
+                  -_yx(rlt, De)]),
+        Identity("ppbialg.4", "ij", [_on(br, d_circ)],
+                 [_rhs(ad, d_circ), -_rhs(ad, d_bull, True), _xy(rlt, De),
+                  _yx(llt, De)]),
+        Identity("ppbialg.5", "ij", [_on(circ, d_bull)],
+                 [_rhs(lcirc, d_bull), _xy(lrt + ad, d_bull),
+                  -_yx(rlt, transpose(d_lt)), _rhs(rcirc, d_rt + De, True)]),
+        Identity("ppbialg.6", "ij", [_on(bull, d_circ)],
+                 [_rhs(lbull, d_circ), _xy(lrt + ad, d_circ), -_yx(llt, d_lt),
                   _rhs(rbull, d_rt + De, True)]),
-        Identity("ppbialg.7", "ij", [_co_on(curly, d_lt)],
-                 [_rhs(lbull, d_lt), _lhs(lcirc, d_lt), -_rhs(lbull, d_lt, True),
-                  -_lhs(lcirc, d_lt, True)]),
+        Identity("ppbialg.7", "ij", [_on(curly, d_lt)],
+                 [_rhs(lbull, d_lt), _xy(lcirc, d_lt), -_rhs(lbull, d_lt, True),
+                  -_yx(lcirc, d_lt)]),
         Identity("ppbialg.8", "ij",
-                 [_co_on(lt, d_circ - transpose(d_circ) + De)],
-                 [_rhs(llt, d_bull), _rhs(rlt, d_circ, True), -_lhs(llt, transpose(d_bull)),
-                  -_lhs(rlt, transpose(d_circ), True)]),
+                 [_on(lt, d_circ - transpose(d_circ) + De)],
+                 [_rhs(llt, d_bull), _rhs(rlt, d_circ, True), -_xy(llt, transpose(d_bull)),
+                  -_yx(rlt, transpose(d_circ))]),
     ], nested)
 
 
@@ -381,10 +374,6 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     left_on_a = lambda m, x: term("wc,wat,ktb->kabc", r, m, x)
     left_t_on_a = lambda m, x: term("wc,wat,kbt->kabc", r, m, x)
     right_on_a = lambda x, m: term("wc,kat,wbt->kabc", r, x, m)
-    # x = e_i, y = e_j acting on the matrices of a (k, p, q) tensor X
-    left_xy = lambda m, x: term("ipt,jtq->ijpq", m, x)
-    left_yx = lambda m, x: term("jpt,itq->ijpq", m, x)
-    product = lambda c, x: term("ijt,tpq->ijpq", c, x)
     identities = [
         Identity("quasi.colie.1", "k", [term("kpq->kpq", G)]),
         Identity("quasi.colie.2", "k", [on0(ad, C), on1(ad, C), on2(ad, C)]),
@@ -404,14 +393,13 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
             on2(llt + lrt - rlt - rrt, D), -term("kct,bat->kabc", llt + lrt - rlt - rrt, D),
             -on2(rrt - llt, C),
             on0(lrt, D - swap12(D)), -term("kbt,tac->kabc", lrt, D - swap12(D))]),
-        Identity("quasi.compat.1", "ij", [left_xy(ad, F)]),
-        Identity("quasi.compat.2", "ij", [product(br, F), left_xy(ad, F), -left_yx(ad, F)]),
+        Identity("quasi.compat.1", "ij", [_xy(ad, F)]),
+        Identity("quasi.compat.2", "ij", [_on(br, F), _xy(ad, F), -_yx(ad, F)]),
         Identity("quasi.compat.3", "ij", [
-            product(rt + lt, F), term("jpt,iqt->ijpq", F, lrt + llt), left_xy(ad + lrt, F),
-            -term("jpt,iqt->ijpq", rlt, F)]),
+            _on(rt + lt, F), _rhs(lrt + llt, F), _xy(ad + lrt, F), -_rhs(F, rlt)]),
         Identity("quasi.compat.4", "ij", [
-            product(lt, E - F), left_xy(llt, E), -term("iqt,jtp->ijpq", llt, E),
-            term("ipq,j->ijpq", G, ones), term("ipt,jqt->ijpq", F - E, rlt)]),
+            _on(lt, E - F), _xy(llt, E), -term("iqt,jtp->ijpq", llt, E),
+            term("ipq,j->ijpq", G, ones), _rhs(rlt, F - E, True)]),
         Identity("quasi.inv.e", "k", [term("kpq->kpq", E)]),
         Identity("quasi.inv.f", "k", [term("kpq->kpq", F)]),
         Identity("quasi.inv.g", "k", [term("kpq->kpq", G)]),

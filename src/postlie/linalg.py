@@ -9,8 +9,9 @@ negation, scaling, axis permutation, contraction against a matrix and
 block placement (Tensor.blocks; embed is the one-block case) work on the
 numerators in time proportional to the nonzero entries, and einsum
 contracts any number of tensors on them: the identity checkers and all
-vector arithmetic run on it.  einsum plans pair candidates, layouts and
-offset maps once per (spec, shapes); a call does only the per-entry work.
+vector arithmetic run on it.  einsum fixes its contraction order, layouts
+and offset maps once per (spec, shapes) from the shapes alone; a call does
+only the per-entry work.
 Determinants, rank, solving and inversion are views of one fraction-free
 elimination on the numerators, which reports singularity precisely.
 Scalars appear only at the edges: entries, indexing, rows, repr and the
@@ -20,9 +21,8 @@ value of det.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
-from operator import countOf
 
 from .scalars import ZERO, Scalar, _build, _coerce
 
@@ -54,14 +54,24 @@ def _size(shape) -> int:
     return size
 
 
+def _shape(shape) -> tuple:
+    """shape as a tuple, checked to be extents that are integers >= 0."""
+    shape = tuple(shape)
+    if not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise LinAlgError("a shape is non-negative integer extents, not %r" % (shape,))
+    return shape
+
+
 def _gather(values):
-    """(den, re, im) of a mapping of flat offsets to Scalars: the numerators
-    over the lcm of the denominators, zeros left out."""
+    """(den, re, im) of a mapping of flat offsets to entries, each a Scalar
+    or what Scalar() takes: the numerators over the lcm of the
+    denominators, zeros left out."""
+    scalars = [s if isinstance(s, Scalar) else Scalar(s) for s in values.values()]
     den = 1
-    for d in {s.d for s in values.values()}:
+    for d in {s.d for s in scalars}:
         den = den * d // gcd(den, d)
     re, im = {}, {}
-    for f, s in values.items():
+    for f, s in zip(values, scalars):
         if s.a:
             re[f] = s.a * (den // s.d)
         if s.b:
@@ -124,12 +134,11 @@ class Tensor:
     __slots__ = ("shape", "den", "re", "im", "_entries", "_layouts")
 
     def __init__(self, shape, entries):
-        shape = tuple(shape)
-        entries = [e if isinstance(e, Scalar) else Scalar(e) for e in entries]
+        shape, entries = _shape(shape), dict(enumerate(entries))
         if len(entries) != _size(shape):
             raise LinAlgError("expected %d entries for %s, got %d"
                               % (_size(shape), "x".join(map(str, shape)), len(entries)))
-        _make(shape, *_gather(dict(enumerate(entries))), self)
+        _make(shape, *_gather(entries), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -138,16 +147,16 @@ class Tensor:
 
     @staticmethod
     def sparse(shape, values) -> "Tensor":
-        """The tensor of the given shape with the Scalar values[f] at each flat
+        """The tensor of the given shape with the entry values[f] at each flat
         row-major offset f of the mapping values, and zero elsewhere."""
-        shape, size = tuple(shape), _size(shape)
+        shape, size = _shape(shape), _size(shape)
         if any(not 0 <= f < size for f in values):
             raise LinAlgError("offset out of range for shape %r" % (shape,))
         return _make(shape, *_gather(values))
 
     @staticmethod
     def zero(*shape) -> "Tensor":
-        return _tensor(shape, 1, {}, {})
+        return _tensor(_shape(shape), 1, {}, {})
 
     @staticmethod
     def from_rows(rows) -> "Tensor":
@@ -159,7 +168,7 @@ class Tensor:
 
     @staticmethod
     def identity(n: int) -> "Tensor":
-        return _tensor((n, n), 1, {i * (n + 1): 1 for i in range(n)}, {})
+        return _tensor(_shape((n, n)), 1, {i * (n + 1): 1 for i in range(n)}, {})
 
     @staticmethod
     def diagonal(values) -> "Tensor":
@@ -193,26 +202,30 @@ class Tensor:
             object.__setattr__(self, "_entries", tuple(out))
         return self._entries
 
-    def __getitem__(self, index):
-        if len(index) != len(self.shape):
+    def _offset(self, index, axes: int) -> int:
+        """The flat row-major offset over the first axes axes of index, which
+        must hold one index in range for each of them (else IndexError)."""
+        if len(index) != axes:
             raise IndexError("index %r for a tensor of shape %r" % (index, self.shape))
         offset = 0
         for i, n in zip(index, self.shape):
             if not 0 <= i < n:
                 raise IndexError("index %r out of range for shape %r" % (index, self.shape))
             offset = offset * n + i
-        return self._at(offset)
+        return offset
+
+    def __getitem__(self, index):
+        return self._at(self._offset(index, len(self.shape)))
 
     def row(self, *index) -> tuple:
         """Entries along the last axis at the leading indices."""
         n = self.shape[-1]
-        offset = 0
-        for i, m in zip(index, self.shape):
-            offset = offset * m + i
-        return tuple(self._at(f) for f in range(offset * n, (offset + 1) * n))
+        offset = self._offset(index, len(self.shape) - 1) * n
+        return tuple(self._at(f) for f in range(offset, offset + n))
 
     def reshape(self, *shape) -> "Tensor":
         """The same entries in row-major order under a shape of the same size."""
+        shape = _shape(shape)
         if _size(shape) != _size(self.shape):
             raise LinAlgError("cannot reshape a %s tensor to %s"
                               % ("x".join(map(str, self.shape)), "x".join(map(str, shape))))
@@ -225,7 +238,7 @@ class Tensor:
         axis (of length s) becomes one of length p,
             out[.., a, ..] = sum_b M[a, b] self[.., b, ..].
         """
-        if not isinstance(m, Tensor):
+        if not isinstance(m, Tensor) or len(m.shape) != 2:
             raise TypeError("contract expects a Matrix")
         s = self.shape[axis]
         labels = "abcdefghijklmnopqrstuvwxy"[:len(self.shape)]
@@ -253,7 +266,7 @@ class Tensor:
         """The tensor of the given shape holding each (tensor, offset) of
         blocks at its offset, out[offset + idx] = tensor[idx], and zero
         elsewhere.  The blocks must fit and must not overlap."""
-        shape, strides = tuple(shape), _strides(shape)
+        shape, strides = _shape(shape), _strides(shape)
         boxes, placed = [], []
         den = 1
         for t, offset in blocks:
@@ -528,121 +541,84 @@ def _pair(a, b, step, re, im, scale=1):
                 im[k] = get_im(k, 0) + vr * wi + vi * wr
 
 
-def _parse(spec: str, count: int):
-    if "->" not in spec:
-        raise LinAlgError("einsum spec %r has no '->'" % spec)
-    inputs, output = spec.replace(" ", "").split("->")
-    inputs = inputs.split(",") if count else []
-    if len(inputs) != count:
-        raise LinAlgError("einsum spec %r names %d operands, got %d" % (spec, len(inputs), count))
-    if len(set(output)) != len(output):
-        raise LinAlgError("einsum spec %r repeats an output label" % spec)
-    return [tuple(labels) for labels in inputs], tuple(output)
-
-
-class _Node:
-    """A labelling of _accumulate's work list of three or more operands and,
-    built when first reached, its candidate pairs in combinations order:
-    (i, j, no shared label, product of the shared extents, the _step onto
-    the labels kept, then), then the _Node of the work list after the step
-    or, once two operands remain, the final _step onto the output."""
-
-    def __init__(self, labels, sizes, output):
-        self.labels, self.sizes, self.output = labels, sizes, output
-
-    @cached_property
-    def pairs(self) -> list:
-        labels, sizes, output = self.labels, self.sizes, self.output
-        pairs = []
-        for i, j in itertools.combinations(range(len(labels)), 2):
-            la, lb = labels[i], labels[j]
-            rest = [l for k, l in enumerate(labels) if k != i and k != j]
-            keep = set(output).union(*rest)
-            out = (tuple(l for l in la if l in keep)
-                   + tuple(l for l in lb if l in keep and l not in la))
-            shared = [l for l in la if l in lb]
-            after = (*rest, out)
-            then = (_step(*after, output, sizes) if len(after) == 2
-                    else _Node(after, sizes, output))
-            pairs.append((i, j, not shared, max(_size(sizes[l] for l in shared), 1),
-                          _step(la, lb, out, sizes), then))
-        return pairs
-
-
 @lru_cache(maxsize=1024)
 def _plan(spec: str, shapes: tuple):
-    """What einsum needs of spec and the operand shapes alone: per operand,
-    for a repeated label, the map of its entries to the diagonal (else
-    None); the output shape; and how to contract: for one operand the
-    offset map onto the output (None for none needed), for two the _step,
-    for more the _Node of the operands' labels."""
-    inputs, output = _parse(spec, len(shapes))
+    """What einsum needs of spec and the operand shapes alone: the output
+    shape, and how to contract.  For one operand that is the offset map
+    onto the output (None for none needed).  For more it is the whole
+    contraction order, fixed from the shapes: a list of steps (i, j, _step)
+    that contract operands i and j of the work list into one appended at
+    its end, then the final _step of the last two onto the output.  Each
+    step takes, of the work list's pairs in combinations order, the first
+    with the least (no shared label, size of one times size of the other
+    // product of the shared extents), sizes being shape products, so no
+    outer product is formed while a shared label could avoid it."""
+    if "->" not in spec:
+        raise LinAlgError("einsum spec %r has no '->'" % spec)
     if not shapes:
         raise LinAlgError("einsum needs at least one operand")
-    sizes, labelling, diagonals = {}, [], []
+    inputs, output = spec.replace(" ", "").split("->")
+    inputs, output = [tuple(labels) for labels in inputs.split(",")], tuple(output)
+    if len(inputs) != len(shapes):
+        raise LinAlgError("einsum spec %r names %d operands, got %d"
+                          % (spec, len(inputs), len(shapes)))
+    if any(len(set(labels)) != len(labels) for labels in (*inputs, output)):
+        raise LinAlgError("einsum spec %r repeats a label within one operand or the output"
+                          % spec)
+    sizes = {}
     for labels, shape in zip(inputs, shapes):
         if len(labels) != len(shape):
             raise LinAlgError("einsum labels %r for a tensor of shape %r"
                               % ("".join(labels), shape))
-        # a label repeated within one operand takes the diagonal: it gets a
-        # private name per position, and entries off the diagonal are dropped
-        axes = tuple(l if l not in labels[:p] else (l, p) for p, l in enumerate(labels))
         for label, n in zip(labels, shape):
             if sizes.setdefault(label, n) != n:
                 raise LinAlgError("einsum label %r has extents %d and %d"
                                   % (label, sizes[label], n))
-        diagonal = None
-        if axes != labels:
-            sizes.update(zip(axes, shape))
-            copies = [(_mapper(_axes(axes, sizes, (l,))), _mapper(_axes(axes, sizes, (a,))))
-                      for a, l in zip(axes, labels) if a != l]
-            unique = tuple(dict.fromkeys(labels))
-            key = _mapper(_axes(axes, sizes, unique))
-            diagonal = lambda d, copies=copies, key=key: {
-                key(f): v for f, v in d.items() if all(x(f) == y(f) for x, y in copies)}
-            axes = unique
-        labelling.append(axes)
-        diagonals.append(diagonal)
     missing = [l for l in output if l not in sizes]
     if missing:
         raise LinAlgError("einsum output label %r is on no operand" % missing[0])
-    if len(labelling) == 1:
-        how = _mapper(_axes(labelling[0], sizes, output)) if labelling[0] != output else None
-    elif len(labelling) == 2:
-        how = _step(*labelling, output, sizes)
-    else:
-        how = _Node(tuple(labelling), sizes, output)
-    return diagonals, tuple(sizes[l] for l in output), how
+    shape = tuple(sizes[l] for l in output)
+    if len(inputs) == 1:
+        return shape, (_mapper(_axes(inputs[0], sizes, output)) if inputs[0] != output else None)
+    work, how = inputs, []
+    size = lambda labels: _size(sizes[l] for l in labels)
+
+    def cost(ij):
+        la, lb = work[ij[0]], work[ij[1]]
+        shared = [l for l in la if l in lb]
+        return not shared, size(la) * size(lb) // max(size(shared), 1)
+
+    while len(work) > 2:
+        i, j = min(itertools.combinations(range(len(work)), 2), key=cost)
+        la, lb = work[i], work[j]
+        rest = [l for k, l in enumerate(work) if k != i and k != j]
+        keep = set(output).union(*rest)
+        out = (tuple(l for l in la if l in keep)
+               + tuple(l for l in lb if l in keep and l not in la))
+        how.append((i, j, _step(la, lb, out, sizes)))
+        work = rest + [out]
+    return shape, how + [_step(*work, output, sizes)]
 
 
 def _accumulate(spec: str, operands, re: dict, im: dict, scale: int = 1) -> tuple:
     """Add scale times the numerators of einsum(spec, *operands), over the
     product of the operands' denominators, into the {offset: int} dicts re
     and im, and return the result's shape.  The operands are contracted two
-    at a time, always the pair with the fewest expected products, nonzero
-    entries times nonzero entries over the shared extents (the first such
-    pair of the combinations on a tie), so no outer product is formed while
-    a shared label could avoid it; only nonzero entries are visited, and
-    the last pair adds straight into re and im."""
-    diagonals, shape, how = _plan(spec, tuple(t.shape for t in operands))
-    work = [(t.re, t.im, t._layouts) if diagonal is None
-            else (diagonal(t.re), diagonal(t.im), None)
-            for diagonal, t in zip(diagonals, operands)]
-    if len(work) == 1:
-        _add_into(re, work[0][0], scale, how)
-        _add_into(im, work[0][1], scale, how)
+    at a time in the order _plan fixed for the spec and shapes; only nonzero
+    entries are visited, and the last pair adds straight into re and im."""
+    shape, how = _plan(spec, tuple(t.shape for t in operands))
+    if len(operands) == 1:
+        (t,) = operands
+        _add_into(re, t.re, scale, how)
+        _add_into(im, t.im, scale, how)
         return shape
-    counts = [len(w_re) + len(w_im) for w_re, w_im, _ in work]
-    while len(work) > 2:
-        i, j, _, _, step, how = min(
-            how.pairs, key=lambda c: (c[2], counts[c[0]] * counts[c[1]] // c[3]))
+    work = [(t.re, t.im, t._layouts) for t in operands]
+    *steps, last = how
+    for i, j, step in steps:
         pair = ({}, {}, None)
         _pair(work[i], work[j], step, pair[0], pair[1])
         work = [w for k, w in enumerate(work) if k != i and k != j] + [pair]
-        if len(work) > 2:   # another choice follows: count the pair's nonzeros
-            counts = [c for k, c in enumerate(counts) if k != i and k != j] + [
-                sum(len(d) - countOf(d.values(), 0) for d in pair[:2])]
-    _pair(*work, how, re, im, scale)
+    _pair(*work, last, re, im, scale)
     return shape
 
 
@@ -669,7 +645,7 @@ def einsum(spec: str, *operands) -> Tensor:
 
     The operands' numerators are contracted in integers (see _accumulate);
     the result's denominator is the product of theirs, reduced.  A label
-    repeated within one operand takes its diagonal; a label missing from
-    the output is summed.
+    missing from the output is summed; a label repeated within one operand
+    is refused.
     """
     return _make(*_combine([(spec, operands, 1)]))

@@ -236,9 +236,15 @@ def _coerce(value) -> Scalar:
 
 def _exact(value) -> Fraction:
     """One part given to the constructor, as a Fraction; binary floating
-    point is refused rather than converted."""
+    point is refused rather than converted, and text is read by the scalar
+    grammar (Scalar.parse) and must be real."""
     if isinstance(value, (float, complex)):
         raise TypeError("cannot mix Scalar with %r" % type(value).__name__)
+    if isinstance(value, str):
+        s = Scalar.parse(value)
+        if s.b:
+            raise ScalarParseError("%r is not a real part" % value)
+        return s.re
     return Fraction(value)
 
 

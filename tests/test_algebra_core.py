@@ -699,7 +699,6 @@ def _parity_identities(rng):
     a, b = _random_tensor(rng, (n, n, n), 2), _random_tensor(rng, (n, n, n), 3)
     m, p = _random_tensor(rng, (n, n), 5), _random_tensor(rng, (n, n), 7)
     third = Tensor.diagonal([Scalar(Fraction(1, 3))] * n)
-    diag_a = Tensor((n, n), [a[i, j, j] for i in range(n) for j in range(n)])
     # the perturbations, nonzero only at the failing index tuples
     s = Tensor.sparse((n, n), {1: Scalar(Fraction(4, 11), Fraction(1, 11)), 8: ONE})
     s3 = Tensor.sparse((n, n, n), {7: Scalar(Fraction(2, 13)), 18: Scalar(0, Fraction(1, 13))})
@@ -721,9 +720,6 @@ def _parity_identities(rng):
         (Identity("cancel", "ij", [term("ia,aj->ij", m, third), term("ij->ij", s)],
                   [term("ij->ij", m.scale(Scalar(Fraction(1, 3))))]),
          [(0, 1), (2, 2)]),
-        (Identity("diagonal", "i", [term("ijj->ij", a)],
-                  [term("ij->ij", diag_a), term("ij->ij", s)]),
-         [(0,), (2,)]),
     ]
 
 

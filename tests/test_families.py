@@ -1019,9 +1019,6 @@ SPECS = [
     ("ai,bj,abk->ijk", ((3, 2), (3, 2), (3, 3, 3))),
     ("ai,apj,kp->ijk", ((3, 2), (3, 2, 2), (3, 2))),
     ("ijk,kpq->ijpq", ((2, 2, 3), (3, 2, 2))),
-    ("ii->i", ((3, 3),)),                      # a repeated label: the diagonal
-    ("iij,j->ij", ((2, 2, 3), (3,))),
-    ("iji->j", ((2, 3, 2),)),
     ("ij->", ((2, 3),)),                       # summed labels
     ("ij,ij->", ((3, 2), (3, 2))),
     ("ij,ij->ij", ((2, 3), (2, 3))),           # a label shared and kept
@@ -1041,20 +1038,17 @@ SPECS = [
 def reference_order(spec, operands):
     """The pairs of labels einsum contracts, by its greedy rule: of the work
     list's pairs in combinations order, the first with the least (no shared
-    label, nonzero entries of one times those of the other // the product of
-    the shared extents); its result, on the labels still needed, joins the
-    end of the list.  Intermediates are computed by naive_einsum."""
+    label, entries of one times entries of the other // the product of the
+    shared extents), counting every entry of the shape, zero or not; its
+    result, on the labels still needed, joins the end of the list."""
     inputs, output = spec.split("->")
-    work = []
-    for labels, t in zip(inputs.split(","), operands):
-        unique = "".join(dict.fromkeys(labels))
-        work.append((unique, naive_einsum(labels + "->" + unique, t)))
+    work = list(zip(inputs.split(","), operands))
     sizes = {l: n for labels, t in work for l, n in zip(labels, t.shape)}
 
     def cost(ij):
         (la, a), (lb, b) = work[ij[0]], work[ij[1]]
         shared = set(la) & set(lb)
-        return (not shared, (len(a.re) + len(a.im)) * (len(b.re) + len(b.im))
+        return (not shared, math.prod(a.shape) * math.prod(b.shape)
                 // max(math.prod(sizes[l] for l in shared), 1))
 
     order = []
@@ -1110,18 +1104,38 @@ def test_einsum_keeps_cancelled_intermediates_exact():
     spec = "ij,jk,kl->il"
     assert engine_order(spec, (a, b, c)) == [("ij", "jk"), ("kl", "ik")]
     assert einsum(spec, a, b, c) == naive_einsum(spec, a, b, c) == Tensor.zero(1, 1)
-    # with four operands the cancelled pair counts as no entry in the next
-    # choice: contracting it costs 0 products, less than c with d
+    # with four operands the cancelled pair waits in the work list for the
+    # last step, against the product of c and d
     operands = [Tensor.from_rows(rows) for rows in ([[1, 1]], [[1], [-1]], [[1, -1]], [[1], [1]])]
     spec = "ij,jk,kl,lm->im"
     assert engine_order(spec, operands) == reference_order(spec, operands) == [
-        ("ij", "jk"), ("kl", "ik"), ("lm", "li")]
-    assert einsum(spec, *operands) == naive_einsum(spec, *operands)
+        ("ij", "jk"), ("kl", "lm"), ("ik", "km")]
+    assert einsum(spec, *operands) == naive_einsum(spec, *operands) == Tensor.zero(1, 1)
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    ("ai,bj,abk->ijk", ((3, 2), (3, 2), (3, 3, 3))),
+    ("wc,wat,kbt->kabc", ((3, 3), (3, 3, 3), (3, 3, 3))),
+    ("ab,bc,cd,de,ea->", ((2, 3), (3, 2), (2, 2), (2, 3), (3, 2))),
+])
+def test_einsum_order_depends_on_shapes_only(spec, shapes):
+    # operands of the same shapes contract in the same order whatever their
+    # fill, down to an operand that is all zero
+    orders = []
+    for density in (1.0, 0.2):
+        for empty in range(len(shapes)):
+            rnd = Random(spec + str(density), density, False)
+            operands = [Tensor.zero(*s) if k == empty else rnd.tensor(*s)
+                        for k, s in enumerate(shapes)]
+            orders.append(engine_order(spec, operands))
+            assert einsum(spec, *operands) == naive_einsum(spec, *operands)
+    assert orders[1:] == orders[:-1]
+    assert orders[0] == reference_order(spec, [Tensor.zero(*s) for s in shapes])
 
 
 @pytest.mark.parametrize("spec, shapes", [
     ("ij,jk->ik", ((3, 3), (3, 3))),
-    ("iij,j->ij", ((2, 2, 3), (3,))),
+    ("ij,jk,kl->il", ((2, 3), (3, 2), (2, 4))),
     ("ai,bj,abk->ijk", ((3, 2), (3, 2), (3, 3, 3))),
     ("ab,bc,cd,da->", ((2, 3), (3, 2), (2, 2), (2, 2))),
 ])
@@ -1169,7 +1183,8 @@ def test_einsum_random_specs():
     for trial in range(60):
         labels = "abcde"[:rng.randint(1, 5)]
         sizes = {l: rng.randint(1, 3) for l in labels}
-        inputs = ["".join(rng.choice(labels) for _ in range(rng.randint(0, 3)))
+        # no label repeated within an operand, which einsum refuses
+        inputs = ["".join(rng.sample(labels, rng.randint(0, min(3, len(labels)))))
                   for _ in range(rng.randint(1, 3))]
         used = sorted(set("".join(inputs)))
         output = "".join(l for l in used if rng.random() < 0.5)
@@ -1185,6 +1200,9 @@ def test_einsum_rejects_malformed_specs():
     m = Matrix.identity(2)
     for spec, operands in (("ij,jk", (m, m)), ("ij->ij", (m, m)), ("ijk->i", (m,)),
                            ("ij,jk->iki", (m, m)), ("ij->z", (m,)),
-                           ("ij,jk->ik", (m, Matrix.identity(3)))):
+                           ("ij,jk->ik", (m, Matrix.identity(3))),
+                           # a label repeated within one operand
+                           ("ii->i", (m,)), ("iij,j->ij", (Tensor.zero(2, 2, 3), Tensor.zero(3))),
+                           ("iji->j", (Tensor.zero(2, 3, 2),))):
         with pytest.raises(LinAlgError):
             einsum(spec, *operands)

@@ -67,6 +67,8 @@ CANONICAL = [
 @pytest.mark.parametrize("text", CANONICAL)
 def test_parse_format_roundtrip(text):
     assert str(Scalar.parse(text)) == text
+    if "i" not in text:     # the constructor reads a real part by the same grammar
+        assert Scalar(text) == Scalar(0, text) * -I == Scalar.parse(text)
 
 
 def test_format_canonicalises():
@@ -86,12 +88,21 @@ def test_random_roundtrip():
 
 # the last three have more digits than int() reads from text
 @pytest.mark.parametrize("bad", ["1/0", "abc", "1.5", "i2", "1+", "--1", "1 + i", "+1",
+                                 "0.5", "1e3",
                                  pytest.param("9" * 5000, id="long-integer"),
                                  pytest.param("1/" + "9" * 5000, id="long-denominator"),
                                  pytest.param("1+" + "9" * 5000 + "i", id="long-imaginary")])
 def test_parse_errors(bad):
-    with pytest.raises(ScalarParseError):
-        Scalar.parse(bad)
+    # the constructor reads text by the same grammar, for either part
+    for parse in (Scalar.parse, Scalar, lambda text: Scalar(0, text), sc):
+        with pytest.raises(ScalarParseError):
+            parse(bad)
+
+
+@pytest.mark.parametrize("text", ["i", "1+i", "-3/2i"])
+def test_constructor_text_is_a_real_part(text):
+    with pytest.raises(ScalarParseError, match="not a real part"):
+        Scalar(text)
 
 
 def test_canonical_invariants_random():

@@ -303,8 +303,39 @@ def test_shape_errors():
 
 def test_contract_rejects_a_tuple():
     # a vector is an (n,) Tensor, and contract takes only a matrix
-    with pytest.raises(TypeError, match="contract expects a Matrix"):
-        Tensor.zero(2, 2, 2).contract(1, (ONE, ONE))
+    for m in ((ONE, ONE), Tensor((2,), [ONE, ONE]), Tensor.zero(2, 2, 2)):
+        with pytest.raises(TypeError, match="contract expects a Matrix"):
+            Tensor.zero(2, 2, 2).contract(1, m)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Tensor((-1, -1), [ONE]),
+    lambda: Tensor.sparse((-2, -3), {}),
+    lambda: Tensor.zero(-1),
+    lambda: Tensor.identity(-2),
+    lambda: Tensor.zero(2, 3).reshape(-2, -3),
+    lambda: Tensor.blocks((2, -1), []),
+    lambda: Tensor.zero(2, 1.5),
+], ids=["init", "sparse", "zero", "identity", "reshape", "blocks", "non-integer"])
+def test_shapes_have_non_negative_integer_extents(make):
+    with pytest.raises(LinAlgError, match="non-negative integer extents"):
+        make()
+
+
+def test_row_checks_its_index():
+    t = Matrix.from_rows([[1, 2], [3, 4]])
+    assert t.row(1) == (Scalar(3), Scalar(4))
+    assert Tensor((2,), [1, 2]).row() == (ONE, Scalar(2))
+    for index in ((5,), (2,), (-1,), (0, 0, 0), ()):
+        with pytest.raises(IndexError):
+            t.row(*index)
+
+
+def test_sparse_coerces_entries_as_the_constructor_does():
+    assert Tensor.sparse((3,), {0: 1, 2: Fraction(1, 2)}) == Tensor((3,), [1, 0, Fraction(1, 2)])
+    for make in (lambda: Tensor.sparse((1,), {0: 0.5}), lambda: Tensor((1,), [0.5])):
+        with pytest.raises(TypeError, match="cannot mix Scalar"):
+            make()
 
 
 @pytest.mark.parametrize("n", DIMS)
