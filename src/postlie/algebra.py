@@ -100,46 +100,67 @@ class PreconditionError(ValueError):
 # algebras
 # ---------------------------------------------------------------------------
 
-def _require_cube(table, n: int, what: str):
-    """Reject a structure or comultiplication table that is not an n x n x n Tensor."""
-    if not isinstance(table, Tensor) or table.shape != (n, n, n):
-        raise LinAlgError("%s table is not %d^3" % (what, n))
+FIELDS = ("Q", "Q(i)")
+
+
+def _field_of(field: str, tables) -> str:
+    """field (Q or Q(i)), or Q(i) if an entry of the Tensors tables is not real."""
+    if field not in FIELDS:
+        raise LinAlgError("unknown field %r" % field)
+    return "Q(i)" if any(table.im for table in tables) else field
 
 
 @dataclass(frozen=True)
-class Algebra:
-    """Finite-dimensional algebra given by structure constants."""
+class _Tables:
+    """A dimension, a field (_field_of), basis names and a read-only mapping of
+    names to n x n x n tables.  A subclass names the mapping (_mapping), its
+    tables (_names) and, for its messages, itself, a table and a table of
+    the wrong shape (_words)."""
 
     dim: int
     field: str = "Q(i)"
     basis: tuple = ()
-    ops: Mapping = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         basis = tuple(self.basis) or tuple("e%d" % (i + 1) for i in range(self.dim))
         if len(basis) != self.dim:
             raise LinAlgError("basis names do not match dimension")
-        for name, table in self.ops.items():
-            if name not in OPERATION_NAMES:
-                raise UnknownOperationError("unknown operation table %r" % name, name)
-            _require_cube(table, self.dim, "structure")
+        tables, (_, noun, shaped) = getattr(self, self._mapping), self._words
+        for name, table in tables.items():
+            if name not in self._names:
+                raise UnknownOperationError("unknown %s table %r" % (noun, name), name)
+            if not isinstance(table, Tensor) or table.shape != (self.dim,) * 3:
+                raise LinAlgError("%s table is not %d^3" % (shaped, self.dim))
+        object.__setattr__(self, "field", _field_of(self.field, tables.values()))
         object.__setattr__(self, "basis", basis)
         # a read-only copy of the mapping: no one can rebind a name to another table
-        object.__setattr__(self, "ops", MappingProxyType(dict(self.ops)))
+        object.__setattr__(self, self._mapping, MappingProxyType(dict(tables)))
 
-    # -- operations -----------------------------------------------------
+    @property
+    def tables(self) -> Mapping:
+        return getattr(self, self._mapping)
 
-    def has(self, op: str) -> bool:
-        return op in self.ops
+    def has(self, name: str) -> bool:
+        return name in self.tables
 
-    def table(self, op: str) -> Tensor:
-        self.require(op)
-        return self.ops[op]
+    def table(self, name: str) -> Tensor:
+        self.require(name)
+        return self.tables[name]
 
     def require(self, *names):
-        for op in names:
-            if op not in self.ops:
-                raise UnknownOperationError("algebra has no operation table %r" % op, op)
+        owner, noun, _ = self._words
+        for name in names:
+            if not self.has(name):
+                raise UnknownOperationError("%s has no %s table %r" % (owner, noun, name), name)
+
+
+@dataclass(frozen=True)
+class Algebra(_Tables):
+    """Finite-dimensional algebra given by structure constants."""
+
+    ops: Mapping = dataclasses.field(default_factory=dict)
+
+    _mapping, _names, _words = "ops", OPERATION_NAMES, ("algebra", "operation", "structure")
 
     def with_op(self, name: str, table: Tensor) -> "Algebra":
         return Algebra(self.dim, self.field, self.basis, {**self.ops, name: table})

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import (
@@ -35,8 +34,7 @@ from .algebra import (
     Identity,
     PreconditionError,
     Term,
-    UnknownOperationError,
-    _require_cube,
+    _Tables,
     _require_shape,
     _side,
     _sweep,
@@ -73,32 +71,12 @@ _OP_TO_COMAP = {v: k for k, v in _COMAP_TO_OP.items()}
 
 
 @dataclass(frozen=True)
-class CoalgebraSpec:
+class CoalgebraSpec(_Tables):
     """Coalgebra given by comultiplication tables d[k, i, j] (Tensors)."""
 
-    dim: int
-    field: str = "Q(i)"
-    basis: tuple = ()
     comaps: Mapping = dataclasses.field(default_factory=dict)
 
-    def __post_init__(self):
-        basis = tuple(self.basis) or tuple("e%d" % (i + 1) for i in range(self.dim))
-        if len(basis) != self.dim:
-            raise LinAlgError("basis names do not match dimension")
-        for name, table in self.comaps.items():
-            if name not in COMAP_NAMES:
-                raise UnknownOperationError("unknown comap table %r" % name, name)
-            _require_cube(table, self.dim, "comap")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "comaps", MappingProxyType(dict(self.comaps)))
-
-    def has(self, name: str) -> bool:
-        return name in self.comaps
-
-    def table(self, name: str) -> Tensor:
-        if name not in self.comaps:
-            raise UnknownOperationError("coalgebra has no comap table %r" % name, name)
-        return self.comaps[name]
+    _mapping, _names, _words = "comaps", COMAP_NAMES, ("coalgebra", "comap", "comap")
 
 
 def dualize(co: CoalgebraSpec) -> Algebra:

@@ -40,9 +40,10 @@ def _verbosity() -> int:
         return 5
 
 
-def _load(path) -> Document:
+def _load(path, convert=lambda doc: doc):
+    """The document at path passed through convert; a failure is a UsageError naming path."""
     try:
-        return load(path)
+        return convert(load(path))
     except FileNotFoundError:
         raise UsageError("no such file: %s" % path)
     except DocumentError as exc:
@@ -53,27 +54,8 @@ def _load(path) -> Document:
         raise UsageError("%s: %s" % (path, exc.strerror or exc))
 
 
-def _algebra(path) -> Algebra:
-    doc = _load(path)
-    try:
-        return doc.to_algebra()
-    except DocumentError as exc:
-        raise UsageError(str(exc))
-
-
-def _matrix(path, kinds=("form", "map", "tensor2")):
-    doc = _load(path)
-    if doc.kind not in kinds:
-        raise UsageError("%s: expected one of %s, found %s" % (path, "/".join(kinds), doc.kind))
-    return doc.to_matrix()
-
-
-def _coalgebra(path):
-    doc = _load(path)
-    try:
-        return doc.to_coalgebra()
-    except DocumentError as exc:
-        raise UsageError(str(exc))
+_algebra, _matrix, _coalgebra = (functools.partial(_load, convert=convert) for convert in (
+    Document.to_algebra, Document.to_matrix, Document.to_coalgebra))
 
 
 def _pp_rep(alg: Algebra, which: str | None):

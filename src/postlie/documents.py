@@ -20,6 +20,10 @@ coalgebra: blocks ``comap <name>`` ... ``end`` with lines ``k i j : s``
 bundle:    named ``section <name>`` ... ``endsection`` wrappers, each holding
            a complete document.
 
+In memory a document is the frozen Document(kind, field, basis, body), dim
+= len(basis): a read-only mapping of tables, the matrix Tensor or a read-only
+mapping of sections as body, checked when built, over Q(i) if not all real.
+
 Tables and matrices are read straight into sparse Tensors: a ``0`` token
 builds nothing, and each distinct nonzero token text is parsed once per
 document; its errors name the line of its first use.  Writing prints only
@@ -29,17 +33,19 @@ Scalars for those rows alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from types import MappingProxyType
 
-from .algebra import Algebra, OPERATION_NAMES
+from .algebra import FIELDS, OPERATION_NAMES, Algebra, UnknownOperationError, _field_of
 from .bialgebra import COMAP_NAMES, CoalgebraSpec
-from .linalg import Matrix, Tensor
+from .linalg import LinAlgError, Matrix, Tensor
 from .scalars import Scalar, ScalarParseError
 
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
 
 KINDS = ("algebra", "form", "map", "tensor2", "coalgebra", "bundle")
-FIELDS = ("Q", "Q(i)")
+MATRIX_KINDS = ("form", "map", "tensor2")
+_RECORDS = {"algebra": Algebra, "coalgebra": CoalgebraSpec}
 
 
 class DocumentError(ValueError):
@@ -50,64 +56,81 @@ class DocumentError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
-    """A parsed document.  Its tables and matrices are immutable Tensors, so
-    what to_algebra, to_matrix and to_coalgebra hand out cannot change it."""
+    """A document; its tables are checked as to_algebra and to_coalgebra check them."""
 
     kind: str
-    field: str = "Q(i)"
-    dim: int = 0
-    basis: tuple = ()
-    rows: int | None = None
-    ops: dict = dc_field(default_factory=dict)
-    matrix: Matrix | None = None
-    comaps: dict = dc_field(default_factory=dict)
-    sections: dict = dc_field(default_factory=dict)
+    field: str
+    basis: tuple
+    body: object
 
     def __post_init__(self):
-        if self.kind != "bundle" and len(self.basis) != self.dim:
-            raise DocumentError("basis has %d names, dim is %d" % (len(self.basis), self.dim))
+        kind, basis, body = self.kind, tuple(self.basis), self.body
+        for name in (*basis, *(body if kind == "bundle" else ())):
+            if name.split() != [name]:
+                raise DocumentError("name %r is not one word" % (name,))
+        try:
+            if kind in _RECORDS:
+                record = _RECORDS[kind](len(basis), self.field, basis, body)
+                field, body = record.field, record.tables
+            elif kind == "bundle":     # its text has no basis line and nests no bundle
+                if basis or not all(isinstance(s, Document) and s.kind != "bundle"
+                                    for s in body.values()):
+                    raise DocumentError("a bundle holds Documents but no bundle, and no basis")
+                field, body = _field_of(self.field, ()), MappingProxyType(dict(body))
+            elif kind not in MATRIX_KINDS:
+                raise DocumentError("unknown kind %r" % kind)
+            elif body.cols != len(basis):
+                raise DocumentError("%d basis names for %d columns" % (len(basis), body.cols))
+            elif kind != "map" and body.rows != body.cols:
+                raise DocumentError("%s must be square" % kind)
+            else:
+                field = _field_of(self.field, (body,))
+        except (LinAlgError, UnknownOperationError) as exc:
+            raise DocumentError(str(exc)) from None
+        for name, value in (("field", field), ("basis", basis), ("body", body)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     # -- conversions -----------------------------------------------------
 
     def to_algebra(self) -> Algebra:
         if self.kind != "algebra":
             raise DocumentError("document is %r, not an algebra" % self.kind)
-        return Algebra(self.dim, self.field, self.basis, self.ops)
+        return Algebra(self.dim, self.field, self.basis, self.body)
 
     def to_matrix(self) -> Matrix:
-        if self.kind not in ("form", "map", "tensor2"):
-            raise DocumentError("document is %r, not matrix-like" % self.kind)
-        return self.matrix
+        if self.kind not in MATRIX_KINDS:
+            raise DocumentError("expected one of form/map/tensor2, found %s" % self.kind)
+        return self.body
 
     def to_coalgebra(self) -> CoalgebraSpec:
         if self.kind != "coalgebra":
             raise DocumentError("document is %r, not a coalgebra" % self.kind)
-        return CoalgebraSpec(self.dim, self.field, self.basis, self.comaps)
+        return CoalgebraSpec(self.dim, self.field, self.basis, self.body)
 
     @staticmethod
     def from_algebra(alg: Algebra) -> "Document":
-        return Document("algebra", alg.field, alg.dim, tuple(alg.basis), ops=dict(alg.ops))
+        return Document("algebra", alg.field, alg.basis, alg.ops)
 
     @staticmethod
     def from_matrix(kind: str, m: Matrix, field="Q(i)", basis=()) -> "Document":
-        if kind not in ("form", "map", "tensor2"):
+        if kind not in MATRIX_KINDS:
             raise DocumentError("matrix documents must be form, map or tensor2")
-        dim = m.cols
-        rows = m.rows if m.rows != m.cols else None
-        if kind in ("form", "tensor2") and m.rows != m.cols:
-            raise DocumentError("%s must be square" % kind)
-        basis = tuple(basis) or tuple("e%d" % (i + 1) for i in range(dim))
-        return Document(kind, field, dim, basis, rows=rows, matrix=m)
+        basis = tuple(basis) or tuple("e%d" % (i + 1) for i in range(m.cols))
+        return Document(kind, field, basis, m)
 
     @staticmethod
     def from_coalgebra(co: CoalgebraSpec) -> "Document":
-        return Document("coalgebra", co.field, co.dim, tuple(co.basis), comaps=dict(co.comaps))
+        return Document("coalgebra", co.field, co.basis, co.comaps)
 
     @staticmethod
     def bundle(sections: dict, field="Q(i)") -> "Document":
-        return Document("bundle", field, 0, (), sections=dict(sections))
+        return Document("bundle", field, (), sections)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +166,7 @@ class _Lines:
 
 
 def loads(text: str) -> Document:
-    lines = _Lines(text)
-    return _parse_document(lines)
+    return _parse_document(_Lines(text))
 
 
 def _expect(lines, keyword):
@@ -155,13 +177,6 @@ def _expect(lines, keyword):
     if parts[0] != keyword:
         raise DocumentError("expected %r, found %r" % (keyword, parts[0]), lineno)
     return lineno, parts[1].strip() if len(parts) > 1 else ""
-
-
-def _field(lines) -> str:
-    lineno, fieldname = _expect(lines, "field")
-    if fieldname not in FIELDS:
-        raise DocumentError("unknown field %r" % fieldname, lineno)
-    return fieldname
 
 
 def _count(text, what, lineno) -> int:
@@ -178,56 +193,53 @@ def _parse_document(lines) -> Document:
     lineno, kind = _expect(lines, "kind")
     if kind not in KINDS:
         raise DocumentError("unknown kind %r" % kind, lineno)
+    lineno, fieldname = _expect(lines, "field")
+    if fieldname not in FIELDS:
+        raise DocumentError("unknown field %r" % fieldname, lineno)
     if kind == "bundle":
-        doc = Document("bundle", _field(lines))
+        sections = {}
         while True:
             lineno, line = lines.next()
             if line is None:
-                break
+                return Document("bundle", fieldname, (), sections)
             parts = line.split()
             if parts[0] != "section" or len(parts) != 2:
                 raise DocumentError("expected 'section <name>'", lineno)
-            name = parts[1]
-            doc.sections[name] = _parse_document(lines)
+            sections[parts[1]] = _parse_document(lines)
             lineno, line = lines.next()
             if line != "endsection":
                 raise DocumentError("expected 'endsection'", lineno)
-        return doc
 
-    fieldname = _field(lines)
     lineno, dimtxt = _expect(lines, "dim")
     dim = _count(dimtxt, "dimension", lineno)
     lineno, basistxt = _expect(lines, "basis")
     basis = tuple(basistxt.split())
     if len(basis) != dim:
         raise DocumentError("basis has %d names, dim is %d" % (len(basis), dim), lineno)
-    doc = Document(kind, fieldname, dim, basis)
-
     if kind == "algebra":
-        _parse_tables(lines, doc, "op", "operation", OPERATION_NAMES, 2)
+        body = _parse_tables(lines, dim, fieldname, "op", "operation", OPERATION_NAMES, 2)
     elif kind == "coalgebra":
-        _parse_tables(lines, doc, "comap", "comap", COMAP_NAMES, 3)
+        body = _parse_tables(lines, dim, fieldname, "comap", "comap", COMAP_NAMES, 3)
     else:
-        _parse_matrix_body(lines, doc)
-    return doc
+        body = _parse_matrix_body(lines, kind, dim, fieldname)
+    return Document(kind, fieldname, basis, body)
 
 
-def _parse_tables(lines, doc, keyword, noun, names, indices):
+def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
     """The '<keyword> <name>' ... 'end' blocks of an algebra (op, two indices
-    and a row of dim scalars per line) or a coalgebra (comap, three indices
-    and one scalar per line), each into an n x n x n Tensor."""
-    n = doc.dim
+    and a row of n scalars per line) or a coalgebra (comap, three indices
+    and one scalar per line), each read into an n x n x n Tensor."""
     per = n ** (3 - indices)
-    seen = {}
+    seen, tables = {}, {}
     usage = "%s : %s" % (" ".join("kij"[3 - indices:]),
                          "scalar" if indices == 3 else "%d scalars" % per)
     while True:
         lineno, line = lines.next()
         if line is None:
-            return
+            return tables
         if line == "endsection":
             lines.pos -= 1
-            return
+            return tables
         parts = line.split()
         if parts[0] != keyword or len(parts) != 2:
             raise DocumentError("expected '%s <name>'" % keyword, lineno)
@@ -260,39 +272,38 @@ def _parse_tables(lines, doc, keyword, noun, names, indices):
                 if tok == "0":
                     values.pop(f, None)
                 else:
-                    values[f] = _scal(tok, lineno, doc.field, seen)
-        getattr(doc, keyword + "s")[name] = Tensor.sparse((n, n, n), values)
+                    values[f] = _scal(tok, lineno, fieldname, seen)
+        tables[name] = Tensor.sparse((n, n, n), values)
 
 
-def _parse_matrix_body(lines, doc):
+def _parse_matrix_body(lines, kind, n, fieldname) -> Matrix:
     lineno, line = lines.next()
-    rows = doc.dim
+    rows = n
     if line is not None and line.split()[0] == "rows":
         parts = line.split()
         if len(parts) != 2:
             raise DocumentError("expected 'rows <n>'", lineno)
         rows = _count(parts[1], "row count", lineno)
-        if doc.kind != "map":
+        if kind != "map":
             raise DocumentError("'rows' is only valid for maps", lineno)
-        doc.rows = rows
         lineno, line = lines.next()
     if line != "matrix":
         raise DocumentError("expected 'matrix'", lineno)
     seen, values = {}, {}
     # a row of no entries is written as a blank line, which the reader skips
-    for r in range(rows if doc.dim else 0):
+    for r in range(rows if n else 0):
         lineno, line = lines.next()
         if line is None:
             raise DocumentError("unterminated matrix block")
         toks = line.split()
-        if len(toks) != doc.dim:
-            raise DocumentError("expected %d entries per row" % doc.dim, lineno)
-        values.update((f, _scal(tok, lineno, doc.field, seen))
-                      for f, tok in enumerate(toks, r * doc.dim) if tok != "0")
+        if len(toks) != n:
+            raise DocumentError("expected %d entries per row" % n, lineno)
+        values.update((f, _scal(tok, lineno, fieldname, seen))
+                      for f, tok in enumerate(toks, r * n) if tok != "0")
     lineno, line = lines.next()
     if line != "end":
         raise DocumentError("expected 'end' after matrix", lineno)
-    doc.matrix = Matrix.sparse((rows, doc.dim), values)
+    return Matrix.sparse((rows, n), values)
 
 
 # ---------------------------------------------------------------------------
@@ -308,41 +319,41 @@ def dumps(doc: Document) -> str:
 def _dump_into(doc: Document, out):
     out.append("kind %s" % doc.kind)
     out.append("field %s" % doc.field)
+    body, n = doc.body, doc.dim
     if doc.kind == "bundle":
-        for name in doc.sections:
+        for name, section in body.items():
             out.append("section %s" % name)
-            _dump_into(doc.sections[name], out)
+            _dump_into(section, out)
             out.append("endsection")
         return
-    out.append("dim %d" % doc.dim)
+    out.append("dim %d" % n)
     out.append(("basis " + " ".join(doc.basis)).rstrip())
     if doc.kind == "algebra":
         for name in OPERATION_NAMES:
-            if name not in doc.ops:
+            if name not in body:
                 continue
             out.append("op %s" % name)
-            table = doc.ops[name]
-            for at in sorted({f // doc.dim for f in table.re.keys() | table.im.keys()}):
-                i, j = divmod(at, doc.dim)
+            table = body[name]
+            for at in sorted({f // n for f in table.re.keys() | table.im.keys()}):
+                i, j = divmod(at, n)
                 out.append("%d %d : %s" % (i + 1, j + 1, " ".join(map(str, table.row(i, j)))))
             out.append("end")
     elif doc.kind == "coalgebra":
         for name in COMAP_NAMES:
-            if name not in doc.comaps:
+            if name not in body:
                 continue
             out.append("comap %s" % name)
-            table = doc.comaps[name]
+            table = body[name]
             for f in sorted(table.re.keys() | table.im.keys()):
-                k, i, j = f // doc.dim ** 2, f // doc.dim % doc.dim, f % doc.dim
+                k, i, j = f // n ** 2, f // n % n, f % n
                 out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, table[k, i, j]))
             out.append("end")
     else:
-        m = doc.matrix
-        if doc.kind == "map" and m.rows != m.cols:
-            out.append("rows %d" % m.rows)
+        if doc.kind == "map" and body.rows != body.cols:
+            out.append("rows %d" % body.rows)
         out.append("matrix")
-        for i in range(m.rows):
-            out.append(" ".join(map(str, m.row(i))))
+        for i in range(body.rows):
+            out.append(" ".join(map(str, body.row(i))))
         out.append("end")
 
 

@@ -204,17 +204,19 @@ class Tensor:
 
     def _offset(self, index, axes: int) -> int:
         """The flat row-major offset over the first axes axes of index, which
-        must hold one index in range for each of them (else IndexError)."""
+        must hold one int index in range for each of them (else IndexError)."""
         if len(index) != axes:
             raise IndexError("index %r for a tensor of shape %r" % (index, self.shape))
         offset = 0
         for i, n in zip(index, self.shape):
-            if not 0 <= i < n:
+            if not isinstance(i, int) or not 0 <= i < n:
                 raise IndexError("index %r out of range for shape %r" % (index, self.shape))
             offset = offset * n + i
         return offset
 
     def __getitem__(self, index):
+        """The entry at a tuple of indices, one per axis (an int on one axis)."""
+        index = index if isinstance(index, tuple) else (index,)
         return self._at(self._offset(index, len(self.shape)))
 
     def row(self, *index) -> tuple:
@@ -553,8 +555,8 @@ def _plan(spec: str, shapes: tuple):
     with the least (no shared label, size of one times size of the other
     // product of the shared extents), sizes being shape products, so no
     outer product is formed while a shared label could avoid it."""
-    if "->" not in spec:
-        raise LinAlgError("einsum spec %r has no '->'" % spec)
+    if spec.count("->") != 1:
+        raise LinAlgError("einsum spec %r needs one '->'" % spec)
     if not shapes:
         raise LinAlgError("einsum needs at least one operand")
     inputs, output = spec.replace(" ", "").split("->")

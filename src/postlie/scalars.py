@@ -236,10 +236,14 @@ def _coerce(value) -> Scalar:
 
 def _exact(value) -> Fraction:
     """One part given to the constructor, as a Fraction; binary floating
-    point is refused rather than converted, and text is read by the scalar
-    grammar (Scalar.parse) and must be real."""
+    point is refused rather than converted, text is read by the scalar
+    grammar (Scalar.parse), and text and Scalars must be real."""
     if isinstance(value, (float, complex)):
         raise TypeError("cannot mix Scalar with %r" % type(value).__name__)
+    if isinstance(value, Scalar):
+        if value.b:
+            raise TypeError("a Scalar part must be real, got %s" % value)
+        return value.re
     if isinstance(value, str):
         s = Scalar.parse(value)
         if s.b:

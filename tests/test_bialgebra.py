@@ -90,6 +90,17 @@ def test_coalgebra_refuses_a_basis_of_the_wrong_length():
     assert CoalgebraSpec(2, basis=("a", "b")).basis == ("a", "b")
 
 
+@pytest.mark.parametrize("record, name", [(Algebra, "circ"), (CoalgebraSpec, "Delta")])
+def test_tables_with_an_entry_that_is_not_real_are_over_q_i(record, name):
+    # algebras and coalgebras share one rule, so what they build over Q reads back
+    real, imaginary = (Tensor.sparse((2, 2, 2), {1: s}) for s in (sc(1), sc("1/2i")))
+    assert record(2, "Q", (), {name: real}).field == "Q"
+    assert record(2, "Q", (), {name: imaginary}).field == "Q(i)"
+    assert record(2, "Q(i)", (), {name: real}).field == "Q(i)"
+    with pytest.raises(LinAlgError, match="unknown field 'R'"):
+        record(2, "R")
+
+
 def test_lie_coalgebra_zero():
     assert check_lie_coalgebra(_zero_coalgebra(3, ("Delta",))).passed
 

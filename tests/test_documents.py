@@ -8,6 +8,7 @@ valid document, returns a Document or raises DocumentError and nothing
 else.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -29,19 +30,22 @@ denominators = st.one_of(st.integers(1, 4), st.integers(BIG, BIG * BIG))
 
 
 @st.composite
-def scalars(draw, field):
+def scalars(draw, imaginary):
     part = lambda: Fraction(draw(numerators), draw(denominators))
-    return Scalar(part(), part() if field == "Q(i)" and draw(st.booleans()) else 0)
+    return Scalar(part(), part() if imaginary and draw(st.booleans()) else 0)
 
 
 @st.composite
-def documents(draw):
+def documents(draw, imaginary=False):
+    """A document drawn through the constructors; with imaginary, a Q
+    document's entries may still have an imaginary part."""
     kind = draw(st.sampled_from(["algebra", "coalgebra", "form", "map", "tensor2"]))
     field = draw(st.sampled_from(["Q", "Q(i)"]))
+    imaginary = imaginary or field == "Q(i)"
     dim = draw(st.integers(0, 3))
     basis = tuple(draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True),
                                 min_size=dim, max_size=dim, unique=True)))
-    pool = draw(st.lists(scalars(field), min_size=1, max_size=4))
+    pool = draw(st.lists(scalars(imaginary), min_size=1, max_size=4))
     entry = st.one_of(st.just(ZERO), st.just(ZERO), st.sampled_from(pool))
 
     def tensor(*shape):
@@ -52,17 +56,15 @@ def documents(draw):
 
     if kind in ("algebra", "coalgebra"):
         names = OPERATION_NAMES if kind == "algebra" else COMAP_NAMES
-        tables = {name: tensor(dim, dim, dim)
-                  for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=3))}
-        if kind == "algebra":
-            return Document(kind, field, dim, basis, ops=tables)
-        return Document(kind, field, dim, basis, comaps=tables)
+        return Document(kind, field, basis, {
+            name: tensor(dim, dim, dim)
+            for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=3))})
     # maps may have no rows, or rows but no columns; without a basis the
     # basis is e1 ... en
     rows = draw(st.integers(0, 3)) if kind == "map" else dim
     if draw(st.booleans()):
         return Document.from_matrix(kind, tensor(rows, dim), field)
-    return Document.from_matrix(kind, tensor(rows, dim), field, basis)
+    return Document(kind, field, basis, tensor(rows, dim))
 
 
 @SETTINGS
@@ -72,6 +74,15 @@ def test_dumps_then_loads_is_identity(doc):
     again = loads(text)
     assert again == doc
     assert dumps(again) == text
+
+
+@SETTINGS
+@given(documents(imaginary=True))
+def test_a_q_body_with_an_imaginary_entry_is_over_q_i(doc):
+    # promoted, never written as a 'field Q' text that loads refuses
+    tensors = doc.body.values() if doc.kind in ("algebra", "coalgebra") else (doc.body,)
+    assert doc.field == "Q(i)" or not any(t.im for t in tensors)
+    assert loads(dumps(doc)) == doc
 
 
 def test_equal_values_print_alike():
@@ -87,15 +98,48 @@ def test_matrix_without_a_basis_names_it_e1_to_en():
 
 
 def test_wrong_length_basis_is_refused():
-    # the same refusal as loads gives the text such a document would print
-    with pytest.raises(DocumentError, match="basis has 1 names, dim is 2"):
+    # a Document that dumps could only print as text loads refuses
+    with pytest.raises(DocumentError, match="1 basis names for 2 columns"):
         Document.from_matrix("form", Matrix.identity(2), basis=("a",))
-    with pytest.raises(DocumentError, match="basis has 3 names, dim is 2"):
-        Document("algebra", "Q", 2, ("a", "b", "c"))
-    with pytest.raises(DocumentError, match="basis has 0 names, dim is 1"):
-        Document("coalgebra", "Q", 1)
+    with pytest.raises(DocumentError, match="2 basis names for 3 columns"):
+        Document("form", "Q", ("a", "b"), Tensor.identity(3))
+    with pytest.raises(DocumentError, match="structure table is not 3\\^3"):
+        Document("algebra", "Q", ("a", "b", "c"), {"circ": Tensor.zero(2, 2, 2)})
+    with pytest.raises(DocumentError, match="comap table is not 1\\^3"):
+        Document("coalgebra", "Q", ("a",), {"Delta": Tensor.zero(2, 2, 2)})
     with pytest.raises(DocumentError, match="line 4: basis has 1 names, dim is 2"):
         loads("kind form\nfield Q\ndim 2\nbasis a\nmatrix\n1 0\n0 1\nend\n")
+
+
+def test_documents_are_checked_and_frozen():
+    with pytest.raises(DocumentError, match="unknown kind 'vector'"):
+        Document("vector", "Q", ("a",), Tensor.zero(1, 1))
+    with pytest.raises(DocumentError, match="form must be square"):
+        Document("form", "Q", ("a",), Tensor.zero(2, 1))
+    with pytest.raises(DocumentError, match="unknown field 'R'"):
+        Document("tensor2", "R", ("a",), Tensor.zero(1, 1))
+    with pytest.raises(DocumentError, match="unknown operation table 'Delta'"):
+        Document("algebra", "Q", ("a",), {"Delta": Tensor.zero(1, 1, 1)})
+    doc = Document("algebra", "Q", ("a",), {"circ": Tensor.zero(1, 1, 1)})
+    assert doc.dim == 1
+    # a name the text format would split or lose
+    with pytest.raises(DocumentError, match="name 'a b' is not one word"):
+        Document("form", "Q", ("a b",), Tensor.zero(1, 1))
+    with pytest.raises(DocumentError, match="name '' is not one word"):
+        Document.bundle({"": doc})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.field = "Q(i)"
+    with pytest.raises(TypeError):
+        doc.body["bracket"] = Tensor.zero(1, 1, 1)
+    bundle = Document.bundle({"a": doc})
+    with pytest.raises(TypeError):
+        bundle.body["b"] = doc
+    # the text of a bundle in a bundle, or of a bundle's basis, would not read back
+    for section in (bundle, "kind form"):
+        with pytest.raises(DocumentError, match="a bundle holds Documents but no bundle"):
+            Document.bundle({"a": section})
+    with pytest.raises(DocumentError, match="and no basis"):
+        Document("bundle", "Q", ("a",), {})
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 0), (0, 2), (0, 0)])

@@ -18,7 +18,7 @@ import tempfile
 
 import pytest
 
-from postlie import ONE, CheckReport, Document, Tensor, corpus_doc, dualize, dumps
+from postlie import ONE, CheckReport, Document, Tensor, corpus_doc, dualize, dumps, loads
 from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
 from postlie.corpus import write_corpus
 
@@ -127,35 +127,33 @@ def _bumped(table, k, i, j, delta=ONE):
     return Tensor(table.shape, entries)
 
 
-def _coalgebra_with(name, table):
-    co = corpus_doc("final_cobrackets")
-    co.comaps[name] = table
-    return co
+def _with(doc, name, table):
+    """doc with the table name of its body replaced by table."""
+    return dataclasses.replace(doc, body={**doc.body, name: table})
 
 
 def write_inputs(directory):
     """The corpus plus the mutants and helper documents the cases name."""
     write_corpus(directory)
     prepp = corpus_doc("final_prepp")
-    prepp.ops["se"] = _bumped(prepp.ops["se"], 0, 1, 1)
+    prepp = _with(prepp, "se", _bumped(prepp.body["se"], 0, 1, 1))
     r6 = corpus_doc("r6")
-    entries = list(r6.matrix.entries)
+    entries = list(r6.body.entries)
     entries[3] = -entries[3]  # entry (0, 3) of the 6x6 tensor
-    r6.matrix = Tensor(r6.matrix.shape, entries)
+    r6 = dataclasses.replace(r6, body=Tensor(r6.body.shape, entries))
     co = corpus_doc("final_cobrackets")
-    flipped = -co.comaps["Delta"]
+    flipped = -co.body["Delta"]
     docs = {
         "identity3": IDENTITY3,
         "zero_pp": ZERO_PP,
         "prepp_bumped": dumps(prepp),
         "r6_flipped": dumps(r6),
-        "cobrackets_bumped": dumps(_coalgebra_with(
-            "Delta", _bumped(co.comaps["Delta"], 0, 0, 1))),
-        "cobrackets_ltri": dumps(_coalgebra_with(
-            "delta_ltri", _bumped(co.comaps["delta_ltri"], 0, 0, 1))),
+        "cobrackets_bumped": dumps(_with(co, "Delta", _bumped(co.body["Delta"], 0, 0, 1))),
+        "cobrackets_ltri": dumps(_with(
+            co, "delta_ltri", _bumped(co.body["delta_ltri"], 0, 0, 1))),
         "dual_pp": dumps(Document.from_algebra(dualize(co.to_coalgebra()))),
         "dual_broken": dumps(Document.from_algebra(dualize(
-            _coalgebra_with("Delta", flipped).to_coalgebra()))),
+            _with(co, "Delta", flipped).to_coalgebra()))),
     }
     for name, text in docs.items():
         with open(os.path.join(directory, name + ".txt"), "w", encoding="utf-8") as fh:
@@ -201,6 +199,15 @@ def test_cli_matches_golden(command, kind, inputs, goldens, monkeypatch):
     assert cases, "no golden case for %s %s" % (command, kind)
     for case in cases:
         assert transcript(case, inputs) == goldens[case_id(case)], case_id(case)
+
+
+def test_every_derived_document_reads_back(goldens):
+    derived = [key for key, golden in goldens.items()
+               if key.startswith("derive ") and golden["exit"] == 0]
+    assert len(derived) > 20
+    for key in derived:
+        text = goldens[key]["stdout"]
+        assert dumps(loads(text)) == text, key
 
 
 def test_checks_run_on_whole_tensors(inputs, monkeypatch):

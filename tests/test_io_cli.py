@@ -53,14 +53,15 @@ def test_bundle_roundtrip():
     text = dumps(bundle)
     again = loads(text)
     assert dumps(again) == text
-    assert again.sections["algebra"].ops == inner.ops
+    assert again.body["algebra"] == inner
 
 
 def _assign_fails(value, order):
-    """Item assignment, by a tuple index or by chained indices, raises TypeError."""
+    """Item assignment raises TypeError; chained indices reach no row to
+    assign into, as one int is no index of a tensor of two or more axes."""
     with pytest.raises(TypeError):
         value[(0,) * order] = ONE
-    with pytest.raises(TypeError):
+    with pytest.raises(IndexError):
         value[0][0] = ONE
 
 
@@ -95,7 +96,7 @@ def test_field_q_rejects_imaginary():
     with pytest.raises(DocumentError):
         loads(text)
     ok = loads("kind form\nfield Q\ndim 1\nbasis e1\nmatrix\n-1/2\nend\n")
-    assert ok.matrix[0, 0].is_real()
+    assert ok.body[0, 0].is_real()
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -159,14 +160,14 @@ def test_table_blocks_fill_their_entries():
 def test_comments_and_blank_lines():
     text = ("# a comment\nkind form\n\nfield Q\ndim 1\nbasis e1\n"
             "# another\nmatrix\n2\nend\n")
-    assert loads(text).matrix[0, 0] == 2
+    assert loads(text).body[0, 0] == 2
 
 
 def test_non_square_map_roundtrip():
     text = ("kind map\nfield Q\ndim 2\nbasis v1 v2\nrows 3\n"
             "matrix\n1 0\n0 1\n1 1\nend\n")
     doc = loads(text)
-    assert doc.matrix.rows == 3 and doc.matrix.cols == 2
+    assert doc.body.rows == 3 and doc.body.cols == 2
     assert dumps(doc) == text
     with pytest.raises(DocumentError):
         loads(text.replace("kind map", "kind form"))
@@ -321,6 +322,13 @@ def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
          "%s: coalgebra has no comap table 'Delta'" % no_delta),
         (("check", "manin-triple", str(corpus_on_disk / "sl2_pp.txt"),
           str(corpus_on_disk / "ahat_pp.txt")), "dimension mismatch between the two halves"),
+        # an input of the wrong kind is named by its path
+        (("check", "lie", str(corpus_on_disk / "kappa.txt")),
+         "%s: document is 'form', not an algebra" % (corpus_on_disk / "kappa.txt")),
+        (("check", "lie-coalg", str(corpus_on_disk / "sl2_lie.txt")),
+         "%s: document is 'algebra', not a coalgebra" % (corpus_on_disk / "sl2_lie.txt")),
+        (("check", "cybe", str(corpus_on_disk / "sl2_pp.txt"), str(co)),
+         "%s: expected one of form/map/tensor2, found coalgebra" % co),
     ]:
         code, out, err = _run(capsys, *argv)
         assert (code, err) == (2, "error: %s\n" % message), argv
@@ -417,7 +425,24 @@ def test_cli_derive_induced_matches_corpus(corpus_on_disk, tmp_path, capsys):
     assert code == 0
     derived = loads(out_path.read_text())
     expected = corpus_doc("sl2_postlie")
-    assert derived.ops == expected.ops
+    assert derived.body == expected.body
+
+
+def test_cli_derive_over_q_with_imaginary_entries_writes_q_i(corpus_on_disk, tmp_path, capsys):
+    # sl2_lie over Q and the Q(i) operator sl2_P induce a structure over Q(i)
+    q_lie = tmp_path / "q_lie.txt"
+    q_lie.write_text((corpus_on_disk / "sl2_lie.txt").read_text().replace(
+        "field Q(i)\n", "field Q\n"))
+    assert loads(q_lie.read_text()).field == "Q"
+    out_path = tmp_path / "out.txt"
+    code, _, _ = _run(capsys, "derive", "induced", str(q_lie),
+                      str(corpus_on_disk / "sl2_P.txt"), "-o", str(out_path))
+    assert code == 0
+    derived = loads(out_path.read_text())
+    assert derived.field == "Q(i)"
+    assert derived.body == corpus_doc("sl2_postlie").body
+    code, _, _ = _run(capsys, "check", "post-lie", str(out_path))
+    assert code == 0
 
 
 def test_cli_derive_pp_from_gph(corpus_on_disk, tmp_path, capsys):
@@ -443,7 +468,7 @@ def test_cli_derive_cobrackets_matches_corpus(corpus_on_disk, tmp_path, capsys):
                       "-o", str(out_path))
     assert code == 0
     derived = loads(out_path.read_text())
-    assert derived.comaps == corpus_doc("final_cobrackets").comaps
+    assert derived == corpus_doc("final_cobrackets")
 
 
 def test_cli_derive_embed_r(corpus_on_disk, tmp_path, capsys):
@@ -453,8 +478,8 @@ def test_cli_derive_embed_r(corpus_on_disk, tmp_path, capsys):
                       "--rep", "quarter", "-o", str(out_path))
     assert code == 0
     bundle = loads(out_path.read_text())
-    assert bundle.sections["double"].ops == corpus_doc("ahat_pp").ops
-    assert bundle.sections["r"].matrix == corpus_doc("r6").to_matrix()
+    assert bundle.body["double"].body == corpus_doc("ahat_pp").body
+    assert bundle.body["r"].body == corpus_doc("r6").to_matrix()
 
 
 def test_cli_derive_sub_adjacent_quarter(corpus_on_disk, tmp_path, capsys):
@@ -476,8 +501,8 @@ def test_cli_derive_double(corpus_on_disk, tmp_path, capsys):
                       str(corpus_on_disk / "sl2_pp.txt"), "-o", str(out_path))
     assert code == 0
     bundle = loads(out_path.read_text())
-    assert bundle.sections["double"].dim == 6
-    assert bundle.sections["pairing"].matrix is not None
+    assert bundle.body["double"].dim == 6
+    assert bundle.body["pairing"].kind == "form"
 
 
 def test_cli_derive_precondition_exit_1(corpus_on_disk, capsys):
@@ -496,7 +521,7 @@ def test_cli_dualize_roundtrip(corpus_on_disk, tmp_path, capsys):
     back_path = tmp_path / "alg.txt"
     code, _, _ = _run(capsys, "derive", "dualize", str(co_path), "-o", str(back_path))
     assert code == 0
-    assert loads(back_path.read_text()).ops == corpus_doc("sl2_pp").ops
+    assert loads(back_path.read_text()).body == corpus_doc("sl2_pp").body
 
 
 def test_cli_corpus_list_show_write(tmp_path, capsys):
@@ -775,7 +800,7 @@ def test_cli_derive_bowtie_and_invertible_o(corpus_on_disk, tmp_path, capsys):
                       "-o", str(tmp_path / "prepp.txt"))
     assert code == 0
     derived = loads((tmp_path / "prepp.txt").read_text())
-    assert derived.ops == corpus_doc("final_prepp").ops
+    assert derived.body == corpus_doc("final_prepp").body
 
 
 def test_cli_derive_manin(corpus_on_disk, tmp_path, capsys):
@@ -787,4 +812,4 @@ def test_cli_derive_manin(corpus_on_disk, tmp_path, capsys):
                       "-o", str(tmp_path / "manin.txt"))
     assert code == 0
     bundle = loads((tmp_path / "manin.txt").read_text())
-    assert bundle.sections["double"].dim == 12
+    assert bundle.body["double"].dim == 12

@@ -141,6 +141,15 @@ def test_binary_floating_point_is_refused(value):
     assert Scalar(Fraction(1, 10)) == sc("1/10")
 
 
+def test_a_real_scalar_is_a_part():
+    assert Scalar(ONE) == ONE and Scalar(Scalar(1)) == ONE
+    assert Scalar(sc("1/2"), sc("-3")) == sc("1/2-3i")
+    # a Scalar with an imaginary part is no real or imaginary part
+    for make in (lambda: Scalar(I), lambda: Scalar(ONE, I)):
+        with pytest.raises(TypeError, match="a Scalar part must be real"):
+            make()
+
+
 # ---------------------------------------------------------------------------
 # parsing against the earlier Fraction-based reader
 # ---------------------------------------------------------------------------

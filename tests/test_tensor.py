@@ -301,6 +301,20 @@ def test_shape_errors():
         t[0, 1]
 
 
+def test_an_int_index_reads_a_one_axis_tensor():
+    v = Tensor((2,), [1, 2])
+    assert (v[0], v[1], v[(1,)]) == (ONE, Scalar(2), Scalar(2))
+    m = Matrix.identity(2)
+    for t, index in ((m, 0), (m, (0, 0.5)), (m, [0, 0]), (m, None), (v, 2), (v, "a"), (v, -1)):
+        with pytest.raises(IndexError):
+            t[index]
+
+
+def test_einsum_refuses_a_spec_with_two_arrows():
+    with pytest.raises(LinAlgError, match="'ij->j->i'"):
+        einsum("ij->j->i", Tensor.identity(2))
+
+
 def test_contract_rejects_a_tuple():
     # a vector is an (n,) Tensor, and contract takes only a matrix
     for m in ((ONE, ONE), Tensor((2,), [ONE, ONE]), Tensor.zero(2, 2, 2)):
