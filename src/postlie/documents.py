@@ -20,6 +20,8 @@ coalgebra: blocks ``comap <name>`` ... ``end`` with lines ``k i j : s``
 bundle:    named ``section <name>`` ... ``endsection`` wrappers, each holding
            a complete document.
 
+Text holds one document: only blank and ``#`` comment lines may follow it.
+
 In memory a document is the frozen Document(kind, field, basis, body), dim
 = len(basis): a read-only mapping of tables, the matrix Tensor or a read-only
 mapping of sections as body, checked when built, over Q(i) if not all real.
@@ -166,7 +168,14 @@ class _Lines:
 
 
 def loads(text: str) -> Document:
-    return _parse_document(_Lines(text))
+    """The one document of text: any line after it but blanks and comments
+    is refused."""
+    lines = _Lines(text)
+    doc = _parse_document(lines)
+    lineno, line = lines.next()
+    if line is not None:
+        raise DocumentError("text after the end of the document", lineno)
+    return doc
 
 
 def _expect(lines, keyword):

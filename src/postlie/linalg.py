@@ -11,7 +11,12 @@ numerators in time proportional to the nonzero entries, and einsum
 contracts any number of tensors on them: the identity checkers and all
 vector arithmetic run on it.  einsum fixes its contraction order, layouts
 and offset maps once per (spec, shapes) from the shapes alone; a call does
-only the per-entry work.
+only the per-entry work.  Each pair contraction (_pair) multiplies entry
+by entry, except on full groups (dense tables): there _packed packs each
+right group into one big integer of 64-bit slots and adds a whole row of
+products per left entry (Kronecker substitution), after proving that no
+slot's value can reach 2^63; where that is not proved, it falls back to
+the entry-by-entry loop, which is exact for numerators of any size.
 Determinants, rank, solving and inversion are views of one fraction-free
 elimination on the numerators, which reports singularity precisely.
 Scalars appear only at the edges: entries, indexing, rows, repr and the
@@ -21,6 +26,7 @@ value of det.
 from __future__ import annotations
 
 import itertools
+import struct
 from functools import lru_cache
 from math import gcd
 
@@ -157,14 +163,6 @@ class Tensor:
     @staticmethod
     def zero(*shape) -> "Tensor":
         return _tensor(_shape(shape), 1, {}, {})
-
-    @staticmethod
-    def from_rows(rows) -> "Tensor":
-        rows = [tuple(r) for r in rows]
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise LinAlgError("ragged rows")
-        return Tensor((len(rows), m), [e for r in rows for e in r])
 
     @staticmethod
     def identity(n: int) -> "Tensor":
@@ -512,12 +510,98 @@ def _grouped(operand, side) -> dict:
     return groups
 
 
+# _pair packs when the average left group holds at least _LEFT_FILL real
+# entries and the average right group at least _RIGHT_FILL: below that the
+# packing and unpacking cost more than the scalar loop saves
+_LEFT_FILL, _RIGHT_FILL = 8, 16
+_LANE = 64                      # bits per packed slot, read back as struct "q"
+_HALF = 1 << (_LANE - 1)        # a slot's bias; |slot value| < _HALF is proved
+
+
+# The packed path (Kronecker substitution).  Number the distinct output
+# offsets q of the shared right groups 0..m-1 and pack each right group into
+# WR = sum of wr << 64 * slot(q) (WI likewise); then one big-int multiply-add
+# rows_re[p] += vr * WR - vi * WI (rows_im[p] += vr * WI + vi * WR) per left
+# entry (p, vr, vi) adds a whole row of products, slot j of rows_re[p] holding
+# the exact sum of the products at output offset p + qs[j].
+# The slot width is proved before anything is packed.  Each slot's value is
+# a sum, over the shared keys, of products v * w of a left and a right
+# numerator of that key: one product per (left entry, right entry) pair for
+# real operands, two (vr * wr - vi * wi, or vr * wi + vi * wr) for complex
+# ones.  A key contributes to the slot (p, q) at most c_l * c_r pairs, c_l
+# (c_r) the most entries of one left (right) group with one output offset:
+# 1 + the group's length less its number of distinct offsets.  So with K
+# shared keys every slot value satisfies
+#     |value| <= (2 if complex else 1) * K * c_l * c_r * max|v| * max|w| * |scale|,
+# the maxima over the operands' numerator dicts.  Only when that bound is
+# below 2^63 is anything packed: then value + 2^63 lies in [1, 2^64), so adding
+# the bias 2^63 to every slot of a row makes each slot one unsigned 64-bit
+# word, with no borrow or carry between slots, and every row unpacks exactly
+# with one to_bytes and one struct unpack.  Otherwise the caller runs the
+# scalar loop, which is exact for numerators of any size.  No float is used.
+def _packed(left, right, a, b, re, im, scale) -> bool:
+    """Add scale times the contraction of the groupings left and right of
+    the operands a and b into re and im by packed big-int rows, as _pair
+    would; False, adding nothing, when the slot bound is not proved."""
+    shared = [k for k in left if k in right]
+    if not shared:
+        return True
+    lefts, rights = [left[k] for k in shared], [right[k] for k in shared]
+    cx = a[1] or b[1]
+    vmax = max(max(map(abs, a[0].values()), default=0), max(map(abs, a[1].values()), default=0))
+    wmax = max(max(map(abs, b[0].values()), default=0), max(map(abs, b[1].values()), default=0))
+    c_l = 1 + max(len(g) - len({p for p, _, _ in g}) for g in lefts)
+    c_r = 1 + max(len(g) - len({q for q, _, _ in g}) for g in rights)
+    if (2 if cx else 1) * len(shared) * c_l * c_r * vmax * wmax * abs(scale) >= _HALF:
+        return False
+    qs = sorted({q for g in rights for q, _, _ in g})
+    slot = {q: _LANE * j for j, q in enumerate(qs)}
+    rows_re, rows_im = {}, {}
+    get_re, get_im = rows_re.get, rows_im.get
+    for group, other in zip(lefts, rights):
+        wr = wi = 0
+        for q, x, y in other:
+            wr += x << slot[q]
+            if y:
+                wi += y << slot[q]
+        if scale != 1:
+            wr, wi = wr * scale, wi * scale
+        if not cx:
+            for p, vr, _ in group:
+                rows_re[p] = get_re(p, 0) + vr * wr
+            continue
+        for p, vr, vi in group:
+            rows_re[p] = get_re(p, 0) + vr * wr - vi * wi
+            rows_im[p] = get_im(p, 0) + vr * wi + vi * wr
+    # acc + bias holds value + 2^63 in each slot; xor with bias flips each
+    # slot's top bit, leaving the slot's value as a signed 64-bit word
+    m = len(qs)
+    bias = int.from_bytes(_HALF.to_bytes(_LANE // 8, "little") * m, "little")
+    unpack = struct.Struct("<%dq" % m).unpack
+    for rows, out in ((rows_re, re), (rows_im, im)):
+        get = out.get
+        for p, acc in rows.items():
+            lanes = unpack(((acc + bias) ^ bias).to_bytes(_LANE // 8 * m, "little"))
+            for k, x in zip(map(p.__add__, qs), lanes):
+                if x:
+                    out[k] = get(k, 0) + x
+    return True
+
+
 def _pair(a, b, step, re, im, scale=1):
     """Add scale times the contraction of two (re, im, layouts) operands by
     a _step into the dicts re and im, keyed by offset over its output
-    labels; zero sums stay in them."""
+    labels; zero sums may stay in them.  When the average group is full
+    (at least _LEFT_FILL left and _RIGHT_FILL right real entries per key,
+    one O(1) comparison) the products go through _packed, which adds whole
+    rows by packed big-int arithmetic once it has proved the slot bound;
+    otherwise, or when the bound is not proved, a scalar loop adds each
+    product."""
     side_a, side_b = step
     left, right = _grouped(a, side_a), _grouped(b, side_b)
+    if (len(a[0]) >= _LEFT_FILL * len(left) and len(b[0]) >= _RIGHT_FILL * len(right)
+            and _packed(left, right, a, b, re, im, scale)):
+        return
     get_re = re.get
     if not a[1] and not b[1]:   # no imaginary parts to track
         for key, group in left.items():

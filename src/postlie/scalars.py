@@ -179,9 +179,6 @@ class Scalar:
     def __neg__(self):
         return _raw(-self.a, -self.b, self.d)
 
-    def conjugate(self) -> "Scalar":
-        return _raw(self.a, -self.b, self.d)
-
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
@@ -201,9 +198,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_real(self) -> bool:
-        return self.b == 0
 
     # -- formatting ------------------------------------------------------
 

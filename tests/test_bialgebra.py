@@ -34,7 +34,7 @@ from postlie import (
     sub_adjacent_pp,
 )
 from postlie.forms import PPRepSpec
-from vectors import act, apply, basis_vec, mul, ref_kron
+from vectors import act, apply, basis_vec, from_rows, mul, ref_kron
 
 
 def _zero(n):
@@ -230,7 +230,7 @@ def test_cybe_corpus_solution(ahat_pp, r6):
 
 def test_cybe_abelian_bracket():
     alg = Algebra(2, ops={"rtri": _zero(2), "ltri": _zero(2), "bracket": _zero(2)})
-    r = Matrix.from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
+    r = from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
     assert cybe_C(alg, r).is_zero()
     assert cybe_D(alg, r).is_zero()
 
@@ -293,7 +293,7 @@ def test_cobrackets_vanish_on_central_elements(sl2_pp):
     rep = PPRepSpec(z, z, z, z, z)
     ext = semidirect_pp(sl2_pp, rep, checked=False)
     rng = random.Random(12)
-    r = Matrix.from_rows([[Scalar(Fraction(rng.randint(-2, 2), 1)) for _ in range(4)]
+    r = from_rows([[Scalar(Fraction(rng.randint(-2, 2), 1)) for _ in range(4)]
                           for _ in range(4)])
     co = cobrackets_from_r(ext, r)
     for name in ("delta_rtri", "delta_ltri", "Delta"):
@@ -347,7 +347,7 @@ def test_efg_matrix_convention(sl2_pp):
     adj = pp_adjoint_rep(sl2_pp)
     rng = random.Random(13)
     n = 3
-    r = Matrix.from_rows([[Scalar(Fraction(rng.randint(-3, 3), 1), Fraction(rng.randint(-1, 1)))
+    r = from_rows([[Scalar(Fraction(rng.randint(-3, 3), 1), Fraction(rng.randint(-1, 1)))
                            for _ in range(n)] for _ in range(n)])
     E, F, G = _efg(adj, r)
     eye = Matrix.identity(n)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from postlie import Document, DocumentError, Matrix, Scalar, Tensor, dumps, loads
+from postlie import Document, DocumentError, Matrix, Scalar, Tensor, corpus_doc, dumps, loads
 from postlie.algebra import OPERATION_NAMES
 from postlie.bialgebra import COMAP_NAMES
 
@@ -140,6 +140,26 @@ def test_documents_are_checked_and_frozen():
             Document.bundle({"a": section})
     with pytest.raises(DocumentError, match="and no basis"):
         Document("bundle", "Q", ("a",), {})
+
+
+# one complete document of each kind, with the text that may follow it
+_WHOLE = {"algebra": corpus_doc("sl2_lie"), "coalgebra": corpus_doc("final_cobrackets"),
+          "form": corpus_doc("kappa"), "map": corpus_doc("sl2_P"),
+          "tensor2": corpus_doc("r6"),
+          "bundle": Document.bundle({"r": corpus_doc("r6"), "lie": corpus_doc("sl2_lie")})}
+
+
+@pytest.mark.parametrize("kind", sorted(_WHOLE))
+@pytest.mark.parametrize("tail", ["garbage here\n", "endsection\ngarbage\n", "end\n",
+                                  "kind form\n", dumps(corpus_doc("sl2_lie"))],
+                         ids=["garbage", "endsection", "end", "kind", "second-document"])
+def test_text_after_a_complete_document_is_refused(kind, tail):
+    text = dumps(_WHOLE[kind])
+    assert _WHOLE[kind].kind == kind
+    assert loads(text + "\n  \n# a comment\n") == _WHOLE[kind]    # blanks may follow
+    with pytest.raises(DocumentError) as err:
+        loads(text + tail)
+    assert str(err.value).startswith("line %d: " % (text.count("\n") + 1))
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 0), (0, 2), (0, 0)])

@@ -48,7 +48,7 @@ from postlie.construct import MatchedPairMaps
 from postlie.forms import LEFT, PPRepSpec, RepSpec, dual_map, pp_adjoint_rep
 from postlie.linalg import einsum
 from postlie.scalars import ONE, ZERO
-from vectors import act, act_apply, apply, basis_vec, coapply, mul, vadd, vneg, vscale, vsub
+from vectors import act, act_apply, apply, basis_vec, coapply, from_rows, mul, vadd, vneg, vscale, vsub
 
 
 # ---------------------------------------------------------------------------
@@ -1100,13 +1100,13 @@ def test_einsum_matches_naive_sum(spec, shapes, density, big):
 def test_einsum_keeps_cancelled_intermediates_exact():
     # a and b contract first (the tie goes to the first pair) to a stored
     # zero, which the last pair must treat as no entry
-    a, b, c = (Tensor.from_rows(rows) for rows in ([[1, 1]], [[1], [-1]], [[5]]))
+    a, b, c = (from_rows(rows) for rows in ([[1, 1]], [[1], [-1]], [[5]]))
     spec = "ij,jk,kl->il"
     assert engine_order(spec, (a, b, c)) == [("ij", "jk"), ("kl", "ik")]
     assert einsum(spec, a, b, c) == naive_einsum(spec, a, b, c) == Tensor.zero(1, 1)
     # with four operands the cancelled pair waits in the work list for the
     # last step, against the product of c and d
-    operands = [Tensor.from_rows(rows) for rows in ([[1, 1]], [[1], [-1]], [[1, -1]], [[1], [1]])]
+    operands = [from_rows(rows) for rows in ([[1, 1]], [[1], [-1]], [[1, -1]], [[1], [1]])]
     spec = "ij,jk,kl,lm->im"
     assert engine_order(spec, operands) == reference_order(spec, operands) == [
         ("ij", "jk"), ("kl", "lm"), ("ik", "km")]

@@ -35,7 +35,7 @@ from postlie import (
 from postlie import Tensor
 from postlie.construct import quarter_split_rep
 from postlie.forms import PPRepSpec, RepSpec
-from vectors import act, basis_vec, mul
+from vectors import act, basis_vec, from_rows, mul
 
 E1, E2, E3 = (basis_vec(3, i) for i in range(3))
 
@@ -55,7 +55,7 @@ def test_invariant_form_killing(sl2_postlie, kappa):
 
 def test_invariant_form_trivial_algebra():
     alg = Algebra(2, ops={"circ": Tensor.zero(2, 2, 2), "bracket": Tensor.zero(2, 2, 2)})
-    b = Matrix.from_rows([[sc(1), sc(2)], [sc(2), sc(5)]])
+    b = from_rows([[sc(1), sc(2)], [sc(2), sc(5)]])
     assert check_invariant_form(alg, b).passed
 
 
@@ -71,7 +71,7 @@ def test_gph(sl2_postlie, kappa):
     rep = check_gph(sl2_postlie, Matrix.zero(3, 3))
     assert not rep.passed
     assert any(v.identity == "form.nondeg" for v in rep.violations)
-    skew = Matrix.from_rows([[0, ONE, 0], [-ONE, 0, 0], [0, 0, 0]])
+    skew = from_rows([[0, ONE, 0], [-ONE, 0, 0], [0, 0, 0]])
     rep = check_gph(sl2_postlie, skew)
     assert any(v.identity == "form.sym" for v in rep.violations)
 
@@ -110,7 +110,7 @@ def test_omega_cocycle_checks_post_lie_once(sl2_postlie, kappa, monkeypatch):
 
 def test_omega_cocycle_nonsymmetric_on_abelian():
     alg = Algebra(2, ops={"circ": Tensor.zero(2, 2, 2), "bracket": Tensor.zero(2, 2, 2)})
-    b = Matrix.from_rows([[sc(1), sc(3)], [sc(0), sc(1)]])
+    b = from_rows([[sc(1), sc(3)], [sc(0), sc(1)]])
     omega, rep = omega_cocycle(alg, b)
     assert not omega.is_zero()
     assert rep.passed
@@ -242,7 +242,7 @@ def test_coadjoint_formula_entrywise(sl2_pp):
     def mult(op, k, left):
         """The matrix of v -> e_k * v (left) or v -> v * e_k, column by column."""
         cols = [mul(sl2_pp, op, e[k], v) if left else mul(sl2_pp, op, v, e[k]) for v in e]
-        return Matrix.from_rows(zip(*cols))
+        return from_rows(zip(*cols))
 
     for k in range(3):
         lrt, llt = mult("rtri", k, True), mult("ltri", k, True)
@@ -379,7 +379,7 @@ def test_pp_from_dual_p_o_zero(sl2_postlie):
 
 def test_form_value():
     # the checkers evaluate B(x, y) as the contraction x_i B[i, j] y_j
-    b = Matrix.from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
+    b = from_rows([[sc(1), sc(2)], [sc(3), sc(4)]])
     x = Tensor((2,), (sc(1), sc(1)))
     y = Tensor((2,), (sc(1), sc(-1)))
     # (1,1) B (1,-1)^T = 1 - 2 + 3 - 4

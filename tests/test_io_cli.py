@@ -20,6 +20,7 @@ from postlie import (
     corpus_text,
     dumps,
     loads,
+    sc,
 )
 from postlie import algebra, bialgebra, cli
 from postlie.bialgebra import COMAP_NAMES
@@ -96,7 +97,7 @@ def test_field_q_rejects_imaginary():
     with pytest.raises(DocumentError):
         loads(text)
     ok = loads("kind form\nfield Q\ndim 1\nbasis e1\nmatrix\n-1/2\nend\n")
-    assert ok.body[0, 0].is_real()
+    assert ok.body[0, 0] == sc("-1/2")
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -375,6 +376,16 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                    % ("9" * 5000))
     code, _, err = _run(capsys, "check", "lie", str(bad))
     assert code == 2 and "line 6: too many digits in '999" in err
+
+
+def test_cli_two_documents_in_one_file_exit_2(corpus_on_disk, capsys):
+    two = corpus_on_disk / "two.txt"
+    r6 = (corpus_on_disk / "r6.txt").read_text()
+    two.write_text(r6 + (corpus_on_disk / "sl2_lie.txt").read_text())
+    code, out, err = _run(capsys, "check", "cybe", str(corpus_on_disk / "ahat_pp.txt"), str(two))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: line %d: text after the end of the document\n" % (
+        two, r6.count("\n") + 1)
 
 
 def test_cli_input_not_utf8_exit_2(tmp_path, capsys):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import I, ONE, ZERO, Matrix, Scalar, ScalarParseError, sc
+from postlie import I, ONE, ZERO, Scalar, ScalarParseError, sc
+from vectors import from_rows
 
 
 def test_modulus_identity():
@@ -54,8 +55,7 @@ def test_subtraction_and_negation():
     b = sc("1/4")
     assert a - b == sc("1/2")
     assert -a + a == ZERO
-    assert a.conjugate() == a
-    assert sc(1, 2).conjugate() == sc(1, -2)
+    assert sc(1, 2) - sc(0, 4) == sc(1, -2)
 
 
 CANONICAL = [
@@ -133,7 +133,7 @@ def test_immutability():
 def test_binary_floating_point_is_refused(value):
     # the same TypeError as in arithmetic, never a silent binary expansion
     for make in (lambda: Scalar(value), lambda: Scalar(0, value), lambda: Scalar(ONE.re, value),
-                 lambda: sc(value), lambda: sc(1, value), lambda: Matrix.from_rows([[value]])):
+                 lambda: sc(value), lambda: sc(1, value), lambda: from_rows([[value]])):
         with pytest.raises(TypeError, match="cannot mix Scalar"):
             make()
     with pytest.raises(TypeError, match="cannot mix Scalar"):

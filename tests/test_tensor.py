@@ -66,7 +66,7 @@ from postlie import algebra as algebra_mod
 from postlie import forms as forms_mod
 from postlie.bialgebra import COMAP_NAMES
 from postlie.linalg import einsum
-from vectors import basis_vec, mul, ref_kron, vadd, vneg
+from vectors import basis_vec, from_rows, mul, ref_kron, vadd, vneg
 
 ZERO = Scalar(0)
 DIMS = (1, 2, 3, 4)
@@ -337,7 +337,7 @@ def test_shapes_have_non_negative_integer_extents(make):
 
 
 def test_row_checks_its_index():
-    t = Matrix.from_rows([[1, 2], [3, 4]])
+    t = from_rows([[1, 2], [3, 4]])
     assert t.row(1) == (Scalar(3), Scalar(4))
     assert Tensor((2,), [1, 2]).row() == (ONE, Scalar(2))
     for index in ((5,), (2,), (-1,), (0, 0, 0), ()):
@@ -637,7 +637,7 @@ def test_operator_constructions_match_closures(n, m):
 
     _, r_embedded = hom_embed_r(alg, pp, Tm, checked=False)
     Tt = [[T[i][j] for i in range(n)] for j in range(m)]
-    assert r_embedded == Matrix.from_rows(
+    assert r_embedded == from_rows(
         [[ZERO] * n + list(vneg(T[i])) for i in range(n)]
         + [Tt[j] + [ZERO] * m for j in range(m)])
 

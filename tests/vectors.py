@@ -14,6 +14,15 @@ from postlie import LinAlgError, Matrix
 from postlie.scalars import ONE, ZERO
 
 
+def from_rows(rows) -> Matrix:
+    """The matrix whose rows are the given sequences of entries."""
+    rows = [tuple(r) for r in rows]
+    m = len(rows[0]) if rows else 0
+    if any(len(r) != m for r in rows):
+        raise LinAlgError("ragged rows")
+    return Matrix((len(rows), m), [e for r in rows for e in r])
+
+
 def zero_vec(n: int) -> tuple:
     return (ZERO,) * n
 
