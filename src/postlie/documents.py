@@ -20,17 +20,19 @@ coalgebra: blocks ``comap <name>`` ... ``end`` with lines ``k i j : s``
 bundle:    named ``section <name>`` ... ``endsection`` wrappers, each holding
            a complete document.
 
-Text holds one document: only blank and ``#`` comment lines may follow it.
+A name heads at most one op, comap or section block of a document.  Text
+holds one document: only blank and ``#`` comment lines may follow it.
 
 In memory a document is the frozen Document(kind, field, basis, body), dim
 = len(basis): a read-only mapping of tables, the matrix Tensor or a read-only
 mapping of sections as body, checked when built, over Q(i) if not all real.
 
-Tables and matrices are read straight into sparse Tensors: a ``0`` token
-builds nothing, and each distinct nonzero token text is parsed once per
-document; its errors name the line of its first use.  Writing prints only
-the rows that hold a nonzero entry (all rows of a matrix) and builds
-Scalars for those rows alone.
+Tables and matrices are read straight into sparse Tensors over the lcm of
+their denominators by the integer scalar codec of :mod:`postlie.scalars`: a
+``0`` token costs nothing, and each distinct token text is read once per
+document (its errors name the line of its first use).  Writing prints only
+the rows that hold a nonzero entry (all rows of a matrix), formatting each
+distinct entry of a Tensor once.  Neither builds a Scalar or a Fraction.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from types import MappingProxyType
 
 from .algebra import FIELDS, OPERATION_NAMES, Algebra, UnknownOperationError, _field_of
 from .bialgebra import COMAP_NAMES, CoalgebraSpec
-from .linalg import LinAlgError, Matrix, Tensor
-from .scalars import Scalar, ScalarParseError
+from .linalg import LinAlgError, Matrix, _over_lcm, _tensor
+from .scalars import ScalarParseError, _read, _text
 
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
 
@@ -139,32 +141,31 @@ class Document:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _scal(tok, lineno, fieldname, seen):
-    """tok as a Scalar; seen maps the token texts already read to theirs."""
-    s = seen.get(tok)
-    if s is None:
-        try:
-            s = Scalar.parse(tok)
-        except ScalarParseError as exc:
-            raise DocumentError(str(exc), lineno) from None
-        if fieldname == "Q" and s.b:
-            raise DocumentError("imaginary scalar %r in a Q document" % tok, lineno)
-        seen[tok] = s
-    return s
+def _triple(tok, lineno, fieldname, codes):
+    """The scalar triple (a, b, d) of tok, kept in codes (token text -> triple)."""
+    try:
+        code = _read(tok)
+    except ScalarParseError as exc:
+        raise DocumentError(str(exc), lineno) from None
+    if fieldname == "Q" and code[1]:
+        raise DocumentError("imaginary scalar %r in a Q document" % tok, lineno)
+    codes[tok] = code
+    return code
 
 
 class _Lines:
+    """The numbered, stripped lines of a text but blanks and comments; pos is the next."""
+
     def __init__(self, text):
-        self.raw = text.splitlines()
+        self.items = [(no, line) for no, line in enumerate(map(str.strip, text.splitlines()), 1)
+                      if line and line[0] != "#"]
         self.pos = 0
 
     def next(self):
-        while self.pos < len(self.raw):
-            self.pos += 1
-            stripped = self.raw[self.pos - 1].strip()
-            if stripped and not stripped.startswith("#"):
-                return self.pos, stripped
-        return None, None
+        if self.pos == len(self.items):
+            return None, None
+        self.pos += 1
+        return self.items[self.pos - 1]
 
 
 def loads(text: str) -> Document:
@@ -214,6 +215,8 @@ def _parse_document(lines) -> Document:
             parts = line.split()
             if parts[0] != "section" or len(parts) != 2:
                 raise DocumentError("expected 'section <name>'", lineno)
+            if parts[1] in sections:
+                raise DocumentError("duplicate section %r" % parts[1], lineno)
             sections[parts[1]] = _parse_document(lines)
             lineno, line = lines.next()
             if line != "endsection":
@@ -239,7 +242,7 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
     and a row of n scalars per line) or a coalgebra (comap, three indices
     and one scalar per line), each read into an n x n x n Tensor."""
     per = n ** (3 - indices)
-    seen, tables = {}, {}
+    codes, tables = {}, {}
     usage = "%s : %s" % (" ".join("kij"[3 - indices:]),
                          "scalar" if indices == 3 else "%d scalars" % per)
     while True:
@@ -255,11 +258,11 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
         name = parts[1]
         if name not in names:
             raise DocumentError("unknown %s %r" % (noun, name), lineno)
-        values = {}
-        while True:
-            lineno, line = lines.next()
-            if line is None:
-                raise DocumentError("unterminated %s block" % keyword)
+        if name in tables:
+            raise DocumentError("duplicate %s %r" % (noun, name), lineno)
+        values, starts, items = {}, set(), lines.items
+        for pos in range(lines.pos, len(items)):
+            lineno, line = items[pos]
             if line == "end":
                 break
             head, _, tail = line.partition(":")
@@ -268,21 +271,26 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
             if len(idx) != indices or len(vals) != per:
                 raise DocumentError("expected '%s'" % usage, lineno)
             try:
-                idx = [int(t) - 1 for t in idx]
+                idx = list(map(int, idx))
             except ValueError:
                 raise DocumentError("bad basis index", lineno) from None
-            if not all(0 <= t < n for t in idx):
-                raise DocumentError("basis index out of range", lineno)
             start = 0
             for t in idx:
-                start = start * n + t
-            # a repeated line replaces the earlier one; a 0 token builds nothing
-            for f, tok in enumerate(vals, start * per):
-                if tok == "0":
+                if not 0 < t <= n:
+                    raise DocumentError("basis index out of range", lineno)
+                start = start * n + t - 1
+            start *= per
+            if start in starts:     # a repeated line replaces the earlier one
+                for f in range(start, start + per):
                     values.pop(f, None)
-                else:
-                    values[f] = _scal(tok, lineno, fieldname, seen)
-        tables[name] = Tensor.sparse((n, n, n), values)
+            starts.add(start)
+            for f, tok in enumerate(vals, start):
+                if tok != "0":
+                    values[f] = codes.get(tok) or _triple(tok, lineno, fieldname, codes)
+        else:
+            raise DocumentError("unterminated %s block" % keyword)
+        lines.pos = pos + 1
+        tables[name] = _tensor((n, n, n), *_over_lcm(values))
 
 
 def _parse_matrix_body(lines, kind, n, fieldname) -> Matrix:
@@ -298,7 +306,7 @@ def _parse_matrix_body(lines, kind, n, fieldname) -> Matrix:
         lineno, line = lines.next()
     if line != "matrix":
         raise DocumentError("expected 'matrix'", lineno)
-    seen, values = {}, {}
+    codes, values = {}, {}
     # a row of no entries is written as a blank line, which the reader skips
     for r in range(rows if n else 0):
         lineno, line = lines.next()
@@ -307,12 +315,13 @@ def _parse_matrix_body(lines, kind, n, fieldname) -> Matrix:
         toks = line.split()
         if len(toks) != n:
             raise DocumentError("expected %d entries per row" % n, lineno)
-        values.update((f, _scal(tok, lineno, fieldname, seen))
-                      for f, tok in enumerate(toks, r * n) if tok != "0")
+        for f, tok in enumerate(toks, r * n):
+            if tok != "0":
+                values[f] = codes.get(tok) or _triple(tok, lineno, fieldname, codes)
     lineno, line = lines.next()
     if line != "end":
         raise DocumentError("expected 'end' after matrix", lineno)
-    return Matrix.sparse((rows, n), values)
+    return _tensor((rows, n), *_over_lcm(values))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +332,20 @@ def dumps(doc: Document) -> str:
     out = []
     _dump_into(doc, out)
     return "\n".join(out) + "\n"
+
+
+def _cells(t) -> dict:
+    """The text of each nonzero entry of the tensor t by flat offset; each
+    distinct numerator pair is formatted once, over t.den."""
+    re, im, den = t.re, t.im, t.den
+    texts, cells = {}, {}
+    for f in re.keys() | im.keys():
+        pair = re.get(f, 0), im.get(f, 0)
+        text = texts.get(pair)
+        if text is None:
+            text = texts[pair] = _text(*pair, den)
+        cells[f] = text
+    return cells
 
 
 def _dump_into(doc: Document, out):
@@ -342,27 +365,29 @@ def _dump_into(doc: Document, out):
             if name not in body:
                 continue
             out.append("op %s" % name)
-            table = body[name]
-            for at in sorted({f // n for f in table.re.keys() | table.im.keys()}):
+            cells = _cells(body[name])
+            for at in sorted({f // n for f in cells}):
                 i, j = divmod(at, n)
-                out.append("%d %d : %s" % (i + 1, j + 1, " ".join(map(str, table.row(i, j)))))
+                row = [cells.get(f, "0") for f in range(at * n, at * n + n)]
+                out.append("%d %d : %s" % (i + 1, j + 1, " ".join(row)))
             out.append("end")
     elif doc.kind == "coalgebra":
         for name in COMAP_NAMES:
             if name not in body:
                 continue
             out.append("comap %s" % name)
-            table = body[name]
-            for f in sorted(table.re.keys() | table.im.keys()):
+            cells = _cells(body[name])
+            for f in sorted(cells):
                 k, i, j = f // n ** 2, f // n % n, f % n
-                out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, table[k, i, j]))
+                out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, cells[f]))
             out.append("end")
     else:
         if doc.kind == "map" and body.rows != body.cols:
             out.append("rows %d" % body.rows)
         out.append("matrix")
-        for i in range(body.rows):
-            out.append(" ".join(map(str, body.row(i))))
+        cells = _cells(body)
+        for r in range(body.rows):
+            out.append(" ".join([cells.get(f, "0") for f in range(r * n, r * n + n)]))
         out.append("end")
 
 

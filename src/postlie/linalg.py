@@ -68,21 +68,24 @@ def _shape(shape) -> tuple:
     return shape
 
 
+def _over_lcm(values):
+    """(den, re, im) of a mapping of flat offsets to entries (a + b i)/d
+    given as triples (a, b, d) in lowest terms: the numerators over the lcm
+    den of the d, zeros left out, canonical (the triple whose d holds the
+    highest power of a prime in den is scaled by a factor prime to it)."""
+    den = 1
+    for d in {d for _, _, d in values.values()}:
+        den = den * d // gcd(den, d)
+    re = {f: a * (den // d) for f, (a, _, d) in values.items() if a}
+    im = {f: b * (den // d) for f, (_, b, d) in values.items() if b}
+    return den, re, im
+
+
 def _gather(values):
     """(den, re, im) of a mapping of flat offsets to entries, each a Scalar
-    or what Scalar() takes: the numerators over the lcm of the
-    denominators, zeros left out."""
+    or what Scalar() takes, as _over_lcm gives them."""
     scalars = [s if isinstance(s, Scalar) else Scalar(s) for s in values.values()]
-    den = 1
-    for d in {s.d for s in scalars}:
-        den = den * d // gcd(den, d)
-    re, im = {}, {}
-    for f, s in zip(values, scalars):
-        if s.a:
-            re[f] = s.a * (den // s.d)
-        if s.b:
-            im[f] = s.b * (den // s.d)
-    return den, re, im
+    return _over_lcm({f: (s.a, s.b, s.d) for f, s in zip(values, scalars)})
 
 
 def _tensor(shape, den, re, im, t=None) -> "Tensor":

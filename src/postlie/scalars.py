@@ -15,7 +15,10 @@ last and writes ``i`` rather than ``1i``.
 
 Internally a scalar is the integer triple (a, b, d) with value
 (a + b*i)/d, d > 0 and gcd(a, b, d) = 1, which keeps the heavy
-arithmetic in plain integers with one gcd per operation.
+arithmetic in plain integers with one gcd per operation.  Only this
+module knows the grammar: _read reads text into its triple and _text writes
+the canonical text of any triple with d > 0, on integers and math.gcd alone,
+for Scalar.parse, str(Scalar) and the documents of postlie.documents.
 """
 
 from __future__ import annotations
@@ -55,11 +58,44 @@ def _ratio(text: str):
     return _int(text), 1
 
 
-def _from_ratios(re, im) -> "Scalar":
-    """(p1/q1) + (p2/q2) i for re = (p1, q1) and im = (p2, q2)."""
-    (p1, q1), (p2, q2) = re, im
+def _read(text: str) -> tuple:
+    """The integer triple (a, b, d) of the scalar text: its value is
+    (a + b i)/d with d > 0 and gcd(a, b, d) = 1."""
+    s = text.strip()
+    m = _RE_REAL.match(s)
+    if m:
+        (p1, q1), (p2, q2) = _ratio(m.group(1)), (0, 1)
+    else:
+        m = _RE_IMAG.match(s) or _RE_BOTH.match(s)
+        if m is None:
+            raise ScalarParseError("cannot parse scalar %r" % text)
+        *real, sign, mag = m.groups()
+        # the imaginary part is read first, as its error is reported first
+        p2, q2 = _ratio(mag) if mag else (1, 1)
+        p2 = -p2 if sign == "-" else p2
+        p1, q1 = _ratio(real[0]) if real else (0, 1)
     d = q1 * q2 // gcd(q1, q2)
-    return _build(p1 * (d // q1), p2 * (d // q2), d)
+    a, b = p1 * (d // q1), p2 * (d // q2)
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def _rational(p: int, q: int) -> str:
+    g = gcd(p, q)
+    return str(p // g) if g == q else "%d/%d" % (p // g, q // g)
+
+
+def _text(a: int, b: int, d: int) -> str:
+    """The canonical text of (a + b i)/d for any d > 0: each part in lowest
+    terms, zero parts left out, the imaginary part last, ``i`` for ``1i``."""
+    re_ = _rational(a, d)
+    if not b:
+        return re_
+    im_ = _rational(b, d)
+    im_ = "i" if im_ == "1" else "-i" if im_ == "-1" else im_ + "i"
+    if not a:
+        return im_
+    return re_ + im_ if b < 0 else re_ + "+" + im_
 
 
 def _raw(a: int, b: int, d: int) -> "Scalar":
@@ -115,20 +151,7 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        s = text.strip()
-        m = _RE_REAL.match(s)
-        if m:
-            return _from_ratios(_ratio(m.group(1)), (0, 1))
-        m = _RE_IMAG.match(s)
-        if m:
-            p, q = _ratio(m.group(2)) if m.group(2) else (1, 1)
-            return _from_ratios((0, 1), (-p if m.group(1) == "-" else p, q))
-        m = _RE_BOTH.match(s)
-        if m:
-            # the imaginary part is read first, as its error is reported first
-            p, q = _ratio(m.group(3)) if m.group(3) else (1, 1)
-            return _from_ratios(_ratio(m.group(1)), (-p if m.group(2) == "-" else p, q))
-        raise ScalarParseError("cannot parse scalar %r" % text)
+        return _raw(*_read(text))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -202,19 +225,7 @@ class Scalar:
     # -- formatting ------------------------------------------------------
 
     def __str__(self):
-        re_, im_ = self.re, self.im
-        if im_ == 0:
-            return str(re_)
-        if im_ == 1:
-            imtxt = "i"
-        elif im_ == -1:
-            imtxt = "-i"
-        else:
-            imtxt = "%si" % im_
-        if re_ == 0:
-            return imtxt
-        sign = "+" if im_ > 0 else ""
-        return "%s%s%s" % (re_, sign, imtxt)
+        return _text(self.a, self.b, self.d)
 
     def __repr__(self):
         return "Scalar(%s)" % self

@@ -3,21 +3,25 @@
 Generated algebra, coalgebra, form, map and tensor2 documents over Q and
 Q(i) survive dumps then loads unchanged: values drawn from a small pool (so
 tokens repeat), mostly zero (so whole rows vanish), with numerators and
-denominators beyond 2^64.  The parser, given arbitrary text or a damaged
-valid document, returns a Document or raises DocumentError and nothing
-else.
+denominators beyond 2^64.  The same documents, and bundles of them, written
+in every spelling the format allows load as a plain reference reader (built
+on Scalar.parse and Tensor.sparse) reads them.  The parser, given arbitrary
+text or a damaged valid document, returns a Document or raises
+DocumentError and nothing else.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from postlie import Document, DocumentError, Matrix, Scalar, Tensor, corpus_doc, dumps, loads
 from postlie.algebra import OPERATION_NAMES
 from postlie.bialgebra import COMAP_NAMES
+from postlie.documents import MATRIX_KINDS
 
 ZERO = Scalar(0)
 BIG = 2 ** 64
@@ -222,3 +226,135 @@ def test_damaged_bundles_parse_or_raise_document_error(docs, data):
     text = dumps(Document.bundle({"s%d" % i: doc for i, doc in enumerate(docs)}))
     cut = data.draw(st.integers(0, len(text)))
     _parses_or_refuses(text[:cut] + data.draw(st.sampled_from(TOKENS)) + text[cut:])
+
+
+# ---------------------------------------------------------------------------
+# the reader against a plain reference reader, on every spelling
+# ---------------------------------------------------------------------------
+
+def _reference_loads(text):
+    """The Document of a well-formed text, read entry by entry through
+    Scalar.parse and Tensor.sparse; a repeated table line replaces the
+    earlier one."""
+    lines = [line.strip() for line in text.splitlines()]
+    return _reference([line for line in lines if line and not line.startswith("#")])
+
+
+def _reference(lines):
+    kind, field = lines[0].split()[1], lines[1].split()[1]
+    if kind == "bundle":
+        sections, at = {}, 2
+        while at < len(lines):
+            end = lines.index("endsection", at)
+            sections[lines[at].split()[1]] = _reference(lines[at + 1:end])
+            at = end + 1
+        return Document.bundle(sections, field)
+    n, basis, body = int(lines[2].split()[1]), tuple(lines[3].split()[1:]), lines[4:]
+    if kind in MATRIX_KINDS:
+        rows = int(body.pop(0).split()[1]) if body[0].startswith("rows") else n
+        values = {r * n + c: Scalar.parse(tok)
+                  for r, line in enumerate(body[1:-1]) for c, tok in enumerate(line.split())}
+        return Document(kind, field, basis, Tensor.sparse((rows, n), values))
+    tables = {}
+    for line in body:
+        head, colon, tail = line.partition(":")
+        if line == "end":
+            tables[name] = Tensor.sparse((n, n, n), values)
+        elif not colon:
+            name, values = head.split()[1], {}
+        else:
+            start, vals = 0, tail.split()
+            for t in head.split():
+                start = start * n + int(t) - 1
+            for f, tok in enumerate(vals, start * len(vals)):
+                values[f] = Scalar.parse(tok)
+    return Document(kind, field, basis, tables)
+
+
+ZERO_SPELLINGS = ["0", "-0", "0/3", "0i", "0+0i"]
+
+
+def _spellings(s):
+    """Texts the scalar grammar reads as s, its canonical text first."""
+    a, b, d = s.a, s.b, s.d
+    texts = [str(s), "%d/%d%s%d/%di" % (2 * a, 2 * d, "-" if b < 0 else "+", 2 * abs(b), 2 * d)]
+    if not b:
+        texts += ["%d/%d" % (3 * a, 3 * d), "%s+0i" % s]
+    if not a:
+        texts += ["%d/%di" % (3 * b, 3 * d), "0%s%s" % ("+" if b > 0 else "", s)]
+    return texts + ZERO_SPELLINGS if not s else texts
+
+
+@st.composite
+def spelled(draw, doc):
+    """The text of doc with blank and comment lines between its lines, runs
+    of spaces and tabs around its tokens, each entry spelled at random,
+    table rows in any order, all-zero rows written or not, and table lines
+    written twice, the later one counting."""
+    out = []
+
+    def words(*tokens):
+        gaps = [draw(st.sampled_from([" ", "  ", "\t", " \t "])) for _ in tokens]
+        return "".join(t + gap for t, gap in zip(tokens, gaps)).strip()
+
+    def emit(text):
+        out.append(draw(st.sampled_from(["", " ", "\t"])) + text)
+        out.extend(draw(st.lists(st.sampled_from(["", "  \t", "# note", "\t# 1 1 : 1"]),
+                                 max_size=1)))
+
+    def entries(values):
+        return words(*(draw(st.sampled_from(_spellings(s))) for s in values))
+
+    emit(words("kind", doc.kind))
+    emit(words("field", doc.field))
+    if doc.kind == "bundle":
+        for name, section in doc.body.items():
+            emit(words("section", name))
+            out.append(draw(spelled(section)))
+            emit("endsection")
+        return "\n".join(out)
+    n, body = doc.dim, doc.body
+    emit(words("dim", str(n)))
+    emit(words("basis", *doc.basis))
+    if doc.kind in MATRIX_KINDS:
+        if body.rows != n or doc.kind == "map" and draw(st.booleans()):
+            emit(words("rows", str(body.rows)))
+        emit("matrix")
+        for r in range(body.rows):
+            emit(entries(body.row(r)))
+        emit("end")
+        return "\n".join(out)
+    indices = 2 if doc.kind == "algebra" else 3
+    pool = [ZERO, *{s for table in body.values() for s in table.entries}]
+    for name, table in body.items():
+        emit(words("op" if indices == 2 else "comap", name))
+        for key in draw(st.permutations(list(itertools.product(range(n), repeat=indices)))):
+            row = table.row(*key) if indices == 2 else (table[key],)
+            if not any(row) and draw(st.booleans()):
+                continue
+            head = words(*(str(k + 1) for k in key))
+            colon = draw(st.sampled_from([" : ", ":", " :", ": "]))
+            if draw(st.booleans()):     # an earlier line that the later one replaces
+                emit(head + colon + entries(draw(st.sampled_from(pool)) for _ in row))
+            emit(head + colon + entries(row))
+        emit("end")
+    return "\n".join(out)
+
+
+@st.composite
+def any_documents(draw):
+    """A document of any kind: one of documents(), or a bundle of them."""
+    if draw(st.booleans()):
+        return draw(documents())
+    sections = draw(st.lists(documents(), max_size=3))
+    return Document.bundle({"s%d" % i: doc for i, doc in enumerate(sections)},
+                           draw(st.sampled_from(["Q", "Q(i)"])))
+
+
+# shrinking a spelled document takes minutes, so a failure shows the example unshrunk
+@settings(SETTINGS, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.data())
+def test_every_spelling_loads_as_the_reference_reads_it(data):
+    doc = data.draw(any_documents())
+    text = data.draw(spelled(doc))
+    assert loads(text) == _reference_loads(text) == doc

@@ -143,6 +143,12 @@ _AB = "field Q\ndim 2\nbasis a b\n"
     ("kind coalgebra\n" + _AB + "op circ\nend\n", "line 5: expected 'comap <name>'"),
     ("kind coalgebra\n" + _AB + "comap Delta\n1 1 1 : 1/0\nend\n",
      "line 6: zero denominator in '1/0'"),
+    ("kind algebra\n" + _AB + "op circ\n1 1 : 1 0\nend\nop bracket\nend\nop circ\nend\n",
+     "line 10: duplicate operation 'circ'"),
+    ("kind coalgebra\n" + _AB + "comap Delta\nend\n# again\ncomap Delta\n1 1 1 : 0\nend\n",
+     "line 8: duplicate comap 'Delta'"),
+    ("kind bundle\nfield Q\nsection s\nkind form\n" + _AB + "matrix\n1 0\n0 1\nend\n"
+     "endsection\nsection s\n", "line 13: duplicate section 's'"),
 ])
 def test_table_block_errors_are_exact(text, message):
     # op and comap blocks share one reader; each message keeps its wording
@@ -376,6 +382,17 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                    % ("9" * 5000))
     code, _, err = _run(capsys, "check", "lie", str(bad))
     assert code == 2 and "line 6: too many digits in '999" in err
+
+
+def test_cli_table_given_twice_exit_2(corpus_on_disk, capsys):
+    # the second block would replace the first: an sl2 bracket by a zero one
+    twice = corpus_on_disk / "twice.txt"
+    lie = (corpus_on_disk / "sl2_lie.txt").read_text()
+    twice.write_text(lie.replace("end\n", "end\nop bracket\n1 1 : 0 0 0\nend\n"))
+    code, out, err = _run(capsys, "check", "lie", str(twice))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: line %d: duplicate operation 'bracket'\n" % (
+        twice, lie.count("\n") + 1)
 
 
 def test_cli_two_documents_in_one_file_exit_2(corpus_on_disk, capsys):

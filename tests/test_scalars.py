@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postlie import I, ONE, ZERO, Scalar, ScalarParseError, sc
+from postlie.scalars import _build, _read, _text
 from vectors import from_rows
 
 
@@ -229,3 +232,42 @@ def test_parse_rejects_malformed_tokens_with_the_same_messages():
     assert _outcome(Scalar.parse, "1/0+2/0i") == ("error", "zero denominator in '2/0'")
     for token in ("--1", "1/-2", "i/2", ""):
         assert _outcome(Scalar.parse, token) == ("error", "cannot parse scalar %r" % token)
+
+
+# ---------------------------------------------------------------------------
+# formatting against the earlier Fraction-based writer
+# ---------------------------------------------------------------------------
+
+def _reference_text(a, b, d):
+    """str(Scalar) of (a + b i)/d as it was written through two Fractions."""
+    re_, im_ = Fraction(a, d), Fraction(b, d)
+    if im_ == 0:
+        return str(re_)
+    imtxt = "i" if im_ == 1 else "-i" if im_ == -1 else "%si" % im_
+    if re_ == 0:
+        return imtxt
+    return "%s%s%s" % (re_, "+" if im_ > 0 else "", imtxt)
+
+
+BIG = 2 ** 64
+
+
+@st.composite
+def triples(draw):
+    """(a, b, d) with d > 0, not in lowest terms when they share a factor g:
+    parts small, beyond 2^64, zero or a unit (+-d, so +-i)."""
+    d = draw(st.one_of(st.integers(1, 6), st.integers(BIG, BIG * BIG)))
+    part = st.one_of(st.integers(-6, 6), st.integers(-BIG * BIG, BIG * BIG),
+                     st.sampled_from([0, d, -d]))
+    g = draw(st.one_of(st.just(1), st.integers(2, 12), st.integers(BIG, 2 * BIG)))
+    return draw(part) * g, draw(part) * g, d * g
+
+
+@settings(max_examples=500, deadline=None)
+@given(triples())
+def test_text_matches_the_fraction_writer(triple):
+    text = _text(*triple)
+    assert text == _reference_text(*triple)
+    x = _build(*triple)
+    assert str(x) == text
+    assert Scalar.parse(text) == x and _read(text) == (x.a, x.b, x.d)
