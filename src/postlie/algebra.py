@@ -16,10 +16,14 @@ algebra identity sets (Lie, pre-Lie, post-Lie, pp-post-Lie, L-dendriform,
 pre-pp-post-Lie) are such lists over the structure tables: the identities
 are multilinear, so they hold everywhere if they hold on every tuple of
 basis vectors, and a nested product such as (x * y) o z is one einsum of
-two tables whose index axes run over those tuples.  _sweep adds the terms
-of lhs - rhs into one Gaussian-integer accumulator (linalg._combine),
-counts one instance per index tuple, and returns an immutable CheckReport
-whose witnesses evaluate the sides and build Scalars only when first read.
+two tables whose index axes run over those tuples.  _sweep plans every
+term once, counts one instance per index tuple from the planned shapes and
+returns an immutable CheckReport, so every error of a term is raised when
+a check is called.  The report evaluates an identity (_evaluate: lhs - rhs
+summed in one Gaussian-integer accumulator, linalg._summed) only when its
+verdict or witnesses first need it: its verdict stops at the first
+failing identity, and its witnesses evaluate the sides and build Scalars
+only when first read.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .linalg import LinAlgError, Matrix, Tensor, _combine, _make, _size
+from .linalg import LinAlgError, Matrix, Tensor, _combine, _make, _planned, _size, _summed
 
 __all__ = [
     "OPERATION_NAMES",
@@ -188,21 +192,46 @@ class Witness(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """A verdict, its instance count and the witnesses of its first
-    violations, sorted by (identity, indices).  The sides of a witness are
-    evaluated when violations is first read or render prints the witness,
-    so reading passed, checked or name builds no Scalar.  Reports are not
-    compared by value: a witness holds a function."""
+    violations, sorted by (identity, indices).  parts holds the report's
+    nested (prefix, CheckReport) pairs and its (Identity, limit, plan)
+    triples, in _sweep's order.  passed reads the parts in order and stops
+    at the first with a violation; witnesses reads them all.  Each identity
+    is evaluated (_evaluate) when first needed and its witnesses are kept
+    on the report, so none is evaluated twice; a copy made with
+    dataclasses.replace starts with none evaluated.  The sides of a witness
+    are evaluated when violations is first read or render prints the
+    witness, so reading passed, checked or name builds no Scalar.  Reports
+    are not compared by value: a witness holds a function."""
 
     name: str
     checked: int
-    witnesses: tuple
+    parts: tuple = ()
+    _found: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    def _evaluated(self, i: int) -> list:
+        """The witnesses of the identity part i, evaluated on first use."""
+        if i not in self._found:
+            self._found[i] = _evaluate(*self.parts[i])
+        return self._found[i]
 
     @property
     def passed(self) -> bool:
-        return not self.witnesses
+        return all(part[1].passed if len(part) == 2 else not self._evaluated(i)
+                   for i, part in enumerate(self.parts))
 
     def __bool__(self):
         return self.passed
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        """Every part's witnesses, each of a nested report renamed
+        prefix.identity, sorted; the first MAX_VIOLATIONS of them."""
+        found = []
+        for i, part in enumerate(self.parts):
+            found += ([w._replace(identity=part[0] + "." + w.identity) for w in part[1].witnesses]
+                      if len(part) == 2 else self._evaluated(i))
+        found.sort(key=lambda w: w[:2])
+        return tuple(found[:MAX_VIOLATIONS])
 
     @cached_property
     def violations(self) -> tuple:
@@ -263,18 +292,14 @@ def _side(terms, shape=None) -> Tensor:
     return _make(*_combine(terms)) if terms else Tensor.zero(*shape)
 
 
-def _evaluate(identity: Identity, limit: int):
-    """The instance count of one identity and the Witnesses of the first
-    `limit` index tuples where its two sides differ, in index order.
-    lhs - rhs is one integer accumulation (linalg._combine); the two sides
-    are evaluated apart only when a witness is first read."""
+def _evaluate(identity: Identity, limit: int, plan) -> list:
+    """The Witnesses of the first `limit` index tuples where the two sides
+    of identity differ, in index order.  plan is lhs - rhs as
+    linalg._planned terms, summed in one integer accumulation
+    (linalg._summed); the two sides are evaluated apart only when a witness
+    is first read."""
+    shape, _, re, im = _summed(*plan)
     k = len(identity.index)
-    terms = [*identity.lhs, *(-t for t in identity.rhs)]
-    for t in terms:
-        if not t.spec.partition("->")[2].startswith(identity.index):
-            raise ValueError("term %r does not lead with the index labels %r"
-                             % (t.spec, identity.index))
-    shape, _, re, im = _combine(terms)
     width = _size(shape[k:])         # the entries of one value
     sides = []
 
@@ -288,24 +313,28 @@ def _evaluate(identity: Identity, limit: int):
     for offset in sorted({f // width for d in (re, im) for f in d})[:limit]:
         idx = tuple(offset // _size(shape[p + 1:k]) % shape[p] for p in range(k))
         found.append(Witness(identity.name, idx, lambda offset=offset: at(offset)))
-    return _size(shape[:k]), found
+    return found
 
 
 def _sweep(name, identities=(), nested=(), per_identity=None) -> CheckReport:
-    """The report of the identities and the nested reports: their instance
-    count and the witnesses of their first MAX_VIOLATIONS violations, at
-    most per_identity from each identity.  nested holds (prefix, report)
-    pairs; each witness of a nested report is renamed prefix.identity."""
-    found = [w._replace(identity=prefix + "." + w.identity)
-             for prefix, report in nested for w in report.witnesses]
-    checked = sum(report.checked for _, report in nested)
+    """The report of the nested (prefix, report) pairs and the identities:
+    their instance count and the witnesses of their first MAX_VIOLATIONS
+    violations, at most per_identity from each identity.  Every term is
+    planned and checked here, and the instance count taken from the planned
+    shapes, so every error is raised by the call; an identity's entries are
+    summed only when the report's verdict or witnesses need them."""
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
+    checked, parts = sum(report.checked for _, report in nested), [*nested]
     for identity in identities:
-        count, witnesses = _evaluate(identity, limit)
-        checked += count
-        found += witnesses
-    found.sort(key=lambda w: w[:2])
-    return CheckReport(name, checked, tuple(found[:MAX_VIOLATIONS]))
+        terms = [*identity.lhs, *(-t for t in identity.rhs)]
+        for t in terms:
+            if not t.spec.partition("->")[2].startswith(identity.index):
+                raise ValueError("term %r does not lead with the index labels %r"
+                                 % (t.spec, identity.index))
+        plan = _planned(terms)
+        checked += _size(plan[0][:len(identity.index)])
+        parts.append((identity, limit, plan))
+    return CheckReport(name, checked, tuple(parts))
 
 
 def _require(report: CheckReport, message: str):

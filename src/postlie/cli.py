@@ -158,15 +158,18 @@ def _dualize(opts, doc):
 
 class _Kind(NamedTuple):
     """One CLI kind: a loader per file argument (the last `optional` of them
-    may be left out) and run(options, *inputs)."""
+    may be left out), run(options, *inputs) and the options (--rep,
+    --weight, --mode, by their names) that run reads; any other is refused."""
 
     loaders: tuple
     run: Callable
     optional: int = 0
+    options: tuple = ()
 
 
 # loaders of one algebra, matrix or coalgebra file
 A, M, C = (_algebra,), (_matrix,), (_coalgebra,)
+REP = ("rep",)
 
 # run returns a CheckReport, or an exit code when it printed its own verdict
 CHECKS = {
@@ -177,19 +180,21 @@ CHECKS = {
     "pp": _Kind(A, lambda o, a: alg_mod.check_pp_post_lie(a)),
     "pre-pp": _Kind(A, lambda o, a: alg_mod.check_pre_pp_post_lie(a)),
     "l-dendriform": _Kind(A, lambda o, a: alg_mod.check_l_dendriform(a)),
-    "rep": _Kind(A, lambda o, a: forms.check_post_lie_rep(*_post_lie_rep(a, o.rep))),
-    "pp-rep": _Kind(A, lambda o, a: forms.check_pp_rep(*_pp_rep(a, o.rep))),
+    "rep": _Kind(A, lambda o, a: forms.check_post_lie_rep(*_post_lie_rep(a, o.rep)), options=REP),
+    "pp-rep": _Kind(A, lambda o, a: forms.check_pp_rep(*_pp_rep(a, o.rep)), options=REP),
     "rb": _Kind(A + M, lambda o, a, p: forms.check_rota_baxter_lie(
-        a, p, Scalar.parse(o.weight) if o.weight else ONE)),
-    "o-op": _Kind(A + M, lambda o, a, t: forms.check_o_operator_pp(*_pp_rep(a, o.rep), t)),
+        a, p, Scalar.parse(o.weight) if o.weight else ONE), options=("weight",)),
+    "o-op": _Kind(A + M, lambda o, a, t: forms.check_o_operator_pp(*_pp_rep(a, o.rep), t),
+                  options=REP),
     "dual-p-o": _Kind(A + M, lambda o, a, t: forms.check_dual_p_o_operator(
-        *_post_lie_rep(a, o.rep), t)),
-    "strong": _Kind(A + M, lambda o, a, t: forms.check_strong(*_post_lie_rep(a, o.rep), t)),
+        *_post_lie_rep(a, o.rep), t), options=REP),
+    "strong": _Kind(A + M, lambda o, a, t: forms.check_strong(*_post_lie_rep(a, o.rep), t),
+                    options=REP),
     "invariant-form": _Kind(A + M, lambda o, a, b: forms.check_invariant_form(a, b)),
     "left-invariant": _Kind(A + M, lambda o, a, b: forms.check_left_invariant(a, b)),
     "gph": _Kind(A + M, lambda o, a, b: forms.check_gph(a, b)),
     "lie-coalg": _Kind(C, lambda o, co: bi.check_lie_coalgebra(co)),
-    "pp-coalg": _Kind(C, _pp_coalg),
+    "pp-coalg": _Kind(C, _pp_coalg, options=("mode",)),
     "lie-bialg": _Kind(A + C, lambda o, a, co: bi.check_lie_bialgebra(a, co)),
     "pp-bialg": _Kind(A + C, lambda o, a, co: bi.check_pp_bialgebra(a, co)),
     "matched-pair": _Kind(A + A, lambda o, a, b: con.check_matched_pair(*_horizontal_pair(a, b))),
@@ -215,9 +220,9 @@ DERIVES = {
     "induced": _Kind(A + M, lambda o, a, p: _checked(forms.induced_post_lie(a, p),
                                                      alg_mod.check_post_lie)),
     "semidirect": _Kind(A, lambda o, a: _checked(
-        con.semidirect_post_lie(*_post_lie_rep(a, o.rep)), alg_mod.check_post_lie)),
+        con.semidirect_post_lie(*_post_lie_rep(a, o.rep)), alg_mod.check_post_lie), options=REP),
     "semidirect-pp": _Kind(A, lambda o, a: _checked(
-        con.semidirect_pp(*_pp_rep(a, o.rep)), alg_mod.check_pp_post_lie)),
+        con.semidirect_pp(*_pp_rep(a, o.rep)), alg_mod.check_pp_post_lie), options=REP),
     "bowtie": _Kind(A + A, lambda o, a, b: _checked(con.bowtie(*_horizontal_pair(a, b)),
                                                     alg_mod.check_post_lie)),
     "double": _Kind(A, _double),
@@ -228,11 +233,11 @@ DERIVES = {
                                                              alg_mod.check_post_lie)),
     "pre-pp-from-o": _Kind(A + M, lambda o, a, t: _checked(
         con.pre_pp_from_o_operator(*_pp_rep(a, o.rep), t),
-        alg_mod.check_pre_pp_post_lie)),
+        alg_mod.check_pre_pp_post_lie), options=REP),
     "invertible-o-pre-pp": _Kind(A + M, lambda o, a, t: _checked(
         con.invertible_o_to_compatible_pre_pp(*_pp_rep(a, o.rep), t),
-        alg_mod.check_pre_pp_post_lie)),
-    "embed-r": _Kind(A + M, _embed_r, optional=1),
+        alg_mod.check_pre_pp_post_lie), options=REP),
+    "embed-r": _Kind(A + M, _embed_r, optional=1, options=REP),
     "cobrackets-from-r": _Kind(A + M, _cobrackets),
     "dualize": _Kind((_load,), _dualize),
 }
@@ -258,6 +263,9 @@ def _run_kind(command: str, kinds: dict, args):
     """Run the kind args.kind of kinds on its loaded files; a missing table
     is a usage error naming the first file whose structure lacks it."""
     kind = kinds[args.kind]
+    for option in ("rep", "weight", "mode"):
+        if getattr(args, option, None) is not None and option not in kind.options:
+            raise UsageError("%s %s does not take --%s" % (command, args.kind, option))
     inputs = _inputs(command, kind, args)
     try:
         return kind.run(args, *inputs)
@@ -301,8 +309,8 @@ def cmd_corpus(args) -> int:
             raise UsageError("corpus show needs a fixture name")
         try:
             text = corpus_text(args.name)
-        except KeyError as exc:     # not a bundled fixture
-            raise UsageError(str(exc)) from None
+        except KeyError as exc:     # not a bundled fixture; str() would quote the message
+            raise UsageError(exc.args[0]) from None
         sys.stdout.write(text)
         return 0
     if args.action == "write":

@@ -689,18 +689,17 @@ def _plan(spec: str, shapes: tuple):
     return shape, how + [_step(*work, output, sizes)]
 
 
-def _accumulate(spec: str, operands, re: dict, im: dict, scale: int = 1) -> tuple:
-    """Add scale times the numerators of einsum(spec, *operands), over the
-    product of the operands' denominators, into the {offset: int} dicts re
-    and im, and return the result's shape.  The operands are contracted two
-    at a time in the order _plan fixed for the spec and shapes; only nonzero
-    entries are visited, and the last pair adds straight into re and im."""
-    shape, how = _plan(spec, tuple(t.shape for t in operands))
+def _accumulate(how, operands, re: dict, im: dict, scale: int = 1):
+    """Add scale times the numerators of the einsum that _plan planned as
+    how, over the product of the operands' denominators, into the
+    {offset: int} dicts re and im.  The operands are contracted two at a
+    time in the plan's order; only nonzero entries are visited, and the last
+    pair adds straight into re and im."""
     if len(operands) == 1:
         (t,) = operands
         _add_into(re, t.re, scale, how)
         _add_into(im, t.im, scale, how)
-        return shape
+        return
     work = [(t.re, t.im, t._layouts) for t in operands]
     *steps, last = how
     for i, j, step in steps:
@@ -708,25 +707,41 @@ def _accumulate(spec: str, operands, re: dict, im: dict, scale: int = 1) -> tupl
         _pair(work[i], work[j], step, pair[0], pair[1])
         work = [w for k, w in enumerate(work) if k != i and k != j] + [pair]
     _pair(*work, last, re, im, scale)
-    return shape
 
 
-def _combine(terms) -> tuple:
-    """(shape, den, re, im) of the sum of the (spec, operands, coef) terms
-    coef * einsum(spec, *operands): den is the lcm of the terms'
-    denominators, each the product of its operands', and every term adds
-    coef * den / (its denominator) times its numerators into one pair of
-    {offset: int} dicts, returned without their zeros (not reduced)."""
+def _planned(terms) -> tuple:
+    """(shape, den, parts) of the sum of the (spec, operands, coef) terms
+    coef * einsum(spec, *operands), each planned once (_plan): den is the
+    lcm of the terms' denominators, each the product of its operands', and
+    parts holds per term (plan, operands, coef * den / its denominator).
+    Every error of a spec, an operand's shape or terms of different shapes
+    is raised here, before any entry is read."""
     dens = [_size(t.den for t in operands) for _, operands, _ in terms]
     den = 1
     for d in dens:
         den = den * d // gcd(den, d)
-    re, im = {}, {}
-    shapes = [_accumulate(spec, operands, re, im, coef * (den // d))
-              for (spec, operands, coef), d in zip(terms, dens)]
-    if shapes.count(shapes[0]) != len(shapes):
+    plans = [_plan(spec, tuple(t.shape for t in operands)) for spec, operands, _ in terms]
+    shape = plans[0][0]
+    if any(other != shape for other, _ in plans):
         raise LinAlgError("einsum terms differ in shape")
-    return shapes[0], den, _nonzero(re), _nonzero(im)
+    return shape, den, [(how, operands, coef * (den // d))
+                        for (_, how), (_, operands, coef), d in zip(plans, terms, dens)]
+
+
+def _summed(shape, den, parts) -> tuple:
+    """(shape, den, re, im) of _planned terms: every term adds its scaled
+    numerators into one pair of {offset: int} dicts, returned without their
+    zeros (not reduced)."""
+    re, im = {}, {}
+    for how, operands, scale in parts:
+        _accumulate(how, operands, re, im, scale)
+    return shape, den, _nonzero(re), _nonzero(im)
+
+
+def _combine(terms) -> tuple:
+    """(shape, den, re, im) of the sum of the (spec, operands, coef) terms
+    coef * einsum(spec, *operands) over the lcm den of their denominators."""
+    return _summed(*_planned(terms))
 
 
 def einsum(spec: str, *operands) -> Tensor:

@@ -10,6 +10,7 @@ from postlie import (
     ZERO,
     Algebra,
     CoalgebraSpec,
+    Document,
     LinAlgError,
     PreconditionError,
     Scalar,
@@ -25,6 +26,7 @@ from postlie import (
     check_pre_pp_post_lie,
     check_pppcybe,
     cybe_C,
+    dumps,
     einsum,
     horizontal_post_lie,
     operator_form_check,
@@ -48,6 +50,7 @@ from postlie.algebra import (
     Term,
     term,
 )
+from postlie.cli import main
 from vectors import (
     act,
     act_apply,
@@ -655,6 +658,67 @@ def test_reading_the_verdict_builds_no_witness(sl2_pp, request):
 
 
 # ---------------------------------------------------------------------------
+# the verdict stops at the first failing identity; the rest wait for witnesses
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The names of the identities algebra._evaluate evaluates, in order."""
+    names, evaluate = [], algebra._evaluate
+
+    def recorded(identity, *rest):
+        names.append(identity.name)
+        return evaluate(identity, *rest)
+
+    monkeypatch.setattr(algebra, "_evaluate", recorded)
+    return names
+
+
+def test_the_verdict_evaluates_up_to_the_first_failing_identity(sl2_pp, evaluations):
+    ltri = sl2_pp.table("ltri")
+    mutant = sl2_pp.with_op("ltri", _with_entries(ltri, {(1, 1, 1): ltri[0, 0, 0] + ONE}))
+    names = [identity.name for identity in PP_IDENTITIES(sl2_pp)]
+    for alg, passed, first in ((mutant, False, names[:1]), (sl2_pp, True, names)):
+        report = check_pp_post_lie(alg)     # its Lie precondition is read in the call
+        evaluations.clear()
+        assert report.passed is passed
+        assert evaluations == first
+        report.render()
+        assert report.passed is passed
+        assert evaluations == names         # each identity once, in order
+
+
+def test_every_error_is_raised_when_the_check_is_called(evaluations):
+    m, wide = Tensor.identity(3), Tensor.zero(3, 2)
+    for identity, error, message in [
+        (Identity("extents", "ik", [term("ij,jk->ik", m, wide.transpose())]),
+         LinAlgError, "label 'j' has extents 3 and 2"),
+        (Identity("order", "ij", [term("ij->ji", m)]), ValueError, "does not lead"),
+        (Identity("shapes", "i", [term("ij->ij", m)], [term("ij->ij", wide)]),
+         LinAlgError, "terms differ in shape"),
+    ]:
+        with pytest.raises(error, match=message):
+            algebra._sweep("bad", [identity])
+    assert evaluations == []
+
+
+def test_pp_coalg_both_modes_evaluate_the_co_lie_identities_once(tmp_path, capsys, monkeypatch,
+                                                                 evaluations):
+    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
+    gl3 = _gl_bracket(3)
+    mutant = gl3.with_op("bracket", _with_entries(gl3.table("bracket"), {(1, 2, 2): HALF}))
+    zero = Tensor.zero(9, 9, 9)
+    not_colie = CoalgebraSpec(9, comaps={"delta_rtri": zero, "delta_ltri": zero,
+                                         "Delta": mutant.table("bracket").permute((2, 0, 1))})
+    path = tmp_path / "not_colie.txt"
+    path.write_text(dumps(Document.from_coalgebra(not_colie)))
+    assert main(["check", "pp-coalg", str(path), "--mode", "both"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("pp-coalgebra: FAIL") == 2 and "dual.lie.antisym" in out
+    assert sorted(evaluations) == ["lie.antisym", "lie.jacobi"]
+
+
+# ---------------------------------------------------------------------------
 # the signed integer accumulation of lhs - rhs against a Tensor sum per term
 # ---------------------------------------------------------------------------
 
@@ -726,7 +790,8 @@ def _parity_identities(rng):
 @pytest.mark.parametrize("seed", range(6))
 def test_accumulation_matches_a_tensor_sum_per_term(seed):
     for identity, failing in _parity_identities(random.Random(seed)):
-        count, found = algebra._evaluate(identity, 10 ** 9)
+        report = algebra._sweep(identity.name, [identity])
+        count, found = report.checked, report.witnesses
         want_count, want = _reference(identity)
         assert count == want_count, identity.name
         assert [Violation(w.identity, w.indices, *w.sides()) for w in found] == want, \

@@ -11,6 +11,7 @@ After an intended change of output, regenerate the goldens with
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import random
@@ -18,7 +19,9 @@ import tempfile
 
 import pytest
 
-from postlie import ONE, CheckReport, Document, Tensor, corpus_doc, dualize, dumps, loads
+from postlie import (ONE, CheckReport, Document, Scalar, Tensor, Violation, corpus_doc, dualize,
+                     dumps, einsum, loads)
+from postlie.algebra import MAX_VIOLATIONS, Witness
 from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
 from postlie.corpus import write_corpus
 
@@ -218,9 +221,9 @@ def test_checks_run_on_whole_tensors(inputs, monkeypatch):
     evaluated = []
     evaluate = algebra._evaluate
 
-    def recorded(identity, limit):
+    def recorded(identity, *rest):
         evaluated.append(identity.name)
-        return evaluate(identity, limit)
+        return evaluate(identity, *rest)
 
     monkeypatch.setattr(algebra, "_evaluate", recorded)
     monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
@@ -288,6 +291,14 @@ def reference_render(report, limit=None) -> str:
 
 
 def test_render_evaluates_only_the_witnesses_it_prints(inputs, goldens, monkeypatch):
+    import postlie.algebra as algebra
+
+    evaluated = []
+
+    def counted(identity, indices, sides):
+        return Witness(identity, indices, lambda: evaluated.append(indices) or sides())
+
+    monkeypatch.setattr(algebra, "Witness", counted)
     failing = [case for case in CASES if goldens[case_id(case)]["exit"] == 1]
     reports = [(case, report) for case in failing
                for report in _rendered_reports(case, inputs, monkeypatch)]
@@ -297,17 +308,67 @@ def test_render_evaluates_only_the_witnesses_it_prints(inputs, goldens, monkeypa
     for case, report in reports:
         most = max(most, len(report.witnesses))
         for limit in (0, 1, 5, None):
-            evaluated = []
-
-            def counted(w):
-                return w._replace(sides=lambda: evaluated.append(w) or w.sides())
-
-            fresh = dataclasses.replace(
-                report, witnesses=tuple(counted(w) for w in report.witnesses))
-            assert fresh.render(limit) == reference_render(report, limit), case_id(case)
+            evaluated.clear()
+            text = report.render(limit)
             shown = len(report.witnesses) if limit is None else limit
             assert len(evaluated) == min(shown, len(report.witnesses))
+            assert text == reference_render(report, limit), case_id(case)
     assert most > 5     # some report has witnesses render(5) leaves out
+
+
+def _fresh(report):
+    """A copy of report and of every report nested in it, none evaluated."""
+    return dataclasses.replace(report, parts=tuple(
+        (part[0], _fresh(part[1])) if len(part) == 2 else part for part in report.parts))
+
+
+def _eager(report):
+    """The instance count and violations of report's parts by an eager
+    sweep: every identity's two sides summed at once term by term as
+    Tensors and compared at every index tuple, nested violations renamed
+    prefix.identity, then sorted and cut to MAX_VIOLATIONS."""
+    checked, found = 0, []
+    for part in report.parts:
+        if len(part) == 2:
+            prefix, nested = part
+            count, inner = _eager(nested)
+            found += [dataclasses.replace(v, identity=prefix + "." + v.identity) for v in inner]
+        else:
+            identity, limit, _ = part
+            k, first = len(identity.index), (identity.lhs or identity.rhs)[0]
+            shape = einsum(first.spec, *first.operands).shape
+            lhs, rhs = (sum((einsum(t.spec, *t.operands).scale(Scalar(t.coef)) for t in side),
+                            Tensor.zero(*shape)) for side in (identity.lhs, identity.rhs))
+            values = list(itertools.product(*map(range, shape[k:])))
+            tuples = list(itertools.product(*map(range, shape[:k])))
+            sides = [(idx, *(tuple(t[idx + v] for v in values) for t in (lhs, rhs)))
+                     for idx in tuples]
+            count = len(tuples)
+            found += [Violation(identity.name, idx, l, r) for idx, l, r in sides if l != r][:limit]
+        checked += count
+    found.sort(key=lambda v: (v.identity, v.indices))
+    return checked, found[:MAX_VIOLATIONS]
+
+
+def test_reading_the_verdict_first_changes_no_report(inputs, goldens, monkeypatch):
+    """Every report of a failing golden has the same instance count,
+    witnesses and text whether its verdict or its witnesses are read
+    first, and they are those of an eager sweep."""
+    failing = [case for case in CASES if goldens[case_id(case)]["exit"] == 1]
+    reports = [(case, report) for case in failing
+               for report in _rendered_reports(case, inputs, monkeypatch)]
+    assert {case for case, _ in reports} >= {
+        case for case in failing if "FAIL" in goldens[case_id(case)]["stdout"]}
+    assert any(len(part) == 2 for _, report in reports for part in report.parts)
+    for case, report in reports:
+        checked, violations = _eager(report)
+        verdict_first, witnesses_first = _fresh(report), _fresh(report)
+        passed = verdict_first.passed
+        seen = [(r.checked, r.violations, [w[:2] for w in r.witnesses], r.render(), r.passed)
+                for r in (verdict_first, witnesses_first)]
+        assert seen[0] == seen[1], case_id(case)
+        assert seen[0][:2] == (checked, tuple(violations)), case_id(case)
+        assert passed is (not violations) and seen[0][3] == report.render(), case_id(case)
 
 
 if __name__ == "__main__":

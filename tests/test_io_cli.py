@@ -321,7 +321,7 @@ def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
     no_delta = corpus_on_disk / "no_delta.txt"
     no_delta.write_text(text[:start] + text[text.index("end\n", start) + 4:])
     for argv, message in [
-        (("corpus", "show", "nosuch"), "\"unknown corpus fixture 'nosuch'\""),
+        (("corpus", "show", "nosuch"), "unknown corpus fixture 'nosuch'"),
         (("check", "pp-coalg", str(co), "--mode", "bogus"), "mode must be 'dual', 'direct' or 'both'"),
         (("check", "lie-coalg", str(no_delta)),
          "%s: coalgebra has no comap table 'Delta'" % no_delta),
@@ -339,6 +339,21 @@ def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
     ]:
         code, out, err = _run(capsys, *argv)
         assert (code, err) == (2, "error: %s\n" % message), argv
+
+
+@pytest.mark.parametrize("command, files, option", [
+    (("check", "quasi"), ("sl2_pp", "sl2_P"), ("--rep", "adjoint")),
+    (("derive", "horizontal"), ("sl2_pp",), ("--rep", "coadjoint")),
+    (("check", "o-op"), ("sl2_pp", "final_P"), ("--weight", "1")),
+    (("check", "pp-rep"), ("sl2_pp",), ("--mode", "both")),
+])
+def test_cli_refuses_an_option_its_kind_does_not_read(corpus_on_disk, capsys, command, files,
+                                                      option):
+    paths = [str(corpus_on_disk / (name + ".txt")) for name in files]
+    assert _run(capsys, *command, *paths)[0] in (0, 1)
+    code, out, err = _run(capsys, *command, *paths, *option)
+    assert (code, out) == (2, "")
+    assert err == "error: %s %s does not take %s\n" % (*command, option[0])
 
 
 @pytest.mark.parametrize("error", (KeyError, ValueError))
