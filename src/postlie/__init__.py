@@ -24,7 +24,6 @@ from .algebra import (
     OPERATION_NAMES,
     PreconditionError,
     UnknownOperationError,
-    Violation,
     check_l_dendriform,
     check_lie,
     check_post_lie,

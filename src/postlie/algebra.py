@@ -40,7 +40,6 @@ __all__ = [
     "OPERATION_NAMES",
     "Algebra",
     "CheckReport",
-    "Violation",
     "Witness",
     "PreconditionError",
     "UnknownOperationError",
@@ -174,16 +173,10 @@ class Algebra(_Tables):
 # check reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    identity: str
-    indices: tuple
-    lhs: tuple
-    rhs: tuple
-
-
 class Witness(NamedTuple):
-    """One violation before its sides are evaluated: sides() gives (lhs, rhs)."""
+    """One violation: the identity, the basis indices where its two sides
+    differ, and sides(), which evaluates them and gives (lhs, rhs), each the
+    tuple of Scalar entries of the value there."""
     identity: str
     indices: tuple
     sides: Callable
@@ -199,8 +192,8 @@ class CheckReport:
     is evaluated (_evaluate) when first needed and its witnesses are kept
     on the report, so none is evaluated twice; a copy made with
     dataclasses.replace starts with none evaluated.  The sides of a witness
-    are evaluated when violations is first read or render prints the
-    witness, so reading passed, checked or name builds no Scalar.  Reports
+    are evaluated when its sides() is called or render prints the witness,
+    so reading passed, checked, name or witnesses builds no Scalar.  Reports
     are not compared by value: a witness holds a function."""
 
     name: str
@@ -232,10 +225,6 @@ class CheckReport:
                       if len(part) == 2 else self._evaluated(i))
         found.sort(key=lambda w: w[:2])
         return tuple(found[:MAX_VIOLATIONS])
-
-    @cached_property
-    def violations(self) -> tuple:
-        return tuple(Violation(w.identity, w.indices, *w.sides()) for w in self.witnesses)
 
     def render(self, limit=None) -> str:
         """The verdict line and the first `limit` witnesses (all for None);

@@ -301,7 +301,7 @@ def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
 def _sandwiches(left: Tensor, t2: Matrix, right: Tensor) -> Tensor:
     """The comap x -> (L(x) (x) id + id (x) R(x)) t2 for the carriers L and R
     of two actions: d[k] = L[k] t2 + t2 R[k]^T."""
-    return left.contract(2, t2.transpose()) + right.contract(2, t2).permute((0, 2, 1))
+    return einsum("kib,ba->kia", left, t2) + einsum("ib,kab->kia", t2, right)
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,8 @@ def _inputs(command: str, kind: _Kind, args) -> list:
 
 def _run_kind(command: str, kinds: dict, args):
     """Run the kind args.kind of kinds on its loaded files; a missing table
-    is a usage error naming the first file whose structure lacks it."""
+    is a usage error naming the first file whose structure lacks it, and a
+    shape error one naming the matrix file, when the kind reads one."""
     kind = kinds[args.kind]
     for option in ("rep", "weight", "mode"):
         if getattr(args, option, None) is not None and option not in kind.options:
@@ -275,6 +276,11 @@ def _run_kind(command: str, kinds: dict, args):
         if not lacking:
             raise
         raise UsageError("%s: %s" % (lacking[0], exc)) from None
+    except LinAlgError as exc:
+        matrices = [path for path, x in zip(args.files, inputs) if isinstance(x, Matrix)]
+        if not matrices:
+            raise
+        raise UsageError("%s: %s" % (matrices[0], exc)) from None
 
 
 def cmd_check(args) -> int:

@@ -43,7 +43,7 @@ from .forms import (
     dual_pp_rep,
     pp_split_dual_rep,
 )
-from .linalg import LinAlgError, Matrix, SingularMatrixError, Tensor
+from .linalg import LinAlgError, Matrix, SingularMatrixError, Tensor, einsum
 
 __all__ = [
     "semidirect_post_lie",
@@ -280,9 +280,9 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     if checked:
         _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
     c = alg.table("circ")
-    # B(e_a, x o z - z o x) at [x, z, a] and B(e_a, z o y) at [z, y, a]
-    rt = _solve_products(B, -(c - c.permute((1, 0, 2))).contract(2, B).permute((0, 2, 1)))
-    lt = _solve_products(B, c.contract(2, B).permute((2, 1, 0)))
+    # -B(e_y, x o z - z o x) and B(e_x, z o y), each at [x, y, z]
+    rt = _solve_products(B, -einsum("ya,xza->xyz", B, c - c.permute((1, 0, 2))))
+    lt = _solve_products(B, einsum("xa,zya->xyz", B, c))
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": alg.table("bracket"), "rtri": rt, "ltri": lt})
 
@@ -291,8 +291,8 @@ def bullet_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
     """The second post-Lie product: B(x . y, z) = -B(y, x o z)."""
     if checked:
         _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
-    # B(e_a, x o z) at [x, z, a]
-    c = _solve_products(B, -alg.table("circ").contract(2, B).permute((0, 2, 1)))
+    # -B(e_y, x o z) at [x, y, z]
+    c = _solve_products(B, -einsum("ya,xza->xyz", B, alg.table("circ")))
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": alg.table("bracket"), "circ": c})
 
@@ -317,7 +317,7 @@ def pre_pp_from_o_operator(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True
     if checked:
         _require(check_o_operator_pp(alg, rep, T), "T is not an O-operator")
     # the carriers at T(u), indexed by u in V
-    return _quarter_split(rep.map(lambda c: c.contract(0, T.transpose())), alg.field)
+    return _quarter_split(rep.map(lambda c: einsum("ia,ijk->ajk", T, c)), alg.field)
 
 
 def invertible_o_to_compatible_pre_pp(alg: Algebra, rep: PPRepSpec, T: Matrix,
@@ -332,7 +332,7 @@ def invertible_o_to_compatible_pre_pp(alg: Algebra, rep: PPRepSpec, T: Matrix,
     except SingularMatrixError:
         raise PreconditionError("operator is singular")
     # the carriers conjugated to act on A: x -> T c(x) T^-1
-    conjugated = rep.map(lambda c: c.contract(1, T).contract(2, Tinv.transpose()))
+    conjugated = rep.map(lambda c: einsum("aj,ijk,kb->iab", T, c, Tinv))
     return _quarter_split(conjugated, alg.field, alg.basis)
 
 

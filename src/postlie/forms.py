@@ -37,7 +37,7 @@ from .algebra import (
     sub_adjacent_lie,
     term,
 )
-from .linalg import LinAlgError, Matrix, Tensor
+from .linalg import LinAlgError, Matrix, Tensor, einsum
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -152,7 +152,7 @@ def induced_post_lie(alg: Algebra, P: Matrix) -> Algebra:
     _require(check_rota_baxter_lie(alg, P, ONE), "P is not a weight-one Rota-Baxter operator")
     br = alg.table("bracket")
     return Algebra(alg.dim, alg.field, alg.basis,
-                   {"bracket": br, "circ": br.contract(0, P.transpose())})
+                   {"bracket": br, "circ": einsum("ia,ijk->ajk", P, br)})
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ LEFT, RIGHT, FROM_RIGHT = (0, 2, 1), (1, 2, 0), (2, 0, 1)
 
 class _Carriers:
     """Immutable carrier tensors of a representation, all of one shape
-    (source_dim, dim, dim)."""
+    (n, dim, dim) for an algebra of dimension n."""
 
     def __post_init__(self):
         shape = None
@@ -187,10 +187,6 @@ class _Carriers:
     @property
     def dim(self) -> int:
         return self.rho.shape[1]
-
-    @property
-    def source_dim(self) -> int:
-        return self.rho.shape[0]
 
 
 @dataclass(frozen=True)
@@ -402,7 +398,7 @@ def pp_from_dual_p_o(alg: Algebra, rep: RepSpec, T: Matrix, checked=True) -> Alg
     if checked:
         _require(check_strong(alg, rep, T), "dual p-O-operator is not strong")
     # the dual carriers at T(u), indexed by u in V*
-    l, r, rho = rep.map(lambda c: dual_map(c).contract(0, T.transpose())).carriers()
+    l, r, rho = rep.map(lambda c: einsum("ia,ijk->ajk", T, dual_map(c))).carriers()
     return Algebra(rep.dim, alg.field, ops={"rtri": (l - r).permute(LEFT),
                                             "ltri": -r.permute(FROM_RIGHT),
                                             "bracket": rho.permute(LEFT)})

@@ -5,22 +5,22 @@ tables and comultiplication tables -- is one immutable Tensor: a shape,
 one positive denominator and the nonzero Gaussian-integer numerators of
 its entries, keyed by flat row-major offset; a vector is an (n,) Tensor.
 Tensors are kept in lowest terms, so == and hash compare values.  Sums,
-negation, scaling, axis permutation, contraction against a matrix and
-block placement (Tensor.blocks; embed is the one-block case) work on the
-numerators in time proportional to the nonzero entries, and einsum
-contracts any number of tensors on them: the identity checkers and all
-vector arithmetic run on it.  einsum fixes its contraction order, layouts
-and offset maps once per (spec, shapes) from the shapes alone; a call does
-only the per-entry work.  Each pair contraction (_pair) multiplies entry
-by entry, except on full groups (dense tables): there _packed packs each
-right group into one big integer of 64-bit slots and adds a whole row of
-products per left entry (Kronecker substitution), after proving that no
-slot's value can reach 2^63; where that is not proved, it falls back to
-the entry-by-entry loop, which is exact for numerators of any size.
+negation, scaling, axis permutation and block placement (Tensor.blocks)
+work on the numerators in time proportional to the nonzero entries, and
+einsum contracts any number of tensors on them: every contraction -- the
+identity checkers, matrix products and all vector arithmetic -- runs on
+it.  einsum fixes its contraction order, layouts and offset maps once per
+(spec, shapes) from the shapes alone; a call does only the per-entry
+work.  Each pair contraction (_pair) multiplies entry by entry, except on
+full groups (dense tables): there _packed packs each right group into one
+big integer of 64-bit slots and adds a whole row of products per left
+entry (Kronecker substitution), after proving that no slot's value can
+reach 2^63; where that is not proved, it falls back to the entry-by-entry
+loop, which is exact for numerators of any size.
 Determinants, rank, solving and inversion are views of one fraction-free
 elimination on the numerators, which reports singularity precisely.
-Scalars appear only at the edges: entries, indexing, rows, repr and the
-value of det.
+Scalars appear only at the edges: entries, indexing, repr and the value
+of det.
 """
 
 from __future__ import annotations
@@ -81,13 +81,6 @@ def _over_lcm(values):
     return den, re, im
 
 
-def _gather(values):
-    """(den, re, im) of a mapping of flat offsets to entries, each a Scalar
-    or what Scalar() takes, as _over_lcm gives them."""
-    scalars = [s if isinstance(s, Scalar) else Scalar(s) for s in values.values()]
-    return _over_lcm({f: (s.a, s.b, s.d) for f, s in zip(values, scalars)})
-
-
 def _tensor(shape, den, re, im, t=None) -> "Tensor":
     """The Tensor t (a new one for None) of numerators already canonical."""
     t = object.__new__(Tensor) if t is None else t
@@ -143,25 +136,17 @@ class Tensor:
     __slots__ = ("shape", "den", "re", "im", "_entries", "_layouts")
 
     def __init__(self, shape, entries):
-        shape, entries = _shape(shape), dict(enumerate(entries))
+        shape, entries = _shape(shape), list(entries)
         if len(entries) != _size(shape):
             raise LinAlgError("expected %d entries for %s, got %d"
                               % (_size(shape), "x".join(map(str, shape)), len(entries)))
-        _make(shape, *_gather(entries), self)
+        scalars = (s if isinstance(s, Scalar) else Scalar(s) for s in entries)
+        _make(shape, *_over_lcm({f: (s.a, s.b, s.d) for f, s in enumerate(scalars)}), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
     # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def sparse(shape, values) -> "Tensor":
-        """The tensor of the given shape with the entry values[f] at each flat
-        row-major offset f of the mapping values, and zero elsewhere."""
-        shape, size = _shape(shape), _size(shape)
-        if any(not 0 <= f < size for f in values):
-            raise LinAlgError("offset out of range for shape %r" % (shape,))
-        return _make(shape, *_gather(values))
 
     @staticmethod
     def zero(*shape) -> "Tensor":
@@ -170,13 +155,6 @@ class Tensor:
     @staticmethod
     def identity(n: int) -> "Tensor":
         return _tensor(_shape((n, n)), 1, {i * (n + 1): 1 for i in range(n)}, {})
-
-    @staticmethod
-    def diagonal(values) -> "Tensor":
-        values = list(values)
-        n = len(values)
-        return Tensor((n, n), [values[i] if i == j else ZERO
-                               for i in range(n) for j in range(n)])
 
     # -- element access --------------------------------------------------
 
@@ -203,28 +181,18 @@ class Tensor:
             object.__setattr__(self, "_entries", tuple(out))
         return self._entries
 
-    def _offset(self, index, axes: int) -> int:
-        """The flat row-major offset over the first axes axes of index, which
-        must hold one int index in range for each of them (else IndexError)."""
-        if len(index) != axes:
+    def __getitem__(self, index):
+        """The entry at a tuple of indices, one int in range per axis (an int
+        on one axis); else IndexError."""
+        index = index if isinstance(index, tuple) else (index,)
+        if len(index) != len(self.shape):
             raise IndexError("index %r for a tensor of shape %r" % (index, self.shape))
         offset = 0
         for i, n in zip(index, self.shape):
             if not isinstance(i, int) or not 0 <= i < n:
                 raise IndexError("index %r out of range for shape %r" % (index, self.shape))
             offset = offset * n + i
-        return offset
-
-    def __getitem__(self, index):
-        """The entry at a tuple of indices, one per axis (an int on one axis)."""
-        index = index if isinstance(index, tuple) else (index,)
-        return self._at(self._offset(index, len(self.shape)))
-
-    def row(self, *index) -> tuple:
-        """Entries along the last axis at the leading indices."""
-        n = self.shape[-1]
-        offset = self._offset(index, len(self.shape) - 1) * n
-        return tuple(self._at(f) for f in range(offset, offset + n))
+        return self._at(offset)
 
     def reshape(self, *shape) -> "Tensor":
         """The same entries in row-major order under a shape of the same size."""
@@ -235,22 +203,6 @@ class Tensor:
         return _tensor(shape, self.den, self.re, self.im)
 
     # -- the two index operations ----------------------------------------
-
-    def contract(self, axis: int, m: "Tensor") -> "Tensor":
-        """Contract one axis against a matrix: against a p x s matrix M the
-        axis (of length s) becomes one of length p,
-            out[.., a, ..] = sum_b M[a, b] self[.., b, ..].
-        """
-        if not isinstance(m, Tensor) or len(m.shape) != 2:
-            raise TypeError("contract expects a Matrix")
-        s = self.shape[axis]
-        labels = "abcdefghijklmnopqrstuvwxy"[:len(self.shape)]
-        before, this, after = labels[:axis], labels[axis], labels[axis + 1:]
-        p, cols = m.shape
-        if cols != s:
-            raise LinAlgError("cannot contract an axis of length %d against a %dx%d matrix"
-                              % (s, p, cols))
-        return einsum("z%s,%s->%sz%s" % (this, labels, before, after), m, self)
 
     def permute(self, axes) -> "Tensor":
         """Reorder the axes: axis k of the result is axis axes[k] of self, so
@@ -294,10 +246,6 @@ class Tensor:
             im.update((base + key(f), v * scale) for f, v in t.im.items())
         return _make(shape, den, re, im)
 
-    def embed(self, shape, offset) -> "Tensor":
-        """This tensor as the one block at offset of a zero tensor of shape."""
-        return Tensor.blocks(shape, [(self, offset)])
-
     # -- algebra: on the numerators, in time proportional to the nonzeros ----
 
     def _plus(self, other, sign: int) -> "Tensor":
@@ -329,12 +277,6 @@ class Tensor:
             x, y = self.re.get(f, 0), self.im.get(f, 0)
             re[f], im[f] = x * a - y * b, x * b + y * a
         return _make(self.shape, self.den * d, _nonzero(re), _nonzero(im))
-
-    def __mul__(self, other):
-        """Matrix product: other's first axis contracted against self."""
-        if not isinstance(other, Tensor):
-            raise TypeError("matrix product expects a Matrix")
-        return other.contract(0, self)
 
     def transpose(self) -> "Tensor":
         return self.permute((1, 0))

@@ -219,9 +219,6 @@ class Scalar:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     # -- formatting ------------------------------------------------------
 
     def __str__(self):

@@ -382,18 +382,18 @@ def _a7(fx) -> CriterionResult:
     # mutation fixtures must fail with witnesses
     broken = fx.algebra("sl2_pp_broken")
     rep = check_pp_post_lie(broken)
-    if rep.passed or not rep.violations:
+    if rep.passed or not rep.witnesses:
         details.append("sl2_pp_broken unexpectedly passes (no witness)")
     se = fx.algebra("final_prepp").table("se")
     mutated_prepp = fx.algebra("final_prepp").with_op(
         "se", _with_entry(se, (0, 1, 1), se[0, 1, 1] + ONE))
     rep = check_pre_pp_post_lie(mutated_prepp)
-    if rep.passed or not rep.violations:
+    if rep.passed or not rep.witnesses:
         details.append("mutated quarter-split unexpectedly passes (no witness)")
     r6 = fx.matrix("r6")
     r_bad = _with_entry(r6, (0, 3), r6[0, 3] + ONE)
     rep = check_pppcybe(fx.algebra("ahat_pp"), r_bad)
-    if rep.passed or not rep.violations:
+    if rep.passed or not rep.witnesses:
         details.append("perturbed tensor unexpectedly solves the equation")
     return CriterionResult("A7", not details, details)
 

@@ -3,6 +3,13 @@ import pytest
 from postlie import corpus_doc, scalars
 
 
+@pytest.fixture(autouse=True)
+def default_verbosity(monkeypatch):
+    """Every test starts with POSTLIE_VERBOSE unset, so the CLI prints its
+    default number of witnesses; a test that needs a value sets it."""
+    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
+
+
 @pytest.fixture
 def scalars_built(monkeypatch):
     """The (a, b, d) of every Scalar constructed from here on."""

@@ -34,7 +34,7 @@ from postlie import (
     sub_adjacent_pp,
 )
 from postlie.forms import PPRepSpec
-from vectors import act, apply, basis_vec, from_rows, mul, ref_kron
+from vectors import act, apply, basis_vec, from_rows, mul, ref_kron, sparse
 
 
 def _zero(n):
@@ -93,7 +93,7 @@ def test_coalgebra_refuses_a_basis_of_the_wrong_length():
 @pytest.mark.parametrize("record, name", [(Algebra, "circ"), (CoalgebraSpec, "Delta")])
 def test_tables_with_an_entry_that_is_not_real_are_over_q_i(record, name):
     # algebras and coalgebras share one rule, so what they build over Q reads back
-    real, imaginary = (Tensor.sparse((2, 2, 2), {1: s}) for s in (sc(1), sc("1/2i")))
+    real, imaginary = (sparse((2, 2, 2), {1: s}) for s in (sc(1), sc("1/2i")))
     assert record(2, "Q", (), {name: real}).field == "Q"
     assert record(2, "Q", (), {name: imaginary}).field == "Q(i)"
     assert record(2, "Q(i)", (), {name: real}).field == "Q(i)"
@@ -115,7 +115,7 @@ def test_lie_coalgebra_symmetric_fails():
     co = CoalgebraSpec(2, comaps={"Delta": d})
     rep = check_lie_coalgebra(co)
     assert not rep.passed
-    assert any("antisym" in v.identity for v in rep.violations)
+    assert any("antisym" in v.identity for v in rep.witnesses)
 
 
 def test_pp_coalgebra_zero():
@@ -190,7 +190,7 @@ def test_lie_bialgebra_flipped_sign_fails(ahat_pp, final_cobrackets):
     co = CoalgebraSpec(6, comaps={"Delta": d})
     rep = check_lie_bialgebra(alg, co)
     assert not rep.passed
-    assert any(v.identity == "bialg.cocycle" for v in rep.violations)
+    assert any(v.identity == "bialg.cocycle" for v in rep.witnesses)
 
 
 def test_pp_bialgebra_zero_comaps(sl2_pp):
@@ -268,7 +268,7 @@ def test_pppcybe_mutated_fails(ahat_pp, r6):
     r = r6 + _unit(6, 0, 3)
     rep = check_pppcybe(ahat_pp, r)
     assert not rep.passed
-    assert rep.violations
+    assert rep.witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_quasi_symmetric_fails(ahat_pp):
     r = _unit(6, 0, 0)
     rep = check_quasitriangular_conditions(ahat_pp, r)
     assert not rep.passed
-    idents = {v.identity for v in rep.violations}
+    idents = {v.identity for v in rep.witnesses}
     assert any(ident.startswith("quasi.inv") for ident in idents)
 
 

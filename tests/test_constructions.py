@@ -56,7 +56,8 @@ def _zero_pp_rep(n, m):
 def _bumped(carrier, k):
     """The carrier with the identity added to its k-th matrix."""
     m = carrier.shape[1]
-    return carrier + Tensor((1, m, m), Matrix.identity(m).entries).embed(carrier.shape, (k, 0, 0))
+    eye = Matrix.identity(m).reshape(1, m, m)
+    return carrier + Tensor.blocks(carrier.shape, [(eye, (k, 0, 0))])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_matched_pair_perturbed_fails(ahat_pp, final_cobrackets):
     maps = dataclasses.replace(maps, on_b=bumped)
     rep = check_matched_pair(ha, hb, maps)
     assert not rep.passed
-    assert rep.violations
+    assert rep.witnesses
 
 
 def test_representation_carriers_cannot_be_changed(sl2_postlie, sl2_pp, ahat_pp,
@@ -269,7 +270,7 @@ def test_manin_triple_incompatible_fails(sl2_pp):
     if bad_tables_ok:
         _, _, report = manin_triple_build(sl2_pp, bad)
         assert not report.passed
-        assert report.violations
+        assert report.witnesses
     else:
         with pytest.raises(PreconditionError):
             manin_triple_build(sl2_pp, bad)

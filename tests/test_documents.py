@@ -5,7 +5,7 @@ Q(i) survive dumps then loads unchanged: values drawn from a small pool (so
 tokens repeat), mostly zero (so whole rows vanish), with numerators and
 denominators beyond 2^64.  The same documents, and bundles of them, written
 in every spelling the format allows load as a plain reference reader (built
-on Scalar.parse and Tensor.sparse) reads them.  The parser, given arbitrary
+on Scalar.parse and Tensor) reads them.  The parser, given arbitrary
 text or a damaged valid document, returns a Document or raises
 DocumentError and nothing else.
 """
@@ -22,6 +22,7 @@ from postlie import Document, DocumentError, Matrix, Scalar, Tensor, corpus_doc,
 from postlie.algebra import OPERATION_NAMES
 from postlie.bialgebra import COMAP_NAMES
 from postlie.documents import MATRIX_KINDS
+from vectors import row, sparse
 
 ZERO = Scalar(0)
 BIG = 2 ** 64
@@ -234,7 +235,7 @@ def test_damaged_bundles_parse_or_raise_document_error(docs, data):
 
 def _reference_loads(text):
     """The Document of a well-formed text, read entry by entry through
-    Scalar.parse and Tensor.sparse; a repeated table line replaces the
+    Scalar.parse and Tensor; a repeated table line replaces the
     earlier one."""
     lines = [line.strip() for line in text.splitlines()]
     return _reference([line for line in lines if line and not line.startswith("#")])
@@ -254,12 +255,12 @@ def _reference(lines):
         rows = int(body.pop(0).split()[1]) if body[0].startswith("rows") else n
         values = {r * n + c: Scalar.parse(tok)
                   for r, line in enumerate(body[1:-1]) for c, tok in enumerate(line.split())}
-        return Document(kind, field, basis, Tensor.sparse((rows, n), values))
+        return Document(kind, field, basis, sparse((rows, n), values))
     tables = {}
     for line in body:
         head, colon, tail = line.partition(":")
         if line == "end":
-            tables[name] = Tensor.sparse((n, n, n), values)
+            tables[name] = sparse((n, n, n), values)
         elif not colon:
             name, values = head.split()[1], {}
         else:
@@ -321,7 +322,7 @@ def spelled(draw, doc):
             emit(words("rows", str(body.rows)))
         emit("matrix")
         for r in range(body.rows):
-            emit(entries(body.row(r)))
+            emit(entries(row(body, r)))
         emit("end")
         return "\n".join(out)
     indices = 2 if doc.kind == "algebra" else 3
@@ -329,14 +330,14 @@ def spelled(draw, doc):
     for name, table in body.items():
         emit(words("op" if indices == 2 else "comap", name))
         for key in draw(st.permutations(list(itertools.product(range(n), repeat=indices)))):
-            row = table.row(*key) if indices == 2 else (table[key],)
-            if not any(row) and draw(st.booleans()):
+            line = row(table, *key) if indices == 2 else (table[key],)
+            if not any(line) and draw(st.booleans()):
                 continue
             head = words(*(str(k + 1) for k in key))
             colon = draw(st.sampled_from([" : ", ":", " :", ": "]))
             if draw(st.booleans()):     # an earlier line that the later one replaces
-                emit(head + colon + entries(draw(st.sampled_from(pool)) for _ in row))
-            emit(head + colon + entries(row))
+                emit(head + colon + entries(draw(st.sampled_from(pool)) for _ in line))
+            emit(head + colon + entries(line))
         emit("end")
     return "\n".join(out)
 

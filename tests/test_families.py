@@ -42,13 +42,13 @@ from postlie import (
     dualize,
     horizontal_post_lie,
 )
-from postlie.algebra import Violation
 from postlie.bialgebra import COMAP_NAMES
 from postlie.construct import MatchedPairMaps
 from postlie.forms import LEFT, PPRepSpec, RepSpec, dual_map, pp_adjoint_rep
 from postlie.linalg import einsum
 from postlie.scalars import ONE, ZERO
-from vectors import act, act_apply, apply, basis_vec, coapply, from_rows, mul, vadd, vneg, vscale, vsub
+from vectors import (Violation, act, act_apply, apply, basis_vec, coapply, from_rows, matmul, mul,
+                     row, vadd, vneg, vscale, vsub, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +62,19 @@ def ref_flat(value) -> tuple:
 
 
 def ref_collect(families=(), nested=()):
-    violations = []
+    found = []
     checked = 0
     for prefix, report in nested:
         checked += report.checked
-        violations.extend(dataclasses.replace(v, identity="%s.%s" % (prefix, v.identity))
-                          for v in report.violations)
+        inner = report.violations if isinstance(report, RefReport) else violations(report)
+        found.extend(v._replace(identity="%s.%s" % (prefix, v.identity)) for v in inner)
     for shape, body in families:
         for idx in itertools.product(*(range(n) for n in shape)):
             for ident, lhs, rhs in body(*idx):
                 checked += 1
                 if lhs != rhs:
-                    violations.append(Violation(ident, idx, ref_flat(lhs), ref_flat(rhs)))
-    return violations, checked
+                    found.append(Violation(ident, idx, ref_flat(lhs), ref_flat(rhs)))
+    return found, checked
 
 
 class RefReport(NamedTuple):
@@ -85,9 +85,9 @@ class RefReport(NamedTuple):
     violations: tuple
 
 
-def ref_report(name, violations, checked):
-    violations = tuple(sorted(violations, key=lambda v: (v.identity, v.indices)))
-    return RefReport(name, checked, not violations, violations)
+def ref_report(name, found, checked):
+    found = tuple(sorted(found, key=lambda v: (v.identity, v.indices)))
+    return RefReport(name, checked, not found, found)
 
 
 def ref_sweep(name, families=(), nested=()):
@@ -103,7 +103,7 @@ def form_value(B, x, y):
     for i, xi in enumerate(x):
         if not xi:
             continue
-        for bij, yj in zip(B.row(i), y):
+        for bij, yj in zip(row(B, i), y):
             if yj and bij:
                 acc = acc + xi * bij * yj
     return acc
@@ -191,11 +191,11 @@ def ref_post_lie_rep(alg, rep):
         br = mul(alg, "bracket", x, y)
         xy = mul(alg, "circ", x, y)
         curly = vadd(xy, vneg(mul(alg, "circ", y, x)), br)
-        yield "rep.lie", act(rep.rho, br), px * py - py * px
-        yield "rep.1", act(rep.rho, xy), lx * py - py * lx
-        yield "rep.2", act(rep.r, br), px * ry - py * rx
-        yield "rep.3", act(rep.r, xy), lx * ry - ry * (lx - rx + px)
-        yield "rep.4", act(rep.l, curly), lx * ly - ly * lx
+        yield "rep.lie", act(rep.rho, br), matmul(px, py) - matmul(py, px)
+        yield "rep.1", act(rep.rho, xy), matmul(lx, py) - matmul(py, lx)
+        yield "rep.2", act(rep.r, br), matmul(px, ry) - matmul(py, rx)
+        yield "rep.3", act(rep.r, xy), matmul(lx, ry) - matmul(ry, lx - rx + px)
+        yield "rep.4", act(rep.l, curly), matmul(lx, ly) - matmul(ly, lx)
     return ref_sweep("post-lie-rep", [((n, n), body)])
 
 
@@ -218,27 +218,28 @@ def ref_pp_rep(alg, rep):
         llx, lly = act(rep.l_lt, x), act(rep.l_lt, y)
         rlx, rly = act(rep.r_lt, x), act(rep.r_lt, y)
         px, py = act(rep.rho, x), act(rep.rho, y)
-        yield "pprep.lie", act(rep.rho, br), px * py - py * px
-        yield "pprep.01", act(rep.r_lt, br), rlx * py - rly * px
-        yield "pprep.02", llx * py, act(rep.l_lt, br) - rly * px
-        yield "pprep.03a", px * (lly + rly), zero
+        yield "pprep.lie", act(rep.rho, br), matmul(px, py) - matmul(py, px)
+        yield "pprep.01", act(rep.r_lt, br), matmul(rlx, py) - matmul(rly, px)
+        yield "pprep.02", matmul(llx, py), act(rep.l_lt, br) - matmul(rly, px)
+        yield "pprep.03a", matmul(px, lly + rly), zero
         yield "pprep.03b", act(rep.l_lt, br) + act(rep.r_lt, br), zero
-        yield "pprep.03c", (llx + rlx) * py, zero
+        yield "pprep.03c", matmul(llx + rlx, py), zero
         yield "pprep.03d", act(rep.rho, vadd(xy_lt, yx_lt)), zero
-        yield "pprep.04", (lrx - rlx) * py, act(rep.rho, circ) + py * (lrx - rlx)
+        yield "pprep.04", matmul(lrx - rlx, py), act(rep.rho, circ) + matmul(py, lrx - rlx)
         yield ("pprep.05", act(rep.r_rt, br) - act(rep.l_lt, br),
-               px * (rry - lly) - py * (rrx - llx))
-        yield ("pprep.06", (lrx + px) * lly,
-               act(rep.l_lt, bullet) + lly * (lrx + llx))
-        yield ("pprep.07", (lrx + px) * rly,
-               act(rep.r_lt, circ) + rly * (lrx - rlx))
+               matmul(px, rry - lly) - matmul(py, rrx - llx))
+        yield ("pprep.06", matmul(lrx + px, lly),
+               act(rep.l_lt, bullet) + matmul(lly, lrx + llx))
+        yield ("pprep.07", matmul(lrx + px, rly),
+               act(rep.r_lt, circ) + matmul(rly, lrx - rlx))
         yield ("pprep.08", act(rep.r_rt, xy_lt),
-               rly * (rrx - llx) + llx * (rry + rly) + act(rep.rho, xy_lt))
+               matmul(rly, rrx - llx) + matmul(llx, rry + rly) + act(rep.rho, xy_lt))
         yield ("pprep.09", act(rep.r_rt, mul(alg, "rtri", x, y)),
-               lrx * rry - rry * (lrx + llx - rrx - rlx + px)
-               - px * rly - rly * px - act(rep.rho, xy_lt))
+               matmul(lrx, rry) - matmul(rry, lrx + llx - rrx - rlx + px)
+               - matmul(px, rly) - matmul(rly, px) - act(rep.rho, xy_lt))
         yield ("pprep.10", act(rep.l_rt, curly),
-               lrx * lry - lry * lrx + py * llx - px * lly - act(rep.l_lt, br))
+               matmul(lrx, lry) - matmul(lry, lrx) + matmul(py, llx) - matmul(px, lly)
+               - act(rep.l_lt, br))
     return ref_sweep("pp-rep", [((n, n), body)])
 
 
@@ -405,12 +406,17 @@ def _stack(n, f):
     return Tensor((n, n, n), [s for k in range(n) for s in f(basis_vec(n, k)).entries])
 
 
+def _contract(t, axis, m):
+    """m applied along one axis of the 3-tensor t: out[.., a, ..] = sum_b m[a, b] t[.., b, ..]."""
+    return einsum(("ab,bjk->ajk", "ab,ibk->iak", "ab,ijb->ija")[axis], m, t)
+
+
 def _apply_first(d, t2):
-    return d.contract(0, t2.transpose()).permute((1, 2, 0))
+    return einsum("ba,bjk->jka", t2, d)
 
 
 def _apply_second(d, t2):
-    return d.contract(0, t2)
+    return _contract(d, 0, t2)
 
 
 def _minus_swap12(t):
@@ -418,11 +424,11 @@ def _minus_swap12(t):
 
 
 def _lhs_apply(m, t2):
-    return t2.contract(0, m)
+    return einsum("ab,bj->aj", m, t2)
 
 
 def _rhs_apply(m, t2):
-    return t2.contract(1, m)
+    return einsum("ab,ib->ia", m, t2)
 
 
 def _sandwich(m, t2, m2=None):
@@ -548,13 +554,12 @@ def ref_pp_bialgebra(alg, co):
 
 
 def _products_of_a(c, r):
-    rt = r.transpose()
-    return c.contract(0, rt).contract(1, rt)
+    return einsum("ba,ed,bek->adk", r, r, c)
 
 
 def _yang_baxter(r, first, c12, c23):
-    return (first + c12.permute((0, 2, 1)).contract(0, r).contract(2, r.transpose())
-            + c23.contract(0, r).contract(1, r))
+    return (first + einsum("ab,ed,bey->ayd", r, r, c12)
+            + einsum("ab,de,bek->adk", r, r, c23))
 
 
 def ref_cybe_C(alg, r):
@@ -618,36 +623,37 @@ def ref_quasitriangular(alg, r):
         llt = act(adj.l_lt, x)
         rlt = act(adj.r_lt, x)
         yield "quasi.colie.1", _g_apply(adj, x, s), zero2
-        yield "quasi.colie.2", C.contract(0, ad) + C.contract(1, ad) + C.contract(2, ad), zero3
+        yield ("quasi.colie.2",
+               _contract(C, 0, ad) + _contract(C, 1, ad) + _contract(C, 2, ad), zero3)
         yield "quasi.coalg.1", (
-            C.contract(0, circ) + C.contract(1, circ) + C.contract(2, bullet)
+            _contract(C, 0, circ) + _contract(C, 1, circ) + _contract(C, 2, bullet)
             + on_a(lambda a: _lhs_apply(act(adj.rho, a),
                                         _f_apply(adj, x, s).transpose()))), zero3
         inner = sum_aFb - D
         yield "quasi.coalg.2a", (
-            (inner + swap23(inner)).contract(0, ad)
+            _contract(inner + swap23(inner), 0, ad)
             + on_b(lambda b: _f_apply(adj, mul(alg, "bracket", x, b), s))), zero3
-        yield "quasi.coalg.2b", C.contract(2, llt + rlt), zero3
+        yield "quasi.coalg.2b", _contract(C, 2, llt + rlt), zero3
         yield "quasi.coalg.3", (
-            C.contract(0, llt) + (swap23(D) - sum_aFb).contract(1, ad) - D.contract(2, ad)
+            _contract(C, 0, llt) + _contract(swap23(D) - sum_aFb, 1, ad) - _contract(D, 2, ad)
             - on_a(lambda a: _lhs_apply(act(adj.r_lt, a), _g_apply(adj, x, s)))), zero3
         part1 = sum_aFb - swap23(D)
         mid = sum_aFb - on_a(lambda a: _f_apply(adj, a, s).transpose()) - swap23(D)
         yield "quasi.coalg.4", (
-            part1.contract(0, ad + llt) + part1.contract(1, circ) + mid.contract(2, bullet)
+            _contract(part1, 0, ad + llt) + _contract(part1, 1, circ) + _contract(mid, 2, bullet)
             + on_a(lambda a: _lhs_apply(act(adj.r_lt, a),
                                         _f_apply(adj, x, s).transpose()))
             - on_a(lambda a: _f_apply(adj, vadd(mul(alg, "rtri", x, a), mul(alg, "ltri", x, a)),
                                       s).transpose())), zero3
-        term1 = part1.contract(0, ad)
+        term1 = _contract(part1, 0, ad)
         yield "quasi.coalg.5", (
             term1 - swap12(term1)
             + on_a(lambda a: _rhs_apply(act(adj.r_rt, a), _e_apply(adj, x, s)))
             + on_a(lambda a: _rhs_apply(act(adj.r_rt, a) + act(adj.r_lt, a),
                                         _g_apply(adj, x, s)))
-            + _minus_swap12(D.contract(2, diamond))
-            - C.contract(2, act(adj.r_rt, x) - act(adj.l_lt, x))
-            + _minus_swap12((D - swap12(D)).contract(0, rt))), zero3
+            + _minus_swap12(_contract(D, 2, diamond))
+            - _contract(C, 2, act(adj.r_rt, x) - act(adj.l_lt, x))
+            + _minus_swap12(_contract(D - swap12(D), 0, rt))), zero3
 
     def two_variables(a, b):
         x, y = e[a], e[b]
@@ -680,10 +686,10 @@ def ref_quasitriangular(alg, r):
         yield "quasi.inv.f", _f_apply(adj, x, s), zero2
         yield "quasi.inv.g", _g_apply(adj, x, s), zero2
 
-    violations, checked = ref_collect([((n,), one_variable), ((n, n), two_variables),
-                                       ((n,), invariance)])
+    found, checked = ref_collect([((n,), one_variable), ((n, n), two_variables),
+                                  ((n,), invariance)])
     firsts = {}
-    for v in violations:
+    for v in found:
         firsts.setdefault(v.identity, v)
     return ref_report("quasitriangular", list(firsts.values()), checked)
 
@@ -810,7 +816,7 @@ def assert_same(name, args):
     assert got.name == want.name
     assert got.checked == want.checked
     assert got.passed == want.passed
-    assert got.violations == want.violations
+    assert violations(got) == want.violations
     return got
 
 
@@ -974,7 +980,7 @@ def test_manin_closure_witnesses_match_reference(monkeypatch):
     ahat = corpus_doc("ahat_pp").to_algebra()
     dual = dualize(corpus_doc("final_cobrackets").to_coalgebra())
     report = assert_same("manin-triple", (ahat, dual))
-    closure = [v for v in report.violations if v.identity.startswith("manin.closure")]
+    closure = [v for v in violations(report) if v.identity.startswith("manin.closure")]
     # at one index tuple the circ witness comes before the bracket one
     assert [(v.identity, v.indices, v.lhs[6:8]) for v in closure] == [
         ("manin.closure-a", (0, 1), (Scalar(2), ZERO)),

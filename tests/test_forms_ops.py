@@ -59,26 +59,30 @@ def test_invariant_form_trivial_algebra():
     assert check_invariant_form(alg, b).passed
 
 
+# kappa = diag(-2, -2, -2) with its last entry changed: not invariant
+KAPPA_SKEWED = from_rows([[-2, 0, 0], [0, -2, 0], [0, 0, -1]])
+
+
 def test_invariant_form_perturbed_fails(sl2_postlie):
-    b = Matrix.diagonal([sc(-2), sc(-2), sc(-1)])
+    b = KAPPA_SKEWED
     rep = check_invariant_form(sl2_postlie, b)
     assert not rep.passed
-    assert rep.violations
+    assert rep.witnesses
 
 
 def test_gph(sl2_postlie, kappa):
     assert check_gph(sl2_postlie, kappa).passed
     rep = check_gph(sl2_postlie, Matrix.zero(3, 3))
     assert not rep.passed
-    assert any(v.identity == "form.nondeg" for v in rep.violations)
+    assert any(v.identity == "form.nondeg" for v in rep.witnesses)
     skew = from_rows([[0, ONE, 0], [-ONE, 0, 0], [0, 0, 0]])
     rep = check_gph(sl2_postlie, skew)
-    assert any(v.identity == "form.sym" for v in rep.violations)
+    assert any(v.identity == "form.sym" for v in rep.witnesses)
 
 
 def test_left_invariant(sl2_postlie, kappa):
     assert check_left_invariant(sl2_postlie, kappa).passed
-    rep = check_left_invariant(sl2_postlie, Matrix.diagonal([sc(-2), sc(-2), sc(-1)]))
+    rep = check_left_invariant(sl2_postlie, KAPPA_SKEWED)
     assert not rep.passed
 
 
@@ -118,7 +122,7 @@ def test_omega_cocycle_nonsymmetric_on_abelian():
 
 def test_omega_cocycle_precondition(sl2_postlie):
     with pytest.raises(PreconditionError):
-        omega_cocycle(sl2_postlie, Matrix.diagonal([sc(-2), sc(-2), sc(-1)]))
+        omega_cocycle(sl2_postlie, KAPPA_SKEWED)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +196,7 @@ def test_adjoint_rep(sl2_postlie):
 def test_zero_rep(sl2_postlie):
     z = Tensor.zero(3, 2, 2)
     rep = RepSpec(z, z, z)
-    assert rep.dim == 2 and rep.source_dim == 3
+    assert rep.dim == 2 and rep.rho.shape == (3, 2, 2)
     assert check_post_lie_rep(sl2_postlie, rep).passed
 
 
@@ -204,12 +208,12 @@ def test_split_dual_rep(sl2_pp, sl2_postlie):
 def test_broken_rep_fails(sl2_postlie):
     # [e2,e3] = e1, so shifting rho(e1) breaks the Lie representation law
     rep = adjoint_rep(sl2_postlie)
-    eye = Tensor((1, 3, 3), Matrix.identity(3).entries).embed((3, 3, 3), (0, 0, 0))
+    eye = Tensor.blocks((3, 3, 3), [(Matrix.identity(3).reshape(1, 3, 3), (0, 0, 0))])
     rep = dataclasses.replace(rep, rho=rep.rho + eye)
     assert act(rep.rho, E1) == act(adjoint_rep(sl2_postlie).rho, E1) + Matrix.identity(3)
     report = check_post_lie_rep(sl2_postlie, rep)
     assert not report.passed
-    assert any(v.identity == "rep.lie" for v in report.violations)
+    assert any(v.identity == "rep.lie" for v in report.witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,7 @@ def test_dual_p_o_scaling_invariance(sl2_postlie, kappa):
 
 def test_strong_precondition(sl2_postlie):
     rep = adjoint_rep(sl2_postlie)
-    bad = Matrix.diagonal([sc(1), sc(1), sc(0)])
+    bad = from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert not check_dual_p_o_operator(sl2_postlie, rep, bad).passed
     with pytest.raises(PreconditionError):
         check_strong(sl2_postlie, rep, bad)

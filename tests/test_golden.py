@@ -19,11 +19,12 @@ import tempfile
 
 import pytest
 
-from postlie import (ONE, CheckReport, Document, Scalar, Tensor, Violation, corpus_doc, dualize,
-                     dumps, einsum, loads)
+from postlie import (ONE, CheckReport, Document, Scalar, Tensor, corpus_doc, dualize, dumps,
+                     einsum, loads)
 from postlie.algebra import MAX_VIOLATIONS, Witness
 from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
 from postlie.corpus import write_corpus
+from vectors import violations
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
 
@@ -196,8 +197,7 @@ def goldens():
 @pytest.mark.parametrize("command,kind",
                          [("check", k) for k in CHECK_KINDS]
                          + [("derive", k) for k in DERIVE_KINDS])
-def test_cli_matches_golden(command, kind, inputs, goldens, monkeypatch):
-    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
+def test_cli_matches_golden(command, kind, inputs, goldens):
     cases = [c for c in CASES if c[:2] == (command, kind)]
     assert cases, "no golden case for %s %s" % (command, kind)
     for case in cases:
@@ -226,7 +226,6 @@ def test_checks_run_on_whole_tensors(inputs, monkeypatch):
         return evaluate(identity, *rest)
 
     monkeypatch.setattr(algebra, "_evaluate", recorded)
-    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
     kinds = set()
     for case in CASES:
         if case[0] == "check":
@@ -240,11 +239,10 @@ def test_checks_run_on_whole_tensors(inputs, monkeypatch):
             "ppbialg.1", "ppco.1", "cybe.c", "quasi.colie.1"} <= set(evaluated)
 
 
-def test_transcripts_replay_in_one_process_in_any_order(inputs, goldens, monkeypatch):
+def test_transcripts_replay_in_one_process_in_any_order(inputs, goldens):
     """The parser shared by every main() call keeps no state: every golden
     transcript replays in a shuffled order, between calls that make
     argparse print help or exit."""
-    monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
     exiting = [("check", "nonsense"), ("--help",), ()]
     order = [(case, False) for case in CASES] + [(argv, True) for argv in exiting * 8]
     random.Random(13).shuffle(order)
@@ -279,14 +277,14 @@ def reference_render(report, limit=None) -> str:
     """The text of a report as rendered from all of its violations."""
     lines = ["%s: %s (%d instances checked)" % (
         report.name or "check", "PASS" if report.passed else "FAIL", report.checked)]
-    shown = report.violations if limit is None else report.violations[:limit]
-    for v in shown:
-        idx = ",".join(str(i + 1) for i in v.indices)
+    found = violations(report)
+    for identity, indices, lhs, rhs in (found if limit is None else found[:limit]):
+        idx = ",".join(str(i + 1) for i in indices)
         lines.append("  %s at basis (%s): lhs = (%s), rhs = (%s)"
-                     % (v.identity, idx, ", ".join(str(s) for s in v.lhs),
-                        ", ".join(str(s) for s in v.rhs)))
-    if limit is not None and len(report.violations) > limit:
-        lines.append("  ... %d more" % (len(report.violations) - limit))
+                     % (identity, idx, ", ".join(str(s) for s in lhs),
+                        ", ".join(str(s) for s in rhs)))
+    if limit is not None and len(found) > limit:
+        lines.append("  ... %d more" % (len(found) - limit))
     return "\n".join(lines)
 
 
@@ -332,7 +330,7 @@ def _eager(report):
         if len(part) == 2:
             prefix, nested = part
             count, inner = _eager(nested)
-            found += [dataclasses.replace(v, identity=prefix + "." + v.identity) for v in inner]
+            found += [(prefix + "." + v[0], *v[1:]) for v in inner]
         else:
             identity, limit, _ = part
             k, first = len(identity.index), (identity.lhs or identity.rhs)[0]
@@ -344,9 +342,9 @@ def _eager(report):
             sides = [(idx, *(tuple(t[idx + v] for v in values) for t in (lhs, rhs)))
                      for idx in tuples]
             count = len(tuples)
-            found += [Violation(identity.name, idx, l, r) for idx, l, r in sides if l != r][:limit]
+            found += [(identity.name, idx, l, r) for idx, l, r in sides if l != r][:limit]
         checked += count
-    found.sort(key=lambda v: (v.identity, v.indices))
+    found.sort(key=lambda v: v[:2])
     return checked, found[:MAX_VIOLATIONS]
 
 
@@ -361,14 +359,14 @@ def test_reading_the_verdict_first_changes_no_report(inputs, goldens, monkeypatc
         case for case in failing if "FAIL" in goldens[case_id(case)]["stdout"]}
     assert any(len(part) == 2 for _, report in reports for part in report.parts)
     for case, report in reports:
-        checked, violations = _eager(report)
+        checked, want = _eager(report)
         verdict_first, witnesses_first = _fresh(report), _fresh(report)
         passed = verdict_first.passed
-        seen = [(r.checked, r.violations, [w[:2] for w in r.witnesses], r.render(), r.passed)
+        seen = [(r.checked, violations(r), [w[:2] for w in r.witnesses], r.render(), r.passed)
                 for r in (verdict_first, witnesses_first)]
         assert seen[0] == seen[1], case_id(case)
-        assert seen[0][:2] == (checked, tuple(violations)), case_id(case)
-        assert passed is (not violations) and seen[0][3] == report.render(), case_id(case)
+        assert seen[0][:2] == (checked, tuple(want)), case_id(case)
+        assert passed is (not want) and seen[0][3] == report.render(), case_id(case)
 
 
 if __name__ == "__main__":

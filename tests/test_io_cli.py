@@ -302,15 +302,27 @@ def test_cli_check_usage_errors(corpus_on_disk, capsys):
      "coalgebra is 6-dimensional, algebra is 3-dimensional"),
     (("check", "pp-bialg", "sl2_pp", "final_cobrackets"),
      "coalgebra is 6-dimensional, algebra is 3-dimensional"),
+    (("check", "o-op", "sl2_pp", "r6"), "operator is 6x6, expected 3x3"),
+    (("check", "dual-p-o", "sl2_postlie", "r6"), "operator is 6x6, expected 3x3"),
+    (("check", "strong", "sl2_postlie", "t2"), "operator is 2x2, expected 3x3"),
+    (("derive", "induced", "sl2_postlie", "r6"), "operator is 6x6, expected 3x3"),
+    (("derive", "pp-from-gph", "sl2_postlie", "t2"), "form is 2x2, expected 3x3"),
+    (("derive", "bullet-from-gph", "sl2_postlie", "r6"), "form is 6x6, expected 3x3"),
+    (("derive", "pre-pp-from-o", "sl2_pp", "r6"), "operator is 6x6, expected 3x3"),
+    (("derive", "invertible-o-pre-pp", "sl2_pp", "t2"), "operator is 2x2, expected 3x3"),
+    (("derive", "embed-r", "final_prepp", "r6"), "operator is 6x6, expected 3x3"),
 ])
 def test_cli_size_mismatch_exit_2(corpus_on_disk, capsys, argv, message):
     (corpus_on_disk / "t2.txt").write_text(
         "kind tensor2\nfield Q\ndim 2\nbasis a b\nmatrix\n0 1\n-1 0\nend\n")
     command, kind, *names = argv
-    code, out, err = _run(capsys, command, kind,
-                          *(str(corpus_on_disk / (n + ".txt")) for n in names))
+    paths = [str(corpus_on_disk / (n + ".txt")) for n in names]
+    code, out, err = _run(capsys, command, kind, *paths)
     assert code == 2
-    assert err == "error: %s\n" % message
+    # a matrix of the wrong shape is named by its file, always the last
+    # argument; a mismatch of two algebras or an algebra and a coalgebra is not
+    at = paths[-1] + ": " if ", expected " in message else ""
+    assert err == "error: %s%s\n" % (at, message)
 
 
 def test_cli_input_errors_exit_2(corpus_on_disk, capsys):

@@ -34,9 +34,8 @@ from postlie import (
     corpus_doc,
     dualize,
 )
-from postlie.algebra import Violation
 from postlie.scalars import ZERO
-from vectors import basis_vec, mul, vadd, vneg, vsub, zero_vec
+from vectors import Violation, basis_vec, mul, vadd, vneg, vsub, violations, zero_vec
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +280,22 @@ class Report(NamedTuple):
 
 def record(report) -> Report:
     """The fields of a CheckReport, which is not compared by value."""
-    return Report(report.name, report.checked, report.passed, report.violations)
+    return Report(report.name, report.checked, report.passed, violations(report))
 
 
 def reference(name, alg, identity_set):
     """The uncapped report of identity_set, one basis tuple at a time."""
     n = alg.dim
     e = [basis_vec(n, i) for i in range(n)]
-    violations, checked = [], 0
+    found, checked = [], 0
     for ident, fn, arity in identity_set:
         for idx in itertools.product(range(n), repeat=arity):
             lhs, rhs = fn(*(e[i] for i in idx))
             checked += 1
             if lhs != rhs:
-                violations.append(Violation(ident, idx, tuple(lhs), tuple(rhs)))
-    violations.sort(key=lambda v: (v.identity, v.indices))
-    return Report(name, checked, not violations, tuple(violations))
+                found.append(Violation(ident, idx, tuple(lhs), tuple(rhs)))
+    found.sort(key=lambda v: (v.identity, v.indices))
+    return Report(name, checked, not found, tuple(found))
 
 
 def assert_same(alg, name, monkeypatch):

@@ -5,12 +5,15 @@ arithmetic is einsum.  The references the tests compare the checkers and
 constructions with work on basis tuples instead, one Scalar at a time.
 Each helper here reads a tensor's entries once and indexes them, and none
 calls einsum, so a reference built on them stays an independent oracle.
+violations reads a check report's witnesses with their sides evaluated,
+and row and sparse read and build a tensor by flat row-major offset.
 """
 
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
-from postlie import LinAlgError, Matrix
+from postlie import LinAlgError, Matrix, Tensor
 from postlie.scalars import ONE, ZERO
 
 
@@ -21,6 +24,37 @@ def from_rows(rows) -> Matrix:
     if any(len(r) != m for r in rows):
         raise LinAlgError("ragged rows")
     return Matrix((len(rows), m), [e for r in rows for e in r])
+
+
+class Violation(NamedTuple):
+    """A witness with its sides evaluated: the value entries of each side."""
+    identity: str
+    indices: tuple
+    lhs: tuple
+    rhs: tuple
+
+
+def violations(report) -> tuple:
+    """The Violation of each witness of a check report, in its order."""
+    return tuple(Violation(w.identity, w.indices, *w.sides()) for w in report.witnesses)
+
+
+def sparse(shape, values) -> Tensor:
+    """The tensor of shape with values[f] at each flat row-major offset f
+    of the mapping values, and zero elsewhere."""
+    size = 1
+    for n in shape:
+        size *= n
+    return Tensor(shape, [values.get(f, ZERO) for f in range(size)])
+
+
+def row(t, *index) -> tuple:
+    """The entries of t along its last axis at the leading indices."""
+    offset = 0
+    for i, n in zip(index, t.shape):
+        offset = offset * n + i
+    n = t.shape[-1]
+    return t.entries[offset * n:(offset + 1) * n]
 
 
 def zero_vec(n: int) -> tuple:
@@ -118,6 +152,17 @@ def act_apply(c, x, v) -> tuple:
 def coapply(co, name: str, x) -> Matrix:
     """delta(x) as an n x n coefficient matrix, for the comap name of co."""
     return act(co.table(name), x)
+
+
+def matmul(a, b) -> Matrix:
+    """The matrix product a b, entry by entry."""
+    (rows, inner), (_, cols) = a.shape, b.shape
+    if b.shape[0] != inner:
+        raise LinAlgError("no product of a %dx%d and a %dx%d matrix" % (*a.shape, *b.shape))
+    ea, eb = a.entries, b.entries
+    return Matrix((rows, cols), [sum((ea[i * inner + j] * eb[j * cols + k]
+                                      for j in range(inner)), ZERO)
+                                 for i in range(rows) for k in range(cols)])
 
 
 def ref_kron(a, b) -> Matrix:
