@@ -17,13 +17,14 @@ pre-pp-post-Lie) are such lists over the structure tables: the identities
 are multilinear, so they hold everywhere if they hold on every tuple of
 basis vectors, and a nested product such as (x * y) o z is one einsum of
 two tables whose index axes run over those tuples.  _sweep plans every
-term once, counts one instance per index tuple from the planned shapes and
-returns an immutable CheckReport, so every error of a term is raised when
-a check is called.  The report evaluates an identity (_evaluate: lhs - rhs
-summed in one Gaussian-integer accumulator, linalg._summed) only when its
-verdict or witnesses first need it: its verdict stops at the first
-failing identity, and its witnesses evaluate the sides and build Scalars
-only when first read.
+term once, so every error of a term is raised when a check is called, and
+returns an immutable CheckReport whose tree has a leaf per identity.  A
+leaf counts the index tuples of its planned shape and evaluates its
+identity (_evaluate: lhs - rhs summed in one Gaussian-integer accumulator,
+linalg._summed) once, when its verdict or witnesses first need it.  A
+report's count, verdict and witnesses are read from its tree: its verdict
+stops at the first failing identity, and a witness evaluates the sides
+and builds Scalars only when first read.
 """
 
 from __future__ import annotations
@@ -185,44 +186,43 @@ class Witness(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """A verdict, its instance count and the witnesses of its first
-    violations, sorted by (identity, indices).  parts holds the report's
-    nested (prefix, CheckReport) pairs and its (Identity, limit, plan)
-    triples, in _sweep's order.  passed reads the parts in order and stops
-    at the first with a violation; witnesses reads them all.  Each identity
-    is evaluated (_evaluate) when first needed and its witnesses are kept
-    on the report, so none is evaluated twice; a copy made with
-    dataclasses.replace starts with none evaluated.  The sides of a witness
-    are evaluated when its sides() is called or render prints the witness,
-    so reading passed, checked, name or witnesses builds no Scalar.  Reports
+    violations, sorted by (identity, indices), each read from a tree of
+    reports.  A leaf is one identity, plan = (Identity, limit, planned
+    terms): it counts the index tuples of the planned shape and evaluates
+    the identity (_evaluate) once, when first read.  Any other report holds
+    (prefix, CheckReport) parts in _sweep's order and sums their counts;
+    its verdict stops at the first failing part, and its witnesses are
+    theirs, renamed prefix.identity for a part with a prefix.  Copies made
+    with dataclasses.replace share the evaluated leaves.  A witness's sides
+    are evaluated when its sides() is called or render prints it, so
+    reading passed, checked, name or witnesses builds no Scalar.  Reports
     are not compared by value: a witness holds a function."""
 
     name: str
-    checked: int
     parts: tuple = ()
-    _found: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+    plan: tuple = None
 
-    def _evaluated(self, i: int) -> list:
-        """The witnesses of the identity part i, evaluated on first use."""
-        if i not in self._found:
-            self._found[i] = _evaluate(*self.parts[i])
-        return self._found[i]
+    @property
+    def checked(self) -> int:
+        if self.plan:
+            identity, _, planned = self.plan
+            return _size(planned[0][:len(identity.index)])
+        return sum(report.checked for _, report in self.parts)
 
     @property
     def passed(self) -> bool:
-        return all(part[1].passed if len(part) == 2 else not self._evaluated(i)
-                   for i, part in enumerate(self.parts))
+        return not self.witnesses if self.plan else all(r.passed for _, r in self.parts)
 
     def __bool__(self):
         return self.passed
 
     @cached_property
     def witnesses(self) -> tuple:
-        """Every part's witnesses, each of a nested report renamed
-        prefix.identity, sorted; the first MAX_VIOLATIONS of them."""
-        found = []
-        for i, part in enumerate(self.parts):
-            found += ([w._replace(identity=part[0] + "." + w.identity) for w in part[1].witnesses]
-                      if len(part) == 2 else self._evaluated(i))
+        """A leaf's witnesses, or its parts', renamed, sorted and cut."""
+        if self.plan:
+            return tuple(_evaluate(*self.plan))
+        found = [w if prefix is None else w._replace(identity=prefix + "." + w.identity)
+                 for prefix, report in self.parts for w in report.witnesses]
         found.sort(key=lambda w: w[:2])
         return tuple(found[:MAX_VIOLATIONS])
 
@@ -306,24 +306,21 @@ def _evaluate(identity: Identity, limit: int, plan) -> list:
 
 
 def _sweep(name, identities=(), nested=(), per_identity=None) -> CheckReport:
-    """The report of the nested (prefix, report) pairs and the identities:
-    their instance count and the witnesses of their first MAX_VIOLATIONS
-    violations, at most per_identity from each identity.  Every term is
-    planned and checked here, and the instance count taken from the planned
-    shapes, so every error is raised by the call; an identity's entries are
-    summed only when the report's verdict or witnesses need them."""
+    """The report whose parts are the nested (prefix, report) pairs, then a
+    leaf per identity (prefix None), keeping at most per_identity witnesses
+    of each identity.  Every term is planned and checked here, so every
+    error is raised by the call; an identity's entries are summed only when
+    the report's verdict or witnesses need them."""
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
-    checked, parts = sum(report.checked for _, report in nested), [*nested]
+    parts = [*nested]
     for identity in identities:
         terms = [*identity.lhs, *(-t for t in identity.rhs)]
         for t in terms:
             if not t.spec.partition("->")[2].startswith(identity.index):
                 raise ValueError("term %r does not lead with the index labels %r"
                                  % (t.spec, identity.index))
-        plan = _planned(terms)
-        checked += _size(plan[0][:len(identity.index)])
-        parts.append((identity, limit, plan))
-    return CheckReport(name, checked, tuple(parts))
+        parts.append((None, CheckReport(identity.name, plan=(identity, limit, _planned(terms)))))
+    return CheckReport(name, tuple(parts))
 
 
 def _require(report: CheckReport, message: str):
@@ -356,6 +353,11 @@ def _swap(t: Tensor) -> Tensor:
     return t.permute((1, 0, 2))
 
 
+def _curly(circ: Tensor, br: Tensor) -> Tensor:
+    """The table of the curly bracket {x, y} = x o y - y o x + [x, y]."""
+    return circ - _swap(circ) + br
+
+
 def _left(a: Tensor, b: Tensor, args: str) -> Term:
     """a(b(p, q), r) for the index labels args = pqr."""
     p, q, r = args
@@ -385,11 +387,10 @@ def PRE_LIE_IDENTITIES(alg: Algebra, op="circ"):
 
 def POST_LIE_IDENTITIES(alg: Algebra):
     o, br = alg.table("circ"), alg.table("bracket")
-    curly = o - _swap(o) + br
     return [
         Identity("postlie.1", "ijk", [_right(o, br, "ijk")],
                  [_left(br, o, "ijk"), _right(br, o, "jik")]),
-        Identity("postlie.2", "ijk", [_left(o, curly, "ijk")],
+        Identity("postlie.2", "ijk", [_left(o, _curly(o, br), "ijk")],
                  [_right(o, o, "ijk"), -_right(o, o, "jik")]),
     ]
 
@@ -399,7 +400,6 @@ def PP_IDENTITIES(alg: Algebra):
     circ = rt + lt                  # x |> y + x <| y
     bullet = rt - _swap(lt)         # x |> y - y <| x
     lt_sym = lt + _swap(lt)         # x <| y + y <| x
-    curly = circ - _swap(circ) + br
     return [
         Identity("pp.1", "ijk", [_right(lt, br, "ijk")],
                  [_left(lt, br, "ijk"), _left(lt, br, "kij")]),
@@ -410,7 +410,7 @@ def PP_IDENTITIES(alg: Algebra):
                  [_left(br, circ, "ijk"), _right(br, bullet, "jik")]),
         Identity("pp.4", "ijk", [_right(rt, lt, "ijk")],
                  [_left(lt, bullet, "ijk"), _right(lt, circ, "jik"), -_right(br, lt, "ijk")]),
-        Identity("pp.5", "ijk", [_left(rt, curly, "ijk")],
+        Identity("pp.5", "ijk", [_left(rt, _curly(circ, br), "ijk")],
                  [_right(rt, rt, "ijk"), -_right(rt, rt, "jik"), _right(br, lt, "jik"),
                   -_right(br, lt, "ijk"), -_left(lt, br, "ijk")]),
     ]
@@ -429,11 +429,9 @@ def L_DENDRIFORM_IDENTITIES(alg: Algebra):
 
 def PRE_PP_IDENTITIES(alg: Algebra):
     se, ne, sw, nw, dot = (alg.table(op) for op in _QUARTERS)
-    br = dot - _swap(dot)
-    rt, lt = se + ne, nw + sw
+    rt, lt, br = map(sub_adjacent_pp(alg, checked=False).table, ("rtri", "ltri", "bracket"))
     circ = rt + lt
     vee, wedge = se + sw, ne + nw
-    curly = circ - _swap(circ) + br
     sw_nw = sw + _swap(nw)          # x sw y + y nw x
     return [
         Identity("prepp.01", "ijk", [_right(nw, br, "ijk")],
@@ -463,7 +461,7 @@ def PRE_PP_IDENTITIES(alg: Algebra):
         Identity("prepp.10", "ijk", [_right(se, ne, "ijk"), -_right(ne, rt, "jik")],
                  [_left(ne, vee - _swap(wedge), "ijk"), _right(dot, nw, "ijk"),
                   _left(wedge, dot, "ijk"), _left(dot, lt, "ikj")]),
-        Identity("prepp.11", "ijk", [_left(se, curly, "ijk"), _left(sw, br, "ijk")],
+        Identity("prepp.11", "ijk", [_left(se, _curly(circ, br), "ijk"), _left(sw, br, "ijk")],
                  [_right(se, se, "ijk"), -_right(se, se, "jik"), _right(dot, sw, "jik"),
                   -_right(dot, sw, "ijk")]),
     ]
@@ -514,9 +512,8 @@ def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
 def sub_adjacent_lie(alg: Algebra) -> Algebra:
     """Lie algebra with {x,y} = x o y - y o x + [x,y]."""
     _require(check_post_lie(alg), "not a post-Lie algebra")
-    c = alg.table("circ")
     return Algebra(alg.dim, alg.field, alg.basis,
-                   {"bracket": c - _swap(c) + alg.table("bracket")})
+                   {"bracket": _curly(alg.table("circ"), alg.table("bracket"))})
 
 
 def opposite_post_lie(alg: Algebra) -> Algebra:

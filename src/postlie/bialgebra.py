@@ -35,8 +35,10 @@ from .algebra import (
     PreconditionError,
     Term,
     _Tables,
+    _curly,
     _require_shape,
     _side,
+    _swap,
     _sweep,
     check_lie,
     check_pp_post_lie,
@@ -114,7 +116,6 @@ def _pp_coalgebra_reports(co: CoalgebraSpec, modes) -> list:
     """check_pp_coalgebra in each mode, on one co-Lie check."""
     for name in COMAP_NAMES:
         co.table(name)
-    # renamed before its verdict is read: a renamed copy keeps no evaluation
     colie = dataclasses.replace(check_lie_coalgebra(co), name="pp-coalgebra")
     if not colie.passed:
         return [colie] * len(modes)
@@ -197,12 +198,10 @@ def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """pp algebra + pp coalgebra + the nine mixed compatibility conditions."""
     _require_same_space(alg, co)
     nested = [("ppbialg.alg", check_pp_post_lie(alg)), ("ppbialg.coalg", check_pp_coalgebra(co))]
-    swap = lambda t: t.permute((1, 0, 2))
     transpose = lambda t: t.permute((0, 2, 1))
     rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
     circ = rt + lt
-    bull = rt - swap(lt)
-    curly = circ - swap(circ) + br
+    bull = rt - _swap(lt)
     # the carriers of multiplication by x, and the comultiplications
     lrt, rrt, llt, rlt, ad = pp_adjoint_rep(alg).carriers()
     lcirc, lbull, rcirc, rbull = lrt + llt, lrt - rlt, rrt + rlt, rrt - llt
@@ -229,7 +228,7 @@ def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
         Identity("ppbialg.6", "ij", [_on(bull, d_circ)],
                  [_rhs(lbull, d_circ), _xy(lrt + ad, d_circ), -_yx(llt, d_lt),
                   _rhs(rbull, d_rt + De, True)]),
-        Identity("ppbialg.7", "ij", [_on(curly, d_lt)],
+        Identity("ppbialg.7", "ij", [_on(_curly(circ, br), d_lt)],
                  [_rhs(lbull, d_lt), _xy(lcirc, d_lt), -_rhs(lbull, d_lt, True),
                   -_yx(lcirc, d_lt)]),
         Identity("ppbialg.8", "ij",
@@ -256,8 +255,7 @@ def _cybe_C_terms(alg: Algebra, r: Matrix) -> list:
 
 def _cybe_D_terms(alg: Algebra, r: Matrix) -> list:
     rt, lt = alg.table("rtri"), alg.table("ltri")
-    return _yang_baxter_terms(term("abx,by,az->xyz", lt, r, r), r,
-                              rt - lt.permute((1, 0, 2)), rt + lt)
+    return _yang_baxter_terms(term("abx,by,az->xyz", lt, r, r), r, rt - _swap(lt), rt + lt)
 
 
 def cybe_C(alg: Algebra, r: Matrix) -> Tensor:
@@ -333,7 +331,6 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     adj = pp_adjoint_rep(alg)
     lrt, rrt, llt, rlt, ad = adj.carriers()
     rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
-    swap12 = lambda t: t.permute((1, 0, 2))
     swap23 = lambda t: t.permute((0, 2, 1))
     E, F, G = _efg(adj, r + r.transpose())
     C, D = cybe_C(alg, r), cybe_D(alg, r)
@@ -371,7 +368,7 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
             right_on_a(E, rrt), right_on_a(G, rrt + rlt),
             on2(llt + lrt - rlt - rrt, D), -term("kct,bat->kabc", llt + lrt - rlt - rrt, D),
             -on2(rrt - llt, C),
-            on0(lrt, D - swap12(D)), -term("kbt,tac->kabc", lrt, D - swap12(D))]),
+            on0(lrt, D - _swap(D)), -term("kbt,tac->kabc", lrt, D - _swap(D))]),
         Identity("quasi.compat.1", "ij", [_xy(ad, F)]),
         Identity("quasi.compat.2", "ij", [_on(br, F), _xy(ad, F), -_yx(ad, F)]),
         Identity("quasi.compat.3", "ij", [

@@ -121,7 +121,7 @@ def _checked(out: Algebra, checker):
 def _bundle(double: Algebra, name: str, kind: str, m: Matrix) -> Document:
     return Document.bundle({
         "double": Document.from_algebra(double),
-        name: Document.from_matrix(kind, m, basis=double.basis),
+        name: Document.from_matrix(kind, m, double.field, double.basis),
     })
 
 

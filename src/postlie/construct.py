@@ -22,8 +22,10 @@ from .algebra import (
     CheckReport,
     Identity,
     PreconditionError,
+    _curly,
     _require,
     _require_shape,
+    _swap,
     _sweep,
     check_post_lie,
     check_pp_post_lie,
@@ -164,7 +166,6 @@ def _mixed(names, b: Algebra, on_b: RepSpec, on_a: RepSpec) -> list:
     cb, brb = b.table("circ"), b.table("bracket")
     l, r, rho = on_b.carriers()
     l2, r2, rho2 = on_a.carriers()
-    curly = cb - cb.permute((1, 0, 2)) + brb
     # the action of x on a product of u and v; the product of the action of
     # x on u (on v) with v (with u); the action of (an action of v (of u)
     # on x) on u (on v)
@@ -184,7 +185,7 @@ def _mixed(names, b: Algebra, on_b: RepSpec, on_a: RepSpec) -> list:
         Identity(names[3], "ijk", [on_product(cb, l)],
                  [first(l - r + rho, cb), second(l, cb), back_v(r2, r),
                   back_u(r2 - l2 - rho2, l)]),
-        Identity(names[4], "ijk", [on_product(curly, r)],
+        Identity(names[4], "ijk", [on_product(_curly(cb, brb), r)],
                  [second(r, cb), -second_swapped(r, cb), back_v(l2, r), -back_u(l2, r)]),
     ]
 
@@ -281,7 +282,7 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
         _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
     c = alg.table("circ")
     # -B(e_y, x o z - z o x) and B(e_x, z o y), each at [x, y, z]
-    rt = _solve_products(B, -einsum("ya,xza->xyz", B, c - c.permute((1, 0, 2))))
+    rt = _solve_products(B, -einsum("ya,xza->xyz", B, c - _swap(c)))
     lt = _solve_products(B, einsum("xa,zya->xyz", B, c))
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": alg.table("bracket"), "rtri": rt, "ltri": lt})

@@ -25,7 +25,9 @@ holds one document: only blank and ``#`` comment lines may follow it.
 
 In memory a document is the frozen Document(kind, field, basis, body), dim
 = len(basis): a read-only mapping of tables, the matrix Tensor or a read-only
-mapping of sections as body, checked when built, over Q(i) if not all real.
+mapping of sections as body, checked when built.  A table or matrix is over
+Q(i) if an entry is not real and keeps its field otherwise; a bundle is over
+Q(i) if and only if a section is.
 
 Tables and matrices are read straight into sparse Tensors over the lcm of
 their denominators by the integer scalar codec of :mod:`postlie.scalars`: a
@@ -82,7 +84,9 @@ class Document:
                 if basis or not all(isinstance(s, Document) and s.kind != "bundle"
                                     for s in body.values()):
                     raise DocumentError("a bundle holds Documents but no bundle, and no basis")
-                field, body = _field_of(self.field, ()), MappingProxyType(dict(body))
+                _field_of(self.field, ())       # a known field; the sections decide it
+                field = "Q(i)" if any(s.field == "Q(i)" for s in body.values()) else "Q"
+                body = MappingProxyType(dict(body))
             elif kind not in MATRIX_KINDS:
                 raise DocumentError("unknown kind %r" % kind)
             elif body.cols != len(basis):
@@ -133,8 +137,8 @@ class Document:
         return Document("coalgebra", co.field, co.basis, co.comaps)
 
     @staticmethod
-    def bundle(sections: dict, field="Q(i)") -> "Document":
-        return Document("bundle", field, (), sections)
+    def bundle(sections: dict) -> "Document":
+        return Document("bundle", "Q", (), sections)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ from .algebra import (
     CheckReport,
     Identity,
     Term,
+    _curly,
     _require,
     _require_shape,
+    _swap,
     _sweep,
     check_lie,
     check_post_lie,
@@ -251,14 +253,12 @@ def check_post_lie_rep(alg: Algebra, rep: RepSpec, checked=True) -> CheckReport:
         _require(check_post_lie(alg), "not a post-Lie algebra")
     c, br = alg.table("circ"), alg.table("bracket")
     l, r, rho = rep.carriers()
-    # {x, y} = x o y - y o x + [x, y]
-    curly = c - c.permute((1, 0, 2)) + br
     return _sweep("post-lie-rep", [
         Identity("rep.lie", "ij", [_on(br, rho)], [_xy(rho, rho), -_yx(rho, rho)]),
         Identity("rep.1", "ij", [_on(c, rho)], [_xy(l, rho), -_yx(rho, l)]),
         Identity("rep.2", "ij", [_on(br, r)], [_xy(rho, r), -_yx(rho, r)]),
         Identity("rep.3", "ij", [_on(c, r)], [_xy(l, r), -_yx(r, l - r + rho)]),
-        Identity("rep.4", "ij", [_on(curly, l)], [_xy(l, l), -_yx(l, l)]),
+        Identity("rep.4", "ij", [_on(_curly(c, br), l)], [_xy(l, l), -_yx(l, l)]),
     ])
 
 
@@ -296,10 +296,8 @@ def check_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> CheckReport:
         _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
     rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
     lr, rr, ll, rl, p = rep.carriers()
-    swap = lambda t: t.permute((1, 0, 2))
     circ = rt + lt
-    bullet = rt - swap(lt)
-    curly = circ - swap(circ) + br
+    bullet = rt - _swap(lt)
     return _sweep("pp-rep", [
         Identity("pprep.lie", "ij", [_on(br, p)], [_xy(p, p), -_yx(p, p)]),
         Identity("pprep.01", "ij", [_on(br, rl)], [_xy(rl, p), -_yx(rl, p)]),
@@ -308,7 +306,7 @@ def check_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> CheckReport:
         Identity("pprep.03a", "ij", [_xy(p, ll + rl)]),
         Identity("pprep.03b", "ij", [_on(br, ll + rl)]),
         Identity("pprep.03c", "ij", [_xy(ll + rl, p)]),
-        Identity("pprep.03d", "ij", [_on(lt + swap(lt), p)]),
+        Identity("pprep.03d", "ij", [_on(lt + _swap(lt), p)]),
         Identity("pprep.04", "ij", [_xy(lr - rl, p)], [_on(circ, p), _yx(p, lr - rl)]),
         Identity("pprep.05", "ij", [_on(br, rr - ll)],
                  [_xy(p, rr - ll), -_yx(p, rr - ll)]),
@@ -321,7 +319,7 @@ def check_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> CheckReport:
         Identity("pprep.09", "ij", [_on(rt, rr)],
                  [_xy(lr, rr), -_yx(rr, lr + ll - rr - rl + p), -_xy(p, rl),
                   -_yx(rl, p), -_on(lt, p)]),
-        Identity("pprep.10", "ij", [_on(curly, lr)],
+        Identity("pprep.10", "ij", [_on(_curly(circ, br), lr)],
                  [_xy(lr, lr), -_yx(lr, lr), _yx(p, ll), -_xy(p, ll), -_on(br, ll)]),
     ])
 

@@ -24,6 +24,7 @@ from postlie import (
     check_pre_lie,
     check_pre_pp_post_lie,
     check_pppcybe,
+    corpus_doc,
     cybe_C,
     dumps,
     einsum,
@@ -717,6 +718,18 @@ def test_pp_coalg_both_modes_evaluate_the_co_lie_identities_once(tmp_path, capsy
     out = capsys.readouterr().out
     assert out.count("pp-coalgebra: FAIL") == 2 and "dual.lie.antisym" in out
     assert sorted(evaluations) == ["lie.antisym", "lie.jacobi"]
+
+
+def test_a_renamed_report_evaluates_no_identity_again(evaluations):
+    report = check_pp_post_lie(corpus_doc("sl2_pp_broken").to_algebra())
+    evaluations.clear()                 # its Lie precondition is read in the call
+    text = report.render()
+    assert not report.passed and len(evaluations) == len(report.parts)
+    evaluations.clear()
+    renamed = dataclasses.replace(report, name="renamed")
+    assert renamed.render() == text.replace(report.name, "renamed", 1)
+    assert not renamed.passed and renamed.checked == report.checked
+    assert evaluations == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import random
 import tempfile
@@ -273,6 +274,17 @@ def _rendered_reports(case, directory, monkeypatch):
     return reports
 
 
+def _failing_reports(inputs, goldens, monkeypatch):
+    """(case, report) for every report the failing goldens render, which
+    cover every failing golden that prints a verdict."""
+    failing = [case for case in CASES if goldens[case_id(case)]["exit"] == 1]
+    reports = [(case, report) for case in failing
+               for report in _rendered_reports(case, inputs, monkeypatch)]
+    assert {case for case, _ in reports} >= {
+        case for case in failing if "FAIL" in goldens[case_id(case)]["stdout"]}
+    return reports
+
+
 def reference_render(report, limit=None) -> str:
     """The text of a report as rendered from all of its violations."""
     lines = ["%s: %s (%d instances checked)" % (
@@ -297,11 +309,7 @@ def test_render_evaluates_only_the_witnesses_it_prints(inputs, goldens, monkeypa
         return Witness(identity, indices, lambda: evaluated.append(indices) or sides())
 
     monkeypatch.setattr(algebra, "Witness", counted)
-    failing = [case for case in CASES if goldens[case_id(case)]["exit"] == 1]
-    reports = [(case, report) for case in failing
-               for report in _rendered_reports(case, inputs, monkeypatch)]
-    assert {case for case, _ in reports} >= {
-        case for case in failing if "FAIL" in goldens[case_id(case)]["stdout"]}
+    reports = _failing_reports(inputs, goldens, monkeypatch)
     most = 0
     for case, report in reports:
         most = max(most, len(report.witnesses))
@@ -315,34 +323,31 @@ def test_render_evaluates_only_the_witnesses_it_prints(inputs, goldens, monkeypa
 
 
 def _fresh(report):
-    """A copy of report and of every report nested in it, none evaluated."""
+    """A copy of report and of every report in its tree, none evaluated."""
     return dataclasses.replace(report, parts=tuple(
-        (part[0], _fresh(part[1])) if len(part) == 2 else part for part in report.parts))
+        (prefix, _fresh(part)) for prefix, part in report.parts))
 
 
 def _eager(report):
-    """The instance count and violations of report's parts by an eager
-    sweep: every identity's two sides summed at once term by term as
-    Tensors and compared at every index tuple, nested violations renamed
+    """The instance count and violations of report by an eager sweep: a
+    leaf's two sides summed at once term by term as Tensors and compared at
+    every index tuple, the violations of a part with a prefix renamed
     prefix.identity, then sorted and cut to MAX_VIOLATIONS."""
+    if report.plan:
+        identity, limit, _ = report.plan
+        k, first = len(identity.index), (identity.lhs or identity.rhs)[0]
+        shape = einsum(first.spec, *first.operands).shape
+        lhs, rhs = (sum((einsum(t.spec, *t.operands).scale(Scalar(t.coef)) for t in side),
+                        Tensor.zero(*shape)) for side in (identity.lhs, identity.rhs))
+        values = list(itertools.product(*map(range, shape[k:])))
+        tuples = list(itertools.product(*map(range, shape[:k])))
+        sides = [(idx, *(tuple(t[idx + v] for v in values) for t in (lhs, rhs)))
+                 for idx in tuples]
+        return len(tuples), [(identity.name, idx, l, r) for idx, l, r in sides if l != r][:limit]
     checked, found = 0, []
-    for part in report.parts:
-        if len(part) == 2:
-            prefix, nested = part
-            count, inner = _eager(nested)
-            found += [(prefix + "." + v[0], *v[1:]) for v in inner]
-        else:
-            identity, limit, _ = part
-            k, first = len(identity.index), (identity.lhs or identity.rhs)[0]
-            shape = einsum(first.spec, *first.operands).shape
-            lhs, rhs = (sum((einsum(t.spec, *t.operands).scale(Scalar(t.coef)) for t in side),
-                            Tensor.zero(*shape)) for side in (identity.lhs, identity.rhs))
-            values = list(itertools.product(*map(range, shape[k:])))
-            tuples = list(itertools.product(*map(range, shape[:k])))
-            sides = [(idx, *(tuple(t[idx + v] for v in values) for t in (lhs, rhs)))
-                     for idx in tuples]
-            count = len(tuples)
-            found += [(identity.name, idx, l, r) for idx, l, r in sides if l != r][:limit]
+    for prefix, part in report.parts:
+        count, inner = _eager(part)
+        found += [v if prefix is None else (prefix + "." + v[0], *v[1:]) for v in inner]
         checked += count
     found.sort(key=lambda v: v[:2])
     return checked, found[:MAX_VIOLATIONS]
@@ -352,12 +357,8 @@ def test_reading_the_verdict_first_changes_no_report(inputs, goldens, monkeypatc
     """Every report of a failing golden has the same instance count,
     witnesses and text whether its verdict or its witnesses are read
     first, and they are those of an eager sweep."""
-    failing = [case for case in CASES if goldens[case_id(case)]["exit"] == 1]
-    reports = [(case, report) for case in failing
-               for report in _rendered_reports(case, inputs, monkeypatch)]
-    assert {case for case, _ in reports} >= {
-        case for case in failing if "FAIL" in goldens[case_id(case)]["stdout"]}
-    assert any(len(part) == 2 for _, report in reports for part in report.parts)
+    reports = _failing_reports(inputs, goldens, monkeypatch)
+    assert any(prefix for _, report in reports for prefix, _ in report.parts)
     for case, report in reports:
         checked, want = _eager(report)
         verdict_first, witnesses_first = _fresh(report), _fresh(report)
@@ -367,6 +368,31 @@ def test_reading_the_verdict_first_changes_no_report(inputs, goldens, monkeypatc
         assert seen[0] == seen[1], case_id(case)
         assert seen[0][:2] == (checked, tuple(want)), case_id(case)
         assert passed is (not want) and seen[0][3] == report.render(), case_id(case)
+
+
+def _tree(report):
+    """Every report in report's tree, report first."""
+    return [report] + [r for _, part in report.parts for r in _tree(part)]
+
+
+def test_a_report_counts_what_its_leaves_count(inputs, goldens, monkeypatch):
+    """On every failing golden report, a leaf counts the index tuples of
+    its identity and any other report the sum of its parts' counts."""
+    leaves = 0
+    for case, report in _failing_reports(inputs, goldens, monkeypatch):
+        for node in _tree(report):
+            if node.plan:
+                identity, _, _ = node.plan
+                first = (identity.lhs or identity.rhs)[0]
+                shape = einsum(first.spec, *first.operands).shape
+                want = math.prod(shape[:len(identity.index)])
+                assert node.parts == () and node.checked == want, case_id(case)
+                leaves += 1
+            else:
+                assert node.checked == sum(part.checked for _, part in node.parts), case_id(case)
+        assert report.checked == sum(node.checked for node in _tree(report) if node.plan), \
+            case_id(case)
+    assert leaves
 
 
 if __name__ == "__main__":

@@ -560,6 +560,25 @@ def test_cli_derive_double(corpus_on_disk, tmp_path, capsys):
     assert bundle.body["pairing"].kind == "form"
 
 
+# a pp algebra over Q: [a, b] = b, zero |> and <|
+_REAL_PP = ("kind algebra\nfield Q\ndim 2\nbasis a b\nop rtri\nend\nop ltri\nend\n"
+            "op bracket\n1 2 : 0 1\n2 1 : 0 -1\nend\n")
+
+
+@pytest.mark.parametrize("kind, files, options", [
+    ("double", 1, ()), ("manin", 2, ()), ("embed-r", 1, ("--rep", "adjoint"))])
+def test_cli_derives_of_a_real_algebra_stay_over_q(kind, files, options, tmp_path, capsys):
+    pp = tmp_path / "pp.txt"
+    pp.write_text(_REAL_PP)
+    assert _run(capsys, "check", "pp", str(pp))[0] == 0
+    code, out, _ = _run(capsys, "derive", kind, *[str(pp)] * files, *options)
+    assert code == 0
+    fields = [line for line in out.splitlines() if line.startswith("field")]
+    assert fields == ["field Q"] * 3
+    bundle = loads(out)
+    assert bundle.field == "Q" and dumps(bundle) == out
+
+
 def test_cli_derive_precondition_exit_1(corpus_on_disk, capsys):
     code, _, err = _run(capsys, "derive", "induced",
                         str(corpus_on_disk / "sl2_lie.txt"),
