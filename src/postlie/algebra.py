@@ -200,7 +200,7 @@ class CheckReport:
 
     name: str
     parts: tuple = ()
-    plan: tuple = None
+    plan: tuple = dataclasses.field(default=None, repr=False)
 
     @property
     def checked(self) -> int:
@@ -472,12 +472,10 @@ def PRE_PP_IDENTITIES(alg: Algebra):
 # ---------------------------------------------------------------------------
 
 def check_lie(alg: Algebra) -> CheckReport:
-    alg.require("bracket")
     return _sweep("lie", LIE_IDENTITIES(alg))
 
 
 def check_pre_lie(alg: Algebra, op="circ") -> CheckReport:
-    alg.require(op)
     return _sweep("pre-lie", PRE_LIE_IDENTITIES(alg, op))
 
 
@@ -494,7 +492,6 @@ def check_pp_post_lie(alg: Algebra) -> CheckReport:
 
 
 def check_l_dendriform(alg: Algebra) -> CheckReport:
-    alg.require("rtri", "ltri")
     return _sweep("l-dendriform", L_DENDRIFORM_IDENTITIES(alg))
 
 

@@ -87,9 +87,11 @@ def dualize(co: CoalgebraSpec) -> Algebra:
     return Algebra(co.dim, co.field, tuple(b + "*" for b in co.basis), ops)
 
 
-def dualize_alg(alg: Algebra, ops=("rtri", "ltri", "bracket")) -> CoalgebraSpec:
-    """Coalgebra on the dual space, inverse of dualize."""
-    comaps = {_OP_TO_COMAP[op]: alg.table(op).permute((2, 0, 1)) for op in ops}
+def dualize_alg(alg: Algebra) -> CoalgebraSpec:
+    """Coalgebra on the dual space, inverse of dualize: the comaps of the
+    rtri, ltri and bracket tables alg has."""
+    comaps = {comap: alg.table(op).permute((2, 0, 1))
+              for op, comap in _OP_TO_COMAP.items() if alg.has(op)}
     basis = tuple(b[:-1] if b.endswith("*") else b + "*" for b in alg.basis)
     return CoalgebraSpec(alg.dim, alg.field, basis, comaps)
 

@@ -86,8 +86,7 @@ def _path(text: str) -> str:
 
 
 def _report_exit(report: CheckReport) -> int:
-    limit = _verbosity()
-    print(report.render(limit if limit else 0))
+    print(report.render(_verbosity()))
     return 0 if report.passed else 1
 
 
@@ -113,9 +112,19 @@ def _pp_coalg(opts, co):
     return 0 if dual.passed else 1
 
 
-def _checked(out: Algebra, checker):
+def _revalidate(out: Algebra) -> CheckReport:
+    """The check of the richest structure whose tables out has: pre-pp
+    (dot), pp (rtri), post-Lie (circ) or Lie."""
+    if out.has("dot"):
+        return alg_mod.check_pre_pp_post_lie(out)
+    if out.has("rtri"):
+        return alg_mod.check_pp_post_lie(out)
+    return (alg_mod.check_post_lie if out.has("circ") else alg_mod.check_lie)(out)
+
+
+def _checked(out: Algebra):
     """A derived algebra's document and its re-validation report."""
-    return Document.from_algebra(out), checker(out)
+    return Document.from_algebra(out), _revalidate(out)
 
 
 def _bundle(double: Algebra, name: str, kind: str, m: Matrix) -> Document:
@@ -138,7 +147,7 @@ def _manin(opts, a_pp, b_pp):
 def _embed_r(opts, a, t=None):
     base, rep = _pp_rep(a, opts.rep or "quarter")
     ahat, r = con.hom_embed_r(base, rep, Matrix.identity(rep.dim) if t is None else t)
-    return _bundle(ahat, "r", "tensor2", r), alg_mod.check_pp_post_lie(ahat)
+    return _bundle(ahat, "r", "tensor2", r), _revalidate(ahat)
 
 
 def _cobrackets(opts, a, r):
@@ -148,9 +157,7 @@ def _cobrackets(opts, a, r):
 
 def _dualize(opts, doc):
     if doc.kind == "algebra":
-        a = doc.to_algebra()
-        ops = tuple(op for op in ("rtri", "ltri", "bracket") if a.has(op))
-        return Document.from_coalgebra(bi.dualize_alg(a, ops)), None
+        return Document.from_coalgebra(bi.dualize_alg(doc.to_algebra())), None
     if doc.kind == "coalgebra":
         return Document.from_algebra(bi.dualize(doc.to_coalgebra())), None
     raise UsageError("dualize expects an algebra or a coalgebra")
@@ -206,37 +213,26 @@ CHECKS = {
 
 # run returns (document, report re-validating it, or None)
 DERIVES = {
-    "sub-adjacent": _Kind(A, lambda o, a: (
-        _checked(alg_mod.sub_adjacent_pp(a), alg_mod.check_pp_post_lie) if a.has("dot")
-        else _checked(alg_mod.sub_adjacent_lie(a), alg_mod.check_lie))),
-    "horizontal": _Kind(A, lambda o, a: _checked(alg_mod.horizontal_post_lie(a),
-                                                 alg_mod.check_post_lie)),
-    "vertical": _Kind(A, lambda o, a: _checked(alg_mod.vertical_post_lie(a),
-                                               alg_mod.check_post_lie)),
-    "transpose": _Kind(A, lambda o, a: _checked(alg_mod.transpose_pp(a),
-                                                alg_mod.check_pp_post_lie)),
-    "opposite": _Kind(A, lambda o, a: _checked(alg_mod.opposite_post_lie(a),
-                                               alg_mod.check_post_lie)),
-    "induced": _Kind(A + M, lambda o, a, p: _checked(forms.induced_post_lie(a, p),
-                                                     alg_mod.check_post_lie)),
+    "sub-adjacent": _Kind(A, lambda o, a: _checked(
+        alg_mod.sub_adjacent_pp(a) if a.has("dot") else alg_mod.sub_adjacent_lie(a))),
+    "horizontal": _Kind(A, lambda o, a: _checked(alg_mod.horizontal_post_lie(a))),
+    "vertical": _Kind(A, lambda o, a: _checked(alg_mod.vertical_post_lie(a))),
+    "transpose": _Kind(A, lambda o, a: _checked(alg_mod.transpose_pp(a))),
+    "opposite": _Kind(A, lambda o, a: _checked(alg_mod.opposite_post_lie(a))),
+    "induced": _Kind(A + M, lambda o, a, p: _checked(forms.induced_post_lie(a, p))),
     "semidirect": _Kind(A, lambda o, a: _checked(
-        con.semidirect_post_lie(*_post_lie_rep(a, o.rep)), alg_mod.check_post_lie), options=REP),
+        con.semidirect_post_lie(*_post_lie_rep(a, o.rep))), options=REP),
     "semidirect-pp": _Kind(A, lambda o, a: _checked(
-        con.semidirect_pp(*_pp_rep(a, o.rep)), alg_mod.check_pp_post_lie), options=REP),
-    "bowtie": _Kind(A + A, lambda o, a, b: _checked(con.bowtie(*_horizontal_pair(a, b)),
-                                                    alg_mod.check_post_lie)),
+        con.semidirect_pp(*_pp_rep(a, o.rep))), options=REP),
+    "bowtie": _Kind(A + A, lambda o, a, b: _checked(con.bowtie(*_horizontal_pair(a, b)))),
     "double": _Kind(A, _double),
     "manin": _Kind(A + A, _manin),
-    "pp-from-gph": _Kind(A + M, lambda o, a, b: _checked(con.compatible_pp_from_gph(a, b),
-                                                         alg_mod.check_pp_post_lie)),
-    "bullet-from-gph": _Kind(A + M, lambda o, a, b: _checked(con.bullet_from_gph(a, b),
-                                                             alg_mod.check_post_lie)),
+    "pp-from-gph": _Kind(A + M, lambda o, a, b: _checked(con.compatible_pp_from_gph(a, b))),
+    "bullet-from-gph": _Kind(A + M, lambda o, a, b: _checked(con.bullet_from_gph(a, b))),
     "pre-pp-from-o": _Kind(A + M, lambda o, a, t: _checked(
-        con.pre_pp_from_o_operator(*_pp_rep(a, o.rep), t),
-        alg_mod.check_pre_pp_post_lie), options=REP),
+        con.pre_pp_from_o_operator(*_pp_rep(a, o.rep), t)), options=REP),
     "invertible-o-pre-pp": _Kind(A + M, lambda o, a, t: _checked(
-        con.invertible_o_to_compatible_pre_pp(*_pp_rep(a, o.rep), t),
-        alg_mod.check_pre_pp_post_lie), options=REP),
+        con.invertible_o_to_compatible_pre_pp(*_pp_rep(a, o.rep), t)), options=REP),
     "embed-r": _Kind(A + M, _embed_r, optional=1, options=REP),
     "cobrackets-from-r": _Kind(A + M, _cobrackets),
     "dualize": _Kind((_load,), _dualize),

@@ -28,7 +28,6 @@ from .algebra import (
     _swap,
     _sweep,
     check_post_lie,
-    check_pp_post_lie,
     horizontal_post_lie,
     term,
 )
@@ -214,9 +213,7 @@ def double_construction(alg: Algebra, checked=True):
     Returns the 2n-dimensional post-Lie algebra and the canonical pairing
     form, which together form a generalized pseudo-Hessian post-Lie algebra.
     """
-    if checked:
-        _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
-    horiz = horizontal_post_lie(alg, checked=False)
+    horiz = horizontal_post_lie(alg, checked)
     rep = pp_split_dual_rep(alg)
     double = semidirect_post_lie(horiz, rep, checked=False)
     double = dataclasses.replace(double, basis=_doubled_basis(alg))
@@ -236,12 +233,9 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
     """
     if a_pp.dim != astar_pp.dim:
         raise LinAlgError("dimension mismatch between the two halves")
-    if checked:
-        for alg in (a_pp, astar_pp):
-            _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
     n = a_pp.dim
-    ha = horizontal_post_lie(a_pp, checked=False)
-    hb = horizontal_post_lie(astar_pp, checked=False)
+    ha = horizontal_post_lie(a_pp, checked)
+    hb = horizontal_post_lie(astar_pp, checked)
     out = bowtie(ha, hb, coadjoint_matched_pair_maps(a_pp, astar_pp), checked=False)
     out = dataclasses.replace(out, basis=_doubled_basis(a_pp))
     form = pairing_form(n)

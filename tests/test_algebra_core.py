@@ -732,6 +732,14 @@ def test_a_renamed_report_evaluates_no_identity_again(evaluations):
     assert evaluations == []
 
 
+def test_a_report_repr_leaves_out_its_planned_operands(ahat_pp):
+    """A failing assert on a report prints its repr: names and parts, not
+    the operand tensors of every planned identity."""
+    report = check_pp_post_lie(ahat_pp)
+    text = repr(report)
+    assert len(text) < 1000 and "pp.5" in text and "plan" not in text
+
+
 # ---------------------------------------------------------------------------
 # the signed integer accumulation of lhs - rhs against a Tensor sum per term
 # ---------------------------------------------------------------------------

@@ -68,6 +68,13 @@ def test_dualize_roundtrip(sl2_pp, ahat_pp):
         assert dualize(co).ops == alg.ops
 
 
+def test_dualize_alg_maps_only_the_tables_an_algebra_has(sl2_lie, sl2_postlie):
+    for alg in (sl2_lie, sl2_postlie):
+        co = dualize_alg(alg)
+        assert set(co.comaps) == {"Delta"}
+        assert dualize(co).ops == {"bracket": alg.table("bracket")}
+
+
 def test_dualize_index_shuffle(final_cobrackets):
     # <a* . b*, x> = <a* (x) b*, delta(x)> means c[i, j, k] = d[k, i, j]
     alg = dualize(final_cobrackets)

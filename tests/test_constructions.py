@@ -19,6 +19,7 @@ from postlie import (
     check_pre_pp_post_lie,
     coadjoint_matched_pair_maps,
     compatible_pp_from_gph,
+    corpus_doc,
     double_construction,
     dual_pp_rep,
     dualize,
@@ -274,6 +275,18 @@ def test_manin_triple_incompatible_fails(sl2_pp):
     else:
         with pytest.raises(PreconditionError):
             manin_triple_build(sl2_pp, bad)
+
+
+def test_double_and_manin_refuse_a_non_pp_algebra_unless_unchecked(sl2_pp):
+    broken = corpus_doc("sl2_pp_broken").to_algebra()
+    builds = [lambda **kw: double_construction(broken, **kw),
+              lambda **kw: manin_triple_build(broken, sl2_pp, **kw),
+              lambda **kw: manin_triple_build(sl2_pp, broken, **kw)]
+    for build in builds:
+        with pytest.raises(PreconditionError, match="^not a pp-post-Lie algebra$") as caught:
+            build()
+        assert caught.value.report.name == "pp-post-lie" and not caught.value.report.passed
+        assert build(checked=False)[0].dim == 6
 
 
 def test_manin_triple_dimension_mismatch(sl2_pp):

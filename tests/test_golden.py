@@ -22,7 +22,8 @@ import pytest
 
 from postlie import (ONE, CheckReport, Document, Scalar, Tensor, corpus_doc, dualize, dumps,
                      einsum, loads)
-from postlie.algebra import MAX_VIOLATIONS, Witness
+from postlie import cli
+from postlie.algebra import MAX_VIOLATIONS, PreconditionError, Witness
 from postlie.cli import CHECK_KINDS, DERIVE_KINDS, main
 from postlie.corpus import write_corpus
 from vectors import violations
@@ -169,12 +170,15 @@ def case_id(case):
     return " ".join(case)
 
 
-def transcript(case, directory):
-    argv = [os.path.join(directory, w[1:] + ".txt") if w.startswith("@") else w
+def _argv(case, directory):
+    return [os.path.join(directory, w[1:] + ".txt") if w.startswith("@") else w
             for w in case]
+
+
+def transcript(case, directory):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(_argv(case, directory))
     return {
         "exit": code,
         "stdout": out.getvalue().replace(directory, "<dir>"),
@@ -212,6 +216,39 @@ def test_every_derived_document_reads_back(goldens):
     for key in derived:
         text = goldens[key]["stdout"]
         assert dumps(loads(text)) == text, key
+
+
+# the report that re-validates each derived algebra, by the name its
+# checker gives it; sub-adjacent's depends on whether the input is pre-pp
+REVALIDATED = {
+    ("sub-adjacent", "@sl2_postlie"): "lie",
+    ("sub-adjacent", "@final_prepp"): "pp-post-lie",
+    **{(kind, None): "post-lie" for kind in (
+        "horizontal", "vertical", "opposite", "induced", "semidirect", "bowtie",
+        "bullet-from-gph")},
+    **{(kind, None): "pp-post-lie" for kind in (
+        "transpose", "semidirect-pp", "pp-from-gph", "embed-r")},
+    **{(kind, None): "pre-pp-post-lie" for kind in ("pre-pp-from-o", "invertible-o-pre-pp")},
+}
+
+
+def test_derived_algebras_are_revalidated_by_their_checker(inputs):
+    """A passing derive prints only its document, so the goldens do not show
+    which check re-validated it: every golden case of an algebra-producing
+    kind returns the report of the checker its derived tables call for."""
+    seen = set()
+    for case in CASES:
+        key = case[1:3] if case[1:3] in REVALIDATED else (case[1], None)
+        if case[0] != "derive" or key not in REVALIDATED or len(case) < 3:
+            continue
+        args = cli.build_parser().parse_args(_argv(case, inputs))
+        try:
+            _, report = cli._run_kind("derive", cli.DERIVES, args)
+        except PreconditionError:   # the input is refused before anything is derived
+            continue
+        assert report.name == REVALIDATED[key], case_id(case)
+        seen.add(key)
+    assert seen == set(REVALIDATED)
 
 
 def test_checks_run_on_whole_tensors(inputs, monkeypatch):
