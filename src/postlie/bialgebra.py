@@ -66,9 +66,8 @@ __all__ = [
     "operator_form_check",
 ]
 
-COMAP_NAMES = ("delta_rtri", "delta_ltri", "Delta")
-
 _COMAP_TO_OP = {"delta_rtri": "rtri", "delta_ltri": "ltri", "Delta": "bracket"}
+COMAP_NAMES = tuple(_COMAP_TO_OP)
 _OP_TO_COMAP = {v: k for k, v in _COMAP_TO_OP.items()}
 
 

@@ -49,8 +49,12 @@ from .scalars import ScalarParseError, _read, _text
 
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
 
-KINDS = ("algebra", "form", "map", "tensor2", "coalgebra", "bundle")
+# the tables of an algebra or coalgebra, as read and written: block keyword,
+# noun for errors, table names in writing order and indices per line
+_LAYOUTS = {"algebra": ("op", "operation", OPERATION_NAMES, 2),
+            "coalgebra": ("comap", "comap", COMAP_NAMES, 3)}
 MATRIX_KINDS = ("form", "map", "tensor2")
+KINDS = (*_LAYOUTS, *MATRIX_KINDS, "bundle")
 _RECORDS = {"algebra": Algebra, "coalgebra": CoalgebraSpec}
 
 
@@ -232,10 +236,8 @@ def _parse_document(lines) -> Document:
     basis = tuple(basistxt.split())
     if len(basis) != dim:
         raise DocumentError("basis has %d names, dim is %d" % (len(basis), dim), lineno)
-    if kind == "algebra":
-        body = _parse_tables(lines, dim, fieldname, "op", "operation", OPERATION_NAMES, 2)
-    elif kind == "coalgebra":
-        body = _parse_tables(lines, dim, fieldname, "comap", "comap", COMAP_NAMES, 3)
+    if kind in _LAYOUTS:
+        body = _parse_tables(lines, dim, fieldname, *_LAYOUTS[kind])
     else:
         body = _parse_matrix_body(lines, kind, dim, fieldname)
     return Document(kind, fieldname, basis, body)
@@ -364,26 +366,19 @@ def _dump_into(doc: Document, out):
         return
     out.append("dim %d" % n)
     out.append(("basis " + " ".join(doc.basis)).rstrip())
-    if doc.kind == "algebra":
-        for name in OPERATION_NAMES:
+    if doc.kind in _LAYOUTS:
+        keyword, _, names, indices = _LAYOUTS[doc.kind]
+        per = n ** (3 - indices)        # scalars per line
+        for name in names:
             if name not in body:
                 continue
-            out.append("op %s" % name)
+            out.append("%s %s" % (keyword, name))
             cells = _cells(body[name])
-            for at in sorted({f // n for f in cells}):
-                i, j = divmod(at, n)
-                row = [cells.get(f, "0") for f in range(at * n, at * n + n)]
-                out.append("%d %d : %s" % (i + 1, j + 1, " ".join(row)))
-            out.append("end")
-    elif doc.kind == "coalgebra":
-        for name in COMAP_NAMES:
-            if name not in body:
-                continue
-            out.append("comap %s" % name)
-            cells = _cells(body[name])
-            for f in sorted(cells):
-                k, i, j = f // n ** 2, f // n % n, f % n
-                out.append("%d %d %d : %s" % (k + 1, i + 1, j + 1, cells[f]))
+            for at in sorted({f // per for f in cells}):
+                # the line's indices are the base-n digits of at
+                idx = [str(at // n ** p % n + 1) for p in range(indices - 1, -1, -1)]
+                row = [cells.get(f, "0") for f in range(at * per, at * per + per)]
+                out.append("%s : %s" % (" ".join(idx), " ".join(row)))
             out.append("end")
     else:
         if doc.kind == "map" and body.rows != body.cols:

@@ -19,14 +19,18 @@ import sympy
 
 from postlie import (
     Algebra,
+    Document,
     Scalar,
     Tensor,
     check_pp_post_lie,
     compatible_pp_from_gph,
+    corpus_doc,
     horizontal_post_lie,
     run_acceptance,
+    save,
     sc,
     vertical_post_lie,
+    write_corpus,
 )
 from postlie.algebra import _side
 from postlie.forms import _cocycle, _invariance
@@ -220,3 +224,37 @@ def test_a6_perturbed_matched_pair_fails_its_precondition():
         check_matched_pair(horizontal_post_lie(ahat, checked=False),
                            horizontal_post_lie(dual, checked=False),
                            coadjoint_matched_pair_maps(ahat, dual), checked=True)
+
+
+def _bump(directory, name, table, index):
+    """Write the corpus to directory, then add 1 to the entry at index of the
+    fixture name (of its table, or of its matrix for table None)."""
+    write_corpus(str(directory))
+    doc = corpus_doc(name)
+    t = doc.body if table is None else doc.body[table]
+    t = t + Tensor.blocks(t.shape, [(Tensor((1,) * len(index), [1]), index)])
+    body = t if table is None else {**doc.body, table: t}
+    save(Document(doc.kind, doc.field, doc.basis, body), directory / (name + ".txt"))
+
+
+@pytest.mark.parametrize("criterion, name, table, index, detail", [
+    ("A1", "sl2_postlie", "circ", (0, 1, 1), "induced circ table differs from sl2_postlie"),
+    ("A2", "kappa", None, (0, 1),
+     "Killing form fails the invariance conditions: gph: FAIL (56 instances checked)"),
+    ("A5", "final_cobrackets", "Delta", (0, 1, 1), "computed Delta differs from final_cobrackets"),
+    ("A5", "final_prepp", "se", (0, 1, 1),
+     "final_prepp fails the quarter-split axioms: pre-pp-post-lie: FAIL (351 instances checked)"),
+    ("A6", "ahat_pp", "rtri", (0, 1, 1),
+     "corpus instance: manin/matched-pair/bialgebra = (False, False, False)"),
+    ("A7", "ahat_pp", "rtri", (0, 0, 0), "horizontal of ahat_pp is not post-Lie"),
+    # these two mutants stop at a precondition, before the criterion's own
+    # details; for A4 so does every change of one sl2_pp entry by 1 or -1
+    ("A4", "sl2_pp", "rtri", (0, 1, 1), "raised PreconditionError: not a post-Lie algebra"),
+    ("A7", "sl2_postlie", "circ", (0, 1, 1), "raised PreconditionError: not a post-Lie algebra"),
+], ids=["A1", "A2", "A5-Delta", "A5-se", "A6", "A7-rtri", "A4-precondition", "A7-precondition"])
+def test_a_mutated_fixture_fails_its_criterion_with_a_named_detail(tmp_path, criterion, name,
+                                                                   table, index, detail):
+    _bump(tmp_path, name, table, index)
+    result, = run_acceptance(corpus_dir=str(tmp_path), names=[criterion])
+    assert not result.passed
+    assert result.line().split("\n")[:2] == ["%s: FAIL" % criterion, "    " + detail]

@@ -353,6 +353,11 @@ def test_compatible_pp_trivial():
 def test_compatible_pp_degenerate_form(sl2_postlie):
     with pytest.raises(PreconditionError):
         compatible_pp_from_gph(sl2_postlie, Matrix.zero(3, 3))
+    # unchecked, a symmetric degenerate form still fails when solved against
+    form = Tensor((3, 3), [1, 0, 0, 0, 1, 0, 0, 0, 0])
+    for build in (compatible_pp_from_gph, bullet_from_gph):
+        with pytest.raises(PreconditionError, match="^form is degenerate$"):
+            build(sl2_postlie, form, checked=False)
 
 
 def test_bullet_from_gph(sl2_postlie, kappa):
@@ -423,6 +428,9 @@ def test_invertible_o_identity_roundtrip(final_prepp):
 def test_invertible_o_singular_rejected(sl2_pp, final_P):
     with pytest.raises(PreconditionError):
         invertible_o_to_compatible_pre_pp(sl2_pp, pp_adjoint_rep(sl2_pp), final_P)
+    with pytest.raises(PreconditionError, match=r"^operator is not invertible \(not square\)$"):
+        invertible_o_to_compatible_pre_pp(sl2_pp, _zero_pp_rep(3, 2), Matrix.zero(3, 2),
+                                          checked=False)
 
 
 # ---------------------------------------------------------------------------

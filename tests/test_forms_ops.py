@@ -131,6 +131,7 @@ def test_omega_cocycle_precondition(sl2_postlie):
 
 def test_rota_baxter_weight_one(sl2_lie, sl2_P):
     assert check_rota_baxter_lie(sl2_lie, sl2_P, ONE).passed
+    assert check_rota_baxter_lie(sl2_lie, sl2_P, 1).passed     # an int weight
 
 
 def test_rota_baxter_trivial_cases(sl2_lie):

@@ -112,6 +112,9 @@ def test_field_q_rejects_imaginary():
      "line 5: bad row count 'x'"),
     ("kind map\nfield Q\ndim 1\nbasis e\nrows -1\nmatrix\nend\n", "line 5: negative row count"),
     ("kind bundle\nfield R\n", "line 2: unknown field 'R'"),
+    ("kind map\nfield Q\ndim 1\nbasis e\nrows\nmatrix\n1\nend\n", "line 5: expected 'rows <n>'"),
+    ("kind form\nfield Q\ndim 3\nbasis a b c\nmatrix\n1 0 0\n0 1\n0 0 1\nend\n",
+     "line 7: expected 3 entries per row"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(DocumentError) as err:
@@ -219,6 +222,15 @@ def test_cli_check_witness_verbosity(corpus_on_disk, capsys, monkeypatch):
     code, out, _ = _run(capsys, "check", "pp", str(corpus_on_disk / "sl2_pp_broken.txt"))
     assert code == 1
     assert "at basis" not in out
+
+
+def test_cli_unreadable_verbosity_prints_the_default_witnesses(corpus_on_disk, capsys,
+                                                              monkeypatch):
+    argv = ("check", "pp", str(corpus_on_disk / "sl2_pp_broken.txt"))
+    unset = _run(capsys, *argv)
+    monkeypatch.setenv("POSTLIE_VERBOSE", "abc")
+    assert _run(capsys, *argv) == unset
+    assert unset[0] == 1 and unset[1].count(" at basis ") == 5
 
 
 def test_cli_check_rb(corpus_on_disk, capsys):
@@ -334,6 +346,12 @@ def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
     no_delta.write_text(text[:start] + text[text.index("end\n", start) + 4:])
     for argv, message in [
         (("corpus", "show", "nosuch"), "unknown corpus fixture 'nosuch'"),
+        (("corpus", "show"), "corpus show needs a fixture name"),
+        (("corpus", "write"), "corpus write needs a directory"),
+        (("check", "pp-rep", str(corpus_on_disk / "sl2_pp.txt"), "--rep", "bogus"),
+         "unknown pp representation 'bogus'"),
+        (("check", "rep", str(corpus_on_disk / "sl2_postlie.txt"), "--rep", "bogus"),
+         "unknown post-Lie representation 'bogus'"),
         (("check", "pp-coalg", str(co), "--mode", "bogus"), "mode must be 'dual', 'direct' or 'both'"),
         (("check", "lie-coalg", str(no_delta)),
          "%s: coalgebra has no comap table 'Delta'" % no_delta),
@@ -400,8 +418,12 @@ def test_cli_quarter_rep_needs_quarter_ops_in_every_dimension(tmp_path, capsys):
         assert err == "error: %s: algebra has no operation table 'se'\n" % zero
 
 
-def test_cli_parse_error_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
+def test_cli_parse_error_exit_2(corpus_on_disk, capsys):
+    # a scalar given as an option is a parse error too
+    assert _run(capsys, "check", "rb", str(corpus_on_disk / "sl2_lie.txt"),
+                str(corpus_on_disk / "sl2_P.txt"), "--weight", "abc") == (
+        2, "", "parse error: cannot parse scalar 'abc'\n")
+    bad = corpus_on_disk / "bad.txt"
     bad.write_text("kind form\nfield Q\ndim 1\nbasis e\nmatrix\n1/0\nend\n")
     code, _, err = _run(capsys, "check", "lie", str(bad))
     assert code == 2

@@ -61,6 +61,16 @@ def test_subtraction_and_negation():
     assert sc(1, 2) - sc(0, 4) == sc(1, -2)
 
 
+def test_ints_and_fractions_mix_on_either_side():
+    assert 2 - sc(1) == ONE
+    assert 1 / sc(0, 1) == sc("-i")
+    assert sc(1) + 2 == sc(3)
+    assert sc(1) * Fraction(1, 2) == sc("1/2")
+    assert repr(sc("1/2+i")) == "Scalar(1/2+i)"
+    with pytest.raises(ValueError, match="takes no imaginary argument"):
+        sc("1", 2)
+
+
 CANONICAL = [
     "0", "1", "-1", "7", "-1/2", "2/3", "i", "-i", "3/2i", "-3/2i",
     "1/2+1/2i", "1/2-1/2i", "1+i", "1-i", "-2/3+5i", "-2/3-5/7i",

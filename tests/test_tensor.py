@@ -299,6 +299,16 @@ def test_shape_errors():
         t[0, 2, 0]
     with pytest.raises(IndexError):
         t[0, 1]
+    with pytest.raises(TypeError, match="expected a Tensor"):
+        t + 1
+    with pytest.raises(LinAlgError, match="shape mismatch"):
+        t + Tensor.zero(2, 2)
+    with pytest.raises(LinAlgError, match="cannot reshape a 2x2x2 tensor to 7"):
+        t.reshape(7)
+    with pytest.raises(LinAlgError, match="solve expects a square matrix"):
+        Matrix.zero(2, 3).solve(Matrix.zero(2, 1))
+    with pytest.raises(LinAlgError, match="einsum needs at least one operand"):
+        einsum("->")
 
 
 def test_an_int_index_reads_a_one_axis_tensor():
@@ -936,3 +946,40 @@ def test_one_half_parsed_equals_two_quarters():
     t = Tensor((2,), [Scalar(Fraction(1, 6)), Scalar(Fraction(1, 3))])
     assert (t - Tensor((2,), [Scalar(Fraction(1, 6)), 0])).den == 3
     assert (t - t).den == 1 and (t - t) == Tensor.zero(2) and (t - t).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# four axes, immutability and repr
+# ---------------------------------------------------------------------------
+
+def _complex_ref(shape):
+    """A (shape, entries) reference with complex entries over denominators 2 and 3."""
+    size = len(list(_indices(shape)))
+    return shape, tuple(Scalar(Fraction(k % 5 - 2, 3), Fraction(k % 3 - 1, 2))
+                        for k in range(size))
+
+
+def test_four_axis_permute_and_einsum_match_entry_references():
+    # four or more axes take the generic offset map, which three never reach
+    a = _complex_ref((2, 3, 1, 2))
+    t = Tensor(*a)
+    assert t.den == 6 and t.im
+    _same(t.permute((3, 1, 0, 2)), ref_permute(a, (3, 1, 0, 2)))
+    _same(einsum("ijkl->ljik", t), ref_permute(a, (3, 1, 0, 2)))
+    v = (Scalar(Fraction(1, 2)), Scalar(0, -1), Scalar(2, Fraction(1, 3)))
+    outer = [x * y for x in a[1] for y in v]
+    _same(einsum("ijkl,m->ijklm", t, Tensor((3,), v)), (a[0] + (3,), tuple(outer)))
+
+
+@pytest.mark.parametrize("name, value", [("den", 2), ("shape", (4,)), ("extra", 1)])
+def test_a_tensor_refuses_every_assignment(name, value):
+    t = Tensor.identity(2)
+    with pytest.raises(AttributeError, match="Tensor is immutable"):
+        setattr(t, name, value)
+    assert t == Tensor.identity(2) and not hasattr(t, "extra")
+
+
+def test_repr_prints_rows_separated_by_semicolons():
+    assert repr(Tensor((2, 2), [1, Scalar(Fraction(1, 2)), Scalar(0, 1), 0])) == (
+        "Tensor(2x2: 1 1/2; i 0)")
+    assert repr(Tensor((), [Scalar(0, Fraction(-3, 2))])) == "Tensor(: -3/2i)"
