@@ -157,40 +157,30 @@ class Scalar:
 
     def __add__(self, other):
         other = _coerce(other)
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _build(self.a + other.a, self.b + other.b, d1)
-        return _build(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
+        return _build(self.a * other.d + other.a * self.d, self.b * other.d + other.b * self.d,
+                      self.d * other.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return _build(self.a - other.a, self.b - other.b, d1)
-        return _build(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
+        return _build(self.a * other.d - other.a * self.d, self.b * other.d - other.b * self.d,
+                      self.d * other.d)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
-        b1, b2 = self.b, other.b
-        if b1 == 0 and b2 == 0:
-            return _build(self.a * other.a, 0, self.d * other.d)
-        return _build(self.a * other.a - b1 * b2,
-                      self.a * b2 + b1 * other.a,
+        return _build(self.a * other.a - self.b * other.b, self.a * other.b + self.b * other.a,
                       self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if other.b == 0:
-            if other.a == 0:
-                raise ZeroDivisionError("scalar division by zero")
-            return _build(self.a * other.d, self.b * other.d, self.d * other.a)
+        if not other:
+            raise ZeroDivisionError("scalar division by zero")
         norm = other.a * other.a + other.b * other.b
         return _build((self.a * other.a + self.b * other.b) * other.d,
                       (self.b * other.a - self.a * other.b) * other.d,

@@ -11,6 +11,7 @@ checked by the three test_a3_* certificate tests below it.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -34,7 +35,14 @@ from postlie import (
 )
 from postlie.algebra import _side
 from postlie.forms import _cocycle, _invariance
-from postlie.verify import CRITERIA, _Fixtures, _table_diff_count
+from postlie.verify import (
+    CRITERIA,
+    CriterionResult,
+    _Fixtures,
+    _random_antisymmetric,
+    _random_scalar,
+    _table_diff_count,
+)
 from vectors import row, sparse
 
 
@@ -123,6 +131,12 @@ def test_a3_attainable_clauses():
     assert "4 entries" in result.details[0]
 
 
+def test_a_criterion_passes_exactly_when_it_has_no_detail():
+    passing, failing = CriterionResult("A9", ()), CriterionResult("A9", ("x",))
+    assert passing.passed and passing.line() == "A9: PASS"
+    assert not failing.passed and failing.line() == "A9: FAIL\n    x"
+
+
 def test_criterion_results_are_frozen():
     for result in _results().values():
         assert isinstance(result.details, tuple)
@@ -160,14 +174,30 @@ def test_a7_structural_invariants():
 
 
 def test_a7_evaluates_no_witness_side(monkeypatch):
-    # A7 asks only whether its mutants have witnesses, never for their sides
+    # A7 asks only whether its mutants fail, never for their witnesses or
+    # sides: each failing check stops at its first failing identity
     from postlie import algebra
-    sides = []
-    side = algebra._side
+    sides, evaluated = [], []
+    side, evaluate = algebra._side, algebra._evaluate
     monkeypatch.setattr(algebra, "_side", lambda *args: sides.append(args) or side(*args))
+    monkeypatch.setattr(algebra, "_evaluate",
+                        lambda *args: evaluated.append(args) or evaluate(*args))
     result, = run_acceptance(names=("A7",))
     assert result.passed
     assert sides == []
+    assert len(evaluated) == 99
+
+
+def test_a6_draws_its_seeded_values_in_order():
+    # A6 prints only PASS, so its random tensors and operator entries are
+    # pinned here: 35 dim-3 and 15 dim-6 tensors, then 10 (value, index)
+    rng = random.Random(20250808)
+    draws = [_random_antisymmetric(rng, n) for n in [3] * 35 + [6] * 15]
+    for _ in range(10):
+        value = _random_scalar(rng) + sc(3)
+        draws.append((value, (rng.randrange(3), rng.randrange(3))))
+    assert (hashlib.sha256("\n".join(map(repr, draws)).encode()).hexdigest()
+            == "16239e61dfdec578ab71b6202b34d5f2f69bf3206d760e286e1cf52bb7a8a064")
 
 
 def test_every_criterion_ran():
@@ -178,8 +208,8 @@ def test_criteria_independent_of_order():
     # one shared fixture set: a criterion that derives a mutant from a
     # fixture (A7 perturbs r6) must not change the verdict of another
     fx = _Fixtures()
-    forward = {fn.criterion: fn(fx).line() for fn in CRITERIA}
-    backward = {fn.criterion: fn(fx).line() for fn in reversed(CRITERIA)}
+    forward = {fn.criterion: fn(fx) for fn in CRITERIA}
+    backward = {fn.criterion: fn(fx) for fn in reversed(CRITERIA)}
     assert backward == forward
 
 
@@ -257,4 +287,10 @@ def test_a_mutated_fixture_fails_its_criterion_with_a_named_detail(tmp_path, cri
     _bump(tmp_path, name, table, index)
     result, = run_acceptance(corpus_dir=str(tmp_path), names=[criterion])
     assert not result.passed
-    assert result.line().split("\n")[:2] == ["%s: FAIL" % criterion, "    " + detail]
+    lines = result.line().split("\n")
+    assert lines[:2] == ["%s: FAIL" % criterion, "    " + detail]
+    # every line of a detail nests under the criterion, and the witness
+    # lines of a report embedded in it (A2, A5-se) nest under the detail
+    assert all(line.startswith("    ") for line in lines[1:])
+    if detail.endswith("instances checked)"):
+        assert lines[2].startswith("      ")

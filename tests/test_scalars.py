@@ -281,3 +281,35 @@ def test_text_matches_the_fraction_writer(triple):
     x = _build(*triple)
     assert str(x) == text
     assert Scalar.parse(text) == x and _read(text) == (x.a, x.b, x.d)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two Gaussian rationals as (re, im) pairs of Fractions, drawn often over
+    one shared denominator and often with a zero imaginary part."""
+    shared = draw(st.integers(1, 12))
+    numerator = st.one_of(st.integers(-12, 12), st.integers(-BIG, BIG))
+
+    def part(may_vanish):
+        if may_vanish and draw(st.booleans()):
+            return Fraction(0)
+        return Fraction(draw(numerator), draw(st.one_of(st.just(shared), st.integers(1, 12))))
+    return [(part(False), part(True)) for _ in range(2)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(fraction_pairs())
+def test_arithmetic_matches_the_fraction_formulas(pairs):
+    # an independent reference: the field operations on (re, im) pairs
+    (a, b), (c, d) = pairs
+    x, y = Scalar(a, b), Scalar(c, d)
+    cases = [(x + y, (a + c, b + d)), (x - y, (a - c, b - d)),
+             (x * y, (a * c - b * d, a * d + b * c))]
+    norm = c * c + d * d
+    if norm:
+        cases.append((x / y, ((a * c + b * d) / norm, (b * c - a * d) / norm)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for got, (re_, im_) in cases:
+        assert got == Scalar(re_, im_)
