@@ -129,8 +129,10 @@ class MatchedPairMaps:
 
     def acting_on(self, a: Algebra, b: Algebra):
         """(on_b, on_a), checked to act on B's and A's spaces."""
-        if self.on_b.dim != b.dim or self.on_a.dim != a.dim:
-            raise LinAlgError("carrier matrix has wrong shape")
+        for name, rep, alg in (("B", self.on_b, b), ("A", self.on_a, a)):
+            if rep.dim != alg.dim:
+                raise LinAlgError("action on %s has %dx%d carrier matrices, %s is %d-dimensional"
+                                  % (name, rep.dim, rep.dim, name, alg.dim))
         return self.on_b, self.on_a
 
 
@@ -232,7 +234,8 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
     two halves embed as subalgebras.
     """
     if a_pp.dim != astar_pp.dim:
-        raise LinAlgError("dimension mismatch between the two halves")
+        raise LinAlgError("A is %d-dimensional, A* is %d-dimensional"
+                          % (a_pp.dim, astar_pp.dim))
     n = a_pp.dim
     ha = horizontal_post_lie(a_pp, checked)
     hb = horizontal_post_lie(astar_pp, checked)

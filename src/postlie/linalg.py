@@ -9,14 +9,15 @@ negation, scaling, axis permutation and block placement (Tensor.blocks)
 work on the numerators in time proportional to the nonzero entries, and
 einsum contracts any number of tensors on them: every contraction -- the
 identity checkers, matrix products and all vector arithmetic -- runs on
-it.  einsum fixes its contraction order, layouts and offset maps once per
-(spec, shapes) from the shapes alone; a call does only the per-entry
-work.  Each pair contraction (_pair) multiplies entry by entry, except on
-full groups (dense tables): there _packed packs each right group into one
-big integer of 64-bit slots and adds a whole row of products per left
-entry (Kronecker substitution), after proving that no slot's value can
-reach 2^63; where that is not proved, it falls back to the entry-by-entry
-loop, which is exact for numerators of any size.
+it.  einsum fixes its contraction order and offset maps once per (spec,
+shapes) from the shapes alone; a call groups the operands' entries and
+does the per-entry work, and writes nothing to its operands.  Each pair
+contraction (_pair) multiplies entry by entry, except on full groups
+(dense tables): there _packed packs each right group into one big integer
+of 64-bit slots and adds a whole row of products per left entry
+(Kronecker substitution), after proving that no slot's value can reach
+2^63; where that is not proved, it falls back to the entry-by-entry loop,
+which is exact for numerators of any size.
 Determinants, rank, solving and inversion are views of one fraction-free
 elimination on the numerators, which reports singularity precisely.
 Scalars appear only at the edges: entries, indexing, repr and the value
@@ -81,23 +82,23 @@ def _over_lcm(values):
     return den, re, im
 
 
-def _tensor(shape, den, re, im, t=None) -> "Tensor":
-    """The Tensor t (a new one for None) of numerators already canonical."""
-    t = object.__new__(Tensor) if t is None else t
-    for name, value in zip(Tensor.__slots__, (shape, den, re, im, None, {})):
+def _tensor(shape, den, re, im) -> "Tensor":
+    """The Tensor of numerators already canonical."""
+    t = object.__new__(Tensor)
+    for name, value in zip(Tensor.__slots__, (shape, den, re, im, None)):
         object.__setattr__(t, name, value)
     return t
 
 
-def _make(shape, den, re, im, t=None) -> "Tensor":
-    """The canonical Tensor t (a new one for None) of the nonzero numerators
-    re, im over den > 0: all divided by the gcd of den and them."""
+def _make(shape, den, re, im) -> "Tensor":
+    """The canonical Tensor of the nonzero numerators re, im over den > 0:
+    all divided by the gcd of den and them."""
     g = gcd(den, *re.values(), *im.values()) if den > 1 else 1
     if g > 1:
         den //= g
         re = {f: v // g for f, v in re.items()}
         im = {f: v // g for f, v in im.items()}
-    return _tensor(shape, den, re, im, t)
+    return _tensor(shape, den, re, im)
 
 
 def _mapper(axes):
@@ -129,19 +130,20 @@ class Tensor:
     with f missing from re (im) where the real (imaginary) part is zero.
     The form is canonical: gcd(den, all numerators) = 1, and a zero tensor
     has den 1.  The dicts re and im may be shared between tensors and are
-    never changed.  A matrix is the two-axis case and is also called Matrix.
+    never changed; the only slot set after construction is _entries, the
+    cache of the entries property.  A matrix is the two-axis case and is
+    also called Matrix.
     """
 
-    # _layouts: einsum's groupings of the entries, by layout
-    __slots__ = ("shape", "den", "re", "im", "_entries", "_layouts")
+    __slots__ = ("shape", "den", "re", "im", "_entries")
 
-    def __init__(self, shape, entries):
+    def __new__(cls, shape, entries):
         shape, entries = _shape(shape), list(entries)
         if len(entries) != _size(shape):
             raise LinAlgError("expected %d entries for %s, got %d"
                               % (_size(shape), "x".join(map(str, shape)), len(entries)))
         scalars = (s if isinstance(s, Scalar) else Scalar(s) for s in entries)
-        _make(shape, *_over_lcm({f: (s.a, s.b, s.d) for f, s in enumerate(scalars)}), self)
+        return _make(shape, *_over_lcm({f: (s.a, s.b, s.d) for f, s in enumerate(scalars)}))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -415,43 +417,31 @@ def _axes(labels, sizes, target, skip=()):
     return tuple(axes)
 
 
-# one token per layout of _grouped, under which a Tensor's _layouts keeps
-# that grouping: hashed by identity instead of as a nested tuple, and one
-# setdefault call, so every plan (and thread) gets the same token
-_LAYOUTS: dict = {}
-
-
 def _step(la, lb, out, sizes) -> tuple:
     """One contraction of an operand labelled la with one labelled lb onto
-    the labels out: per side its layout key and the offset maps onto the
-    shared labels and onto out (lb's labels also on la left out)."""
-    shared, extents = tuple(l for l in la if l in lb), tuple(sizes[l] for l in out)
-    return tuple((_LAYOUTS.setdefault((labels, shared, out, skip, extents), object()),
-                  _mapper(_axes(labels, sizes, shared)), _mapper(_axes(labels, sizes, out, skip)))
+    the labels out: per side the offset maps onto the shared labels and
+    onto out (lb's labels also on la left out)."""
+    shared = tuple(l for l in la if l in lb)
+    return tuple((_mapper(_axes(labels, sizes, shared)), _mapper(_axes(labels, sizes, out, skip)))
                  for labels, skip in ((la, ()), (lb, la)))
 
 
 def _grouped(operand, side) -> dict:
-    """The nonzero entries of a (re, im, layouts) operand as
+    """The nonzero entries of an (re, im) operand as
     {offset over shared: [(offset over out, re, im)]} for one side of a
-    _step.  Kept in layouts, the operand's Tensor._layouts (None for an
-    intermediate), for the next contraction that lays it out the same way."""
-    re, im, layouts = operand
-    layout, by_shared, by_out = side
-    groups = None if layouts is None else layouts.get(layout)
-    if groups is None:
-        groups = {}
-        if im:
-            for f in re.keys() | im.keys():
-                vr, vi = re.get(f, 0), im.get(f, 0)
-                if vr or vi:
-                    groups.setdefault(by_shared(f), []).append((by_out(f), vr, vi))
-        else:
-            for f, vr in re.items():
-                if vr:
-                    groups.setdefault(by_shared(f), []).append((by_out(f), vr, 0))
-        if layouts is not None:
-            layouts[layout] = groups
+    _step."""
+    re, im = operand
+    by_shared, by_out = side
+    groups = {}
+    if im:
+        for f in re.keys() | im.keys():
+            vr, vi = re.get(f, 0), im.get(f, 0)
+            if vr or vi:
+                groups.setdefault(by_shared(f), []).append((by_out(f), vr, vi))
+    else:
+        for f, vr in re.items():
+            if vr:
+                groups.setdefault(by_shared(f), []).append((by_out(f), vr, 0))
     return groups
 
 
@@ -486,8 +476,8 @@ _HALF = 1 << (_LANE - 1)        # a slot's bias; |slot value| < _HALF is proved
 # scalar loop, which is exact for numerators of any size.  No float is used.
 def _packed(left, right, a, b, re, im, scale) -> bool:
     """Add scale times the contraction of the groupings left and right of
-    the operands a and b into re and im by packed big-int rows, as _pair
-    would; False, adding nothing, when the slot bound is not proved."""
+    the (re, im) operands a and b into re and im by packed big-int rows, as
+    _pair would; False, adding nothing, when the slot bound is not proved."""
     shared = [k for k in left if k in right]
     if not shared:
         return True
@@ -534,14 +524,13 @@ def _packed(left, right, a, b, re, im, scale) -> bool:
 
 
 def _pair(a, b, step, re, im, scale=1):
-    """Add scale times the contraction of two (re, im, layouts) operands by
-    a _step into the dicts re and im, keyed by offset over its output
-    labels; zero sums may stay in them.  When the average group is full
-    (at least _LEFT_FILL left and _RIGHT_FILL right real entries per key,
-    one O(1) comparison) the products go through _packed, which adds whole
-    rows by packed big-int arithmetic once it has proved the slot bound;
-    otherwise, or when the bound is not proved, a scalar loop adds each
-    product."""
+    """Add scale times the contraction of two (re, im) operands by a _step
+    into the dicts re and im, keyed by offset over its output labels; zero
+    sums may stay in them.  When the average group is full (at least
+    _LEFT_FILL left and _RIGHT_FILL right real entries per key, one O(1)
+    comparison) the products go through _packed, which adds whole rows by
+    packed big-int arithmetic once it has proved the slot bound; otherwise,
+    or when the bound is not proved, a scalar loop adds each product."""
     side_a, side_b = step
     left, right = _grouped(a, side_a), _grouped(b, side_b)
     if (len(a[0]) >= _LEFT_FILL * len(left) and len(b[0]) >= _RIGHT_FILL * len(right)
@@ -642,11 +631,11 @@ def _accumulate(how, operands, re: dict, im: dict, scale: int = 1):
         _add_into(re, t.re, scale, how)
         _add_into(im, t.im, scale, how)
         return
-    work = [(t.re, t.im, t._layouts) for t in operands]
+    work = [(t.re, t.im) for t in operands]
     *steps, last = how
     for i, j, step in steps:
-        pair = ({}, {}, None)
-        _pair(work[i], work[j], step, pair[0], pair[1])
+        pair = ({}, {})
+        _pair(work[i], work[j], step, *pair)
         work = [w for k, w in enumerate(work) if k != i and k != j] + [pair]
     _pair(*work, last, re, im, scale)
 

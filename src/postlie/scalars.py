@@ -107,9 +107,7 @@ def _raw(a: int, b: int, d: int) -> "Scalar":
 
 
 def _build(a: int, b: int, d: int) -> "Scalar":
-    """Normalise (a + b i)/d to canonical form; d must be nonzero."""
-    if d < 0:
-        a, b, d = -a, -b, -d
+    """Normalise (a + b i)/d, d > 0, to canonical form."""
     g = gcd(gcd(a, b), d)
     if g > 1:
         a //= g
@@ -204,7 +202,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a real scalar hashes like the int or Fraction it equals
+        return hash((self.a, self.b, self.d)) if self.b else hash(Fraction(self.a, self.d))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

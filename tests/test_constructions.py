@@ -292,7 +292,7 @@ def test_double_and_manin_refuse_a_non_pp_algebra_unless_unchecked(sl2_pp):
 def test_manin_triple_dimension_mismatch(sl2_pp):
     other = Algebra(2, ops={"rtri": Tensor.zero(2, 2, 2), "ltri": Tensor.zero(2, 2, 2),
                             "bracket": Tensor.zero(2, 2, 2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^A is 3-dimensional, A\* is 2-dimensional$"):
         manin_triple_build(sl2_pp, other)
 
 

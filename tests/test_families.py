@@ -16,6 +16,7 @@ Preconditions are switched off (_require never raises), so every checker
 reports on inputs that are not valid structures.
 """
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -1162,26 +1163,31 @@ def test_einsum_plans_once_per_spec_and_shapes(spec, shapes, monkeypatch):
     assert built == []
 
 
-def test_einsum_groups_a_tensor_once_per_layout(monkeypatch):
-    # the first contraction that lays a fresh tensor out one way groups its
-    # entries; every later one reuses that grouping
-    rnd = Random("layouts", 0.8, False)
-    a, b, c = rnd.tensor(3, 3), rnd.tensor(3, 3), rnd.tensor(3, 3, 3)
-    misses = []
-    real = linalg._grouped
-    monkeypatch.setattr(linalg, "_grouped", lambda operand, side: misses.append(
-        operand[2] is not None and side[0] not in operand[2]) or real(operand, side))
-    terms = [("ij,jk->ik", a, b), ("ij,jk->ik", b, a), ("ai,bj,abk->ijk", a, b, c)]
-    for spec, *operands in terms:
-        einsum(spec, *operands)
-    assert misses.count(True) == len(a._layouts) + len(b._layouts) + len(c._layouts) > 0
-    groupings = dict(a._layouts)
-    del misses[:]
-    for _ in range(3):
-        for spec, *operands in terms:
+def test_einsum_writes_nothing_to_its_operands(monkeypatch):
+    # a contraction is a pure function of its operands: every slot of every
+    # operand, and the contents of its numerator dicts, read the same after
+    # einsum and _combine as before, on the scalar and the packed path
+    packed = []
+    real = linalg._packed
+    monkeypatch.setattr(linalg, "_packed", lambda *args: packed.append(real(*args)) or packed[-1])
+    sparse = Random("pure", 0.5, False)
+    a, b, c = sparse.tensor(3, 3), sparse.tensor(3, 4), sparse.tensor(3, 3, 2)
+    # full groups: 8 real entries per shared key on the left, 16 on the right
+    left = Tensor((8, 3), [Scalar(k, k % 3) for k in range(1, 25)])
+    right = Tensor((3, 16), [Scalar(k, 1 - k % 2) for k in range(1, 49)])
+    terms = [("ai,bj,abk->ijk", (a, b, c), 1), ("ij,jk->ik", (left, right), -2)]
+
+    def snapshot(t):
+        return {name: copy.copy(getattr(t, name)) for name in Tensor.__slots__}
+
+    for spec, operands, coef in terms:
+        before = [snapshot(t) for t in operands]
+        for _ in range(2):
             einsum(spec, *operands)
-    assert misses and not any(misses)
-    assert all(a._layouts[layout] is groups for layout, groups in groupings.items())
+            linalg._combine([(spec, operands, coef), (spec, operands, 1)])
+            assert [snapshot(t) for t in operands] == before, spec
+    assert True in packed
+    assert einsum("ij,jk->ik", left, right) == naive_einsum("ij,jk->ik", left, right)
 
 
 def test_einsum_random_specs():

@@ -307,9 +307,12 @@ def test_cli_check_usage_errors(corpus_on_disk, capsys):
     (("check", "gph", "sl2_postlie", "r6"), "form is 6x6, expected 3x3"),
     (("check", "rb", "sl2_lie", "r6"), "operator is 6x6, expected 3x3"),
     (("derive", "cobrackets-from-r", "sl2_pp", "t2"), "tensor is 2x2, expected 3x3"),
-    (("check", "matched-pair", "sl2_pp", "ahat_pp"), "carrier matrix has wrong shape"),
-    (("check", "matched-pair", "ahat_pp", "sl2_pp"), "carrier matrix has wrong shape"),
-    (("derive", "bowtie", "sl2_pp", "ahat_pp"), "carrier matrix has wrong shape"),
+    (("check", "matched-pair", "sl2_pp", "ahat_pp"),
+     "action on B has 3x3 carrier matrices, B is 6-dimensional"),
+    (("check", "matched-pair", "ahat_pp", "sl2_pp"),
+     "action on B has 6x6 carrier matrices, B is 3-dimensional"),
+    (("derive", "bowtie", "sl2_pp", "ahat_pp"),
+     "action on B has 3x3 carrier matrices, B is 6-dimensional"),
     (("check", "lie-bialg", "sl2_lie", "final_cobrackets"),
      "coalgebra is 6-dimensional, algebra is 3-dimensional"),
     (("check", "pp-bialg", "sl2_pp", "final_cobrackets"),
@@ -358,7 +361,7 @@ def test_cli_input_errors_exit_2(corpus_on_disk, capsys):
         (("check", "pp-coalg", str(no_delta)),
          "%s: coalgebra has no comap table 'Delta'" % no_delta),
         (("check", "manin-triple", str(corpus_on_disk / "sl2_pp.txt"),
-          str(corpus_on_disk / "ahat_pp.txt")), "dimension mismatch between the two halves"),
+          str(corpus_on_disk / "ahat_pp.txt")), "A is 3-dimensional, A* is 6-dimensional"),
         # an input of the wrong kind is named by its path
         (("check", "lie", str(corpus_on_disk / "kappa.txt")),
          "%s: document is 'form', not an algebra" % (corpus_on_disk / "kappa.txt")),

@@ -135,6 +135,13 @@ def test_equality_and_hash():
     assert sc(2) != sc(2, 1)
     assert hash(sc("2/4")) == hash(sc("1/2"))
     assert len({sc(1), ONE, sc("2/2")}) == 1
+    # a real scalar hashes like the int or Fraction it equals, so sets and
+    # dict keys treat them as one value
+    for value in (0, 1, -3, 2 ** 70, Fraction(1, 2), Fraction(-7, 3), Fraction(1, 2 ** 70)):
+        assert sc(value) == value and hash(sc(value)) == hash(value)
+    assert len({sc(1), 1}) == 1 and len({sc("1/2"), Fraction(1, 2)}) == 1
+    assert {Fraction(1, 2): "half"}[sc("2/4")] == "half"
+    assert len({sc(1, 1), sc(1), 1}) == 2
 
 
 def test_immutability():
