@@ -323,10 +323,36 @@ def _sweep(name, identities=(), nested=(), per_identity=None) -> CheckReport:
     return CheckReport(name, tuple(parts))
 
 
-def _require(report: CheckReport, message: str):
-    """Raise PreconditionError carrying the report unless it passed."""
+# the preconditions that passed, as keys of (check, argument values), oldest first
+_PASSED = {}
+_PASSED_MAX = 64
+
+
+def _value(x):
+    """x as a gate key: an algebra or coalgebra by its type, dimension, field
+    and tables (its basis names decide no verdict), anything else as itself."""
+    if isinstance(x, _Tables):
+        return type(x), x.dim, x.field, tuple(sorted(x.tables.items()))
+    return x
+
+
+def _require(check, *args, message: str):
+    """Establish a precondition: raise PreconditionError(message, report)
+    unless the report check(*args) passes.  A pass is remembered by the
+    value of (check, args), so a repeat with equal arguments runs nothing; a
+    failure is never remembered.  Only verdicts are kept, the last
+    _PASSED_MAX of them.  A function with a hypothesis calls this, then its
+    body; the body _f of a public f is for a caller that has the hypothesis
+    already, or that tests f's conclusion on data that may lack it."""
+    key = (check, *map(_value, args))
+    if key in _PASSED:
+        return
+    report = check(*args)
     if not report.passed:
         raise PreconditionError(message, report)
+    _PASSED[key] = None
+    if len(_PASSED) > _PASSED_MAX:
+        del _PASSED[next(iter(_PASSED))]
 
 
 def _require_shape(m: Matrix, rows: int, cols: int, what: str):
@@ -429,7 +455,7 @@ def L_DENDRIFORM_IDENTITIES(alg: Algebra):
 
 def PRE_PP_IDENTITIES(alg: Algebra):
     se, ne, sw, nw, dot = (alg.table(op) for op in _QUARTERS)
-    rt, lt, br = map(sub_adjacent_pp(alg, checked=False).table, ("rtri", "ltri", "bracket"))
+    rt, lt, br = map(_sub_adjacent_pp(alg).table, ("rtri", "ltri", "bracket"))
     circ = rt + lt
     vee, wedge = se + sw, ne + nw
     sw_nw = sw + _swap(nw)          # x sw y + y nw x
@@ -481,13 +507,13 @@ def check_pre_lie(alg: Algebra, op="circ") -> CheckReport:
 
 def check_post_lie(alg: Algebra) -> CheckReport:
     alg.require("circ", "bracket")
-    _require(check_lie(alg), "operation 'bracket' is not a Lie bracket")
+    _require(check_lie, alg, message="operation 'bracket' is not a Lie bracket")
     return _sweep("post-lie", POST_LIE_IDENTITIES(alg))
 
 
 def check_pp_post_lie(alg: Algebra) -> CheckReport:
     alg.require("rtri", "ltri", "bracket")
-    _require(check_lie(alg), "operation 'bracket' is not a Lie bracket")
+    _require(check_lie, alg, message="operation 'bracket' is not a Lie bracket")
     return _sweep("pp-post-lie", PP_IDENTITIES(alg))
 
 
@@ -497,7 +523,7 @@ def check_l_dendriform(alg: Algebra) -> CheckReport:
 
 def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
     alg.require(*_QUARTERS)
-    _require(check_pre_lie(alg, "dot"), "operation 'dot' is not pre-Lie")
+    _require(check_pre_lie, alg, "dot", message="operation 'dot' is not pre-Lie")
     return _sweep("pre-pp-post-lie", PRE_PP_IDENTITIES(alg))
 
 
@@ -508,53 +534,67 @@ def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
 
 def sub_adjacent_lie(alg: Algebra) -> Algebra:
     """Lie algebra with {x,y} = x o y - y o x + [x,y]."""
-    _require(check_post_lie(alg), "not a post-Lie algebra")
+    _require(check_post_lie, alg, message="not a post-Lie algebra")
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"bracket": _curly(alg.table("circ"), alg.table("bracket"))})
 
 
 def opposite_post_lie(alg: Algebra) -> Algebra:
     """x * y = x o y + [x,y] over the opposite bracket."""
-    _require(check_post_lie(alg), "not a post-Lie algebra")
+    _require(check_post_lie, alg, message="not a post-Lie algebra")
     b = alg.table("bracket")
     return Algebra(alg.dim, alg.field, alg.basis,
                    {"circ": alg.table("circ") + b, "bracket": _swap(b)})
 
 
 def _require_pp(alg: Algebra):
-    _require(check_pp_post_lie(alg), "not a pp-post-Lie algebra")
+    _require(check_pp_post_lie, alg, message="not a pp-post-Lie algebra")
 
 
-def horizontal_post_lie(alg: Algebra, checked=True) -> Algebra:
+def horizontal_post_lie(alg: Algebra) -> Algebra:
     """Post-Lie product x o y = x |> y + x <| y over the same bracket."""
-    if checked:
-        _require_pp(alg)
+    _require_pp(alg)
+    return _horizontal_post_lie(alg)
+
+
+def vertical_post_lie(alg: Algebra) -> Algebra:
+    """Post-Lie product x . y = x |> y - y <| x over the same bracket."""
+    _require_pp(alg)
+    return _vertical_post_lie(alg)
+
+
+def transpose_pp(alg: Algebra) -> Algebra:
+    """Swap to x |> y, -y <| x; exchanges horizontal and vertical."""
+    _require_pp(alg)
+    return _transpose_pp(alg)
+
+
+def sub_adjacent_pp(alg: Algebra) -> Algebra:
+    """pp-post-Lie algebra underlying a quarter-split (se/ne/sw/nw/dot)."""
+    _require(check_pre_pp_post_lie, alg, message="not a pre-pp-post-Lie algebra")
+    return _sub_adjacent_pp(alg)
+
+
+# the bodies of the four products above (see _require)
+
+def _horizontal_post_lie(alg: Algebra) -> Algebra:
     return Algebra(alg.dim, alg.field, alg.basis, {
         "bracket": alg.table("bracket"), "circ": alg.table("rtri") + alg.table("ltri")})
 
 
-def vertical_post_lie(alg: Algebra, checked=True) -> Algebra:
-    """Post-Lie product x . y = x |> y - y <| x over the same bracket."""
-    if checked:
-        _require_pp(alg)
+def _vertical_post_lie(alg: Algebra) -> Algebra:
     return Algebra(alg.dim, alg.field, alg.basis, {
         "bracket": alg.table("bracket"),
         "circ": alg.table("rtri") - _swap(alg.table("ltri"))})
 
 
-def transpose_pp(alg: Algebra, checked=True) -> Algebra:
-    """Swap to x |> y, -y <| x; exchanges horizontal and vertical."""
-    if checked:
-        _require_pp(alg)
+def _transpose_pp(alg: Algebra) -> Algebra:
     return Algebra(alg.dim, alg.field, alg.basis, {
         "bracket": alg.table("bracket"), "rtri": alg.table("rtri"),
         "ltri": -_swap(alg.table("ltri"))})
 
 
-def sub_adjacent_pp(alg: Algebra, checked=True) -> Algebra:
-    """pp-post-Lie algebra underlying a quarter-split (se/ne/sw/nw/dot)."""
-    if checked:
-        _require(check_pre_pp_post_lie(alg), "not a pre-pp-post-Lie algebra")
+def _sub_adjacent_pp(alg: Algebra) -> Algebra:
     t = alg.table
     return Algebra(alg.dim, alg.field, alg.basis, {
         "rtri": t("se") + t("ne"), "ltri": t("sw") + t("nw"),

@@ -45,7 +45,7 @@ from .algebra import (
     term,
 )
 from .forms import (
-    LEFT, PPRepSpec, _on, _xy, _yx, check_o_operator_pp, pp_adjoint_rep, pp_coadjoint_rep)
+    LEFT, PPRepSpec, _check_o_operator_pp, _on, _xy, _yx, pp_adjoint_rep, pp_coadjoint_rep)
 from .linalg import LinAlgError, Matrix, Tensor, einsum
 from .scalars import ONE
 
@@ -397,5 +397,6 @@ def operator_form_check(alg: Algebra, r: Matrix) -> CheckReport:
     if not r.is_antisymmetric():
         raise PreconditionError("r is not antisymmetric")
     rep = pp_coadjoint_rep(alg)
-    return dataclasses.replace(check_o_operator_pp(alg, rep, r.transpose(), checked=False),
+    # a verdict on any algebra with the three tables, pp or not
+    return dataclasses.replace(_check_o_operator_pp(alg, rep, r.transpose()),
                                name="operator-form")

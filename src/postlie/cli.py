@@ -64,8 +64,8 @@ def _pp_rep(alg: Algebra, which: str | None):
     if which == "coadjoint":
         return alg, forms.pp_coadjoint_rep(alg)
     if which == "quarter":
-        sub = alg_mod.sub_adjacent_pp(alg, checked=False)
-        return sub, con.quarter_split_rep(alg)
+        # the pp-rep precondition of the checker names what fails
+        return alg_mod._sub_adjacent_pp(alg), con.quarter_split_rep(alg)
     raise UsageError("unknown pp representation %r" % which)
 
 
@@ -73,8 +73,7 @@ def _post_lie_rep(alg: Algebra, which: str | None):
     if not which or which == "adjoint":
         return alg, forms.adjoint_rep(alg)
     if which == "split-dual":
-        horiz = alg_mod.horizontal_post_lie(alg, checked=False)
-        return horiz, forms.pp_split_dual_rep(alg)
+        return alg_mod._horizontal_post_lie(alg), forms.pp_split_dual_rep(alg)
     raise UsageError("unknown post-Lie representation %r" % which)
 
 
@@ -91,9 +90,9 @@ def _report_exit(report: CheckReport) -> int:
 
 
 def _horizontal_pair(a_pp: Algebra, b_pp: Algebra):
-    """Horizontal post-Lie algebras of two pp algebras and their coadjoint actions."""
-    return (alg_mod.horizontal_post_lie(a_pp, checked=False),
-            alg_mod.horizontal_post_lie(b_pp, checked=False),
+    """Horizontal post-Lie algebras of two pp algebras and their coadjoint
+    actions; the matched-pair precondition, not pp, is the one reported."""
+    return (alg_mod._horizontal_post_lie(a_pp), alg_mod._horizontal_post_lie(b_pp),
             con.coadjoint_matched_pair_maps(a_pp, b_pp))
 
 
@@ -136,7 +135,7 @@ def _bundle(double: Algebra, name: str, kind: str, m: Matrix) -> Document:
 
 def _double(opts, a):
     double, form = con.double_construction(a)
-    return _bundle(double, "pairing", "form", form), forms.check_gph(double, form, checked=False)
+    return _bundle(double, "pairing", "form", form), forms.check_gph(double, form)
 
 
 def _manin(opts, a_pp, b_pp):

@@ -23,7 +23,9 @@ from .algebra import (
     Identity,
     PreconditionError,
     _curly,
+    _horizontal_post_lie,
     _require,
+    _require_pp,
     _require_shape,
     _swap,
     _sweep,
@@ -95,23 +97,25 @@ def _block_sum(a: Algebra, b: Algebra, on_b, on_a, products, basis) -> Algebra:
 
 def _semidirect(alg: Algebra, rep, products) -> Algebra:
     """A + V with V an abelian ideal acted on by rep."""
+    rep.over(alg)
     m = rep.dim
     abelian = Algebra(m, ops={op: Tensor.zero(m, m, m) for op, _, _ in products})
     return _block_sum(alg, abelian, rep, None, products,
                       tuple(alg.basis) + tuple("v%d" % (i + 1) for i in range(m)))
 
 
-def semidirect_post_lie(alg: Algebra, rep: RepSpec, checked=True) -> Algebra:
+def semidirect_post_lie(alg: Algebra, rep: RepSpec) -> Algebra:
     """Post-Lie structure on A + V with V an abelian ideal acted on by (l, r, rho)."""
-    if checked:
-        _require(check_post_lie_rep(alg, rep), "not a post-Lie representation")
+    _require(check_post_lie_rep, alg, rep, message="not a post-Lie representation")
     return _semidirect(alg, rep, _POST_LIE_PRODUCTS)
 
 
 def semidirect_pp(alg: Algebra, rep: PPRepSpec, checked=True) -> Algebra:
-    """pp-post-Lie structure on A + V from a pp representation."""
+    """pp-post-Lie structure on A + V from a pp representation.  checked=False
+    skips the pp-representation precondition: benchmarks/selftest.py builds
+    its expected doubles that way."""
     if checked:
-        _require(check_pp_rep(alg, rep), "not a pp representation")
+        _require(check_pp_rep, alg, rep, message="not a pp representation")
     return _semidirect(alg, rep, _PP_PRODUCTS)
 
 
@@ -128,11 +132,14 @@ class MatchedPairMaps:
     on_a: RepSpec
 
     def acting_on(self, a: Algebra, b: Algebra):
-        """(on_b, on_a), checked to act on B's and A's spaces."""
-        for name, rep, alg in (("B", self.on_b, b), ("A", self.on_a, a)):
+        """(on_b, on_a), checked to act on B's and A's spaces and to be
+        indexed by A's and B's bases."""
+        for name, rep, alg, by, acting in (("B", self.on_b, b, "A", a),
+                                           ("A", self.on_a, a, "B", b)):
             if rep.dim != alg.dim:
                 raise LinAlgError("action on %s has %dx%d carrier matrices, %s is %d-dimensional"
                                   % (name, rep.dim, rep.dim, name, alg.dim))
+            rep.over(acting, "action on " + name, by)
         return self.on_b, self.on_a
 
 
@@ -142,15 +149,13 @@ def coadjoint_matched_pair_maps(a_pp: Algebra, b_pp: Algebra) -> MatchedPairMaps
     return MatchedPairMaps(pp_split_dual_rep(a_pp), pp_split_dual_rep(b_pp))
 
 
-def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps,
-                       checked=True) -> CheckReport:
+def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps) -> CheckReport:
     """Representation conditions plus the ten mixed compatibility equations."""
-    if checked:
-        for alg in (a, b):
-            _require(check_post_lie(alg), "not a post-Lie algebra")
+    for alg in (a, b):
+        _require(check_post_lie, alg, message="not a post-Lie algebra")
     rep_b, rep_a = maps.acting_on(a, b)
-    nested = [("mp.rep-a", check_post_lie_rep(a, rep_b, checked=False)),
-              ("mp.rep-b", check_post_lie_rep(b, rep_a, checked=False))]
+    nested = [("mp.rep-a", check_post_lie_rep(a, rep_b)),
+              ("mp.rep-b", check_post_lie_rep(b, rep_a))]
     return _sweep("matched-pair", _mixed(("mp.01", "mp.02", "mp.05", "mp.06", "mp.09"),
                                          b, rep_b, rep_a)
                   + _mixed(("mp.03", "mp.04", "mp.07", "mp.08", "mp.10"), a, rep_a, rep_b),
@@ -191,10 +196,9 @@ def _mixed(names, b: Algebra, on_b: RepSpec, on_a: RepSpec) -> list:
     ]
 
 
-def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps, checked=True) -> Algebra:
+def bowtie(a: Algebra, b: Algebra, maps: MatchedPairMaps) -> Algebra:
     """Post-Lie structure on A + B defined by the mutual actions."""
-    if checked:
-        _require(check_matched_pair(a, b, maps), "not a matched pair")
+    _require(check_matched_pair, a, b, maps, message="not a matched pair")
     return _block_sum(a, b, *maps.acting_on(a, b), _POST_LIE_PRODUCTS,
                       tuple(a.basis) + tuple(b.basis))
 
@@ -209,24 +213,27 @@ def pairing_form(n: int) -> Matrix:
     return Tensor.blocks((2 * n, 2 * n), [(eye, (0, n)), (eye, (n, 0))])
 
 
-def double_construction(alg: Algebra, checked=True):
-    """Semidirect double A + A* along the dual-split representation.
+def double_construction(alg: Algebra):
+    """Semidirect double A + A* along the dual-split representation of a pp
+    algebra.
 
     Returns the 2n-dimensional post-Lie algebra and the canonical pairing
     form, which together form a generalized pseudo-Hessian post-Lie algebra.
     """
-    horiz = horizontal_post_lie(alg, checked)
-    rep = pp_split_dual_rep(alg)
-    double = semidirect_post_lie(horiz, rep, checked=False)
-    double = dataclasses.replace(double, basis=_doubled_basis(alg))
-    return double, pairing_form(alg.dim)
+    _require_pp(alg)
+    return _double_construction(alg)
+
+
+def _double_construction(alg: Algebra):
+    double = _semidirect(_horizontal_post_lie(alg), pp_split_dual_rep(alg), _POST_LIE_PRODUCTS)
+    return dataclasses.replace(double, basis=_doubled_basis(alg)), pairing_form(alg.dim)
 
 
 def _doubled_basis(alg: Algebra) -> tuple:
     return tuple(alg.basis) + tuple(name + "*" for name in alg.basis)
 
 
-def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
+def manin_triple_build(a_pp: Algebra, astar_pp: Algebra):
     """Candidate standard Manin triple on A + A* from pp structures on both parts.
 
     Returns (double, pairing, report); the report validates rather than
@@ -237,10 +244,9 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
         raise LinAlgError("A is %d-dimensional, A* is %d-dimensional"
                           % (a_pp.dim, astar_pp.dim))
     n = a_pp.dim
-    ha = horizontal_post_lie(a_pp, checked)
-    hb = horizontal_post_lie(astar_pp, checked)
-    out = bowtie(ha, hb, coadjoint_matched_pair_maps(a_pp, astar_pp), checked=False)
-    out = dataclasses.replace(out, basis=_doubled_basis(a_pp))
+    maps = coadjoint_matched_pair_maps(a_pp, astar_pp)
+    out = _block_sum(horizontal_post_lie(a_pp), horizontal_post_lie(astar_pp),
+                     maps.on_b, maps.on_a, _POST_LIE_PRODUCTS, _doubled_basis(a_pp))
     form = pairing_form(n)
 
     try:
@@ -249,7 +255,7 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
         post_lie = exc.report
     nested = [("manin.post-lie", post_lie)]
     if post_lie.passed:
-        nested.append(("manin.gph", check_gph(out, form, checked=False)))
+        nested.append(("manin.gph", check_gph(out, form)))
     # closure of the two halves (true by construction; validated anyway): a
     # product of two basis vectors of one half has no part in the other, so
     # that part, over all 2n basis vectors, must vanish.  Per half: its name,
@@ -267,7 +273,7 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra, checked=True):
 # compatible splittings from an invariant form
 # ---------------------------------------------------------------------------
 
-def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
+def compatible_pp_from_gph(alg: Algebra, B: Matrix) -> Algebra:
     """Split circ into rtri/ltri using a nondegenerate symmetric invariant form.
 
     rtri and ltri are the unique solutions of
@@ -275,8 +281,11 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
         B(x <| y, z) =  B(x, z o y),
     solved against B for all basis pairs (x, y) at once.
     """
-    if checked:
-        _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
+    _require(check_gph, alg, B, message="form is not generalized pseudo-Hessian")
+    return _compatible_pp_from_gph(alg, B)
+
+
+def _compatible_pp_from_gph(alg: Algebra, B: Matrix) -> Algebra:
     c = alg.table("circ")
     # -B(e_y, x o z - z o x) and B(e_x, z o y), each at [x, y, z]
     rt = _solve_products(B, -einsum("ya,xza->xyz", B, c - _swap(c)))
@@ -285,10 +294,9 @@ def compatible_pp_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
                    {"bracket": alg.table("bracket"), "rtri": rt, "ltri": lt})
 
 
-def bullet_from_gph(alg: Algebra, B: Matrix, checked=True) -> Algebra:
+def bullet_from_gph(alg: Algebra, B: Matrix) -> Algebra:
     """The second post-Lie product: B(x . y, z) = -B(y, x o z)."""
-    if checked:
-        _require(check_gph(alg, B), "form is not generalized pseudo-Hessian")
+    _require(check_gph, alg, B, message="form is not generalized pseudo-Hessian")
     # -B(e_y, x o z) at [x, y, z]
     c = _solve_products(B, -einsum("ya,xza->xyz", B, alg.table("circ")))
     return Algebra(alg.dim, alg.field, alg.basis,
@@ -310,19 +318,16 @@ def _solve_products(B: Matrix, rhs: Tensor) -> Tensor:
 # quarter splittings from O-operators
 # ---------------------------------------------------------------------------
 
-def pre_pp_from_o_operator(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True) -> Algebra:
+def pre_pp_from_o_operator(alg: Algebra, rep: PPRepSpec, T: Matrix) -> Algebra:
     """Quarter-split structure on V induced by an O-operator T: V -> A."""
-    if checked:
-        _require(check_o_operator_pp(alg, rep, T), "T is not an O-operator")
+    _require(check_o_operator_pp, alg, rep, T, message="T is not an O-operator")
     # the carriers at T(u), indexed by u in V
     return _quarter_split(rep.map(lambda c: einsum("ia,ijk->ajk", T, c)), alg.field)
 
 
-def invertible_o_to_compatible_pre_pp(alg: Algebra, rep: PPRepSpec, T: Matrix,
-                                      checked=True) -> Algebra:
+def invertible_o_to_compatible_pre_pp(alg: Algebra, rep: PPRepSpec, T: Matrix) -> Algebra:
     """Compatible quarter-splitting of the pp algebra itself from an invertible O-operator."""
-    if checked:
-        _require(check_o_operator_pp(alg, rep, T), "T is not an O-operator")
+    _require(check_o_operator_pp, alg, rep, T, message="T is not an O-operator")
     if T.rows != T.cols:
         raise PreconditionError("operator is not invertible (not square)")
     try:
@@ -352,15 +357,18 @@ def quarter_split_rep(alg: Algebra) -> PPRepSpec:
                      t("nw").permute(RIGHT), t("dot").permute(LEFT))
 
 
-def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix, checked=True):
+def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix):
     """Embed T: V -> A as an antisymmetric tensor in the double A + V*.
 
     Returns (Ahat, r) with Ahat = A semidirect V* along the dual
     representation, and r = T - tau(T) placed block-wise as
     r[n+j, i] = T[i, j], r[i, n+j] = -T[i, j].
     """
-    if checked:
-        _require(check_pp_rep(alg, rep), "not a pp representation")
+    _require(check_pp_rep, alg, rep, message="not a pp representation")
+    return _hom_embed_r(alg, rep, T)
+
+
+def _hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix):
     n, m = alg.dim, rep.dim
     _require_shape(T, n, m, "operator")
     ahat = semidirect_pp(alg, dual_pp_rep(alg, rep, checked=False), checked=False)

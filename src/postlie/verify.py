@@ -4,6 +4,9 @@ Each criterion (A1 .. A7) re-derives part of the corpus from first
 principles and compares bit-exactly, or checks an axiom system or an
 equivalence of checkers.  Everything is exact; each criterion returns its
 failure details, precise witness messages, and passes when it has none.
+A criterion tests the conclusions of a construction on fixtures that may
+fail its hypothesis (corpus verify --dir), so it builds with the body _f of
+a public f, which establishes no precondition.
 
 Criterion A3 contains one assertion that is recorded as failing by
 design: the splitting derived from the Killing form is provably not the
@@ -24,15 +27,16 @@ from fractions import Fraction
 from .algebra import (
     Algebra,
     PreconditionError,
+    _horizontal_post_lie,
+    _sub_adjacent_pp,
+    _transpose_pp,
+    _vertical_post_lie,
     check_lie,
     check_post_lie,
     check_pp_post_lie,
     check_pre_pp_post_lie,
     horizontal_post_lie,
     sub_adjacent_lie,
-    sub_adjacent_pp,
-    transpose_pp,
-    vertical_post_lie,
 )
 from .bialgebra import (
     check_pp_bialgebra,
@@ -45,21 +49,21 @@ from .bialgebra import (
     operator_form_check,
 )
 from .construct import (
+    _compatible_pp_from_gph,
+    _double_construction,
+    _hom_embed_r,
     check_matched_pair,
     coadjoint_matched_pair_maps,
-    compatible_pp_from_gph,
-    double_construction,
-    hom_embed_r,
     manin_triple_build,
     quarter_split_rep,
     semidirect_pp,
 )
 from .corpus import corpus_dir_doc, corpus_doc
 from .forms import (
+    _check_o_operator_pp,
+    _check_pp_rep,
     check_gph,
     check_left_invariant,
-    check_o_operator_pp,
-    check_pp_rep,
     check_rota_baxter_lie,
     dual_pp_rep,
     induced_post_lie,
@@ -142,7 +146,7 @@ def _a2(fx) -> list:
     gph = check_gph(alg, kappa)
     if not gph.passed:
         details.append("Killing form fails the invariance conditions: " + gph.render(3))
-    li = check_left_invariant(alg, kappa, checked=False)
+    li = check_left_invariant(alg, kappa)
     if not li.passed:
         details.append("Killing form fails left-invariance: " + li.render(3))
     return details
@@ -153,7 +157,7 @@ def _a3(fx) -> list:
     details = []
     alg = fx.algebra("sl2_postlie")
     kappa = fx.matrix("kappa")
-    derived = compatible_pp_from_gph(alg, kappa, checked=False)
+    derived = _compatible_pp_from_gph(alg, kappa)
     expected = fx.algebra("sl2_pp")
     same_rt = derived.table("rtri") == expected.table("rtri")
     same_lt = derived.table("ltri") == expected.table("ltri")
@@ -168,8 +172,8 @@ def _a3(fx) -> list:
     pp = check_pp_post_lie(derived)
     if not pp.passed:
         details.append("derived splitting fails the pp axioms: " + pp.render(3))
-    horiz = horizontal_post_lie(derived, checked=False)
-    vert = vertical_post_lie(derived, checked=False)
+    horiz = _horizontal_post_lie(derived)
+    vert = _vertical_post_lie(derived)
     if horiz.table("circ") != alg.table("circ"):
         details.append("horizontal product of the derived splitting is not circ")
     if vert.table("circ") != alg.table("circ"):
@@ -189,7 +193,7 @@ def _table_diff_count(a: Algebra, b: Algebra, ops) -> int:
 
 @_crit("A4")
 def _a4(fx) -> list:
-    rep = check_gph(*double_construction(fx.algebra("sl2_pp"), checked=False))
+    rep = check_gph(*_double_construction(fx.algebra("sl2_pp")))
     return [] if rep.passed else ["double fails the invariant-form conditions: " + rep.render(3)]
 
 
@@ -201,13 +205,14 @@ def _a5(fx) -> list:
     if not rep.passed:
         details.append("final_prepp fails the quarter-split axioms: " + rep.render(3))
         return details
-    sub = sub_adjacent_pp(prepp, checked=False)
+    sub = _sub_adjacent_pp(prepp)
     ahat_expected = fx.algebra("ahat_pp")
     for op in ("rtri", "ltri", "bracket"):
         block = _upper_block(ahat_expected.table(op), prepp.dim)
         if sub.table(op) != block:
             details.append("sub-adjacent %s table differs from the bundled double" % op)
     qrep = quarter_split_rep(prepp)
+    # prepp is a quarter-split, so sub and qrep are a pp representation
     ahat = semidirect_pp(sub, dual_pp_rep(sub, qrep, checked=False), checked=False)
     for op in ("rtri", "ltri", "bracket"):
         if ahat.table(op) != ahat_expected.table(op):
@@ -283,7 +288,7 @@ def _a6(fx) -> list:
 
     # (iii) embedded-tensor verdict vs operator verdict, valid and mutated maps
     prepp = fx.algebra("final_prepp")
-    sub = sub_adjacent_pp(prepp, checked=False)
+    sub = _sub_adjacent_pp(prepp)
     qrep = quarter_split_rep(prepp)
     maps = [Matrix.identity(3), fx.matrix("final_P")]
     for _ in range(10):
@@ -293,8 +298,8 @@ def _a6(fx) -> list:
         maps.append(_with_entry(Matrix.identity(3), index, value))
     verdicts = []
     for t in maps:
-        ok_op = check_o_operator_pp(sub, qrep, t, checked=False).passed
-        ahat_t, r_t = hom_embed_r(sub, qrep, t, checked=False)
+        ok_op = _check_o_operator_pp(sub, qrep, t).passed
+        ahat_t, r_t = _hom_embed_r(sub, qrep, t)
         verdicts.append((ok_op, check_pppcybe(ahat_t, r_t).passed))
     if any(ok_op != ok_tensor for ok_op, ok_tensor in verdicts):
         details.append("embedded-tensor and operator verdicts disagree")
@@ -304,14 +309,16 @@ def _a6(fx) -> list:
 
 
 def _triple_verdicts(a_pp: Algebra, astar_pp: Algebra, co):
-    _, _, manin = manin_triple_build(a_pp, astar_pp, checked=False)
-    ok_manin = manin.passed
-    ha = horizontal_post_lie(a_pp, checked=False)
-    hb = horizontal_post_lie(astar_pp, checked=False)
-    maps = coadjoint_matched_pair_maps(a_pp, astar_pp)
+    # a half that fails a precondition: not a Manin triple, not a matched pair
     try:
-        ok_matched = check_matched_pair(ha, hb, maps, checked=True).passed
-    except PreconditionError:   # a half that is not post-Lie: not a matched pair
+        ok_manin = manin_triple_build(a_pp, astar_pp)[2].passed
+    except PreconditionError:
+        ok_manin = False
+    try:
+        ha, hb = horizontal_post_lie(a_pp), horizontal_post_lie(astar_pp)
+        maps = coadjoint_matched_pair_maps(a_pp, astar_pp)
+        ok_matched = check_matched_pair(ha, hb, maps).passed
+    except PreconditionError:
         ok_matched = False
     ok_bialg = check_pp_bialgebra(a_pp, co).passed
     return (ok_manin, ok_matched, ok_bialg)
@@ -326,8 +333,8 @@ def _a7(fx) -> list:
     details = []
     postlies = {
         "sl2_postlie": fx.algebra("sl2_postlie"),
-        "horizontal(sl2_pp)": horizontal_post_lie(fx.algebra("sl2_pp"), checked=False),
-        "double(sl2_pp)": double_construction(fx.algebra("sl2_pp"), checked=False)[0],
+        "horizontal(sl2_pp)": _horizontal_post_lie(fx.algebra("sl2_pp")),
+        "double(sl2_pp)": _double_construction(fx.algebra("sl2_pp"))[0],
     }
     for name, alg in postlies.items():
         sub = sub_adjacent_lie(alg)
@@ -336,28 +343,27 @@ def _a7(fx) -> list:
     pps = {
         "sl2_pp": fx.algebra("sl2_pp"),
         "ahat_pp": fx.algebra("ahat_pp"),
-        "sub_adjacent_pp(final_prepp)": sub_adjacent_pp(fx.algebra("final_prepp"),
-                                                        checked=False),
+        "sub_adjacent_pp(final_prepp)": _sub_adjacent_pp(fx.algebra("final_prepp")),
     }
     for name, alg in pps.items():
-        horiz = horizontal_post_lie(alg, checked=False)
-        vert = vertical_post_lie(alg, checked=False)
+        horiz = _horizontal_post_lie(alg)
+        vert = _vertical_post_lie(alg)
         if not check_post_lie(horiz).passed:
             details.append("horizontal of %s is not post-Lie" % name)
         if not check_post_lie(vert).passed:
             details.append("vertical of %s is not post-Lie" % name)
-        tw = transpose_pp(alg, checked=False)
-        if transpose_pp(tw, checked=False).ops != alg.ops:
+        tw = _transpose_pp(alg)
+        if _transpose_pp(tw).ops != alg.ops:
             details.append("transpose of %s is not an involution" % name)
-        if horizontal_post_lie(tw, checked=False).table("circ") != vert.table("circ"):
+        if _horizontal_post_lie(tw).table("circ") != vert.table("circ"):
             details.append("transpose of %s does not swap horizontal and vertical" % name)
-        if vertical_post_lie(tw, checked=False).table("circ") != horiz.table("circ"):
+        if _vertical_post_lie(tw).table("circ") != horiz.table("circ"):
             details.append("transpose of %s does not swap vertical and horizontal" % name)
         co = dualize_alg(alg)
         if dualize(co).ops != alg.ops:
             details.append("dualize roundtrip fails on %s" % name)
         rep = dual_pp_rep(alg, pp_adjoint_rep(alg), checked=False)
-        if not check_pp_rep(alg, rep, checked=False).passed:
+        if not _check_pp_rep(alg, rep).passed:
             details.append("dual of the adjoint representation of %s fails" % name)
     # mutation fixtures must fail
     broken = fx.algebra("sl2_pp_broken")

@@ -1,6 +1,17 @@
 import pytest
 
-from postlie import corpus_doc, scalars
+from postlie import algebra, corpus_doc, scalars
+
+
+def pytest_addoption(parser):
+    parser.addoption("--reverse", action="store_true",
+                     help="run the collected tests last first, to show a test that "
+                          "depends on what an earlier one left behind")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse"):
+        items.reverse()
 
 
 @pytest.fixture(autouse=True)
@@ -8,6 +19,13 @@ def default_verbosity(monkeypatch):
     """Every test starts with POSTLIE_VERBOSE unset, so the CLI prints its
     default number of witnesses; a test that needs a value sets it."""
     monkeypatch.delenv("POSTLIE_VERBOSE", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def empty_precondition_gate():
+    """Every test starts with no precondition remembered as passed, so the
+    identities a test sees evaluated do not depend on the tests before it."""
+    algebra._PASSED.clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -28,9 +29,11 @@ from postlie import (
     cybe_C,
     dumps,
     einsum,
+    hom_embed_r,
     horizontal_post_lie,
     operator_form_check,
     opposite_post_lie,
+    quarter_split_rep,
     sc,
     sub_adjacent_lie,
     sub_adjacent_pp,
@@ -738,6 +741,68 @@ def test_a_report_repr_leaves_out_its_planned_operands(ahat_pp):
     report = check_pp_post_lie(ahat_pp)
     text = repr(report)
     assert len(text) < 1000 and "pp.5" in text and "plan" not in text
+
+
+# ---------------------------------------------------------------------------
+# the precondition gate: each precondition runs once per value
+# ---------------------------------------------------------------------------
+
+def test_the_gate_remembers_a_pass_by_value(sl2_pp, evaluations):
+    horizontal_post_lie(sl2_pp)
+    assert {"lie.jacobi", "pp.5"} <= set(evaluations)
+    evaluations.clear()
+    # fresh tensors with the same entries, under other basis names
+    copy = Algebra(3, sl2_pp.field, ("x", "y", "z"),
+                   {op: Tensor(t.shape, list(t.entries)) for op, t in sl2_pp.ops.items()})
+    assert horizontal_post_lie(copy).ops == horizontal_post_lie(sl2_pp).ops
+    assert evaluations == []
+    ltri = sl2_pp.table("ltri")
+    mutant = sl2_pp.with_op("ltri", _with_entries(ltri, {(1, 2, 3): ltri[0, 1, 2] + ONE}))
+    for _ in range(3):      # a failure is never remembered
+        evaluations.clear()
+        with pytest.raises(PreconditionError, match="^not a pp-post-Lie algebra$") as caught:
+            horizontal_post_lie(mutant)
+        report = caught.value.report
+        assert report.name == "pp-post-lie" and not report.passed and report.witnesses
+        assert "pp.1" in evaluations
+
+
+def test_the_gate_holds_at_most_its_bound(evaluations):
+    # one-dimensional post-Lie algebras x o x = k x with a zero bracket:
+    # each sub-adjacent call establishes two preconditions
+    zero = Tensor.zero(1, 1, 1)
+    algs = [Algebra(1, ops={"circ": Tensor((1, 1, 1), [k]), "bracket": zero})
+            for k in range(algebra._PASSED_MAX)]
+    for alg in algs:
+        sub_adjacent_lie(alg)
+        assert len(algebra._PASSED) <= algebra._PASSED_MAX
+    assert len(algebra._PASSED) == algebra._PASSED_MAX
+    # the oldest pass was dropped first: it runs again, the newest does not
+    evaluations.clear()
+    sub_adjacent_lie(algs[-1])
+    assert evaluations == []
+    sub_adjacent_lie(algs[0])
+    assert evaluations == ["lie.antisym", "lie.jacobi", "postlie.1", "postlie.2"]
+
+
+def test_hom_embed_r_establishes_its_representation_once(final_prepp, final_P, evaluations):
+    sub, qrep = sub_adjacent_pp(final_prepp), quarter_split_rep(final_prepp)
+    evaluations.clear()
+    for t in (Tensor.identity(3), final_P):
+        hom_embed_r(sub, qrep, t)
+    pprep = [name for name in evaluations if name.startswith("pprep.")]
+    assert pprep and len(pprep) == len(set(pprep))
+
+
+def test_only_two_public_functions_can_skip_their_precondition():
+    # the benchmark self-test builds expected doubles with checked=False
+    import postlie
+    public = {name: value for name, value in vars(postlie).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(public) == 99
+    switched = {name for name, value in public.items() if inspect.isfunction(value)
+                and "checked" in inspect.signature(value).parameters}
+    assert switched == {"semidirect_pp", "dual_pp_rep"}
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_cobrackets_vanish_on_central_elements(sl2_pp):
     # extend by a central, product-trivial direction and check its comaps
     z = Tensor.zero(3, 1, 1)
     rep = PPRepSpec(z, z, z, z, z)
-    ext = semidirect_pp(sl2_pp, rep, checked=False)
+    ext = semidirect_pp(sl2_pp, rep)
     rng = random.Random(12)
     r = from_rows([[Scalar(Fraction(rng.randint(-2, 2), 1)) for _ in range(4)]
                           for _ in range(4)])
@@ -319,7 +319,7 @@ def test_bialgebra_from_antisymmetric_solutions(sl2_pp, final_P):
     # every antisymmetric solution produced by embedding an operator gives
     # a bialgebra
     rep = pp_adjoint_rep(sl2_pp)
-    ahat, r = hom_embed_r(sl2_pp, rep, final_P, checked=False)
+    ahat, r = hom_embed_r(sl2_pp, rep, final_P)
     assert check_pppcybe(ahat, r).passed
     co = cobrackets_from_r(ahat, r)
     assert check_pp_bialgebra(ahat, co).passed
@@ -409,7 +409,7 @@ def test_rtilde_convention(ahat_pp, r6):
     # r6 sends e_i* to e_i on the double
     rep = pp_coadjoint_rep(ahat_pp)
     rtilde = r6.transpose()
-    assert check_o_operator_pp(ahat_pp, rep, rtilde, checked=False).passed
+    assert check_o_operator_pp(ahat_pp, rep, rtilde).passed
     assert apply(rtilde, basis_vec(6, 3)) == basis_vec(6, 0)
 
 
@@ -423,8 +423,8 @@ def test_quarter_split_from_rmatrix_operator(ahat_pp, r6):
     # all eleven identities (a stronger probe than the bundled example)
     rep = pp_coadjoint_rep(ahat_pp)
     rtilde = r6.transpose()
-    prepp6 = pre_pp_from_o_operator(ahat_pp, rep, rtilde, checked=False)
+    prepp6 = pre_pp_from_o_operator(ahat_pp, rep, rtilde)
     from postlie import check_pre_pp_post_lie
     assert check_pre_pp_post_lie(prepp6).passed
-    sub = sub_adjacent_pp(prepp6, checked=False)
+    sub = sub_adjacent_pp(prepp6)
     assert check_pp_post_lie(sub).passed

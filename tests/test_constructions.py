@@ -4,6 +4,8 @@ import pytest
 
 from postlie import (
     Algebra,
+    LinAlgError,
+    MatchedPairMaps,
     Matrix,
     PreconditionError,
     adjoint_rep,
@@ -14,7 +16,9 @@ from postlie import (
     check_matched_pair,
     check_o_operator_pp,
     check_post_lie,
+    check_post_lie_rep,
     check_pp_post_lie,
+    check_pp_rep,
     check_pppcybe,
     check_pre_pp_post_lie,
     coadjoint_matched_pair_maps,
@@ -40,6 +44,7 @@ from postlie import (
     vertical_post_lie,
 )
 from postlie import Tensor
+from postlie.construct import _compatible_pp_from_gph
 from postlie.forms import PPRepSpec, RepSpec
 from vectors import act, apply, basis_vec, mul, zero_vec
 
@@ -100,7 +105,7 @@ def test_semidirect_rejects_bad_rep(sl2_postlie):
 
 
 def test_semidirect_pp_builds_corpus_double(final_prepp, ahat_pp):
-    sub = sub_adjacent_pp(final_prepp, checked=False)
+    sub = sub_adjacent_pp(final_prepp)
     qrep = quarter_split_rep(final_prepp)
     ahat = semidirect_pp(sub, dual_pp_rep(sub, qrep))
     for op in ("rtri", "ltri", "bracket"):
@@ -144,16 +149,16 @@ def test_matched_pair_with_point(sl2_postlie):
 
 def test_matched_pair_corpus_instance(ahat_pp, final_cobrackets):
     dual_pp = dualize(final_cobrackets)
-    ha = horizontal_post_lie(ahat_pp, checked=False)
-    hb = horizontal_post_lie(dual_pp, checked=False)
+    ha = horizontal_post_lie(ahat_pp)
+    hb = horizontal_post_lie(dual_pp)
     maps = coadjoint_matched_pair_maps(ahat_pp, dual_pp)
     assert check_matched_pair(ha, hb, maps).passed
 
 
 def test_matched_pair_perturbed_fails(ahat_pp, final_cobrackets):
     dual_pp = dualize(final_cobrackets)
-    ha = horizontal_post_lie(ahat_pp, checked=False)
-    hb = horizontal_post_lie(dual_pp, checked=False)
+    ha = horizontal_post_lie(ahat_pp)
+    hb = horizontal_post_lie(dual_pp)
     maps = coadjoint_matched_pair_maps(ahat_pp, dual_pp)
     bumped = dataclasses.replace(maps.on_b, l=_bumped(maps.on_b.l, 0))
     maps = dataclasses.replace(maps, on_b=bumped)
@@ -201,12 +206,36 @@ def test_bowtie_equals_double(sl2_pp):
     zero_pp = Algebra(n, ops={"rtri": Tensor.zero(n, n, n), "ltri": Tensor.zero(n, n, n),
                               "bracket": Tensor.zero(n, n, n)})
     maps = coadjoint_matched_pair_maps(sl2_pp, zero_pp)
-    ha = horizontal_post_lie(sl2_pp, checked=False)
-    hb = horizontal_post_lie(zero_pp, checked=False)
+    ha = horizontal_post_lie(sl2_pp)
+    hb = horizontal_post_lie(zero_pp)
     out = bowtie(ha, hb, maps)
-    double, _ = double_construction(sl2_pp, checked=False)
+    double, _ = double_construction(sl2_pp)
     assert out.table("circ") == double.table("circ")
     assert out.table("bracket") == double.table("bracket")
+
+
+# a representation or action of a 2-dimensional algebra on a 3-dimensional
+# space, handed to functions of 3-dimensional algebras
+_OF_TWO_ON_THREE = "is indexed by 2 basis vectors, %s is 3-dimensional$"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda post, pp: check_post_lie_rep(post, _zero_rep(2, 3)), "the algebra"),
+    (lambda post, pp: check_pp_rep(pp, _zero_pp_rep(2, 3)), "the algebra"),
+    (lambda post, pp: semidirect_post_lie(post, _zero_rep(2, 3)), "the algebra"),
+    (lambda post, pp: semidirect_pp(pp, _zero_pp_rep(2, 3), checked=False), "the algebra"),
+    (lambda post, pp: dual_pp_rep(pp, _zero_pp_rep(2, 3), checked=False), "the algebra"),
+    (lambda post, pp: check_matched_pair(
+        post, post, MatchedPairMaps(_zero_rep(2, 3), _zero_rep(3, 3))), "A"),
+    (lambda post, pp: check_matched_pair(
+        post, post, MatchedPairMaps(_zero_rep(3, 3), _zero_rep(2, 3))), "B"),
+    (lambda post, pp: bowtie(post, post, MatchedPairMaps(_zero_rep(2, 3), _zero_rep(3, 3))),
+     "A"),
+], ids=["post-lie-rep", "pp-rep", "semidirect", "semidirect-pp-unchecked",
+        "dual-pp-rep-unchecked", "matched-pair-on-b", "matched-pair-on-a", "bowtie"])
+def test_carriers_indexed_by_another_algebra_are_refused(sl2_postlie, sl2_pp, build, message):
+    with pytest.raises(LinAlgError, match=_OF_TWO_ON_THREE % message):
+        build(sl2_postlie, sl2_pp)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +272,7 @@ def test_manin_triple_with_zero_dual(sl2_pp):
     double, form, report = manin_triple_build(sl2_pp, zero_pp)
     assert report.passed
     # coincides with the semidirect double in this degenerate case
-    expected, _ = double_construction(sl2_pp, checked=False)
+    expected, _ = double_construction(sl2_pp)
     assert double.table("circ") == expected.table("circ")
     assert double.table("bracket") == expected.table("bracket")
 
@@ -277,16 +306,15 @@ def test_manin_triple_incompatible_fails(sl2_pp):
             manin_triple_build(sl2_pp, bad)
 
 
-def test_double_and_manin_refuse_a_non_pp_algebra_unless_unchecked(sl2_pp):
+def test_double_and_manin_refuse_a_non_pp_algebra(sl2_pp):
     broken = corpus_doc("sl2_pp_broken").to_algebra()
-    builds = [lambda **kw: double_construction(broken, **kw),
-              lambda **kw: manin_triple_build(broken, sl2_pp, **kw),
-              lambda **kw: manin_triple_build(sl2_pp, broken, **kw)]
+    builds = [lambda: double_construction(broken),
+              lambda: manin_triple_build(broken, sl2_pp),
+              lambda: manin_triple_build(sl2_pp, broken)]
     for build in builds:
         with pytest.raises(PreconditionError, match="^not a pp-post-Lie algebra$") as caught:
             build()
         assert caught.value.report.name == "pp-post-lie" and not caught.value.report.passed
-        assert build(checked=False)[0].dim == 6
 
 
 def test_manin_triple_dimension_mismatch(sl2_pp):
@@ -303,9 +331,9 @@ def test_manin_triple_dimension_mismatch(sl2_pp):
 def test_compatible_pp_from_gph(sl2_postlie, kappa):
     derived = compatible_pp_from_gph(sl2_postlie, kappa)
     assert check_pp_post_lie(derived).passed
-    assert horizontal_post_lie(derived, checked=False).table("circ") == \
+    assert horizontal_post_lie(derived).table("circ") == \
         sl2_postlie.table("circ")
-    assert vertical_post_lie(derived, checked=False).table("circ") == \
+    assert vertical_post_lie(derived).table("circ") == \
         sl2_postlie.table("circ")
 
 
@@ -322,7 +350,7 @@ def test_compatible_pp_from_gph_pins_known_tables(sl2_postlie, kappa):
 
 def test_compatible_pp_scale_invariance(sl2_postlie, kappa):
     derived = compatible_pp_from_gph(sl2_postlie, kappa)
-    scaled = compatible_pp_from_gph(sl2_postlie, kappa.scale(sc("-7/3")), checked=False)
+    scaled = compatible_pp_from_gph(sl2_postlie, kappa.scale(sc("-7/3")))
     assert derived.table("rtri") == scaled.table("rtri")
     assert derived.table("ltri") == scaled.table("ltri")
 
@@ -351,13 +379,16 @@ def test_compatible_pp_trivial():
 
 
 def test_compatible_pp_degenerate_form(sl2_postlie):
-    with pytest.raises(PreconditionError):
-        compatible_pp_from_gph(sl2_postlie, Matrix.zero(3, 3))
-    # unchecked, a symmetric degenerate form still fails when solved against
     form = Tensor((3, 3), [1, 0, 0, 0, 1, 0, 0, 0, 0])
-    for build in (compatible_pp_from_gph, bullet_from_gph):
-        with pytest.raises(PreconditionError, match="^form is degenerate$"):
-            build(sl2_postlie, form, checked=False)
+    for B in (Matrix.zero(3, 3), form):
+        for build in (compatible_pp_from_gph, bullet_from_gph):
+            with pytest.raises(PreconditionError,
+                               match="^form is not generalized pseudo-Hessian$"):
+                build(sl2_postlie, B)
+    # without the precondition (A3 on any fixture), a symmetric degenerate
+    # form still fails when solved against
+    with pytest.raises(PreconditionError, match="^form is degenerate$"):
+        _compatible_pp_from_gph(sl2_postlie, form)
 
 
 def test_bullet_from_gph(sl2_postlie, kappa):
@@ -367,8 +398,8 @@ def test_bullet_from_gph(sl2_postlie, kappa):
     assert check_post_lie(out).passed
     assert check_gph(out, kappa).passed
     # agreement with the vertical product of the derived splitting
-    derived = compatible_pp_from_gph(sl2_postlie, kappa, checked=False)
-    assert out.table("circ") == vertical_post_lie(derived, checked=False).table("circ")
+    derived = compatible_pp_from_gph(sl2_postlie, kappa)
+    assert out.table("circ") == vertical_post_lie(derived).table("circ")
 
 
 def test_bullet_from_gph_trivial():
@@ -404,7 +435,7 @@ def test_pre_pp_homomorphism_property(sl2_pp, final_P):
     # the operator carries the quarter-split sub-adjacent products to the
     # original products
     out = pre_pp_from_o_operator(sl2_pp, pp_adjoint_rep(sl2_pp), final_P)
-    sub = sub_adjacent_pp(out, checked=False)
+    sub = sub_adjacent_pp(out)
     for op in ("rtri", "ltri", "bracket"):
         for i in range(3):
             for j in range(3):
@@ -415,12 +446,12 @@ def test_pre_pp_homomorphism_property(sl2_pp, final_P):
 
 
 def test_invertible_o_identity_roundtrip(final_prepp):
-    sub = sub_adjacent_pp(final_prepp, checked=False)
+    sub = sub_adjacent_pp(final_prepp)
     rep = quarter_split_rep(final_prepp)
     out = invertible_o_to_compatible_pre_pp(sub, rep, Matrix.identity(3))
     for op in ("se", "ne", "sw", "nw", "dot"):
         assert out.table(op) == final_prepp.table(op)
-    again = sub_adjacent_pp(out, checked=False)
+    again = sub_adjacent_pp(out)
     for op in ("rtri", "ltri", "bracket"):
         assert again.table(op) == sub.table(op)
 
@@ -429,8 +460,7 @@ def test_invertible_o_singular_rejected(sl2_pp, final_P):
     with pytest.raises(PreconditionError):
         invertible_o_to_compatible_pre_pp(sl2_pp, pp_adjoint_rep(sl2_pp), final_P)
     with pytest.raises(PreconditionError, match=r"^operator is not invertible \(not square\)$"):
-        invertible_o_to_compatible_pre_pp(sl2_pp, _zero_pp_rep(3, 2), Matrix.zero(3, 2),
-                                          checked=False)
+        invertible_o_to_compatible_pre_pp(sl2_pp, _zero_pp_rep(3, 2), Matrix.zero(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +468,7 @@ def test_invertible_o_singular_rejected(sl2_pp, final_P):
 # ---------------------------------------------------------------------------
 
 def test_hom_embed_r_final_example(final_prepp, ahat_pp, r6):
-    sub = sub_adjacent_pp(final_prepp, checked=False)
+    sub = sub_adjacent_pp(final_prepp)
     qrep = quarter_split_rep(final_prepp)
     ahat, r = hom_embed_r(sub, qrep, Matrix.identity(3))
     assert r == r6
@@ -458,13 +488,13 @@ def test_hom_embed_equivalence_with_operator_check(sl2_pp, final_P):
     good = final_P
     bad = final_P + Matrix.identity(3).scale(sc(2))
     for T in (good, bad):
-        ok_op = check_o_operator_pp(sl2_pp, rep, T, checked=False).passed
-        ahat, r = hom_embed_r(sl2_pp, rep, T, checked=False)
+        ok_op = check_o_operator_pp(sl2_pp, rep, T).passed
+        ahat, r = hom_embed_r(sl2_pp, rep, T)
         assert check_pppcybe(ahat, r).passed == ok_op
 
 
 def test_hom_embed_block_layout(sl2_pp, final_P):
-    _, r = hom_embed_r(sl2_pp, pp_adjoint_rep(sl2_pp), final_P, checked=False)
+    _, r = hom_embed_r(sl2_pp, pp_adjoint_rep(sl2_pp), final_P)
     n = 3
     for i in range(n):
         for j in range(n):
@@ -488,7 +518,7 @@ def test_hom_embed_rectangular_operator(sl2_pp):
     # embedded tensor detects it
     T_bad = Matrix((3, 1), [sc(1), sc(1), sc(0)])
     assert not check_o_operator_pp(sl2_pp, rep, T_bad).passed
-    ahat_b, r_b = hom_embed_r(sl2_pp, rep, T_bad, checked=False)
+    ahat_b, r_b = hom_embed_r(sl2_pp, rep, T_bad)
     assert not check_pppcybe(ahat_b, r_b).passed
 
 
@@ -504,6 +534,6 @@ def test_split_iff_dual_operator(sl2_pp, sl2_postlie, kappa):
     # other direction: an invertible dual p-O-operator induces a compatible
     # splitting whose horizontal product is the original circ
     T = kappa.transpose().inverse()
-    derived = compatible_pp_from_gph(sl2_postlie, kappa, checked=False)
-    assert horizontal_post_lie(derived, checked=False).table("circ") == \
+    derived = compatible_pp_from_gph(sl2_postlie, kappa)
+    assert horizontal_post_lie(derived).table("circ") == \
         sl2_postlie.table("circ")

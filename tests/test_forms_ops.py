@@ -284,7 +284,7 @@ def test_dual_pp_rep_closure(sl2_pp, final_prepp, ahat_pp):
     ]
     for alg, rep in cases:
         dual = dual_pp_rep(alg, rep)
-        assert check_pp_rep(alg, dual, checked=False).passed
+        assert check_pp_rep(alg, dual).passed
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_pp_from_dual_p_o(sl2_postlie, kappa):
     T = _phi_inverse(kappa)
     out = pp_from_dual_p_o(sl2_postlie, adjoint_rep(sl2_postlie), T)
     assert check_pp_post_lie(out).passed
-    assert horizontal_post_lie(out, checked=False).table("circ") != Tensor.zero(3, 3, 3)
+    assert horizontal_post_lie(out).table("circ") != Tensor.zero(3, 3, 3)
 
 
 def test_pp_from_dual_p_o_zero(sl2_postlie):

@@ -535,7 +535,7 @@ def test_cli_derive_pp_from_gph(corpus_on_disk, tmp_path, capsys):
     derived = loads(out_path.read_text()).to_algebra()
     from postlie import check_pp_post_lie, compatible_pp_from_gph
     expected = compatible_pp_from_gph(corpus_doc("sl2_postlie").to_algebra(),
-                                      corpus_doc("kappa").to_matrix(), checked=False)
+                                      corpus_doc("kappa").to_matrix())
     assert derived.ops == expected.ops
     assert check_pp_post_lie(derived).passed
 

@@ -63,6 +63,7 @@ from postlie import (
     vertical_post_lie,
 )
 from postlie import algebra as algebra_mod
+from postlie import construct as construct_mod
 from postlie import forms as forms_mod
 from postlie.bialgebra import COMAP_NAMES
 from postlie.linalg import einsum
@@ -454,10 +455,10 @@ def _random_tables(rng, n, ops):
 
 @pytest.fixture
 def unchecked(monkeypatch):
-    """Constructions without a checked flag, run on random tables that fail
-    their preconditions."""
-    for module in (algebra_mod, forms_mod):
-        monkeypatch.setattr(module, "_require", lambda report, message: None)
+    """No precondition is established: the constructions run on random
+    tables that fail their hypotheses."""
+    for module in (algebra_mod, forms_mod, construct_mod):
+        monkeypatch.setattr(module, "_require", lambda check, *args, message: None)
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -477,14 +478,14 @@ def test_derived_algebras_match_basis_pair_closures(n, unchecked):
     opp = opposite_post_lie(alg)
     assert opp.table("circ") == table(lambda x, y: vadd(o(x, y), br(x, y)))
     assert opp.table("bracket") == table(lambda x, y: br(y, x))
-    assert horizontal_post_lie(alg, checked=False).table("circ") == table(
+    assert horizontal_post_lie(alg).table("circ") == table(
         lambda x, y: vadd(rt(x, y), lt(x, y)))
-    assert vertical_post_lie(alg, checked=False).table("circ") == table(
+    assert vertical_post_lie(alg).table("circ") == table(
         lambda x, y: vadd(rt(x, y), vneg(lt(y, x))))
-    tr = transpose_pp(alg, checked=False)
+    tr = transpose_pp(alg)
     assert tr.table("rtri") == alg.table("rtri")
     assert tr.table("ltri") == table(lambda x, y: vneg(lt(y, x)))
-    sub = sub_adjacent_pp(alg, checked=False)
+    sub = sub_adjacent_pp(alg)
     assert sub.table("rtri") == table(lambda x, y: vadd(q("se")(x, y), q("ne")(x, y)))
     assert sub.table("ltri") == table(lambda x, y: vadd(q("sw")(x, y), q("nw")(x, y)))
     assert sub.table("bracket") == table(
@@ -560,22 +561,21 @@ PP = (("rtri", "l_rt", "r_rt"), ("ltri", "l_lt", "r_lt"), ("bracket", "rho", "rh
 
 
 @pytest.mark.parametrize("n, m", PAIRS)
-def test_dual_pp_rep_and_semidirect_sums_match_closures(n, m):
+def test_dual_pp_rep_and_semidirect_sums_match_closures(n, m, unchecked):
     rng = random.Random(1000 + 10 * n + m)
     t = _random_tables(rng, n, ("circ", "bracket", "rtri", "ltri"))
     alg = _alg(t)
     names = ("l_rt", "r_rt", "l_lt", "r_lt", "rho")
     pp_lists = [_dense(rng, (n, m, m)) for _ in names]
     pp = PPRepSpec(*(_carriers(c, n, m) for c in pp_lists))
-    dual = dual_pp_rep(alg, pp, checked=False)
+    dual = dual_pp_rep(alg, pp)
     assert dual == PPRepSpec(*(_carriers(c, n, m) for c in ref_dual_pp_rep(pp_lists)))
-    out = semidirect_pp(alg, pp, checked=False)
+    out = semidirect_pp(alg, pp)
     want = ref_block_sum(n, m, PP, t, None, dict(zip(names, pp_lists)), None)
     for op, table in want.items():
         assert out.table(op) == table, op
     post_lists = [_dense(rng, (n, m, m)) for _ in range(3)]
-    out = semidirect_post_lie(alg, RepSpec(*(_carriers(c, n, m) for c in post_lists)),
-                              checked=False)
+    out = semidirect_post_lie(alg, RepSpec(*(_carriers(c, n, m) for c in post_lists)))
     want = ref_block_sum(n, m, POST_LIE, t, None, dict(zip(("l", "r", "rho"), post_lists)), None)
     for op, table in want.items():
         assert out.table(op) == table, op
@@ -583,7 +583,7 @@ def test_dual_pp_rep_and_semidirect_sums_match_closures(n, m):
 
 
 @pytest.mark.parametrize("n, m", PAIRS)
-def test_bowtie_matches_closures(n, m):
+def test_bowtie_matches_closures(n, m, unchecked):
     rng = random.Random(1100 + 10 * n + m)
     ta = _random_tables(rng, n, ("circ", "bracket"))
     tb = _random_tables(rng, m, ("circ", "bracket"))
@@ -591,13 +591,13 @@ def test_bowtie_matches_closures(n, m):
     on_a = {name: _dense(rng, (m, n, n)) for name in ("l", "r", "rho")}
     maps = MatchedPairMaps(RepSpec(*(_carriers(on_b[k], n, m) for k in ("l", "r", "rho"))),
                            RepSpec(*(_carriers(on_a[k], m, n) for k in ("l", "r", "rho"))))
-    out = bowtie(_alg(ta), _alg(tb), maps, checked=False)
+    out = bowtie(_alg(ta), _alg(tb), maps)
     for op, table in ref_block_sum(n, m, POST_LIE, ta, tb, on_b, on_a).items():
         assert out.table(op) == table, op
 
 
 @pytest.mark.parametrize("n, m", PAIRS)
-def test_operator_constructions_match_closures(n, m):
+def test_operator_constructions_match_closures(n, m, unchecked):
     rng = random.Random(1200 + 10 * n + m)
     alg = _alg(_random_tables(rng, n, ("rtri", "ltri", "bracket")))
     pp_lists = [_dense(rng, (n, m, m)) for _ in range(5)]
@@ -609,7 +609,7 @@ def test_operator_constructions_match_closures(n, m):
     act = lambda mats, x, v: ref_apply(ref_combine(mats, x), v)
     table = lambda mul: _tensor(ref_table(m, mul), (m, m, m))
 
-    quarter = pre_pp_from_o_operator(alg, pp, Tm, checked=False)
+    quarter = pre_pp_from_o_operator(alg, pp, Tm)
     for op, mul in (("se", lambda u, v: act(l_rt, Tu(u), v)),
                     ("ne", lambda u, v: act(r_rt, Tu(v), u)),
                     ("sw", lambda u, v: act(l_lt, Tu(u), v)),
@@ -620,14 +620,13 @@ def test_operator_constructions_match_closures(n, m):
     post_lists = [_dense(rng, (n, m, m)) for _ in range(3)]
     l, r, rho3 = post_lists
     dual_act = lambda mats, x, v: ref_apply(ref_dual(ref_combine(mats, x)), v)
-    split = pp_from_dual_p_o(alg, RepSpec(*(_carriers(c, n, m) for c in post_lists)), Tm,
-                             checked=False)
+    split = pp_from_dual_p_o(alg, RepSpec(*(_carriers(c, n, m) for c in post_lists)), Tm)
     assert split.table("rtri") == table(
         lambda u, v: vadd(dual_act(l, Tu(u), v), vneg(dual_act(r, Tu(u), v))))
     assert split.table("ltri") == table(lambda u, v: vneg(dual_act(r, Tu(v), u)))
     assert split.table("bracket") == table(lambda u, v: dual_act(rho3, Tu(u), v))
 
-    _, r_embedded = hom_embed_r(alg, pp, Tm, checked=False)
+    _, r_embedded = hom_embed_r(alg, pp, Tm)
     Tt = [[T[i][j] for i in range(n)] for j in range(m)]
     assert r_embedded == from_rows(
         [[ZERO] * n + list(vneg(T[i])) for i in range(n)]
@@ -635,7 +634,7 @@ def test_operator_constructions_match_closures(n, m):
 
 
 @pytest.mark.parametrize("n", DIMS)
-def test_invertible_o_operator_matches_closures(n):
+def test_invertible_o_operator_matches_closures(n, unchecked):
     rng = random.Random(1300 + n)
     alg = _alg(_random_tables(rng, n, ("rtri", "ltri", "bracket")))
     pp_lists = [_dense(rng, (n, n, n)) for _ in range(5)]
@@ -648,7 +647,7 @@ def test_invertible_o_operator_matches_closures(n):
     Tinv = [list(row(Tinv, i)) for i in range(n)]
     conj = lambda mats, x, y: ref_apply(T, ref_apply(ref_combine(mats, x), ref_apply(Tinv, y)))
     l_rt, r_rt, l_lt, r_lt, rho = pp_lists
-    out = invertible_o_to_compatible_pre_pp(alg, pp, _tensor(T, (n, n)), checked=False)
+    out = invertible_o_to_compatible_pre_pp(alg, pp, _tensor(T, (n, n)))
     for op, mul in (("se", lambda x, y: conj(l_rt, x, y)), ("ne", lambda x, y: conj(r_rt, y, x)),
                     ("sw", lambda x, y: conj(l_lt, x, y)), ("nw", lambda x, y: conj(r_lt, y, x)),
                     ("dot", lambda x, y: conj(rho, x, y))):
@@ -715,7 +714,7 @@ def _invertible(rng, n):
 
 
 @pytest.mark.parametrize("n", DIMS)
-def test_products_from_a_form_match_basis_closures(n):
+def test_products_from_a_form_match_basis_closures(n, unchecked):
     """The right-hand sides B(x * y, z) of the gph splittings, once built by
     evaluating the form on every basis triple."""
     rng = random.Random(1600 + n)
@@ -732,11 +731,11 @@ def test_products_from_a_form_match_basis_closures(n):
                 for x in e for y in e]
         return Tensor((n, n, n), [s for col in cols for s in col])
 
-    split = compatible_pp_from_gph(alg, Bm, checked=False)
+    split = compatible_pp_from_gph(alg, Bm)
     assert split.table("rtri") == solved(
         lambda x, y, z: -ref_form(B, y, vadd(o(x, z), vneg(o(z, x)))))
     assert split.table("ltri") == solved(lambda x, y, z: ref_form(B, x, o(z, y)))
-    assert bullet_from_gph(alg, Bm, checked=False).table("circ") == solved(
+    assert bullet_from_gph(alg, Bm).table("circ") == solved(
         lambda x, y, z: -ref_form(B, y, o(x, z)))
 
 
