@@ -5,8 +5,10 @@ an immutable Tensor c of shape (n, n, n) with the convention
 
     e_i * e_j = sum_k c[i, j, k] e_k.
 
-Neither a table nor an algebra's mapping of names to tables can change
-after construction.  Derived algebras are tensor expressions in the
+A coalgebra (CoalgebraSpec) is the same record over comultiplication
+tables d, with delta(e_k) = sum_ij d[k, i, j] e_i (x) e_j.  Neither a
+table nor a record's mapping of names to tables can change after
+construction.  Derived algebras are tensor expressions in the
 tables: sums, differences and axis permutations.
 
 Every checker is a list of whole-tensor equations, Identity: a name, the
@@ -39,7 +41,9 @@ from .linalg import LinAlgError, Matrix, Tensor, _combine, _make, _planned, _siz
 
 __all__ = [
     "OPERATION_NAMES",
+    "COMAP_NAMES",
     "Algebra",
+    "CoalgebraSpec",
     "CheckReport",
     "Witness",
     "PreconditionError",
@@ -76,6 +80,9 @@ OPERATION_NAMES = (
     "se", "ne", "sw", "nw",  # quarter-splitting of rtri/ltri
     "dot",      # pre-Lie product underlying a quarter-split
 )
+
+# comultiplication names: the comaps dual to rtri, ltri and bracket
+COMAP_NAMES = ("delta_rtri", "delta_ltri", "Delta")
 
 MAX_VIOLATIONS = 32
 
@@ -168,6 +175,15 @@ class Algebra(_Tables):
 
     def with_op(self, name: str, table: Tensor) -> "Algebra":
         return Algebra(self.dim, self.field, self.basis, {**self.ops, name: table})
+
+
+@dataclass(frozen=True)
+class CoalgebraSpec(_Tables):
+    """Coalgebra given by comultiplication tables d[k, i, j] (Tensors)."""
+
+    comaps: Mapping = dataclasses.field(default_factory=dict)
+
+    _mapping, _names, _words = "comaps", COMAP_NAMES, ("coalgebra", "comap", "comap")
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +360,23 @@ def _require(check, *args, message: str):
     _PASSED_MAX of them.  A function with a hypothesis calls this, then its
     body; the body _f of a public f is for a caller that has the hypothesis
     already, or that tests f's conclusion on data that may lack it."""
-    key = (check, *map(_value, args))
-    if key in _PASSED:
+    if (check, *map(_value, args)) in _PASSED:
         return
-    report = check(*args)
+    report = _decide(check, *args)
     if not report.passed:
         raise PreconditionError(message, report)
-    _PASSED[key] = None
-    if len(_PASSED) > _PASSED_MAX:
-        del _PASSED[next(iter(_PASSED))]
+
+
+def _decide(check, *args) -> CheckReport:
+    """The report check(*args), its pass remembered as _require remembers
+    one: for a caller that keeps the report and then establishes the same
+    precondition, so that its identities are evaluated once."""
+    report = check(*args)
+    if report.passed:
+        _PASSED[(check, *map(_value, args))] = None
+        if len(_PASSED) > _PASSED_MAX:
+            del _PASSED[next(iter(_PASSED))]
+    return report
 
 
 def _require_shape(m: Matrix, rows: int, cols: int, what: str):

@@ -24,17 +24,16 @@ each.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Mapping
 
 from .algebra import (
+    COMAP_NAMES,
     PP_IDENTITIES,
     Algebra,
     CheckReport,
+    CoalgebraSpec,
     Identity,
     PreconditionError,
     Term,
-    _Tables,
     _curly,
     _require_shape,
     _side,
@@ -50,8 +49,6 @@ from .linalg import LinAlgError, Matrix, Tensor, einsum
 from .scalars import ONE
 
 __all__ = [
-    "CoalgebraSpec",
-    "COMAP_NAMES",
     "dualize",
     "dualize_alg",
     "check_lie_coalgebra",
@@ -66,18 +63,8 @@ __all__ = [
     "operator_form_check",
 ]
 
-_COMAP_TO_OP = {"delta_rtri": "rtri", "delta_ltri": "ltri", "Delta": "bracket"}
-COMAP_NAMES = tuple(_COMAP_TO_OP)
+_COMAP_TO_OP = dict(zip(COMAP_NAMES, ("rtri", "ltri", "bracket")))
 _OP_TO_COMAP = {v: k for k, v in _COMAP_TO_OP.items()}
-
-
-@dataclass(frozen=True)
-class CoalgebraSpec(_Tables):
-    """Coalgebra given by comultiplication tables d[k, i, j] (Tensors)."""
-
-    comaps: Mapping = dataclasses.field(default_factory=dict)
-
-    _mapping, _names, _words = "comaps", COMAP_NAMES, ("coalgebra", "comap", "comap")
 
 
 def dualize(co: CoalgebraSpec) -> Algebra:

@@ -12,20 +12,30 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import os
 import sys
 from typing import Callable, NamedTuple
 
 from . import algebra as alg_mod
-from . import bialgebra as bi
-from . import construct as con
-from . import forms
-from .algebra import Algebra, CheckReport, PreconditionError, UnknownOperationError
-from .corpus import CORPUS_NAMES, corpus_text, write_corpus
+from .algebra import Algebra, CheckReport, PreconditionError, UnknownOperationError, _Tables
 from .documents import Document, DocumentError, dumps, load
 from .linalg import LinAlgError, Matrix
 from .scalars import ONE, Scalar, ScalarParseError
-from .verify import run_acceptance
+
+
+class _Deferred:
+    """A library module imported when one of its names is first read, so a
+    command loads only the modules it runs."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module("." + self.name, __package__), attr)
+
+
+forms, bi, con = _Deferred("forms"), _Deferred("bialgebra"), _Deferred("construct")
 
 
 class UsageError(Exception):
@@ -267,7 +277,7 @@ def _run_kind(command: str, kinds: dict, args):
         return kind.run(args, *inputs)
     except UnknownOperationError as exc:
         lacking = [path for path, x in zip(args.files, inputs)
-                   if isinstance(x, (Algebra, bi.CoalgebraSpec)) and not x.has(exc.name)]
+                   if isinstance(x, _Tables) and not x.has(exc.name)]
         if not lacking:
             raise
         raise UsageError("%s: %s" % (lacking[0], exc)) from None
@@ -301,6 +311,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import CORPUS_NAMES, corpus_text, write_corpus
     if args.action == "list":
         for name in CORPUS_NAMES:
             print(name)
@@ -327,6 +338,7 @@ def cmd_corpus(args) -> int:
     # verify: the parser admits no other action
     if args.dir is not None and not os.path.isdir(args.dir):
         raise UsageError("%s: not a directory" % args.dir)
+    from .verify import run_acceptance
     results = run_acceptance(corpus_dir=args.dir)
     failed = [r for r in results if not r.passed]
     for r in results:

@@ -23,6 +23,7 @@ from .algebra import (
     Identity,
     PreconditionError,
     _curly,
+    _decide,
     _horizontal_post_lie,
     _require,
     _require_pp,
@@ -249,8 +250,8 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra):
                      maps.on_b, maps.on_a, _POST_LIE_PRODUCTS, _doubled_basis(a_pp))
     form = pairing_form(n)
 
-    try:
-        post_lie = check_post_lie(out)
+    try:     # its pass is remembered: check_gph requires it again
+        post_lie = _decide(check_post_lie, out)
     except PreconditionError as exc:  # the bracket of the double is not Lie
         post_lie = exc.report
     nested = [("manin.post-lie", post_lie)]

@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .algebra import FIELDS, OPERATION_NAMES, Algebra, UnknownOperationError, _field_of
-from .bialgebra import COMAP_NAMES, CoalgebraSpec
+from .algebra import (
+    COMAP_NAMES, FIELDS, OPERATION_NAMES, Algebra, CoalgebraSpec, UnknownOperationError, _field_of)
 from .linalg import LinAlgError, Matrix, _over_lcm, _tensor
 from .scalars import ScalarParseError, _read, _text
 

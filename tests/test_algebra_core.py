@@ -27,10 +27,12 @@ from postlie import (
     check_pppcybe,
     corpus_doc,
     cybe_C,
+    dualize,
     dumps,
     einsum,
     hom_embed_r,
     horizontal_post_lie,
+    manin_triple_build,
     operator_form_check,
     opposite_post_lie,
     quarter_split_rep,
@@ -794,11 +796,22 @@ def test_hom_embed_r_establishes_its_representation_once(final_prepp, final_P, e
     assert pprep and len(pprep) == len(set(pprep))
 
 
+def test_manin_triple_build_evaluates_each_post_lie_identity_once(
+        ahat_pp, final_cobrackets, evaluations):
+    """The double's post-Lie report is the one the invariance check requires."""
+    double, _, report = manin_triple_build(ahat_pp, dualize(final_cobrackets))
+    assert report.passed and double.dim == 12
+    report.render()
+    assert [name for name in evaluations if name.startswith("postlie.")] == [
+        "postlie.1", "postlie.2"]
+    post_lie = dict(report.parts)["manin.post-lie"]
+    assert post_lie.name == "post-lie" and post_lie.passed
+
+
 def test_only_two_public_functions_can_skip_their_precondition():
     # the benchmark self-test builds expected doubles with checked=False
     import postlie
-    public = {name: value for name, value in vars(postlie).items()
-              if not name.startswith("_") and not inspect.ismodule(value)}
+    public = {name: getattr(postlie, name) for name in postlie.__all__}
     assert len(public) == 99
     switched = {name for name, value in public.items() if inspect.isfunction(value)
                 and "checked" in inspect.signature(value).parameters}
