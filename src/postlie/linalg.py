@@ -9,8 +9,16 @@ negation, scaling, axis permutation and block placement (Tensor.blocks)
 work on the numerators in time proportional to the nonzero entries, and
 einsum contracts any number of tensors on them: every contraction -- the
 identity checkers, matrix products and all vector arithmetic -- runs on
-it.  einsum fixes its contraction order and offset maps once per (spec,
-shapes) from the shapes alone; a call groups the operands' entries and
+it.  Index arithmetic is fixed once per shape, not per entry: every map of
+a flat offset to a part of another (onto shared labels, onto an output,
+through a permutation or into a block) is an offset table (_table), a
+list read at the offset, built once per (axes, size) and shared by every
+plan that needs the same map.  A table is one 8-byte slot per offset of
+the operand shape it reads, its values interned, so each cached map costs
+at most 8 bytes per entry of that shape, whatever the operands' fill.
+einsum fixes its contraction order and tables once per (spec, shapes)
+from the shapes alone; a sum of terms (_summed) groups each input
+operand's entries once per pair of tables, however many terms share it,
 does the per-entry work, and writes nothing to its operands.  Each pair
 contraction (_pair) multiplies entry by entry, except on full groups
 (dense tables): there _packed packs each right group into one big integer
@@ -85,7 +93,7 @@ def _over_lcm(values):
 def _tensor(shape, den, re, im) -> "Tensor":
     """The Tensor of numerators already canonical."""
     t = object.__new__(Tensor)
-    for name, value in zip(Tensor.__slots__, (shape, den, re, im, None)):
+    for name, value in zip(Tensor.__slots__, (shape, den, re, im, None, None)):
         object.__setattr__(t, name, value)
     return t
 
@@ -101,24 +109,41 @@ def _make(shape, den, re, im) -> "Tensor":
     return _tensor(shape, den, re, im)
 
 
-def _mapper(axes):
-    """The function f -> sum of f // s % n * w over the (s, n, w) of axes."""
-    if not axes:
-        return lambda f: 0
-    if len(axes) == 1:
-        (s1, n1, w1), = axes
-        return lambda f: f // s1 % n1 * w1
-    if len(axes) == 2:
-        (s1, n1, w1), (s2, n2, w2) = axes
-        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2
-    if len(axes) == 3:
-        (s1, n1, w1), (s2, n2, w2), (s3, n3, w3) = axes
-        return lambda f: f // s1 % n1 * w1 + f // s2 % n2 * w2 + f // s3 % n3 * w3
-    return lambda f: sum(f // s % n * w for s, n, w in axes)
+@lru_cache(maxsize=1024)
+def _table(axes, size: int) -> list:
+    """The offset table of the (stride, extent, weight) axes of a row-major
+    shape of the given size: the list t with t[f] = sum of f // s % n * w
+    over the (s, n, w) of axes, for f in 0..size-1.  Built from the
+    innermost axis out, each as n shifted copies of the table so far made
+    by C-level list repetition and map, and its values interned (an equal
+    value is one int object, so an entry costs one 8-byte list slot);
+    cached by (axes, size), so value-equal maps of different specs share
+    one list."""
+    if not size:            # an extent 0: no offsets, and strides may be 0
+        return []
+    t, span, values = [0], 1, {}
+    for s, n, w in sorted(axes):    # an extent-1 axis before a longer one of its stride
+        t *= s // span
+        distinct, copies = set(t), []
+        for i in range(n):
+            shift = {v: values.setdefault(v + i * w, v + i * w) for v in distinct}
+            copies += map(shift.__getitem__, t)
+        t, span = copies, s * n
+    return t * (size // span)
 
 
 def _strides(shape) -> list:
     return [_size(shape[a + 1:]) for a in range(len(shape))]
+
+
+@lru_cache(maxsize=1024)
+def _permutation(shape: tuple, axes: tuple) -> tuple:
+    """(shape, offset table) of permuting the axes of a tensor of shape:
+    axis k of the result is axis axes[k]."""
+    out = tuple(shape[a] for a in axes)
+    strides = _strides(shape)
+    return out, _table(tuple((strides[a], n, w) for a, n, w in zip(axes, out, _strides(out))),
+                       _size(shape))
 
 
 class Tensor:
@@ -130,12 +155,12 @@ class Tensor:
     with f missing from re (im) where the real (imaginary) part is zero.
     The form is canonical: gcd(den, all numerators) = 1, and a zero tensor
     has den 1.  The dicts re and im may be shared between tensors and are
-    never changed; the only slot set after construction is _entries, the
-    cache of the entries property.  A matrix is the two-axis case and is
-    also called Matrix.
+    never changed; the only slots set after construction are the caches
+    _entries, of the entries property, and _hash, of hash(self).  A matrix
+    is the two-axis case and is also called Matrix.
     """
 
-    __slots__ = ("shape", "den", "re", "im", "_entries")
+    __slots__ = ("shape", "den", "re", "im", "_entries", "_hash")
 
     def __new__(cls, shape, entries):
         shape, entries = _shape(shape), list(entries)
@@ -212,11 +237,9 @@ class Tensor:
         shape = self.shape
         if sorted(axes) != list(range(len(shape))):
             raise LinAlgError("%r is not a permutation of %d axes" % (axes, len(shape)))
-        shape = tuple(shape[a] for a in axes)
-        strides = _strides(self.shape)
-        key = _mapper([(strides[a], n, w) for a, n, w in zip(axes, shape, _strides(shape))])
-        return _tensor(shape, self.den, {key(f): v for f, v in self.re.items()},
-                       {key(f): v for f, v in self.im.items()})
+        shape, key = _permutation(shape, tuple(axes))
+        return _tensor(shape, self.den, {key[f]: v for f, v in self.re.items()},
+                       {key[f]: v for f, v in self.im.items()})
 
     @staticmethod
     def blocks(shape, blocks) -> "Tensor":
@@ -238,14 +261,14 @@ class Tensor:
                    for other in boxes):
                 raise LinAlgError("blocks at %r overlap" % (offset,))
             boxes.append(box)
-            key = _mapper(list(zip(_strides(t.shape), t.shape, strides)))
+            key = _table(tuple(zip(_strides(t.shape), t.shape, strides)), _size(t.shape))
             placed.append((t, sum(o * w for o, w in zip(offset, strides)), key))
             den = den * t.den // gcd(den, t.den)
         re, im = {}, {}
         for t, base, key in placed:
             scale = den // t.den
-            re.update((base + key(f), v * scale) for f, v in t.re.items())
-            im.update((base + key(f), v * scale) for f, v in t.im.items())
+            re.update((base + key[f], v * scale) for f, v in t.re.items())
+            im.update((base + key[f], v * scale) for f, v in t.im.items())
         return _make(shape, den, re, im)
 
     # -- algebra: on the numerators, in time proportional to the nonzeros ----
@@ -290,8 +313,10 @@ class Tensor:
                 and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.shape, self.den, frozenset(self.re.items()),
-                     frozenset(self.im.items())))
+        if self._hash is None:
+            value = (self.shape, self.den, frozenset(self.re.items()), frozenset(self.im.items()))
+            object.__setattr__(self, "_hash", hash(value))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -393,18 +418,20 @@ def _nonzero(d: dict) -> dict:
 
 
 def _add_into(acc: dict, d: dict, scale: int = 1, key=None) -> dict:
-    """acc with scale * d[f] added at key(f), or at f for no key, for each f of d."""
+    """acc with scale * d[f] added at key[f] (an offset table), or at f for
+    no key, for each f of d."""
     get = acc.get
     for f, v in d.items():
-        k = f if key is None else key(f)
+        k = f if key is None else key[f]
         acc[k] = get(k, 0) + scale * v
     return acc
 
 
 def _axes(labels, sizes, target, skip=()):
-    """The (stride, extent, weight) per axis of _mapper taking a flat offset
-    over labels to its part of the flat offset over target: the sum over the
-    labels in target (and not in skip) of index times stride in target."""
+    """The (stride, extent, weight) per axis of the _table taking a flat
+    offset over labels to its part of the flat offset over target: the sum
+    over the labels in target (and not in skip) of index times stride in
+    target."""
     weights, w = {}, 1
     for label in reversed(target):
         weights[label] = w
@@ -419,30 +446,48 @@ def _axes(labels, sizes, target, skip=()):
 
 def _step(la, lb, out, sizes) -> tuple:
     """One contraction of an operand labelled la with one labelled lb onto
-    the labels out: per side the offset maps onto the shared labels and
+    the labels out: per side the offset tables onto the shared labels and
     onto out (lb's labels also on la left out)."""
     shared = tuple(l for l in la if l in lb)
-    return tuple((_mapper(_axes(labels, sizes, shared)), _mapper(_axes(labels, sizes, out, skip)))
-                 for labels, skip in ((la, ()), (lb, la)))
+    sides = []
+    for labels, skip in ((la, ()), (lb, la)):
+        size = _size(sizes[l] for l in labels)
+        sides.append((_table(_axes(labels, sizes, shared), size),
+                      _table(_axes(labels, sizes, out, skip), size)))
+    return tuple(sides)
 
 
 def _grouped(operand, side) -> dict:
-    """The nonzero entries of an (re, im) operand as
+    """The nonzero entries of an (re, im, _) operand as
     {offset over shared: [(offset over out, re, im)]} for one side of a
     _step."""
-    re, im = operand
+    re, im, _ = operand
     by_shared, by_out = side
     groups = {}
     if im:
         for f in re.keys() | im.keys():
             vr, vi = re.get(f, 0), im.get(f, 0)
             if vr or vi:
-                groups.setdefault(by_shared(f), []).append((by_out(f), vr, vi))
+                groups.setdefault(by_shared[f], []).append((by_out[f], vr, vi))
     else:
         for f, vr in re.items():
             if vr:
-                groups.setdefault(by_shared(f), []).append((by_out(f), vr, 0))
+                groups.setdefault(by_shared[f], []).append((by_out[f], vr, 0))
     return groups
+
+
+def _grouping(operand, side, groupings) -> dict:
+    """_grouped(operand, side), built once per sum for an input Tensor:
+    groupings holds those built so far, keyed by (id(tensor), id(shared
+    table), id(out table)).  An intermediate (tensor None) is grouped anew."""
+    t = operand[2]
+    if t is None:
+        return _grouped(operand, side)
+    key = id(t), id(side[0]), id(side[1])
+    found = groupings.get(key)
+    if found is None:
+        found = groupings[key] = _grouped(operand, side)
+    return found
 
 
 # _pair packs when the average left group holds at least _LEFT_FILL real
@@ -476,7 +521,7 @@ _HALF = 1 << (_LANE - 1)        # a slot's bias; |slot value| < _HALF is proved
 # scalar loop, which is exact for numerators of any size.  No float is used.
 def _packed(left, right, a, b, re, im, scale) -> bool:
     """Add scale times the contraction of the groupings left and right of
-    the (re, im) operands a and b into re and im by packed big-int rows, as
+    the (re, im, _) operands a and b into re and im by packed big-int rows, as
     _pair would; False, adding nothing, when the slot bound is not proved."""
     shared = [k for k in left if k in right]
     if not shared:
@@ -523,16 +568,19 @@ def _packed(left, right, a, b, re, im, scale) -> bool:
     return True
 
 
-def _pair(a, b, step, re, im, scale=1):
-    """Add scale times the contraction of two (re, im) operands by a _step
-    into the dicts re and im, keyed by offset over its output labels; zero
-    sums may stay in them.  When the average group is full (at least
-    _LEFT_FILL left and _RIGHT_FILL right real entries per key, one O(1)
-    comparison) the products go through _packed, which adds whole rows by
-    packed big-int arithmetic once it has proved the slot bound; otherwise,
-    or when the bound is not proved, a scalar loop adds each product."""
+def _pair(a, b, step, re, im, scale, groupings):
+    """Add scale times the contraction of two operands by a _step into the
+    dicts re and im, keyed by offset over its output labels; zero sums may
+    stay in them.  An operand is (re, im, tensor): its numerator dicts and
+    the input Tensor they are from, None for an intermediate; an input is
+    grouped once per sum (_grouping, groupings).  When the average group is
+    full (at least _LEFT_FILL left and _RIGHT_FILL right real entries per
+    key, one O(1) comparison) the products go through _packed, which adds
+    whole rows by packed big-int arithmetic once it has proved the slot
+    bound; otherwise, or when the bound is not proved, a scalar loop adds
+    each product."""
     side_a, side_b = step
-    left, right = _grouped(a, side_a), _grouped(b, side_b)
+    left, right = _grouping(a, side_a, groupings), _grouping(b, side_b, groupings)
     if (len(a[0]) >= _LEFT_FILL * len(left) and len(b[0]) >= _RIGHT_FILL * len(right)
             and _packed(left, right, a, b, re, im, scale)):
         return
@@ -564,7 +612,7 @@ def _pair(a, b, step, re, im, scale=1):
 @lru_cache(maxsize=1024)
 def _plan(spec: str, shapes: tuple):
     """What einsum needs of spec and the operand shapes alone: the output
-    shape, and how to contract.  For one operand that is the offset map
+    shape, and how to contract.  For one operand that is the offset table
     onto the output (None for none needed).  For more it is the whole
     contraction order, fixed from the shapes: a list of steps (i, j, _step)
     that contract operands i and j of the work list into one appended at
@@ -599,7 +647,8 @@ def _plan(spec: str, shapes: tuple):
         raise LinAlgError("einsum output label %r is on no operand" % missing[0])
     shape = tuple(sizes[l] for l in output)
     if len(inputs) == 1:
-        return shape, (_mapper(_axes(inputs[0], sizes, output)) if inputs[0] != output else None)
+        return shape, (_table(_axes(inputs[0], sizes, output), _size(shapes[0]))
+                       if inputs[0] != output else None)
     work, how = inputs, []
     size = lambda labels: _size(sizes[l] for l in labels)
 
@@ -620,24 +669,25 @@ def _plan(spec: str, shapes: tuple):
     return shape, how + [_step(*work, output, sizes)]
 
 
-def _accumulate(how, operands, re: dict, im: dict, scale: int = 1):
+def _accumulate(how, operands, re: dict, im: dict, scale: int, groupings: dict):
     """Add scale times the numerators of the einsum that _plan planned as
     how, over the product of the operands' denominators, into the
     {offset: int} dicts re and im.  The operands are contracted two at a
-    time in the plan's order; only nonzero entries are visited, and the last
-    pair adds straight into re and im."""
+    time in the plan's order, their groupings kept in groupings (see
+    _grouping); only nonzero entries are visited, and the last pair adds
+    straight into re and im."""
     if len(operands) == 1:
         (t,) = operands
         _add_into(re, t.re, scale, how)
         _add_into(im, t.im, scale, how)
         return
-    work = [(t.re, t.im) for t in operands]
+    work = [(t.re, t.im, t) for t in operands]
     *steps, last = how
     for i, j, step in steps:
-        pair = ({}, {})
-        _pair(work[i], work[j], step, *pair)
+        pair = ({}, {}, None)
+        _pair(work[i], work[j], step, pair[0], pair[1], 1, groupings)
         work = [w for k, w in enumerate(work) if k != i and k != j] + [pair]
-    _pair(*work, last, re, im, scale)
+    _pair(*work, last, re, im, scale, groupings)
 
 
 def _planned(terms) -> tuple:
@@ -662,10 +712,13 @@ def _planned(terms) -> tuple:
 def _summed(shape, den, parts) -> tuple:
     """(shape, den, re, im) of _planned terms: every term adds its scaled
     numerators into one pair of {offset: int} dicts, returned without their
-    zeros (not reduced)."""
-    re, im = {}, {}
+    zeros (not reduced).  The terms share one memo of groupings for this
+    call: an input Tensor is grouped once per pair of offset tables, keyed
+    by ids that stay valid while parts holds the Tensors and their plans
+    (intermediates, freed as the call goes, are never keyed)."""
+    re, im, groupings = {}, {}, {}
     for how, operands, scale in parts:
-        _accumulate(how, operands, re, im, scale)
+        _accumulate(how, operands, re, im, scale, groupings)
     return shape, den, _nonzero(re), _nonzero(im)
 
 

@@ -25,6 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import postlie.algebra as algebra
 import postlie.bialgebra as bialgebra
@@ -1146,10 +1148,10 @@ def test_einsum_order_depends_on_shapes_only(spec, shapes):
     ("ab,bc,cd,da->", ((2, 3), (3, 2), (2, 2), (2, 2))),
 ])
 def test_einsum_plans_once_per_spec_and_shapes(spec, shapes, monkeypatch):
-    # the steps and offset maps are built on the first call; a call on fresh
-    # tensors of the same shapes and entries builds none
+    # the steps and their offset tables are looked up on the first call; a
+    # call on fresh tensors of the same shapes and entries looks up none
     built = []
-    for name in ("_step", "_mapper"):
+    for name in ("_step", "_table"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
                             built.append(name) or real(*args))
@@ -1160,6 +1162,64 @@ def test_einsum_plans_once_per_spec_and_shapes(spec, shapes, monkeypatch):
     for _ in range(3):
         assert einsum(spec, *(Random(spec, 0.7, False).tensor(*s) for s in shapes)) == first
     assert built == []
+
+
+@st.composite
+def _offset_maps(draw):
+    """(axes, size) of an offset map over a drawn shape, extents 0 included:
+    some of its axes in any order, each with a drawn weight."""
+    shape = draw(st.lists(st.integers(0, 4), max_size=4))
+    strides = linalg._strides(shape)
+    picked = draw(st.permutations(range(len(shape))))[:draw(st.integers(0, len(shape)))]
+    return tuple((strides[a], shape[a], draw(st.integers(0, 40))) for a in picked), math.prod(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_offset_maps())
+@example((((0, 3, 1), (1, 0, 5)), 0))
+@example(((), 0))
+@example(((), 1))
+def test_offset_table_is_the_digit_formula(axes_size):
+    axes, size = axes_size
+    built = linalg._table.__wrapped__(axes, size)
+    assert built == [sum(f // s % n * w for s, n, w in axes) for f in range(size)]
+    assert linalg._table(axes, size) == built
+    # interned: one int object per distinct value
+    assert len({id(v) for v in built}) == len(set(built))
+
+
+def test_value_equal_offset_maps_share_one_table(sl2_lie):
+    # relabelling a spec changes no offset map, so its plan holds the same lists
+    linalg._plan.cache_clear()
+    _, (ij,) = linalg._plan("ij,jk->ik", ((2, 3), (3, 4)))
+    _, (xy,) = linalg._plan("xy,yz->xz", ((2, 3), (3, 4)))
+    assert ij is not xy
+    assert all(t is u for side, other in zip(ij, xy) for t, u in zip(side, other))
+    # the three Jacobi terms map onto the shared label alike, onto the output not
+    br = sl2_lie.table("bracket")
+    steps = [linalg._plan(t.spec, (br.shape, br.shape))[1][-1]
+             for t in algebra.LIE_IDENTITIES(sl2_lie)[1].lhs]
+    for side in (0, 1):
+        assert len({id(step[side][0]) for step in steps}) == 1
+        assert len({id(step[side][1]) for step in steps}) == 3
+
+
+def test_a_sum_groups_each_input_once_per_table_pair(sl2_lie, monkeypatch):
+    grouped, real = [], linalg._grouped
+    monkeypatch.setattr(linalg, "_grouped", lambda operand, side:
+                        grouped.append((operand[2], side)) or real(operand, side))
+    br = sl2_lie.table("bracket")
+    jacobi = algebra.LIE_IDENTITIES(sl2_lie)[1].lhs
+    assert linalg._make(*linalg._combine(jacobi)).is_zero()
+    keys = [(id(t), id(by_shared), id(by_out)) for t, (by_shared, by_out) in grouped]
+    assert len(keys) == len(set(keys)) == 6 and all(t is br for t, _ in grouped)
+    # two terms with an operand on the same side of the same step group it once
+    del grouped[:]
+    rnd = Random("grouped once", 0.7, False)
+    a, b, c = rnd.tensor(3, 2), rnd.tensor(2, 4), rnd.tensor(2, 4)
+    got = linalg._make(*linalg._combine([("ij,jk->ik", (a, b), 1), ("ij,jk->ik", (a, c), -1)]))
+    assert got == naive_einsum("ij,jk->ik", a, b) - naive_einsum("ij,jk->ik", a, c)
+    assert [t for t, _ in grouped] == [a, b, c]
 
 
 def test_einsum_writes_nothing_to_its_operands(monkeypatch):

@@ -65,6 +65,7 @@ from postlie import (
 from postlie import algebra as algebra_mod
 from postlie import construct as construct_mod
 from postlie import forms as forms_mod
+from postlie import linalg as linalg_mod
 from postlie.bialgebra import COMAP_NAMES
 from postlie.linalg import einsum
 from vectors import basis_vec, from_rows, mul, ref_kron, row, vadd, vneg
@@ -947,6 +948,20 @@ def test_one_half_parsed_equals_two_quarters():
     assert (t - t).den == 1 and (t - t) == Tensor.zero(2) and (t - t).is_zero()
 
 
+def test_a_tensor_hashes_its_entries_once(monkeypatch):
+    # equal tensors built two ways hash equal; each builds the frozensets of
+    # its entries on its first hash only
+    built = []
+    monkeypatch.setattr(linalg_mod, "frozenset",
+                        lambda items: built.append(1) or frozenset(items), raising=False)
+    a = _complex_ref((2, 3, 2))
+    t, u = Tensor(*a), Tensor(*a).permute((1, 0, 2)).permute((1, 0, 2))
+    assert t is not u and t == u
+    assert hash(t) == hash(u) and len(built) == 4
+    assert hash(t) == hash(u) and {t: 1}[u] == 1 and len(built) == 4
+    assert hash(Tensor.zero(2)) == hash(Tensor((2,), [0, 0])) and len(built) == 8
+
+
 # ---------------------------------------------------------------------------
 # four axes, immutability and repr
 # ---------------------------------------------------------------------------
@@ -959,7 +974,7 @@ def _complex_ref(shape):
 
 
 def test_four_axis_permute_and_einsum_match_entry_references():
-    # four or more axes take the generic offset map, which three never reach
+    # four axes: offset tables over more axes than a structure table has
     a = _complex_ref((2, 3, 1, 2))
     t = Tensor(*a)
     assert t.den == 6 and t.im
