@@ -420,6 +420,30 @@ def _right(a: Tensor, b: Tensor, args: str) -> Term:
     return term("%s%sm,%sml->ijkl" % (q, r, p), b, a)
 
 
+# axis orders taking a structure table to the carrier of left multiplication,
+# L[i, k, j] = c[i, j, k], and of right multiplication, R[j, k, i] = c[i, j, k];
+# a carrier goes back to a table by LEFT (its own inverse) or FROM_RIGHT
+LEFT, RIGHT, FROM_RIGHT = (0, 2, 1), (1, 2, 0), (2, 0, 1)
+
+
+# the terms of the representation identities at x, y = e_i, e_j, as
+# matrices on V (indices p, q)
+
+def _on(table, carrier) -> Term:
+    """The action of the product x * y with the given table."""
+    return term("ijk,kpq->ijpq", table, carrier)
+
+
+def _xy(first, second) -> Term:
+    """first(x) second(y)."""
+    return term("ips,jsq->ijpq", first, second)
+
+
+def _yx(first, second) -> Term:
+    """first(y) second(x)."""
+    return term("jps,isq->ijpq", first, second)
+
+
 def LIE_IDENTITIES(alg: Algebra):
     br = alg.table("bracket")
     return [

@@ -13,7 +13,9 @@ Operators on 2-tensors of the form M (x) id + id (x) N act as the
 sandwich M r + r N^T, which agrees with the row-major Kronecker matrix
 acting on the vectorised tensor (cross-checked in the test suite).  The
 matrices of multiplication by x are the actions of the pp adjoint
-representation, whose carriers are permuted tables built once per call.
+representation, whose carriers are permuted tables built once per call;
+forms, which builds them, is imported only by the functions that use it,
+so the coalgebra checks load no representation code.
 
 The coalgebra, bialgebra, Yang-Baxter and quasitriangularity checks are
 lists of whole-tensor equations (algebra.Identity) in the tables, the
@@ -27,6 +29,7 @@ import dataclasses
 
 from .algebra import (
     COMAP_NAMES,
+    LEFT,
     PP_IDENTITIES,
     Algebra,
     CheckReport,
@@ -35,16 +38,17 @@ from .algebra import (
     PreconditionError,
     Term,
     _curly,
+    _on,
     _require_shape,
     _side,
     _swap,
     _sweep,
+    _xy,
+    _yx,
     check_lie,
     check_pp_post_lie,
     term,
 )
-from .forms import (
-    LEFT, PPRepSpec, _check_o_operator_pp, _on, _xy, _yx, pp_adjoint_rep, pp_coadjoint_rep)
 from .linalg import LinAlgError, Matrix, Tensor, einsum
 from .scalars import ONE
 
@@ -184,6 +188,7 @@ def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
 
 def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """pp algebra + pp coalgebra + the nine mixed compatibility conditions."""
+    from .forms import pp_adjoint_rep
     _require_same_space(alg, co)
     nested = [("ppbialg.alg", check_pp_post_lie(alg)), ("ppbialg.coalg", check_pp_coalgebra(co))]
     transpose = lambda t: t.permute((0, 2, 1))
@@ -277,6 +282,7 @@ def cobrackets_from_r(alg: Algebra, r: Matrix) -> CoalgebraSpec:
     The -r in the middle map is forced by the bialgebra compatibility
     conditions; see the sign cross-checks in the test suite.
     """
+    from .forms import pp_adjoint_rep
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
     _require_shape(r, n, n, "tensor")
@@ -294,7 +300,7 @@ def _sandwiches(left: Tensor, t2: Matrix, right: Tensor) -> Tensor:
 # quasitriangularity: the individual sufficient conditions
 # ---------------------------------------------------------------------------
 
-def _efg(adj: PPRepSpec, t2: Matrix):
+def _efg(adj, t2: Matrix):
     """The comaps x -> e(x) t2, f(x) t2, g(x) t2 for the operators
     e(x) = L_rt(x) (x) id + id (x) L_diamond(x),
     f(x) = L_circ(x) (x) id + id (x) L_bullet(x),
@@ -313,6 +319,7 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     For antisymmetric solutions of the equation C(r) = D(r) = 0 every
     condition holds; the report names each failing condition otherwise.
     """
+    from .forms import pp_adjoint_rep
     alg.require("rtri", "ltri", "bracket")
     n = alg.dim
     _require_shape(r, n, n, "tensor")
@@ -380,6 +387,7 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
 def operator_form_check(alg: Algebra, r: Matrix) -> CheckReport:
     """Antisymmetric r solves the equation iff r~ is an O-operator on the
     coadjoint representation; r~(u*) pairs as <r~(u*), v*> = <r, u* (x) v*>."""
+    from .forms import _check_o_operator_pp, pp_coadjoint_rep
     _require_shape(r, alg.dim, alg.dim, "tensor")
     if not r.is_antisymmetric():
         raise PreconditionError("r is not antisymmetric")

@@ -199,7 +199,7 @@ CHECKS = {
     "rep": _Kind(A, lambda o, a: forms.check_post_lie_rep(*_post_lie_rep(a, o.rep)), options=REP),
     "pp-rep": _Kind(A, lambda o, a: forms.check_pp_rep(*_pp_rep(a, o.rep)), options=REP),
     "rb": _Kind(A + M, lambda o, a, p: forms.check_rota_baxter_lie(
-        a, p, Scalar.parse(o.weight) if o.weight else ONE), options=("weight",)),
+        a, p, Scalar.parse(o.weight) if o.weight is not None else ONE), options=("weight",)),
     "o-op": _Kind(A + M, lambda o, a, t: forms.check_o_operator_pp(*_pp_rep(a, o.rep), t),
                   options=REP),
     "dual-p-o": _Kind(A + M, lambda o, a, t: forms.check_dual_p_o_operator(

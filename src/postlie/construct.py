@@ -18,6 +18,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from .algebra import (
+    FROM_RIGHT,
+    LEFT,
+    RIGHT,
     Algebra,
     CheckReport,
     Identity,
@@ -35,9 +38,6 @@ from .algebra import (
     term,
 )
 from .forms import (
-    FROM_RIGHT,
-    LEFT,
-    RIGHT,
     PPRepSpec,
     RepSpec,
     check_gph,

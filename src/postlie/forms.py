@@ -24,15 +24,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
+    FROM_RIGHT,
+    LEFT,
+    RIGHT,
     Algebra,
     CheckReport,
     Identity,
     Term,
     _curly,
+    _on,
     _require,
     _require_shape,
     _swap,
     _sweep,
+    _xy,
+    _yx,
     check_lie,
     check_post_lie,
     check_pp_post_lie,
@@ -162,12 +168,6 @@ def induced_post_lie(alg: Algebra, P: Matrix) -> Algebra:
 # representations
 # ---------------------------------------------------------------------------
 
-# axis orders taking a structure table to the carrier of left multiplication,
-# L[i, k, j] = c[i, j, k], and of right multiplication, R[j, k, i] = c[i, j, k];
-# a carrier goes back to a table by LEFT (its own inverse) or FROM_RIGHT
-LEFT, RIGHT, FROM_RIGHT = (0, 2, 1), (1, 2, 0), (2, 0, 1)
-
-
 class _Carriers:
     """Immutable carrier tensors of a representation, all of one shape
     (n, dim, dim) for an algebra of dimension n."""
@@ -236,24 +236,6 @@ def pp_split_dual_rep(alg: Algebra) -> RepSpec:
     lrt = dual_map(alg.table("rtri").permute(LEFT))
     rlt = dual_map(alg.table("ltri").permute(RIGHT))
     return RepSpec(lrt - rlt, -rlt, dual_map(alg.table("bracket").permute(LEFT)))
-
-
-# the terms of the representation identities at x, y = e_i, e_j, as
-# matrices on V (indices p, q)
-
-def _on(table, carrier) -> Term:
-    """The action of the product x * y with the given table."""
-    return term("ijk,kpq->ijpq", table, carrier)
-
-
-def _xy(first, second) -> Term:
-    """first(x) second(y)."""
-    return term("ips,jsq->ijpq", first, second)
-
-
-def _yx(first, second) -> Term:
-    """first(y) second(x)."""
-    return term("jps,isq->ijpq", first, second)
 
 
 def check_post_lie_rep(alg: Algebra, rep: RepSpec) -> CheckReport:

@@ -17,15 +17,20 @@ plan that needs the same map.  A table is one 8-byte slot per offset of
 the operand shape it reads, its values interned, so each cached map costs
 at most 8 bytes per entry of that shape, whatever the operands' fill.
 einsum fixes its contraction order and tables once per (spec, shapes)
-from the shapes alone; a sum of terms (_summed) groups each input
-operand's entries once per pair of tables, however many terms share it,
-does the per-entry work, and writes nothing to its operands.  Each pair
-contraction (_pair) multiplies entry by entry, except on full groups
-(dense tables): there _packed packs each right group into one big integer
-of 64-bit slots and adds a whole row of products per left entry
-(Kronecker substitution), after proving that no slot's value can reach
-2^63; where that is not proved, it falls back to the entry-by-entry loop,
-which is exact for numerators of any size.
+from the shapes alone.  Each pair contraction (_pair) treats a Gaussian
+integer as its two real numerators, as Tensor stores them: it reads the
+left operand's numerator dicts in place through their offset tables, and
+indexes each nonzero numerator part of the right operand by shared offset
+(a row-wise sparse product: Gustavson, ACM TOMS 4(3), 1978), once per pair
+of tables in a sum of terms (_summed), however many terms share it.  A
+Gaussian-integer pair is then at most four real contractions of nonzero
+parts by one real kernel (_real), so the product of two entries with one
+nonzero part each is one real multiply-add, not a complex one; nothing is
+written to the operands.  On full groups (dense tables) _packed instead
+packs each right group into one big integer of 64-bit slots and adds a
+whole row of products per left entry (Kronecker substitution), after
+proving that no slot's value can reach 2^63; where that is not proved, the
+real kernel runs, which is exact for numerators of any size.
 Determinants, rank, solving and inversion are views of one fraction-free
 elimination on the numerators, which reports singularity precisely.
 Scalars appear only at the edges: entries, indexing, repr and the value
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -93,7 +99,7 @@ def _over_lcm(values):
 def _tensor(shape, den, re, im) -> "Tensor":
     """The Tensor of numerators already canonical."""
     t = object.__new__(Tensor)
-    for name, value in zip(Tensor.__slots__, (shape, den, re, im, None, None)):
+    for name, value in zip(Tensor.__slots__, (shape, den, re, im, None)):
         object.__setattr__(t, name, value)
     return t
 
@@ -155,12 +161,11 @@ class Tensor:
     with f missing from re (im) where the real (imaginary) part is zero.
     The form is canonical: gcd(den, all numerators) = 1, and a zero tensor
     has den 1.  The dicts re and im may be shared between tensors and are
-    never changed; the only slots set after construction are the caches
-    _entries, of the entries property, and _hash, of hash(self).  A matrix
-    is the two-axis case and is also called Matrix.
+    never changed; the only slot set after construction is _hash, the cache
+    of hash(self).  A matrix is the two-axis case and is also called Matrix.
     """
 
-    __slots__ = ("shape", "den", "re", "im", "_entries", "_hash")
+    __slots__ = ("shape", "den", "re", "im", "_hash")
 
     def __new__(cls, shape, entries):
         shape, entries = _shape(shape), list(entries)
@@ -200,13 +205,11 @@ class Tensor:
 
     @property
     def entries(self) -> tuple:
-        """All entries as Scalars in row-major order, built on first use."""
-        if self._entries is None:
-            out = [ZERO] * _size(self.shape)
-            for f in self.re.keys() | self.im.keys():
-                out[f] = self._at(f)
-            object.__setattr__(self, "_entries", tuple(out))
-        return self._entries
+        """All entries as Scalars in row-major order."""
+        out = [ZERO] * _size(self.shape)
+        for f in self.re.keys() | self.im.keys():
+            out[f] = self._at(f)
+        return tuple(out)
 
     def __getitem__(self, index):
         """The entry at a tuple of indices, one int in range per axis (an int
@@ -457,61 +460,73 @@ def _step(la, lb, out, sizes) -> tuple:
     return tuple(sides)
 
 
-def _grouped(operand, side) -> dict:
-    """The nonzero entries of an (re, im, _) operand as
-    {offset over shared: [(offset over out, re, im)]} for one side of a
+def _grouped(part: dict, side) -> dict:
+    """The nonzero entries of one numerator dict of an operand as
+    {offset over shared: [(offset over out, value)]} for one side of a
     _step."""
-    re, im, _ = operand
     by_shared, by_out = side
     groups = {}
-    if im:
-        for f in re.keys() | im.keys():
-            vr, vi = re.get(f, 0), im.get(f, 0)
-            if vr or vi:
-                groups.setdefault(by_shared[f], []).append((by_out[f], vr, vi))
-    else:
-        for f, vr in re.items():
-            if vr:
-                groups.setdefault(by_shared[f], []).append((by_out[f], vr, 0))
+    for f, v in part.items():
+        if v:
+            groups.setdefault(by_shared[f], []).append((by_out[f], v))
     return groups
 
 
-def _grouping(operand, side, groupings) -> dict:
-    """_grouped(operand, side), built once per sum for an input Tensor:
-    groupings holds those built so far, keyed by (id(tensor), id(shared
-    table), id(out table)).  An intermediate (tensor None) is grouped anew."""
+def _grouping(operand, part: int, side, groupings) -> dict:
+    """_grouped(operand[part], side), built once per sum for an input
+    Tensor: groupings holds those built so far, keyed by (id(tensor), part,
+    id(shared table), id(out table)).  An intermediate (tensor None) is
+    grouped anew."""
     t = operand[2]
     if t is None:
-        return _grouped(operand, side)
-    key = id(t), id(side[0]), id(side[1])
+        return _grouped(operand[part], side)
+    key = id(t), part, id(side[0]), id(side[1])
     found = groupings.get(key)
     if found is None:
-        found = groupings[key] = _grouped(operand, side)
+        found = groupings[key] = _grouped(operand[part], side)
     return found
 
 
-# _pair packs when the average left group holds at least _LEFT_FILL real
-# entries and the average right group at least _RIGHT_FILL: below that the
-# packing and unpacking cost more than the scalar loop saves
+def _real(left: dict, side, right: dict, out: dict, scale: int):
+    """Add scale times the contraction of the numerator dict left, read in
+    place through the tables side of its _step, with the grouped numerator
+    part right into out: the one kernel of every sparse product."""
+    by_shared, by_out = side
+    get = out.get
+    for f, v in left.items():
+        other = right.get(by_shared[f])
+        if other is None:
+            continue
+        p, v = by_out[f], v * scale
+        for q, w in other:
+            k = p + q
+            out[k] = get(k, 0) + v * w
+
+
+# _pair packs when the left operand and the right one hold on average at
+# least _LEFT_FILL and _RIGHT_FILL real entries per right key: below that
+# the packing and unpacking cost more than the scalar loop saves
 _LEFT_FILL, _RIGHT_FILL = 8, 16
 _LANE = 64                      # bits per packed slot, read back as struct "q"
 _HALF = 1 << (_LANE - 1)        # a slot's bias; |slot value| < _HALF is proved
 
 
 # The packed path (Kronecker substitution).  Number the distinct output
-# offsets q of the shared right groups 0..m-1 and pack each right group into
-# WR = sum of wr << 64 * slot(q) (WI likewise); then one big-int multiply-add
-# rows_re[p] += vr * WR - vi * WI (rows_im[p] += vr * WI + vi * WR) per left
-# entry (p, vr, vi) adds a whole row of products, slot j of rows_re[p] holding
-# the exact sum of the products at output offset p + qs[j].
+# offsets q of the right groups 0..m-1 and pack the right group of each
+# shared key into WR = sum of wr << 64 * slot(q) (WI from the imaginary
+# part likewise); then one big-int multiply-add rows_re[p] += vr * WR - vi * WI
+# (rows_im[p] += vr * WI + vi * WR) per left entry (p, vr, vi) adds a whole
+# row of products, slot j of rows_re[p] holding the exact sum of the products
+# at output offset p + qs[j].
 # The slot width is proved before anything is packed.  Each slot's value is
 # a sum, over the shared keys, of products v * w of a left and a right
 # numerator of that key: one product per (left entry, right entry) pair for
 # real operands, two (vr * wr - vi * wi, or vr * wi + vi * wr) for complex
 # ones.  A key contributes to the slot (p, q) at most c_l * c_r pairs, c_l
-# (c_r) the most entries of one left (right) group with one output offset:
-# 1 + the group's length less its number of distinct offsets.  So with K
-# shared keys every slot value satisfies
+# the most left entries with one (key, output offset) and c_r the most
+# entries of one right group with one output offset, at most 1 + the group's
+# length less its number of distinct offsets.  So with K right keys every
+# slot value satisfies
 #     |value| <= (2 if complex else 1) * K * c_l * c_r * max|v| * max|w| * |scale|,
 # the maxima over the operands' numerator dicts.  Only when that bound is
 # below 2^63 is anything packed: then value + 2^63 lies in [1, 2^64), so adding
@@ -519,38 +534,56 @@ _HALF = 1 << (_LANE - 1)        # a slot's bias; |slot value| < _HALF is proved
 # word, with no borrow or carry between slots, and every row unpacks exactly
 # with one to_bytes and one struct unpack.  Otherwise the caller runs the
 # scalar loop, which is exact for numerators of any size.  No float is used.
-def _packed(left, right, a, b, re, im, scale) -> bool:
-    """Add scale times the contraction of the groupings left and right of
-    the (re, im, _) operands a and b into re and im by packed big-int rows, as
-    _pair would; False, adding nothing, when the slot bound is not proved."""
-    shared = [k for k in left if k in right]
-    if not shared:
+def _packed(a, side, rights, b, re, im, scale) -> bool:
+    """Add scale times the contraction of the (re, im, _) operand a, read in
+    place through the tables side, with the (re, im) part groupings rights
+    of the operand b into re and im by packed big-int rows, as _pair would;
+    False, adding nothing, when the slot bound is not proved."""
+    a_re, a_im = a[0], a[1]
+    r_re, r_im = rights
+    keys = r_re.keys() | r_im.keys()
+    left = a_re.keys() | a_im.keys() if a_im else a_re
+    if not keys or not left:
         return True
-    lefts, rights = [left[k] for k in shared], [right[k] for k in shared]
-    cx = a[1] or b[1]
-    vmax = max(max(map(abs, a[0].values()), default=0), max(map(abs, a[1].values()), default=0))
+    by_shared, by_out = side
+    vmax = max(max(map(abs, a_re.values()), default=0), max(map(abs, a_im.values()), default=0))
     wmax = max(max(map(abs, b[0].values()), default=0), max(map(abs, b[1].values()), default=0))
-    c_l = 1 + max(len(g) - len({p for p, _, _ in g}) for g in lefts)
-    c_r = 1 + max(len(g) - len({q for q, _, _ in g}) for g in rights)
-    if (2 if cx else 1) * len(shared) * c_l * c_r * vmax * wmax * abs(scale) >= _HALF:
-        return False
-    qs = sorted({q for g in rights for q, _, _ in g})
+    bound = (2 if a_im or b[1] else 1) * len(keys) * vmax * wmax * abs(scale)
+    # c_l and c_r are at most the operands' entry counts: count them only
+    # when those do not prove the bound
+    if bound * (len(a_re) + len(a_im)) * (len(b[0]) + len(b[1])) >= _HALF:
+        c_l = max(Counter(zip(map(by_shared.__getitem__, left),
+                              map(by_out.__getitem__, left))).values())
+        c_r = 1 + max(len(g) - len({q for q, _ in g}) for r in rights for g in r.values())
+        if bound * c_l * c_r >= _HALF:
+            return False
+    qs = sorted({q for r in rights for g in r.values() for q, _ in g})
     slot = {q: _LANE * j for j, q in enumerate(qs)}
+    packs = {}
+    for key in keys:
+        wr = wi = 0
+        for q, x in r_re.get(key, ()):
+            wr += x << slot[q]
+        for q, y in r_im.get(key, ()):
+            wi += y << slot[q]
+        packs[key] = (wr * scale, wi * scale)
     rows_re, rows_im = {}, {}
     get_re, get_im = rows_re.get, rows_im.get
-    for group, other in zip(lefts, rights):
-        wr = wi = 0
-        for q, x, y in other:
-            wr += x << slot[q]
-            if y:
-                wi += y << slot[q]
-        if scale != 1:
-            wr, wi = wr * scale, wi * scale
-        if not cx:
-            for p, vr, _ in group:
-                rows_re[p] = get_re(p, 0) + vr * wr
-            continue
-        for p, vr, vi in group:
+    if not a_im:
+        for f, vr in a_re.items():
+            w = packs.get(by_shared[f])
+            if w is None:
+                continue
+            p, (wr, wi) = by_out[f], w
+            rows_re[p] = get_re(p, 0) + vr * wr
+            if wi:
+                rows_im[p] = get_im(p, 0) + vr * wi
+    else:
+        for f in left:
+            w = packs.get(by_shared[f])
+            if w is None:
+                continue
+            p, (wr, wi), vr, vi = by_out[f], w, a_re.get(f, 0), a_im.get(f, 0)
             rows_re[p] = get_re(p, 0) + vr * wr - vi * wi
             rows_im[p] = get_im(p, 0) + vr * wi + vi * wr
     # acc + bias holds value + 2^63 in each slot; xor with bias flips each
@@ -572,41 +605,27 @@ def _pair(a, b, step, re, im, scale, groupings):
     """Add scale times the contraction of two operands by a _step into the
     dicts re and im, keyed by offset over its output labels; zero sums may
     stay in them.  An operand is (re, im, tensor): its numerator dicts and
-    the input Tensor they are from, None for an intermediate; an input is
-    grouped once per sum (_grouping, groupings).  When the average group is
-    full (at least _LEFT_FILL left and _RIGHT_FILL right real entries per
-    key, one O(1) comparison) the products go through _packed, which adds
-    whole rows by packed big-int arithmetic once it has proved the slot
-    bound; otherwise, or when the bound is not proved, a scalar loop adds
-    each product."""
+    the input Tensor they are from, None for an intermediate.  The left
+    operand is read in place; each nonzero numerator part of the right one
+    is grouped, once per sum for an input (_grouping, groupings).  When the
+    groups are full (on average at least _LEFT_FILL left and _RIGHT_FILL
+    right real entries per right key, one O(1) comparison) the products go
+    through _packed, which adds whole rows by packed big-int arithmetic once
+    it has proved the slot bound; otherwise, or when the bound is not
+    proved, the Gaussian-integer product is at most four real ones (_real)
+    of nonzero parts: re * re and -im * im into re, re * im and im * re
+    into im."""
     side_a, side_b = step
-    left, right = _grouping(a, side_a, groupings), _grouping(b, side_b, groupings)
-    if (len(a[0]) >= _LEFT_FILL * len(left) and len(b[0]) >= _RIGHT_FILL * len(right)
-            and _packed(left, right, a, b, re, im, scale)):
+    rights = [_grouping(b, part, side_b, groupings) if b[part] else {} for part in (0, 1)]
+    keys = max(map(len, rights))
+    if (len(a[0]) >= _LEFT_FILL * keys and len(b[0]) >= _RIGHT_FILL * keys
+            and _packed(a, side_a, rights, b, re, im, scale)):
         return
-    get_re = re.get
-    if not a[1] and not b[1]:   # no imaginary parts to track
-        for key, group in left.items():
-            other = right.get(key)
-            if other is None:
-                continue
-            for p, vr, _ in group:
-                vr *= scale
-                for q, wr, _ in other:
-                    k = p + q
-                    re[k] = get_re(k, 0) + vr * wr
-        return
-    get_im = im.get
-    for key, group in left.items():
-        other = right.get(key)
-        if other is None:
-            continue
-        for p, vr, vi in group:
-            vr, vi = vr * scale, vi * scale
-            for q, wr, wi in other:
-                k = p + q
-                re[k] = get_re(k, 0) + vr * wr - vi * wi
-                im[k] = get_im(k, 0) + vr * wi + vi * wr
+    r_re, r_im = rights
+    for left, right, out, sign in ((a[0], r_re, re, 1), (a[1], r_im, re, -1),
+                                   (a[0], r_im, im, 1), (a[1], r_re, im, 1)):
+        if left and right:
+            _real(left, side_a, right, out, sign * scale)
 
 
 @lru_cache(maxsize=1024)
@@ -673,9 +692,9 @@ def _accumulate(how, operands, re: dict, im: dict, scale: int, groupings: dict):
     """Add scale times the numerators of the einsum that _plan planned as
     how, over the product of the operands' denominators, into the
     {offset: int} dicts re and im.  The operands are contracted two at a
-    time in the plan's order, their groupings kept in groupings (see
-    _grouping); only nonzero entries are visited, and the last pair adds
-    straight into re and im."""
+    time in the plan's order, the groupings of right operands kept in
+    groupings (see _grouping); only nonzero entries are visited, and the
+    last pair adds straight into re and im."""
     if len(operands) == 1:
         (t,) = operands
         _add_into(re, t.re, scale, how)
@@ -713,9 +732,10 @@ def _summed(shape, den, parts) -> tuple:
     """(shape, den, re, im) of _planned terms: every term adds its scaled
     numerators into one pair of {offset: int} dicts, returned without their
     zeros (not reduced).  The terms share one memo of groupings for this
-    call: an input Tensor is grouped once per pair of offset tables, keyed
-    by ids that stay valid while parts holds the Tensors and their plans
-    (intermediates, freed as the call goes, are never keyed)."""
+    call: each numerator part of an input Tensor on the right of a pair is
+    grouped once per pair of offset tables, keyed by ids that stay valid
+    while parts holds the Tensors and their plans (intermediates, freed as
+    the call goes, are never keyed)."""
     re, im, groupings = {}, {}, {}
     for how, operands, scale in parts:
         _accumulate(how, operands, re, im, scale, groupings)

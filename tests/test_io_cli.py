@@ -436,6 +436,13 @@ def test_cli_parse_error_exit_2(corpus_on_disk, capsys):
     assert code == 2 and "line 6: too many digits in '999" in err
 
 
+def test_cli_empty_weight_is_a_parse_error(corpus_on_disk, capsys):
+    # an empty --weight is a value that does not parse, not weight 1
+    assert _run(capsys, "check", "rb", str(corpus_on_disk / "sl2_lie.txt"),
+                str(corpus_on_disk / "sl2_P.txt"), "--weight", "") == (
+        2, "", "parse error: cannot parse scalar ''\n")
+
+
 def test_cli_table_given_twice_exit_2(corpus_on_disk, capsys):
     # the second block would replace the first: an sl2 bracket by a zero one
     twice = corpus_on_disk / "twice.txt"
@@ -732,7 +739,7 @@ FUZZ_FIXTURES = {cli._algebra: ("sl2_lie", "sl2_postlie", "sl2_pp", "sl2_pp_brok
                  cli._matrix: ("sl2_P", "kappa", "final_P", "r6"),
                  cli._coalgebra: ("final_cobrackets",)}
 FUZZ_VALUES = {"--rep": ("adjoint", "coadjoint", "quarter", "split-dual", "bogus"),
-               "--weight": ("1", "-1/2", "i", "x", "1/0"),
+               "--weight": ("1", "-1/2", "i", "x", "1/0", ""),
                "--mode": ("dual", "direct", "both", "bogus"),
                "-o": ("out.txt", "subdir", "no/out.txt")}
 FUZZ_FLAGS = {"check": ("--rep", "--weight", "--mode"), "derive": ("--rep", "-o")}

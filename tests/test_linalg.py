@@ -316,9 +316,10 @@ def _packed_calls(mp) -> list:
     """The (operands a and b, shared key count, result) of every _packed call."""
     calls, packed = [], linalg._packed
 
-    def spy(left, right, a, b, *rest):
-        done = packed(left, right, a, b, *rest)
-        calls.append((a, b, sum(k in right for k in left), done))
+    def spy(a, side, rights, b, *rest):
+        done = packed(a, side, rights, b, *rest)
+        keys = {side[0][f] for f in a[0].keys() | a[1].keys()}
+        calls.append((a, b, len(keys & (rights[0].keys() | rights[1].keys())), done))
         return done
     mp.setattr(linalg, "_packed", spy)
     return calls
@@ -358,6 +359,66 @@ def test_packing_stops_exactly_at_the_slot_bound(monkeypatch, v, w, imaginary, p
     assert got[0, 0] == Scalar(2 * v * w if imaginary else v * w)
     monkeypatch.setattr(linalg, "_packed", lambda *args: False)
     assert got == einsum("ij,jk->ik", a, b)
+
+
+# matrix-product specs, each with its reference on vectors.matmul: the
+# transposes read the operands through other offset tables, and the chain
+# contracts an intermediate
+PART_SPECS = {
+    "ij,jk->ik": lambda a, b: matmul(a, b),
+    "ji,jk->ik": lambda a, b: matmul(a.transpose(), b),
+    "ij,kj->ik": lambda a, b: matmul(a, b.transpose()),
+    "ij,jk,kl->il": lambda a, b, c: matmul(matmul(a, b), c),
+}
+
+
+@st.composite
+def _part_operand(draw, shape):
+    """A sparse tensor whose entries are all real, all imaginary, or each
+    real, imaginary or both, over a drawn denominator."""
+    kinds = {"real": [(1, 0)], "imaginary": [(0, 1)], "mixed": [(1, 0), (0, 1), (1, 1)]}
+    kind = kinds[draw(st.sampled_from(sorted(kinds)))]
+    value = st.integers(-4, 4)
+    den = draw(st.sampled_from([1, 2, 3]))
+    entries = []
+    for _ in range(math.prod(shape)):
+        if draw(st.integers(0, 2)):     # a third of the entries nonzero
+            entries.append(0)
+            continue
+        x, y = draw(st.sampled_from(kind))
+        entries.append(Scalar(Fraction(x * draw(value), den), Fraction(y * draw(value), den)))
+    return Tensor(shape, entries)
+
+
+@st.composite
+def _part_terms(draw):
+    """One to three (spec, operands, coef) terms of matrix products of one
+    output shape, operands drawn by _part_operand."""
+    n = [draw(st.integers(1, 4)) for _ in range(4)]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        spec = draw(st.sampled_from(sorted(PART_SPECS)))
+        shapes = {"ij,jk->ik": [(n[0], n[1]), (n[1], n[3])],
+                  "ji,jk->ik": [(n[1], n[0]), (n[1], n[3])],
+                  "ij,kj->ik": [(n[0], n[1]), (n[3], n[1])],
+                  "ij,jk,kl->il": [(n[0], n[1]), (n[1], n[2]), (n[2], n[3])]}[spec]
+        terms.append((spec, [draw(_part_operand(shape)) for shape in shapes],
+                      draw(st.sampled_from([1, -1, 2, -3]))))
+    return terms
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_part_terms(), st.booleans())
+def test_contraction_by_parts_matches_the_entry_reference(terms, packed):
+    # a Gaussian-integer product is at most four real ones of nonzero
+    # parts, whichever parts the operands have, on the scalar and the
+    # packed path alike
+    want = None
+    for spec, operands, coef in terms:
+        ref = PART_SPECS[spec](*operands).scale(coef)
+        want = ref if want is None else want + ref
+    with pytest.MonkeyPatch.context() as mp:
+        assert _contract(terms, mp, packed) == want
 
 
 def _change_of_basis(alg: Algebra, g: Matrix) -> Algebra:

@@ -69,6 +69,7 @@ def test_importing_the_cli_loads_only_what_every_command_uses():
     (("derive", "bowtie", "@sl2_pp", "@zero_pp"), 0, {"forms", "construct"}),
     (("corpus", "list"), 0, {"corpus"}),
     (("corpus", "verify"), 1, EVERYTHING - CORE),    # A3 fails, by design
+    (("check", "lie-coalg", "@final_cobrackets"), 0, {"bialgebra"}),
 ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else None)
 def test_a_command_adds_only_its_layer(fixtures, argv, code, layer):
     args = [str(fixtures / (a[1:] + ".txt")) if a.startswith("@") else a for a in argv]

@@ -5,16 +5,24 @@ arithmetic is einsum.  The references the tests compare the checkers and
 constructions with work on basis tuples instead, one Scalar at a time.
 Each helper here reads a tensor's entries once and indexes them, and none
 calls einsum, so a reference built on them stays an independent oracle.
+entries_of caches the entries per tensor value, since the references read
+the same tables on every call.
 violations reads a check report's witnesses with their sides evaluated,
 and row and sparse read and build a tensor by flat row-major offset.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import NamedTuple
 
 from postlie import LinAlgError, Matrix, Tensor
 from postlie.scalars import ONE, ZERO
+
+
+@lru_cache(maxsize=4096)
+def entries_of(t: Tensor) -> tuple:
+    """t.entries, built once per tensor value."""
+    return t.entries
 
 
 def from_rows(rows) -> Matrix:
@@ -54,7 +62,7 @@ def row(t, *index) -> tuple:
     for i, n in zip(index, t.shape):
         offset = offset * n + i
     n = t.shape[-1]
-    return t.entries[offset * n:(offset + 1) * n]
+    return entries_of(t)[offset * n:(offset + 1) * n]
 
 
 def zero_vec(n: int) -> tuple:
@@ -100,7 +108,7 @@ def _axpy(out: list, w, entries, start: int, step: int):
 
 def mul(alg, op: str, x, y) -> tuple:
     """x * y under the table of op: sum_ijk x[i] y[j] c[i, j, k] e_k."""
-    c, n = alg.table(op).entries, alg.dim
+    c, n = entries_of(alg.table(op)), alg.dim
     _check(x, n)
     _check(y, n)
     out = [ZERO] * n
@@ -116,7 +124,7 @@ def apply(m, v) -> tuple:
     """The matrix m acting on the column v."""
     rows, cols = m.shape
     _check(v, cols)
-    entries, out = m.entries, [ZERO] * rows
+    entries, out = entries_of(m), [ZERO] * rows
     for j, vj in enumerate(v):
         if vj:
             _axpy(out, vj, entries, j, cols)
@@ -128,7 +136,7 @@ def act(c, x) -> Matrix:
     comultiplication table) c of shape (s, m, m)."""
     s, m, _ = c.shape
     _check(x, s)
-    entries, out = c.entries, [ZERO] * (m * m)
+    entries, out = entries_of(c), [ZERO] * (m * m)
     for b, xb in enumerate(x):
         if xb:
             _axpy(out, xb, entries, b * m * m, 1)
@@ -140,7 +148,7 @@ def act_apply(c, x, v) -> tuple:
     s, m, _ = c.shape
     _check(x, s)
     _check(v, m)
-    entries, out = c.entries, [ZERO] * m
+    entries, out = entries_of(c), [ZERO] * m
     for b, xb in enumerate(x):
         if xb:
             for j, vj in enumerate(v):
@@ -159,7 +167,7 @@ def matmul(a, b) -> Matrix:
     (rows, inner), (_, cols) = a.shape, b.shape
     if b.shape[0] != inner:
         raise LinAlgError("no product of a %dx%d and a %dx%d matrix" % (*a.shape, *b.shape))
-    ea, eb = a.entries, b.entries
+    ea, eb = entries_of(a), entries_of(b)
     return Matrix((rows, cols), [sum((ea[i * inner + j] * eb[j * cols + k]
                                       for j in range(inner)), ZERO)
                                  for i in range(rows) for k in range(cols)])
@@ -168,7 +176,7 @@ def matmul(a, b) -> Matrix:
 def ref_kron(a, b) -> Matrix:
     """The Kronecker product, row-major: (a kron b)(u ox v) = au ox bv."""
     (ra, ca), (rb, cb) = a.shape, b.shape
-    ea, eb = a.entries, b.entries
+    ea, eb = entries_of(a), entries_of(b)
     return Matrix((ra * rb, ca * cb), [ea[i * ca + j] * eb[p * cb + q]
                                        for i in range(ra) for p in range(rb)
                                        for j in range(ca) for q in range(cb)])
