@@ -23,10 +23,12 @@ term once, so every error of a term is raised when a check is called, and
 returns an immutable CheckReport whose tree has a leaf per identity.  A
 leaf counts the index tuples of its planned shape and evaluates its
 identity (_evaluate: lhs - rhs summed in one Gaussian-integer accumulator,
-linalg._summed) once, when its verdict or witnesses first need it.  A
-report's count, verdict and witnesses are read from its tree: its verdict
-stops at the first failing identity, and a witness evaluates the sides
-and builds Scalars only when first read.
+linalg._summed) when its verdict or witnesses first need it, unless an
+equal leaf already did: one bounded memo (_MEMO), keyed by the identity's
+value and the witness limit, serves every caller.  A report's count,
+verdict and witnesses are read from its tree: its verdict stops at the
+first failing identity, and a witness evaluates the sides and builds
+Scalars only when first read.
 """
 
 from __future__ import annotations
@@ -204,8 +206,9 @@ class CheckReport:
     """A verdict, its instance count and the witnesses of its first
     violations, sorted by (identity, indices), each read from a tree of
     reports.  A leaf is one identity, plan = (Identity, limit, planned
-    terms): it counts the index tuples of the planned shape and evaluates
-    the identity (_evaluate) once, when first read.  Any other report holds
+    terms): it counts the index tuples of the planned shape, and its
+    witnesses are read from the memo by (Identity, limit), the identity
+    evaluated (_evaluate) when first read on a miss.  Any other report holds
     (prefix, CheckReport) parts in _sweep's order and sums their counts;
     its verdict stops at the first failing part, and its witnesses are
     theirs, renamed prefix.identity for a part with a prefix.  Copies made
@@ -234,9 +237,16 @@ class CheckReport:
 
     @cached_property
     def witnesses(self) -> tuple:
-        """A leaf's witnesses, or its parts', renamed, sorted and cut."""
+        """A leaf's witnesses, read from the memo or evaluated into it, or
+        its parts', renamed, sorted and cut."""
         if self.plan:
-            return tuple(_evaluate(*self.plan))
+            key = self.plan[:2]
+            found = _MEMO.get(key)
+            if found is None:
+                found = _MEMO[key] = tuple(_evaluate(*self.plan))
+                if len(_MEMO) > _MEMO_MAX:
+                    del _MEMO[next(iter(_MEMO))]
+            return found
         found = [w if prefix is None else w._replace(identity=prefix + "." + w.identity)
                  for prefix, report in self.parts for w in report.witnesses]
         found.sort(key=lambda w: w[:2])
@@ -297,6 +307,14 @@ def _side(terms, shape=None) -> Tensor:
     return _make(*_combine(terms)) if terms else Tensor.zero(*shape)
 
 
+# the witnesses of every evaluated leaf, oldest first, keyed by its value:
+# the identity (name, index labels, and each side's terms with their specs,
+# operand Tensors and coefficients) and the witness limit; a verdict is a
+# function of that key, so a failure is kept as a pass is
+_MEMO = {}
+_MEMO_MAX = 256
+
+
 def _evaluate(identity: Identity, limit: int, plan) -> list:
     """The Witnesses of the first `limit` index tuples where the two sides
     of identity differ, in index order.  plan is lhs - rhs as
@@ -330,6 +348,8 @@ def _sweep(name, identities=(), nested=(), per_identity=None) -> CheckReport:
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
     parts = [*nested]
     for identity in identities:
+        # sides as tuples: the identity is the leaf's memo key
+        identity = identity._replace(lhs=tuple(identity.lhs), rhs=tuple(identity.rhs))
         terms = [*identity.lhs, *(-t for t in identity.rhs)]
         for t in terms:
             if not t.spec.partition("->")[2].startswith(identity.index):
@@ -339,44 +359,16 @@ def _sweep(name, identities=(), nested=(), per_identity=None) -> CheckReport:
     return CheckReport(name, tuple(parts))
 
 
-# the preconditions that passed, as keys of (check, argument values), oldest first
-_PASSED = {}
-_PASSED_MAX = 64
-
-
-def _value(x):
-    """x as a gate key: an algebra or coalgebra by its type, dimension, field
-    and tables (its basis names decide no verdict), anything else as itself."""
-    if isinstance(x, _Tables):
-        return type(x), x.dim, x.field, tuple(sorted(x.tables.items()))
-    return x
-
-
 def _require(check, *args, message: str):
     """Establish a precondition: raise PreconditionError(message, report)
-    unless the report check(*args) passes.  A pass is remembered by the
-    value of (check, args), so a repeat with equal arguments runs nothing; a
-    failure is never remembered.  Only verdicts are kept, the last
-    _PASSED_MAX of them.  A function with a hypothesis calls this, then its
-    body; the body _f of a public f is for a caller that has the hypothesis
-    already, or that tests f's conclusion on data that may lack it."""
-    if (check, *map(_value, args)) in _PASSED:
-        return
-    report = _decide(check, *args)
+    unless the report check(*args) passes.  It keeps nothing: a repeat with
+    equal tables reads every leaf from the memo (_MEMO) and evaluates no
+    identity.  A function with a hypothesis calls this, then its body; the
+    body _f of a public f is for a caller that has the hypothesis already,
+    or that tests f's conclusion on data that may lack it."""
+    report = check(*args)
     if not report.passed:
         raise PreconditionError(message, report)
-
-
-def _decide(check, *args) -> CheckReport:
-    """The report check(*args), its pass remembered as _require remembers
-    one: for a caller that keeps the report and then establishes the same
-    precondition, so that its identities are evaluated once."""
-    report = check(*args)
-    if report.passed:
-        _PASSED[(check, *map(_value, args))] = None
-        if len(_PASSED) > _PASSED_MAX:
-            del _PASSED[next(iter(_PASSED))]
-    return report
 
 
 def _require_shape(m: Matrix, rows: int, cols: int, what: str):
@@ -503,7 +495,7 @@ def L_DENDRIFORM_IDENTITIES(alg: Algebra):
 
 def PRE_PP_IDENTITIES(alg: Algebra):
     se, ne, sw, nw, dot = (alg.table(op) for op in _QUARTERS)
-    rt, lt, br = map(_sub_adjacent_pp(alg).table, ("rtri", "ltri", "bracket"))
+    rt, lt, br = _sub_adjacent_tables(se, ne, sw, nw, dot)
     circ = rt + lt
     vee, wedge = se + sw, ne + nw
     sw_nw = sw + _swap(nw)          # x sw y + y nw x
@@ -643,7 +635,10 @@ def _transpose_pp(alg: Algebra) -> Algebra:
 
 
 def _sub_adjacent_pp(alg: Algebra) -> Algebra:
-    t = alg.table
-    return Algebra(alg.dim, alg.field, alg.basis, {
-        "rtri": t("se") + t("ne"), "ltri": t("sw") + t("nw"),
-        "bracket": t("dot") - _swap(t("dot"))})
+    tables = _sub_adjacent_tables(*map(alg.table, _QUARTERS))
+    return Algebra(alg.dim, alg.field, alg.basis, dict(zip(("rtri", "ltri", "bracket"), tables)))
+
+
+def _sub_adjacent_tables(se, ne, sw, nw, dot) -> tuple:
+    """The rtri, ltri and bracket tables of the pp algebra under a quarter-split."""
+    return se + ne, sw + nw, dot - _swap(dot)

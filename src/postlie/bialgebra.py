@@ -101,17 +101,10 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
     A comultiplication that is not co-Lie yields a failing report rather
     than an error.
     """
-    return _pp_coalgebra_reports(co, (mode,))[0]
-
-
-def _pp_coalgebra_reports(co: CoalgebraSpec, modes) -> list:
-    """check_pp_coalgebra in each mode, on one co-Lie check."""
     for name in COMAP_NAMES:
         co.table(name)
     colie = dataclasses.replace(check_lie_coalgebra(co), name="pp-coalgebra")
-    if not colie.passed:
-        return [colie] * len(modes)
-    return [_pp_coalgebra_mode(co, mode) for mode in modes]
+    return _pp_coalgebra_mode(co, mode) if colie.passed else colie
 
 
 def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:

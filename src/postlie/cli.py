@@ -112,7 +112,7 @@ def _pp_coalg(opts, co):
         raise UsageError("mode must be 'dual', 'direct' or 'both'")
     if mode != "both":
         return bi.check_pp_coalgebra(co, mode)
-    dual, direct = bi._pp_coalgebra_reports(co, ("dual", "direct"))
+    dual, direct = (bi.check_pp_coalgebra(co, mode) for mode in ("dual", "direct"))
     print(dual.render(_verbosity()))
     print(direct.render(_verbosity()))
     if dual.passed != direct.passed:

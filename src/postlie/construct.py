@@ -26,7 +26,6 @@ from .algebra import (
     Identity,
     PreconditionError,
     _curly,
-    _decide,
     _horizontal_post_lie,
     _require,
     _require_pp,
@@ -250,8 +249,8 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra):
                      maps.on_b, maps.on_a, _POST_LIE_PRODUCTS, _doubled_basis(a_pp))
     form = pairing_form(n)
 
-    try:     # its pass is remembered: check_gph requires it again
-        post_lie = _decide(check_post_lie, out)
+    try:     # check_gph requires it again and reads its leaves from the memo
+        post_lie = check_post_lie(out)
     except PreconditionError as exc:  # the bracket of the double is not Lie
         post_lie = exc.report
     nested = [("manin.post-lie", post_lie)]

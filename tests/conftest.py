@@ -22,10 +22,11 @@ def default_verbosity(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def empty_precondition_gate():
-    """Every test starts with no precondition remembered as passed, so the
-    identities a test sees evaluated do not depend on the tests before it."""
-    algebra._PASSED.clear()
+def empty_verdict_memo():
+    """Every test starts with no evaluated identity in the verdict memo
+    (algebra._MEMO), so the identities a test sees evaluated do not depend
+    on the tests before it."""
+    algebra._MEMO.clear()
 
 
 @pytest.fixture

@@ -185,9 +185,10 @@ def test_a7_evaluates_no_witness_side(monkeypatch):
     result, = run_acceptance(names=("A7",))
     assert result.passed
     assert sides == []
-    # horizontal(sl2_pp) equals sl2_postlie, and the precondition gate runs
-    # each Lie and post-Lie precondition once per value
-    assert len(evaluated) == 87
+    # horizontal(sl2_pp) equals sl2_postlie, and the verdict memo evaluates
+    # each identity once per value: its 75 calls are the distinct leaves
+    assert len(evaluated) == 75
+    assert len({args[:2] for args in evaluated}) == 75
 
 
 def test_a6_draws_its_seeded_values_in_order():

@@ -746,10 +746,10 @@ def test_a_report_repr_leaves_out_its_planned_operands(ahat_pp):
 
 
 # ---------------------------------------------------------------------------
-# the precondition gate: each precondition runs once per value
+# the verdict memo: each leaf is evaluated once per value
 # ---------------------------------------------------------------------------
 
-def test_the_gate_remembers_a_pass_by_value(sl2_pp, evaluations):
+def test_the_memo_remembers_a_verdict_by_value(sl2_pp, evaluations):
     horizontal_post_lie(sl2_pp)
     assert {"lie.jacobi", "pp.5"} <= set(evaluations)
     evaluations.clear()
@@ -760,31 +760,92 @@ def test_the_gate_remembers_a_pass_by_value(sl2_pp, evaluations):
     assert evaluations == []
     ltri = sl2_pp.table("ltri")
     mutant = sl2_pp.with_op("ltri", _with_entries(ltri, {(1, 2, 3): ltri[0, 1, 2] + ONE}))
-    for _ in range(3):      # a failure is never remembered
+    seen = []
+    for _ in range(3):      # a failure is remembered as a pass is
         evaluations.clear()
         with pytest.raises(PreconditionError, match="^not a pp-post-Lie algebra$") as caught:
             horizontal_post_lie(mutant)
         report = caught.value.report
-        assert report.name == "pp-post-lie" and not report.passed and report.witnesses
-        assert "pp.1" in evaluations
-
-
-def test_the_gate_holds_at_most_its_bound(evaluations):
-    # one-dimensional post-Lie algebras x o x = k x with a zero bracket:
-    # each sub-adjacent call establishes two preconditions
-    zero = Tensor.zero(1, 1, 1)
-    algs = [Algebra(1, ops={"circ": Tensor((1, 1, 1), [k]), "bracket": zero})
-            for k in range(algebra._PASSED_MAX)]
-    for alg in algs:
-        sub_adjacent_lie(alg)
-        assert len(algebra._PASSED) <= algebra._PASSED_MAX
-    assert len(algebra._PASSED) == algebra._PASSED_MAX
-    # the oldest pass was dropped first: it runs again, the newest does not
-    evaluations.clear()
-    sub_adjacent_lie(algs[-1])
+        assert report.name == "pp-post-lie" and not report.passed
+        seen.append(violations(report))
+        assert seen[-1] == seen[0] != ()
+        assert ("pp.1" in evaluations) is (len(seen) == 1)
     assert evaluations == []
-    sub_adjacent_lie(algs[0])
-    assert evaluations == ["lie.antisym", "lie.jacobi", "postlie.1", "postlie.2"]
+
+
+def test_the_memo_holds_at_most_its_bound(evaluations):
+    def leaf(k):    # a fresh one-identity report, which passes for k = 0 only
+        return algebra._sweep("memo", [Identity("memo", "i", [term("i->i", Tensor((1,), [k]))])])
+
+    bound = algebra._MEMO_MAX
+    for k in range(bound + 1):
+        assert leaf(k).passed is (k == 0)
+        assert len(algebra._MEMO) == min(k + 1, bound)
+    assert len(evaluations) == bound + 1
+    # the oldest entry was dropped first: it is evaluated again, and the
+    # next oldest and the newest are not
+    evaluations.clear()
+    assert not leaf(bound).passed and not leaf(1).passed
+    assert evaluations == []
+    assert leaf(0).passed
+    assert evaluations == ["memo"]
+
+
+def _differing_leaves():
+    """Pairs of identities equal in all but one part of the memo key."""
+    m, other = Tensor((2, 2), [1, 2, 0, 3]), Tensor((2, 2), [1, 2, 0, 4])
+    t, u = term("ij->ij", m), term("ij->ij", other)
+    return {
+        "name": (Identity("a", "ij", [t]), Identity("b", "ij", [t])),
+        "index labels": (Identity("a", "ij", [t]), Identity("a", "i", [t])),
+        "spec": (Identity("a", "ij", [t]), Identity("a", "ij", [term("ji->ij", m)])),
+        "coefficient": (Identity("a", "ij", [t], [t]),
+                        Identity("a", "ij", [t], [Term("ij->ij", (m,), 2)])),
+        "side": (Identity("a", "ij", [t], [u]), Identity("a", "ij", [t, -u])),
+    }
+
+
+@pytest.mark.parametrize("part", list(_differing_leaves()))
+def test_leaves_that_differ_in_one_part_of_the_key_miss_the_memo(part, evaluations):
+    first, second = _differing_leaves()[part]
+    cold = violations(algebra._sweep("cold", [second]))
+    algebra._MEMO.clear()
+    violations(algebra._sweep("warm", [first]))
+    evaluations.clear()
+    assert violations(algebra._sweep("warm", [second])) == cold
+    assert evaluations == [second.name]
+
+
+def test_a_one_entry_mutant_misses_the_memo(sl2_pp, evaluations):
+    assert check_pp_post_lie(sl2_pp).passed
+    ltri = sl2_pp.table("ltri")
+    mutant = sl2_pp.with_op("ltri", _with_entries(ltri, {(2, 2, 2): ltri[1, 1, 1] + ONE}))
+    evaluations.clear()
+    report = check_pp_post_lie(mutant)
+    assert not report.passed and evaluations == ["pp.1"]
+
+
+def test_a_leaf_under_another_witness_limit_misses_the_memo(evaluations):
+    # the quasitriangularity check keeps one witness per identity
+    identity = Identity("limit", "ij", [term("ij->ij", Tensor.identity(3))])
+    every = algebra._sweep("limit", [identity])
+    one = algebra._sweep("limit", [identity], per_identity=1)
+    assert [w.indices for w in every.witnesses] == [(0, 0), (1, 1), (2, 2)]
+    assert [w.indices for w in one.witnesses] == [(0, 0)]
+    assert evaluations == ["limit", "limit"]
+
+
+def test_a_wrapped_precondition_shares_its_evaluations(sl2_postlie, kappa, evaluations,
+                                                       monkeypatch):
+    # a tracer wraps a checker in another function object; the memo is keyed
+    # by the identities it builds, not by the function that built them
+    from postlie import forms
+    check = forms.check_post_lie
+    monkeypatch.setattr(forms, "check_post_lie", lambda alg: check(alg))
+    sub_adjacent_lie(sl2_postlie)
+    assert forms.check_invariant_form(sl2_postlie, kappa).passed
+    assert [name for name in evaluations if name.startswith("postlie.")] == [
+        "postlie.1", "postlie.2"]
 
 
 def test_hom_embed_r_establishes_its_representation_once(final_prepp, final_P, evaluations):

@@ -99,17 +99,17 @@ def test_omega_cocycle_symmetric(sl2_postlie, kappa):
 
 
 def test_omega_cocycle_checks_post_lie_once(sl2_postlie, kappa, monkeypatch):
-    # the sub-adjacent bracket's precondition is the only post-Lie check
+    # the sub-adjacent bracket's precondition evaluates the post-Lie
+    # identities; the invariant form's reads them from the verdict memo
     import postlie.algebra
-    import postlie.forms
-    calls = []
-    check = postlie.algebra.check_post_lie
-    counting = lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs)
-    monkeypatch.setattr(postlie.algebra, "check_post_lie", counting)
-    monkeypatch.setattr(postlie.forms, "check_post_lie", counting)
+    names = []
+    evaluate = postlie.algebra._evaluate
+    monkeypatch.setattr(postlie.algebra, "_evaluate",
+                        lambda identity, *rest: names.append(identity.name)
+                        or evaluate(identity, *rest))
     omega, rep = omega_cocycle(sl2_postlie, kappa)
     assert rep.passed
-    assert len(calls) == 1
+    assert [name for name in names if name.startswith("postlie.")] == ["postlie.1", "postlie.2"]
 
 
 def test_omega_cocycle_nonsymmetric_on_abelian():

@@ -300,6 +300,24 @@ def test_transcripts_replay_in_one_process_in_any_order(inputs, goldens):
         assert seen.setdefault(argv, got) == got, argv
 
 
+def test_check_transcripts_repeat_on_a_warm_memo(inputs, goldens, monkeypatch):
+    """Every check case prints the same bytes with the same exit code when it
+    runs again in one process: the second run reads every identity from the
+    verdict memo and evaluates none."""
+    import postlie.algebra as algebra
+
+    evaluated = []
+    evaluate = algebra._evaluate
+    monkeypatch.setattr(algebra, "_evaluate",
+                        lambda *args: evaluated.append(args) or evaluate(*args))
+    for case in CASES:
+        if case[0] == "check":
+            assert transcript(case, inputs) == goldens[case_id(case)], case_id(case)
+            evaluated.clear()
+            assert transcript(case, inputs) == goldens[case_id(case)], case_id(case)
+            assert evaluated == [], case_id(case)
+
+
 def _rendered_reports(case, directory, monkeypatch):
     """Every CheckReport the CLI renders for case."""
     reports = []
