@@ -18,17 +18,23 @@ algebra identity sets (Lie, pre-Lie, post-Lie, pp-post-Lie, L-dendriform,
 pre-pp-post-Lie) are such lists over the structure tables: the identities
 are multilinear, so they hold everywhere if they hold on every tuple of
 basis vectors, and a nested product such as (x * y) o z is one einsum of
-two tables whose index axes run over those tuples.  _sweep plans every
-term once, so every error of a term is raised when a check is called, and
-returns an immutable CheckReport whose tree has a leaf per identity.  A
-leaf counts the index tuples of its planned shape and evaluates its
-identity (_evaluate: lhs - rhs summed in one Gaussian-integer accumulator,
+two tables whose index axes run over those tuples.  Each list is a family:
+a function of the tensors it reads (LIE_IDENTITIES(bracket), ...), so a
+check hands _sweep the family and its tensors.  _sweep builds the list and
+plans every term once per (family, tensors, witness limit), so every error
+of a term is raised when a check is first called, and keeps the plans in a
+bounded cache (_PLANS) by that key, the tensors compared by value: a check
+repeated on equal tables builds no table and plans no term.  It returns an
+immutable CheckReport whose tree has a leaf per identity.  A leaf counts
+the index tuples of its planned shape and evaluates its identity
+(_evaluate: lhs - rhs summed in one Gaussian-integer accumulator,
 linalg._summed) when its verdict or witnesses first need it, unless an
 equal leaf already did: one bounded memo (_MEMO), keyed by the identity's
-value and the witness limit, serves every caller.  A report's count,
-verdict and witnesses are read from its tree: its verdict stops at the
-first failing identity, and a witness evaluates the sides and builds
-Scalars only when first read.
+value and the witness limit, is the one store of verdicts and serves every
+caller, so a mutant that changes one table shares the leaves that do not
+read it.  A report's count, verdict and witnesses are read from its tree:
+its verdict stops at the first failing identity, and a witness evaluates
+the sides and builds Scalars only when first read.
 """
 
 from __future__ import annotations
@@ -157,14 +163,16 @@ class _Tables:
         return name in self.tables
 
     def table(self, name: str) -> Tensor:
-        self.require(name)
-        return self.tables[name]
+        return self.require(name)[0]
 
-    def require(self, *names):
+    def require(self, *names) -> tuple:
+        """The tables of names, in order; the first missing one is refused."""
         owner, noun, _ = self._words
+        tables = self.tables
         for name in names:
-            if not self.has(name):
+            if name not in tables:
                 raise UnknownOperationError("%s has no %s table %r" % (owner, noun, name), name)
+        return tuple(map(tables.__getitem__, names))
 
 
 @dataclass(frozen=True)
@@ -205,10 +213,12 @@ class Witness(NamedTuple):
 class CheckReport:
     """A verdict, its instance count and the witnesses of its first
     violations, sorted by (identity, indices), each read from a tree of
-    reports.  A leaf is one identity, plan = (Identity, limit, planned
-    terms): it counts the index tuples of the planned shape, and its
-    witnesses are read from the memo by (Identity, limit), the identity
-    evaluated (_evaluate) when first read on a miss.  Any other report holds
+    reports.  A leaf is one identity, its plan a _Leaf (Identity, limit,
+    planned terms): it counts the index tuples of the planned shape, and its
+    witnesses are read from the memo (_MEMO) by the plan's value, the
+    identity evaluated (_evaluate) when first read on a miss.  A plan is
+    shared by every leaf a repeated check builds (_sweep), the witnesses
+    never: they stay in the memo alone.  Any other report holds
     (prefix, CheckReport) parts in _sweep's order and sums their counts;
     its verdict stops at the first failing part, and its witnesses are
     theirs, renamed prefix.identity for a part with a prefix.  Copies made
@@ -219,13 +229,12 @@ class CheckReport:
 
     name: str
     parts: tuple = ()
-    plan: tuple = dataclasses.field(default=None, repr=False)
+    plan: "_Leaf" = dataclasses.field(default=None, repr=False)
 
     @property
     def checked(self) -> int:
         if self.plan:
-            identity, _, planned = self.plan
-            return _size(planned[0][:len(identity.index)])
+            return _size(self.plan.planned[0][:len(self.plan.identity.index)])
         return sum(report.checked for _, report in self.parts)
 
     @property
@@ -239,11 +248,11 @@ class CheckReport:
     def witnesses(self) -> tuple:
         """A leaf's witnesses, read from the memo or evaluated into it, or
         its parts', renamed, sorted and cut."""
-        if self.plan:
-            key = self.plan[:2]
-            found = _MEMO.get(key)
+        leaf = self.plan
+        if leaf:
+            found = _MEMO.get(leaf)
             if found is None:
-                found = _MEMO[key] = tuple(_evaluate(*self.plan))
+                found = _MEMO[leaf] = tuple(_evaluate(leaf.identity, leaf.limit, leaf.planned))
                 if len(_MEMO) > _MEMO_MAX:
                     del _MEMO[next(iter(_MEMO))]
             return found
@@ -307,10 +316,33 @@ def _side(terms, shape=None) -> Tensor:
     return _make(*_combine(terms)) if terms else Tensor.zero(*shape)
 
 
-# the witnesses of every evaluated leaf, oldest first, keyed by its value:
-# the identity (name, index labels, and each side's terms with their specs,
-# operand Tensors and coefficients) and the witness limit; a verdict is a
-# function of that key, so a failure is kept as a pass is
+@dataclass(frozen=True, eq=False)
+class _Leaf:
+    """The plan of a leaf report: an Identity (its sides tuples), the witness
+    limit and lhs - rhs as linalg._planned terms.  It is the leaf's memo
+    key, equal to a leaf of equal identity and limit (the planned terms
+    follow from them) and hashed once, so a plan the family cache hands out
+    again finds its witnesses without walking its terms."""
+
+    identity: Identity
+    limit: int
+    planned: tuple
+    _hash: int = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.identity, self.limit)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return (self.identity, self.limit) == (other.identity, other.limit)
+
+
+# the witnesses of every evaluated leaf, oldest first, keyed by its value
+# (_Leaf): the identity (name, index labels, and each side's terms with
+# their specs, operand Tensors and coefficients) and the witness limit; a
+# verdict is a function of that key, so a failure is kept as a pass is
 _MEMO = {}
 _MEMO_MAX = 256
 
@@ -339,31 +371,49 @@ def _evaluate(identity: Identity, limit: int, plan) -> list:
     return found
 
 
-def _sweep(name, identities=(), nested=(), per_identity=None) -> CheckReport:
+# the planned leaves of every family call, oldest first, keyed by its value:
+# the family, the tensors (compared by value) it reads and the witness
+# limit; a family is a function of that key, so a repeat plans nothing
+_PLANS = {}
+_PLANS_MAX = 128
+
+
+def _sweep(name, family, tensors: tuple, nested=(), per_identity=None) -> CheckReport:
     """The report whose parts are the nested (prefix, report) pairs, then a
-    leaf per identity (prefix None), keeping at most per_identity witnesses
-    of each identity.  Every term is planned and checked here, so every
-    error is raised by the call; an identity's entries are summed only when
-    the report's verdict or witnesses need them."""
+    leaf per identity of family(*tensors) (prefix None), keeping at most
+    per_identity witnesses of each identity.  The first call with a key
+    builds the identities and plans and checks every term, so every error
+    is raised by it; the plans are kept (_PLANS), so a repeat on equal
+    tensors builds no table and plans no term.  An identity's entries are
+    summed only when the report's verdict or witnesses need them, and its
+    witnesses are kept apart (_MEMO), by the leaf's value."""
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
-    parts = [*nested]
-    for identity in identities:
-        # sides as tuples: the identity is the leaf's memo key
-        identity = identity._replace(lhs=tuple(identity.lhs), rhs=tuple(identity.rhs))
-        terms = [*identity.lhs, *(-t for t in identity.rhs)]
-        for t in terms:
-            if not t.spec.partition("->")[2].startswith(identity.index):
-                raise ValueError("term %r does not lead with the index labels %r"
-                                 % (t.spec, identity.index))
-        parts.append((None, CheckReport(identity.name, plan=(identity, limit, _planned(terms)))))
-    return CheckReport(name, tuple(parts))
+    key = (family, tensors, limit)
+    plans = _PLANS.get(key)
+    if plans is None:
+        plans = []
+        for identity in family(*tensors):
+            # sides as tuples, so that the leaf can be hashed as its memo key
+            identity = identity._replace(lhs=tuple(identity.lhs), rhs=tuple(identity.rhs))
+            terms = [*identity.lhs, *(-t for t in identity.rhs)]
+            for t in terms:
+                if not t.spec.partition("->")[2].startswith(identity.index):
+                    raise ValueError("term %r does not lead with the index labels %r"
+                                     % (t.spec, identity.index))
+            plans.append(_Leaf(identity, limit, _planned(terms)))
+        plans = _PLANS[key] = tuple(plans)
+        if len(_PLANS) > _PLANS_MAX:
+            del _PLANS[next(iter(_PLANS))]
+    return CheckReport(name, (*nested, *((None, CheckReport(leaf.identity.name, plan=leaf))
+                                         for leaf in plans)))
 
 
 def _require(check, *args, message: str):
     """Establish a precondition: raise PreconditionError(message, report)
     unless the report check(*args) passes.  It keeps nothing: a repeat with
-    equal tables reads every leaf from the memo (_MEMO) and evaluates no
-    identity.  A function with a hypothesis calls this, then its body; the
+    equal tables reads its planned leaves from the family cache (_PLANS) and
+    their witnesses from the memo (_MEMO), so it builds no table, plans no
+    term and evaluates no identity.  A function with a hypothesis calls this, then its body; the
     body _f of a public f is for a caller that has the hypothesis already,
     or that tests f's conclusion on data that may lack it."""
     report = check(*args)
@@ -380,10 +430,11 @@ def _require_shape(m: Matrix, rows: int, cols: int, what: str):
 # ---------------------------------------------------------------------------
 # identity definitions
 #
-# The arguments x, y, z are the basis vectors e_i, e_j, e_k, l labels the
-# value and m the intermediate product.  A product whose argument is a sum,
-# such as the curly bracket {x, y} = x o y - y o x + [x, y], reads the table
-# of that sum, built per check from the operation tables with +, - and _swap.
+# Each family is a function of the tables it reads.  The arguments x, y, z
+# are the basis vectors e_i, e_j, e_k, l labels the value and m the
+# intermediate product.  A product whose argument is a sum, such as the
+# curly bracket {x, y} = x o y - y o x + [x, y], reads the table of that
+# sum, built by the family from its tables with +, - and _swap.
 # ---------------------------------------------------------------------------
 
 # the operations of a quarter-split
@@ -436,8 +487,7 @@ def _yx(first, second) -> Term:
     return term("jps,isq->ijpq", first, second)
 
 
-def LIE_IDENTITIES(alg: Algebra):
-    br = alg.table("bracket")
+def LIE_IDENTITIES(br: Tensor):
     return [
         Identity("lie.antisym", "ij", [term("ijl->ijl", br), term("jil->ijl", br)]),
         Identity("lie.jacobi", "ijk",
@@ -445,14 +495,12 @@ def LIE_IDENTITIES(alg: Algebra):
     ]
 
 
-def PRE_LIE_IDENTITIES(alg: Algebra, op="circ"):
-    o = alg.table(op)
+def PRE_LIE_IDENTITIES(o: Tensor):
     return [Identity("prelie.left-sym", "ijk", [_left(o, o, "ijk"), -_right(o, o, "ijk")],
                      [_left(o, o, "jik"), -_right(o, o, "jik")])]
 
 
-def POST_LIE_IDENTITIES(alg: Algebra):
-    o, br = alg.table("circ"), alg.table("bracket")
+def POST_LIE_IDENTITIES(o: Tensor, br: Tensor):
     return [
         Identity("postlie.1", "ijk", [_right(o, br, "ijk")],
                  [_left(br, o, "ijk"), _right(br, o, "jik")]),
@@ -461,8 +509,7 @@ def POST_LIE_IDENTITIES(alg: Algebra):
     ]
 
 
-def PP_IDENTITIES(alg: Algebra):
-    rt, lt, br = (alg.table(op) for op in ("rtri", "ltri", "bracket"))
+def PP_IDENTITIES(rt: Tensor, lt: Tensor, br: Tensor):
     circ = rt + lt                  # x |> y + x <| y
     bullet = rt - _swap(lt)         # x |> y - y <| x
     lt_sym = lt + _swap(lt)         # x <| y + y <| x
@@ -482,8 +529,7 @@ def PP_IDENTITIES(alg: Algebra):
     ]
 
 
-def L_DENDRIFORM_IDENTITIES(alg: Algebra):
-    rt, lt = alg.table("rtri"), alg.table("ltri")
+def L_DENDRIFORM_IDENTITIES(rt: Tensor, lt: Tensor):
     circ = rt + lt
     return [
         Identity("ldend.1", "ijk", [_left(lt, rt - _swap(lt), "ijk")],
@@ -493,8 +539,7 @@ def L_DENDRIFORM_IDENTITIES(alg: Algebra):
     ]
 
 
-def PRE_PP_IDENTITIES(alg: Algebra):
-    se, ne, sw, nw, dot = (alg.table(op) for op in _QUARTERS)
+def PRE_PP_IDENTITIES(se: Tensor, ne: Tensor, sw: Tensor, nw: Tensor, dot: Tensor):
     rt, lt, br = _sub_adjacent_tables(se, ne, sw, nw, dot)
     circ = rt + lt
     vee, wedge = se + sw, ne + nw
@@ -538,33 +583,33 @@ def PRE_PP_IDENTITIES(alg: Algebra):
 # ---------------------------------------------------------------------------
 
 def check_lie(alg: Algebra) -> CheckReport:
-    return _sweep("lie", LIE_IDENTITIES(alg))
+    return _sweep("lie", LIE_IDENTITIES, alg.require("bracket"))
 
 
 def check_pre_lie(alg: Algebra, op="circ") -> CheckReport:
-    return _sweep("pre-lie", PRE_LIE_IDENTITIES(alg, op))
+    return _sweep("pre-lie", PRE_LIE_IDENTITIES, alg.require(op))
 
 
 def check_post_lie(alg: Algebra) -> CheckReport:
-    alg.require("circ", "bracket")
+    tables = alg.require("circ", "bracket")
     _require(check_lie, alg, message="operation 'bracket' is not a Lie bracket")
-    return _sweep("post-lie", POST_LIE_IDENTITIES(alg))
+    return _sweep("post-lie", POST_LIE_IDENTITIES, tables)
 
 
 def check_pp_post_lie(alg: Algebra) -> CheckReport:
-    alg.require("rtri", "ltri", "bracket")
+    tables = alg.require("rtri", "ltri", "bracket")
     _require(check_lie, alg, message="operation 'bracket' is not a Lie bracket")
-    return _sweep("pp-post-lie", PP_IDENTITIES(alg))
+    return _sweep("pp-post-lie", PP_IDENTITIES, tables)
 
 
 def check_l_dendriform(alg: Algebra) -> CheckReport:
-    return _sweep("l-dendriform", L_DENDRIFORM_IDENTITIES(alg))
+    return _sweep("l-dendriform", L_DENDRIFORM_IDENTITIES, alg.require("rtri", "ltri"))
 
 
 def check_pre_pp_post_lie(alg: Algebra) -> CheckReport:
-    alg.require(*_QUARTERS)
+    tables = alg.require(*_QUARTERS)
     _require(check_pre_lie, alg, "dot", message="operation 'dot' is not pre-Lie")
-    return _sweep("pre-pp-post-lie", PRE_PP_IDENTITIES(alg))
+    return _sweep("pre-pp-post-lie", PRE_PP_IDENTITIES, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +680,7 @@ def _transpose_pp(alg: Algebra) -> Algebra:
 
 
 def _sub_adjacent_pp(alg: Algebra) -> Algebra:
-    tables = _sub_adjacent_tables(*map(alg.table, _QUARTERS))
+    tables = _sub_adjacent_tables(*alg.require(*_QUARTERS))
     return Algebra(alg.dim, alg.field, alg.basis, dict(zip(("rtri", "ltri", "bracket"), tables)))
 
 

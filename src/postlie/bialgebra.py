@@ -13,9 +13,10 @@ Operators on 2-tensors of the form M (x) id + id (x) N act as the
 sandwich M r + r N^T, which agrees with the row-major Kronecker matrix
 acting on the vectorised tensor (cross-checked in the test suite).  The
 matrices of multiplication by x are the actions of the pp adjoint
-representation, whose carriers are permuted tables built once per call;
-forms, which builds them, is imported only by the functions that use it,
-so the coalgebra checks load no representation code.
+representation, whose carriers are permuted tables built once per family
+(see algebra._sweep); forms, which builds them, is imported only by the
+functions that use it, so the coalgebra checks load no representation
+code.
 
 The coalgebra, bialgebra, Yang-Baxter and quasitriangularity checks are
 lists of whole-tensor equations (algebra.Identity) in the tables, the
@@ -89,7 +90,7 @@ def dualize_alg(alg: Algebra) -> CoalgebraSpec:
 def check_lie_coalgebra(co: CoalgebraSpec) -> CheckReport:
     """Co-antisymmetry and co-Jacobi, checked on the dual algebra."""
     only_delta = CoalgebraSpec(co.dim, co.field, co.basis, {"Delta": co.table("Delta")})
-    return _sweep("lie-coalgebra", nested=[("dual", check_lie(dualize(only_delta)))])
+    return CheckReport("lie-coalgebra", (("dual", check_lie(dualize(only_delta))),))
 
 
 def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
@@ -110,13 +111,14 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
 def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
     if mode == "dual":
         # the dual bracket is Lie: the co-Lie check just passed
-        dual = dualize(co)
-        pp = _sweep("pp-post-lie", PP_IDENTITIES(dual))
-        return _sweep("pp-coalgebra", nested=[("dual", pp)])
+        pp = _sweep("pp-post-lie", PP_IDENTITIES, dualize(co).require("rtri", "ltri", "bracket"))
+        return CheckReport("pp-coalgebra", (("dual", pp),))
     if mode != "direct":
         raise ValueError("mode must be 'dual' or 'direct'")
+    return _sweep("pp-coalgebra", _pp_coalgebra, co.require(*COMAP_NAMES))
 
-    rt, lt, De = (co.table(name) for name in COMAP_NAMES)
+
+def _pp_coalgebra(rt, lt, De) -> list:
     swap23 = lambda t: t.permute((0, 2, 1))
     circ = rt + lt
     bull = rt - swap23(lt)
@@ -127,7 +129,7 @@ def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
     first = lambda d1, d3: term("ksc,sab->kabc", d3, d1)
     second = lambda d2, d3: term("kas,sbc->kabc", d3, d2)
     swapped = lambda d2, d3: term("kbs,sac->kabc", d3, d2)
-    return _sweep("pp-coalgebra", [
+    return [
         Identity("ppco.1", "k", [second(De, lt)], [first(De, lt), swapped(De, lt)]),
         Identity("ppco.2a", "k", [second(lt_sym, De)]),
         Identity("ppco.2b", "k", [first(De, lt_sym)]),
@@ -138,7 +140,7 @@ def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
         Identity("ppco.5", "k", [first(circ, rt), -term("ksc,sba->kabc", rt, circ)],
                  [second(rt, rt), -swapped(rt, rt), -first(De, circ),
                   -second(lt, De), swapped(lt, De)]),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +176,33 @@ def check_lie_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """Lie algebra + Lie coalgebra + the adjoint cocycle condition on Delta."""
     _require_same_space(alg, co)
     nested = [("bialg.alg", check_lie(alg)), ("bialg.coalg", check_lie_coalgebra(co))]
-    br = alg.table("bracket")
-    return _sweep("lie-bialgebra", [_cocycle("bialg.cocycle", br, br.permute(LEFT),
-                                             co.table("Delta"))], nested)
+    return _sweep("lie-bialgebra", _lie_bialgebra, (alg.table("bracket"), co.table("Delta")),
+                  nested)
+
+
+def _lie_bialgebra(br, De) -> list:
+    return [_cocycle("bialg.cocycle", br, br.permute(LEFT), De)]
 
 
 def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
     """pp algebra + pp coalgebra + the nine mixed compatibility conditions."""
-    from .forms import pp_adjoint_rep
     _require_same_space(alg, co)
     nested = [("ppbialg.alg", check_pp_post_lie(alg)), ("ppbialg.coalg", check_pp_coalgebra(co))]
+    return _sweep("pp-bialgebra", _pp_bialgebra,
+                  (*alg.require("rtri", "ltri", "bracket"), *co.require(*COMAP_NAMES)), nested)
+
+
+def _pp_bialgebra(rt, lt, br, d_rt, d_lt, De) -> list:
+    from .forms import _pp_adjoint
     transpose = lambda t: t.permute((0, 2, 1))
-    rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
     circ = rt + lt
     bull = rt - _swap(lt)
     # the carriers of multiplication by x, and the comultiplications
-    lrt, rrt, llt, rlt, ad = pp_adjoint_rep(alg).carriers()
+    lrt, rrt, llt, rlt, ad = _pp_adjoint(rt, lt, br).carriers()
     lcirc, lbull, rcirc, rbull = lrt + llt, lrt - rlt, rrt + rlt, rrt - llt
-    d_rt, d_lt, De = (co.table(name) for name in COMAP_NAMES)
     d_circ = d_rt + d_lt
     d_bull = d_rt - transpose(d_lt)
-    return _sweep("pp-bialgebra", [
+    return [
         _cocycle("ppbialg.cocycle", br, ad, De),
         Identity("ppbialg.1", "ij", [_on(circ, De)],
                  [_xy(lcirc, De), _rhs(lbull, De), _rhs(ad, d_lt, True),
@@ -221,7 +229,7 @@ def check_pp_bialgebra(alg: Algebra, co: CoalgebraSpec) -> CheckReport:
                  [_on(lt, d_circ - transpose(d_circ) + De)],
                  [_rhs(llt, d_bull), _rhs(rlt, d_circ, True), -_xy(llt, transpose(d_bull)),
                   -_yx(rlt, transpose(d_circ))]),
-    ], nested)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +242,33 @@ def _yang_baxter_terms(first, r: Matrix, c12: Tensor, c23: Tensor) -> list:
     return [first, term("xa,bz,aby->xyz", r, r, c12), term("xa,yb,abz->xyz", r, r, c23)]
 
 
-def _cybe_C_terms(alg: Algebra, r: Matrix) -> list:
-    br = alg.table("bracket")
+def _cybe_C_terms(br: Tensor, r: Matrix) -> list:
     return _yang_baxter_terms(term("abx,ay,bz->xyz", br, r, r), r, br, br)
 
 
-def _cybe_D_terms(alg: Algebra, r: Matrix) -> list:
-    rt, lt = alg.table("rtri"), alg.table("ltri")
+def _cybe_D_terms(rt: Tensor, lt: Tensor, r: Matrix) -> list:
     return _yang_baxter_terms(term("abx,by,az->xyz", lt, r, r), r, rt - _swap(lt), rt + lt)
 
 
 def cybe_C(alg: Algebra, r: Matrix) -> Tensor:
     """[r12, r13] + [r12, r23] + [r13, r23] as an order-3 tensor."""
-    return _side(_cybe_C_terms(alg, r))
+    return _side(_cybe_C_terms(alg.table("bracket"), r))
 
 
 def cybe_D(alg: Algebra, r: Matrix) -> Tensor:
     """r13 <| r12 + r12 . r23 + r13 o r23 with the displayed slot placement."""
-    return _side(_cybe_D_terms(alg, r))
+    return _side(_cybe_D_terms(*alg.require("rtri", "ltri"), r))
 
 
 def check_pppcybe(alg: Algebra, r: Matrix) -> CheckReport:
     """r solves the equation iff both tensor obstructions vanish."""
     _require_shape(r, alg.dim, alg.dim, "tensor")
-    return _sweep("pppcybe", [Identity("cybe.c", "", _cybe_C_terms(alg, r)),
-                              Identity("cybe.d", "", _cybe_D_terms(alg, r))])
+    return _sweep("pppcybe", _pppcybe, (*alg.require("bracket", "rtri", "ltri"), r))
+
+
+def _pppcybe(br, rt, lt, r) -> list:
+    return [Identity("cybe.c", "", _cybe_C_terms(br, r)),
+            Identity("cybe.d", "", _cybe_D_terms(rt, lt, r))]
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +322,21 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     For antisymmetric solutions of the equation C(r) = D(r) = 0 every
     condition holds; the report names each failing condition otherwise.
     """
-    from .forms import pp_adjoint_rep
-    alg.require("rtri", "ltri", "bracket")
-    n = alg.dim
-    _require_shape(r, n, n, "tensor")
-    adj = pp_adjoint_rep(alg)
+    tables = alg.require("rtri", "ltri", "bracket")
+    _require_shape(r, alg.dim, alg.dim, "tensor")
+    # one witness per condition, its least, so the cap cannot hide a
+    # failing equation
+    return _sweep("quasitriangular", _quasitriangular, (*tables, r), per_identity=1)
+
+
+def _quasitriangular(rt, lt, br, r) -> list:
+    from .forms import _pp_adjoint
+    n = r.rows
+    adj = _pp_adjoint(rt, lt, br)
     lrt, rrt, llt, rlt, ad = adj.carriers()
-    rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
     swap23 = lambda t: t.permute((0, 2, 1))
     E, F, G = _efg(adj, r + r.transpose())
-    C, D = cybe_C(alg, r), cybe_D(alg, r)
+    C, D = _side(_cybe_C_terms(br, r)), _side(_cybe_D_terms(rt, lt, r))
     # over r = sum_i a_i (x) b_i: sum_aFb = sum_i a_i (x) F(b_i), and mid
     # also subtracts sum_i F(a_i)^T (x) b_i
     sum_aFb = einsum("xb,byz->xyz", r, F)
@@ -338,7 +353,7 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
     left_on_a = lambda m, x: term("wc,wat,ktb->kabc", r, m, x)
     left_t_on_a = lambda m, x: term("wc,wat,kbt->kabc", r, m, x)
     right_on_a = lambda x, m: term("wc,kat,wbt->kabc", r, x, m)
-    identities = [
+    return [
         Identity("quasi.colie.1", "k", [term("kpq->kpq", G)]),
         Identity("quasi.colie.2", "k", [on0(ad, C), on1(ad, C), on2(ad, C)]),
         Identity("quasi.coalg.1", "k", [on0(lrt + llt, C), on1(lrt + llt, C),
@@ -368,9 +383,6 @@ def check_quasitriangular_conditions(alg: Algebra, r: Matrix) -> CheckReport:
         Identity("quasi.inv.f", "k", [term("kpq->kpq", F)]),
         Identity("quasi.inv.g", "k", [term("kpq->kpq", G)]),
     ]
-    # one witness per condition, its least, so the cap cannot hide a
-    # failing equation
-    return _sweep("quasitriangular", identities, per_identity=1)
 
 
 # ---------------------------------------------------------------------------

@@ -156,22 +156,31 @@ def check_matched_pair(a: Algebra, b: Algebra, maps: MatchedPairMaps) -> CheckRe
     rep_b, rep_a = maps.acting_on(a, b)
     nested = [("mp.rep-a", check_post_lie_rep(a, rep_b)),
               ("mp.rep-b", check_post_lie_rep(b, rep_a))]
-    return _sweep("matched-pair", _mixed(("mp.01", "mp.02", "mp.05", "mp.06", "mp.09"),
-                                         b, rep_b, rep_a)
-                  + _mixed(("mp.03", "mp.04", "mp.07", "mp.08", "mp.10"), a, rep_a, rep_b),
-                  nested)
+    tables = [(*alg.require("circ", "bracket"), *rep.carriers())
+              for alg, rep in ((a, rep_a), (b, rep_b))]
+    return _sweep("matched-pair", _matched_pair, (*tables[0], *tables[1]), nested)
 
 
-def _mixed(names, b: Algebra, on_b: RepSpec, on_a: RepSpec) -> list:
+def _matched_pair(ca, bra, l2, r2, rho2, cb, brb, l, r, rho) -> list:
+    """The ten mixed compatibility equations of A (tables ca, bra) and B
+    (cb, brb) under the actions (l, r, rho) of A on B and (l2, r2, rho2) of
+    B on A."""
+    return (_mixed(("mp.01", "mp.02", "mp.05", "mp.06", "mp.09"), cb, brb, (l, r, rho),
+                   (l2, r2, rho2))
+            + _mixed(("mp.03", "mp.04", "mp.07", "mp.08", "mp.10"), ca, bra, (l2, r2, rho2),
+                     (l, r, rho)))
+
+
+def _mixed(names, cb, brb, on_b, on_a) -> list:
     """The five compatibility equations of the actions on_b (A on B) and
-    on_a (B on A) at x = e_i in A and u, v = e_j, e_k in B, valued in B
-    (index p): the actions of x on [u, v], u o v and {u, v} = u o v - v o u
-    + [u, v], each against the products of u and v with actions of x and
-    the actions of (actions of u and v on x) on v and u.  The other five
-    equations are these with A and B exchanged."""
-    cb, brb = b.table("circ"), b.table("bracket")
-    l, r, rho = on_b.carriers()
-    l2, r2, rho2 = on_a.carriers()
+    on_a (B on A), each a carrier triple (l, r, rho), at x = e_i in A and
+    u, v = e_j, e_k in B, valued in B (index p): the actions of x on
+    [u, v], u o v and {u, v} = u o v - v o u + [u, v], each against the
+    products of u and v with actions of x and the actions of (actions of u
+    and v on x) on v and u.  The other five equations are these with A and
+    B exchanged."""
+    l, r, rho = on_b
+    l2, r2, rho2 = on_a
     # the action of x on a product of u and v; the product of the action of
     # x on u (on v) with v (with u); the action of (an action of v (of u)
     # on x) on u (on v)
@@ -256,17 +265,23 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra):
     nested = [("manin.post-lie", post_lie)]
     if post_lie.passed:
         nested.append(("manin.gph", check_gph(out, form)))
-    # closure of the two halves (true by construction; validated anyway): a
-    # product of two basis vectors of one half has no part in the other, so
-    # that part, over all 2n basis vectors, must vanish.  Per half: its name,
-    # the embedding of its basis and the projection onto the other half
+    return out, form, _sweep("manin-triple", _closure, out.require("circ", "bracket"), nested)
+
+
+def _closure(circ, br) -> list:
+    """The closure of the two halves of A + A* (true by construction;
+    validated anyway): a product of two basis vectors of one half has no
+    part in the other, so that part, over all 2n basis vectors, must
+    vanish."""
+    n = circ.shape[0] // 2
     eye = Matrix.identity(n)
+    # per half: its name, the embedding of its basis and the projection
+    # onto the other half
     halves = [(name, Tensor.blocks((2 * n, n), [(eye, (start, 0))]),
                Tensor.blocks((2 * n, 2 * n), [(eye, (n - start, n - start))]))
               for name, start in (("manin.closure-a", 0), ("manin.closure-b", n))]
-    closure = [Identity(name, "ij", [term("ai,bj,abc,kc->ijk", e, e, out.table(op), other)])
-               for op in ("circ", "bracket") for name, e, other in halves]
-    return out, form, _sweep("manin-triple", closure, nested)
+    return [Identity(name, "ij", [term("ai,bj,abc,kc->ijk", e, e, table, other)])
+            for table in (circ, br) for name, e, other in halves]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,10 @@ Q(i) if and only if a section is.
 Tables and matrices are read straight into sparse Tensors over the lcm of
 their denominators by the integer scalar codec of :mod:`postlie.scalars`: a
 ``0`` token costs nothing, and each distinct token text is read once per
-document (its errors name the line of its first use).  Writing prints only
+document (its errors name the line of its first use).  The row offset of a
+table line's head, when it is in the writer's spacing, is read once per
+dimension and indices per line (_HEADS); any other head is checked on
+every read, so every error keeps its message and line.  Writing prints only
 the rows that hold a nonzero entry (all rows of a matrix), formatting each
 distinct entry of a Tensor once.  Neither builds a Scalar or a Fraction.
 """
@@ -248,7 +251,7 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
     and a row of n scalars per line) or a coalgebra (comap, three indices
     and one scalar per line), each read into an n x n x n Tensor."""
     per = n ** (3 - indices)
-    codes, tables = {}, {}
+    codes, tables, heads = {}, {}, _HEADS.setdefault((n, indices), {})
     usage = "%s : %s" % (" ".join("kij"[3 - indices:]),
                          "scalar" if indices == 3 else "%d scalars" % per)
     while True:
@@ -272,20 +275,12 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
             if line == "end":
                 break
             head, _, tail = line.partition(":")
-            idx = head.split()
             vals = tail.split()
-            if len(idx) != indices or len(vals) != per:
+            if len(vals) != per:
                 raise DocumentError("expected '%s'" % usage, lineno)
-            try:
-                idx = list(map(int, idx))
-            except ValueError:
-                raise DocumentError("bad basis index", lineno) from None
-            start = 0
-            for t in idx:
-                if not 0 < t <= n:
-                    raise DocumentError("basis index out of range", lineno)
-                start = start * n + t - 1
-            start *= per
+            start = heads.get(head)
+            if start is None:
+                start = _row(head, n, indices, heads, usage, lineno)
             if start in starts:     # a repeated line replaces the earlier one
                 for f in range(start, start + per):
                     values.pop(f, None)
@@ -297,6 +292,34 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
             raise DocumentError("unterminated %s block" % keyword)
         lines.pos = pos + 1
         tables[name] = _tensor((n, n, n), *_over_lcm(values))
+
+
+# per (dimension, indices per line): the first entry offset of the row of
+# each line head read so far in the writer's spacing ("1 2 " of "1 2 : ..."),
+# so at most n^indices heads per key
+_HEADS = {}
+
+
+def _row(head, n, indices, heads, usage, lineno) -> int:
+    """The first entry offset of the row a table line's head text names: its
+    indices, 1-based, a row of n^(3 - indices) entries each.  A head in the
+    writer's spacing is kept in heads."""
+    idx = head.split()
+    if len(idx) != indices:
+        raise DocumentError("expected '%s'" % usage, lineno)
+    try:
+        idx = list(map(int, idx))
+    except ValueError:
+        raise DocumentError("bad basis index", lineno) from None
+    start = 0
+    for t in idx:
+        if not 0 < t <= n:
+            raise DocumentError("basis index out of range", lineno)
+        start = start * n + t - 1
+    start *= n ** (3 - indices)
+    if head == " ".join(map(str, idx)) + " ":
+        heads[head] = start
+    return start
 
 
 def _parse_matrix_body(lines, kind, n, fieldname) -> Matrix:

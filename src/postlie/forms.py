@@ -11,8 +11,9 @@ use the dual basis, so the pairing matrix is the identity and every
 dualized action is the negated transpose, -c[i, b, a].
 
 Every checker here is a list of whole-tensor equations (algebra.Identity)
-in the tables, the carriers, the form B or the operator T, indexed by the
-basis tuples of its arguments: for instance B([x, y], z) = B(x, [y, z])
+in the tables, the carriers, the form B or the operator T, built by a
+family, a function of those tensors (see algebra._sweep), and indexed by
+the basis tuples of its arguments: for instance B([x, y], z) = B(x, [y, z])
 at (x, y, z) = (e_i, e_j, e_k) is ijc,ck->ijk of (bracket, B) against
 ia,jka->ijk of (B, bracket).
 """
@@ -76,16 +77,35 @@ __all__ = [
 # invariance of bilinear forms
 # ---------------------------------------------------------------------------
 
-def _invariance(alg: Algebra, B: Matrix, tag, circ_identity) -> list:
-    """B([x,y],z) = B(x,[y,z]) plus one circ identity of B, at (x, y, z) = (i, j, k),
-    on a post-Lie algebra."""
+def _invariance(alg: Algebra, B: Matrix) -> tuple:
+    """The tables (bracket, circ, B) of an invariance check of the form B on
+    a post-Lie algebra, B's shape and the precondition checked."""
     n = alg.dim
     _require_shape(B, n, n, "form")
     _require(check_post_lie, alg, message="not a post-Lie algebra")
-    br = alg.table("bracket")
-    return [Identity(tag + ".lie", "ijk", [term("ijc,ck->ijk", br, B)],
-                     [term("ia,jka->ijk", B, br)]),
-            circ_identity(alg.table("circ"), B)]
+    return (*alg.require("bracket", "circ"), B)
+
+
+def _bracket_invariance(tag, br, B) -> Identity:
+    """B([x,y],z) = B(x,[y,z]) at (x, y, z) = (i, j, k)."""
+    return Identity(tag + ".lie", "ijk", [term("ijc,ck->ijk", br, B)],
+                    [term("ia,jka->ijk", B, br)])
+
+
+def _invariant_form(br, c, B) -> list:
+    return [_bracket_invariance("inv", br, B), _cocycle(c, B)]
+
+
+def _gph(br, c, B) -> list:
+    # a degenerate form shows as lhs 0 against rhs 1
+    nondeg = Tensor((), [ONE if B.det() else ZERO])
+    return [Identity("form.sym", "", [term("ij->ij", B)], [term("ji->ij", B)]),
+            Identity("form.nondeg", "", [term("->", nondeg)], [term("->", Tensor((), [ONE]))]),
+            *_invariant_form(br, c, B)]
+
+
+def _left_invariant(br, c, B) -> list:
+    return [_bracket_invariance("leftinv", br, B), _left_invariance(c, B)]
 
 
 def _cocycle(c, B) -> Identity:
@@ -103,22 +123,17 @@ def _left_invariance(c, B) -> Identity:
 
 def check_invariant_form(alg: Algebra, B: Matrix) -> CheckReport:
     """Bracket associativity of B plus the circ two-sided cocycle identity."""
-    return _sweep("invariant-form", _invariance(alg, B, "inv", _cocycle))
+    return _sweep("invariant-form", _invariant_form, _invariance(alg, B))
 
 
 def check_gph(alg: Algebra, B: Matrix) -> CheckReport:
     """Nondegenerate symmetric invariant form on a post-Lie algebra."""
-    identities = _invariance(alg, B, "inv", _cocycle)
-    # a degenerate form shows as lhs 0 against rhs 1
-    nondeg = Tensor((), [ONE if B.det() else ZERO])
-    return _sweep("gph", [Identity("form.sym", "", [term("ij->ij", B)], [term("ji->ij", B)]),
-                          Identity("form.nondeg", "", [term("->", nondeg)],
-                                   [term("->", Tensor((), [ONE]))])] + identities)
+    return _sweep("gph", _gph, _invariance(alg, B))
 
 
 def check_left_invariant(alg: Algebra, B: Matrix) -> CheckReport:
     """Bracket-invariant B with B(x o y, z) = -B(y, x o z)."""
-    return _sweep("left-invariant", _invariance(alg, B, "leftinv", _left_invariance))
+    return _sweep("left-invariant", _left_invariant, _invariance(alg, B))
 
 
 def omega_cocycle(alg: Algebra, B: Matrix):
@@ -130,11 +145,14 @@ def omega_cocycle(alg: Algebra, B: Matrix):
     sub = sub_adjacent_lie(alg)  # its precondition is that alg is post-Lie
     _require(check_invariant_form, alg, B, message="form is not invariant")
     omega = B - B.transpose()
-    br = sub.table("bracket")
-    # omega([x,y], z) + omega([y,z], x) + omega([z,x], y) = 0
-    return omega, _sweep("omega-cocycle", [Identity("omega.cocycle", "ijk", [
+    return omega, _sweep("omega-cocycle", _omega_cocycle, (sub.table("bracket"), omega))
+
+
+def _omega_cocycle(br, omega) -> list:
+    """omega([x,y], z) + omega([y,z], x) + omega([z,x], y) = 0."""
+    return [Identity("omega.cocycle", "ijk", [
         term("ijc,ck->ijk", br, omega), term("jkc,ci->ijk", br, omega),
-        term("kic,cj->ijk", br, omega)])])
+        term("kic,cj->ijk", br, omega)])]
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +166,13 @@ def check_rota_baxter_lie(alg: Algebra, P: Matrix, weight: Scalar) -> CheckRepor
     _require(check_lie, alg, message="not a Lie algebra")
     if not isinstance(weight, Scalar):
         weight = Scalar(weight)
-    br = alg.table("bracket")
-    return _sweep("rota-baxter", [Identity(
-        "rb", "ij", [term("ai,bj,abk->ijk", P, P, br)],
-        [term("kc,ai,ajc->ijk", P, P, br), term("kc,bj,ibc->ijk", P, P, br),
-         term("kc,ijc->ijk", P.scale(weight), br)])])
+    return _sweep("rota-baxter", _rota_baxter, (P, alg.table("bracket"), weight))
+
+
+def _rota_baxter(P, br, weight) -> list:
+    return [Identity("rb", "ij", [term("ai,bj,abk->ijk", P, P, br)],
+                     [term("kc,ai,ajc->ijk", P, P, br), term("kc,bj,ibc->ijk", P, P, br),
+                      term("kc,ijc->ijk", P.scale(weight), br)])]
 
 
 def induced_post_lie(alg: Algebra, P: Matrix) -> Algebra:
@@ -240,22 +260,27 @@ def pp_split_dual_rep(alg: Algebra) -> RepSpec:
 
 def check_post_lie_rep(alg: Algebra, rep: RepSpec) -> CheckReport:
     _require(check_post_lie, alg, message="not a post-Lie algebra")
-    c, br = alg.table("circ"), alg.table("bracket")
-    l, r, rho = rep.over(alg)
-    return _sweep("post-lie-rep", [
+    return _sweep("post-lie-rep", _post_lie_rep, (*alg.require("circ", "bracket"), *rep.over(alg)))
+
+
+def _post_lie_rep(c, br, l, r, rho) -> list:
+    return [
         Identity("rep.lie", "ij", [_on(br, rho)], [_xy(rho, rho), -_yx(rho, rho)]),
         Identity("rep.1", "ij", [_on(c, rho)], [_xy(l, rho), -_yx(rho, l)]),
         Identity("rep.2", "ij", [_on(br, r)], [_xy(rho, r), -_yx(rho, r)]),
         Identity("rep.3", "ij", [_on(c, r)], [_xy(l, r), -_yx(r, l - r + rho)]),
         Identity("rep.4", "ij", [_on(_curly(c, br), l)], [_xy(l, l), -_yx(l, l)]),
-    ])
+    ]
 
 
 def pp_adjoint_rep(alg: Algebra) -> PPRepSpec:
     """(A; L_rt, R_rt, L_lt, R_lt, ad) on the pp algebra itself."""
-    rt, lt = alg.table("rtri"), alg.table("ltri")
+    return _pp_adjoint(*alg.require("rtri", "ltri", "bracket"))
+
+
+def _pp_adjoint(rt: Tensor, lt: Tensor, br: Tensor) -> PPRepSpec:
     return PPRepSpec(rt.permute(LEFT), rt.permute(RIGHT), lt.permute(LEFT), lt.permute(RIGHT),
-                     alg.table("bracket").permute(LEFT))
+                     br.permute(LEFT))
 
 
 def dual_pp_rep(alg: Algebra, rep: PPRepSpec, checked=True) -> PPRepSpec:
@@ -288,11 +313,13 @@ def check_pp_rep(alg: Algebra, rep: PPRepSpec) -> CheckReport:
 
 
 def _check_pp_rep(alg: Algebra, rep: PPRepSpec) -> CheckReport:
-    rt, lt, br = alg.table("rtri"), alg.table("ltri"), alg.table("bracket")
-    lr, rr, ll, rl, p = rep.over(alg)
+    return _sweep("pp-rep", _pp_rep, (*alg.require("rtri", "ltri", "bracket"), *rep.over(alg)))
+
+
+def _pp_rep(rt, lt, br, lr, rr, ll, rl, p) -> list:
     circ = rt + lt
     bullet = rt - _swap(lt)
-    return _sweep("pp-rep", [
+    return [
         Identity("pprep.lie", "ij", [_on(br, p)], [_xy(p, p), -_yx(p, p)]),
         Identity("pprep.01", "ij", [_on(br, rl)], [_xy(rl, p), -_yx(rl, p)]),
         Identity("pprep.02", "ij", [_xy(ll, p)], [_on(br, ll), -_yx(rl, p)]),
@@ -315,7 +342,7 @@ def _check_pp_rep(alg: Algebra, rep: PPRepSpec) -> CheckReport:
                   -_yx(rl, p), -_on(lt, p)]),
         Identity("pprep.10", "ij", [_on(_curly(circ, br), lr)],
                  [_xy(lr, lr), -_yx(lr, lr), _yx(p, ll), -_xy(p, ll), -_on(br, ll)]),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -341,36 +368,45 @@ def check_o_operator_pp(alg: Algebra, rep: PPRepSpec, T: Matrix) -> CheckReport:
 
 def _check_o_operator_pp(alg: Algebra, rep: PPRepSpec, T: Matrix) -> CheckReport:
     _require_shape(T, alg.dim, rep.dim, "operator")
-    l_rt, r_rt, l_lt, r_lt, rho = rep.over(alg)
-    return _sweep("o-operator", [
-        _o_operator("oop.1", alg.table("rtri"), l_rt, r_rt, T),
-        _o_operator("oop.2", alg.table("ltri"), l_lt, r_lt, T),
-        _o_operator("oop.3", alg.table("bracket"), rho, rho, T, -1),
-    ])
+    return _sweep("o-operator", _o_operator_pp,
+                  (*alg.require("rtri", "ltri", "bracket"), *rep.over(alg), T))
+
+
+def _o_operator_pp(rt, lt, br, l_rt, r_rt, l_lt, r_lt, rho, T) -> list:
+    return [_o_operator("oop.1", rt, l_rt, r_rt, T), _o_operator("oop.2", lt, l_lt, r_lt, T),
+            _o_operator("oop.3", br, rho, rho, T, -1)]
 
 
 def check_dual_p_o_operator(alg: Algebra, rep: RepSpec, T: Matrix) -> CheckReport:
     """T: V* -> A compatible with circ via (l* - r*) and with the bracket via rho*."""
     _require(check_post_lie_rep, alg, rep, message="not a post-Lie representation")
     _require_shape(T, alg.dim, rep.dim, "operator")
-    l, r, rho = map(dual_map, rep.over(alg))
-    br = alg.table("bracket")
-    return _sweep("dual-p-o-operator", [
-        _o_operator("dpo.1", alg.table("circ"), l - r, r, T, -1),
+    return _sweep("dual-p-o-operator", _dual_p_o_operator,
+                  (*alg.require("circ", "bracket"), *rep.over(alg), T))
+
+
+def _dual_p_o_operator(c, br, l, r, rho, T) -> list:
+    l, r, rho = map(dual_map, (l, r, rho))
+    return [
+        _o_operator("dpo.1", c, l - r, r, T, -1),
         Identity("dpo.2a", "ij", [term(_PRODUCT_OF_T, T, T, br)], [term(_T_LEFT, T, rho, T)]),
         Identity("dpo.2b", "ij", [term(_PRODUCT_OF_T, T, T, br)],
                  [-term(_T_RIGHT, T, rho, T)]),
-    ])
+    ]
 
 
 def check_strong(alg: Algebra, rep: RepSpec, T: Matrix) -> CheckReport:
     """Strength conditions making the induced dual-space products pp-post-Lie."""
     _require(check_dual_p_o_operator, alg, rep, T, message="not a dual p-O-operator")
     _require_shape(T, alg.dim, rep.dim, "operator")
-    _, r, rho = map(dual_map, rep.over(alg))
-    br = alg.table("bracket")
+    _, r, rho = rep.over(alg)
+    return _sweep("strong", _strong, (alg.table("bracket"), r, rho, T))
+
+
+def _strong(br, r, rho, T) -> list:
+    r, rho = dual_map(r), dual_map(rho)
     # with u, v, w = e_i, e_j, e_k in V* and the actions of T(u), T(v), T(w)
-    return _sweep("strong", [
+    return [
         # rho*(T u) v = -rho*(T v) u
         Identity("strong.1", "ij", [term("ai,apj->ijp", T, rho)],
                  [-term("bj,bpi->ijp", T, rho)]),
@@ -384,7 +420,7 @@ def check_strong(alg: Algebra, rep: RepSpec, T: Matrix) -> CheckReport:
         Identity("strong.3", "ijk", [term("ai,bj,abc,cqk->ijkq", T, T, br, rho),
                                      term("aj,bk,abc,cqi->ijkq", T, T, br, rho),
                                      term("ak,bi,abc,cqj->ijkq", T, T, br, rho)]),
-    ])
+    ]
 
 
 def pp_from_dual_p_o(alg: Algebra, rep: RepSpec, T: Matrix) -> Algebra:

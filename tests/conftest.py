@@ -24,9 +24,11 @@ def default_verbosity(monkeypatch):
 @pytest.fixture(autouse=True)
 def empty_verdict_memo():
     """Every test starts with no evaluated identity in the verdict memo
-    (algebra._MEMO), so the identities a test sees evaluated do not depend
-    on the tests before it."""
+    (algebra._MEMO) and no planned family in the family cache
+    (algebra._PLANS), so the identities a test sees built, planned or
+    evaluated do not depend on the tests before it."""
     algebra._MEMO.clear()
+    algebra._PLANS.clear()
 
 
 @pytest.fixture

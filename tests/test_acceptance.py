@@ -34,7 +34,7 @@ from postlie import (
     write_corpus,
 )
 from postlie.algebra import _side
-from postlie.forms import _cocycle, _invariance
+from postlie.forms import _invariance, _invariant_form
 from postlie.verify import (
     CRITERIA,
     CriterionResult,
@@ -96,7 +96,7 @@ def test_a3_invariant_forms_are_the_multiples_of_kappa(sl2_postlie, kappa):
     columns = []
     for a, b in itertools.product(range(n), repeat=2):
         unit = sparse((n, n), {a * n + b: sc(1)})
-        identities = _invariance(sl2_postlie, unit, "inv", _cocycle)
+        identities = _invariant_form(*_invariance(sl2_postlie, unit))
         columns.append([_sympy(x) for identity in identities
                         for x in (_side(identity.lhs) - _side(identity.rhs)).entries])
     space = sympy.Matrix(columns).T.nullspace()

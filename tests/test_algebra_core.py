@@ -492,14 +492,20 @@ def matrix_ldend():
     return Algebra(4, ops={"ltri": Tensor((4, 4, 4), entries), "rtri": _zero(4)})
 
 
+def _reading(family, *ops):
+    """The identities of family over the tables ops of an algebra."""
+    return lambda alg: family(*alg.require(*ops))
+
+
 # (set, the base: a fixture name or a function making it, its identities)
 SETS = [
-    ("lie", "sl2_lie", LIE_IDENTITIES),
-    ("pre-lie", "final_prepp", lambda a: PRE_LIE_IDENTITIES(a, "dot")),
-    ("post-lie", "sl2_postlie", POST_LIE_IDENTITIES),
-    ("pp-post-lie", "sl2_pp", PP_IDENTITIES),
-    ("l-dendriform", matrix_ldend, L_DENDRIFORM_IDENTITIES),
-    ("pre-pp-post-lie", "final_prepp", PRE_PP_IDENTITIES),
+    ("lie", "sl2_lie", _reading(LIE_IDENTITIES, "bracket")),
+    ("pre-lie", "final_prepp", _reading(PRE_LIE_IDENTITIES, "dot")),
+    ("post-lie", "sl2_postlie", _reading(POST_LIE_IDENTITIES, "circ", "bracket")),
+    ("pp-post-lie", "sl2_pp", _reading(PP_IDENTITIES, "rtri", "ltri", "bracket")),
+    ("l-dendriform", matrix_ldend, _reading(L_DENDRIFORM_IDENTITIES, "rtri", "ltri")),
+    ("pre-pp-post-lie", "final_prepp",
+     _reading(PRE_PP_IDENTITIES, "se", "ne", "sw", "nw", "dot")),
 ]
 
 
@@ -670,6 +676,15 @@ def test_reading_the_verdict_builds_no_witness(sl2_pp, request):
 # the verdict stops at the first failing identity; the rest wait for witnesses
 # ---------------------------------------------------------------------------
 
+def _sweep(name, *identities):
+    """The report of identities, as the family of a fresh function of no tensors."""
+    return algebra._sweep(name, lambda: identities, ())
+
+
+def _one_entry(t):
+    return [Identity("memo", "i", [term("i->i", t)])]
+
+
 @pytest.fixture
 def evaluations(monkeypatch):
     """The names of the identities algebra._evaluate evaluates, in order."""
@@ -686,7 +701,8 @@ def evaluations(monkeypatch):
 def test_the_verdict_evaluates_up_to_the_first_failing_identity(sl2_pp, evaluations):
     ltri = sl2_pp.table("ltri")
     mutant = sl2_pp.with_op("ltri", _with_entries(ltri, {(1, 1, 1): ltri[0, 0, 0] + ONE}))
-    names = [identity.name for identity in PP_IDENTITIES(sl2_pp)]
+    tables = sl2_pp.require("rtri", "ltri", "bracket")
+    names = [identity.name for identity in PP_IDENTITIES(*tables)]
     for alg, passed, first in ((mutant, False, names[:1]), (sl2_pp, True, names)):
         report = check_pp_post_lie(alg)     # its Lie precondition is read in the call
         evaluations.clear()
@@ -707,7 +723,7 @@ def test_every_error_is_raised_when_the_check_is_called(evaluations):
          LinAlgError, "terms differ in shape"),
     ]:
         with pytest.raises(error, match=message):
-            algebra._sweep("bad", [identity])
+            _sweep("bad", identity)
     assert evaluations == []
 
 
@@ -775,7 +791,7 @@ def test_the_memo_remembers_a_verdict_by_value(sl2_pp, evaluations):
 
 def test_the_memo_holds_at_most_its_bound(evaluations):
     def leaf(k):    # a fresh one-identity report, which passes for k = 0 only
-        return algebra._sweep("memo", [Identity("memo", "i", [term("i->i", Tensor((1,), [k]))])])
+        return algebra._sweep("memo", _one_entry, (Tensor((1,), [k]),))
 
     bound = algebra._MEMO_MAX
     for k in range(bound + 1):
@@ -808,11 +824,11 @@ def _differing_leaves():
 @pytest.mark.parametrize("part", list(_differing_leaves()))
 def test_leaves_that_differ_in_one_part_of_the_key_miss_the_memo(part, evaluations):
     first, second = _differing_leaves()[part]
-    cold = violations(algebra._sweep("cold", [second]))
+    cold = violations(_sweep("cold", second))
     algebra._MEMO.clear()
-    violations(algebra._sweep("warm", [first]))
+    violations(_sweep("warm", first))
     evaluations.clear()
-    assert violations(algebra._sweep("warm", [second])) == cold
+    assert violations(_sweep("warm", second)) == cold
     assert evaluations == [second.name]
 
 
@@ -827,9 +843,10 @@ def test_a_one_entry_mutant_misses_the_memo(sl2_pp, evaluations):
 
 def test_a_leaf_under_another_witness_limit_misses_the_memo(evaluations):
     # the quasitriangularity check keeps one witness per identity
-    identity = Identity("limit", "ij", [term("ij->ij", Tensor.identity(3))])
-    every = algebra._sweep("limit", [identity])
-    one = algebra._sweep("limit", [identity], per_identity=1)
+    # and the family cache keys its plans by the limit too
+    family = lambda: [Identity("limit", "ij", [term("ij->ij", Tensor.identity(3))])]
+    every = algebra._sweep("limit", family, ())
+    one = algebra._sweep("limit", family, (), per_identity=1)
     assert [w.indices for w in every.witnesses] == [(0, 0), (1, 1), (2, 2)]
     assert [w.indices for w in one.witnesses] == [(0, 0)]
     assert evaluations == ["limit", "limit"]
@@ -951,7 +968,7 @@ def _parity_identities(rng):
 @pytest.mark.parametrize("seed", range(6))
 def test_accumulation_matches_a_tensor_sum_per_term(seed):
     for identity, failing in _parity_identities(random.Random(seed)):
-        report = algebra._sweep(identity.name, [identity])
+        report = _sweep(identity.name, identity)
         count, found = report.checked, report.witnesses
         want_count, want = _reference(identity)
         assert count == want_count, identity.name

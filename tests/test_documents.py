@@ -22,7 +22,7 @@ from postlie import (Document, DocumentError, Matrix, Scalar, Tensor, corpus_doc
                      loads, save)
 from postlie.algebra import OPERATION_NAMES
 from postlie.bialgebra import COMAP_NAMES
-from postlie.documents import MATRIX_KINDS
+from postlie.documents import _HEADS, MATRIX_KINDS
 from vectors import row, sparse
 
 ZERO = Scalar(0)
@@ -382,3 +382,43 @@ def test_every_spelling_loads_as_the_reference_reads_it(data):
     doc = data.draw(any_documents())
     text = data.draw(spelled(doc))
     assert loads(text) == _reference_loads(text) == doc
+
+
+# ---------------------------------------------------------------------------
+# the reader's cache of line heads, per dimension and indices per line
+# ---------------------------------------------------------------------------
+
+def _algebra_text(n, *lines):
+    """An algebra document of dimension n whose 'op circ' block holds lines."""
+    basis = " ".join("e%d" % (i + 1) for i in range(n))
+    return "\n".join(["kind algebra", "field Q", "dim %d" % n, "basis " + basis, "op circ",
+                      *lines, "end", ""])
+
+
+def test_a_head_read_in_one_dimension_is_checked_again_in_another():
+    three = loads(_algebra_text(3, "3 3 : 0 0 1"))
+    assert three.body["circ"] == sparse((3, 3, 3), {26: Scalar(1)})
+    with pytest.raises(DocumentError, match=r"^line 7: basis index out of range$"):
+        loads(_algebra_text(2, "1 1 : 0 1", "3 3 : 0 1"))
+
+
+@pytest.mark.parametrize("spelling", [
+    ("1  2 : 0 5",),
+    ("1\t2 : 0 5",),
+    ("+1 2 : 0 5",),
+    ("1 +2: 0 5",),
+    ("1 2 : 7 7", "1  2 : 0 5"),       # the second line replaces the first
+    ("1 2 : 7 7", "1 2 : 0 5"),
+])
+def test_every_head_spelling_reads_the_row_it_names(spelling):
+    # read in dimension 3 and then 2: the same head names another offset
+    for n in (3, 2):
+        zeros = ["0"] * (n - 2)
+        want = sparse((n, n, n), {n + 1: Scalar(5)})      # e_1 o e_2 = 5 e_2
+        canonical = _algebra_text(n, " ".join(["1 2 : 0 5"] + zeros))
+        text = _algebra_text(n, *(" ".join([line] + zeros) for line in spelling))
+        assert loads(canonical).body["circ"] == loads(text).body["circ"] == want
+        # only heads in the writer's spacing are kept, so at most n^2 of them
+        heads = _HEADS[(n, 2)]
+        assert len(heads) <= n * n
+        assert all(h == " ".join(str(int(t)) for t in h.split()) + " " for h in heads)

@@ -1198,7 +1198,7 @@ def test_value_equal_offset_maps_share_one_table(sl2_lie):
     # the three Jacobi terms map onto the shared label alike, onto the output not
     br = sl2_lie.table("bracket")
     steps = [linalg._plan(t.spec, (br.shape, br.shape))[1][-1]
-             for t in algebra.LIE_IDENTITIES(sl2_lie)[1].lhs]
+             for t in algebra.LIE_IDENTITIES(br)[1].lhs]
     for side in (0, 1):
         assert len({id(step[side][0]) for step in steps}) == 1
         assert len({id(step[side][1]) for step in steps}) == 3
@@ -1213,7 +1213,7 @@ def test_a_sum_groups_each_right_part_once_per_table_pair(sl2_lie, monkeypatch):
                         grouped.append((part, side)) or real(part, side))
     br = sl2_lie.table("bracket")
     assert not br.im
-    jacobi = algebra.LIE_IDENTITIES(sl2_lie)[1].lhs
+    jacobi = algebra.LIE_IDENTITIES(br)[1].lhs
     assert linalg._make(*linalg._combine(jacobi)).is_zero()
     keys = [(id(part), id(by_shared), id(by_out)) for part, (by_shared, by_out) in grouped]
     assert len(keys) == len(set(keys)) == 3 and all(part is br.re for part, _ in grouped)

@@ -302,20 +302,26 @@ def test_transcripts_replay_in_one_process_in_any_order(inputs, goldens):
 
 def test_check_transcripts_repeat_on_a_warm_memo(inputs, goldens, monkeypatch):
     """Every check case prints the same bytes with the same exit code when it
-    runs again in one process: the second run reads every identity from the
-    verdict memo and evaluates none."""
+    runs again in one process: the second run reads every family's planned
+    identities from the family cache, plans no term (not even an einsum's)
+    and evaluates no identity, reading every verdict from the verdict memo."""
     import postlie.algebra as algebra
+    import postlie.linalg as linalg
 
-    evaluated = []
-    evaluate = algebra._evaluate
+    evaluated, planned = [], []
+    evaluate, plan = algebra._evaluate, linalg._planned
     monkeypatch.setattr(algebra, "_evaluate",
                         lambda *args: evaluated.append(args) or evaluate(*args))
+    for module in (algebra, linalg):
+        monkeypatch.setattr(module, "_planned",
+                            lambda terms: planned.append(terms) or plan(terms))
     for case in CASES:
         if case[0] == "check":
             assert transcript(case, inputs) == goldens[case_id(case)], case_id(case)
             evaluated.clear()
+            planned.clear()
             assert transcript(case, inputs) == goldens[case_id(case)], case_id(case)
-            assert evaluated == [], case_id(case)
+            assert evaluated == [] and planned == [], case_id(case)
 
 
 def _rendered_reports(case, directory, monkeypatch):
@@ -389,7 +395,7 @@ def _eager(report):
     every index tuple, the violations of a part with a prefix renamed
     prefix.identity, then sorted and cut to MAX_VIOLATIONS."""
     if report.plan:
-        identity, limit, _ = report.plan
+        identity, limit = report.plan.identity, report.plan.limit
         k, first = len(identity.index), (identity.lhs or identity.rhs)[0]
         shape = einsum(first.spec, *first.operands).shape
         lhs, rhs = (sum((einsum(t.spec, *t.operands).scale(Scalar(t.coef)) for t in side),
@@ -437,7 +443,7 @@ def test_a_report_counts_what_its_leaves_count(inputs, goldens, monkeypatch):
     for case, report in _failing_reports(inputs, goldens, monkeypatch):
         for node in _tree(report):
             if node.plan:
-                identity, _, _ = node.plan
+                identity = node.plan.identity
                 first = (identity.lhs or identity.rhs)[0]
                 shape = einsum(first.spec, *first.operands).shape
                 want = math.prod(shape[:len(identity.index)])

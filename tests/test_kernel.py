@@ -304,9 +304,9 @@ def assert_same(alg, name, monkeypatch):
     fails, the report it raises is the precondition's reference report.
     Returns the checker's report, or None."""
     monkeypatch.setattr(algebra, "MAX_VIOLATIONS", 10 ** 9)
-    _, checker, identities, closures, precondition = SETS[name]
+    ops, checker, identities, closures, precondition = SETS[name]
     want = reference(name, alg, closures(alg))
-    assert record(algebra._sweep(name, identities(alg))) == want
+    assert record(algebra._sweep(name, identities, alg.require(*ops))) == want
     if precondition is not None:
         pre, op = precondition
         pre_want = reference(pre, alg, SETS[pre][3](alg, op))
