@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -244,10 +243,14 @@ class CheckReport:
     def __bool__(self):
         return self.passed
 
-    @cached_property
+    @property
     def witnesses(self) -> tuple:
         """A leaf's witnesses, read from the memo or evaluated into it, or
-        its parts', renamed, sorted and cut."""
+        its parts', renamed, sorted and cut; kept in the instance __dict__
+        from the first read on (written once, with no lock)."""
+        found = self.__dict__.get("witnesses")
+        if found is not None:
+            return found
         leaf = self.plan
         if leaf:
             found = _MEMO.get(leaf)
@@ -255,11 +258,13 @@ class CheckReport:
                 found = _MEMO[leaf] = tuple(_evaluate(leaf.identity, leaf.limit, leaf.planned))
                 if len(_MEMO) > _MEMO_MAX:
                     del _MEMO[next(iter(_MEMO))]
-            return found
-        found = [w if prefix is None else w._replace(identity=prefix + "." + w.identity)
-                 for prefix, report in self.parts for w in report.witnesses]
-        found.sort(key=lambda w: w[:2])
-        return tuple(found[:MAX_VIOLATIONS])
+        else:
+            found = [w if prefix is None else w._replace(identity=prefix + "." + w.identity)
+                     for prefix, report in self.parts for w in report.witnesses]
+            found.sort(key=lambda w: w[:2])
+            found = tuple(found[:MAX_VIOLATIONS])
+        self.__dict__["witnesses"] = found
+        return found
 
     def render(self, limit=None) -> str:
         """The verdict line and the first `limit` witnesses (all for None);

@@ -30,7 +30,11 @@ written to the operands.  On full groups (dense tables) _packed instead
 packs each right group into one big integer of 64-bit slots and adds a
 whole row of products per left entry (Kronecker substitution), after
 proving that no slot's value can reach 2^63; where that is not proved, the
-real kernel runs, which is exact for numerators of any size.
+real kernel runs, which is exact for numerators of any size.  The rows of
+each numerator part leave as one block, unpacked by one struct call and
+placed by one gather (_gather, cached per layout like the offset tables)
+into a whole-output list, which a sum makes only when one of its pairs
+packs and whose nonzeros it reads once at the end.
 Determinants, rank, solving and inversion are views of one fraction-free
 elimination on the numerators, which reports singularity precisely.
 Scalars appear only at the edges: entries, indexing, repr and the value
@@ -44,6 +48,7 @@ import struct
 from collections import Counter
 from functools import lru_cache
 from math import gcd
+from operator import add, itemgetter
 
 from .scalars import ZERO, Scalar, _build, _coerce
 
@@ -509,6 +514,7 @@ def _real(left: dict, side, right: dict, out: dict, scale: int):
 _LEFT_FILL, _RIGHT_FILL = 8, 16
 _LANE = 64                      # bits per packed slot, read back as struct "q"
 _HALF = 1 << (_LANE - 1)        # a slot's bias; |slot value| < _HALF is proved
+_ZERO_LANE = bytes(_LANE // 8)  # the lane a gather reads where a block has no slot
 
 
 # The packed path (Kronecker substitution).  Number the distinct output
@@ -531,14 +537,19 @@ _HALF = 1 << (_LANE - 1)        # a slot's bias; |slot value| < _HALF is proved
 # the maxima over the operands' numerator dicts.  Only when that bound is
 # below 2^63 is anything packed: then value + 2^63 lies in [1, 2^64), so adding
 # the bias 2^63 to every slot of a row makes each slot one unsigned 64-bit
-# word, with no borrow or carry between slots, and every row unpacks exactly
-# with one to_bytes and one struct unpack.  Otherwise the caller runs the
-# scalar loop, which is exact for numerators of any size.  No float is used.
-def _packed(a, side, rights, b, re, im, scale) -> bool:
+# word, with no borrow or carry between slots, and every row converts exactly
+# with one to_bytes.  Otherwise the caller runs the scalar loop, which is
+# exact for numerators of any size.  No float is used.
+# The rows of a numerator part leave as one block: their bytes joined in
+# row order, unpacked by one struct call and placed by one gather (_gather)
+# into a whole-output list (_place), from which the sum's nonzero
+# numerators are read once at its end (_merged).
+def _packed(a, side, rights, b, whole, scale) -> bool:
     """Add scale times the contraction of the (re, im, _) operand a, read in
     place through the tables side, with the (re, im) part groupings rights
-    of the operand b into re and im by packed big-int rows, as _pair would;
-    False, adding nothing, when the slot bound is not proved."""
+    of the operand b into the whole-output lists whole (_place) by packed
+    big-int rows; False, adding nothing, when the slot bound is not
+    proved."""
     a_re, a_im = a[0], a[1]
     r_re, r_im = rights
     keys = r_re.keys() | r_im.keys()
@@ -586,40 +597,113 @@ def _packed(a, side, rights, b, re, im, scale) -> bool:
             p, (wr, wi), vr, vi = by_out[f], w, a_re.get(f, 0), a_im.get(f, 0)
             rows_re[p] = get_re(p, 0) + vr * wr - vi * wi
             rows_im[p] = get_im(p, 0) + vr * wi + vi * wr
-    # acc + bias holds value + 2^63 in each slot; xor with bias flips each
-    # slot's top bit, leaving the slot's value as a signed 64-bit word
-    m = len(qs)
-    bias = int.from_bytes(_HALF.to_bytes(_LANE // 8, "little") * m, "little")
-    unpack = struct.Struct("<%dq" % m).unpack
-    for rows, out in ((rows_re, re), (rows_im, im)):
-        get = out.get
-        for p, acc in rows.items():
-            lanes = unpack(((acc + bias) ^ bias).to_bytes(_LANE // 8 * m, "little"))
-            for k, x in zip(map(p.__add__, qs), lanes):
-                if x:
-                    out[k] = get(k, 0) + x
+    if not rows_re:
+        return True
+    # every row has a real part; acc + bias holds value + 2^63 in each
+    # slot, and xor with bias flips each slot's top bit, leaving the slot's
+    # value as a signed 64-bit word
+    rows = tuple(sorted(rows_re))
+    lo, gather = _gather(rows, tuple(qs))
+    width = _LANE // 8 * len(qs)
+    bias = int.from_bytes(_HALF.to_bytes(_LANE // 8, "little") * len(qs), "little")
+    layout = "<%dq" % (len(rows) * len(qs) + 1)
+    blocks = []
+    for part in (rows_re, rows_im):
+        block = None
+        if part:
+            get = part.get
+            chunks = [((get(p, 0) + bias) ^ bias).to_bytes(width, "little") for p in rows]
+            chunks.append(_ZERO_LANE)
+            block = gather(struct.unpack(layout, b"".join(chunks)))
+        blocks.append(block)
+    _place(whole, lo, blocks)
     return True
 
 
-def _pair(a, b, step, re, im, scale, groupings):
+_LANES = []     # the lane numbers 0, 1, .., one int object each for every gather
+
+
+@lru_cache(maxsize=64)
+def _gather(rows: tuple, slots: tuple) -> tuple:
+    """(lo, gather) placing a packed block of rows (sorted output offsets of
+    the left entries) times slots (those of the right groups): gather takes
+    the block's unpacked lanes, row i slot j at i * len(slots) + j, then one
+    0, to the tuple of values at the output offsets lo, lo + 1, ..,
+    rows[-1] + slots[-1], reading lane (i, j) at rows[i] + slots[j] and the
+    0 wherever the block has no slot.  The map is one-to-one, as a left and
+    a right output offset are over disjoint labels.  One operator.itemgetter
+    over that permutation, built once per layout and cached by it; its lane
+    numbers are shared (_LANES), so a cached gather costs one 8-byte slot
+    per output offset."""
+    size = len(rows) * len(slots)
+    if len(_LANES) <= size:
+        _LANES.extend(range(len(_LANES), size + 1))
+    lo = rows[0] + slots[0]
+    perm = [_LANES[size]] * (rows[-1] + slots[-1] + 1 - lo)
+    for lane, k in zip(_LANES, [p + q for p in rows for q in slots]):
+        perm[k - lo] = lane
+    if len(perm) == 1:
+        (k,) = perm
+        return lo, lambda lanes: (lanes[k],)
+    return lo, itemgetter(*perm)
+
+
+def _place(whole: list, lo: int, blocks) -> None:
+    """Add each gathered block of blocks (re, im; None for none), its values
+    at the output offsets lo, lo + 1, .., into its whole-output list of
+    whole, made on the first call (whole empty) and grown to every offset
+    placed."""
+    if not whole:
+        whole += [], []
+    for acc, block in zip(whole, blocks):
+        if block is None:
+            continue
+        if len(acc) <= lo:      # nothing placed there yet
+            acc += itertools.repeat(0, lo - len(acc))
+            acc += block
+            continue
+        hi = lo + len(block)
+        if len(acc) < hi:
+            acc += itertools.repeat(0, hi - len(acc))
+        acc[lo:hi] = map(add, acc[lo:hi], block)
+
+
+def _merged(whole: list, re: dict, im: dict) -> tuple:
+    """The nonzero numerators, as (re, im) dicts, of the whole-output lists
+    of whole with the dicts re and im added: each list's nonzeros read once,
+    by C-level compress."""
+    merged = []
+    for acc, part in zip(whole, (re, im)):
+        if part:
+            top = max(part) + 1
+            if len(acc) < top:
+                acc += itertools.repeat(0, top - len(acc))
+            for k, v in part.items():
+                acc[k] += v
+        merged.append(dict(zip(itertools.compress(range(len(acc)), acc),
+                                itertools.compress(acc, acc))))
+    return tuple(merged)
+
+
+def _pair(a, b, step, re, im, whole, scale, groupings):
     """Add scale times the contraction of two operands by a _step into the
-    dicts re and im, keyed by offset over its output labels; zero sums may
-    stay in them.  An operand is (re, im, tensor): its numerator dicts and
-    the input Tensor they are from, None for an intermediate.  The left
-    operand is read in place; each nonzero numerator part of the right one
-    is grouped, once per sum for an input (_grouping, groupings).  When the
-    groups are full (on average at least _LEFT_FILL left and _RIGHT_FILL
-    right real entries per right key, one O(1) comparison) the products go
-    through _packed, which adds whole rows by packed big-int arithmetic once
-    it has proved the slot bound; otherwise, or when the bound is not
-    proved, the Gaussian-integer product is at most four real ones (_real)
-    of nonzero parts: re * re and -im * im into re, re * im and im * re
-    into im."""
+    dicts re and im, keyed by offset over its output labels (zero sums may
+    stay in them), or into the whole-output lists whole.  An operand is
+    (re, im, tensor): its numerator dicts and the input Tensor they are
+    from, None for an intermediate.  The left operand is read in place;
+    each nonzero numerator part of the right one is grouped, once per sum
+    for an input (_grouping, groupings).  When the groups are full (on
+    average at least _LEFT_FILL left and _RIGHT_FILL right real entries per
+    right key, one O(1) comparison) the products go through _packed, which
+    adds whole rows by packed big-int arithmetic into whole once it has
+    proved the slot bound; otherwise, or when the bound is not proved, the
+    Gaussian-integer product is at most four real ones (_real) of nonzero
+    parts: re * re and -im * im into re, re * im and im * re into im."""
     side_a, side_b = step
     rights = [_grouping(b, part, side_b, groupings) if b[part] else {} for part in (0, 1)]
     keys = max(map(len, rights))
     if (len(a[0]) >= _LEFT_FILL * keys and len(b[0]) >= _RIGHT_FILL * keys
-            and _packed(a, side_a, rights, b, re, im, scale)):
+            and _packed(a, side_a, rights, b, whole, scale)):
         return
     r_re, r_im = rights
     for left, right, out, sign in ((a[0], r_re, re, 1), (a[1], r_im, re, -1),
@@ -688,13 +772,15 @@ def _plan(spec: str, shapes: tuple):
     return shape, how + [_step(*work, output, sizes)]
 
 
-def _accumulate(how, operands, re: dict, im: dict, scale: int, groupings: dict):
+def _accumulate(how, operands, re: dict, im: dict, whole: list, scale: int, groupings: dict):
     """Add scale times the numerators of the einsum that _plan planned as
     how, over the product of the operands' denominators, into the
-    {offset: int} dicts re and im.  The operands are contracted two at a
-    time in the plan's order, the groupings of right operands kept in
-    groupings (see _grouping); only nonzero entries are visited, and the
-    last pair adds straight into re and im."""
+    {offset: int} dicts re and im or the whole-output lists whole (see
+    _pair).  The operands are contracted two at a time in the plan's order,
+    the groupings of right operands kept in groupings (see _grouping); only
+    nonzero entries are visited, an intermediate that packs becomes its
+    dicts by _merged, and the last pair adds straight into re and im or
+    whole."""
     if len(operands) == 1:
         (t,) = operands
         _add_into(re, t.re, scale, how)
@@ -703,10 +789,12 @@ def _accumulate(how, operands, re: dict, im: dict, scale: int, groupings: dict):
     work = [(t.re, t.im, t) for t in operands]
     *steps, last = how
     for i, j, step in steps:
-        pair = ({}, {}, None)
-        _pair(work[i], work[j], step, pair[0], pair[1], 1, groupings)
+        pair, packed = ({}, {}, None), []
+        _pair(work[i], work[j], step, pair[0], pair[1], packed, 1, groupings)
+        if packed:
+            pair = (*_merged(packed, pair[0], pair[1]), None)
         work = [w for k, w in enumerate(work) if k != i and k != j] + [pair]
-    _pair(*work, last, re, im, scale, groupings)
+    _pair(*work, last, re, im, whole, scale, groupings)
 
 
 def _planned(terms) -> tuple:
@@ -730,15 +818,18 @@ def _planned(terms) -> tuple:
 
 def _summed(shape, den, parts) -> tuple:
     """(shape, den, re, im) of _planned terms: every term adds its scaled
-    numerators into one pair of {offset: int} dicts, returned without their
-    zeros (not reduced).  The terms share one memo of groupings for this
-    call: each numerator part of an input Tensor on the right of a pair is
-    grouped once per pair of offset tables, keyed by ids that stay valid
-    while parts holds the Tensors and their plans (intermediates, freed as
-    the call goes, are never keyed)."""
-    re, im, groupings = {}, {}, {}
+    numerators into one pair of {offset: int} dicts, or, for a last pair
+    that packs, into one pair of whole-output lists, made only then; the
+    numerators are returned without their zeros (not reduced).  The terms
+    share one memo of groupings for this call: each numerator part of an
+    input Tensor on the right of a pair is grouped once per pair of offset
+    tables, keyed by ids that stay valid while parts holds the Tensors and
+    their plans (intermediates, freed as the call goes, are never keyed)."""
+    re, im, whole, groupings = {}, {}, [], {}
     for how, operands, scale in parts:
-        _accumulate(how, operands, re, im, scale, groupings)
+        _accumulate(how, operands, re, im, whole, scale, groupings)
+    if whole:
+        return (shape, den, *_merged(whole, re, im))
     return shape, den, _nonzero(re), _nonzero(im)
 
 

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from postlie import algebra, corpus_doc, scalars
+from postlie import Algebra, Scalar, Tensor, algebra, corpus_doc, einsum, scalars
 
 
 def pytest_addoption(parser):
@@ -88,3 +90,19 @@ def r6():
 @pytest.fixture(scope="session")
 def final_cobrackets():
     return corpus_doc("final_cobrackets").to_coalgebra()
+
+
+@pytest.fixture(scope="session")
+def dense_ahat_pp(ahat_pp):
+    """ahat_pp in the basis f_a = sum_i g[a, i] e_i of a fixed dense g over
+    Q(i) with denominators: every table c becomes
+    c'[a, b, c] = sum g[a, i] g[b, j] c[i, j, k] g^-1[k, c]."""
+    n = ahat_pp.dim
+    g = Tensor((n, n), [Scalar(Fraction((a + 2 * i) % 5 - 2, 1 + (a * i) % 3),
+                               Fraction((2 * a + i) % 3 - 1, 2))
+                        for a in range(n) for i in range(n)])
+    assert g.det()
+    ginv = g.inverse()
+    return Algebra(n, "Q(i)", ahat_pp.basis, {
+        name: einsum("ai,bj,ijk,kc->abc", g, g, table, ginv)
+        for name, table in ahat_pp.ops.items()})

@@ -753,6 +753,27 @@ def test_a_renamed_report_evaluates_no_identity_again(evaluations):
     assert evaluations == []
 
 
+def test_a_second_read_of_the_witnesses_evaluates_nothing(evaluations, monkeypatch):
+    # a report keeps its witnesses after the first read: the second returns
+    # the same tuple, evaluates no identity and reads no memo entry
+    report = check_pp_post_lie(corpus_doc("sl2_pp_broken").to_algebra())
+    parts = [part for _, part in report.parts]
+    evaluations.clear()
+    first = report.witnesses
+    assert first and evaluations
+    evaluations.clear()
+    reads = []
+
+    class Memo(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+    monkeypatch.setattr(algebra, "_MEMO", Memo(algebra._MEMO))
+    assert report.witnesses is first
+    assert all(part.witnesses is part.witnesses for part in parts)
+    assert evaluations == [] and reads == []
+
+
 def test_a_report_repr_leaves_out_its_planned_operands(ahat_pp):
     """A failing assert on a report prints its repr: names and parts, not
     the operand tensors of every planned identity."""

@@ -11,7 +11,6 @@ from sympy.polys.matrices import DomainMatrix
 
 import postlie.linalg as linalg
 from postlie import (
-    Algebra,
     LinAlgError,
     Matrix,
     Scalar,
@@ -361,6 +360,95 @@ def test_packing_stops_exactly_at_the_slot_bound(monkeypatch, v, w, imaginary, p
     assert got == einsum("ij,jk->ik", a, b)
 
 
+# A packed pair's rows are placed by one gather into a whole-output list:
+# the intermediate of a chain, a sum whose other term runs the scalar loop
+# and blocks with empty rows or slots must land where the scalar loop puts
+# them.
+
+@st.composite
+def _full_operand(draw, shape, holes=None, imaginary=None):
+    """A tensor of small numerators over a drawn denominator, every real
+    part positive and the imaginary parts all zero or all nonzero (drawn
+    unless imaginary is given); with holes an axis, the entries at a drawn
+    set of its indices are zero.  The values come from a drawn seed."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if imaginary is None:
+        imaginary = draw(st.booleans())
+    den = draw(st.sampled_from([1, 2, 6]))
+    empty = set() if holes is None else draw(st.sets(st.integers(0, shape[holes] - 1),
+                                                     max_size=shape[holes] - 1))
+    return Tensor(shape, [0 if holes is not None and index[holes] in empty else
+                          Scalar(Fraction(rng.randint(1, 3), den),
+                                 Fraction(rng.choice((-3, -2, -1, 1, 2, 3)) if imaginary else 0,
+                                          den))
+                          for index in itertools.product(*map(range, shape))])
+
+
+def _unpacked(terms):
+    """The sum of the terms with the packed path off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_packed", lambda *args: False)
+        return linalg._make(*linalg._combine(terms))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_packed_intermediate_matches_the_scalar_loop(data):
+    # the first two operands contract first (a tie goes to the first pair)
+    # to a 16 x 16 intermediate whose real parts are sums of positive
+    # products, so both pairs are full at the packing fill
+    a = data.draw(_full_operand((16, 2), imaginary=False))
+    b, c = data.draw(_full_operand((2, 16))), data.draw(_full_operand((16, 16)))
+    terms = [("ij,jk,kl->il", [a, b, c], data.draw(st.sampled_from([1, -2])))]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _packed_calls(mp)
+        got = linalg._make(*linalg._combine(terms))
+    assert [(a[2] is None, b[2] is None, done) for a, b, _, done in calls] == [
+        (False, False, True), (False, True, True)]
+    assert got == _unpacked(terms)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_packed_and_a_scalar_term_sum_into_one_output(data):
+    # the full term packs into the whole-output list, the one with at most
+    # 7 left entries (below the fill of 8 per key) runs the scalar loop into
+    # the dicts, and the two are merged once
+    value = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
+    entries = data.draw(st.dictionaries(st.integers(0, 23), value, max_size=7))
+    few = Tensor((8, 3), [entries.get(f, 0) for f in range(24)])
+    terms = [("ij,jk->ki", [data.draw(_full_operand(shape)) for shape in ((8, 2), (2, 16))], 1),
+             ("ij,jk->ki", [few, data.draw(_full_operand((3, 16)))],
+              data.draw(st.sampled_from([1, -3])))]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _packed_calls(mp)
+        real = linalg._real
+        scalar = []
+        mp.setattr(linalg, "_real", lambda *args: scalar.append(args) or real(*args))
+        got = linalg._make(*linalg._combine(terms))
+    assert calls[0][-1] is True and len(calls) == 1
+    assert scalar or few.is_zero()
+    assert got == _unpacked(terms)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_packed_blocks_with_empty_rows_or_slots_match_the_scalar_loop(data):
+    # zero rows of the left operand leave rows out of the block and zero
+    # columns of the right one leave slots out, so the gather reads its 0
+    # there; the output axes run in either order
+    spec = data.draw(st.sampled_from(["ij,jk->ik", "ij,jk->ki", "aij,jk->kai"]))
+    left = (3, 4, 2) if spec.startswith("a") else (4, 2)
+    terms = [(spec, [data.draw(_full_operand(left, holes=len(left) - 2)),
+                     data.draw(_full_operand((2, 5), holes=1))],
+              data.draw(st.sampled_from([1, -1, 2])))]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _packed_calls(mp)
+        got = _contract(terms, mp, packed=True)
+    assert [done for *_, done in calls] == [True]
+    assert got == _unpacked(terms)
+
+
 # matrix-product specs, each with its reference on vectors.matmul: the
 # transposes read the operands through other offset tables, and the chain
 # contracts an intermediate
@@ -421,22 +509,9 @@ def test_contraction_by_parts_matches_the_entry_reference(terms, packed):
         assert _contract(terms, mp, packed) == want
 
 
-def _change_of_basis(alg: Algebra, g: Matrix) -> Algebra:
-    """alg in the basis f_a = sum_i g[a, i] e_i: every table c becomes
-    c'[a, b, c] = sum g[a, i] g[b, j] c[i, j, k] g^-1[k, c]."""
-    ginv = g.inverse()
-    return Algebra(alg.dim, "Q(i)", alg.basis, {
-        name: einsum("ai,bj,ijk,kc->abc", g, g, table, ginv) for name, table in alg.ops.items()})
-
-
-def test_a_dense_change_of_basis_keeps_every_verdict(ahat_pp, monkeypatch):
+def test_a_dense_change_of_basis_keeps_every_verdict(ahat_pp, dense_ahat_pp, monkeypatch):
     # a fixed dense change of basis over Q(i), with denominators
-    n = ahat_pp.dim
-    g = Tensor((n, n), [Scalar(Fraction((a + 2 * i) % 5 - 2, 1 + (a * i) % 3),
-                               Fraction((2 * a + i) % 3 - 1, 2))
-                        for a in range(n) for i in range(n)])
-    assert g.det()
-    dense = _change_of_basis(ahat_pp, g)
+    n, dense = ahat_pp.dim, dense_ahat_pp
     assert all(5 * len(t.re) > 4 * n ** 3 for t in dense.ops.values())
     calls = _packed_calls(monkeypatch)
     for check in (check_pp_post_lie, lambda alg: check_pp_rep(alg, pp_adjoint_rep(alg))):
