@@ -22,19 +22,19 @@ two tables whose index axes run over those tuples.  Each list is a family:
 a function of the tensors it reads (LIE_IDENTITIES(bracket), ...), so a
 check hands _sweep the family and its tensors.  _sweep builds the list and
 plans every term once per (family, tensors, witness limit), so every error
-of a term is raised when a check is first called, and keeps the plans in a
-bounded cache (_PLANS) by that key, the tensors compared by value: a check
-repeated on equal tables builds no table and plans no term.  It returns an
-immutable CheckReport whose tree has a leaf per identity.  A leaf counts
-the index tuples of its planned shape and evaluates its identity
-(_evaluate: lhs - rhs summed in one Gaussian-integer accumulator,
+of a term is raised when a check is first called, and keeps the plans in
+the family cache (_plans) by that key, the tensors compared by value: a
+check repeated on equal tables builds no table and plans no term.  It
+returns an immutable CheckReport whose tree has a leaf per identity.  A
+leaf counts the index tuples of its planned shape and evaluates its
+identity (_evaluate: lhs - rhs summed in one Gaussian-integer accumulator,
 linalg._summed) when its verdict or witnesses first need it, unless an
-equal leaf already did: one bounded memo (_MEMO), keyed by the identity's
-value and the witness limit, is the one store of verdicts and serves every
-caller, so a mutant that changes one table shares the leaves that do not
-read it.  A report's count, verdict and witnesses are read from its tree:
-its verdict stops at the first failing identity, and a witness evaluates
-the sides and builds Scalars only when first read.
+equal leaf already did: the verdict memo (_witnesses), keyed by the
+identity's value and the witness limit, is the one store of verdicts and
+serves every caller, so a mutant that changes one table shares the leaves
+that do not read it.  A report's count, verdict and witnesses are read
+from its tree: its verdict stops at the first failing identity, and a
+witness evaluates the sides and builds Scalars only when first read.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .linalg import LinAlgError, Matrix, Tensor, _combine, _make, _planned, _size, _summed
+from .linalg import LinAlgError, Matrix, Tensor, _cached, _combine, _make, _planned, _size, _summed
 
 __all__ = [
     "OPERATION_NAMES",
@@ -214,17 +214,15 @@ class CheckReport:
     violations, sorted by (identity, indices), each read from a tree of
     reports.  A leaf is one identity, its plan a _Leaf (Identity, limit,
     planned terms): it counts the index tuples of the planned shape, and its
-    witnesses are read from the memo (_MEMO) by the plan's value, the
-    identity evaluated (_evaluate) when first read on a miss.  A plan is
-    shared by every leaf a repeated check builds (_sweep), the witnesses
-    never: they stay in the memo alone.  Any other report holds
-    (prefix, CheckReport) parts in _sweep's order and sums their counts;
-    its verdict stops at the first failing part, and its witnesses are
-    theirs, renamed prefix.identity for a part with a prefix.  Copies made
-    with dataclasses.replace share the evaluated leaves.  A witness's sides
-    are evaluated when its sides() is called or render prints it, so
-    reading passed, checked, name or witnesses builds no Scalar.  Reports
-    are not compared by value: a witness holds a function."""
+    witnesses are read from the memo (_witnesses) by the plan's value, the
+    identity evaluated (_evaluate) when first read on a miss.  Any other
+    report holds (prefix, CheckReport) parts in _sweep's order and sums
+    their counts; its verdict stops at the first failing part, and its
+    witnesses are theirs, renamed prefix.identity for a part with a prefix.
+    Copies made with dataclasses.replace share the evaluated leaves.  A
+    witness's sides are evaluated when its sides() is called or render
+    prints it, so reading passed, checked, name or witnesses builds no
+    Scalar.  Reports are not compared by value: a witness holds a function."""
 
     name: str
     parts: tuple = ()
@@ -249,21 +247,11 @@ class CheckReport:
         its parts', renamed, sorted and cut; kept in the instance __dict__
         from the first read on (written once, with no lock)."""
         found = self.__dict__.get("witnesses")
-        if found is not None:
-            return found
-        leaf = self.plan
-        if leaf:
-            found = _MEMO.get(leaf)
-            if found is None:
-                found = _MEMO[leaf] = tuple(_evaluate(leaf.identity, leaf.limit, leaf.planned))
-                if len(_MEMO) > _MEMO_MAX:
-                    del _MEMO[next(iter(_MEMO))]
-        else:
-            found = [w if prefix is None else w._replace(identity=prefix + "." + w.identity)
-                     for prefix, report in self.parts for w in report.witnesses]
-            found.sort(key=lambda w: w[:2])
-            found = tuple(found[:MAX_VIOLATIONS])
-        self.__dict__["witnesses"] = found
+        if found is None:
+            found = self.__dict__["witnesses"] = _witnesses(self.plan) if self.plan else tuple(
+                sorted((w if prefix is None else w._replace(identity=prefix + "." + w.identity)
+                        for prefix, report in self.parts for w in report.witnesses),
+                       key=lambda w: w[:2])[:MAX_VIOLATIONS])
         return found
 
     def render(self, limit=None) -> str:
@@ -344,12 +332,12 @@ class _Leaf:
         return (self.identity, self.limit) == (other.identity, other.limit)
 
 
-# the witnesses of every evaluated leaf, oldest first, keyed by its value
-# (_Leaf): the identity (name, index labels, and each side's terms with
-# their specs, operand Tensors and coefficients) and the witness limit; a
-# verdict is a function of that key, so a failure is kept as a pass is
-_MEMO = {}
-_MEMO_MAX = 256
+@_cached(256)
+def _witnesses(leaf: _Leaf) -> tuple:
+    """The verdict memo: a leaf's witnesses, kept by its value (the identity,
+    its terms' specs, operand Tensors and coefficients, and the witness
+    limit), of which a verdict is a function: a failure is kept as a pass is."""
+    return tuple(_evaluate(leaf.identity, leaf.limit, leaf.planned))
 
 
 def _evaluate(identity: Identity, limit: int, plan) -> list:
@@ -376,49 +364,41 @@ def _evaluate(identity: Identity, limit: int, plan) -> list:
     return found
 
 
-# the planned leaves of every family call, oldest first, keyed by its value:
-# the family, the tensors (compared by value) it reads and the witness
-# limit; a family is a function of that key, so a repeat plans nothing
-_PLANS = {}
-_PLANS_MAX = 128
+@_cached(128)
+def _plans(family, tensors: tuple, limit: int) -> tuple:
+    """The family cache: a _Leaf per identity of family(*tensors), kept by
+    the family, the tensors (compared by value) and the witness limit, of
+    which the plans are a function; every call that meets an error raises it."""
+    plans = []
+    for identity in family(*tensors):
+        # sides as tuples, so that the leaf can be hashed as its memo key
+        identity = identity._replace(lhs=tuple(identity.lhs), rhs=tuple(identity.rhs))
+        terms = [*identity.lhs, *(-t for t in identity.rhs)]
+        for t in terms:
+            if not t.spec.partition("->")[2].startswith(identity.index):
+                raise ValueError("term %r does not lead with the index labels %r"
+                                 % (t.spec, identity.index))
+        plans.append(_Leaf(identity, limit, _planned(terms)))
+    return tuple(plans)
 
 
 def _sweep(name, family, tensors: tuple, nested=(), per_identity=None) -> CheckReport:
     """The report whose parts are the nested (prefix, report) pairs, then a
     leaf per identity of family(*tensors) (prefix None), keeping at most
-    per_identity witnesses of each identity.  The first call with a key
-    builds the identities and plans and checks every term, so every error
-    is raised by it; the plans are kept (_PLANS), so a repeat on equal
-    tensors builds no table and plans no term.  An identity's entries are
-    summed only when the report's verdict or witnesses need them, and its
-    witnesses are kept apart (_MEMO), by the leaf's value."""
+    per_identity witnesses of each identity.  The leaves are planned and
+    every term checked once per key (_plans), so a repeat on equal tensors
+    builds no table and plans no term; an identity's entries are summed only
+    when the report's verdict or witnesses first need them (_witnesses)."""
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
-    key = (family, tensors, limit)
-    plans = _PLANS.get(key)
-    if plans is None:
-        plans = []
-        for identity in family(*tensors):
-            # sides as tuples, so that the leaf can be hashed as its memo key
-            identity = identity._replace(lhs=tuple(identity.lhs), rhs=tuple(identity.rhs))
-            terms = [*identity.lhs, *(-t for t in identity.rhs)]
-            for t in terms:
-                if not t.spec.partition("->")[2].startswith(identity.index):
-                    raise ValueError("term %r does not lead with the index labels %r"
-                                     % (t.spec, identity.index))
-            plans.append(_Leaf(identity, limit, _planned(terms)))
-        plans = _PLANS[key] = tuple(plans)
-        if len(_PLANS) > _PLANS_MAX:
-            del _PLANS[next(iter(_PLANS))]
     return CheckReport(name, (*nested, *((None, CheckReport(leaf.identity.name, plan=leaf))
-                                         for leaf in plans)))
+                                         for leaf in _plans(family, tensors, limit))))
 
 
 def _require(check, *args, message: str):
     """Establish a precondition: raise PreconditionError(message, report)
-    unless the report check(*args) passes.  It keeps nothing: a repeat with
-    equal tables reads its planned leaves from the family cache (_PLANS) and
-    their witnesses from the memo (_MEMO), so it builds no table, plans no
-    term and evaluates no identity.  A function with a hypothesis calls this, then its body; the
+    unless the report check(*args) passes.  It keeps nothing: a repeat on
+    equal tables reads its leaves from _plans and their witnesses from
+    _witnesses.  A function with a hypothesis calls this, then its body; the
     body _f of a public f is for a caller that has the hypothesis already,
     or that tests f's conclusion on data that may lack it."""
     report = check(*args)

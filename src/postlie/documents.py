@@ -34,7 +34,7 @@ their denominators by the integer scalar codec of :mod:`postlie.scalars`: a
 ``0`` token costs nothing, and each distinct token text is read once per
 document (its errors name the line of its first use).  The row offset of a
 table line's head, when it is in the writer's spacing, is read once per
-dimension and indices per line (_HEADS); any other head is checked on
+dimension and indices per line (_heads); any other head is checked on
 every read, so every error keeps its message and line.  Writing prints only
 the rows that hold a nonzero entry (all rows of a matrix), formatting each
 distinct entry of a Tensor once.  Neither builds a Scalar or a Fraction.
@@ -47,7 +47,7 @@ from types import MappingProxyType
 
 from .algebra import (
     COMAP_NAMES, FIELDS, OPERATION_NAMES, Algebra, CoalgebraSpec, UnknownOperationError, _field_of)
-from .linalg import LinAlgError, Matrix, _over_lcm, _tensor
+from .linalg import LinAlgError, Matrix, _cached, _over_lcm, _tensor
 from .scalars import ScalarParseError, _read, _text
 
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
@@ -251,7 +251,7 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
     and a row of n scalars per line) or a coalgebra (comap, three indices
     and one scalar per line), each read into an n x n x n Tensor."""
     per = n ** (3 - indices)
-    codes, tables, heads = {}, {}, _HEADS.setdefault((n, indices), {})
+    codes, tables, heads = {}, {}, _heads(n, indices)
     usage = "%s : %s" % (" ".join("kij"[3 - indices:]),
                          "scalar" if indices == 3 else "%d scalars" % per)
     while True:
@@ -294,10 +294,11 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
         tables[name] = _tensor((n, n, n), *_over_lcm(values))
 
 
-# per (dimension, indices per line): the first entry offset of the row of
-# each line head read so far in the writer's spacing ("1 2 " of "1 2 : ..."),
-# so at most n^indices heads per key
-_HEADS = {}
+@_cached(32)
+def _heads(n: int, indices: int) -> dict:
+    """The first entry offset of the row of each line head in the writer's
+    spacing ("1 2 " of "1 2 : ...") that _row has read: at most n^indices."""
+    return {}
 
 
 def _row(head, n, indices, heads, usage, lineno) -> int:

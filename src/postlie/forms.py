@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import (
     FROM_RIGHT,
@@ -46,7 +45,7 @@ from .algebra import (
     sub_adjacent_lie,
     term,
 )
-from .linalg import LinAlgError, Matrix, Tensor, einsum
+from .linalg import LinAlgError, Matrix, Tensor, _cached, einsum
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -301,7 +300,7 @@ def pp_coadjoint_rep(alg: Algebra) -> PPRepSpec:
     return _coadjoint(*(alg.table(op) for op in ("rtri", "ltri", "bracket")))
 
 
-@lru_cache(maxsize=8)
+@_cached(8)
 def _coadjoint(rtri: Tensor, ltri: Tensor, bracket: Tensor) -> PPRepSpec:
     alg = Algebra(rtri.shape[0], ops={"rtri": rtri, "ltri": ltri, "bracket": bracket})
     return dual_pp_rep(alg, pp_adjoint_rep(alg), checked=False)

@@ -38,7 +38,7 @@ packs and whose nonzeros it reads once at the end.
 Determinants, rank, solving and inversion are views of one fraction-free
 elimination on the numerators, which reports singularity precisely.
 Scalars appear only at the edges: entries, indexing, repr and the value
-of det.
+of det.  Each process-wide cache is a registered lru_cache (_cached, _clear).
 """
 
 from __future__ import annotations
@@ -67,6 +67,23 @@ class LinAlgError(ValueError):
 
 class SingularMatrixError(LinAlgError):
     """Exact singularity detected while solving or inverting."""
+
+
+_CACHES = []    # every process-wide cache of the package, in the order made
+
+
+def _cached(maxsize: int):
+    """functools.lru_cache(maxsize), registered so that _clear empties it."""
+    def register(function):
+        _CACHES.append(lru_cache(maxsize=maxsize)(function))
+        return _CACHES[-1]
+    return register
+
+
+def _clear():
+    """Empty every process-wide cache of the package (_cached)."""
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +137,7 @@ def _make(shape, den, re, im) -> "Tensor":
     return _tensor(shape, den, re, im)
 
 
-@lru_cache(maxsize=1024)
+@_cached(1024)
 def _table(axes, size: int) -> list:
     """The offset table of the (stride, extent, weight) axes of a row-major
     shape of the given size: the list t with t[f] = sum of f // s % n * w
@@ -147,7 +164,7 @@ def _strides(shape) -> list:
     return [_size(shape[a + 1:]) for a in range(len(shape))]
 
 
-@lru_cache(maxsize=1024)
+@_cached(1024)
 def _permutation(shape: tuple, axes: tuple) -> tuple:
     """(shape, offset table) of permuting the axes of a tensor of shape:
     axis k of the result is axis axes[k]."""
@@ -623,7 +640,7 @@ def _packed(a, side, rights, b, whole, scale) -> bool:
 _LANES = []     # the lane numbers 0, 1, .., one int object each for every gather
 
 
-@lru_cache(maxsize=64)
+@_cached(64)
 def _gather(rows: tuple, slots: tuple) -> tuple:
     """(lo, gather) placing a packed block of rows (sorted output offsets of
     the left entries) times slots (those of the right groups): gather takes
@@ -712,7 +729,7 @@ def _pair(a, b, step, re, im, whole, scale, groupings):
             _real(left, side_a, right, out, sign * scale)
 
 
-@lru_cache(maxsize=1024)
+@_cached(1024)
 def _plan(spec: str, shapes: tuple):
     """What einsum needs of spec and the operand shapes alone: the output
     shape, and how to contract.  For one operand that is the offset table

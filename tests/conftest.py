@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import Algebra, Scalar, Tensor, algebra, corpus_doc, einsum, scalars
+from postlie import Algebra, Scalar, Tensor, corpus_doc, einsum, linalg, scalars
 
 
 def pytest_addoption(parser):
@@ -24,13 +24,12 @@ def default_verbosity(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def empty_verdict_memo():
-    """Every test starts with no evaluated identity in the verdict memo
-    (algebra._MEMO) and no planned family in the family cache
-    (algebra._PLANS), so the identities a test sees built, planned or
-    evaluated do not depend on the tests before it."""
-    algebra._MEMO.clear()
-    algebra._PLANS.clear()
+def empty_caches():
+    """Every test starts with every process-wide cache empty (linalg._clear):
+    no evaluated identity in the verdict memo, no planned family, einsum
+    plan, offset table or gather, so what a test sees built, planned or
+    evaluated does not depend on the tests before it."""
+    linalg._clear()
 
 
 @pytest.fixture

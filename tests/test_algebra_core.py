@@ -753,7 +753,7 @@ def test_a_renamed_report_evaluates_no_identity_again(evaluations):
     assert evaluations == []
 
 
-def test_a_second_read_of_the_witnesses_evaluates_nothing(evaluations, monkeypatch):
+def test_a_second_read_of_the_witnesses_evaluates_nothing(evaluations):
     # a report keeps its witnesses after the first read: the second returns
     # the same tuple, evaluates no identity and reads no memo entry
     report = check_pp_post_lie(corpus_doc("sl2_pp_broken").to_algebra())
@@ -762,16 +762,10 @@ def test_a_second_read_of_the_witnesses_evaluates_nothing(evaluations, monkeypat
     first = report.witnesses
     assert first and evaluations
     evaluations.clear()
-    reads = []
-
-    class Memo(dict):
-        def get(self, key, default=None):
-            reads.append(key)
-            return super().get(key, default)
-    monkeypatch.setattr(algebra, "_MEMO", Memo(algebra._MEMO))
+    reads = algebra._witnesses.cache_info()
     assert report.witnesses is first
     assert all(part.witnesses is part.witnesses for part in parts)
-    assert evaluations == [] and reads == []
+    assert evaluations == [] and algebra._witnesses.cache_info() == reads
 
 
 def test_a_report_repr_leaves_out_its_planned_operands(ahat_pp):
@@ -814,17 +808,21 @@ def test_the_memo_holds_at_most_its_bound(evaluations):
     def leaf(k):    # a fresh one-identity report, which passes for k = 0 only
         return algebra._sweep("memo", _one_entry, (Tensor((1,), [k]),))
 
-    bound = algebra._MEMO_MAX
-    for k in range(bound + 1):
+    bound = algebra._witnesses.cache_info().maxsize
+    for k in range(bound):
         assert leaf(k).passed is (k == 0)
-        assert len(algebra._MEMO) == min(k + 1, bound)
-    assert len(evaluations) == bound + 1
-    # the oldest entry was dropped first: it is evaluated again, and the
-    # next oldest and the newest are not
+        assert algebra._witnesses.cache_info().currsize == k + 1
+    assert len(evaluations) == bound
+    # the least recently read entry is dropped first: leaf 0, read again,
+    # outlives leaf 1, the oldest entry not read since
     evaluations.clear()
-    assert not leaf(bound).passed and not leaf(1).passed
+    assert leaf(0).passed and not leaf(bound).passed
+    assert algebra._witnesses.cache_info().currsize == bound
+    assert evaluations == ["memo"]
+    evaluations.clear()
+    assert leaf(0).passed and not leaf(2).passed and not leaf(bound).passed
     assert evaluations == []
-    assert leaf(0).passed
+    assert not leaf(1).passed
     assert evaluations == ["memo"]
 
 
@@ -846,7 +844,7 @@ def _differing_leaves():
 def test_leaves_that_differ_in_one_part_of_the_key_miss_the_memo(part, evaluations):
     first, second = _differing_leaves()[part]
     cold = violations(_sweep("cold", second))
-    algebra._MEMO.clear()
+    algebra._witnesses.cache_clear()
     violations(_sweep("warm", first))
     evaluations.clear()
     assert violations(_sweep("warm", second)) == cold

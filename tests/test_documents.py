@@ -22,7 +22,7 @@ from postlie import (Document, DocumentError, Matrix, Scalar, Tensor, corpus_doc
                      loads, save)
 from postlie.algebra import OPERATION_NAMES
 from postlie.bialgebra import COMAP_NAMES
-from postlie.documents import _HEADS, MATRIX_KINDS
+from postlie.documents import MATRIX_KINDS, _heads
 from vectors import row, sparse
 
 ZERO = Scalar(0)
@@ -419,6 +419,6 @@ def test_every_head_spelling_reads_the_row_it_names(spelling):
         text = _algebra_text(n, *(" ".join([line] + zeros) for line in spelling))
         assert loads(canonical).body["circ"] == loads(text).body["circ"] == want
         # only heads in the writer's spacing are kept, so at most n^2 of them
-        heads = _HEADS[(n, 2)]
+        heads = _heads(n, 2)
         assert len(heads) <= n * n
         assert all(h == " ".join(str(int(t)) for t in h.split()) + " " for h in heads)

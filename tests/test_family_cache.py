@@ -2,10 +2,11 @@
 
 Every checker hands _sweep a family, a function of the tensors it reads
 that returns the check's identities.  _sweep keeps each family call's
-planned leaves, keyed by (family, tensors, witness limit), in
-algebra._PLANS; the witnesses of each leaf stay in the verdict memo
-(algebra._MEMO) alone.  These tests count the family calls that build
-(the misses), the terms planned and the identities evaluated.
+planned leaves, keyed by (family, tensors, witness limit), in the
+family cache (algebra._plans); the witnesses of each leaf stay in the
+verdict memo (algebra._witnesses) alone.  These tests count the family
+calls that build (the misses), the terms planned and the identities
+evaluated.
 """
 
 from types import SimpleNamespace
@@ -164,19 +165,24 @@ def test_each_part_of_the_key_misses_the_family_cache(counts):
 
 
 def test_the_family_cache_holds_at_most_its_bound(counts):
-    bound = algebra._PLANS_MAX
+    bound = algebra._plans.cache_info().maxsize
     sweep = lambda k: algebra._sweep("bound", _family, (Tensor((1, 1), [k]),))
-    for k in range(bound + 1):
+    for k in range(bound):
         sweep(k)
-        assert len(algebra._PLANS) == min(k + 1, bound)
-    assert len(counts.built) == bound + 1
-    # the oldest entry was dropped first: it is built again, and the next
-    # oldest and the newest are not
+        assert algebra._plans.cache_info().currsize == k + 1
+    assert len(counts.built) == bound
+    # the least recently used entry is dropped first: call 0, made again,
+    # outlives call 1, the oldest entry not used since
     _clear(counts)
-    sweep(bound)
-    sweep(1)
-    assert counts.built == []
     sweep(0)
+    sweep(bound)
+    assert algebra._plans.cache_info().currsize == bound
+    assert counts.built == ["_family"]
+    _clear(counts)
+    for k in (0, 2, bound):
+        sweep(k)
+    assert counts.built == []
+    sweep(1)
     assert counts.built == ["_family"]
 
 
@@ -187,7 +193,8 @@ def test_an_error_is_raised_by_every_call_and_nothing_is_kept(counts):
     for _ in range(2):
         with pytest.raises(LinAlgError, match="label 'j' has extents 3 and 2"):
             algebra._sweep("bad", extents, (Tensor.identity(3), Tensor.zero(2, 3)))
-    assert counts.built == ["extents", "extents"] and not algebra._PLANS
+    assert counts.built == ["extents", "extents"]
+    assert algebra._plans.cache_info().currsize == 0
 
 
 def test_a_mutant_shares_the_verdicts_of_the_leaves_it_leaves_unchanged(counts):

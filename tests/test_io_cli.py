@@ -652,6 +652,10 @@ def test_cli_corpus_write_over_a_file_exit_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: %s: File exists\n" % target)
 
 
+# the digest of the whole output of `corpus verify`, as benchmarks/workloads.py records it
+VERIFY_SHA256 = "636a42387685c71f9d830cf9de9d4830e03326c3bb7fd2abbbd5e49129bf28de"
+
+
 def test_cli_corpus_verify_reports_known_state(capsys):
     # A3 carries the documented red assertion; everything else passes
     code, out, _ = _run(capsys, "corpus", "verify")
@@ -660,9 +664,7 @@ def test_cli_corpus_verify_reports_known_state(capsys):
         assert "%s: PASS" % name in out
     assert "A3: FAIL" in out
     assert "first failing criterion: A3" in out
-    # the whole output: the digest benchmarks/workloads.py records as VERIFY_SHA256
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "636a42387685c71f9d830cf9de9d4830e03326c3bb7fd2abbbd5e49129bf28de")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
 
 
 def test_corpus_verify_mutated_P(tmp_path):

@@ -13,7 +13,6 @@ import postlie.linalg as linalg
 from postlie import (
     Document,
     Tensor,
-    algebra,
     check_post_lie,
     check_pp_post_lie,
     einsum,
@@ -114,8 +113,7 @@ def test_a_report_is_the_same_bytes_with_the_packed_path_on_or_off(
             monkeypatch.setattr(linalg, "_packed", lambda *args: False)
         for name, path in paths.items():
             # nothing known from the other run: every identity is evaluated
-            algebra._MEMO.clear()
-            algebra._PLANS.clear()
+            linalg._clear()
             code = main(argv + [path])
             out = capsys.readouterr()
             runs[on, name] = code, out.out, out.err
