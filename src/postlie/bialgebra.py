@@ -26,8 +26,6 @@ each.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .algebra import (
     COMAP_NAMES,
     LEFT,
@@ -104,7 +102,7 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
     """
     for name in COMAP_NAMES:
         co.table(name)
-    colie = dataclasses.replace(check_lie_coalgebra(co), name="pp-coalgebra")
+    colie = CheckReport("pp-coalgebra", check_lie_coalgebra(co).parts)
     return _pp_coalgebra_mode(co, mode) if colie.passed else colie
 
 
@@ -394,9 +392,8 @@ def operator_form_check(alg: Algebra, r: Matrix) -> CheckReport:
     coadjoint representation; r~(u*) pairs as <r~(u*), v*> = <r, u* (x) v*>."""
     from .forms import _check_o_operator_pp, pp_coadjoint_rep
     _require_shape(r, alg.dim, alg.dim, "tensor")
-    if not r.is_antisymmetric():
+    rt = r.transpose()
+    if rt != -r:
         raise PreconditionError("r is not antisymmetric")
-    rep = pp_coadjoint_rep(alg)
     # a verdict on any algebra with the three tables, pp or not
-    return dataclasses.replace(_check_o_operator_pp(alg, rep, r.transpose()),
-                               name="operator-form")
+    return CheckReport("operator-form", _check_o_operator_pp(alg, pp_coadjoint_rep(alg), rt).parts)

@@ -95,13 +95,13 @@ def _block_sum(a: Algebra, b: Algebra, on_b, on_a, products, basis) -> Algebra:
     return Algebra(na + nb, a.field, basis, ops)
 
 
-def _semidirect(alg: Algebra, rep, products) -> Algebra:
-    """A + V with V an abelian ideal acted on by rep."""
+def _semidirect(alg: Algebra, rep, products, star="") -> Algebra:
+    """A + V with V an abelian ideal acted on by rep, its basis named v1<star> .. vm<star>."""
     rep.over(alg)
     m = rep.dim
     abelian = Algebra(m, ops={op: Tensor.zero(m, m, m) for op, _, _ in products})
     return _block_sum(alg, abelian, rep, None, products,
-                      tuple(alg.basis) + tuple("v%d" % (i + 1) for i in range(m)))
+                      tuple(alg.basis) + tuple("v%d%s" % (i + 1, star) for i in range(m)))
 
 
 def semidirect_post_lie(alg: Algebra, rep: RepSpec) -> Algebra:
@@ -380,13 +380,16 @@ def hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix):
     r[n+j, i] = T[i, j], r[i, n+j] = -T[i, j].
     """
     _require(check_pp_rep, alg, rep, message="not a pp representation")
-    return _hom_embed_r(alg, rep, T)
+    r = _hom_r(alg.dim, rep.dim, T)
+    return _hom_double(alg, rep), r
 
 
-def _hom_embed_r(alg: Algebra, rep: PPRepSpec, T: Matrix):
-    n, m = alg.dim, rep.dim
+def _hom_double(alg: Algebra, rep: PPRepSpec) -> Algebra:
+    """Ahat of hom_embed_r: it depends on A and the representation, not on T."""
+    return _semidirect(alg, dual_pp_rep(alg, rep, checked=False), _PP_PRODUCTS, "*")
+
+
+def _hom_r(n: int, m: int, T: Matrix) -> Tensor:
+    """r of hom_embed_r for T: V -> A, with dim A = n and dim V = m."""
     _require_shape(T, n, m, "operator")
-    ahat = semidirect_pp(alg, dual_pp_rep(alg, rep, checked=False), checked=False)
-    ahat = dataclasses.replace(
-        ahat, basis=tuple(alg.basis) + tuple("v%d*" % (i + 1) for i in range(m)))
-    return ahat, Tensor.blocks((n + m, n + m), [(-T, (0, n)), (T.transpose(), (n, 0))])
+    return Tensor.blocks((n + m, n + m), [(-T, (0, n)), (T.transpose(), (n, 0))])

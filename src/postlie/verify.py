@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .algebra import (
     Algebra,
@@ -51,12 +51,12 @@ from .bialgebra import (
 from .construct import (
     _compatible_pp_from_gph,
     _double_construction,
-    _hom_embed_r,
+    _hom_double,
+    _hom_r,
     check_matched_pair,
     coadjoint_matched_pair_maps,
     manin_triple_build,
     quarter_split_rep,
-    semidirect_pp,
 )
 from .corpus import corpus_dir_doc, corpus_doc
 from .forms import (
@@ -65,12 +65,11 @@ from .forms import (
     check_gph,
     check_left_invariant,
     check_rota_baxter_lie,
-    dual_pp_rep,
     induced_post_lie,
-    pp_adjoint_rep,
+    pp_coadjoint_rep,
 )
-from .linalg import Matrix, Tensor
-from .scalars import ONE, ZERO, Scalar, sc
+from .linalg import Matrix, Tensor, _make, _over_lcm
+from .scalars import ONE
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
@@ -213,7 +212,7 @@ def _a5(fx) -> list:
             details.append("sub-adjacent %s table differs from the bundled double" % op)
     qrep = quarter_split_rep(prepp)
     # prepp is a quarter-split, so sub and qrep are a pp representation
-    ahat = semidirect_pp(sub, dual_pp_rep(sub, qrep, checked=False), checked=False)
+    ahat = _hom_double(sub, qrep)
     for op in ("rtri", "ltri", "bracket"):
         if ahat.table(op) != ahat_expected.table(op):
             details.append("constructed double differs from ahat_pp in %s" % op)
@@ -240,16 +239,19 @@ def _upper_block(table, n):
                               for k in range(n)])
 
 
-def _random_scalar(rng) -> Scalar:
-    num = rng.randint(-2, 2)
-    den = rng.choice((1, 2))
-    return Scalar(Fraction(num, den), rng.randint(-1, 1))
+def _draw(rng) -> tuple:
+    """A6's random entry p/q + c i, with p, q and c drawn in that order, as
+    its numerator triple (a, b, d) in lowest terms: (a + b i)/d."""
+    p, q, c = rng.randint(-2, 2), rng.choice((1, 2)), rng.randint(-1, 1)
+    g = gcd(p, q)
+    return p // g, c * q // g, q // g
 
 
 def _random_antisymmetric(rng, n) -> Matrix:
-    upper = Matrix((n, n), [_random_scalar(rng) if i < j else ZERO
-                            for i in range(n) for j in range(n)])
-    return upper - upper.transpose()
+    """A _draw per entry above the diagonal, row by row, and its negative below."""
+    upper = {i * n + j: _draw(rng) for i in range(n) for j in range(i + 1, n)}
+    lower = {f % n * n + f // n: (-a, -b, d) for f, (a, b, d) in upper.items()}
+    return _make((n, n), *_over_lcm({**upper, **lower}))
 
 
 @_crit("A6")
@@ -292,15 +294,14 @@ def _a6(fx) -> list:
     qrep = quarter_split_rep(prepp)
     maps = [Matrix.identity(3), fx.matrix("final_P")]
     for _ in range(10):
-        # the value is drawn before its position, as the seeded operators always were
-        value = _random_scalar(rng) + sc(3)
-        index = rng.randrange(3), rng.randrange(3)
-        maps.append(_with_entry(Matrix.identity(3), index, value))
-    verdicts = []
-    for t in maps:
-        ok_op = _check_o_operator_pp(sub, qrep, t).passed
-        ahat_t, r_t = _hom_embed_r(sub, qrep, t)
-        verdicts.append((ok_op, check_pppcybe(ahat_t, r_t).passed))
+        # _draw + 3 at one place of the identity, drawn before the place as always
+        a, b, d = _draw(rng)
+        values = {0: (1, 0, 1), 4: (1, 0, 1), 8: (1, 0, 1)}
+        values[3 * rng.randrange(3) + rng.randrange(3)] = a + 3 * d, b, d
+        maps.append(_make((3, 3), *_over_lcm(values)))
+    double = _hom_double(sub, qrep)
+    verdicts = [(_check_o_operator_pp(sub, qrep, t).passed,
+                 check_pppcybe(double, _hom_r(sub.dim, qrep.dim, t)).passed) for t in maps]
     if any(ok_op != ok_tensor for ok_op, ok_tensor in verdicts):
         details.append("embedded-tensor and operator verdicts disagree")
     if all(ok_op for ok_op, _ in verdicts):
@@ -362,8 +363,7 @@ def _a7(fx) -> list:
         co = dualize_alg(alg)
         if dualize(co).ops != alg.ops:
             details.append("dualize roundtrip fails on %s" % name)
-        rep = dual_pp_rep(alg, pp_adjoint_rep(alg), checked=False)
-        if not _check_pp_rep(alg, rep).passed:
+        if not _check_pp_rep(alg, pp_coadjoint_rep(alg)).passed:
             details.append("dual of the adjoint representation of %s fails" % name)
     # mutation fixtures must fail
     broken = fx.algebra("sl2_pp_broken")

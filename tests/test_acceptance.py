@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -26,10 +27,15 @@ from postlie import (
     check_pp_post_lie,
     compatible_pp_from_gph,
     corpus_doc,
+    dual_pp_rep,
+    hom_embed_r,
     horizontal_post_lie,
+    quarter_split_rep,
     run_acceptance,
     save,
     sc,
+    semidirect_pp,
+    sub_adjacent_pp,
     vertical_post_lie,
     write_corpus,
 )
@@ -38,10 +44,11 @@ from postlie.forms import _invariance, _invariant_form
 from postlie.verify import (
     CRITERIA,
     CriterionResult,
+    _draw,
     _Fixtures,
     _random_antisymmetric,
-    _random_scalar,
     _table_diff_count,
+    _with_entry,
 )
 from vectors import row, sparse
 
@@ -197,10 +204,81 @@ def test_a6_draws_its_seeded_values_in_order():
     rng = random.Random(20250808)
     draws = [_random_antisymmetric(rng, n) for n in [3] * 35 + [6] * 15]
     for _ in range(10):
-        value = _random_scalar(rng) + sc(3)
+        a, b, d = _draw(rng)
+        value = Scalar(Fraction(a, d), Fraction(b, d)) + sc(3)
         draws.append((value, (rng.randrange(3), rng.randrange(3))))
     assert (hashlib.sha256("\n".join(map(repr, draws)).encode()).hexdigest()
             == "16239e61dfdec578ab71b6202b34d5f2f69bf3206d760e286e1cf52bb7a8a064")
+
+
+# A6's samples as they were built from Fraction and Scalar objects: the
+# oracle of the integer numerators that _draw and _random_antisymmetric make
+def _oracle_scalar(rng) -> Scalar:
+    num = rng.randint(-2, 2)
+    den = rng.choice((1, 2))
+    return Scalar(Fraction(num, den), rng.randint(-1, 1))
+
+
+def _oracle_antisymmetric(rng, n) -> Tensor:
+    upper = Tensor((n, n), [_oracle_scalar(rng) if i < j else sc(0)
+                            for i in range(n) for j in range(n)])
+    return upper - upper.transpose()
+
+
+def _oracle_maps(final_P) -> list:
+    """A6 (iii)'s maps: the identity, final_P and the ten seeded mutants,
+    drawn after A6 (i)'s 35 dim-3 and 15 dim-6 tensors."""
+    rng = random.Random(20250808)
+    for n in [3] * 35 + [6] * 15:
+        _oracle_antisymmetric(rng, n)
+    maps = [Tensor.identity(3), final_P]
+    for _ in range(10):
+        value = _oracle_scalar(rng) + sc(3)
+        maps.append(_with_entry(Tensor.identity(3), (rng.randrange(3), rng.randrange(3)), value))
+    return maps
+
+
+@pytest.mark.parametrize("seed", [20250808, 1, 7, 811])
+def test_a6_integer_draws_equal_the_scalar_construction(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    for n in [3, 6, 3, 6, 6, 3]:
+        assert _random_antisymmetric(new, n) == _oracle_antisymmetric(old, n)
+        s = _oracle_scalar(old)
+        assert _draw(new) == (s.a, s.b, s.d)
+    assert new.getstate() == old.getstate()
+
+
+def test_each_a6_entry_is_its_scalar_in_lowest_terms():
+    for p, q, c in itertools.product(range(-2, 3), (1, 2), range(-1, 2)):
+        drawn = iter((p, q, c))
+        rng = type("Fixed", (), {"randint": lambda self, lo, hi: next(drawn),
+                                 "choice": lambda self, seq: next(drawn)})()
+        s = Scalar(Fraction(p, q), c)
+        assert _draw(rng) == (s.a, s.b, s.d)
+
+
+def test_a6_builds_its_double_once_for_the_seeded_maps(monkeypatch, final_P):
+    import postlie.verify
+    doubles, maps = [], []
+    double, embed = postlie.verify._hom_double, postlie.verify._hom_r
+    monkeypatch.setattr(postlie.verify, "_hom_double",
+                        lambda *args: doubles.append(args) or double(*args))
+    monkeypatch.setattr(postlie.verify, "_hom_r",
+                        lambda n, m, t: maps.append(t) or embed(n, m, t))
+    result, = run_acceptance(names=("A6",))
+    assert result.passed
+    assert len(doubles) == 1
+    assert maps == _oracle_maps(final_P)
+
+
+def test_hom_embed_r_equals_the_unsplit_construction(final_prepp, final_P):
+    sub, qrep = sub_adjacent_pp(final_prepp), quarter_split_rep(final_prepp)
+    ahat = dataclasses.replace(
+        semidirect_pp(sub, dual_pp_rep(sub, qrep, checked=False), checked=False),
+        basis=tuple(sub.basis) + ("v1*", "v2*", "v3*"))
+    for t in _oracle_maps(final_P):
+        r = Tensor.blocks((6, 6), [(-t, (0, 3)), (t.transpose(), (3, 0))])
+        assert hom_embed_r(sub, qrep, t) == (ahat, r)
 
 
 def test_every_criterion_ran():
