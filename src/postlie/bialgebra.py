@@ -98,8 +98,10 @@ def check_pp_coalgebra(co: CoalgebraSpec, mode: str = "dual") -> CheckReport:
     mode="direct" evaluates the comultiplication identities on basis
     elements.  The two must agree and the test suite cross-checks them.
     A comultiplication that is not co-Lie yields a failing report rather
-    than an error.
+    than an error; any other mode raises ValueError first.
     """
+    if mode not in ("dual", "direct"):
+        raise ValueError("mode must be 'dual' or 'direct'")
     for name in COMAP_NAMES:
         co.table(name)
     colie = CheckReport("pp-coalgebra", check_lie_coalgebra(co).parts)
@@ -111,8 +113,6 @@ def _pp_coalgebra_mode(co: CoalgebraSpec, mode: str) -> CheckReport:
         # the dual bracket is Lie: the co-Lie check just passed
         pp = _sweep("pp-post-lie", PP_IDENTITIES, dualize(co).require("rtri", "ltri", "bracket"))
         return CheckReport("pp-coalgebra", (("dual", pp),))
-    if mode != "direct":
-        raise ValueError("mode must be 'dual' or 'direct'")
     return _sweep("pp-coalgebra", _pp_coalgebra, co.require(*COMAP_NAMES))
 
 

@@ -32,10 +32,9 @@ Q(i) if and only if a section is.
 Tables and matrices are read straight into sparse Tensors over the lcm of
 their denominators by the integer scalar codec of :mod:`postlie.scalars`: a
 ``0`` token costs nothing, and each distinct token text is read once per
-document (its errors name the line of its first use).  The row offset of a
-table line's head, when it is in the writer's spacing, is read once per
-dimension and indices per line (_heads); any other head is checked on
-every read, so every error keeps its message and line.  Writing prints only
+document (its errors name the line of its first use), and each distinct
+table line head once per document (a head that raises is never kept, so
+every error keeps its message and line).  Writing prints only
 the rows that hold a nonzero entry (all rows of a matrix), formatting each
 distinct entry of a Tensor once.  Neither builds a Scalar or a Fraction.
 """
@@ -47,7 +46,7 @@ from types import MappingProxyType
 
 from .algebra import (
     COMAP_NAMES, FIELDS, OPERATION_NAMES, Algebra, CoalgebraSpec, UnknownOperationError, _field_of)
-from .linalg import LinAlgError, Matrix, _cached, _over_lcm, _tensor
+from .linalg import LinAlgError, Matrix, _over_lcm, _tensor
 from .scalars import ScalarParseError, _read, _text
 
 __all__ = ["Document", "DocumentError", "load", "save", "loads", "dumps"]
@@ -251,7 +250,7 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
     and a row of n scalars per line) or a coalgebra (comap, three indices
     and one scalar per line), each read into an n x n x n Tensor."""
     per = n ** (3 - indices)
-    codes, tables, heads = {}, {}, _heads(n, indices)
+    codes, tables, heads = {}, {}, {}
     usage = "%s : %s" % (" ".join("kij"[3 - indices:]),
                          "scalar" if indices == 3 else "%d scalars" % per)
     while True:
@@ -280,7 +279,7 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
                 raise DocumentError("expected '%s'" % usage, lineno)
             start = heads.get(head)
             if start is None:
-                start = _row(head, n, indices, heads, usage, lineno)
+                start = heads[head] = _row(head, n, indices, usage, lineno)
             if start in starts:     # a repeated line replaces the earlier one
                 for f in range(start, start + per):
                     values.pop(f, None)
@@ -294,17 +293,9 @@ def _parse_tables(lines, n, fieldname, keyword, noun, names, indices) -> dict:
         tables[name] = _tensor((n, n, n), *_over_lcm(values))
 
 
-@_cached(32)
-def _heads(n: int, indices: int) -> dict:
-    """The first entry offset of the row of each line head in the writer's
-    spacing ("1 2 " of "1 2 : ...") that _row has read: at most n^indices."""
-    return {}
-
-
-def _row(head, n, indices, heads, usage, lineno) -> int:
+def _row(head, n, indices, usage, lineno) -> int:
     """The first entry offset of the row a table line's head text names: its
-    indices, 1-based, a row of n^(3 - indices) entries each.  A head in the
-    writer's spacing is kept in heads."""
+    indices, 1-based, a row of n^(3 - indices) entries each."""
     idx = head.split()
     if len(idx) != indices:
         raise DocumentError("expected '%s'" % usage, lineno)
@@ -317,10 +308,7 @@ def _row(head, n, indices, heads, usage, lineno) -> int:
         if not 0 < t <= n:
             raise DocumentError("basis index out of range", lineno)
         start = start * n + t - 1
-    start *= n ** (3 - indices)
-    if head == " ".join(map(str, idx)) + " ":
-        heads[head] = start
-    return start
+    return start * n ** (3 - indices)
 
 
 def _parse_matrix_body(lines, kind, n, fieldname) -> Matrix:

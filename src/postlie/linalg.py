@@ -21,8 +21,7 @@ from the shapes alone.  Each pair contraction (_pair) treats a Gaussian
 integer as its two real numerators, as Tensor stores them: it reads the
 left operand's numerator dicts in place through their offset tables, and
 indexes each nonzero numerator part of the right operand by shared offset
-(a row-wise sparse product: Gustavson, ACM TOMS 4(3), 1978), once per pair
-of tables in a sum of terms (_summed), however many terms share it.  A
+(a row-wise sparse product: Gustavson, ACM TOMS 4(3), 1978).  A
 Gaussian-integer pair is then at most four real contractions of nonzero
 parts by one real kernel (_real), so the product of two entries with one
 nonzero part each is one real multiply-add, not a complex one; nothing is
@@ -259,10 +258,10 @@ class Tensor:
     def permute(self, axes) -> "Tensor":
         """Reorder the axes: axis k of the result is axis axes[k] of self, so
         out[i_0, .., i_d] = self[j] with j[axes[k]] = i_k."""
-        shape = self.shape
+        shape, axes = self.shape, tuple(axes)
         if sorted(axes) != list(range(len(shape))):
             raise LinAlgError("%r is not a permutation of %d axes" % (axes, len(shape)))
-        shape, key = _permutation(shape, tuple(axes))
+        shape, key = _permutation(shape, axes)
         return _tensor(shape, self.den, {key[f]: v for f, v in self.re.items()},
                        {key[f]: v for f, v in self.im.items()})
 
@@ -494,21 +493,6 @@ def _grouped(part: dict, side) -> dict:
     return groups
 
 
-def _grouping(operand, part: int, side, groupings) -> dict:
-    """_grouped(operand[part], side), built once per sum for an input
-    Tensor: groupings holds those built so far, keyed by (id(tensor), part,
-    id(shared table), id(out table)).  An intermediate (tensor None) is
-    grouped anew."""
-    t = operand[2]
-    if t is None:
-        return _grouped(operand[part], side)
-    key = id(t), part, id(side[0]), id(side[1])
-    found = groupings.get(key)
-    if found is None:
-        found = groupings[key] = _grouped(operand[part], side)
-    return found
-
-
 def _real(left: dict, side, right: dict, out: dict, scale: int):
     """Add scale times the contraction of the numerator dict left, read in
     place through the tables side of its _step, with the grouped numerator
@@ -562,12 +546,12 @@ _ZERO_LANE = bytes(_LANE // 8)  # the lane a gather reads where a block has no s
 # into a whole-output list (_place), from which the sum's nonzero
 # numerators are read once at its end (_merged).
 def _packed(a, side, rights, b, whole, scale) -> bool:
-    """Add scale times the contraction of the (re, im, _) operand a, read in
-    place through the tables side, with the (re, im) part groupings rights
+    """Add scale times the contraction of the (re, im) operand a, read in
+    place through the tables side, with the (re, im) part groups rights
     of the operand b into the whole-output lists whole (_place) by packed
     big-int rows; False, adding nothing, when the slot bound is not
     proved."""
-    a_re, a_im = a[0], a[1]
+    a_re, a_im = a
     r_re, r_im = rights
     keys = r_re.keys() | r_im.keys()
     left = a_re.keys() | a_im.keys() if a_im else a_re
@@ -702,22 +686,21 @@ def _merged(whole: list, re: dict, im: dict) -> tuple:
     return tuple(merged)
 
 
-def _pair(a, b, step, re, im, whole, scale, groupings):
+def _pair(a, b, step, re, im, whole, scale):
     """Add scale times the contraction of two operands by a _step into the
     dicts re and im, keyed by offset over its output labels (zero sums may
-    stay in them), or into the whole-output lists whole.  An operand is
-    (re, im, tensor): its numerator dicts and the input Tensor they are
-    from, None for an intermediate.  The left operand is read in place;
-    each nonzero numerator part of the right one is grouped, once per sum
-    for an input (_grouping, groupings).  When the groups are full (on
-    average at least _LEFT_FILL left and _RIGHT_FILL right real entries per
-    right key, one O(1) comparison) the products go through _packed, which
-    adds whole rows by packed big-int arithmetic into whole once it has
-    proved the slot bound; otherwise, or when the bound is not proved, the
-    Gaussian-integer product is at most four real ones (_real) of nonzero
-    parts: re * re and -im * im into re, re * im and im * re into im."""
+    stay in them), or into the whole-output lists whole.  An operand is its
+    (re, im) numerator dicts.  The left operand is read in place; each
+    nonzero numerator part of the right one is grouped (_grouped).  When
+    the groups are full (on average at least _LEFT_FILL left and
+    _RIGHT_FILL right real entries per right key, one O(1) comparison)
+    the products go through _packed, which adds whole rows by packed
+    big-int arithmetic into whole once it has proved the slot bound;
+    otherwise, or when the bound is not proved, the Gaussian-integer
+    product is at most four real ones (_real) of nonzero parts: re * re
+    and -im * im into re, re * im and im * re into im."""
     side_a, side_b = step
-    rights = [_grouping(b, part, side_b, groupings) if b[part] else {} for part in (0, 1)]
+    rights = [_grouped(part, side_b) if part else {} for part in b]
     keys = max(map(len, rights))
     if (len(a[0]) >= _LEFT_FILL * keys and len(b[0]) >= _RIGHT_FILL * keys
             and _packed(a, side_a, rights, b, whole, scale)):
@@ -789,13 +772,12 @@ def _plan(spec: str, shapes: tuple):
     return shape, how + [_step(*work, output, sizes)]
 
 
-def _accumulate(how, operands, re: dict, im: dict, whole: list, scale: int, groupings: dict):
+def _accumulate(how, operands, re: dict, im: dict, whole: list, scale: int):
     """Add scale times the numerators of the einsum that _plan planned as
     how, over the product of the operands' denominators, into the
     {offset: int} dicts re and im or the whole-output lists whole (see
-    _pair).  The operands are contracted two at a time in the plan's order,
-    the groupings of right operands kept in groupings (see _grouping); only
-    nonzero entries are visited, an intermediate that packs becomes its
+    _pair).  The operands are contracted two at a time in the plan's order;
+    only nonzero entries are visited, an intermediate that packs becomes its
     dicts by _merged, and the last pair adds straight into re and im or
     whole."""
     if len(operands) == 1:
@@ -803,15 +785,15 @@ def _accumulate(how, operands, re: dict, im: dict, whole: list, scale: int, grou
         _add_into(re, t.re, scale, how)
         _add_into(im, t.im, scale, how)
         return
-    work = [(t.re, t.im, t) for t in operands]
+    work = [(t.re, t.im) for t in operands]
     *steps, last = how
     for i, j, step in steps:
-        pair, packed = ({}, {}, None), []
-        _pair(work[i], work[j], step, pair[0], pair[1], packed, 1, groupings)
+        pair, packed = ({}, {}), []
+        _pair(work[i], work[j], step, *pair, packed, 1)
         if packed:
-            pair = (*_merged(packed, pair[0], pair[1]), None)
+            pair = _merged(packed, *pair)
         work = [w for k, w in enumerate(work) if k != i and k != j] + [pair]
-    _pair(*work, last, re, im, whole, scale, groupings)
+    _pair(*work, last, re, im, whole, scale)
 
 
 def _planned(terms) -> tuple:
@@ -837,14 +819,10 @@ def _summed(shape, den, parts) -> tuple:
     """(shape, den, re, im) of _planned terms: every term adds its scaled
     numerators into one pair of {offset: int} dicts, or, for a last pair
     that packs, into one pair of whole-output lists, made only then; the
-    numerators are returned without their zeros (not reduced).  The terms
-    share one memo of groupings for this call: each numerator part of an
-    input Tensor on the right of a pair is grouped once per pair of offset
-    tables, keyed by ids that stay valid while parts holds the Tensors and
-    their plans (intermediates, freed as the call goes, are never keyed)."""
-    re, im, whole, groupings = {}, {}, [], {}
+    numerators are returned without their zeros (not reduced)."""
+    re, im, whole = {}, {}, []
     for how, operands, scale in parts:
-        _accumulate(how, operands, re, im, whole, scale, groupings)
+        _accumulate(how, operands, re, im, whole, scale)
     if whole:
         return (shape, den, *_merged(whole, re, im))
     return shape, den, _nonzero(re), _nonzero(im)

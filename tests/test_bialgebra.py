@@ -142,6 +142,18 @@ def test_pp_coalgebra_corpus(final_cobrackets):
     assert check_pp_coalgebra(final_cobrackets, "direct").passed
 
 
+def test_pp_coalgebra_refuses_an_unknown_mode_before_the_co_lie_check(final_cobrackets):
+    # Delta + delta_rtri is not co-Lie, so a known mode reports FAIL; an
+    # unknown mode raises for it as for the co-Lie final_cobrackets
+    tables = {name: final_cobrackets.table(name) for name in ("delta_rtri", "delta_ltri")}
+    not_colie = CoalgebraSpec(6, comaps={
+        **tables, "Delta": final_cobrackets.table("Delta") + tables["delta_rtri"]})
+    assert not check_pp_coalgebra(not_colie, "dual").passed
+    for co in (final_cobrackets, not_colie):
+        with pytest.raises(ValueError, match=r"^mode must be 'dual' or 'direct'$"):
+            check_pp_coalgebra(co, "bogus")
+
+
 def _random_coalgebra(rng, n):
     def table():
         entries = [sc(0)] * n ** 3

@@ -17,6 +17,8 @@ import pytest
 
 import postlie.verify  # noqa: F401  (every module that registers a cache)
 from postlie import Tensor, einsum, linalg
+from postlie.corpus import corpus_text
+from postlie.documents import loads
 from test_golden import CASES, GOLDEN, case_id, transcript, write_inputs
 from test_io_cli import VERIFY_SHA256
 
@@ -44,8 +46,7 @@ def _owner(cache):
 
 def test_every_process_wide_cache_is_registered():
     assert sorted(cache.__name__ for cache in linalg._CACHES) == [
-        "_coadjoint", "_gather", "_heads", "_permutation", "_plan", "_plans", "_table",
-        "_witnesses"]
+        "_coadjoint", "_gather", "_permutation", "_plan", "_plans", "_table", "_witnesses"]
     for cache in linalg._CACHES:
         assert getattr(_owner(cache), cache.__name__) is cache
         assert 0 < cache.cache_info().maxsize <= 1024
@@ -63,6 +64,14 @@ def test_clear_empties_every_cache(inputs):
     assert all(cache.cache_info().currsize for cache in linalg._CACHES)
     linalg._clear()
     assert not any(cache.cache_info().currsize for cache in linalg._CACHES)
+
+
+def test_reading_a_document_fills_no_cache():
+    texts = [corpus_text(name) for name in ("ahat_pp", "final_cobrackets")]
+    before = [cache.cache_info().currsize for cache in linalg._CACHES]
+    for text in texts:
+        assert loads(text).kind in ("algebra", "coalgebra")
+    assert [cache.cache_info().currsize for cache in linalg._CACHES] == before
 
 
 @pytest.mark.parametrize("mode", ["cold", "warm", "uncached"])

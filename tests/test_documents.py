@@ -22,7 +22,7 @@ from postlie import (Document, DocumentError, Matrix, Scalar, Tensor, corpus_doc
                      loads, save)
 from postlie.algebra import OPERATION_NAMES
 from postlie.bialgebra import COMAP_NAMES
-from postlie.documents import MATRIX_KINDS, _heads
+from postlie.documents import MATRIX_KINDS
 from vectors import row, sparse
 
 ZERO = Scalar(0)
@@ -385,7 +385,7 @@ def test_every_spelling_loads_as_the_reference_reads_it(data):
 
 
 # ---------------------------------------------------------------------------
-# the reader's cache of line heads, per dimension and indices per line
+# line heads: each names its row in the dimension of its own document
 # ---------------------------------------------------------------------------
 
 def _algebra_text(n, *lines):
@@ -418,7 +418,3 @@ def test_every_head_spelling_reads_the_row_it_names(spelling):
         canonical = _algebra_text(n, " ".join(["1 2 : 0 5"] + zeros))
         text = _algebra_text(n, *(" ".join([line] + zeros) for line in spelling))
         assert loads(canonical).body["circ"] == loads(text).body["circ"] == want
-        # only heads in the writer's spacing are kept, so at most n^2 of them
-        heads = _heads(n, 2)
-        assert len(heads) <= n * n
-        assert all(h == " ".join(str(int(t)) for t in h.split()) + " " for h in heads)

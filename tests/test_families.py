@@ -1204,10 +1204,9 @@ def test_value_equal_offset_maps_share_one_table(sl2_lie):
         assert len({id(step[side][1]) for step in steps}) == 3
 
 
-def test_a_sum_groups_each_right_part_once_per_table_pair(sl2_lie, monkeypatch):
+def test_each_pair_groups_its_right_parts_once(sl2_lie, monkeypatch):
     # the left operand of a pair is read in place, never grouped; each
-    # nonzero numerator part of a right input is grouped once per pair of
-    # offset tables in one sum
+    # nonzero numerator part of the right one is grouped once per pair
     grouped, real = [], linalg._grouped
     monkeypatch.setattr(linalg, "_grouped", lambda part, side:
                         grouped.append((part, side)) or real(part, side))
@@ -1218,14 +1217,14 @@ def test_a_sum_groups_each_right_part_once_per_table_pair(sl2_lie, monkeypatch):
     keys = [(id(part), id(by_shared), id(by_out)) for part, (by_shared, by_out) in grouped]
     assert len(keys) == len(set(keys)) == 3 and all(part is br.re for part, _ in grouped)
     # two terms with an operand on the right of the same step group each of
-    # its parts once; the left operands are never grouped
+    # its parts once per term; the left operands are never grouped
     del grouped[:]
     rnd = Random("grouped once", 0.7, False)
     a, b, c = rnd.tensor(3, 2), rnd.tensor(3, 2), rnd.tensor(2, 4)
     assert all(t.re and t.im for t in (a, b, c))
     got = linalg._make(*linalg._combine([("ij,jk->ik", (a, c), 1), ("ij,jk->ik", (b, c), -1)]))
     assert got == naive_einsum("ij,jk->ik", a, c) - naive_einsum("ij,jk->ik", b, c)
-    assert [part for part, _ in grouped] == [c.re, c.im]
+    assert [part for part, _ in grouped] == [c.re, c.im, c.re, c.im]
     assert all(part is not t.re and part is not t.im for part, _ in grouped for t in (a, b))
 
 

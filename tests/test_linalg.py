@@ -403,8 +403,11 @@ def test_a_packed_intermediate_matches_the_scalar_loop(data):
     with pytest.MonkeyPatch.context() as mp:
         calls = _packed_calls(mp)
         got = linalg._make(*linalg._combine(terms))
-    assert [(a[2] is None, b[2] is None, done) for a, b, _, done in calls] == [
-        (False, False, True), (False, True, True)]
+    # an operand is its (re, im) dicts: an input's are its Tensor's own
+    inputs = [t.re for t in (a, b, c)]
+    is_input = lambda operand: any(operand[0] is re for re in inputs)
+    assert [(is_input(left), is_input(right), done) for left, right, _, done in calls] == [
+        (True, True, True), (True, False, True)]
     assert got == _unpacked(terms)
 
 

@@ -256,6 +256,8 @@ def test_permute_matches_swaps_and_dualization(n):
     assert tt.permute((0, 2, 1)) == _tensor(ref_swap23(t), (n, n, n))
     assert tt.permute((1, 2, 0)) == _tensor(ref_dualize(t), (n, n, n))
     assert tt.permute((1, 2, 0)).permute((2, 0, 1)) == tt
+    # axes read once: a one-shot iterable permutes as its tuple does
+    assert tt.permute(iter((1, 2, 0))) == tt.permute((1, 2, 0))
     co = CoalgebraSpec(n, comaps={name: tt for name in COMAP_NAMES})
     for op in ("rtri", "ltri", "bracket"):
         assert dualize(co).table(op) == _tensor(ref_dualize(t), (n, n, n))
