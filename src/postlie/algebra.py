@@ -22,19 +22,21 @@ two tables whose index axes run over those tuples.  Each list is a family:
 a function of the tensors it reads (LIE_IDENTITIES(bracket), ...), so a
 check hands _sweep the family and its tensors.  _sweep builds the list and
 plans every term once per (family, tensors, witness limit), so every error
-of a term is raised when a check is first called, and keeps the plans in
-the family cache (_plans) by that key, the tensors compared by value: a
-check repeated on equal tables builds no table and plans no term.  It
-returns an immutable CheckReport whose tree has a leaf per identity.  A
-leaf counts the index tuples of its planned shape and evaluates its
-identity (_evaluate: lhs - rhs summed in one Gaussian-integer accumulator,
-linalg._summed) when its verdict or witnesses first need it, unless an
-equal leaf already did: the verdict memo (_witnesses), keyed by the
-identity's value and the witness limit, is the one store of verdicts and
-serves every caller, so a mutant that changes one table shares the leaves
-that do not read it.  A report's count, verdict and witnesses are read
-from its tree: its verdict stops at the first failing identity, and a
-witness evaluates the sides and builds Scalars only when first read.
+of a term is raised when a check is first called, and keeps the planned
+leaves in the family cache (_plans) by that key, the tensors compared by
+value: a check repeated on equal tables builds no table and plans no
+term.  It returns an immutable CheckReport whose tree has a leaf per
+identity, the family cache's own leaf reports.  A leaf counts the index
+tuples of its planned shape and evaluates its identity (_evaluate: lhs -
+rhs summed in one Gaussian-integer accumulator, linalg._summed) when its
+verdict or witnesses first need it, and keeps them: the family cache is the
+one store of verdicts, so every report built on equal tensors (a
+precondition, a nested report, the CLI, a criterion) shares the leaf's
+evaluation, and an equal identity under another key (another family, or
+a mutant's changed table) is evaluated again.  A report's count, verdict
+and witnesses are read from its tree: its verdict stops at the first
+failing identity, and a witness evaluates the sides and builds Scalars
+only when first read.
 """
 
 from __future__ import annotations
@@ -213,9 +215,10 @@ class CheckReport:
     """A verdict, its instance count and the witnesses of its first
     violations, sorted by (identity, indices), each read from a tree of
     reports.  A leaf is one identity, its plan a _Leaf (Identity, limit,
-    planned terms): it counts the index tuples of the planned shape, and its
-    witnesses are read from the memo (_witnesses) by the plan's value, the
-    identity evaluated (_evaluate) when first read on a miss.  Any other
+    planned terms): it counts the index tuples of the planned shape, and
+    evaluates the identity (_evaluate) when its witnesses are first read.
+    The family cache (_plans) hands the same leaf to every report on equal
+    tensors, so one evaluation serves them all.  Any other
     report holds (prefix, CheckReport) parts in _sweep's order and sums
     their counts; its verdict stops at the first failing part, and its
     witnesses are theirs, renamed prefix.identity for a part with a prefix.
@@ -243,12 +246,12 @@ class CheckReport:
 
     @property
     def witnesses(self) -> tuple:
-        """A leaf's witnesses, read from the memo or evaluated into it, or
-        its parts', renamed, sorted and cut; kept in the instance __dict__
-        from the first read on (written once, with no lock)."""
+        """A leaf's witnesses, evaluated, or its parts', renamed, sorted and
+        cut; kept in the instance __dict__ from the first read on (written
+        once, with no lock)."""
         found = self.__dict__.get("witnesses")
         if found is None:
-            found = self.__dict__["witnesses"] = _witnesses(self.plan) if self.plan else tuple(
+            found = self.__dict__["witnesses"] = _evaluate(*self.plan) if self.plan else tuple(
                 sorted((w if prefix is None else w._replace(identity=prefix + "." + w.identity)
                         for prefix, report in self.parts for w in report.witnesses),
                        key=lambda w: w[:2])[:MAX_VIOLATIONS])
@@ -309,38 +312,16 @@ def _side(terms, shape=None) -> Tensor:
     return _make(*_combine(terms)) if terms else Tensor.zero(*shape)
 
 
-@dataclass(frozen=True, eq=False)
-class _Leaf:
+class _Leaf(NamedTuple):
     """The plan of a leaf report: an Identity (its sides tuples), the witness
-    limit and lhs - rhs as linalg._planned terms.  It is the leaf's memo
-    key, equal to a leaf of equal identity and limit (the planned terms
-    follow from them) and hashed once, so a plan the family cache hands out
-    again finds its witnesses without walking its terms."""
+    limit and lhs - rhs as linalg._planned terms."""
 
     identity: Identity
     limit: int
     planned: tuple
-    _hash: int = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.identity, self.limit)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self.identity, self.limit) == (other.identity, other.limit)
 
 
-@_cached(256)
-def _witnesses(leaf: _Leaf) -> tuple:
-    """The verdict memo: a leaf's witnesses, kept by its value (the identity,
-    its terms' specs, operand Tensors and coefficients, and the witness
-    limit), of which a verdict is a function: a failure is kept as a pass is."""
-    return tuple(_evaluate(leaf.identity, leaf.limit, leaf.planned))
-
-
-def _evaluate(identity: Identity, limit: int, plan) -> list:
+def _evaluate(identity: Identity, limit: int, plan) -> tuple:
     """The Witnesses of the first `limit` index tuples where the two sides
     of identity differ, in index order.  plan is lhs - rhs as
     linalg._planned terms, summed in one integer accumulation
@@ -361,46 +342,50 @@ def _evaluate(identity: Identity, limit: int, plan) -> list:
     for offset in sorted({f // width for d in (re, im) for f in d})[:limit]:
         idx = tuple(offset // _size(shape[p + 1:k]) % shape[p] for p in range(k))
         found.append(Witness(identity.name, idx, lambda offset=offset: at(offset)))
-    return found
+    return tuple(found)
 
 
 @_cached(128)
 def _plans(family, tensors: tuple, limit: int) -> tuple:
-    """The family cache: a _Leaf per identity of family(*tensors), kept by
-    the family, the tensors (compared by value) and the witness limit, of
-    which the plans are a function; every call that meets an error raises it."""
-    plans = []
+    """The family cache: a leaf CheckReport per identity of family(*tensors),
+    kept by the family, the tensors (compared by value) and the witness
+    limit, of which the leaves are a function; every call that meets an
+    error raises it.  A leaf keeps its witnesses once read, so they live as
+    long as its entry here, and an equal identity under another key is
+    evaluated again."""
+    leaves = []
     for identity in family(*tensors):
-        # sides as tuples, so that the leaf can be hashed as its memo key
+        # sides as tuples, so that a shared leaf's identity cannot change
         identity = identity._replace(lhs=tuple(identity.lhs), rhs=tuple(identity.rhs))
         terms = [*identity.lhs, *(-t for t in identity.rhs)]
         for t in terms:
             if not t.spec.partition("->")[2].startswith(identity.index):
                 raise ValueError("term %r does not lead with the index labels %r"
                                  % (t.spec, identity.index))
-        plans.append(_Leaf(identity, limit, _planned(terms)))
-    return tuple(plans)
+        leaves.append(CheckReport(identity.name, plan=_Leaf(identity, limit, _planned(terms))))
+    return tuple(leaves)
 
 
 def _sweep(name, family, tensors: tuple, nested=(), per_identity=None) -> CheckReport:
     """The report whose parts are the nested (prefix, report) pairs, then a
     leaf per identity of family(*tensors) (prefix None), keeping at most
-    per_identity witnesses of each identity.  The leaves are planned and
-    every term checked once per key (_plans), so a repeat on equal tensors
-    builds no table and plans no term; an identity's entries are summed only
-    when the report's verdict or witnesses first need them (_witnesses)."""
+    per_identity witnesses of each identity.  The leaves are the family
+    cache's own reports (_plans), planned and every term checked once per
+    key, so a repeat on equal tensors builds no table, plans no term and
+    reads the witnesses its leaves already hold; an identity's entries are
+    summed only when a verdict or witnesses first need them."""
     limit = MAX_VIOLATIONS if per_identity is None else min(per_identity, MAX_VIOLATIONS)
-    return CheckReport(name, (*nested, *((None, CheckReport(leaf.identity.name, plan=leaf))
-                                         for leaf in _plans(family, tensors, limit))))
+    return CheckReport(name, (*nested, *((None, leaf) for leaf in _plans(family, tensors, limit))))
 
 
 def _require(check, *args, message: str):
     """Establish a precondition: raise PreconditionError(message, report)
-    unless the report check(*args) passes.  It keeps nothing: a repeat on
-    equal tables reads its leaves from _plans and their witnesses from
-    _witnesses.  A function with a hypothesis calls this, then its body; the
-    body _f of a public f is for a caller that has the hypothesis already,
-    or that tests f's conclusion on data that may lack it."""
+    unless the report check(*args) passes.  It keeps nothing of its own: its
+    leaves are the family cache's (_plans), so a later check on equal
+    tables reads the witnesses they already hold.  A function with a
+    hypothesis calls this, then its body; the body _f of a public f is for a
+    caller that has the hypothesis already, or that tests f's conclusion on
+    data that may lack it."""
     report = check(*args)
     if not report.passed:
         raise PreconditionError(message, report)

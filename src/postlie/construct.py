@@ -258,7 +258,7 @@ def manin_triple_build(a_pp: Algebra, astar_pp: Algebra):
                      maps.on_b, maps.on_a, _POST_LIE_PRODUCTS, _doubled_basis(a_pp))
     form = pairing_form(n)
 
-    try:     # check_gph requires it again and reads its leaves from the memo
+    try:     # check_gph requires it again and reads its leaves from the family cache
         post_lie = check_post_lie(out)
     except PreconditionError as exc:  # the bracket of the double is not Lie
         post_lie = exc.report

@@ -400,8 +400,14 @@ class Tensor:
             rank, ur, ui = rank + 1, pr, pi
         return rank, ((ur, ui) if rank == n == m else (0, 0)), c, rows
 
+    def _matrix(self, what: str):
+        """Refuse elimination (what) on a tensor that does not have two axes."""
+        if len(self.shape) != 2:
+            raise LinAlgError("%s needs a matrix, got a tensor of shape %r" % (what, self.shape))
+
     def det(self) -> Scalar:
         """Exact determinant by fraction-free elimination."""
+        self._matrix("det")
         if self.rows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
         _, (a, b), c, _ = self._eliminate()
@@ -409,6 +415,8 @@ class Tensor:
 
     def solve(self, rhs: "Tensor") -> "Tensor":
         """Solve self * X = rhs exactly; raises SingularMatrixError."""
+        self._matrix("solve")
+        rhs._matrix("solve's rhs")
         if self.rows != self.cols:
             raise LinAlgError("solve expects a square matrix")
         if rhs.rows != self.rows:
@@ -423,9 +431,11 @@ class Tensor:
                      _nonzero({f: b * dr - a * di for f, (a, b) in enumerate(x)}))
 
     def inverse(self) -> "Tensor":
+        self._matrix("inverse")
         return self.solve(Tensor.identity(self.rows))
 
     def rank(self) -> int:
+        self._matrix("rank")
         return self._eliminate()[0]
 
 

@@ -26,7 +26,7 @@ def default_verbosity(monkeypatch):
 @pytest.fixture(autouse=True)
 def empty_caches():
     """Every test starts with every process-wide cache empty (linalg._clear):
-    no evaluated identity in the verdict memo, no planned family, einsum
+    no planned family or evaluated identity in the family cache, no einsum
     plan, offset table or gather, so what a test sees built, planned or
     evaluated does not depend on the tests before it."""
     linalg._clear()

@@ -192,8 +192,8 @@ def test_a7_evaluates_no_witness_side(monkeypatch):
     result, = run_acceptance(names=("A7",))
     assert result.passed
     assert sides == []
-    # horizontal(sl2_pp) equals sl2_postlie, and the verdict memo evaluates
-    # each identity once per value: its 75 calls are the distinct leaves
+    # horizontal(sl2_pp) equals sl2_postlie, and the family cache evaluates
+    # each leaf once per key: its 75 calls are the distinct leaves
     assert len(evaluated) == 75
     assert len({args[:2] for args in evaluated}) == 75
 

@@ -681,10 +681,6 @@ def _sweep(name, *identities):
     return algebra._sweep(name, lambda: identities, ())
 
 
-def _one_entry(t):
-    return [Identity("memo", "i", [term("i->i", t)])]
-
-
 @pytest.fixture
 def evaluations(monkeypatch):
     """The names of the identities algebra._evaluate evaluates, in order."""
@@ -755,17 +751,16 @@ def test_a_renamed_report_evaluates_no_identity_again(evaluations):
 
 def test_a_second_read_of_the_witnesses_evaluates_nothing(evaluations):
     # a report keeps its witnesses after the first read: the second returns
-    # the same tuple, evaluates no identity and reads no memo entry
+    # the same tuple and evaluates no identity
     report = check_pp_post_lie(corpus_doc("sl2_pp_broken").to_algebra())
     parts = [part for _, part in report.parts]
     evaluations.clear()
     first = report.witnesses
     assert first and evaluations
     evaluations.clear()
-    reads = algebra._witnesses.cache_info()
     assert report.witnesses is first
     assert all(part.witnesses is part.witnesses for part in parts)
-    assert evaluations == [] and algebra._witnesses.cache_info() == reads
+    assert evaluations == []
 
 
 def test_a_report_repr_leaves_out_its_planned_operands(ahat_pp):
@@ -777,7 +772,7 @@ def test_a_report_repr_leaves_out_its_planned_operands(ahat_pp):
 
 
 # ---------------------------------------------------------------------------
-# the verdict memo: each leaf is evaluated once per value
+# the family cache's leaves: each is evaluated once while its entry is kept
 # ---------------------------------------------------------------------------
 
 def test_the_memo_remembers_a_verdict_by_value(sl2_pp, evaluations):
@@ -804,30 +799,9 @@ def test_the_memo_remembers_a_verdict_by_value(sl2_pp, evaluations):
     assert evaluations == []
 
 
-def test_the_memo_holds_at_most_its_bound(evaluations):
-    def leaf(k):    # a fresh one-identity report, which passes for k = 0 only
-        return algebra._sweep("memo", _one_entry, (Tensor((1,), [k]),))
-
-    bound = algebra._witnesses.cache_info().maxsize
-    for k in range(bound):
-        assert leaf(k).passed is (k == 0)
-        assert algebra._witnesses.cache_info().currsize == k + 1
-    assert len(evaluations) == bound
-    # the least recently read entry is dropped first: leaf 0, read again,
-    # outlives leaf 1, the oldest entry not read since
-    evaluations.clear()
-    assert leaf(0).passed and not leaf(bound).passed
-    assert algebra._witnesses.cache_info().currsize == bound
-    assert evaluations == ["memo"]
-    evaluations.clear()
-    assert leaf(0).passed and not leaf(2).passed and not leaf(bound).passed
-    assert evaluations == []
-    assert not leaf(1).passed
-    assert evaluations == ["memo"]
-
-
 def _differing_leaves():
-    """Pairs of identities equal in all but one part of the memo key."""
+    """Pairs of identities equal in all but one part: name, index labels,
+    a term's spec or coefficient, or the side a term is on."""
     m, other = Tensor((2, 2), [1, 2, 0, 3]), Tensor((2, 2), [1, 2, 0, 4])
     t, u = term("ij->ij", m), term("ij->ij", other)
     return {
@@ -844,11 +818,10 @@ def _differing_leaves():
 def test_leaves_that_differ_in_one_part_of_the_key_miss_the_memo(part, evaluations):
     first, second = _differing_leaves()[part]
     cold = violations(_sweep("cold", second))
-    algebra._witnesses.cache_clear()
-    violations(_sweep("warm", first))
     evaluations.clear()
+    violations(_sweep("warm", first))
     assert violations(_sweep("warm", second)) == cold
-    assert evaluations == [second.name]
+    assert evaluations == [first.name, second.name]
 
 
 def test_a_one_entry_mutant_misses_the_memo(sl2_pp, evaluations):
@@ -873,8 +846,8 @@ def test_a_leaf_under_another_witness_limit_misses_the_memo(evaluations):
 
 def test_a_wrapped_precondition_shares_its_evaluations(sl2_postlie, kappa, evaluations,
                                                        monkeypatch):
-    # a tracer wraps a checker in another function object; the memo is keyed
-    # by the identities it builds, not by the function that built them
+    # a tracer wraps a checker in another function object; the family cache
+    # is keyed by the family it hands _sweep, not by the function that called
     from postlie import forms
     check = forms.check_post_lie
     monkeypatch.setattr(forms, "check_post_lie", lambda alg: check(alg))

@@ -46,7 +46,7 @@ def _owner(cache):
 
 def test_every_process_wide_cache_is_registered():
     assert sorted(cache.__name__ for cache in linalg._CACHES) == [
-        "_coadjoint", "_gather", "_permutation", "_plan", "_plans", "_table", "_witnesses"]
+        "_coadjoint", "_gather", "_permutation", "_plan", "_plans", "_table"]
     for cache in linalg._CACHES:
         assert getattr(_owner(cache), cache.__name__) is cache
         assert 0 < cache.cache_info().maxsize <= 1024

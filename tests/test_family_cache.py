@@ -1,12 +1,13 @@
-"""The family cache: a check repeated on equal tables builds and plans nothing.
+"""The family cache: a check repeated on equal tables builds, plans and
+evaluates nothing.
 
 Every checker hands _sweep a family, a function of the tensors it reads
-that returns the check's identities.  _sweep keeps each family call's
-planned leaves, keyed by (family, tensors, witness limit), in the
-family cache (algebra._plans); the witnesses of each leaf stay in the
-verdict memo (algebra._witnesses) alone.  These tests count the family
-calls that build (the misses), the terms planned and the identities
-evaluated.
+that returns the check's identities.  _sweep keeps each family call's leaf
+reports, keyed by (family, tensors, witness limit), in the family cache
+(algebra._plans), and every report on equal tables holds those same
+leaves, each of which keeps its witnesses once read.  These tests count
+the family calls that build (the misses), the terms planned and the
+identities evaluated.
 """
 
 from types import SimpleNamespace
@@ -14,7 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 from postlie import algebra, bialgebra, construct, corpus_doc, forms, linalg
-from postlie.algebra import Identity, PreconditionError, check_pp_post_lie, term
+from postlie.algebra import (Identity, PreconditionError, check_pp_post_lie,
+                             horizontal_post_lie, term)
 from postlie.bialgebra import check_pp_bialgebra
 from postlie.forms import PPRepSpec, check_pp_rep, pp_adjoint_rep
 from postlie.linalg import LinAlgError, Tensor
@@ -160,30 +162,30 @@ def test_each_part_of_the_key_misses_the_family_cache(counts):
     sweep(_family, Tensor((2, 2), [1, 2, 0, 4]))
     sweep(_family, m, per_identity=1)
     assert counts.built == ["_other_family", "_family", "_family"]
-    # an equal leaf of another family shares its verdict all the same
-    assert counts.evaluated == ["key", "key"]
+    # an equal leaf of another family is evaluated again
+    assert counts.evaluated == ["key", "key", "key"]
 
 
 def test_the_family_cache_holds_at_most_its_bound(counts):
+    # a one-identity report, which passes for k = 0 only; its leaf's
+    # witnesses live exactly as long as its family-cache entry
     bound = algebra._plans.cache_info().maxsize
-    sweep = lambda k: algebra._sweep("bound", _family, (Tensor((1, 1), [k]),))
+    sweep = lambda k: algebra._sweep("bound", _family, (Tensor((1, 1), [k]),)).passed
     for k in range(bound):
-        sweep(k)
+        assert sweep(k) is (k == 0)
         assert algebra._plans.cache_info().currsize == k + 1
-    assert len(counts.built) == bound
+    assert len(counts.built) == len(counts.evaluated) == bound
     # the least recently used entry is dropped first: call 0, made again,
     # outlives call 1, the oldest entry not used since
     _clear(counts)
-    sweep(0)
-    sweep(bound)
+    assert sweep(0) and not sweep(bound)
     assert algebra._plans.cache_info().currsize == bound
-    assert counts.built == ["_family"]
+    assert counts.built == ["_family"] and counts.evaluated == ["key"]
     _clear(counts)
-    for k in (0, 2, bound):
-        sweep(k)
-    assert counts.built == []
-    sweep(1)
-    assert counts.built == ["_family"]
+    assert sweep(0) and not sweep(2) and not sweep(bound)
+    assert counts.built == counts.evaluated == []
+    assert not sweep(1)
+    assert counts.built == ["_family"] and counts.evaluated == ["key"]
 
 
 def test_an_error_is_raised_by_every_call_and_nothing_is_kept(counts):
@@ -197,10 +199,54 @@ def test_an_error_is_raised_by_every_call_and_nothing_is_kept(counts):
     assert algebra._plans.cache_info().currsize == 0
 
 
-def test_a_mutant_shares_the_verdicts_of_the_leaves_it_leaves_unchanged(counts):
-    assert check_pp_post_lie(SL2_PP).passed
+def test_a_mutant_evaluates_its_own_leaves_and_leaves_the_base_unchanged(counts):
+    base = check_pp_post_lie(SL2_PP)
+    assert base.passed
     _clear(counts)
-    # rtri raised at one entry: pp.1, pp.2a and pp.2b read only ltri and the bracket
+    # rtri raised at one entry: pp.1, pp.2a and pp.2b read only ltri and the
+    # bracket, but they are leaves of another family call, so evaluated again
     report = check_pp_post_lie(_renamed(SL2_PP, ("rtri", 0)))
     assert violations(report) and counts.built == ["PP_IDENTITIES"]
-    assert counts.evaluated and {"pp.1", "pp.2a", "pp.2b"}.isdisjoint(counts.evaluated)
+    assert counts.evaluated[:3] == ["pp.1", "pp.2a", "pp.2b"]
+    assert not {leaf for _, leaf in base.parts} & {leaf for _, leaf in report.parts}
+    _clear(counts)
+    assert base.passed and base.witnesses == ()
+    again = check_pp_post_lie(SL2_PP)
+    assert _same_leaves(again, base) and again.passed and counts.evaluated == []
+
+
+def _same_leaves(a, b) -> bool:
+    """Whether reports a and b hold the very same leaf reports, in order."""
+    return len(a.parts) == len(b.parts) and all(x is y for (_, x), (_, y) in zip(a.parts, b.parts))
+
+
+def test_reports_on_equal_tables_share_their_leaf_reports(counts, monkeypatch):
+    """The family cache hands every report on equal tables the same leaf
+    reports, so witnesses read through one parent are not evaluated again
+    through another."""
+    # two checks on equal tables: the very same leaves
+    first, second = check_pp_post_lie(SL2_PP), check_pp_post_lie(_renamed(SL2_PP))
+    assert first is not second and len(first.parts) == 6 and _same_leaves(first, second)
+    # witnesses read through a precondition are read again by the direct check
+    mutant = _renamed(SL2_PP, ("ltri", 0))
+    with pytest.raises(PreconditionError) as caught:
+        horizontal_post_lie(mutant)
+    required = caught.value.report
+    assert violations(required)
+    _clear(counts)
+    direct = check_pp_post_lie(_renamed(mutant))
+    assert violations(direct) == violations(required) and _same_leaves(direct, required)
+    assert counts.evaluated == []
+    # the post-Lie precondition of check_gph, nested in manin_triple_build,
+    # is the report manin_triple_build checked first, leaf for leaf
+    required = []
+    check = forms.check_post_lie
+    monkeypatch.setattr(forms, "check_post_lie",
+                        lambda alg: required.append(check(alg)) or required[-1])
+    _clear(counts)
+    _, _, report = construct.manin_triple_build(AHAT_PP, bialgebra.dualize(COBRACKETS))
+    assert report.passed and len(required) == 1
+    post_lie = dict(report.parts)["manin.post-lie"]
+    assert _same_leaves(required[0], post_lie)
+    assert [name for name in counts.evaluated if name.startswith("postlie.")] == [
+        "postlie.1", "postlie.2"]

@@ -100,7 +100,7 @@ def test_omega_cocycle_symmetric(sl2_postlie, kappa):
 
 def test_omega_cocycle_checks_post_lie_once(sl2_postlie, kappa, monkeypatch):
     # the sub-adjacent bracket's precondition evaluates the post-Lie
-    # identities; the invariant form's reads them from the verdict memo
+    # identities; the invariant form's reads the same leaves from the family cache
     import postlie.algebra
     names = []
     evaluate = postlie.algebra._evaluate

@@ -300,11 +300,11 @@ def test_transcripts_replay_in_one_process_in_any_order(inputs, goldens):
         assert seen.setdefault(argv, got) == got, argv
 
 
-def test_check_transcripts_repeat_on_a_warm_memo(inputs, goldens, monkeypatch):
+def test_check_transcripts_repeat_on_a_warm_family_cache(inputs, goldens, monkeypatch):
     """Every check case prints the same bytes with the same exit code when it
-    runs again in one process: the second run reads every family's planned
-    identities from the family cache, plans no term (not even an einsum's)
-    and evaluates no identity, reading every verdict from the verdict memo."""
+    runs again in one process: the second run reads every family's leaf
+    reports from the family cache, plans no term (not even an einsum's) and
+    evaluates no identity, reading every verdict its leaves already hold."""
     import postlie.algebra as algebra
     import postlie.linalg as linalg
 

@@ -266,7 +266,7 @@ def test_cli_check_bialg(corpus_on_disk, capsys):
 
 
 def test_cli_pp_coalg_both_modes_check_co_lie_once(corpus_on_disk, capsys, monkeypatch):
-    # each mode checks co-Lie; the second reads its identities from the memo
+    # each mode checks co-Lie; the second reads its leaves from the family cache
     names = []
     evaluate = algebra._evaluate
     monkeypatch.setattr(algebra, "_evaluate",

@@ -18,8 +18,9 @@ swapped in ltri goes unnoticed there; these tables are random and dense.
 
 import itertools
 import random
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -313,6 +314,17 @@ def test_shape_errors():
         Matrix.zero(2, 3).solve(Matrix.zero(2, 1))
     with pytest.raises(LinAlgError, match="einsum needs at least one operand"):
         einsum("->")
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_elimination_refuses_a_tensor_that_is_not_a_matrix(shape):
+    t = Tensor(shape, list(range(1, 1 + prod(shape))))
+    for name, call in (("det", t.det), ("rank", t.rank), ("inverse", t.inverse),
+                       ("solve", lambda: t.solve(Tensor.identity(3))),
+                       ("solve's rhs", lambda: Tensor.identity(3).solve(t))):
+        with pytest.raises(LinAlgError, match=r"^%s needs a matrix, got a tensor of shape %s$"
+                           % (re.escape(name), re.escape(repr(shape)))):
+            call()
 
 
 def test_an_int_index_reads_a_one_axis_tensor():
