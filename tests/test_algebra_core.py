@@ -844,6 +844,38 @@ def test_a_leaf_under_another_witness_limit_misses_the_memo(evaluations):
     assert evaluations == ["limit", "limit"]
 
 
+def _one_entry(t):
+    return [Identity("memo", "i", [term("i->i", t)])]
+
+
+def test_the_memo_holds_at_most_its_bound(evaluations):
+    # a leaf's verdict and witnesses are kept in its family-cache entry and
+    # no longer: read again while the entry is kept, they are the same
+    # objects and nothing is evaluated; once it is dropped, they are not
+    def leaf(k):    # the one leaf of a fresh report, which passes for k = 0 only
+        [(_, part)] = algebra._sweep("memo", _one_entry, (Tensor((1,), [k]),)).parts
+        return part
+
+    bound = algebra._plans.cache_info().maxsize
+    kept = [leaf(k) for k in range(bound)]
+    assert [part.passed for part in kept] == [k == 0 for k in range(bound)]
+    witnesses = kept[1].witnesses
+    assert [w.indices for w in witnesses] == [(0,)]
+    assert len(evaluations) == bound
+    evaluations.clear()
+    assert leaf(1) is kept[1] and leaf(1).witnesses is witnesses
+    assert evaluations == []
+    # the least recently used entry is dropped first: leaf 1, read again,
+    # outlives leaf 0, the oldest entry not read since
+    assert not leaf(bound).passed and evaluations == ["memo"]
+    assert algebra._plans.cache_info().currsize == bound
+    evaluations.clear()
+    assert leaf(1) is kept[1] and leaf(2) is kept[2] and evaluations == []
+    fresh = leaf(0)
+    assert fresh is not kept[0] and fresh.passed and evaluations == ["memo"]
+    assert fresh.witnesses == () and evaluations == ["memo"]
+
+
 def test_a_wrapped_precondition_shares_its_evaluations(sl2_postlie, kappa, evaluations,
                                                        monkeypatch):
     # a tracer wraps a checker in another function object; the family cache
